@@ -11,24 +11,14 @@
 //   ./build/bench/fig9_scalability [--series=events|rules|shards|actions|
 //                                   workload|both|all]
 //                                  [--shards=N[,N...]] [--batch=N]
-//                                  [--partition=rule|data]
-//                                  [--compile=full|off]
 //                                  [--actions=off|sync|async]
 //                                  [--rules=N] [--sites=N] [--events=N]
 //                                  [--metrics] [--metrics-out=FILE]
 //                                  [--json-out=FILE] [--recovery-smoke]
 //
-// --partition=data requests the data-partitioned pipeline (keyed rules
-// replicated, stream split by hash(EPC); see engine/sharded_engine.h);
-// every JSON row records the partition mode the engine ACTUALLY ran
-// ("data" only when at least one rule was key-partitionable). --shards
-// takes a comma list for the shards series (a serial shards=1 baseline
-// point is always included); other series use the first value.
-//
-// --compile=off disables the rule-set compiler (indexed dispatch,
-// predicate pushdown, and SEQ+ prefix sharing) so the 500 -> 10k rules
-// scaling of the uncompiled engine can be measured for comparison; the
-// default ("full") is what BENCH_rfidcep.json records.
+// --shards takes a comma list for the shards series (a serial shards=1
+// baseline point is always included); other series use the first value.
+// Sharded runs partition the stream by key (engine/sharded_engine.h).
 //
 // The rules series (FIG9-B) sweeps the SKU x site rule family — one
 // duplicate-detection rule per (site, SKU) pair over 20 sites and 500
@@ -74,7 +64,7 @@
 // Expected shape (paper): total processing time grows ~linearly with the
 // number of primitive events, and stays moderate as the number of rules
 // grows (sub-linear in rules thanks to common-subgraph merging and
-// group-keyed primitive dispatch). The shards series reports the same
+// indexed primitive dispatch). The shards series reports the same
 // workload partitioned across worker threads; wall-clock gains require
 // the host to have that many cores (see docs/performance.md).
 
@@ -112,7 +102,6 @@ struct RunResult {
   uint64_t matches = 0;
   uint64_t pseudo_fired = 0;
   uint64_t rules_fired = 0;
-  bool data_partitioned = false;  // What the engine actually ran.
   // Actions-series extras (zero when the run had no store).
   uint64_t sql_actions = 0;
   uint64_t store_rows = 0;  // Total rows across the three RFID tables.
@@ -122,14 +111,12 @@ struct BenchFlags {
   std::string series = "both";
   int shards = 1;
   std::vector<int> shard_list;  // --shards comma list (shards series).
-  std::string partition = "rule";
   size_t batch = 1024;
   int rules = 0;    // 0 = per-series default.
   int sites = 0;    // 0 = per-series default.
   size_t events = 0;  // 0 = per-series default.
   bool metrics = false;  // Collection off: timed numbers match the seed.
   bool recovery_smoke = false;  // Midpoint checkpoint/restore check.
-  std::string compile = "full";  // "off" disables the rule-set compiler.
   std::string actions = "off";   // Action mode (actions series / smoke).
   std::string metrics_out;  // Exposition of the last run ("-" = stdout).
   std::string json_out;     // Timing rows for scripts/bench_guard.py.
@@ -142,16 +129,15 @@ struct BenchOutput {
 };
 
 void AppendJsonRow(BenchOutput* out, const char* series,
-                   const char* rule_family, const BenchFlags& flags,
-                   size_t events, int rules, int shards, const RunResult& r) {
-  char buf[352];
+                   const char* rule_family, size_t events, int rules,
+                   int shards, const RunResult& r) {
+  char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "{\"series\":\"%s\",\"rule_family\":\"%s\","
-                "\"compile\":\"%s\",\"events\":%zu,\"rules\":%d,"
-                "\"shards\":%d,\"partition\":\"%s\",\"total_ms\":%.3f,"
-                "\"usec_per_event\":%.4f,\"matches\":%llu,\"fired\":%llu}",
-                series, rule_family, flags.compile.c_str(), events, rules,
-                shards, r.data_partitioned ? "data" : "rule", r.total_ms,
+                "\"events\":%zu,\"rules\":%d,\"shards\":%d,"
+                "\"total_ms\":%.3f,\"usec_per_event\":%.4f,"
+                "\"matches\":%llu,\"fired\":%llu}",
+                series, rule_family, events, rules, shards, r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.rules_fired));
   out->json_rows.emplace_back(buf);
@@ -222,15 +208,7 @@ RunResult RunOnce(const std::string& rule_program,
   EngineOptions options;
   options.execute_actions = false;  // Paper: action cost not counted.
   options.shards = shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = flags.metrics;
-  if (flags.compile == "off") {
-    options.detector.compile.indexed_dispatch = false;
-    options.detector.compile.predicate_pushdown = false;
-    options.detector.compile.share_prefixes = false;
-  }
   RcedaEngine engine(nullptr, chain.environment(), options);
   Check(engine.AddRulesFromText(rule_program), "rule");
   Check(engine.Compile(), "compile");
@@ -250,7 +228,6 @@ RunResult RunOnce(const std::string& rule_program,
   result.matches = engine.stats().detector.rule_matches;
   result.pseudo_fired = engine.stats().detector.pseudo_fired;
   result.rules_fired = engine.stats().rules_fired;
-  result.data_partitioned = engine.data_partitioned();
   if (flags.metrics) out->metrics_text = engine.ExportMetrics();
   return result;
 }
@@ -278,8 +255,8 @@ void RunEventsSeries(const BenchFlags& flags, BenchOutput* out) {
     std::printf("%12zu %14.1f %14.3f %12llu %12llu\n", events, r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.pseudo_fired));
-    AppendJsonRow(out, "events", "generated", flags, events, num_rules,
-                  flags.shards, r);
+    AppendJsonRow(out, "events", "generated", events, num_rules, flags.shards,
+                  r);
   }
 }
 
@@ -295,8 +272,7 @@ void RunRulesSeries(const BenchFlags& flags, BenchOutput* out) {
   // event, so they load the probed buckets without adding matching
   // work. The usec/event ratio between points is therefore the pure
   // dispatch-scaling measurement the rule-set compiler is gated on
-  // (scripts/bench_guard.py); the uncompiled engine still scans every
-  // leaf per event and shows the contrast.
+  // (scripts/bench_guard.py).
   const int sites = flags.sites > 0 ? flags.sites : 20;
   rfidcep::sim::SupplyChainConfig config = BenchConfig(sites);
   config.num_skus = 25;  // Stream pool == the 500-rule point's coverage.
@@ -304,9 +280,9 @@ void RunRulesSeries(const BenchFlags& flags, BenchOutput* out) {
   naming.num_skus = 500;  // Rule family spans the full SKU space.
   std::printf("(fixed stream: %zu primitive events at 1000 ev/s over %d "
               "sites x %d SKUs, sku_site rule family over %d SKUs, "
-              "compile=%s, actions excluded, shards=%d, batch=%zu)\n",
-              events, sites, config.num_skus, naming.num_skus,
-              flags.compile.c_str(), flags.shards, flags.batch);
+              "actions excluded, shards=%d, batch=%zu)\n",
+              events, sites, config.num_skus, naming.num_skus, flags.shards,
+              flags.batch);
   std::printf("%12s %14s %14s %12s %12s\n", "rules", "total_ms", "usec/event",
               "matches", "pseudo");
   rfidcep::sim::SupplyChain naming_chain(naming);
@@ -319,16 +295,14 @@ void RunRulesSeries(const BenchFlags& flags, BenchOutput* out) {
     std::printf("%12d %14.1f %14.3f %12llu %12llu\n", rules, r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.pseudo_fired));
-    AppendJsonRow(out, "rules", "sku_site", flags, events, rules,
-                  flags.shards, r);
+    AppendJsonRow(out, "rules", "sku_site", events, rules, flags.shards, r);
   }
 }
 
 // Many-rules workload partitioned across detection shards (default
 // {1, 2, 4}; override the multi-shard points with --shards=2,4,...).
-// Match and fired counts must be identical at every shard count and in
-// both partition modes — the pipeline's determinism contract — so they
-// are printed for auditing, along with the mode each run engaged.
+// Match and fired counts must be identical at every shard count — the
+// pipeline's determinism contract — so they are printed for auditing.
 void RunShardsSeries(const BenchFlags& flags, BenchOutput* out) {
   const int rules = flags.rules > 0 ? flags.rules : 100;
   const int sites = flags.sites > 0 ? flags.sites : 20;
@@ -336,10 +310,10 @@ void RunShardsSeries(const BenchFlags& flags, BenchOutput* out) {
   std::printf("\nFIG9-S: total event processing time versus detection "
               "shards\n");
   std::printf("(fixed workload: %d rules over %d sites, %zu primitive "
-              "events, batch=%zu, partition=%s, actions excluded)\n",
-              rules, sites, events, flags.batch, flags.partition.c_str());
-  std::printf("%12s %11s %14s %14s %12s %12s\n", "shards", "partition",
-              "total_ms", "usec/event", "matches", "fired");
+              "events, batch=%zu, actions excluded)\n",
+              rules, sites, events, flags.batch);
+  std::printf("%12s %14s %14s %12s %12s\n", "shards", "total_ms",
+              "usec/event", "matches", "fired");
   rfidcep::sim::SupplyChain chain(BenchConfig(sites));
   std::string program = chain.GeneratedRuleProgram(rules);
   std::vector<int> points = {1};
@@ -354,12 +328,10 @@ void RunShardsSeries(const BenchFlags& flags, BenchOutput* out) {
   for (int shards : points) {
     RunResult r =
         RunOnce(program, BenchConfig(sites), events, shards, flags, out);
-    std::printf("%12d %11s %14.1f %14.3f %12llu %12llu\n", shards,
-                r.data_partitioned ? "data" : "rule", r.total_ms,
+    std::printf("%12d %14.1f %14.3f %12llu %12llu\n", shards, r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.rules_fired));
-    AppendJsonRow(out, "shards", "generated", flags, events, rules, shards,
-                  r);
+    AppendJsonRow(out, "shards", "generated", events, rules, shards, r);
   }
 }
 
@@ -381,16 +353,8 @@ RunResult RunWorkloadOnce(const std::string& rule_program,
   EngineOptions options;
   options.execute_actions = false;
   options.shards = flags.shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = flags.metrics;
   options.detector.tolerate_out_of_order = tolerate;
-  if (flags.compile == "off") {
-    options.detector.compile.indexed_dispatch = false;
-    options.detector.compile.predicate_pushdown = false;
-    options.detector.compile.share_prefixes = false;
-  }
   RcedaEngine engine(nullptr, rfidcep::events::Environment{}, options);
   Check(engine.AddRulesFromText(rule_program), "rule");
   Check(engine.Compile(), "compile");
@@ -410,7 +374,6 @@ RunResult RunWorkloadOnce(const std::string& rule_program,
   result.matches = engine.stats().detector.rule_matches;
   result.pseudo_fired = engine.stats().detector.pseudo_fired;
   result.rules_fired = engine.stats().rules_fired;
-  result.data_partitioned = engine.data_partitioned();
   if (flags.metrics) out->metrics_text = engine.ExportMetrics();
   return result;
 }
@@ -439,9 +402,9 @@ CREATE RULE reread, baggage ON WITHIN(TSEQ+(observation("gate", o, t), 0sec, 1se
   std::printf("\nFIG9-W: airport-baggage workload, in-order versus "
               "out-of-order arrival\n");
   std::printf("(4 baggage rules, per-reader upload batching, shards=%d, "
-              "batch=%zu, compile=%s; `upload` feeds arrival order with "
-              "out-of-order tolerance)\n",
-              flags.shards, flags.batch, flags.compile.c_str());
+              "batch=%zu; `upload` feeds arrival order with out-of-order "
+              "tolerance)\n",
+              flags.shards, flags.batch);
   std::printf("%12s %8s %14s %14s %12s %12s\n", "events", "order",
               "total_ms", "usec/event", "matches", "fired");
   for (size_t target : points) {
@@ -472,8 +435,8 @@ CREATE RULE reread, baggage ON WITHIN(TSEQ+(observation("gate", o, t), 0sec, 1se
                   static_cast<unsigned long long>(r.matches),
                   static_cast<unsigned long long>(r.rules_fired));
       AppendJsonRow(out, "workload",
-                    feed.tolerate ? "baggage_upload" : "baggage_time", flags,
-                    events, 4, flags.shards, r);
+                    feed.tolerate ? "baggage_upload" : "baggage_time", events,
+                    4, flags.shards, r);
     }
   }
 }
@@ -502,9 +465,6 @@ RunResult RunActionsOnce(const std::string& rule_program,
   options.execute_actions = mode != "off";
   options.async_actions = mode == "async";
   options.shards = flags.shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = flags.metrics;
   RcedaEngine engine(&db, chain.environment(), options);
   Check(engine.AddRulesFromText(rule_program), "rule");
@@ -526,7 +486,6 @@ RunResult RunActionsOnce(const std::string& rule_program,
       result.total_ms * 1000.0 / static_cast<double>(stream.size());
   result.matches = engine.stats().detector.rule_matches;
   result.rules_fired = engine.stats().rules_fired;
-  result.data_partitioned = engine.data_partitioned();
   result.sql_actions = engine.stats().sql_actions_executed;
   for (const char* table :
        {"OBSERVATION", "OBJECTLOCATION", "OBJECTCONTAINMENT"}) {
@@ -618,8 +577,8 @@ int RunActionsSeries(const BenchFlags& flags, BenchOutput* out) {
 // ones that originally did the work. The shard-summed totals are exact.
 // `skip_node_counters` drops per-node firing counters: their node ids
 // are relative to each layout's graphs, so across a re-partitioning
-// restore (any data-partitioned engine — its snapshot is pre-merged to
-// one serial-equivalent source) pre-checkpoint firings cannot be
+// restore (any sharded engine — its snapshot is pre-merged to one
+// serial-equivalent source) pre-checkpoint firings cannot be
 // re-credited by node id and legitimately stay behind.
 std::vector<std::string> CounterLines(const std::string& exposition,
                                       bool skip_node_counters) {
@@ -719,9 +678,6 @@ int RunDurableStoreSmoke(const BenchFlags& flags) {
   options.execute_actions = true;
   options.async_actions = flags.actions == "async";
   options.shards = flags.shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = true;
   auto make_engine = [&](Database* db) {
     auto engine =
@@ -828,7 +784,7 @@ int RunDurableStoreSmoke(const BenchFlags& flags) {
                 want_store.size(), got_store.size());
   }
 
-  const bool skip_node_counters = reference->data_partitioned();
+  const bool skip_node_counters = reference->num_shards() > 1;
   std::vector<std::string> want =
       CounterLines(reference->ExportMetrics(), skip_node_counters);
   std::vector<std::string> got =
@@ -878,9 +834,6 @@ int RunRecoverySmoke(const BenchFlags& flags) {
   EngineOptions options;
   options.execute_actions = false;
   options.shards = flags.shards;
-  options.partition = flags.partition == "data"
-                          ? rfidcep::engine::PartitionMode::kData
-                          : rfidcep::engine::PartitionMode::kRule;
   options.enable_metrics = true;
   auto make_engine = [&] {
     auto engine = std::make_unique<RcedaEngine>(nullptr, chain.environment(),
@@ -929,7 +882,7 @@ int RunRecoverySmoke(const BenchFlags& flags) {
   require("pseudo_fired", reference->stats().detector.pseudo_fired,
           second->stats().detector.pseudo_fired);
 
-  const bool skip_node_counters = reference->data_partitioned();
+  const bool skip_node_counters = reference->num_shards() > 1;
   std::vector<std::string> want =
       CounterLines(reference->ExportMetrics(), skip_node_counters);
   std::vector<std::string> got =
@@ -974,13 +927,6 @@ int main(int argc, char** argv) {
         p = (*next == ',') ? next + 1 : next;
       }
       flags.shards = flags.shard_list.empty() ? 0 : flags.shard_list.front();
-    } else if (std::strncmp(argv[i], "--partition=", 12) == 0) {
-      flags.partition = argv[i] + 12;
-      if (flags.partition != "rule" && flags.partition != "data") {
-        std::fprintf(stderr, "bad --partition (want rule|data): %s\n",
-                     argv[i]);
-        return 1;
-      }
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
       flags.batch = static_cast<size_t>(std::atol(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--rules=", 8) == 0) {
@@ -989,12 +935,6 @@ int main(int argc, char** argv) {
       flags.sites = std::atoi(argv[i] + 8);
     } else if (std::strncmp(argv[i], "--events=", 9) == 0) {
       flags.events = static_cast<size_t>(std::atol(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--compile=", 10) == 0) {
-      flags.compile = argv[i] + 10;
-      if (flags.compile != "full" && flags.compile != "off") {
-        std::fprintf(stderr, "bad --compile (want full|off): %s\n", argv[i]);
-        return 1;
-      }
     } else if (std::strncmp(argv[i], "--actions=", 10) == 0) {
       flags.actions = argv[i] + 10;
       if (flags.actions != "off" && flags.actions != "sync" &&

@@ -15,8 +15,7 @@ the sweep must stay at or below --rules-max-ratio (default 2.0 — the
 "10k rules costs at most 2x the 500-rule point" contract); with a
 single point (the CI smoke runs --rules=2000), it is compared against
 the closest committed current.rules.series point at --max-ratio like
-an events row. Rows recorded with --compile=off are ignored — they
-measure the uncompiled engine on purpose.
+an events row.
 
 When the run contains `actions`-series rows (the FIG9-ACT off/sync/
 async sweep), the guard gates the async action pipeline: the async
@@ -28,9 +27,10 @@ worker then has no core to overlap onto and every handoff is pure
 scheduling overhead, which measures the host, not the pipeline.
 
 When the run also contains `shards`-series rows, the guard additionally
-gates the sharded pipeline: for every (shards, partition) point with a
-committed counterpart in current.shards.series, the run's RELATIVE
-speedup versus its own shards=1 row must stay at or above
+gates the sharded pipeline: every shards point must have a committed
+counterpart (same shard count) in current.shards.series — a run point
+without one fails rather than passing unchecked — and the run's
+RELATIVE speedup versus its own shards=1 row must stay at or above
 --shards-min-ratio (default 0.9) times the committed speedup_vs_1shard.
 Comparing relative speedups, not absolute usec/event, keeps the gate
 meaningful across hosts of different speeds and core counts — a
@@ -69,12 +69,11 @@ def load_json(path):
 
 def check_shards(shard_rows, baseline, min_ratio):
     """Gates shards-series rows against current.shards.series. Returns
-    True when every comparable point holds its committed relative
-    speedup (see module docstring)."""
+    True when every point has a committed counterpart and holds its
+    committed relative speedup (see module docstring)."""
     committed = (baseline.get("current", {}).get("shards", {})
                  .get("series", []))
-    by_key = {(r["shards"], r.get("partition", "rule")): r
-              for r in committed}
+    by_shards = {r["shards"]: r for r in committed}
     serial = [r for r in shard_rows if r["shards"] == 1]
     if not serial:
         print("bench_guard: shards rows lack the shards=1 baseline "
@@ -83,27 +82,28 @@ def check_shards(shard_rows, baseline, min_ratio):
         sys.exit(2)
     serial_usec = min(r["usec_per_event"] for r in serial)
     ok = True
-    print(f"{'shards':>10} {'partition':>10} {'run spdup':>10} "
-          f"{'committed':>10} {'floor':>8}  verdict")
+    print(f"{'shards':>10} {'run spdup':>10} {'committed':>10} "
+          f"{'floor':>8}  verdict")
     for row in shard_rows:
         if row["shards"] == 1:
             continue
-        key = (row["shards"], row.get("partition", "rule"))
-        base = by_key.get(key)
-        if base is None or "speedup_vs_1shard" not in base:
-            print(f"{row['shards']:>10} {key[1]:>10} {'-':>10} {'-':>10} "
-                  f"{'-':>8}  skipped (no committed point)")
-            continue
         speedup = serial_usec / row["usec_per_event"]
+        base = by_shards.get(row["shards"])
+        if base is None or "speedup_vs_1shard" not in base:
+            ok = False
+            print(f"{row['shards']:>10} {speedup:>10.3f} {'-':>10} "
+                  f"{'-':>8}  MISSING (no committed point)")
+            continue
         floor = base["speedup_vs_1shard"] * min_ratio
         verdict = "ok" if speedup >= floor else "REGRESSION"
         ok &= verdict == "ok"
-        print(f"{row['shards']:>10} {key[1]:>10} {speedup:>10.3f} "
+        print(f"{row['shards']:>10} {speedup:>10.3f} "
               f"{base['speedup_vs_1shard']:>10.3f} {floor:>8.3f}  "
               f"{verdict}")
     if not ok:
-        print("bench_guard: sharded-pipeline relative speedup regressed "
-              f"below {min_ratio}x of the committed value", file=sys.stderr)
+        print("bench_guard: a sharded point has no committed counterpart "
+              "or its relative speedup regressed below "
+              f"{min_ratio}x of the committed value", file=sys.stderr)
     return ok
 
 
@@ -138,12 +138,8 @@ def check_actions(action_rows, max_ratio):
 
 def check_rules(rules_rows, baseline, max_ratio, rules_max_ratio):
     """Gates rules-series rows (see module docstring). Returns True when
-    the compiled sweep's dispatch scaling holds its budget."""
-    rows = [r for r in rules_rows if r.get("compile", "full") != "off"]
-    if not rows:
-        print("bench_guard: rules rows all ran with --compile=off; "
-              "nothing to gate", file=sys.stderr)
-        return True
+    the sweep's dispatch scaling holds its budget."""
+    rows = rules_rows
     if len(rows) >= 2:
         lo = min(rows, key=lambda r: r["usec_per_event"])
         hi = max(rows, key=lambda r: r["usec_per_event"])

@@ -42,18 +42,13 @@ for _ in 1 2; do
   RULES_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=rules)"$'\n'
 done
 echo "$RULES_TXT"
-# Shards sweep in both partition modes: rule-sharded (the rule set is
-# split across workers, every observation fans out to each subscribed
-# shard) and data-partitioned (keyed rules replicated, the stream split
-# by hash(EPC) — engine/sharded_engine.h). The shards=1 serial baseline
-# row repeats in both sweeps; the parser keeps the fastest.
+# Shards sweep (keyed rules replicated, the stream split by hash(EPC) —
+# engine/sharded_engine.h). The shards=1 serial baseline row repeats in
+# both runs; the parser keeps the fastest.
 SHARDS_TXT=""
-for partition in rule data; do
-  for _ in 1 2; do
-    SHARDS_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=shards \
-      --shards=2,4 --partition="$partition" \
-      --rules=100 --sites=20 --events=100000)"$'\n'
-  done
+for _ in 1 2; do
+  SHARDS_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=shards \
+    --shards=2,4 --rules=100 --sites=20 --events=100000)"$'\n'
 done
 echo "$SHARDS_TXT"
 BINDINGS_JSON="$("$BUILD_DIR/bench/bench_bindings" \
@@ -95,33 +90,6 @@ def parse_rows(text, key):
             best[row[key]] = row
     return [best[k] for k in sorted(best)]
 
-def parse_shards_rows(text):
-    """Parses the 6-column FIG9-S rows (shards, partition, total_ms,
-    usec/event, matches, fired), keyed by (shards, engaged partition).
-    Counts must agree across every repeat AND both modes: the data-
-    partitioned pipeline replays the rule-sharded/serial results."""
-    best = {}
-    counts = None
-    for line in text.splitlines():
-        parts = line.split()
-        if len(parts) != 6 or not parts[0].isdigit():
-            continue
-        assert parts[1] in ("rule", "data"), line
-        row = {
-            "shards": int(parts[0]),
-            "partition": parts[1],
-            "total_ms": float(parts[2]),
-            "usec_per_event": float(parts[3]),
-            "counts": (int(parts[4]), int(parts[5])),
-        }
-        if counts is None:
-            counts = row["counts"]
-        assert counts == row["counts"], (counts, row)
-        k = (row["shards"], row["partition"])
-        if k not in best or row["total_ms"] < best[k]["total_ms"]:
-            best[k] = row
-    return [best[k] for k in sorted(best)]
-
 current = []
 for row in parse_rows(os.environ["FIG9_TXT"], "events"):
     current.append({
@@ -152,21 +120,17 @@ rules_ratio = round(
     min(r["usec_per_event"] for r in rules), 3)
 
 shards = []
-for row in parse_shards_rows(os.environ["SHARDS_TXT"]):
+for row in parse_rows(os.environ["SHARDS_TXT"], "shards"):
     shards.append({
         "shards": row["shards"],
-        "partition": row["partition"],
         "total_ms": row["total_ms"],
         "usec_per_event": row["usec_per_event"],
         "matches": row["counts"][0],
         "rules_fired": row["counts"][1],
     })
 assert shards and shards[0]["shards"] == 1, "shards series missing"
-assert any(r["partition"] == "data" for r in shards), \
-    "data-partitioned sweep missing (generated rules have keyed families)"
 for row in shards:
-    # Determinism contract: every shard count, in both partition modes,
-    # reproduces serial results (parse_shards_rows also asserts counts).
+    # Determinism contract: every shard count reproduces serial results.
     assert row["matches"] == shards[0]["matches"], row
     assert row["rules_fired"] == shards[0]["rules_fired"], row
     row["speedup_vs_1shard"] = round(
@@ -197,8 +161,7 @@ doc = {
         "rules": {
             "workload": "sku_site rule family (one duplicate-detection "
                         "rule per (site, SKU) pair), 20 sites x 500 SKUs, "
-                        "one fixed 100000-event stream, batch=1024, "
-                        "rule-set compiler on (--compile=full)",
+                        "one fixed 100000-event stream, batch=1024",
             "host_cores": int(os.environ["HOST_CORES"]),
             "usec_ratio_max_vs_min": rules_ratio,
             "series": rules,
@@ -206,16 +169,14 @@ doc = {
         "shards": {
             "workload": "100 rules over 20 sites, 100000 events, batch=1024",
             "host_cores": int(os.environ["HOST_CORES"]),
-            "note": "each point records the partition mode the engine "
-                    "engaged: rule = rule set split across workers, data "
-                    "= keyed rules replicated with the stream split by "
-                    "hash(EPC) plus one residual shard for cross-object "
+            "note": "shards > 1 partitions the stream by key: keyed "
+                    "rules are replicated with the stream split by "
+                    "hash(EPC), plus one residual shard for cross-object "
                     "rules. Wall-clock speedup requires >= `shards` "
                     "physical cores; on a single-core host the sweep "
                     "only audits the determinism contract (identical "
-                    "matches and fired counts at every shard count in "
-                    "both modes) and the relative cost of the two "
-                    "coordination strategies",
+                    "matches and fired counts at every shard count) and "
+                    "the coordination overhead",
             "series": shards,
         },
         "micro": micro,
@@ -229,11 +190,7 @@ doc = {
         "BM_UnifiesWith: the per-event pairing path performs no heap "
         "allocation and builds no std::string keys",
         "the sharded pipeline reproduces serial matches and fired counts "
-        "exactly at every shard count and in both partition modes "
-        "(see current.shards.series)",
-        "data partitioning cuts per-observation coordination versus rule "
-        "sharding at the same shard count (one routed batch per ring "
-        "instead of a per-shard fan-out of every observation)",
+        "exactly at every shard count (see current.shards.series)",
         "per-event dispatch cost scales with the rules an observation "
         "can match, not the rule-set size: 10,000 rules cost at most "
         f"{rules_ratio:.2f}x the cheapest rules-sweep point "

@@ -89,39 +89,8 @@ Detector::Detector(const EventGraph* graph, const events::Environment* env,
       on_match_(std::move(on_match)),
       states_(graph->num_nodes()),
       produced_per_node_(graph->num_nodes(), 0),
-      seqplus_self_(graph->num_nodes(), false) {
-  // Primitive dispatch. Both implementations visit a bucket in
-  // canonical-key order, NOT interning order: interning order depends on
-  // which rules share a leaf (a leaf first interned by an earlier rule
-  // keeps its early id in the merged graph but not in a shard-local one),
-  // so it would make a rule's arrival order — and thus chronicle
-  // selection and emission order — depend on which other rules were
-  // compiled alongside it. Canonical order restricted to any rule subset
-  // is the same in every compilation, which is what the sharded
-  // pipeline's serial-replay determinism relies on.
-  if (options_.compile.indexed_dispatch) {
-    index_ = std::make_unique<PrimitiveIndex>(
-        *graph_, options_.compile.predicate_pushdown);
-  } else {
-    for (int id : graph_->primitive_nodes()) {
-      const events::PrimitiveEventType& type = graph_->node(id).primitive;
-      if (type.reader().is_literal) {
-        primitive_by_reader_key_[type.reader().text].push_back(id);
-      } else if (type.group_constraint().has_value()) {
-        primitive_by_reader_key_[*type.group_constraint()].push_back(id);
-      } else {
-        primitive_unkeyed_.push_back(id);
-      }
-    }
-    auto canonical_less = [this](int a, int b) {
-      return graph_->node(a).canonical_key < graph_->node(b).canonical_key;
-    };
-    for (auto& [key, ids] : primitive_by_reader_key_) {
-      std::sort(ids.begin(), ids.end(), canonical_less);
-    }
-    std::sort(primitive_unkeyed_.begin(), primitive_unkeyed_.end(),
-              canonical_less);
-  }
+      seqplus_self_(graph->num_nodes(), false),
+      index_(*graph) {
   // SEQ+ self-closure: needed unless every use is as a SEQ initiator
   // whose terminator actually arrives (then the terminator drives
   // materialization). A negated terminator never produces arrivals, so
@@ -182,72 +151,44 @@ Status Detector::Process(const Observation& obs) {
     Emit(node_id,
          EventInstance::MakePrimitive(obs, std::move(bindings), NextSeq()));
   };
-  if (index_ != nullptr) {
-    // Compiled path: hash probes + residual view compares. The probe
-    // implies reader-literal and pushed type predicates; type(o) is
-    // resolved once per observation, and only when some leaf pushed it.
-    if (index_->fullscan_fallback()) {
-      ++fullscan_observations_;
-      if (m != nullptr && m->dispatch_fullscan != nullptr) {
-        m->dispatch_fullscan->Increment();
-      }
+  // The probe implies reader-literal and pushed type predicates; type(o)
+  // is resolved once per observation, and only when some leaf pushed it.
+  if (index_.fullscan_fallback()) {
+    ++fullscan_observations_;
+    if (m != nullptr && m->dispatch_fullscan != nullptr) {
+      m->dispatch_fullscan->Increment();
     }
-    // type(o) resolves lazily — only when a probed bucket actually has
-    // typed sub-buckets — so observations whose buckets pushed no type
-    // predicate never pay the EPC parse.
-    std::string_view type_view;
-    bool type_resolved = false;
-    auto resolve_type = [&](const PrimitiveIndex::Bucket& bucket) {
-      if (!type_resolved && !bucket.by_type.empty()) {
-        type_view = env_->TypeViewOf(obs.object);
-        type_resolved = true;
-      }
-    };
-    auto candidate = [&](const DispatchEntry& entry) {
-      const events::PrimitiveEventType& type =
-          graph_->node(entry.node_id).primitive;
-      if (entry.needs_full_match) {
-        if (!type.Matches(obs, *env_)) return;
-      } else {
-        if (entry.check_group && group != entry.group) return;
-        if (entry.check_object && obs.object != entry.object_literal) return;
-      }
-      emit_leaf(entry.node_id, type);
-    };
+  }
+  // type(o) resolves lazily — only when a probed bucket actually has
+  // typed sub-buckets — so observations whose buckets pushed no type
+  // predicate never pay the EPC parse.
+  std::string_view type_view;
+  bool type_resolved = false;
+  auto resolve_type = [&](const PrimitiveIndex::Bucket& bucket) {
+    if (!type_resolved && !bucket.by_type.empty()) {
+      type_view = env_->TypeViewOf(obs.object);
+      type_resolved = true;
+    }
+  };
+  auto candidate = [&](const DispatchEntry& entry) {
+    if (entry.check_group && group != entry.group) return;
+    if (entry.check_object && obs.object != entry.object_literal) return;
+    emit_leaf(entry.node_id, graph_->node(entry.node_id).primitive);
+  };
+  if (const PrimitiveIndex::Bucket* bucket =
+          index_.FindReaderBucket(obs.reader)) {
+    resolve_type(*bucket);
+    PrimitiveIndex::Probe(*bucket, type_view, candidate);
+  }
+  if (group != obs.reader) {
     if (const PrimitiveIndex::Bucket* bucket =
-            index_->FindReaderBucket(obs.reader)) {
+            index_.FindReaderBucket(group)) {
       resolve_type(*bucket);
       PrimitiveIndex::Probe(*bucket, type_view, candidate);
     }
-    if (group != obs.reader) {
-      if (const PrimitiveIndex::Bucket* bucket =
-              index_->FindReaderBucket(group)) {
-        resolve_type(*bucket);
-        PrimitiveIndex::Probe(*bucket, type_view, candidate);
-      }
-    }
-    resolve_type(index_->unkeyed());
-    PrimitiveIndex::Probe(index_->unkeyed(), type_view, candidate);
-    return Status::Ok();
   }
-  auto dispatch = [&](const std::vector<int>& nodes) {
-    for (int node_id : nodes) {
-      const events::PrimitiveEventType& type = graph_->node(node_id).primitive;
-      if (!type.Matches(obs, *env_)) continue;
-      emit_leaf(node_id, type);
-    }
-  };
-  if (auto it = primitive_by_reader_key_.find(obs.reader);
-      it != primitive_by_reader_key_.end()) {
-    dispatch(it->second);
-  }
-  if (group != obs.reader) {
-    if (auto it = primitive_by_reader_key_.find(group);
-        it != primitive_by_reader_key_.end()) {
-      dispatch(it->second);
-    }
-  }
-  dispatch(primitive_unkeyed_);
+  resolve_type(index_.unkeyed());
+  PrimitiveIndex::Probe(index_.unkeyed(), type_view, candidate);
   return Status::Ok();
 }
 

@@ -33,11 +33,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include <memory>
-
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/strings.h"
 #include "engine/context.h"
 #include "engine/graph.h"
 #include "engine/rule_index.h"
@@ -100,10 +97,6 @@ struct DetectorOptions {
   TraceSink* trace = nullptr;
   // Label for trace records and per-shard metrics (0 in serial mode).
   int shard_id = 0;
-  // Rule-set compile options. indexed_dispatch/predicate_pushdown pick
-  // the dispatch implementation here; share_prefixes acts at graph build
-  // time and is carried by the graph itself.
-  CompileOptions compile;
 };
 
 struct DetectorStats {
@@ -194,7 +187,7 @@ class Detector {
 
   // Observations dispatched through the full-scan fallback (see
   // DetectorInstruments::dispatch_fullscan); 0 when the rule set has
-  // subscribable vocabulary or indexed dispatch is off.
+  // subscribable vocabulary.
   uint64_t FullscanObservations() const { return fullscan_observations_; }
 
   // --- Checkpoint/restore (engine/snapshot.h) -----------------------------
@@ -352,14 +345,7 @@ class Detector {
   std::vector<NodeState> states_;
   std::vector<uint64_t> produced_per_node_;
   std::vector<bool> seqplus_self_;  // Precomputed self-closure flags.
-  // Primitive dispatch, one of two implementations chosen at compile
-  // time (DetectorOptions::compile.indexed_dispatch):
-  //  * compiled inverted index with optional predicate pushdown;
-  //  * legacy bucket scan: reader literal / group-constraint value ->
-  //    leaves, probed with string_views via transparent hashing.
-  std::unique_ptr<PrimitiveIndex> index_;
-  StringViewMap<std::vector<int>> primitive_by_reader_key_;
-  std::vector<int> primitive_unkeyed_;
+  PrimitiveIndex index_;  // Primitive dispatch (engine/rule_index.h).
   uint64_t fullscan_observations_ = 0;
 
   std::priority_queue<PseudoEvent, std::vector<PseudoEvent>, PseudoLater>

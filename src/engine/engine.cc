@@ -144,9 +144,7 @@ Status RcedaEngine::Compile() {
     return Status::FailedPrecondition("no rules registered");
   }
   action_stage_.reset();  // A failed earlier Compile() may have left one.
-  RFIDCEP_ASSIGN_OR_RETURN(
-      EventGraph graph,
-      EventGraph::Build(rules_, options_.detector.compile.share_prefixes));
+  RFIDCEP_ASSIGN_OR_RETURN(EventGraph graph, EventGraph::Build(rules_));
   graph_.emplace(std::move(graph));
   fired_counts_.assign(rules_.size(), 0);
   flushed_ = false;  // The fresh detector starts a new stream.
@@ -199,8 +197,6 @@ Status RcedaEngine::Compile() {
   if (options_.shards > 1) {
     ShardedOptions sharded_options;
     sharded_options.shards = options_.shards;
-    sharded_options.queue_capacity = options_.shard_queue_capacity;
-    sharded_options.partition = options_.partition;
     sharded_options.detector = options_.detector;
     sharded_options.metrics = metrics_ != nullptr ? &registry_ : nullptr;
     sharded_options.trace = trace_;
@@ -213,7 +209,8 @@ Status RcedaEngine::Compile() {
                    TimePoint fire_time) {
               OnMatch(rule_index, instance, fire_time);
             }));
-    return Status::Ok();
+    // Null when no rule is key-partitionable: detection runs serial.
+    if (sharded_ != nullptr) return Status::Ok();
   }
   if (metrics_ != nullptr) {
     metrics_->detector = MakeDetectorInstruments(&registry_, 0, *graph_);
@@ -564,17 +561,18 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
 
   if (options_.enable_metrics) {
     // Counter continuity: zero everything, then re-apply the snapshot's
-    // totals. Shard-labeled counters transfer verbatim between identical
-    // shard layouts. Across layouts (including every restore of a
-    // data-partitioned engine's snapshot, which is pre-merged to one
-    // serial-equivalent source) the per-shard SPLIT is meaningless but
-    // the totals are not: they are summed over the shard label and
-    // credited to the target's shard-0 instrument — the same convention
-    // the restore plan uses for unkeyed state. Per-node firing counters
-    // are the exception: node ids are relative to each layout's graphs,
-    // so cross-layout they stay with the layout that did the work.
+    // totals. Counters transfer verbatim only from a serial capture into
+    // a serial engine. With a sharded side (a data-partitioned capture is
+    // pre-merged to one serial-equivalent source; an older rule-sharded
+    // capture's workers hosted different rules than today's replicas)
+    // the per-shard SPLIT is meaningless even when the shard counts
+    // agree, but the totals are not: they are summed over the shard
+    // label and credited to the target's shard-0 instrument — the same
+    // convention the restore plan uses for unkeyed state. Per-node firing
+    // counters are the exception: node ids are relative to each layout's
+    // graphs, so they stay with the layout that did the work.
     registry_.Reset();
-    bool same_layout = snap.source_shards == num_shards();
+    bool same_layout = snap.source_shards == 1 && num_shards() == 1;
     std::map<std::string, uint64_t> aggregated;
     for (const auto& [name, value] : snap.counters) {
       size_t label = name.find("shard=\"");

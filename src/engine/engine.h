@@ -47,12 +47,12 @@ struct EngineOptions {
   bool execute_actions = true;
   // Number of detection shards. 1 (the default) is the serial in-place
   // fast path: one merged graph, one detector, no queue hops. Values > 1
-  // partition the rule set across dedicated worker threads (see
-  // engine/sharded_engine.h); conditions, actions, fired counts, and the
-  // match callback still run on the calling thread, in a canonical order.
+  // partition the stream by key across that many replicas of the keyed
+  // rules, plus one residual worker for cross-object rules (see
+  // engine/sharded_engine.h); with no key-partitionable rule, detection
+  // stays serial. Conditions, actions, fired counts, and the match
+  // callback always run on the calling thread, in serial order per rule.
   int shards = 1;
-  // Per-shard command/match ring capacity when shards > 1.
-  size_t shard_queue_capacity = 1024;
   // Run rule actions on a dedicated pipeline stage instead of inline on
   // the detection path (engine/action_stage.h). Matches are still fired,
   // counted, and sequenced on the detection thread in canonical order;
@@ -65,11 +65,6 @@ struct EngineOptions {
   // to a power of two). A full queue blocks the detection thread —
   // bounded-queue backpressure, same as the shard rings.
   size_t action_queue_capacity = 1024;
-  // How the stream is split when shards > 1: kRule partitions the rule
-  // set, kData replicates key-partitionable rules and splits the stream
-  // by hash(EPC / site) — see engine/sharded_engine.h. Ignored when
-  // shards <= 1.
-  PartitionMode partition = PartitionMode::kRule;
   // Whether Compile() resolves registry instruments and times rule
   // evaluation. Defaults on at compile time (cmake -DRFIDCEP_METRICS=OFF
   // flips the default); when off, every instrumentation site in the
@@ -139,7 +134,8 @@ class RcedaEngine : public EngineFrontend {
   Status RemoveRule(std::string_view rule_id);
 
   // Builds the event graph and detector (or the sharded detection
-  // pipeline when options.shards > 1). Idempotent until rules change.
+  // pipeline when options.shards > 1 and some rule is key-partitionable).
+  // Idempotent until rules change.
   Status Compile();
   bool compiled() const {
     return detector_ != nullptr || sharded_ != nullptr;
@@ -148,15 +144,10 @@ class RcedaEngine : public EngineFrontend {
   // Changes the shard count used by the next Compile(). Requires
   // !compiled() (Decompile() first to re-shard an existing engine).
   Status SetShards(int shards);
-  // Detection shards in use: 1 for the serial fast path; when compiled
-  // with options.shards > 1, the actual count (empty shards collapse).
+  // Detection workers in use: 1 for the serial fast path; when sharded,
+  // the keyed replicas plus the residual worker, if any.
   int num_shards() const {
     return sharded_ != nullptr ? sharded_->num_shards() : 1;
-  }
-  // True when the compiled pipeline runs data-partitioned (kData was
-  // requested and at least one rule was key-partitionable).
-  bool data_partitioned() const {
-    return sharded_ != nullptr && sharded_->data_partitioned();
   }
 
   // Drops the compiled graph and all runtime state so rules can be added
@@ -317,8 +308,8 @@ class RcedaEngine : public EngineFrontend {
   // the registry must be destroyed after them.
   common::MetricsRegistry registry_;
   std::unique_ptr<EngineInstruments> metrics_;  // Null when disabled.
-  std::unique_ptr<Detector> detector_;            // options.shards <= 1.
-  std::unique_ptr<ShardedDetector> sharded_;      // options.shards > 1.
+  std::unique_ptr<Detector> detector_;            // Serial detection.
+  std::unique_ptr<ShardedDetector> sharded_;      // Sharded detection.
   // Declared after the detectors and the registry: the stage's worker
   // dispatches into registry-owned instruments up to its join, so it
   // must be destroyed first (members destroy in reverse order).

@@ -77,18 +77,17 @@ int EventGraph::Intern(const EventExpr& expr, bool terminator_closed) {
   // materialized by its own expiry pseudo event, so the node's state
   // trajectory is identical whether it serves one rule or many, and the
   // per-rule continuation slots above it keep run *consumption* private.
-  // Such occurrences are share-eligible; sharing them is opt-in
-  // (share_prefixes_). Unbounded or terminator-closed SEQ+ stays private
-  // per occurrence; it never touches the intern table at all, so an
-  // interned eligible node can never acquire a terminator-closed parent.
+  // Such occurrences are shared. Unbounded or terminator-closed SEQ+
+  // stays private per occurrence; it never touches the intern table at
+  // all, so an interned eligible node can never acquire a
+  // terminator-closed parent.
   bool eligible = false;
   if (expr.op() == ExprOp::kSeqPlus) {
     bool bounded = expr.dist_hi() != kDurationInfinity ||
                    expr.within() != kDurationInfinity;
     eligible = bounded && !terminator_closed;
   }
-  bool shareable =
-      expr.op() != ExprOp::kSeqPlus || (share_prefixes_ && eligible);
+  bool shareable = expr.op() != ExprOp::kSeqPlus || eligible;
   if (shareable) {
     if (auto it = interned_.find(key); it != interned_.end()) {
       return it->second;
@@ -471,18 +470,16 @@ Status EventGraph::Validate(
   return Status::Ok();
 }
 
-Result<EventGraph> EventGraph::Build(const std::vector<rules::Rule>& rules,
-                                     bool share_prefixes) {
+Result<EventGraph> EventGraph::Build(const std::vector<rules::Rule>& rules) {
   std::vector<const rules::Rule*> pointers;
   pointers.reserve(rules.size());
   for (const rules::Rule& rule : rules) pointers.push_back(&rule);
-  return Build(pointers, share_prefixes);
+  return Build(pointers);
 }
 
 Result<EventGraph> EventGraph::Build(
-    const std::vector<const rules::Rule*>& rules, bool share_prefixes) {
+    const std::vector<const rules::Rule*>& rules) {
   EventGraph graph;
-  graph.share_prefixes_ = share_prefixes;
   for (size_t i = 0; i < rules.size(); ++i) {
     if (rules[i]->event == nullptr) {
       return Status::InvalidArgument("rule '" + rules[i]->id +
@@ -590,54 +587,6 @@ std::vector<std::string> EventGraph::NodePartitionVars(bool object_dim) const {
   return vars;
 }
 
-std::vector<std::vector<size_t>> EventGraph::CoupledRuleGroups() const {
-  size_t num_rules = rule_roots_.size();
-  std::vector<size_t> parent(num_rules);
-  for (size_t i = 0; i < num_rules; ++i) parent[i] = i;
-  auto find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  auto unite = [&](size_t a, size_t b) {
-    a = find(a);
-    b = find(b);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  };
-
-  // Union rules that reach a common SEQ+ node.
-  std::unordered_map<int, size_t> seqplus_owner;
-  std::vector<bool> seen(nodes_.size());
-  std::vector<int> stack;
-  for (size_t r = 0; r < num_rules; ++r) {
-    seen.assign(nodes_.size(), false);
-    stack.assign(1, rule_roots_[r]);
-    while (!stack.empty()) {
-      int id = stack.back();
-      stack.pop_back();
-      if (seen[id]) continue;
-      seen[id] = true;
-      if (nodes_[id].op == ExprOp::kSeqPlus) {
-        auto [it, inserted] = seqplus_owner.emplace(id, r);
-        if (!inserted) unite(it->second, r);
-      }
-      for (int child : nodes_[id].children) stack.push_back(child);
-    }
-  }
-
-  std::vector<std::vector<size_t>> groups;
-  std::unordered_map<size_t, size_t> group_of_root;
-  for (size_t r = 0; r < num_rules; ++r) {
-    size_t root = find(r);
-    auto [it, inserted] = group_of_root.emplace(root, groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(r);
-  }
-  return groups;
-}
-
 std::vector<std::string> EventGraph::NodeStateKeys(
     const std::vector<std::string>& rule_ids) const {
   std::vector<std::string> keys(nodes_.size());
@@ -652,10 +601,9 @@ std::vector<std::string> EventGraph::NodeStateKeys(
       out = node.canonical_key;
       return out;
     }
-    if (share_prefixes_ && node.seqplus_share_eligible) {
+    if (node.seqplus_share_eligible) {
       // Shared across rules: hash-consing makes the canonical key unique
-      // among shared SEQ+ nodes, and a shared node's state trajectory
-      // matches each private copy's, so this key is position-free.
+      // among shared SEQ+ nodes, so this key is position-free.
       out = "shared|";
       out += node.canonical_key;
       return out;
@@ -696,10 +644,9 @@ std::vector<std::string> EventGraph::NodeStateKeys(
 }
 
 std::vector<std::string> EventGraph::NodeStateAliases() const {
-  // Eligibility is computed identically in both compile modes, so for a
-  // given rule set the set of aliased canonical keys agrees between a
-  // shared graph ("shared|<key>" state keys) and an unshared one
-  // (positional "…|<key>" state keys for the same occurrences).
+  // Eligibility depends only on the rule set, so the aliased canonical
+  // keys are exactly the occurrences a pre-sharing graph stored under
+  // positional "…|<key>" state keys.
   std::vector<std::string> aliases(nodes_.size());
   for (const GraphNode& node : nodes_) {
     if (node.op == ExprOp::kSeqPlus && node.seqplus_share_eligible) {

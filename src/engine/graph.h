@@ -36,22 +36,6 @@ enum class DetectionMode {
 
 std::string_view DetectionModeName(DetectionMode mode);
 
-// Rule-set compile options (the rule compiler). The engine defaults all
-// three on; EventGraph::Build's bare overloads default share_prefixes off
-// so ad-hoc graphs keep the historical private-SEQ+ layout.
-struct CompileOptions {
-  // Dispatch observations through a vocabulary-inverted index
-  // (engine/rule_index.h) instead of scanning reader-key leaf buckets.
-  bool indexed_dispatch = true;
-  // Hoist leaf type(o) equality predicates into the index probe so each
-  // is evaluated once per observation, not once per subscribed leaf.
-  // Only meaningful with indexed_dispatch.
-  bool predicate_pushdown = true;
-  // Hash-cons share-eligible SEQ+ nodes across rules (safe prefix
-  // sharing; see EventGraph::Intern for the eligibility rule).
-  bool share_prefixes = true;
-};
-
 struct GraphNode {
   int id = -1;
   events::ExprOp op = events::ExprOp::kPrimitive;
@@ -81,31 +65,23 @@ struct GraphNode {
   // keys over these so the per-event path never touches variable names.
   std::vector<events::SymbolId> join_syms;
   std::string canonical_key;
-  // SEQ+ only: whether this occurrence may be hash-consed across rules
+  // SEQ+ only: whether this occurrence is hash-consed across rules
   // (bounded expiry and not closed by a positive SEQ terminator — see
-  // Intern). Computed identically whether or not sharing is enabled, so
-  // state keys/aliases agree across compile modes.
+  // Intern).
   bool seqplus_share_eligible = false;
 };
 
 class EventGraph {
  public:
   // Builds the merged, validated graph for `rules`. Each rule's event is
-  // interval-propagated, hash-consed into shared nodes, and validated.
+  // interval-propagated, hash-consed into shared nodes (share-eligible
+  // SEQ+ nodes included: safe prefix sharing, see Intern), and validated.
   // Fails with kFailedPrecondition naming the first invalid rule.
-  // `share_prefixes` additionally hash-conses share-eligible SEQ+ nodes
-  // across rules (CompileOptions::share_prefixes); it defaults off so
-  // callers that build ad-hoc graphs keep the historical layout.
-  static Result<EventGraph> Build(const std::vector<rules::Rule>& rules,
-                                  bool share_prefixes = false);
+  static Result<EventGraph> Build(const std::vector<rules::Rule>& rules);
   // Same, over an arbitrary selection of rules (rules are move-only, so
   // shard compilation selects by pointer). Rule indexes in the resulting
   // graph are positions in `rules`.
-  static Result<EventGraph> Build(const std::vector<const rules::Rule*>& rules,
-                                  bool share_prefixes = false);
-
-  // Whether this graph was built with SEQ+ prefix sharing enabled.
-  bool share_prefixes() const { return share_prefixes_; }
+  static Result<EventGraph> Build(const std::vector<const rules::Rule*>& rules);
 
   const std::vector<GraphNode>& nodes() const { return nodes_; }
   const GraphNode& node(int id) const { return nodes_[id]; }
@@ -151,7 +127,7 @@ class EventGraph {
   enum class RulePartitionClass {
     kEpcKeyed = 0,   // Partition by hash(observation.object).
     kSiteKeyed,      // Partition by hash(observation.reader).
-    kCrossObject,    // Not key-partitionable: rule-sharded fallback.
+    kCrossObject,    // Not key-partitionable: runs on the residual worker.
   };
   struct RulePartition {
     RulePartitionClass cls = RulePartitionClass::kCrossObject;
@@ -174,30 +150,20 @@ class EventGraph {
   // any graph). Private SEQ+ nodes — duplicate canonical keys are
   // possible — are qualified by position: a SEQ+ rule root by the owning
   // rule's id (`rule_ids[rule_index]`), a nested SEQ+ by its unique
-  // parent's state key and child slot. Under share_prefixes, eligible
-  // SEQ+ nodes are instead keyed "shared|<canonical key>": sharing makes
-  // the canonical key unique again, and a shared node's trajectory is
-  // identical to each private copy's, so the two layouts restore into
-  // each other via NodeStateAliases().
+  // parent's state key and child slot. Share-eligible SEQ+ nodes are
+  // keyed "shared|<canonical key>": sharing makes the canonical key unique
+  // again. Snapshots written before prefix sharing hold such state under
+  // positional keys; NodeStateAliases() lets them restore.
   std::vector<std::string> NodeStateKeys(
       const std::vector<std::string>& rule_ids) const;
 
   // Companion to NodeStateKeys: for each node, the canonical key under
-  // which its state is equivalent across shared/unshared compiles —
-  // non-empty exactly for share-eligible SEQ+ nodes. BuildRestorePlan
-  // uses it to match "rule:<id>|<key>" private copies against
-  // "shared|<key>" shared state (either direction) when no exact state
-  // key matches.
+  // which its state is equivalent to a private per-rule copy's —
+  // non-empty exactly for share-eligible SEQ+ nodes (a shared node's
+  // trajectory is identical to each private copy's). BuildRestorePlan
+  // uses it to restore pre-sharing "rule:<id>|<key>" state into
+  // "shared|<key>" nodes when no exact state key matches.
   std::vector<std::string> NodeStateAliases() const;
-
-  // Rules that must be detected on the same shard: two rules sharing a
-  // SEQ+ node are coupled through its open-run state (one rule's
-  // sequence terminator or expiry pseudo event closes the run the other
-  // rule consumes), so evaluating them on separate graph copies could
-  // diverge from serial execution. Returns a partition of all rule
-  // indexes into such coupled groups (singletons for uncoupled rules),
-  // ordered by each group's smallest rule index.
-  std::vector<std::vector<size_t>> CoupledRuleGroups() const;
 
   // Human-readable dump (one line per node) for debugging and docs.
   std::string DebugString() const;
@@ -221,7 +187,6 @@ class EventGraph {
   std::vector<int> rule_roots_;
   std::vector<int> primitive_nodes_;
   std::unordered_map<std::string, int> interned_;
-  bool share_prefixes_ = false;
 };
 
 // Returns a copy of `expr` with interval constraints pushed down:

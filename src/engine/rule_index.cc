@@ -6,8 +6,7 @@
 
 namespace rfidcep::engine {
 
-PrimitiveIndex::PrimitiveIndex(const EventGraph& graph,
-                               bool predicate_pushdown) {
+PrimitiveIndex::PrimitiveIndex(const EventGraph& graph) {
   StringViewMap<std::vector<int>> keyed;
   std::vector<int> unkeyed_ids;
   for (int id : graph.primitive_nodes()) {
@@ -21,21 +20,22 @@ PrimitiveIndex::PrimitiveIndex(const EventGraph& graph,
     }
   }
   for (auto& [key, ids] : keyed) {
-    AddBucket(&by_reader_[key], graph, std::move(ids), predicate_pushdown);
+    AddBucket(&by_reader_[key], graph, std::move(ids));
   }
-  AddBucket(&unkeyed_, graph, std::move(unkeyed_ids), predicate_pushdown);
+  AddBucket(&unkeyed_, graph, std::move(unkeyed_ids));
   fullscan_fallback_ =
       by_reader_.empty() && unkeyed_.by_type.empty() && !unkeyed_.untyped.empty();
 }
 
 void PrimitiveIndex::AddBucket(Bucket* bucket, const EventGraph& graph,
-                               std::vector<int> node_ids,
-                               bool predicate_pushdown) {
-  // Canonical-key order, matching the legacy bucket sort (leaf canonical
-  // keys are unique by hash-consing, so this is a total order). Sharded
-  // replay relies on every compilation dispatching a rule subset in the
-  // same relative order; ranks let typed/untyped sub-lists merge back
-  // into exactly this order.
+                               std::vector<int> node_ids) {
+  // Canonical-key order, not interning order: interning order depends on
+  // which rules share a leaf (a leaf first interned by an earlier rule
+  // keeps its early id in the merged graph but not in a shard-local one),
+  // while canonical order restricted to any rule subset is the same in
+  // every compilation — which sharded replay relies on. Leaf canonical
+  // keys are unique by hash-consing, so this is a total order; ranks let
+  // typed/untyped sub-lists merge back into exactly this order.
   std::sort(node_ids.begin(), node_ids.end(), [&](int a, int b) {
     return graph.node(a).canonical_key < graph.node(b).canonical_key;
   });
@@ -45,27 +45,23 @@ void PrimitiveIndex::AddBucket(Bucket* bucket, const EventGraph& graph,
     DispatchEntry entry;
     entry.node_id = node_ids[rank];
     entry.rank = static_cast<int>(rank);
-    if (predicate_pushdown) {
-      // The probe implies the reader-literal predicate (the bucket is
-      // reached via obs.reader or group(obs.reader) equal to the key) and
-      // the type predicate (sub-bucket selection). A group constraint
-      // stays residual: its bucket can be reached via a reader literally
-      // named like the group without belonging to it.
-      if (type.group_constraint().has_value()) {
-        entry.check_group = true;
-        entry.group = *type.group_constraint();
-      }
-      if (type.object().is_literal) {
-        entry.check_object = true;
-        entry.object_literal = type.object().text;
-      }
-      if (type.type_constraint().has_value()) {
-        bucket->by_type[*type.type_constraint()].push_back(entry);
-        has_typed_entries_ = true;
-        continue;
-      }
-    } else {
-      entry.needs_full_match = true;
+    // The probe implies the reader-literal predicate (the bucket is
+    // reached via obs.reader or group(obs.reader) equal to the key) and
+    // the type predicate (sub-bucket selection). A group constraint stays
+    // residual: its bucket can be reached via a reader literally named
+    // like the group without belonging to it.
+    if (type.group_constraint().has_value()) {
+      entry.check_group = true;
+      entry.group = *type.group_constraint();
+    }
+    if (type.object().is_literal) {
+      entry.check_object = true;
+      entry.object_literal = type.object().text;
+    }
+    if (type.type_constraint().has_value()) {
+      bucket->by_type[*type.type_constraint()].push_back(entry);
+      has_typed_entries_ = true;
+      continue;
     }
     bucket->untyped.push_back(entry);
   }

@@ -1,18 +1,17 @@
 // Compiled primitive dispatch: a vocabulary-inverted index from
 // (reader literal / reader group, pushed type(o) constraint) to the
-// candidate leaf nodes, replacing the per-bucket leaf scan so per-event
-// dispatch cost tracks the rules an observation can actually affect.
+// candidate leaf nodes, so per-event dispatch cost tracks the rules an
+// observation can actually affect.
 //
-// Key choice matches EventGraph::ComputeSubscription (and the legacy
-// dispatch map): a leaf is bucketed under its reader literal if it has
-// one, else under its group constraint, else it is unkeyed. An
-// observation probes bucket[obs.reader], then bucket[group(obs.reader)]
-// (if different), then the unkeyed bucket — the same probe order as the
-// legacy scan, and entries carry canonical ranks so a probe visits
-// candidates in exactly the canonical-key order the scan would have.
+// Key choice matches EventGraph::ComputeSubscription: a leaf is bucketed
+// under its reader literal if it has one, else under its group
+// constraint, else it is unkeyed. An observation probes
+// bucket[obs.reader], then bucket[group(obs.reader)] (if different), then
+// the unkeyed bucket, and entries carry canonical ranks so a probe
+// visits candidates in canonical-key order.
 //
-// With predicate pushdown, leaves carrying a type(o)='T' constraint are
-// further keyed by T inside their bucket: type(obs.object) is resolved
+// Predicate pushdown: leaves carrying a type(o)='T' constraint are
+// further keyed by T inside their bucket. type(obs.object) is resolved
 // once per observation (allocation-free Environment::TypeViewOf) and
 // selects the sub-bucket, instead of each subscribed leaf re-resolving
 // it inside Matches(). The probe itself then implies the reader-literal
@@ -36,7 +35,7 @@ struct DispatchEntry {
   int node_id = -1;
   // Position of this leaf in the full canonical-key ordering of its
   // bucket (typed and untyped entries together), so a probe can merge
-  // the two lists back into legacy emission order.
+  // the two lists back into canonical emission order.
   int rank = 0;
   // Residual predicates the probe does not imply. Views alias the
   // graph's PrimitiveEventType storage (the graph outlives the index).
@@ -44,26 +43,22 @@ struct DispatchEntry {
   std::string_view group;
   bool check_object = false;      // obs.object == `object_literal`.
   std::string_view object_literal;
-  // Without pushdown the entry may still carry a type constraint; the
-  // probe then falls back to the full Matches() predicate.
-  bool needs_full_match = false;
 };
 
 class PrimitiveIndex {
  public:
   struct Bucket {
-    // type constraint value -> candidates (predicate pushdown only).
+    // type constraint value -> candidates.
     StringViewMap<std::vector<DispatchEntry>> by_type;
     // Candidates with no pushed type predicate, in rank order.
     std::vector<DispatchEntry> untyped;
   };
 
-  // Builds the index over `graph`'s leaves. With `predicate_pushdown`,
-  // type constraints key sub-buckets; otherwise every entry is untyped
-  // and evaluated with the full Matches() predicate.
-  PrimitiveIndex(const EventGraph& graph, bool predicate_pushdown);
+  // Builds the index over `graph`'s leaves; type constraints key
+  // sub-buckets.
+  explicit PrimitiveIndex(const EventGraph& graph);
 
-  // No leaf constrains the reader, its group, or (pushed) its type:
+  // No leaf constrains the reader, its group, or its type:
   // every observation visits every leaf, i.e. dispatch degenerates to a
   // full scan. Surfaced so the detector can count it instead of
   // silently degrading.
@@ -112,7 +107,7 @@ class PrimitiveIndex {
 
  private:
   void AddBucket(Bucket* bucket, const EventGraph& graph,
-                 std::vector<int> node_ids, bool predicate_pushdown);
+                 std::vector<int> node_ids);
 
   StringViewMap<Bucket> by_reader_;
   Bucket unkeyed_;

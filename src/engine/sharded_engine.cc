@@ -99,117 +99,64 @@ Result<std::unique_ptr<ShardedDetector>> ShardedDetector::Create(
     const std::vector<rules::Rule>& rules, const EventGraph& union_graph,
     const events::Environment* env, ShardedOptions options,
     ShardedMatchSink sink) {
-  int num_shards =
-      std::clamp(options.shards, 1, kMaxDetectionShards);
+  // --- Partition --------------------------------------------------------
+  // Key-partitionable rules are replicated across every keyed worker and
+  // the stream is split by hash(partition key); everything else shares
+  // one residual worker.
+  std::vector<size_t> epc;
+  std::vector<size_t> site;
+  std::vector<size_t> residual;
+  for (size_t i = 0; i < rules.size(); ++i) {
+    switch (union_graph.ClassifyRulePartition(i).cls) {
+      case EventGraph::RulePartitionClass::kEpcKeyed:
+        epc.push_back(i);
+        break;
+      case EventGraph::RulePartitionClass::kSiteKeyed:
+        site.push_back(i);
+        break;
+      case EventGraph::RulePartitionClass::kCrossObject:
+        residual.push_back(i);
+        break;
+    }
+  }
+  // One partition dimension per pipeline: object wins when both appear
+  // (the paper's joins predominantly correlate on the tag EPC); rules
+  // keyed on the losing dimension run with the cross-object residual.
+  const bool object_dim = !epc.empty();
+  std::vector<size_t>& keyed = object_dim ? epc : site;
+  if (keyed.empty()) return std::unique_ptr<ShardedDetector>();
+  std::vector<size_t>& off_dim = object_dim ? site : epc;
+  residual.insert(residual.end(), off_dim.begin(), off_dim.end());
+  std::sort(residual.begin(), residual.end());
 
+  int replicas = std::clamp(options.shards, 1, kMaxDetectionShards);
   auto sharded = std::unique_ptr<ShardedDetector>(
       new ShardedDetector(env, options, std::move(sink)));
-
-  // --- Partition --------------------------------------------------------
-  // assignment[s] is shard s's (sorted) global rule set; keyed_flags[s]
-  // says whether shard s is a keyed replica.
-  std::vector<std::vector<size_t>> assignment;
-  std::vector<bool> keyed_flags;
-
-  if (options.partition == PartitionMode::kData && num_shards > 1) {
-    // Data partitioning: key-partitionable rules are replicated across
-    // every worker and the stream is split by hash(partition key);
-    // everything else shares one residual shard.
-    std::vector<size_t> epc;
-    std::vector<size_t> site;
-    std::vector<size_t> residual;
-    for (size_t i = 0; i < rules.size(); ++i) {
-      switch (union_graph.ClassifyRulePartition(i).cls) {
-        case EventGraph::RulePartitionClass::kEpcKeyed:
-          epc.push_back(i);
-          break;
-        case EventGraph::RulePartitionClass::kSiteKeyed:
-          site.push_back(i);
-          break;
-        case EventGraph::RulePartitionClass::kCrossObject:
-          residual.push_back(i);
-          break;
-      }
-    }
-    // One partition dimension per pipeline: object wins when both appear
-    // (the paper's joins predominantly correlate on the tag EPC); rules
-    // keyed on the losing dimension run with the cross-object residual.
-    const bool object_dim = !epc.empty();
-    std::vector<size_t>& keyed = object_dim ? epc : site;
-    std::vector<size_t>& off_dim = object_dim ? site : epc;
-    residual.insert(residual.end(), off_dim.begin(), off_dim.end());
-    std::sort(residual.begin(), residual.end());
-    if (!keyed.empty()) {
-      int replicas = num_shards;
-      if (!residual.empty() && replicas + 1 > kMaxDetectionShards) {
-        replicas = kMaxDetectionShards - 1;  // Routing mask is 32 bits.
-      }
-      sharded->data_mode_ = true;
-      sharded->object_dim_ = object_dim;
-      sharded->num_replicas_ = replicas;
-      assignment.assign(static_cast<size_t>(replicas), keyed);
-      keyed_flags.assign(static_cast<size_t>(replicas), true);
-      if (!residual.empty()) {
-        assignment.push_back(std::move(residual));
-        keyed_flags.push_back(false);
-      }
-    }
-    // No partitionable rule: fall through to rule sharding.
-  }
-
-  if (!sharded->data_mode_) {
-    // Rule partitioning: coupled rule groups (shared SEQ+ state) stay
-    // together; biggest groups are placed first on the least-loaded
-    // shard, so the assignment is deterministic in the rule set alone.
-    std::vector<std::vector<size_t>> groups = union_graph.CoupledRuleGroups();
-    std::sort(groups.begin(), groups.end(),
-              [](const std::vector<size_t>& a, const std::vector<size_t>& b) {
-                if (a.size() != b.size()) return a.size() > b.size();
-                return a.front() < b.front();
-              });
-    assignment.assign(static_cast<size_t>(num_shards), {});
-    for (const std::vector<size_t>& group : groups) {
-      size_t target = 0;
-      for (size_t s = 1; s < assignment.size(); ++s) {
-        if (assignment[s].size() < assignment[target].size()) target = s;
-      }
-      assignment[target].insert(assignment[target].end(), group.begin(),
-                                group.end());
-    }
-    // Drop empty shards (more shards than coupled groups) and keep each
-    // shard's rules in global order so per-shard emission order restricts
-    // the serial rule order.
-    assignment.erase(std::remove_if(assignment.begin(), assignment.end(),
-                                    [](const std::vector<size_t>& a) {
-                                      return a.empty();
-                                    }),
-                     assignment.end());
-    for (std::vector<size_t>& rule_set : assignment) {
-      std::sort(rule_set.begin(), rule_set.end());
-    }
-    keyed_flags.assign(assignment.size(), false);
-  }
+  sharded->object_dim_ = object_dim;
+  sharded->num_replicas_ = replicas;
+  sharded->has_residual_ = !residual.empty();
+  // assignment[s] is shard s's (sorted) global rule set; keyed replicas
+  // come first, the residual (if any) last.
+  std::vector<std::vector<size_t>> assignment(static_cast<size_t>(replicas),
+                                              keyed);
+  if (!residual.empty()) assignment.push_back(std::move(residual));
 
   for (size_t s = 0; s < assignment.size(); ++s) {
     auto shard = std::make_unique<Shard>();
     shard->id = static_cast<int>(s);
     shard->rule_map = assignment[s];
-    shard->keyed = keyed_flags[s];
-    shard->bucket = shard->keyed ? static_cast<uint32_t>(s) : 0;
+    shard->keyed = static_cast<int>(s) < replicas;
     std::vector<const rules::Rule*> local_rules;
     local_rules.reserve(shard->rule_map.size());
     for (size_t rule_index : shard->rule_map) {
       local_rules.push_back(&rules[rule_index]);
     }
-    RFIDCEP_ASSIGN_OR_RETURN(
-        EventGraph graph,
-        EventGraph::Build(local_rules,
-                          options.detector.compile.share_prefixes));
+    RFIDCEP_ASSIGN_OR_RETURN(EventGraph graph, EventGraph::Build(local_rules));
     shard->graph.emplace(std::move(graph));
-    shard->inbox = std::make_unique<common::SpscRing<Command>>(
-        options.queue_capacity);
-    shard->outbox = std::make_unique<common::SpscRing<MatchRecord>>(
-        options.queue_capacity);
+    shard->inbox =
+        std::make_unique<common::SpscRing<Command>>(kShardQueueCapacity);
+    shard->outbox =
+        std::make_unique<common::SpscRing<MatchRecord>>(kShardQueueCapacity);
     Shard* raw = shard.get();
     ShardedDetector* owner = sharded.get();
     shard->on_local_match = [owner, raw](size_t local_rule,
@@ -238,33 +185,28 @@ Result<std::unique_ptr<ShardedDetector>> ShardedDetector::Create(
     shard->detector = std::make_unique<Detector>(
         &*shard->graph, env, shard->detector_options, shard->on_local_match);
 
-    // Routing table: a rule-sharded (or residual) shard consumes
-    // observations hitting any of its leaves' reader keys (probed by
-    // reader and by reader group, exactly like the detector's primitive
-    // dispatch). Keyed replicas share one vocabulary — recorded once as
-    // the gate in front of the hash route.
-    EventGraph::Subscription sub = shard->graph->ComputeSubscription();
-    if (shard->keyed) {
-      if (s == 0) {
-        for (const std::string& key : sub.reader_keys) {
-          sharded->keyed_reader_keys_[key] = true;
-        }
-        sharded->keyed_any_reader_ = sub.any_reader;
-        for (const std::string& var :
-             shard->graph->NodePartitionVars(sharded->object_dim_)) {
-          sharded->replica_partition_syms_.push_back(
-              var.empty() ? events::kInvalidSymbol
-                          : events::SymbolTable::Global().Intern(var));
-        }
-      }
-    } else {
-      uint32_t bit = 1u << s;
+    // Routing gates: the replicas share one vocabulary (and one set of
+    // per-node partition variables), recorded once from replica 0; the
+    // residual consumes observations hitting any of its leaves' reader
+    // keys (probed by reader and by reader group, exactly like the
+    // detector's primitive dispatch).
+    if (s == 0 || !shard->keyed) {
+      EventGraph::Subscription sub = shard->graph->ComputeSubscription();
+      Vocabulary& vocab =
+          shard->keyed ? sharded->keyed_vocab_ : sharded->residual_vocab_;
       for (const std::string& key : sub.reader_keys) {
-        sharded->route_by_reader_key_[key] |= bit;
+        vocab.reader_keys[key] = true;
       }
-      if (sub.any_reader) sharded->any_reader_mask_ |= bit;
+      vocab.any_reader = sub.any_reader;
     }
-
+    if (s == 0) {
+      for (const std::string& var :
+           shard->graph->NodePartitionVars(object_dim)) {
+        sharded->replica_partition_syms_.push_back(
+            var.empty() ? events::kInvalidSymbol
+                        : events::SymbolTable::Global().Intern(var));
+      }
+    }
     sharded->shards_.push_back(std::move(shard));
   }
   if (options.metrics != nullptr) {
@@ -311,7 +253,6 @@ void ShardedDetector::WorkerMain(Shard* shard) {
     switch (command.kind) {
       case Command::Kind::kObsBatch: {
         for (const auto& [seq, obs] : command.batch) {
-          shard->current_seq = seq;
           shard->detector->SetCommandSeq(seq);
           Status status = shard->detector->Process(*obs);
           if (!status.ok() && shard->first_error.ok()) {
@@ -319,22 +260,19 @@ void ShardedDetector::WorkerMain(Shard* shard) {
           }
         }
         if (command.advance_after) {
-          // Per-batch clock sync (data mode): fire every pseudo event
-          // scheduled strictly before the coordinator clock, so each
-          // barrier delivers exactly the serial match prefix.
-          shard->current_seq = command.advance_seq;
-          shard->detector->SetCommandSeq(command.advance_seq);
+          // Per-batch clock sync: fire every pseudo event scheduled
+          // strictly before the coordinator clock, so each barrier
+          // delivers exactly the serial match prefix.
+          shard->detector->SetCommandSeq(command.seq);
           shard->detector->AdvanceTo(command.t);
         }
         break;
       }
       case Command::Kind::kAdvanceTo:
-        shard->current_seq = command.seq;
         shard->detector->SetCommandSeq(command.seq);
         shard->detector->AdvanceTo(command.t);
         break;
       case Command::Kind::kFlush:
-        shard->current_seq = command.seq;
         shard->detector->SetCommandSeq(command.seq);
         shard->detector->Flush();
         break;
@@ -342,8 +280,6 @@ void ShardedDetector::WorkerMain(Shard* shard) {
         shard->detector = std::make_unique<Detector>(
             &*shard->graph, env_, shard->detector_options,
             shard->on_local_match);
-        shard->current_seq = 0;
-        shard->emit_counter = 0;
         shard->first_error = Status::Ok();
         break;
       case Command::Kind::kBarrier:
@@ -358,25 +294,20 @@ void ShardedDetector::WorkerMain(Shard* shard) {
 
 void ShardedDetector::EmitLocalMatch(Shard* shard, size_t local_rule,
                                      const EventInstancePtr& instance) {
+  const Detector& detector = *shard->detector;
   MatchRecord record;
-  record.seq = shard->current_seq;
-  record.emit = ++shard->emit_counter;
   record.local_rule = static_cast<uint32_t>(local_rule);
-  record.fire_time = shard->detector->clock();
-  if (data_mode_) {
-    // Replay key (see MatchRecord): each shard emits these in
-    // nondecreasing key order, so the barrier merge is a K-way merge of
-    // presorted runs.
-    const Detector& detector = *shard->detector;
-    if (detector.in_pseudo_firing()) {
-      record.kind = 1;
-      record.sort_time = detector.firing_execute_at();
-      record.stamp = detector.firing_stamp();
-    } else {
-      record.kind = 0;
-      record.sort_time = detector.clock();
-      record.stamp.assign(1, detector.command_seq());
-    }
+  record.fire_time = detector.clock();
+  // Replay key (see MatchRecord): each shard emits these in nondecreasing
+  // key order, so the barrier merge is a K-way merge of presorted runs.
+  if (detector.in_pseudo_firing()) {
+    record.kind = 1;
+    record.sort_time = detector.firing_execute_at();
+    record.stamp = detector.firing_stamp();
+  } else {
+    record.kind = 0;
+    record.sort_time = detector.clock();
+    record.stamp.assign(1, detector.command_seq());
   }
   record.instance = instance;
   while (!shard->outbox->TryPush(std::move(record))) {
@@ -392,34 +323,10 @@ void ShardedDetector::EmitLocalMatch(Shard* shard, size_t local_rule,
 
 // --- Coordinator side -------------------------------------------------------
 
-uint32_t ShardedDetector::RouteMask(const Observation& obs) const {
-  uint32_t mask = any_reader_mask_;
-  std::string_view group = env_->GroupViewOf(obs.reader);
-  if (auto it = route_by_reader_key_.find(obs.reader);
-      it != route_by_reader_key_.end()) {
-    mask |= it->second;
-  }
-  if (group != obs.reader) {
-    if (auto it = route_by_reader_key_.find(group);
-        it != route_by_reader_key_.end()) {
-      mask |= it->second;
-    }
-  }
-  if (data_mode_) {
-    // Keyed route: ONE replica, chosen by the partition-key hash, gated
-    // on the replicated graph's vocabulary.
-    bool keyed =
-        keyed_any_reader_ ||
-        keyed_reader_keys_.find(obs.reader) != keyed_reader_keys_.end() ||
-        (group != obs.reader &&
-         keyed_reader_keys_.find(group) != keyed_reader_keys_.end());
-    if (keyed) {
-      const std::string& key = object_dim_ ? obs.object : obs.reader;
-      mask |= 1u << (PartitionHash(key) %
-                     static_cast<uint64_t>(num_replicas_));
-    }
-  }
-  return mask;
+bool ShardedDetector::Vocabulary::Consumes(std::string_view reader,
+                                           std::string_view group) const {
+  return any_reader || reader_keys.find(reader) != reader_keys.end() ||
+         (group != reader && reader_keys.find(group) != reader_keys.end());
 }
 
 void ShardedDetector::EnqueueBlocking(Shard* shard, Command command) {
@@ -440,13 +347,8 @@ void ShardedDetector::EnqueueBlocking(Shard* shard, Command command) {
 
 void ShardedDetector::DrainOutboxes() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    size_t start = shard->pending.size();
     size_t popped = shard->outbox->TryPopAll(&shard->pending);
-    if (popped == 0) continue;
-    for (size_t i = start; i < shard->pending.size(); ++i) {
-      shard->pending[i].shard = shard->id;
-    }
-    if (shard->matches_drained != nullptr) {
+    if (popped > 0 && shard->matches_drained != nullptr) {
       shard->matches_drained->Increment(popped);
     }
   }
@@ -477,22 +379,15 @@ void ShardedDetector::BarrierAndDeliver() {
   // Reorder stage. Every shard's pending run is already sorted in replay
   // order (workers emit monotonically — detection walks the stream and
   // the pseudo queue in exactly this order), so the canonical order is a
-  // K-way merge of presorted runs, not a global sort. Rule mode replays
-  // by (command seq, shard id, per-shard emission index); data mode by
-  // the serial-reconstructing (sort_time, kind, stamp, shard, emit) key
-  // (see MatchRecord). Both are independent of worker scheduling and for
-  // each rule identical to its serial firing order.
-  const bool data = data_mode_;
-  auto before = [data](const MatchRecord& a, const MatchRecord& b) {
-    if (data) {
-      if (a.sort_time != b.sort_time) return a.sort_time < b.sort_time;
-      if (a.kind != b.kind) return a.kind < b.kind;
-      if (a.stamp != b.stamp) return a.stamp < b.stamp;
-    } else {
-      if (a.seq != b.seq) return a.seq < b.seq;
-    }
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.emit < b.emit;
+  // K-way merge of presorted runs, not a global sort. The
+  // serial-reconstructing (sort_time, kind, stamp) key (see MatchRecord)
+  // is independent of worker scheduling and for each rule identical to
+  // its serial firing order; the scan below breaks ties between runs
+  // toward the lower shard id.
+  auto before = [](const MatchRecord& a, const MatchRecord& b) {
+    if (a.sort_time != b.sort_time) return a.sort_time < b.sort_time;
+    if (a.kind != b.kind) return a.kind < b.kind;
+    return a.stamp < b.stamp;
   };
   size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
@@ -539,12 +434,24 @@ Status ShardedDetector::ProcessBatch(const Observation* batch, size_t count) {
     ++observations_;
     accepted = true;
     if (observations_counter_ != nullptr) observations_counter_->Increment();
-    uint32_t mask = RouteMask(obs);
+    // Route to the key's ONE replica and/or the residual worker, each
+    // only if its graph's vocabulary can consume the observation.
+    std::string_view group = env_->GroupViewOf(obs.reader);
+    Shard* targets[2] = {nullptr, nullptr};
+    if (keyed_vocab_.Consumes(obs.reader, group)) {
+      const std::string& key = object_dim_ ? obs.object : obs.reader;
+      targets[0] =
+          shards_[PartitionHash(key) % static_cast<uint64_t>(num_replicas_)]
+              .get();
+    }
+    if (has_residual_ && residual_vocab_.Consumes(obs.reader, group)) {
+      targets[1] = shards_.back().get();
+    }
     uint64_t seq = ++command_seq_;
     if (options_.trace != nullptr) {
       options_.trace->RecordObservation(seq, obs);
     }
-    if (mask == 0) {  // No shard's vocabulary can consume it.
+    if (targets[0] == nullptr && targets[1] == nullptr) {
       ++unrouted_;
       if (unrouted_counter_ != nullptr) unrouted_counter_->Increment();
       if (options_.trace != nullptr) {
@@ -552,20 +459,19 @@ Status ShardedDetector::ProcessBatch(const Observation* batch, size_t count) {
       }
       continue;
     }
-    for (size_t s = 0; mask != 0; ++s, mask >>= 1) {
-      if (mask & 1u) {
-        if (shards_[s]->routed != nullptr) shards_[s]->routed->Increment();
-        shards_[s]->staged.emplace_back(seq, &obs);
-      }
+    for (Shard* shard : targets) {
+      if (shard == nullptr) continue;
+      if (shard->routed != nullptr) shard->routed->Increment();
+      shard->staged.emplace_back(seq, &obs);
     }
   }
   // Handoff: each shard's whole share of the batch rides in ONE ring
-  // slot. In data mode every shard additionally advances to the
-  // coordinator clock under one shared command sequence — the per-batch
-  // sync that fires pending expirations on replicas the batch never
-  // touched, keeping the concatenation of per-barrier merges identical
-  // to the serial emission order.
-  const bool advance = data_mode_ && accepted;
+  // slot, and every shard then advances to the coordinator clock under
+  // one shared command sequence — the per-batch sync that fires pending
+  // expirations on shards the batch never touched, keeping the
+  // concatenation of per-barrier merges identical to the serial emission
+  // order.
+  const bool advance = accepted;
   const uint64_t advance_seq = advance ? ++command_seq_ : 0;
   for (std::unique_ptr<Shard>& shard : shards_) {
     if (shard->staged.empty() && !advance) continue;
@@ -575,7 +481,7 @@ Status ShardedDetector::ProcessBatch(const Observation* batch, size_t count) {
     shard->staged.clear();
     command.advance_after = advance;
     command.t = clock_;
-    command.advance_seq = advance_seq;
+    command.seq = advance_seq;
     EnqueueBlocking(shard.get(), std::move(command));
     shard->work_bell.Ring();
   }
@@ -649,34 +555,22 @@ std::vector<std::string> ShardStateKeys(const std::vector<rules::Rule>& rules,
 
 void ShardedDetector::CaptureState(const std::vector<rules::Rule>& rules,
                                    snapshot::EngineSnapshot* out) const {
-  if (data_mode_) {
-    // Keyed replicas hold complementary per-key slices of one logical
-    // detector: merge them (plus the residual) into a single
-    // serial-equivalent source, so the snapshot restores onto ANY layout
-    // through the ordinary re-partitioning path.
-    std::vector<snapshot::DetectorSnapshot> sources(shards_.size());
-    std::vector<bool> keyed(shards_.size(), false);
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const Shard& shard = *shards_[s];
-      shard.detector->SaveState(
-          ShardStateKeys(rules, shard.rule_map, *shard.graph), &sources[s]);
-      sources[s].source_id = shard.id;
-      keyed[s] = shard.keyed;
-    }
-    out->source_shards = 1;
-    out->sources.clear();
-    out->sources.push_back(snapshot::MergeShardSnapshots(sources, keyed));
-    return;
-  }
-  out->source_shards = num_shards();
-  out->sources.clear();
-  out->sources.resize(shards_.size());
+  // Keyed replicas hold complementary per-key slices of one logical
+  // detector: merge them (plus the residual) into a single
+  // serial-equivalent source, so the snapshot restores onto ANY layout
+  // through the ordinary re-partitioning path.
+  std::vector<snapshot::DetectorSnapshot> sources(shards_.size());
+  std::vector<bool> keyed(shards_.size(), false);
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     shard.detector->SaveState(
-        ShardStateKeys(rules, shard.rule_map, *shard.graph),
-        &out->sources[s]);
+        ShardStateKeys(rules, shard.rule_map, *shard.graph), &sources[s]);
+    sources[s].source_id = shard.id;
+    keyed[s] = shard.keyed;
   }
+  out->source_shards = num_shards();
+  out->sources.clear();
+  out->sources.push_back(snapshot::MergeShardSnapshots(sources, keyed));
 }
 
 Status ShardedDetector::RestoreState(const std::vector<rules::Rule>& rules,
@@ -694,13 +588,11 @@ Status ShardedDetector::RestoreState(const std::vector<rules::Rule>& rules,
     if (shard->keyed) {
       // Replicas share one graph: restrict the full plan to the key
       // slice this replica owns (the same hash the router uses).
-      FilterPlanToBucket(&plan, replica_partition_syms_, shard->bucket,
-                         num_replicas_);
+      FilterPlanToBucket(&plan, replica_partition_syms_,
+                         static_cast<uint32_t>(shard->id), num_replicas_);
     }
     RFIDCEP_RETURN_IF_ERROR(
         shard->detector->RestoreState(plan, DetectorStats{}));
-    shard->current_seq = 0;
-    shard->emit_counter = 0;
     shard->first_error = Status::Ok();
     shard->staged.clear();
     shard->pending.clear();
@@ -760,13 +652,8 @@ size_t ShardedDetector::PendingPseudoEvents() const {
 std::string ShardedDetector::DebugReport(
     const std::vector<rules::Rule>& rules) const {
   std::string out = "sharded engine: " + std::to_string(shards_.size()) +
-                    " shards partition=";
-  if (data_mode_) {
-    out += std::string("data key=") + (object_dim_ ? "object" : "reader") +
-           " replicas=" + std::to_string(num_replicas_);
-  } else {
-    out += "rule";
-  }
+                    " shards key=" + (object_dim_ ? "object" : "reader") +
+                    " replicas=" + std::to_string(num_replicas_);
   out += " clock=" + FormatTimePoint(clock()) +
          " pending_pseudo=" + std::to_string(PendingPseudoEvents()) +
          " buffered=" + std::to_string(TotalBufferedEntries()) +
@@ -774,8 +661,8 @@ std::string ShardedDetector::DebugReport(
   for (const std::unique_ptr<Shard>& shard : shards_) {
     out += "shard " + std::to_string(shard->id);
     if (shard->keyed) {
-      out += " [replica bucket=" + std::to_string(shard->bucket) + "]";
-    } else if (data_mode_) {
+      out += " [replica bucket=" + std::to_string(shard->id) + "]";
+    } else {
       out += " [residual]";
     }
     out += ": rules=[";

@@ -1,44 +1,40 @@
-// Sharded parallel detection: the rule set is partitioned into N shards,
-// each owning its own merged EventGraph, Detector, and pseudo-event
-// queue, running on a dedicated worker thread.
+// Sharded parallel detection by data partitioning (key partitioning in
+// the style of SASE). Rules whose joins all correlate on one tag EPC (or
+// one reader site) — the paper's common case — are compiled into one
+// merged graph REPLICATED across N keyed workers, and each observation is
+// routed to exactly ONE replica by hash(partition key). Rules that
+// correlate across objects share one residual worker, which receives
+// every observation its subscription vocabulary can consume. Each worker
+// owns its own EventGraph, Detector, and pseudo-event queue.
 //
 // Data flow per batch (coordinator = the thread calling ProcessBatch):
 //
 //   1. *Route.* Each observation is stamped with a global command
 //      sequence number and staged (by pointer — the batch outlives the
-//      barrier) for every shard whose subscription vocabulary (reader
-//      literals / group constraints of its leaves,
-//      EventGraph::ComputeSubscription) can consume it; in data-partition
-//      mode, for exactly one keyed replica chosen by hash(partition key).
-//      Each shard's whole share then rides in ONE kObsBatch slot of its
-//      bounded SPSC inbox ring, so ring traffic is per batch, not per
-//      event. A full inbox applies backpressure: the coordinator drains
-//      match outboxes and yields until space frees up.
-//   2. *Detect.* Each worker drains its inbox in order: observations run
-//      through the shard's Detector exactly as the serial engine would
-//      (pseudo events scheduled before an observation's timestamp fire
-//      first, against the shard's own queue). Rule completions are
-//      pushed to the shard's outbox ring stamped with (command seq,
-//      per-shard emission index, shard detector clock).
-//   3. *Reorder + replay.* After a barrier (every shard acknowledged
-//      every command of the batch), the coordinator sorts the collected
-//      match records by (command seq, shard id, emission index) and
-//      replays them through the match sink. Condition evaluation, SQL
-//      and procedure actions against the single store::Database, and
-//      fired counts therefore run on one thread, in a canonical order
-//      independent of the shard count.
+//      barrier) for its keyed replica and, if its vocabulary matches, the
+//      residual worker. Each worker's whole share then rides in ONE
+//      kObsBatch slot of its bounded SPSC inbox ring, so ring traffic is
+//      per batch, not per event. A full inbox applies backpressure: the
+//      coordinator drains match outboxes and yields until space frees up.
+//   2. *Detect.* Each worker runs its share through its Detector exactly
+//      as the serial engine would, then advances to the coordinator clock
+//      — so pseudo events fire on time even on workers the batch never
+//      touched. Rule completions are pushed to the worker's outbox ring
+//      with a replay key (see MatchRecord).
+//   3. *Merge + replay.* After a barrier (every worker acknowledged every
+//      command of the batch), the coordinator K-way merges the presorted
+//      per-worker runs by replay key and replays them through the match
+//      sink. Condition evaluation, SQL and procedure actions against the
+//      single store::Database, and fired counts therefore run on one
+//      thread, and per rule in exactly the serial order.
 //
-// Correctness of the partition: detection state is per graph node, and a
-// node's inputs are fully determined by the observation subsequence its
-// leaves subscribe to — which routing delivers to every hosting shard —
-// with one exception: a SEQ+ node's open run is closed by sequence
-// terminators and expiry pseudo events of *other* nodes, so rules
-// sharing a SEQ+ node are coupled and must co-reside
-// (EventGraph::CoupledRuleGroups); the partitioner keeps such groups on
-// one shard. Per-rule matches, fired counts, and database effects are
-// then identical to serial execution; duplicated subgraphs across shards
-// mean aggregate counters like primitive_matches and instances_produced
-// may exceed the serial counts.
+// Correctness of the partition: a keyed rule's every join, NOT-window
+// probe, and chronicle pairing unifies on the partition variable, so the
+// state an observation touches is a function of its key alone
+// (EventGraph::ClassifyRulePartition); SEQ+ rules, whose open runs span
+// keys, are never keyed. Duplicated subgraphs across workers mean
+// aggregate counters like primitive_matches and instances_produced may
+// exceed the serial counts.
 
 #ifndef RFIDCEP_ENGINE_SHARDED_ENGINE_H_
 #define RFIDCEP_ENGINE_SHARDED_ENGINE_H_
@@ -49,6 +45,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -77,31 +74,9 @@ using ShardedMatchSink =
                        const events::EventInstancePtr& instance,
                        TimePoint fire_time)>;
 
-// How the stream is split across worker threads.
-//
-//  * kRule: partition the RULE set; every shard receives every
-//    observation its subscription can consume. Simple, but any-reader
-//    rules broadcast the whole stream to their shard, so routing/ring
-//    overhead scales with the shard count.
-//  * kData: partition the DATA. Rules whose joins all correlate on one
-//    tag EPC (or one reader site) — the paper's common case — are
-//    compiled into one merged graph REPLICATED across `shards` workers,
-//    and each observation is routed to exactly ONE replica by
-//    hash(partition key). Rules that correlate across objects fall back
-//    to a single dedicated residual shard (rule-sharded path). If no rule
-//    is key-partitionable the engine silently runs kRule.
-//    Replay stays byte-identical to serial: matches carry a
-//    (time, kind, scheduling stamp) key that reconstructs the serial
-//    emission order across replicas (see MatchRecord below).
-enum class PartitionMode : uint8_t {
-  kRule = 0,
-  kData,
-};
-
 struct ShardedOptions {
-  int shards = 2;              // Clamped to [1, kMaxDetectionShards].
-  size_t queue_capacity = 1024;  // Per-shard inbox/outbox ring capacity.
-  PartitionMode partition = PartitionMode::kRule;
+  // Keyed replicas, clamped to [1, kMaxDetectionShards].
+  int shards = 2;
   DetectorOptions detector;
   // Observability wiring (both may be null). With a registry, every
   // shard gets its own labeled instrument set plus coordinator-side
@@ -113,12 +88,15 @@ struct ShardedOptions {
 };
 
 inline constexpr int kMaxDetectionShards = 32;
+// Per-shard inbox/outbox ring capacity.
+inline constexpr size_t kShardQueueCapacity = 1024;
 
 class ShardedDetector {
  public:
   // Builds the partition, per-shard graphs, and worker threads.
-  // `union_graph` is the merged graph over all rules (used for rule
-  // coupling); `rules` and `env` must outlive the detector.
+  // `union_graph` is the merged graph over all rules (used to classify
+  // them); `rules` and `env` must outlive the detector. Returns null when
+  // no rule is key-partitionable: the caller then runs serial.
   static Result<std::unique_ptr<ShardedDetector>> Create(
       const std::vector<rules::Rule>& rules, const EventGraph& union_graph,
       const events::Environment* env, ShardedOptions options,
@@ -144,9 +122,9 @@ class ShardedDetector {
 
   // Aggregated statistics. `observations` / `out_of_order_dropped` are
   // counted once at the routing stage; `rule_matches` sums to exactly
-  // the serial count (each rule lives on one shard); the remaining
-  // counters sum over shards and may exceed serial counts where
-  // subgraphs are duplicated. Callers must be quiescent (any public
+  // the serial count (each key's matches come from one replica); the
+  // remaining counters sum over shards and may exceed serial counts
+  // where subgraphs are duplicated. Callers must be quiescent (any public
   // method has returned), which every entry point guarantees by
   // barriering before it returns.
   DetectorStats stats() const;
@@ -156,17 +134,14 @@ class ShardedDetector {
   size_t PendingPseudoEvents() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  // Global rule indexes hosted by shard `shard`.
-  const std::vector<size_t>& ShardRules(int shard) const {
-    return shards_[shard]->rule_map;
-  }
 
   // Per-shard sections: shard id, hosted rules, clock, ring depths,
   // buffered entries, and one line per graph node.
   std::string DebugReport(const std::vector<rules::Rule>& rules) const;
 
   // --- Checkpoint/restore (engine/snapshot.h) -----------------------------
-  // Captures every shard detector into `out->sources` / `source_shards`.
+  // Captures every shard detector and merges them into ONE
+  // serial-equivalent source in `out` (snapshot::MergeShardSnapshots).
   // The caller must have advanced the pipeline to one clock
   // (AdvanceTo(clock())) first; every public entry point barriers before
   // returning, so the workers are quiescent here.
@@ -181,10 +156,6 @@ class ShardedDetector {
   Status RestoreState(const std::vector<rules::Rule>& rules,
                       const snapshot::EngineSnapshot& snap);
 
-  // True when this pipeline runs data-partitioned (kData requested and at
-  // least one rule was key-partitionable).
-  bool data_partitioned() const { return data_mode_; }
-
  private:
   struct Command {
     enum class Kind : uint8_t {
@@ -196,29 +167,27 @@ class ShardedDetector {
       kStop,
     };
     Kind kind = Kind::kBarrier;
-    uint64_t seq = 0;  // Global command sequence (kAdvanceTo / kFlush).
-    TimePoint t = 0;   // kAdvanceTo / batch advance.
+    // Global command sequence: kAdvanceTo / kFlush, and a kObsBatch's
+    // closing advance.
+    uint64_t seq = 0;
+    TimePoint t = 0;  // kAdvanceTo / batch advance.
     // kObsBatch: (command seq, observation) pairs, routed per shard by
     // the coordinator; pointers are valid until the barrier. One ring
     // slot carries the shard's whole share of a ProcessBatch call, so
     // ring traffic is per batch, not per event.
     std::vector<std::pair<uint64_t, const events::Observation*>> batch;
-    // kObsBatch in data mode: after the batch, advance the detector to
-    // `t` under command `advance_seq`. This is the per-batch clock sync
-    // that makes every barrier deliver exactly the serial match prefix
-    // (all pseudo events scheduled strictly before the coordinator clock
-    // have fired on their owning replica).
+    // kObsBatch: after the batch, advance the detector to `t` under
+    // command `seq`. This is the per-batch clock sync that makes every
+    // barrier deliver exactly the serial match prefix (all pseudo events
+    // scheduled strictly before the coordinator clock have fired on
+    // their owning worker).
     bool advance_after = false;
-    uint64_t advance_seq = 0;
   };
 
   struct MatchRecord {
-    uint64_t seq = 0;        // Command that produced the match.
-    uint64_t emit = 0;       // Per-shard emission index.
     uint32_t local_rule = 0;
-    int shard = 0;           // Filled in by the coordinator on drain.
     TimePoint fire_time = 0;
-    // Data-mode replay key: (sort_time, kind, stamp, shard, emit).
+    // Replay key: (sort_time, kind, stamp), ties to the lower shard id.
     //  * kind 0 = emitted during observation dispatch; sort_time is the
     //    observation timestamp and stamp is [command seq].
     //  * kind 1 = emitted during a pseudo-event firing; sort_time is the
@@ -226,8 +195,7 @@ class ShardedDetector {
     //    (Detector::PseudoEvent::stamp).
     // For equal times, dispatch emissions sort before firings at that
     // instant — exactly the serial rule that an observation at `t` is
-    // handled before expiries at `t`. Rule mode replays by
-    // (seq, shard, emit) and leaves these fields empty.
+    // handled before expiries at `t`.
     uint8_t kind = 0;
     TimePoint sort_time = 0;
     std::vector<uint64_t> stamp;
@@ -237,10 +205,9 @@ class ShardedDetector {
   struct Shard {
     int id = 0;
     std::vector<size_t> rule_map;  // Local rule index -> global index.
-    // Data mode: this shard is a keyed replica owning partition bucket
-    // `bucket` (observations with hash(key) % replicas == bucket).
+    // A keyed replica owning partition bucket `id` (observations with
+    // hash(key) % replicas == id); false for the residual worker.
     bool keyed = false;
-    uint32_t bucket = 0;
     // Coordinator-side staging for the current ProcessBatch call; moved
     // into a kObsBatch command, one ring slot per shard per batch.
     std::vector<std::pair<uint64_t, const events::Observation*>> staged;
@@ -265,9 +232,7 @@ class ShardedDetector {
     common::Doorbell work_bell;  // Coordinator -> worker.
     std::thread thread;
     // Worker-local bookkeeping (written only on the worker thread; the
-    // coordinator reads them after a barrier acknowledgment).
-    uint64_t current_seq = 0;
-    uint64_t emit_counter = 0;
+    // coordinator reads it after a barrier acknowledgment).
     Status first_error;
   };
 
@@ -278,8 +243,14 @@ class ShardedDetector {
   void EmitLocalMatch(Shard* shard, size_t local_rule,
                       const events::EventInstancePtr& instance);
 
-  // Shards whose subscription can consume `obs` (bit per shard).
-  uint32_t RouteMask(const events::Observation& obs) const;
+  // The subscription vocabulary of a graph (EventGraph::Subscription) as
+  // a probe set: reader literals and group-constraint values.
+  struct Vocabulary {
+    StringViewMap<bool> reader_keys;
+    bool any_reader = false;
+    bool Consumes(std::string_view reader, std::string_view group) const;
+  };
+
   // Blocking enqueue: drains outboxes and yields while `shard`'s inbox
   // is full, so workers can always make progress.
   void EnqueueBlocking(Shard* shard, Command command);
@@ -294,18 +265,13 @@ class ShardedDetector {
   ShardedMatchSink sink_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  StringViewMap<uint32_t> route_by_reader_key_;
-  uint32_t any_reader_mask_ = 0;
-
-  // --- Data partitioning ----------------------------------------------------
-  bool data_mode_ = false;
   bool object_dim_ = true;  // Partition by object (EPC) vs reader (site).
   int num_replicas_ = 0;    // Keyed replica shards are ids [0, num_replicas_).
-  // Keyed-subscription gate: an observation reaches its replica only if
-  // the replicated graph could consume it (same vocabulary the residual
-  // routing uses).
-  StringViewMap<bool> keyed_reader_keys_;
-  bool keyed_any_reader_ = false;
+  bool has_residual_ = false;  // Residual worker is shard id num_replicas_.
+  // Subscription gates: an observation reaches its replica (the residual)
+  // only if the replicated (residual) graph could consume it.
+  Vocabulary keyed_vocab_;
+  Vocabulary residual_vocab_;
   // Per-node partition variable symbols of the replica graph (identical
   // across replicas — same rule subset, deterministic build), used to
   // re-bucket restored state.

@@ -699,6 +699,48 @@ Result<RestorePlan> BuildRestorePlan(
     target_by_key.emplace(target_keys[i], static_cast<int>(i));
   }
 
+  // --- Pre-sharing aliases ------------------------------------------------
+  // Snapshots written before SEQ+ prefix sharing hold a share-eligible
+  // SEQ+ node as one positional "…|<K>" private copy per rule; this
+  // build's graph has the single "shared|<K>" node in their place. All
+  // copies have identical trajectories (only instance sequence numbers
+  // differ), so a target key with no exact source match but a non-empty
+  // alias <K> restores from a representative: the lexicographically
+  // smallest source key ending in "|<K>" that matches no target exactly.
+  // The representative then maps to that target like an exact key, and
+  // the other copies' state and pseudos are dropped. Exact matches are
+  // never overridden, so same-layout restores stay byte-identical.
+  if (!target_aliases.empty()) {
+    std::unordered_set<std::string_view> source_keys;
+    for (const DetectorSnapshot& src : snap.sources) {
+      for (const NodeStateRecord& rec : src.nodes) {
+        source_keys.insert(rec.state_key);
+      }
+      for (const PseudoRecord& rec : src.pseudos) {
+        source_keys.insert(rec.target_key);
+        source_keys.insert(rec.parent_key);
+      }
+    }
+    auto suffix_matches = [](std::string_view key, std::string_view alias) {
+      return key.size() > alias.size() + 1 &&
+             key[key.size() - alias.size() - 1] == '|' &&
+             key.substr(key.size() - alias.size()) == alias;
+    };
+    std::vector<std::pair<std::string_view, int>> reps;
+    for (size_t i = 0; i < target_keys.size(); ++i) {
+      if (target_aliases[i].empty()) continue;
+      if (source_keys.count(target_keys[i]) > 0) continue;  // Exact wins.
+      std::string_view rep;
+      for (std::string_view key : source_keys) {
+        if (target_by_key.count(key) > 0) continue;
+        if (!suffix_matches(key, target_aliases[i])) continue;
+        if (rep.empty() || key < rep) rep = key;
+      }
+      if (!rep.empty()) reps.emplace_back(rep, static_cast<int>(i));
+    }
+    target_by_key.insert(reps.begin(), reps.end());
+  }
+
   // Pick a source per target node: max retention, then lowest source id
   // (retention is the one parent-dependent dimension of node state; every
   // other field is identical wherever the node is hosted).
@@ -761,85 +803,6 @@ Result<RestorePlan> BuildRestorePlan(
                                      target_by_key.at(key)));
   }
 
-  // --- Cross-compile-mode aliases ----------------------------------------
-  // A share-eligible SEQ+ node's state is equivalent across compiles: one
-  // "shared|<K>" node in a prefix-sharing graph, one or more positional
-  // "…|<K>" private copies otherwise, all with identical trajectories
-  // (only instance sequence numbers differ). A target key with no exact
-  // source match but a non-empty alias <K> restores from a representative
-  // source key with the "|<K>" suffix that itself matches no target
-  // exactly; the representative's state and pseudos fan out to every such
-  // target. Exact matches are never overridden, so same-layout restores
-  // stay byte-identical.
-  std::unordered_map<std::string_view, std::vector<int>> alias_targets;
-  std::unordered_map<std::string_view, std::string_view> rep_of_alias;
-  std::unordered_map<std::string_view, std::string_view> alias_of_rep;
-  if (!target_aliases.empty()) {
-    std::unordered_set<std::string_view> source_keys;
-    for (const DetectorSnapshot& src : snap.sources) {
-      for (const NodeStateRecord& rec : src.nodes) {
-        source_keys.insert(rec.state_key);
-      }
-      for (const PseudoRecord& rec : src.pseudos) {
-        source_keys.insert(rec.target_key);
-        source_keys.insert(rec.parent_key);
-      }
-    }
-    auto suffix_matches = [](std::string_view key, std::string_view alias) {
-      return key.size() > alias.size() + 1 &&
-             key[key.size() - alias.size() - 1] == '|' &&
-             key.substr(key.size() - alias.size()) == alias;
-    };
-    for (size_t i = 0; i < target_keys.size(); ++i) {
-      if (target_aliases[i].empty()) continue;
-      if (source_keys.count(target_keys[i]) > 0) continue;  // Exact wins.
-      alias_targets[target_aliases[i]].push_back(static_cast<int>(i));
-    }
-    for (auto& [alias, targets] : alias_targets) {
-      // Node-id order, not key order: an uninterrupted engine schedules
-      // each private copy's expiry pseudo in node order, so fanned-out
-      // pseudos must tie-break same-timestamp firing the same way.
-      std::sort(targets.begin(), targets.end());
-      // Representative: the lexicographically smallest matching source
-      // key (all candidates have identical trajectories; smallest is
-      // deterministic across plans).
-      std::string_view rep;
-      for (std::string_view key : source_keys) {
-        if (target_by_key.count(key) > 0) continue;
-        if (!suffix_matches(key, alias)) continue;
-        if (rep.empty() || key < rep) rep = key;
-      }
-      if (rep.empty()) continue;
-      rep_of_alias.emplace(alias, rep);
-      alias_of_rep.emplace(rep, alias);
-    }
-    for (const auto& [alias, targets] : alias_targets) {
-      auto rep_it = rep_of_alias.find(alias);
-      if (rep_it == rep_of_alias.end()) continue;
-      // Same source choice rule as the exact pass.
-      size_t src_idx = 0;
-      const NodeStateRecord* pick = nullptr;
-      for (size_t s = 0; s < snap.sources.size(); ++s) {
-        for (const NodeStateRecord& rec : snap.sources[s].nodes) {
-          if (rec.state_key != rep_it->second) continue;
-          if (pick == nullptr || rec.retention > pick->retention) {
-            pick = &rec;
-            src_idx = s;
-          }
-        }
-      }
-      if (pick == nullptr) continue;  // Representative had empty state.
-      if (instances[src_idx].empty() &&
-          !snap.sources[src_idx].instances.empty()) {
-        RFIDCEP_ASSIGN_OR_RETURN(instances[src_idx],
-                                 DecodeInstances(snap.sources[src_idx]));
-      }
-      for (int target : targets) {
-        plan.nodes.push_back(materialize(*pick, instances[src_idx], target));
-      }
-    }
-  }
-
   // Merge the per-source pseudo queues: emit an identity only once it is
   // at the front of EVERY source still containing it (each source's
   // sequence is a restriction of the serial firing order, so a ready
@@ -900,40 +863,9 @@ Result<RestorePlan> BuildRestorePlan(
       if (cursor[s] == pos) ++cursor[s];
     }
     auto parent_it = target_by_key.find(rec.parent_key);
-    if (parent_it == target_by_key.end()) {
-      // Aliased cross-compile-mode delivery: fan the representative's
-      // pseudos out to every aliased target, consecutive orders in
-      // target-node order. Eligible SEQ+ pseudos are self-targeted expiry
-      // timers with no anchor, so fanning is a pure copy.
-      auto rep_it = alias_of_rep.find(rec.parent_key);
-      if (rep_it == alias_of_rep.end()) continue;  // Other shard's node.
-      if (rec.anchor_kind == AnchorKind::kLive) {
-        return Status::Internal(
-            "snapshot: aliased pseudo carries a live anchor");
-      }
-      bool first = true;
-      for (int target : alias_targets.at(rep_it->second)) {
-        int target_node = target;
-        if (rec.target_key != rec.parent_key) {
-          auto t_it = target_by_key.find(rec.target_key);
-          if (t_it == target_by_key.end()) {
-            return Status::Internal(
-                "snapshot: pseudo target is missing from the target graph");
-          }
-          target_node = t_it->second;
-        }
-        if (!first) ++order;
-        first = false;
-        RestoredPseudo pseudo;
-        pseudo.execute_at = rec.execute_at;
-        pseudo.created_at = rec.created_at;
-        pseudo.target_node = target_node;
-        pseudo.parent_node = target;
-        pseudo.order = order;
-        plan.pseudos.push_back(std::move(pseudo));
-      }
-      continue;
-    }
+    // Another shard's node, or a pre-sharing copy that is not the
+    // representative.
+    if (parent_it == target_by_key.end()) continue;
     auto target_it = target_by_key.find(rec.target_key);
     if (target_it == target_by_key.end()) {
       return Status::Internal(

@@ -22,7 +22,9 @@
 // re-partitioned onto the target's graphs, and the per-source pseudo
 // queues merge by a greedy topological pass that preserves every
 // source's relative order (sources hosting the same node pend identical
-// pseudo subsequences, so duplicates collapse exactly).
+// pseudo subsequences, so duplicates collapse exactly). Engines write
+// one source (a sharded capture is pre-merged, see MergeShardSnapshots);
+// several sources come from checkpoints of older rule-sharded layouts.
 //
 // Portability: symbol ids and join-bucket hashes are process-local, so
 // records carry variable NAMES and anchor positions; bucket keys and
@@ -149,9 +151,9 @@ struct EngineSnapshot {
   // Fired count per rule id (rule-id keyed: survives re-indexing).
   std::vector<std::pair<std::string, uint64_t>> fired;
   // Counter dump from the metrics registry (restored after Reset();
-  // shard-labeled counters only transfer between equal shard layouts).
+  // verbatim only between serial engines, see RcedaEngine::RestoreState).
   std::vector<std::pair<std::string, uint64_t>> counters;
-  int source_shards = 1;
+  int source_shards = 1;  // Detection workers of the capturing engine.
   std::vector<DetectorSnapshot> sources;
 
   // --- Version 2: durable action pipeline ---------------------------------
@@ -229,25 +231,26 @@ struct RestorePlan {
 // window query can see. Pseudo orders are assigned by the global merge,
 // so plans built per shard from one snapshot agree on relative order.
 //
-// `target_aliases` (EventGraph::NodeStateAliases, may be empty) makes
-// plans portable across compile modes: a target key with no exact match
-// in the snapshot but a non-empty alias <K> restores from a
-// representative source key ending in "|<K>" that itself matches no
-// target exactly (state and pseudos fan out to every such target —
-// share-eligible SEQ+ copies have identical trajectories, whether one
-// shared node or per-rule private copies). Exact matches always win, so
-// same-layout restores are unaffected.
+// `target_aliases` (EventGraph::NodeStateAliases, may be empty) lets
+// snapshots written before SEQ+ prefix sharing restore: a target key
+// with no exact match in the snapshot but a non-empty alias <K> restores
+// from the smallest source key ending in "|<K>" that itself matches no
+// target exactly, collapsing the per-rule private copies of a
+// share-eligible SEQ+ node (identical trajectories) onto the one shared
+// node. Exact matches always win, so same-layout restores are
+// unaffected.
 Result<RestorePlan> BuildRestorePlan(
     const EngineSnapshot& snap, const std::vector<std::string>& target_keys,
     const std::vector<std::string>& target_aliases = {});
 
 // --- Data-partitioned capture -----------------------------------------------
-// Merges the per-shard snapshots of a DATA-partitioned engine into ONE
+// Merges the per-shard snapshots of a sharded engine into ONE
 // serial-equivalent source, so the encoded snapshot is indistinguishable
 // from a serial capture and restores onto any layout through the normal
-// BuildRestorePlan path. Unlike rule-sharded sources (which duplicate a
-// shared node's state), keyed replicas hold COMPLEMENTARY per-key slices
-// of the same state key, so per node the merge either
+// BuildRestorePlan path. Unlike the sources of a rule-sharded checkpoint
+// (which duplicate a shared node's state), keyed replicas hold
+// COMPLEMENTARY per-key slices of the same state key, so per node the
+// merge either
 //   * takes a non-replica (residual) copy — complete over all keys — when
 //     its retention covers the replicas' window, or
 //   * unions the replica slices (sorted by sequence number, then source;

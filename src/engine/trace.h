@@ -70,7 +70,7 @@ class TraceSink {
   void RecordAction(std::string_view rule_id, std::string_view kind, bool ok);
   // Checkpoint / restore marker: `op` is "checkpoint" or "restore",
   // `bytes` the encoded snapshot size, `clock` the capture clock,
-  // `shards` the detector source count (1 = serial).
+  // `shards` the snapshot's source_shards (1 = a serial capture).
   void RecordSnapshot(std::string_view op, uint64_t bytes, TimePoint clock,
                       int shards);
 

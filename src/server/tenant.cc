@@ -1,5 +1,6 @@
 #include "server/tenant.h"
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -78,19 +79,15 @@ Result<std::vector<TenantConfig>> ParseTenantConfigText(
                 ? value
                 : (fs::path(base_dir) / p).string();
       } else if (key == "shards") {
-        config.shards = std::atoi(value.c_str());
-        if (config.shards < 1) {
-          return Status::InvalidArgument("tenant config: bad shards=" + value +
-                                         at);
-        }
-      } else if (key == "partition") {
-        if (value == "rule") {
-          config.partition = engine::PartitionMode::kRule;
-        } else if (value == "data") {
-          config.partition = engine::PartitionMode::kData;
-        } else {
-          return Status::InvalidArgument("tenant config: bad partition=" +
-                                         value + at);
+        // The whole token must be one in-range integer: "2abc" or a value
+        // that wraps in int is a config error, not a shard count.
+        const char* end = value.data() + value.size();
+        auto [ptr, ec] = std::from_chars(value.data(), end, config.shards);
+        if (ec != std::errc() || ptr != end || config.shards < 1 ||
+            config.shards > engine::kMaxDetectionShards) {
+          return Status::InvalidArgument(
+              "tenant config: bad shards=" + value + " (expected 1.." +
+              std::to_string(engine::kMaxDetectionShards) + ")" + at);
         }
       } else if (key == "async") {
         RFIDCEP_RETURN_IF_ERROR(ParseBool(key, value, &config.async_actions));
@@ -161,7 +158,6 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
   options.detector.tolerate_out_of_order =
       tenant->config_.tolerate_out_of_order;
   options.shards = tenant->config_.shards;
-  options.partition = tenant->config_.partition;
   options.async_actions = tenant->config_.async_actions;
   tenant->engine_ = std::make_unique<engine::RcedaEngine>(
       tenant->db_.get(), events::Environment{}, options);

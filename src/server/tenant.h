@@ -34,8 +34,7 @@ struct TenantConfig {
   // (tests and embedders).
   std::string rules_file;
   std::string rules_text;
-  int shards = 1;
-  engine::PartitionMode partition = engine::PartitionMode::kRule;
+  int shards = 1;  // In [1, engine::kMaxDetectionShards].
   bool async_actions = false;
   // When true (default) the tenant gets an RFID store + WAL; rules with
   // SQL actions require it.
@@ -44,8 +43,8 @@ struct TenantConfig {
 };
 
 // Parses the daemon's tenant config: one tenant per line,
-//   tenant <name> rules=<file> [shards=N] [partition=rule|data]
-//          [async=0|1] [store=0|1] [tolerate_out_of_order=0|1]
+//   tenant <name> rules=<file> [shards=N] [async=0|1] [store=0|1]
+//          [tolerate_out_of_order=0|1]
 // Blank lines and '#' comments are skipped. Relative rules paths
 // resolve against the config file's directory.
 Result<std::vector<TenantConfig>> ParseTenantConfigFile(

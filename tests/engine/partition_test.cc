@@ -1,7 +1,7 @@
 // Data-parallel partitioning: the rule-partitionability classifier
 // (EventGraph::ClassifyRulePartition) over the paper's rule families,
-// engagement of the data-partitioned pipeline (replicas + residual +
-// silent rule-mode fallback), hash-routing balance, the serial replay
+// engagement of the data-partitioned pipeline (replicas + residual, or
+// serial when no rule is keyed), hash-routing balance, the serial replay
 // contract, and the unrouted-observation diagnostics.
 
 #include <string>
@@ -116,7 +116,6 @@ constexpr const char* kCrossRules =
 EngineOptions DataOptions(int shards) {
   EngineOptions options;
   options.shards = shards;
-  options.partition = PartitionMode::kData;
   return options;
 }
 
@@ -124,7 +123,6 @@ TEST(DataPartitionedEngine, KeyedRulesEngageDataMode) {
   testing::EngineHarness h(DataOptions(2));
   ASSERT_TRUE(h.AddRules(kKeyedRules).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
-  EXPECT_TRUE(h.engine->data_partitioned());
   EXPECT_EQ(h.engine->num_shards(), 2);  // Replicas only, no residual.
 }
 
@@ -132,15 +130,15 @@ TEST(DataPartitionedEngine, CrossObjectRulesAddResidualShard) {
   testing::EngineHarness h(DataOptions(2));
   ASSERT_TRUE(h.AddRules(std::string(kKeyedRules) + kCrossRules).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
-  EXPECT_TRUE(h.engine->data_partitioned());
   EXPECT_EQ(h.engine->num_shards(), 3);  // 2 replicas + 1 residual.
 }
 
-TEST(DataPartitionedEngine, AllCrossObjectFallsBackToRuleSharding) {
+TEST(DataPartitionedEngine, AllCrossObjectRunsSerial) {
   testing::EngineHarness h(DataOptions(2));
   ASSERT_TRUE(h.AddRules(kCrossRules).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
-  EXPECT_FALSE(h.engine->data_partitioned());
+  EXPECT_EQ(h.engine->num_shards(), 1);
+  EXPECT_EQ(h.engine->DebugReport().find("sharded engine"), std::string::npos);
 }
 
 // Streams shelf1 -> shelf2 movements for `objects` distinct EPCs with
@@ -165,14 +163,10 @@ std::vector<events::Observation> KeyedStream(int objects) {
   return out;
 }
 
-std::vector<std::string> RunAndFormat(int shards, PartitionMode partition,
-                                      const std::string& program,
+std::vector<std::string> RunAndFormat(int shards, const std::string& program,
                                       const std::vector<events::Observation>&
                                           stream) {
-  EngineOptions options;
-  options.shards = shards;
-  options.partition = partition;
-  testing::EngineHarness h(options);
+  testing::EngineHarness h(DataOptions(shards));
   EXPECT_TRUE(h.AddRules(program).ok());
   EXPECT_TRUE(h.engine->Compile().ok());
   EXPECT_TRUE(h.engine->ProcessAll(stream).ok());
@@ -191,12 +185,10 @@ TEST(DataPartitionedEngine, ReplaysSerialOrderExactly) {
   // engine, at any replica count, including the residual interleaving.
   const std::string program = std::string(kKeyedRules) + kCrossRules;
   const std::vector<events::Observation> stream = KeyedStream(12);
-  const std::vector<std::string> serial =
-      RunAndFormat(1, PartitionMode::kRule, program, stream);
+  const std::vector<std::string> serial = RunAndFormat(1, program, stream);
   EXPECT_FALSE(serial.empty());
   for (int shards : {2, 4}) {
-    EXPECT_EQ(RunAndFormat(shards, PartitionMode::kData, program, stream),
-              serial)
+    EXPECT_EQ(RunAndFormat(shards, program, stream), serial)
         << "data-partitioned replay diverged at " << shards << " shards";
   }
 }
@@ -205,7 +197,7 @@ TEST(DataPartitionedEngine, HashRoutingReachesEveryReplica) {
   testing::EngineHarness h(DataOptions(4));
   ASSERT_TRUE(h.AddRules(kKeyedRules).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
-  ASSERT_TRUE(h.engine->data_partitioned());
+  ASSERT_EQ(h.engine->num_shards(), 4);
   ASSERT_TRUE(h.engine->ProcessAll(KeyedStream(32)).ok());
   ASSERT_TRUE(h.engine->Flush().ok());
   // Every replica owns some keys, and no replica owns all of them: each

@@ -1,6 +1,8 @@
 // Regression test for the sharded-pipeline determinism contract: the
 // Fig. 9 supply-chain trace must produce identical per-rule fired
-// counts, engine stats, and database contents for shards in {1, 2, 4}.
+// counts, engine stats, and database contents for shards in {1, 2, 4},
+// and rules on one worker must write store rows in serial order at
+// every shard count, late window expiries included.
 
 #include <cstdint>
 #include <string>
@@ -10,6 +12,7 @@
 
 #include "engine/engine.h"
 #include "sim/supply_chain.h"
+#include "store/csv.h"
 #include "store/database.h"
 
 namespace rfidcep::engine {
@@ -129,6 +132,58 @@ TEST_F(ShardedDeterminismTest, RepeatedRunsAreStable) {
   TraceOutcome first = RunTrace(4);
   TraceOutcome second = RunTrace(4);
   EXPECT_EQ(first, second);
+}
+
+// Minimized from differential-fuzz seed 55930174962 (durable axis), plus
+// one keyed rule so sharded layouts run the pipeline. f1's TSEQ+ runs
+// close by expiry pseudo events; a worker the stream does not reach
+// must still fire them on time, or its `wal` rows land after rows the
+// serial engine writes later (relay@22.999998 first). f1 and f2 both
+// run on the residual worker: replay keeps their relative order, which
+// it does not promise for rules on different workers.
+constexpr char kStoreOrderRules[] = R"(
+CREATE RULE f1, fuzz generated ON WITHIN(TSEQ+(observation("B", o, t1), 1sec, 4sec), 10sec) IF true DO INSERT INTO OBSERVATION VALUES ("wal", "probe", 1)
+CREATE RULE f2, fuzz generated ON WITHIN(SEQ(TSEQ(NOT observation("B", o4, t5); (observation("A", o, t3) AND observation("A", o, t2)), 0sec, 3sec); observation("C", o, t1)), 7sec) IF true DO INSERT INTO OBSERVATION VALUES ("relay", o, t2)
+CREATE RULE k1, keyed reread ON WITHIN(observation("B", o, t1); observation("B", o, t2), 20sec) IF true DO INSERT INTO OBJECTLOCATION VALUES (o, "k", t2, "UC")
+)";
+
+std::vector<events::Observation> StoreOrderStream() {
+  return {
+      {"C", "y", 2000000},  {"C", "x", 2999999},  {"A", "y", 3999999},
+      {"A", "x", 4999999},  {"C", "x", 6999999},  {"A", "z", 8999999},
+      {"A", "z", 8999999},  {"C", "z", 9999998},  {"A", "z", 10999998},
+      {"B", "x", 13999998}, {"B", "y", 16999998}, {"A", "y", 19999998},
+      {"A", "z", 22999998}, {"A", "x", 22999998}, {"A", "z", 23999998},
+      {"C", "x", 23999998}, {"A", "z", 25999998}, {"B", "y", 28999998},
+      {"C", "y", 28999999}, {"B", "y", 28999999}, {"A", "x", 28999999},
+  };
+}
+
+TEST(ShardedStoreOrderTest, StoreEffectsFollowSerialOrder) {
+  auto observation_rows = [](int shards, int* workers) {
+    store::Database db;
+    EXPECT_TRUE(db.InstallRfidSchema().ok());
+    EngineOptions options;
+    options.shards = shards;
+    RcedaEngine engine(&db, events::Environment{}, options);
+    EXPECT_TRUE(engine.AddRulesFromText(kStoreOrderRules).ok());
+    EXPECT_TRUE(engine.Compile().ok());
+    for (const events::Observation& obs : StoreOrderStream()) {
+      EXPECT_TRUE(engine.Process(obs).ok());
+    }
+    EXPECT_TRUE(engine.Flush().ok());
+    *workers = engine.num_shards();
+    return store::TableToCsv(*db.GetTable("OBSERVATION"));
+  };
+  int workers = 0;
+  const std::string serial = observation_rows(1, &workers);
+  ASSERT_NE(serial.find("wal,probe"), std::string::npos) << serial;
+  ASSERT_NE(serial.find("relay,"), std::string::npos) << serial;
+  for (int shards : {2, 4}) {
+    EXPECT_EQ(observation_rows(shards, &workers), serial)
+        << "shards=" << shards;
+    EXPECT_GT(workers, 1) << "shards=" << shards;
+  }
 }
 
 }  // namespace

@@ -25,8 +25,9 @@ EngineOptions WithShards(int shards) {
   return options;
 }
 
-// Four independent rules over distinct readers; a scripted stream that
-// fires all of them, including via pseudo events (the NOT window rule).
+// Four EPC-keyed rules over distinct readers (so every shard is a keyed
+// replica); a scripted stream that fires all of them, including via
+// pseudo events (the NOT window rule).
 constexpr char kFourRules[] = R"(
   CREATE RULE dup, duplicate filter
   ON WITHIN(observation("a", o, t1); observation("a", o, t2), 5sec)
@@ -201,10 +202,16 @@ TEST(ShardedEngineTest, DebugReportHasPerShardSections) {
   ASSERT_TRUE(h.engine->Compile().ok());
   ASSERT_TRUE(h.ObserveAt("a", "x", 1).ok());
   std::string report = h.engine->DebugReport();
-  EXPECT_NE(report.find("sharded engine: 2 shards"), std::string::npos)
+  EXPECT_NE(report.find("sharded engine: 2 shards key=object replicas=2"),
+            std::string::npos)
       << report;
-  EXPECT_NE(report.find("shard 0: rules=["), std::string::npos) << report;
-  EXPECT_NE(report.find("shard 1: rules=["), std::string::npos) << report;
+  EXPECT_NE(report.find("shard 0 [replica bucket=0]: rules=[dup pair quiet "
+                        "solo]"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("shard 1 [replica bucket=1]: rules=["),
+            std::string::npos)
+      << report;
   EXPECT_NE(report.find("inbox_depth=0/"), std::string::npos) << report;
   EXPECT_NE(report.find("outbox_depth=0/"), std::string::npos) << report;
   EXPECT_NE(report.find("produced="), std::string::npos) << report;
@@ -233,11 +240,12 @@ TEST(ShardedEngineTest, OutOfOrderRejectionMatchesSerial) {
   }
 }
 
-// SEQ+ nodes are private per occurrence (the graph compiler never shares
-// them), so rules with textually identical TSEQ+ subevents are NOT coupled:
-// each rule's run state is its own, and they may spread across shards.
-TEST(ShardedEngineTest, IdenticalSeqPlusRulesAreIndependent) {
-  constexpr char kCoupled[] = R"(
+// SEQ+ rules are never key-partitionable (open runs absorb instances
+// across keys), so they run together on the one residual worker beside
+// the keyed replicas.
+TEST(ShardedEngineTest, SeqPlusRulesRunOnTheResidualWorker) {
+  EngineHarness h(WithShards(4));
+  ASSERT_TRUE(h.AddRules(R"(
     CREATE RULE pack1, run closed by b
     ON TSEQ(TSEQ+(observation("a", o1, t1), 0.1sec, 1sec);
             observation("b", o2, t2), 0sec, 20sec)
@@ -254,23 +262,14 @@ TEST(ShardedEngineTest, IdenticalSeqPlusRulesAreIndependent) {
     ON observation("e", o, t1)
     IF true
     DO send alarm
-  )";
-  Result<rules::RuleSet> parsed = rules::ParseRuleProgram(kCoupled);
-  ASSERT_TRUE(parsed.ok());
-  Result<EventGraph> graph = EventGraph::Build(parsed->rules);
-  ASSERT_TRUE(graph.ok());
-
-  std::vector<std::vector<size_t>> groups = graph->CoupledRuleGroups();
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0], (std::vector<size_t>{0}));
-  EXPECT_EQ(groups[1], (std::vector<size_t>{1}));
-  EXPECT_EQ(groups[2], (std::vector<size_t>{2}));
-
-  EngineHarness h(WithShards(4));
-  ASSERT_TRUE(h.AddRules(kCoupled).ok());
+  )").ok());
   ASSERT_TRUE(h.engine->Compile().ok());
-  // 3 independent rules -> 3 populated shards.
-  EXPECT_EQ(h.engine->num_shards(), 3);
+  // 4 keyed replicas of `other` + the residual hosting both SEQ+ rules.
+  EXPECT_EQ(h.engine->num_shards(), 5);
+  EXPECT_NE(
+      h.engine->DebugReport().find("shard 4 [residual]: rules=[pack1 pack2]"),
+      std::string::npos)
+      << h.engine->DebugReport();
 }
 
 TEST(ShardedEngineTest, SubscriptionVocabularyCoversLeafKinds) {

@@ -4,7 +4,10 @@
 #ifndef RFIDCEP_TESTS_ENGINE_TEST_UTIL_H_
 #define RFIDCEP_TESTS_ENGINE_TEST_UTIL_H_
 
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,6 +70,65 @@ class EngineHarness {
   std::unique_ptr<RcedaEngine> engine;
   std::vector<RecordedMatch> matches;
 };
+
+// The bytes of `path` ("" when it cannot be read), e.g. a committed
+// snapshot fixture.
+inline std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// Checks a snapshot against an uninterrupted run: `bytes` was captured
+// from an engine running `program` after `head`. Restored at shards 1, 2
+// and 4 and fed `tail`, every engine must fire exactly the matches a
+// serial engine fed head + tail fires after that capture instant, and
+// end on the same fired counts.
+inline void ExpectRestoresToUninterruptedRun(
+    std::string_view program, const std::vector<events::Observation>& head,
+    const std::vector<events::Observation>& tail, const std::string& bytes) {
+  using Span = std::tuple<std::string, TimePoint, TimePoint>;
+  auto spans = [](const EngineHarness& h, size_t from) {
+    std::vector<Span> out;
+    for (size_t i = from; i < h.matches.size(); ++i) {
+      const RecordedMatch& m = h.matches[i];
+      out.emplace_back(m.rule_id, m.t_begin, m.t_end);
+    }
+    return out;
+  };
+  // Serializing advances the reference to the capture instant, where its
+  // match log and a restored engine's log line up.
+  EngineHarness reference;
+  ASSERT_TRUE(reference.AddRules(program).ok());
+  ASSERT_TRUE(reference.engine->Compile().ok());
+  ASSERT_TRUE(reference.engine->ProcessAll(head).ok());
+  std::string discard;
+  ASSERT_TRUE(reference.engine->SerializeState(&discard).ok());
+  const size_t at_cut = reference.matches.size();
+  ASSERT_TRUE(reference.engine->ProcessAll(tail).ok());
+  ASSERT_TRUE(reference.engine->Flush().ok());
+
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE("restored on " + std::to_string(shards) + " shards");
+    EngineOptions options;
+    options.shards = shards;
+    EngineHarness restored(options);
+    ASSERT_TRUE(restored.AddRules(program).ok());
+    ASSERT_TRUE(restored.engine->Compile().ok());
+    EXPECT_EQ(restored.engine->num_shards() > 1, shards > 1);
+    ASSERT_TRUE(restored.engine->RestoreState(bytes).ok());
+    ASSERT_TRUE(restored.engine->ProcessAll(tail).ok());
+    ASSERT_TRUE(restored.engine->Flush().ok());
+    EXPECT_EQ(spans(restored, 0), spans(reference, at_cut));
+    for (size_t i = 0; i < reference.engine->num_rules(); ++i) {
+      const std::string& id = reference.engine->rule(i).id;
+      EXPECT_EQ(restored.engine->FiredCount(id),
+                reference.engine->FiredCount(id))
+          << id;
+    }
+  }
+}
 
 }  // namespace rfidcep::engine::testing
 

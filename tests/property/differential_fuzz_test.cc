@@ -3,30 +3,25 @@
 //
 //   1. reference interpreter (src/engine/reference/) vs serial Detector —
 //      per-rule span multisets;
-//   2. serial vs ShardedDetector at shards 2 and 4 — per-rule span lists
-//      in exact firing order (the sharded pipeline's determinism
-//      guarantee is per rule, not across rules);
+//   2. serial vs the data-partitioned ShardedDetector at shards 2 and 4 —
+//      per-rule span lists in exact firing order (the sharded pipeline's
+//      determinism guarantee is per rule, not across rules);
 //   3. single-shot Process loop vs batch-split ProcessAll;
 //   4. end-of-stream Flush vs incremental AdvanceTo interleaved between
 //      observations (pseudo events fire early instead of at Flush);
-//   5. rule-set compiler axis — the fully compiled serial baseline
-//      (indexed dispatch + predicate pushdown + SEQ+ prefix sharing) vs
-//      each stage disabled, serially and on a forced-data-partition
-//      pipeline; the crash-recovery sweep additionally restores
-//      prefix-shared snapshots into unshared compiles and vice versa;
-//   6. durable (WAL) crash axis — rules carry real SQL actions against
+//   5. durable (WAL) crash axis — rules carry real SQL actions against
 //      the RFID store, the run is killed at a salt-chosen BYTE offset in
 //      the write-ahead log (mid-record torn tails included), and
 //      WAL replay + snapshot restore must reproduce the uninterrupted
 //      run's match stream AND byte-identical final tables (exactly-once
 //      effects), across sync/async dispatch and shard layouts;
-//   7. metamorphic rewrite axis (ISSUE 9) — each case's compiled rule
-//      expressions get a random chain of provably equivalent rewrites
+//   6. metamorphic rewrite axis — each case's compiled rule expressions
+//      get a random chain of provably equivalent rewrites
 //      (engine/rewrite.h: operand permutation, OR rotation, ⊥-branch
 //      introduction, SEQ⇄TSEQ, bound slack, WITHIN push); original and
-//      rewritten programs must agree through the reference interpreter,
-//      serial/sharded/data-partitioned engines, and every compile mode —
-//      ordered when the chain preserves order, as multisets otherwise.
+//      rewritten programs must agree through the reference interpreter
+//      and the serial and sharded engines — ordered when the chain
+//      preserves order, as multisets otherwise.
 //
 // Cases are seeded: random rule sets (OR/AND/NOT/SEQ/TSEQ/SEQ+/TSEQ+/
 // WITHIN nested up to depth 4) over random observation streams with
@@ -352,18 +347,6 @@ struct RunSpec {
   bool split_batch = false;  // Two ProcessAll halves instead of Process.
   bool incremental = false;  // AdvanceTo interleaved between observations.
   bool tolerate_out_of_order = false;
-  // Force data-partitioned sharding (keyed rules replicated, stream split
-  // by hash(EPC/site), cross-object rules on the residual shard). Falls
-  // back to rule sharding when no generated rule is key-partitionable —
-  // still a valid differential run, just one that exercises less.
-  PartitionMode partition = PartitionMode::kRule;
-  // Rule-set compiler axis. The serial baseline runs fully compiled
-  // (indexed dispatch + predicate pushdown + prefix sharing — the engine
-  // defaults); these toggles run the same case with compiler stages
-  // disabled, and every configuration must agree.
-  bool compile_off = false;   // Legacy scan dispatch, private SEQ+ copies.
-  bool no_pushdown = false;   // Indexed dispatch without pushed predicates.
-  bool no_share = false;      // Compiled dispatch, private SEQ+ copies.
 };
 
 SpansByRule RunEngine(const std::string& program,
@@ -372,14 +355,6 @@ SpansByRule RunEngine(const std::string& program,
   options.detector.context = ParameterContext::kChronicle;
   options.detector.tolerate_out_of_order = spec.tolerate_out_of_order;
   options.shards = spec.shards;
-  options.partition = spec.partition;
-  if (spec.compile_off) {
-    options.detector.compile.indexed_dispatch = false;
-    options.detector.compile.predicate_pushdown = false;
-    options.detector.compile.share_prefixes = false;
-  }
-  if (spec.no_pushdown) options.detector.compile.predicate_pushdown = false;
-  if (spec.no_share) options.detector.compile.share_prefixes = false;
   RcedaEngine engine(/*db=*/nullptr, events::Environment{}, options);
   SpansByRule out;
   engine.SetMatchCallback(
@@ -466,33 +441,8 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
       {"sharded(4)", RunSpec{4, false, false, false}},
       {"batch-split ProcessAll", RunSpec{1, true, false, false}},
       {"incremental AdvanceTo", RunSpec{1, false, true, false}},
+      {"sharded(2) batch-split", RunSpec{2, true, false, false}},
       {"sharded(2) incremental", RunSpec{2, false, true, false}},
-      {"sharded(2) data",
-       RunSpec{2, false, false, false, PartitionMode::kData}},
-      {"sharded(4) data",
-       RunSpec{4, false, false, false, PartitionMode::kData}},
-      {"sharded(2) data batch-split",
-       RunSpec{2, true, false, false, PartitionMode::kData}},
-      {"sharded(2) data incremental",
-       RunSpec{2, false, true, false, PartitionMode::kData}},
-      // Rule-set compiler axis: the serial baseline above is the fully
-      // compiled engine, so comparing these against it IS the
-      // optimized-vs-unoptimized differential.
-      {"compile off",
-       RunSpec{1, false, false, false, PartitionMode::kRule,
-               /*compile_off=*/true}},
-      {"no predicate pushdown",
-       RunSpec{1, false, false, false, PartitionMode::kRule, false,
-               /*no_pushdown=*/true}},
-      {"no prefix sharing",
-       RunSpec{1, false, false, false, PartitionMode::kRule, false, false,
-               /*no_share=*/true}},
-      {"compile off sharded(2) data",
-       RunSpec{2, false, false, false, PartitionMode::kData,
-               /*compile_off=*/true}},
-      {"no prefix sharing sharded(2) data",
-       RunSpec{2, false, false, false, PartitionMode::kData, false, false,
-               /*no_share=*/true}},
   };
   for (const auto& protocol : kProtocols) {
     SpansByRule other = RunEngine(program, c.stream, protocol.spec);
@@ -523,16 +473,12 @@ struct RecoveryEngine {
   std::unique_ptr<RcedaEngine> engine;
   SpansByRule matches;
 
-  static std::unique_ptr<RecoveryEngine> Make(
-      const std::string& program, int shards,
-      PartitionMode partition = PartitionMode::kRule,
-      bool share_prefixes = true) {
+  static std::unique_ptr<RecoveryEngine> Make(const std::string& program,
+                                              int shards) {
     auto r = std::make_unique<RecoveryEngine>();
     EngineOptions options;
     options.detector.context = ParameterContext::kChronicle;
     options.shards = shards;
-    options.partition = partition;
-    options.detector.compile.share_prefixes = share_prefixes;
     r->engine = std::make_unique<RcedaEngine>(/*db=*/nullptr,
                                               events::Environment{}, options);
     SpansByRule* out = &r->matches;
@@ -565,31 +511,11 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
                                           static_cast<long>(cut),
                                       c.stream.end());
 
-  struct Layout {
-    int shards;
-    PartitionMode partition;
-    bool share = true;  // Prefix-sharing compile (the engine default).
-  };
   // Every source layout checkpoints; every target layout must restore it
-  // exactly — including rule-sharded snapshots onto data-partitioned
-  // layouts and vice versa (a data-partitioned capture merges its keyed
-  // replicas into one serial-equivalent source), and prefix-shared
-  // snapshots onto unshared compiles and vice versa (the state-key alias
-  // pass in engine/snapshot.cc).
-  static constexpr Layout kSources[] = {{1, PartitionMode::kRule},
-                                        {2, PartitionMode::kRule},
-                                        {2, PartitionMode::kData},
-                                        {1, PartitionMode::kRule, false}};
-  static constexpr Layout kTargets[] = {{1, PartitionMode::kRule},
-                                        {2, PartitionMode::kRule},
-                                        {4, PartitionMode::kRule},
-                                        {2, PartitionMode::kData},
-                                        {4, PartitionMode::kData},
-                                        {1, PartitionMode::kRule, false}};
-  for (const Layout& src : kSources) {
-    const int source_shards = src.shards;
-    auto source = RecoveryEngine::Make(program, source_shards, src.partition,
-                                       src.share);
+  // exactly (a sharded capture merges its keyed replicas into one
+  // serial-equivalent source).
+  for (const int source_shards : {1, 2, 4}) {
+    auto source = RecoveryEngine::Make(program, source_shards);
     if (source == nullptr) return "source engine failed to compile";
     if (!source->engine->ProcessAll(head).ok()) {
       return "source prefix processing failed";
@@ -600,7 +526,7 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
              std::to_string(source_shards) + " shards: " + s.ToString();
     }
     if (source_shards == 1) {
-      auto twin = RecoveryEngine::Make(program, 1, src.partition, src.share);
+      auto twin = RecoveryEngine::Make(program, 1);
       if (twin == nullptr) return "twin engine failed to compile";
       if (Status s = twin->engine->RestoreState(bytes); !s.ok()) {
         return "serial restore failed: " + s.ToString();
@@ -611,10 +537,8 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
                std::to_string(cut);
       }
     }
-    for (const Layout& tgt : kTargets) {
-      const int target_shards = tgt.shards;
-      auto target = RecoveryEngine::Make(program, target_shards,
-                                         tgt.partition, tgt.share);
+    for (const int target_shards : {1, 2, 4}) {
+      auto target = RecoveryEngine::Make(program, target_shards);
       if (target == nullptr) return "target engine failed to compile";
       if (Status s = target->engine->RestoreState(bytes); !s.ok()) {
         return "restore into " + std::to_string(target_shards) +
@@ -629,15 +553,11 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
         const std::vector<Span>& post = target->matches[rule_id];
         combined.insert(combined.end(), post.begin(), post.end());
         if (combined != expected) {
-          auto describe = [](const Layout& l) {
-            return std::to_string(l.shards) +
-                   (l.partition == PartitionMode::kData ? "d" : "r") +
-                   (l.share ? "" : " unshared");
-          };
           return "crash-recovery divergence on rule " + rule_id + " (cut " +
                  std::to_string(cut) + "/" +
-                 std::to_string(c.stream.size()) + ", " + describe(src) +
-                 " -> " + describe(tgt) + " shards)" +
+                 std::to_string(c.stream.size()) + ", " +
+                 std::to_string(source_shards) + " -> " +
+                 std::to_string(target_shards) + " shards)" +
                  "\n  uninterrupted: " + FormatSpans(expected) +
                  "\n  recovered:     " + FormatSpans(combined);
         }
@@ -1007,8 +927,8 @@ FuzzCase Shrink(FuzzCase c, const CaseChecker& check) {
 // the two reference runs disagreeing is a rewriter soundness bug; the
 // rewritten reference vs the rewritten serial engine is an engine bug
 // on a shape the generator never emits; and the rewritten program must
-// agree with itself across shard layouts, data partitioning, and every
-// compile mode, exactly as the base protocol demands.
+// agree with itself across shard layouts, exactly as the base protocol
+// demands.
 
 struct RewriteStep {
   int rule = 0;        // Index into FuzzCase::rules.
@@ -1193,27 +1113,14 @@ std::optional<std::string> CheckMetamorphicCase(
     }
   }
 
-  // Layer 4: the rewritten program through the shard/partition/compile
-  // protocols, each held to the serial run in exact emission order.
+  // Layer 4: the rewritten program through the shard protocols, each
+  // held to the serial run in exact emission order.
   const struct {
     const char* name;
     RunSpec spec;
   } kMetaProtocols[] = {
       {"sharded(2)", RunSpec{2, false, false, false}},
       {"sharded(4)", RunSpec{4, false, false, false}},
-      {"sharded(2) data",
-       RunSpec{2, false, false, false, PartitionMode::kData}},
-      {"sharded(4) data",
-       RunSpec{4, false, false, false, PartitionMode::kData}},
-      {"compile off",
-       RunSpec{1, false, false, false, PartitionMode::kRule,
-               /*compile_off=*/true}},
-      {"no predicate pushdown",
-       RunSpec{1, false, false, false, PartitionMode::kRule, false,
-               /*no_pushdown=*/true}},
-      {"no prefix sharing",
-       RunSpec{1, false, false, false, PartitionMode::kRule, false, false,
-               /*no_share=*/true}},
   };
   for (const auto& protocol : kMetaProtocols) {
     SpansByRule other = RunEngine(rew_program, c.stream, protocol.spec);
@@ -1361,10 +1268,9 @@ TEST(DifferentialFuzz, FourExecutionsAgree) {
 }
 
 TEST(DifferentialFuzz, MetamorphicEquivalence) {
-  // ISSUE 9 tentpole sweep: every seeded case gets a random chain of
-  // provably equivalent rewrites; the original and rewritten programs
-  // must agree through the reference interpreter, the serial engine,
-  // rule- and data-sharded layouts, and every compile mode.
+  // Every seeded case gets a random chain of provably equivalent
+  // rewrites; the original and rewritten programs must agree through the
+  // reference interpreter, the serial engine, and sharded layouts.
   const int cases = FuzzCases();
   int rewritten_cases = 0;
   for (int i = 0; i < cases; ++i) {
