@@ -1,13 +1,15 @@
 // Microbenchmarks for the binding layer the detection hot path lives on:
-// Merge (copy vs move), ToMulti, join-key computation, and the full
-// pairing probe (key + unification re-check).
+// Merge (copy vs move), ToMulti, join-key computation, the full pairing
+// probe (key + unification re-check), and join-buffer upkeep.
 //
 // Every benchmark reports an `allocs_per_iter` counter backed by a global
-// operator new override. The probe-path benchmarks must report 0: the
-// acceptance bar for this layer is that pairing an incoming instance
-// against a bucket performs no heap allocation (and in particular never
-// builds a std::string bucket key — compare BM_StringBucketKey, which
-// reconstructs the old representation for contrast).
+// operator new override. The probe-path benchmarks and BM_JoinBufferChurn
+// must report 0 (binding_test and join_buffer_test assert the same under
+// ctest): pairing an incoming instance against a join chain performs no
+// heap allocation (and in particular never builds a std::string key —
+// compare BM_StringBucketKey, which reconstructs the old representation
+// for contrast), and neither does buffering, consuming or expiring an
+// entry once the buffer is warm.
 
 #include <atomic>
 #include <cstdlib>
@@ -17,7 +19,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include "engine/join_buffer.h"
 #include "events/binding.h"
+#include "events/event_instance.h"
 #include "events/symbol.h"
 
 namespace {
@@ -130,6 +134,40 @@ void BM_UnifiesWith(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnifiesWith);
+
+// A slot buffer's per-arrival upkeep on a warm JoinBuffer: expire what the
+// clock has passed, consume the oldest entry of the wildcard chain as
+// chronicle pairing would, and buffer two new entries — one under a fresh
+// join key (most Fig. 9a arrivals open a new (reader, object) key that
+// expiry later frees) and one on the wildcard chain. In steady state one
+// fresh-key entry expires per iteration, so pool entries, table slots and
+// ring cells are all reused: must report 0 allocations.
+void BM_JoinBufferChurn(benchmark::State& state) {
+  constexpr TimePoint kWindow = 1024;
+  constexpr int kWildcardBacklog = 64;
+  EventInstancePtr instance =
+      EventInstance::MakeComplex(0, 0, Bindings(), {}, /*seq=*/1);
+  engine::JoinBuffer buffer;
+  TimePoint clock = 0;
+  uint64_t fresh = 0;
+  for (int i = 0; i < kWildcardBacklog; ++i) {
+    buffer.Append(kWildcardJoinKey, instance, kTimeInfinity);
+  }
+  auto step = [&] {
+    ++clock;
+    buffer.DrainExpired(clock);
+    buffer.Remove(buffer.PruneFront(kWildcardJoinKey, clock));
+    // Odd multiples of an odd constant: distinct and never the wildcard.
+    buffer.Append((2 * ++fresh + 1) * 0x9e3779b97f4a7c15ull, instance,
+                  clock + kWindow);
+    buffer.Append(kWildcardJoinKey, instance, clock + kWindow);
+  };
+  for (TimePoint i = 0; i < 4 * kWindow; ++i) step();
+  AllocationScope allocs(state);
+  for (auto _ : state) step();
+  benchmark::DoNotOptimize(buffer.size());
+}
+BENCHMARK(BM_JoinBufferChurn);
 
 // What ProducePair does once per emitted pair: merge terminator bindings
 // into a copy of the initiator's.

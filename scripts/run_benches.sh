@@ -4,7 +4,9 @@
 #   * bench/fig9_scalability --series=events  (paper Fig. 9a reproduction)
 #   * bench/fig9_scalability --series=rules   (SKU x site rule-set sweep,
 #                                              500 -> 10,000 rules)
-#   * bench/fig9_scalability --series=shards  (sharded pipeline sweep)
+#   * bench/fig9_scalability --series=shards  (sharded pipeline sweep;
+#                                              checked, not recorded)
+#   * bench/fig9_scalability --series=workload (FIG9-W airport baggage)
 #   * bench/bench_bindings                    (hot-path microbenchmarks +
 #                                              allocs_per_iter counters)
 #
@@ -13,8 +15,9 @@
 # Builds Release into `build-dir` (default: build-bench), reruns both
 # benchmarks, and rewrites BENCH_rfidcep.json at the repo root. The
 # "seed" series in the JSON is the recorded pre-optimization baseline
-# (commit 65bc83f built Release on the same machine class); it is kept
-# verbatim so the speedup claim stays auditable.
+# (commit 65bc83f built Release on a single-core host); it is kept
+# verbatim so the speedup claim stays auditable. current.shards is
+# carried forward from the existing file as well (see below).
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -44,23 +47,35 @@ done
 echo "$RULES_TXT"
 # Shards sweep (keyed rules replicated, the stream split by hash(EPC) —
 # engine/sharded_engine.h). The shards=1 serial baseline row repeats in
-# both runs; the parser keeps the fastest.
+# both runs; the parser keeps the fastest. Its counts are checked against
+# the committed series, which is kept as it is.
 SHARDS_TXT=""
 for _ in 1 2; do
   SHARDS_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=shards \
     --shards=2,4 --rules=100 --sites=20 --events=100000)"$'\n'
 done
 echo "$SHARDS_TXT"
+# Airport-baggage workload (FIG9-W): the committed series the nightly
+# workload sweep is gated against (usec/event, plus exact match counts —
+# the generator is seeded).
+WORKLOAD_FILES=""
+for i in 1 2; do
+  "$BUILD_DIR/bench/fig9_scalability" --series=workload \
+    --json-out="$BUILD_DIR/workload-$i.json"
+  WORKLOAD_FILES+="$BUILD_DIR/workload-$i.json "
+done
 BINDINGS_JSON="$("$BUILD_DIR/bench/bench_bindings" \
   --benchmark_format=json --benchmark_min_time=0.2 2>/dev/null)"
 HOST_CORES="$(nproc)"
 
 FIG9_TXT="$FIG9_TXT" RULES_TXT="$RULES_TXT" SHARDS_TXT="$SHARDS_TXT" \
-  BINDINGS_JSON="$BINDINGS_JSON" \
+  BINDINGS_JSON="$BINDINGS_JSON" WORKLOAD_FILES="$WORKLOAD_FILES" \
   HOST_CORES="$HOST_CORES" python3 - "$OUT" <<'EOF'
 import json, os, sys
 
-# Pre-optimization baseline: seed commit, Release, same harness settings.
+# Pre-optimization baseline: seed commit, Release, same harness settings,
+# recorded on a host with SEED_HOST_CORES cores.
+SEED_HOST_CORES = 1
 SEED_FIG9A = [
     {"events": 50000,  "total_ms": 912.8,  "usec_per_event": 18.262},
     {"events": 100000, "total_ms": 2447.9, "usec_per_event": 24.469},
@@ -135,6 +150,34 @@ for row in shards:
     assert row["rules_fired"] == shards[0]["rules_fired"], row
     row["speedup_vs_1shard"] = round(
         shards[0]["usec_per_event"] / row["usec_per_event"], 3)
+print("shards sweep (not recorded): " + ", ".join(
+    f"{r['shards']} shards {r['speedup_vs_1shard']}x" for r in shards))
+
+# current.shards is carried forward, not re-recorded: the CI and nightly
+# shards smokes run 50 rules over 10 sites, and bench_guard floors taken
+# from a multi-core recording of this 100-rule series are out of their
+# reach (ROADMAP item 2). The fresh sweep must still reproduce its counts.
+with open(sys.argv[1]) as f:
+    committed_shards = json.load(f)["current"]["shards"]
+assert len(shards) == len(committed_shards["series"])
+for row, base in zip(shards, committed_shards["series"]):
+    for k in ("shards", "matches", "rules_fired"):
+        assert row[k] == base[k], (row, base)
+
+workload = {}
+for path in os.environ["WORKLOAD_FILES"].split():
+    with open(path) as f:
+        rows = json.load(f)["rows"]
+    for row in rows:
+        key = (row["events"], row["rule_family"])
+        prev = workload.get(key)
+        if prev is not None:
+            assert prev["matches"] == row["matches"], (prev, row)
+        if prev is None or row["total_ms"] < prev["total_ms"]:
+            workload[key] = {k: row[k] for k in (
+                "rule_family", "events", "total_ms", "usec_per_event",
+                "matches")}
+assert workload, "workload series missing"
 
 micro = []
 for run in json.loads(os.environ["BINDINGS_JSON"]).get("benchmarks", []):
@@ -150,10 +193,12 @@ doc = {
     "benchmark": "rfidcep Fig. 9a (events series) + binding microbenchmarks",
     "harness": "bench/fig9_scalability, Release build; fastest of 3 "
                "repeats per events point, fastest of 2 per rules and "
-               "shards point",
+               "workload point; current.shards is carried forward (see "
+               "its `kept` note)",
     "units": {"fig9a": "usec per primitive event", "micro": "ns CPU"},
     "seed_baseline": {
         "commit": "65bc83f",
+        "host_cores": SEED_HOST_CORES,
         "fig9a_events": SEED_FIG9A,
     },
     "current": {
@@ -166,29 +211,36 @@ doc = {
             "usec_ratio_max_vs_min": rules_ratio,
             "series": rules,
         },
-        "shards": {
-            "workload": "100 rules over 20 sites, 100000 events, batch=1024",
-            "host_cores": int(os.environ["HOST_CORES"]),
-            "note": "shards > 1 partitions the stream by key: keyed "
-                    "rules are replicated with the stream split by "
-                    "hash(EPC), plus one residual shard for cross-object "
-                    "rules. Wall-clock speedup requires >= `shards` "
-                    "physical cores; on a single-core host the sweep "
-                    "only audits the determinism contract (identical "
-                    "matches and fired counts at every shard count) and "
-                    "the coordination overhead",
-            "series": shards,
-        },
+        "shards": committed_shards,
         "micro": micro,
+        "workload": {
+            "workload": "FIG9-W airport baggage (sim/workload.h "
+                        "GenerateBaggage, 4 rules: misroute/journey/stuck/"
+                        "reread), seeded generator; baggage_time = "
+                        "timestamp order, baggage_upload = per-reader "
+                        "upload order with out-of-order tolerance",
+            "host_cores": int(os.environ["HOST_CORES"]),
+            "note": "matches are deterministic per events point (seeded "
+                    "PRNG); bench_guard treats a match mismatch at a "
+                    "committed event count as a semantic divergence, not "
+                    "noise",
+            "series": [workload[k] for k in sorted(workload)],
+        },
     },
     "claims": [
         "usec/event is lower than the seed at every Fig. 9a point "
-        f"(min speedup {min_speedup:.2f}x in this run)",
+        f"(min speedup {min_speedup:.2f}x in this run). The seed was "
+        f"recorded on another host ({SEED_HOST_CORES} core; this run: "
+        f"{os.environ['HOST_CORES']}), so speedup_vs_seed includes the "
+        "host difference; docs/performance.md has same-host pairs",
         "match and pseudo-event counts are identical to the seed "
         "(behavior-preserving optimization)",
-        "allocs_per_iter is 0 for BM_PairingProbe, BM_ComputeJoinKey and "
-        "BM_UnifiesWith: the per-event pairing path performs no heap "
-        "allocation and builds no std::string keys",
+        "allocs_per_iter is 0 for BM_PairingProbe, BM_ComputeJoinKey, "
+        "BM_UnifiesWith and BM_JoinBufferChurn: the per-event pairing "
+        "path performs no heap allocation and builds no std::string keys, "
+        "and a warm join buffer buffers, consumes and expires entries "
+        "without allocating (asserted in ctest by binding_test and "
+        "join_buffer_test)",
         "the sharded pipeline reproduces serial matches and fired counts "
         "exactly at every shard count (see current.shards.series)",
         "per-event dispatch cost scales with the rules an observation "

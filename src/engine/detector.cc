@@ -34,12 +34,14 @@ std::string_view ParameterContextName(ParameterContext context) {
 
 namespace {
 
-// Bucket for entries whose join variables are not all bound; always
-// scanned in addition to the exact bucket.
+// Chain for entries whose join variables are not all bound; always
+// scanned in addition to the exact chain.
 constexpr uint64_t kWildcardKey = events::kWildcardJoinKey;
 
 // Every complete key maps here under debug_force_join_collisions.
-constexpr uint64_t kCollisionBucket = 0x636f6c6cull;
+constexpr uint64_t kCollisionKey = 0x636f6c6cull;
+
+constexpr JoinBuffer::Index kNoEntry = JoinBuffer::kNone;
 
 Bindings MergedOrDie(const Bindings& a, const Bindings& b) {
   Bindings tmp = a;
@@ -330,38 +332,16 @@ Detector::JoinKey Detector::KeyFor(int node_id,
   JoinKey key;
   key.hash = events::ComputeJoinKey(bindings, node.join_syms, &key.complete);
   if (key.complete && options_.debug_force_join_collisions) {
-    key.hash = kCollisionBucket;
+    key.hash = kCollisionKey;
   }
   return key;
 }
 
-void Detector::PruneBucketFront(std::deque<BufferedEntry>* bucket,
-                                size_t* total) const {
-  while (!bucket->empty() && bucket->front().deadline < clock_) {
-    bucket->pop_front();
-    --*total;
-  }
-}
-
-void Detector::DrainSlotExpiry(SlotBuffer* slot) const {
-  while (!slot->expiry.empty() && slot->expiry.front().first < clock_) {
-    auto it = slot->buckets.find(slot->expiry.front().second);
-    if (it != slot->buckets.end()) {
-      PruneBucketFront(&it->second, &slot->total);
-      if (it->second.empty()) slot->buckets.erase(it);
-    }
-    slot->expiry.pop_front();
-  }
-}
-
 void Detector::BufferInsert(int node_id, int slot_index, EventInstancePtr e,
                             TimePoint deadline, JoinKey key) {
-  SlotBuffer& slot = states_[node_id].slots[slot_index];
-  DrainSlotExpiry(&slot);
-  std::deque<BufferedEntry>& bucket = slot.buckets[key.hash];
-  bucket.push_back(BufferedEntry{std::move(e), deadline});
-  ++slot.total;
-  if (deadline != kTimeInfinity) slot.expiry.emplace_back(deadline, key.hash);
+  JoinBuffer& slot = states_[node_id].slots[slot_index];
+  slot.DrainExpired(clock_);
+  slot.Append(key.hash, std::move(e), deadline);
 }
 
 // --- AND ------------------------------------------------------------------------
@@ -394,9 +374,7 @@ void Detector::AndArrival(int node_id, int slot, const EventInstancePtr& e,
   if (options_.context == ParameterContext::kUnrestricted) buffer = true;
   if (options_.context == ParameterContext::kRecent) {
     // Only the most recent instance per slot is retained.
-    st.slots[slot].buckets.clear();
-    st.slots[slot].expiry.clear();
-    st.slots[slot].total = 0;
+    st.slots[slot].Clear();
     buffer = true;
   }
   if (buffer) {
@@ -425,11 +403,7 @@ void Detector::SeqInitiatorArrival(int node_id, const EventInstancePtr& e1,
   }
   TimePoint deadline = std::min(AddSaturating(e1->t_begin(), node.within),
                                 AddSaturating(e1->t_end(), node.dist_hi));
-  if (options_.context == ParameterContext::kRecent) {
-    st.slots[0].buckets.clear();
-    st.slots[0].expiry.clear();
-    st.slots[0].total = 0;
-  }
+  if (options_.context == ParameterContext::kRecent) st.slots[0].Clear();
   BufferInsert(node_id, 0, e1, deadline, key);
 }
 
@@ -472,8 +446,8 @@ bool Detector::PairBinary(int node_id, int incoming_slot,
                           const EventInstancePtr& incoming, JoinKey key) {
   const GraphNode& node = graph_->node(node_id);
   NodeState& st = states_[node_id];
-  SlotBuffer& buffer = st.slots[1 - incoming_slot];
-  DrainSlotExpiry(&buffer);
+  JoinBuffer& buffer = st.slots[1 - incoming_slot];
+  buffer.DrainExpired(clock_);
 
   auto admissible = [&](const EventInstancePtr& cand) {
     if (node.op == ExprOp::kSeq) {
@@ -486,115 +460,92 @@ bool Detector::PairBinary(int node_id, int incoming_slot,
         events::CombinedInterval(*cand, *incoming) > node.within) {
       return false;
     }
-    // Full unification re-check: hash-bucket collisions (and the wildcard
-    // bucket) may surface non-matching candidates.
+    // Full unification re-check: hash collisions (and the wildcard chain)
+    // may surface non-matching candidates.
     return cand->bindings().UnifiesWith(incoming->bindings());
   };
 
-  // Gather admissible candidates as (bucket, index) in chronicle order.
-  struct Candidate {
-    std::deque<BufferedEntry>* bucket;
-    size_t index;
-    uint64_t seq;
-  };
-  std::vector<Candidate> candidates;
-  auto scan_bucket = [&](std::deque<BufferedEntry>* bucket) {
-    PruneBucketFront(bucket, &buffer.total);
-    for (size_t i = 0; i < bucket->size(); ++i) {
-      const BufferedEntry& entry = (*bucket)[i];
-      if (entry.deadline >= clock_ && admissible(entry.instance)) {
-        candidates.push_back(
-            Candidate{bucket, i, entry.instance->sequence_number()});
+  // Chronicle keeps the admissible entry with the lowest sequence number,
+  // recent the highest; the other contexts take every admissible entry,
+  // sorted into sequence order below.
+  const ParameterContext context = options_.context;
+  const bool lowest = context == ParameterContext::kChronicle;
+  const bool single = lowest || context == ParameterContext::kRecent;
+  JoinBuffer::Index best = kNoEntry;
+  uint64_t best_seq = 0;
+  std::vector<std::pair<uint64_t, JoinBuffer::Index>> all;  // (seq, entry)
+  auto scan_chain = [&](JoinBuffer::Index i) {
+    for (; i != kNoEntry; i = buffer.next(i)) {
+      const JoinBuffer::Entry& entry = buffer.entry(i);
+      if (entry.deadline < clock_ || !admissible(entry.instance)) continue;
+      uint64_t seq = entry.instance->sequence_number();
+      if (!single) {
+        all.emplace_back(seq, i);
+      } else if (best == kNoEntry ||
+                 (lowest ? seq < best_seq : seq > best_seq)) {
+        best = i;
+        best_seq = seq;
       }
     }
+    return false;
   };
   if (!key.complete) {
-    // Incoming lacks a join variable: every bucket may hold partners.
-    for (auto& [bucket_key, bucket] : buffer.buckets) scan_bucket(&bucket);
+    // Incoming lacks a join variable: every chain may hold partners.
+    buffer.PruneAllFronts(clock_);
+    buffer.AnyChain(scan_chain);
   } else {
-    // Complete keys are never the wildcard value, so the wildcard bucket
+    // Complete keys are never the wildcard value, so the wildcard chain
     // is always a distinct, additional scan.
-    if (auto it = buffer.buckets.find(key.hash); it != buffer.buckets.end()) {
-      scan_bucket(&it->second);
-    }
-    if (auto it = buffer.buckets.find(kWildcardKey);
-        it != buffer.buckets.end()) {
-      scan_bucket(&it->second);
-    }
+    scan_chain(buffer.PruneFront(key.hash, clock_));
+    scan_chain(buffer.PruneFront(kWildcardKey, clock_));
   }
-  if (candidates.empty()) return false;
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.seq < b.seq;
-            });
+  if (best == kNoEntry && all.empty()) return false;
 
-  auto erase_candidates = [&](const std::vector<Candidate>& victims) {
-    // Erase per bucket in descending index order.
-    std::vector<Candidate> sorted = victims;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.bucket != b.bucket) return a.bucket < b.bucket;
-                return a.index > b.index;
-              });
-    for (const Candidate& victim : sorted) {
-      victim.bucket->erase(victim.bucket->begin() +
-                           static_cast<long>(victim.index));
-      --buffer.total;
-    }
-  };
-
-  switch (options_.context) {
+  // Partners are copied out before emitting: an emission can cascade back
+  // into this node (a shared SEQ+ child closing its run) and reallocate
+  // the pool.
+  switch (context) {
     case ParameterContext::kChronicle: {
-      EventInstancePtr partner =
-          (*candidates.front().bucket)[candidates.front().index].instance;
-      erase_candidates({candidates.front()});
+      EventInstancePtr partner = buffer.entry(best).instance;
+      buffer.Remove(best);
       ProducePair(node_id, partner, incoming);
       return true;
     }
     case ParameterContext::kRecent: {
-      EventInstancePtr partner =
-          (*candidates.back().bucket)[candidates.back().index].instance;
+      EventInstancePtr partner = buffer.entry(best).instance;
       ProducePair(node_id, partner, incoming);  // Initiator is reused.
       return true;
     }
-    case ParameterContext::kContinuous: {
-      std::vector<EventInstancePtr> partners;
-      partners.reserve(candidates.size());
-      for (const Candidate& c : candidates) {
-        partners.push_back((*c.bucket)[c.index].instance);
-      }
-      erase_candidates(candidates);
-      for (EventInstancePtr& partner : partners) {
-        ProducePair(node_id, partner, incoming);
-      }
-      return true;
-    }
-    case ParameterContext::kCumulative: {
-      // All open initiators merge into one instance with the terminator.
-      TimePoint t_begin = incoming->t_begin();
-      Bindings merged = incoming->bindings().ToMulti();
-      std::vector<EventInstancePtr> children;
-      for (const Candidate& c : candidates) {
-        const EventInstancePtr& cand = (*c.bucket)[c.index].instance;
-        t_begin = std::min(t_begin, cand->t_begin());
-        merged.Merge(cand->bindings().ToMulti());
-        children.push_back(cand);
-      }
-      children.push_back(incoming);
-      erase_candidates(candidates);
-      Emit(node_id, EventInstance::MakeComplex(
-                        t_begin, incoming->t_end(), std::move(merged),
-                        std::move(children), NextSeq()));
-      return true;
-    }
-    case ParameterContext::kUnrestricted: {
-      for (const Candidate& c : candidates) {
-        ProducePair(node_id, (*c.bucket)[c.index].instance, incoming);
-      }
-      return true;
-    }
+    case ParameterContext::kContinuous:
+    case ParameterContext::kCumulative:
+    case ParameterContext::kUnrestricted:
+      break;
   }
-  return false;
+  std::sort(all.begin(), all.end());
+  std::vector<EventInstancePtr> partners;
+  partners.reserve(all.size());
+  for (const auto& [seq, i] : all) {
+    partners.push_back(buffer.entry(i).instance);
+    if (context != ParameterContext::kUnrestricted) buffer.Remove(i);
+  }
+  if (context == ParameterContext::kCumulative) {
+    // All open initiators merge into one instance with the terminator.
+    TimePoint t_begin = incoming->t_begin();
+    Bindings merged = incoming->bindings().ToMulti();
+    for (const EventInstancePtr& cand : partners) {
+      t_begin = std::min(t_begin, cand->t_begin());
+      merged.Merge(cand->bindings().ToMulti());
+    }
+    partners.push_back(incoming);
+    Emit(node_id, EventInstance::MakeComplex(
+                      t_begin, incoming->t_end(), std::move(merged),
+                      std::move(partners), NextSeq()));
+    return true;
+  }
+  for (const EventInstancePtr& partner : partners) {
+    ProducePair(node_id, partner, incoming);
+  }
+  return true;
 }
 
 void Detector::ProducePair(int node_id, const EventInstancePtr& initiator,
@@ -686,27 +637,25 @@ void Detector::CloseRun(int node_id, Run run) {
 
 void Detector::NotLogInsert(int not_node_id, const EventInstancePtr& e) {
   const GraphNode& node = graph_->node(not_node_id);
-  NotLog& log = states_[not_node_id].not_log;
-  PruneNotLog(not_node_id);
-  JoinKey key = KeyFor(not_node_id, e->bindings());
-  TimePoint expiry = AddSaturating(e->t_end(), node.retention);
-  log.buckets[key.hash].push_back(e);
-  ++log.total;
-  if (expiry != kTimeInfinity) log.expiry.emplace_back(expiry, key.hash);
+  JoinBuffer& log = states_[not_node_id].not_log;
+  log.DrainExpired(clock_);
+  log.Append(KeyFor(not_node_id, e->bindings()).hash, e,
+             AddSaturating(e->t_end(), node.retention));
 }
 
 bool Detector::NotHasOccurrence(int not_node_id, const Bindings& probe,
                                 TimePoint from, TimePoint to,
                                 bool include_from, bool include_to) {
-  NotLog& log = states_[not_node_id].not_log;
+  const JoinBuffer& log = states_[not_node_id].not_log;
   auto in_window = [&](const EventInstancePtr& inst) {
     TimePoint t = inst->t_end();
     bool after_from = include_from ? t >= from : t > from;
     bool before_to = include_to ? t <= to : t < to;
     return after_from && before_to;
   };
-  auto scan_bucket = [&](const std::deque<EventInstancePtr>& bucket) {
-    for (const EventInstancePtr& inst : bucket) {
+  auto scan_chain = [&](JoinBuffer::Index i) {
+    for (; i != kNoEntry; i = log.next(i)) {
+      const EventInstancePtr& inst = log.entry(i).instance;
       // UnifiesWith re-checks bindings, so collisions cannot produce a
       // false "occurrence exists".
       if (in_window(inst) && probe.UnifiesWith(inst->bindings())) return true;
@@ -714,39 +663,8 @@ bool Detector::NotHasOccurrence(int not_node_id, const Bindings& probe,
     return false;
   };
   JoinKey key = KeyFor(not_node_id, probe);
-  if (!key.complete) {
-    for (const auto& [bucket_key, bucket] : log.buckets) {
-      if (scan_bucket(bucket)) return true;
-    }
-    return false;
-  }
-  if (auto it = log.buckets.find(key.hash); it != log.buckets.end()) {
-    if (scan_bucket(it->second)) return true;
-  }
-  if (auto it = log.buckets.find(kWildcardKey); it != log.buckets.end()) {
-    if (scan_bucket(it->second)) return true;
-  }
-  return false;
-}
-
-void Detector::PruneNotLog(int not_node_id) {
-  const GraphNode& node = graph_->node(not_node_id);
-  if (node.retention == kDurationInfinity) return;
-  NotLog& log = states_[not_node_id].not_log;
-  while (!log.expiry.empty() && log.expiry.front().first < clock_) {
-    auto it = log.buckets.find(log.expiry.front().second);
-    if (it != log.buckets.end()) {
-      std::deque<EventInstancePtr>& bucket = it->second;
-      while (!bucket.empty() &&
-             AddSaturating(bucket.front()->t_end(), node.retention) <
-                 clock_) {
-        bucket.pop_front();
-        --log.total;
-      }
-      if (bucket.empty()) log.buckets.erase(it);
-    }
-    log.expiry.pop_front();
-  }
+  if (!key.complete) return log.AnyChain(scan_chain);
+  return scan_chain(log.Head(key.hash)) || scan_chain(log.Head(kWildcardKey));
 }
 
 // --- Pseudo events -------------------------------------------------------------------
@@ -782,18 +700,16 @@ void Detector::FirePseudo(const PseudoEvent& pe) {
   }
 
   // Anchored completion for AND / SEQ with a negated side: find the
-  // buffered anchor in its bucket.
+  // buffered anchor in its chain.
   NodeState& st = states_[pe.parent_node];
   EventInstancePtr anchor;
   for (int slot = 0; slot < 2 && anchor == nullptr; ++slot) {
-    auto it = st.slots[slot].buckets.find(pe.anchor_key);
-    if (it == st.slots[slot].buckets.end()) continue;
-    std::deque<BufferedEntry>& bucket = it->second;
-    for (size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i].instance->sequence_number() == pe.anchor_seq) {
-        anchor = bucket[i].instance;
-        bucket.erase(bucket.begin() + static_cast<long>(i));
-        --st.slots[slot].total;
+    JoinBuffer& buffer = st.slots[slot];
+    for (JoinBuffer::Index i = buffer.Head(pe.anchor_key); i != kNoEntry;
+         i = buffer.next(i)) {
+      if (buffer.entry(i).instance->sequence_number() == pe.anchor_seq) {
+        anchor = buffer.entry(i).instance;
+        buffer.Remove(i);
         break;
       }
     }
@@ -875,34 +791,30 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
     snapshot::NodeStateRecord rec;
     rec.retention = node.retention;
     rec.produced = produced_per_node_[id];
-    for (int slot = 0; slot < 2; ++slot) {
+    // Entries already past their deadline (lazily pruned) are skipped: no
+    // pairing, anchored pseudo or NOT window can ever see them again.
+    auto live_by_seq = [&](const JoinBuffer& buffer) {
       std::vector<std::pair<EventInstancePtr, TimePoint>> live;
-      for (const auto& [key, bucket] : st.slots[slot].buckets) {
-        for (const BufferedEntry& entry : bucket) {
-          // Skip entries already past their deadline (lazily pruned); no
-          // pairing or anchored pseudo can ever see them again.
-          if (entry.deadline < clock_) continue;
-          live.emplace_back(entry.instance, entry.deadline);
+      buffer.AnyChain([&](JoinBuffer::Index i) {
+        for (; i != kNoEntry; i = buffer.next(i)) {
+          const JoinBuffer::Entry& entry = buffer.entry(i);
+          if (entry.deadline >= clock_) {
+            live.emplace_back(entry.instance, entry.deadline);
+          }
         }
-      }
+        return false;
+      });
       std::sort(live.begin(), live.end(), by_seq);
-      rec.slots[slot].reserve(live.size());
-      for (const auto& [e, deadline] : live) {
+      return live;
+    };
+    for (int slot = 0; slot < 2; ++slot) {
+      for (const auto& [e, deadline] : live_by_seq(st.slots[slot])) {
         rec.slots[slot].push_back(
             snapshot::SlotEntryRecord{intern(e), deadline});
       }
     }
-    {
-      std::vector<std::pair<EventInstancePtr, TimePoint>> live;
-      for (const auto& [key, bucket] : st.not_log.buckets) {
-        for (const EventInstancePtr& e : bucket) {
-          if (AddSaturating(e->t_end(), node.retention) < clock_) continue;
-          live.emplace_back(e, 0);
-        }
-      }
-      std::sort(live.begin(), live.end(), by_seq);
-      rec.not_log.reserve(live.size());
-      for (const auto& [e, unused] : live) rec.not_log.push_back(intern(e));
+    for (const auto& [e, deadline] : live_by_seq(st.not_log)) {
+      rec.not_log.push_back(intern(e));
     }
     rec.runs.reserve(st.open_runs.size());
     for (const Run& run : st.open_runs) {
@@ -979,26 +891,17 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
     NodeState& st = states_[rn.node_id];
     const GraphNode& node = graph_->node(rn.node_id);
     produced_per_node_[rn.node_id] = rn.produced;
+    // Entries arrive in sequence order, so per-key chain order and the
+    // expiry records reproduce the original arrival order.
     for (int slot = 0; slot < 2; ++slot) {
       for (const auto& [e, deadline] : rn.slots[slot]) {
-        // Entries arrive in sequence order, so per-bucket order and the
-        // expiry deque reproduce the original arrival order.
-        JoinKey key = KeyFor(rn.node_id, e->bindings());
-        st.slots[slot].buckets[key.hash].push_back(BufferedEntry{e, deadline});
-        ++st.slots[slot].total;
-        if (deadline != kTimeInfinity) {
-          st.slots[slot].expiry.emplace_back(deadline, key.hash);
-        }
+        st.slots[slot].Append(KeyFor(rn.node_id, e->bindings()).hash, e,
+                              deadline);
       }
     }
     for (const EventInstancePtr& e : rn.not_log) {
-      JoinKey key = KeyFor(rn.node_id, e->bindings());
-      TimePoint expiry = AddSaturating(e->t_end(), node.retention);
-      st.not_log.buckets[key.hash].push_back(e);
-      ++st.not_log.total;
-      if (expiry != kTimeInfinity) {
-        st.not_log.expiry.emplace_back(expiry, key.hash);
-      }
+      st.not_log.Append(KeyFor(rn.node_id, e->bindings()).hash, e,
+                        AddSaturating(e->t_end(), node.retention));
     }
     for (const snapshot::RestoredRun& rr : rn.runs) {
       if (rr.elements.empty()) {
@@ -1062,7 +965,7 @@ size_t Detector::TotalBufferedEntries() const {
 
 size_t Detector::BufferedAt(int node_id) const {
   const NodeState& st = states_[node_id];
-  size_t total = st.slots[0].total + st.slots[1].total + st.not_log.total;
+  size_t total = st.slots[0].size() + st.slots[1].size() + st.not_log.size();
   for (const Run& run : st.open_runs) total += run.elements.size();
   return total;
 }

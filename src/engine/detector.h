@@ -4,14 +4,15 @@
 //
 //   * binary nodes (AND, SEQ/TSEQ) keep slot buffers of unconsumed
 //     constituent instances, pruned by deadlines derived from the node's
-//     propagated WITHIN bound and distance constraints. Buffers are
-//     hash-bucketed by the node's equality-join variables (graph
-//     join_vars), so a rule like the duplicate filter — which joins on
-//     the same (reader, object) — pairs in O(1) expected time instead of
-//     scanning the whole window;
+//     propagated WITHIN bound and distance constraints. Each slot is a
+//     flat JoinBuffer (engine/join_buffer.h): one open-addressing table
+//     maps the hashed tuple of the node's equality-join variables (graph
+//     join_vars) to a FIFO chain in a pooled entry array, so a rule like
+//     the duplicate filter — which joins on the same (reader, object) —
+//     pairs in O(1) expected time instead of scanning the whole window;
 //   * NOT nodes keep a time-ordered log of their child's occurrences
-//     (bucketed the same way) and answer window queries ("was there an
-//     occurrence unifying with these bindings in [a, b]?");
+//     (a JoinBuffer keyed the same way) and answer window queries ("was
+//     there an occurrence unifying with these bindings in [a, b]?");
 //   * SEQ+/TSEQ+ nodes keep the open run of adjacent occurrences, closing
 //     it on a distance-constraint violation, at expiry (via a pseudo
 //     event), or when a sequence terminator forces closure;
@@ -27,16 +28,15 @@
 #define RFIDCEP_ENGINE_DETECTOR_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
 #include "engine/context.h"
 #include "engine/graph.h"
+#include "engine/join_buffer.h"
 #include "engine/rule_index.h"
 #include "events/binding.h"
 #include "events/event_instance.h"
@@ -85,9 +85,9 @@ struct DetectorOptions {
   // If true, observations older than the clock are counted and dropped;
   // if false they fail with kInvalidArgument.
   bool tolerate_out_of_order = false;
-  // Test hook: map every complete join key onto one constant bucket so
+  // Test hook: map every complete join key onto one constant chain so
   // distinct join-value tuples always "collide". Detection results must
-  // be identical (bucket scans re-check unification); only performance
+  // be identical (chain scans re-check unification); only performance
   // degrades. Never enable outside tests.
   bool debug_force_join_collisions = false;
   // Observability wiring, set by the engine / sharded pipeline. Both may
@@ -200,44 +200,19 @@ class Detector {
                  snapshot::DetectorSnapshot* out) const;
   // Replaces this detector's runtime state with `plan` (built by
   // snapshot::BuildRestorePlan against this detector's graph) and
-  // installs `stats`. Join-bucket keys, expiry deques, and SEQ+ run
-  // bindings are recomputed; anchors re-key via their restored instances.
+  // installs `stats`. Join keys, expiry records, and SEQ+ run bindings
+  // are recomputed; anchors re-key via their restored instances.
   Status RestoreState(const snapshot::RestorePlan& plan,
                       const DetectorStats& stats);
 
  private:
-  // A precomputed 64-bit equality-join bucket key (see binding.h's
+  // A precomputed 64-bit equality-join key (see binding.h's
   // ComputeJoinKey). Computed once per (node, instance) at emit/arrival
   // time and carried alongside the instance — never rebuilt per probe,
   // and never materialized as a string.
   struct JoinKey {
     uint64_t hash = events::kWildcardJoinKey;
     bool complete = false;  // False: some join variable was unbound.
-  };
-
-  struct BufferedEntry {
-    events::EventInstancePtr instance;
-    TimePoint deadline;  // Prune once clock > deadline.
-  };
-
-  // Instances bucketed by their hashed equality-join key. Entries missing
-  // a join variable land in the wildcard bucket (kWildcardJoinKey), which
-  // every lookup also scans. Distinct join tuples may share a bucket
-  // (hash collision); pairing re-checks unification, so collisions cost
-  // time, not correctness.
-  struct SlotBuffer {
-    std::unordered_map<uint64_t, std::deque<BufferedEntry>> buckets;
-    // (deadline, bucket key) in insertion order; drained as the clock
-    // advances to prune expired bucket fronts without full sweeps.
-    std::deque<std::pair<TimePoint, uint64_t>> expiry;
-    size_t total = 0;
-  };
-
-  struct NotLog {
-    std::unordered_map<uint64_t, std::deque<events::EventInstancePtr>>
-        buckets;
-    std::deque<std::pair<TimePoint, uint64_t>> expiry;
-    size_t total = 0;
   };
 
   struct Run {
@@ -247,9 +222,16 @@ class Detector {
     TimePoint t_end = 0;
   };
 
+  // Slot buffers and NOT logs chain instances by their hashed join key.
+  // Entries missing a join variable go on the wildcard chain
+  // (kWildcardJoinKey), which every complete-key lookup also scans; an
+  // incomplete lookup scans every chain. Distinct join tuples may share a
+  // chain (hash collision); scans re-check unification, so collisions
+  // cost time, not correctness. A NOT-log entry's deadline is its
+  // t_end + retention; NOT scans filter by window only.
   struct NodeState {
-    SlotBuffer slots[2];  // AND both, SEQ slot 0.
-    NotLog not_log;       // NOT only.
+    JoinBuffer slots[2];         // AND both, SEQ slot 0.
+    JoinBuffer not_log;          // NOT only.
     std::vector<Run> open_runs;  // SEQ+ only (<=1 open).
   };
 
@@ -259,7 +241,7 @@ class Detector {
     int target_node;       // Node queried (NOT node or the SEQ+ itself).
     int parent_node;       // Node acting on the result.
     uint64_t anchor_seq;   // Buffered anchor instance (0 = none).
-    uint64_t anchor_key;   // Bucket holding the anchor.
+    uint64_t anchor_key;   // Join key of the anchor's chain.
     uint64_t order;        // FIFO tie-break.
     // Scheduling-position stamp: a layout-independent encoding of WHERE
     // in the serial execution this pseudo was scheduled, so detectors
@@ -302,14 +284,11 @@ class Detector {
   void CloseRun(int node_id, Run run);
 
   // --- Slot buffers --------------------------------------------------------
-  // Hashed bucket key of `bindings` under the node's join variables;
+  // Hashed join key of `bindings` under the node's join variables;
   // wildcard (incomplete) when a variable is unbound.
   JoinKey KeyFor(int node_id, const events::Bindings& bindings) const;
   void BufferInsert(int node_id, int slot, events::EventInstancePtr e,
                     TimePoint deadline, JoinKey key);
-  void DrainSlotExpiry(SlotBuffer* slot) const;
-  void PruneBucketFront(std::deque<BufferedEntry>* bucket,
-                        size_t* total) const;
 
   // --- Pairing ------------------------------------------------------------
   // Pairs `incoming` (whose join key under this node is `key`) against the
@@ -325,7 +304,6 @@ class Detector {
                         TimePoint from, TimePoint to, bool include_from,
                         bool include_to);
   void NotLogInsert(int not_node_id, const events::EventInstancePtr& e);
-  void PruneNotLog(int not_node_id);
 
   // --- Pseudo events ------------------------------------------------------------
   void SchedulePseudo(TimePoint execute_at, TimePoint created_at,

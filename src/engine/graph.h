@@ -56,10 +56,10 @@ struct GraphNode {
   std::vector<std::string> bound_vars;
   // Equality-join keys:
   //  * kAnd/kSeq: variables shared by both children — instances can only
-  //    pair when they agree on these, so slot buffers are hash-bucketed
-  //    by them (the duplicate-filter rule's same-(r,o) join).
+  //    pair when they agree on these, so slot buffers chain entries by
+  //    their hash (the duplicate-filter rule's same-(r,o) join).
   //  * kNot: variables shared by the negated child and every sibling that
-  //    queries it — the occurrence log is bucketed by them.
+  //    queries it — the occurrence log is chained by them.
   std::vector<std::string> join_vars;
   // join_vars as interned symbols (same order); the detector hashes join
   // keys over these so the per-event path never touches variable names.

@@ -1,0 +1,208 @@
+#include "engine/join_buffer.h"
+
+#include <algorithm>
+#include <bit>
+#include <cassert>
+#include <utility>
+
+namespace rfidcep::engine {
+
+namespace {
+
+// Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
+constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+constexpr size_t kMinCapacity = 8;
+
+}  // namespace
+
+size_t JoinBuffer::HomeSlot(uint64_t key, size_t capacity) {
+  assert(std::has_single_bit(capacity));
+  int bits = std::countr_zero(capacity);
+  return bits == 0 ? 0 : static_cast<size_t>((key * kGolden) >> (64 - bits));
+}
+
+JoinBuffer::Index JoinBuffer::Append(uint64_t key,
+                                     events::EventInstancePtr instance,
+                                     TimePoint deadline) {
+  Index index;
+  if (free_ != kNone) {
+    index = free_;
+    free_ = pool_[index].next;
+  } else {
+    assert(pool_.size() < kNone);
+    if (pool_.size() == pool_.capacity()) {
+      pool_.reserve(std::max(kMinCapacity, 2 * pool_.capacity()));
+    }
+    index = static_cast<Index>(pool_.size());
+    pool_.emplace_back();
+  }
+  Entry& entry = pool_[index];
+  entry.instance = std::move(instance);
+  entry.deadline = deadline;
+  entry.key = key;
+  entry.next = kNone;
+  Slot& slot = table_[FindOrClaimSlot(key)];
+  if (slot.head == kNone) {
+    slot.key = key;
+    slot.head = index;
+    entry.prev = kNone;
+    ++keys_;
+  } else {
+    entry.prev = slot.tail;
+    pool_[slot.tail].next = index;
+  }
+  slot.tail = index;
+  ++size_;
+  if (deadline != kTimeInfinity) PushExpiry(deadline, key);
+  return index;
+}
+
+void JoinBuffer::Remove(Index index) {
+  Entry& entry = pool_[index];
+  if (entry.prev == kNone || entry.next == kNone) {
+    size_t s = FindSlot(entry.key);
+    assert(s != kNoSlot);
+    Slot& slot = table_[s];
+    if (entry.prev == kNone) slot.head = entry.next;
+    if (entry.next == kNone) slot.tail = entry.prev;
+    if (slot.head == kNone) EraseSlot(s);
+  }
+  if (entry.prev != kNone) pool_[entry.prev].next = entry.next;
+  if (entry.next != kNone) pool_[entry.next].prev = entry.prev;
+  Free(index);
+}
+
+JoinBuffer::Index JoinBuffer::Head(uint64_t key) const {
+  size_t s = FindSlot(key);
+  return s == kNoSlot ? kNone : table_[s].head;
+}
+
+JoinBuffer::Index JoinBuffer::PruneFront(uint64_t key, TimePoint clock) {
+  size_t s = FindSlot(key);
+  return s == kNoSlot ? kNone : PruneSlot(s, clock);
+}
+
+void JoinBuffer::PruneAllFronts(TimePoint clock) {
+  // Erasing a slot shifts later members of its cluster back into it, so
+  // re-examine the same slot until it holds a surviving chain. A shift
+  // only moves a slot toward the start of its cluster, so no chain is
+  // skipped; one wrapped around from the table's start may be pruned
+  // twice, which is a no-op.
+  for (size_t s = 0; s < table_.size(); ++s) {
+    while (table_[s].head != kNone && PruneSlot(s, clock) == kNone) continue;
+  }
+}
+
+void JoinBuffer::DrainExpired(TimePoint clock) {
+  while (ring_size_ > 0 && ring_[ring_head_].deadline < clock) {
+    uint64_t key = ring_[ring_head_].key;
+    ring_head_ = (ring_head_ + 1) & static_cast<uint32_t>(ring_.size() - 1);
+    --ring_size_;
+    PruneFront(key, clock);
+  }
+}
+
+void JoinBuffer::Clear() {
+  if (size_ == 0 && ring_size_ == 0) return;
+  pool_.clear();
+  std::fill(table_.begin(), table_.end(), Slot{});
+  ring_head_ = 0;
+  ring_size_ = 0;
+  size_ = 0;
+  keys_ = 0;
+  free_ = kNone;
+}
+
+size_t JoinBuffer::FindSlot(uint64_t key) const {
+  if (table_.empty()) return kNoSlot;
+  size_t mask = table_.size() - 1;
+  // The table is at most half full, so every probe reaches an empty slot.
+  for (size_t s = HomeSlot(key, table_.size());; s = (s + 1) & mask) {
+    const Slot& slot = table_[s];
+    if (slot.head == kNone) return kNoSlot;
+    if (slot.key == key) return s;
+  }
+}
+
+size_t JoinBuffer::FindOrClaimSlot(uint64_t key) {
+  if (2 * (static_cast<size_t>(keys_) + 1) > table_.size()) {
+    if (size_t s = FindSlot(key); s != kNoSlot) return s;
+    GrowTable();
+  }
+  size_t mask = table_.size() - 1;
+  for (size_t s = HomeSlot(key, table_.size());; s = (s + 1) & mask) {
+    const Slot& slot = table_[s];
+    if (slot.head == kNone || slot.key == key) return s;
+  }
+}
+
+void JoinBuffer::GrowTable() {
+  std::vector<Slot> old = std::move(table_);
+  table_.assign(std::max(kMinCapacity, 2 * old.size()), Slot{});
+  size_t mask = table_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.head == kNone) continue;
+    size_t s = HomeSlot(slot.key, table_.size());
+    while (table_[s].head != kNone) s = (s + 1) & mask;
+    table_[s] = slot;
+  }
+}
+
+void JoinBuffer::EraseSlot(size_t s) {
+  size_t mask = table_.size() - 1;
+  size_t hole = s;
+  for (size_t next = (s + 1) & mask; table_[next].head != kNone;
+       next = (next + 1) & mask) {
+    // A slot may move back into the hole only if its home is not inside
+    // (hole, next]: otherwise its probe would start past the hole.
+    size_t home = HomeSlot(table_[next].key, table_.size());
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      table_[hole] = table_[next];
+      hole = next;
+    }
+  }
+  table_[hole] = Slot{};
+  --keys_;
+}
+
+JoinBuffer::Index JoinBuffer::PruneSlot(size_t s, TimePoint clock) {
+  Slot& slot = table_[s];
+  Index head = slot.head;
+  while (head != kNone && pool_[head].deadline < clock) {
+    Index next = pool_[head].next;
+    Free(head);
+    head = next;
+  }
+  if (head == kNone) {
+    EraseSlot(s);
+    return kNone;
+  }
+  pool_[head].prev = kNone;
+  slot.head = head;
+  return head;
+}
+
+void JoinBuffer::Free(Index index) {
+  Entry& entry = pool_[index];
+  entry.instance.reset();
+  entry.prev = kNone;
+  entry.next = free_;
+  free_ = index;
+  --size_;
+}
+
+void JoinBuffer::PushExpiry(TimePoint deadline, uint64_t key) {
+  if (ring_size_ == ring_.size()) {
+    std::vector<Expiry> grown(std::max(kMinCapacity, 2 * ring_.size()));
+    for (uint32_t i = 0; i < ring_size_; ++i) {
+      grown[i] = ring_[(ring_head_ + i) & (ring_.size() - 1)];
+    }
+    ring_ = std::move(grown);
+    ring_head_ = 0;
+  }
+  size_t mask = ring_.size() - 1;
+  ring_[(ring_head_ + ring_size_) & mask] = Expiry{deadline, key};
+  ++ring_size_;
+}
+
+}  // namespace rfidcep::engine

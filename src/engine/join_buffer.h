@@ -1,0 +1,141 @@
+// Flat join buffer: the per-node instance store behind RCEDA's slot
+// buffers and NOT logs (paper §4.4–§4.6).
+//
+// A binary graph node buffers unconsumed constituent instances until
+// chronicle pairing consumes them or their deadline passes; a NOT node
+// logs its child's occurrences until they fall out of every window that
+// could query them. Both group entries by a 64-bit equality-join key
+// (events::ComputeJoinKey) and prune by per-entry deadlines. JoinBuffer
+// keeps them in three flat arrays:
+//
+//   * a pool of entries (instance, deadline, key, prev/next index) with a
+//     free list, so consumed and pruned entries are reused at once and the
+//     pool never exceeds the peak number of live entries;
+//   * an open-addressing table (linear probing, backward-shift deletion,
+//     no tombstones) mapping a join key to the head and tail of that key's
+//     doubly linked chain, which keeps the key's entries in insertion
+//     order;
+//   * a ring of (deadline, key) expiry records in insertion order, drained
+//     lazily as the clock passes each deadline: a drained record prunes
+//     the expired front of its key's chain.
+//
+// A default-constructed buffer allocates nothing, and no operation
+// allocates per key: once the arrays have grown to the working set,
+// appending, consuming and expiring reuse pool slots, table slots and ring
+// cells.
+
+#ifndef RFIDCEP_ENGINE_JOIN_BUFFER_H_
+#define RFIDCEP_ENGINE_JOIN_BUFFER_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "common/time.h"
+#include "events/event_instance.h"
+
+namespace rfidcep::engine {
+
+class JoinBuffer {
+ public:
+  // Pool position of an entry. Stable while the entry is live.
+  using Index = uint32_t;
+  static constexpr Index kNone = std::numeric_limits<Index>::max();
+
+  struct Entry {
+    events::EventInstancePtr instance;  // Null while on the free list.
+    TimePoint deadline = 0;
+    uint64_t key = 0;
+    Index prev = kNone;
+    Index next = kNone;
+  };
+
+  // Live entries.
+  size_t size() const { return size_; }
+
+  // Appends `instance` at the tail of `key`'s chain. A finite `deadline`
+  // also queues an expiry record; kTimeInfinity never expires.
+  Index Append(uint64_t key, events::EventInstancePtr instance,
+               TimePoint deadline);
+
+  // Unlinks entry `index` from its chain and frees it.
+  void Remove(Index index);
+
+  // Head of `key`'s chain, or kNone.
+  Index Head(uint64_t key) const;
+  // Removes the entries at the front of `key`'s chain whose deadline is
+  // before `clock`, and returns the new head (kNone: no chain left).
+  Index PruneFront(uint64_t key, TimePoint clock);
+  // PruneFront on every chain.
+  void PruneAllFronts(TimePoint clock);
+  // Pops the expiry records whose deadline is before `clock`, in
+  // insertion order up to the first live one, pruning each record's chain
+  // front. Entries stuck behind a live chain front or a live record stay
+  // until a later drain or scan reaches them.
+  void DrainExpired(TimePoint clock);
+
+  // Drops every entry. Keeps the arrays' capacity.
+  void Clear();
+
+  const Entry& entry(Index index) const { return pool_[index]; }
+  Index next(Index index) const { return pool_[index].next; }
+
+  // Calls f(head) for every chain, in table order, until f returns true;
+  // returns whether one did.
+  template <typename F>
+  bool AnyChain(F&& f) const {
+    for (const Slot& slot : table_) {
+      if (slot.head != kNone && f(slot.head)) return true;
+    }
+    return false;
+  }
+
+  // Array capacities (tests: bounded memory under churn).
+  size_t pool_capacity() const { return pool_.capacity(); }
+  size_t table_capacity() const { return table_.size(); }
+  size_t expiry_capacity() const { return ring_.size(); }
+
+  // First probe position of `key` in a table of `capacity` slots (a power
+  // of two). Keys that share it at some capacity share it at every
+  // smaller one.
+  static size_t HomeSlot(uint64_t key, size_t capacity);
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    Index head = kNone;  // kNone: the slot is empty.
+    Index tail = kNone;
+  };
+  struct Expiry {
+    TimePoint deadline;
+    uint64_t key;
+  };
+
+  static constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
+
+  size_t FindSlot(uint64_t key) const;
+  // The slot holding `key`'s chain, claiming an empty one (head kNone)
+  // when the key has none. May grow the table.
+  size_t FindOrClaimSlot(uint64_t key);
+  void GrowTable();
+  // Empties slot `s` and shifts the rest of its probe cluster back.
+  void EraseSlot(size_t s);
+  // PruneFront on the chain in slot `s`.
+  Index PruneSlot(size_t s, TimePoint clock);
+  void Free(Index index);
+  void PushExpiry(TimePoint deadline, uint64_t key);
+
+  std::vector<Entry> pool_;
+  std::vector<Slot> table_;   // Empty, or a power-of-two size.
+  std::vector<Expiry> ring_;  // Empty, or a power-of-two size.
+  uint32_t ring_head_ = 0;
+  uint32_t ring_size_ = 0;
+  uint32_t size_ = 0;   // Live entries.
+  uint32_t keys_ = 0;   // Occupied table slots.
+  Index free_ = kNone;  // Free-list head, linked through Entry::next.
+};
+
+}  // namespace rfidcep::engine
+
+#endif  // RFIDCEP_ENGINE_JOIN_BUFFER_H_

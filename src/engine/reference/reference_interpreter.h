@@ -4,7 +4,7 @@
 // This is a deliberately naive implementation of the paper's §2 event
 // model: every constructor is evaluated directly from its definition over
 // plain, never-pruned vectors. Where the production Detector maintains
-// hash-bucketed slot buffers with deadline GC, interned join keys, a NOT
+// flat join-keyed slot buffers with deadline GC, interned join keys, a NOT
 // log with retention pruning, and a pseudo-event priority queue, the
 // reference interpreter keeps
 //

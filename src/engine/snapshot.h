@@ -26,8 +26,8 @@
 // one source (a sharded capture is pre-merged, see MergeShardSnapshots);
 // several sources come from checkpoints of older rule-sharded layouts.
 //
-// Portability: symbol ids and join-bucket hashes are process-local, so
-// records carry variable NAMES and anchor positions; bucket keys and
+// Portability: symbol ids and join-key hashes are process-local, so
+// records carry variable NAMES and anchor positions; join keys and
 // pseudo anchors are recomputed against the restoring process's symbol
 // table. A snapshot is validated against a rule-set fingerprint (rule
 // ids + root canonical keys + parameter context) before it is loaded.
@@ -190,7 +190,7 @@ Status DecodeEngineSnapshot(std::string_view bytes, EngineSnapshot* out);
 // A fully resolved restore plan for ONE target detector: node ids are
 // target-graph ids, instances are live objects (decoded per target, so
 // detectors never share them), anchors are resolved to instances. The
-// detector recomputes bucket keys, expiry deques, and run bindings.
+// detector recomputes join keys, expiry records, and run bindings.
 struct RestoredRun {
   std::vector<events::EventInstancePtr> elements;
   TimePoint t_begin = 0;

@@ -122,8 +122,8 @@ class Bindings {
 
 // --- Join keys ---------------------------------------------------------------
 
-// Bucket key for entries whose join variables are not all bound; buffers
-// keep such entries in a wildcard bucket that every lookup also scans.
+// Join key for entries whose join variables are not all bound; buffers
+// keep such entries on a wildcard chain that every lookup also scans.
 inline constexpr uint64_t kWildcardJoinKey = 0;
 
 // 64-bit equality-join key of `bindings` over the interned variables
@@ -131,7 +131,7 @@ inline constexpr uint64_t kWildcardJoinKey = 0;
 // and sets *complete=false when any variable lacks a scalar binding;
 // otherwise a mixed hash of the bound values (never the wildcard value).
 // Distinct value tuples may collide — callers must re-check unification on
-// the bucket scan, which the detector's pairing predicate always does.
+// the chain scan, which the detector's pairing predicate always does.
 uint64_t ComputeJoinKey(const Bindings& bindings, const SymbolId* vars,
                         size_t num_vars, bool* complete);
 

@@ -1,9 +1,9 @@
-// Hashed join-key regressions: slot buffers and NOT logs bucket instances
+// Hashed join-key regressions: slot buffers and NOT logs chain instances
 // by a 64-bit hash of their equality-join values (see detector.h). Distinct
-// join tuples may share a bucket — by hash collision or via the wildcard
-// bucket that holds instances missing a join variable — and pairing must
+// join tuples may share a chain — by hash collision or via the wildcard
+// chain that holds instances missing a join variable — and pairing must
 // then fall back to full unification. `debug_force_join_collisions` maps
-// every complete key onto one constant bucket, turning the rare collision
+// every complete key onto one constant chain, turning the rare collision
 // path into the only path: detection results must be identical.
 
 #include <string>
@@ -126,8 +126,8 @@ TEST(JoinKeyCollisionTest, NotLogCollisionsDoNotFalsifyOtherObjects) {
 
 // Under the cumulative context a complex instance's bindings are demoted
 // to multi-valued, so a nested conjunction's inner instances miss their
-// outer join variable and land in the wildcard bucket; the completing
-// side arrives equally incomplete and must scan every bucket. Two inner
+// outer join variable and land on the wildcard chain; the completing
+// side arrives equally incomplete and must scan every chain. Two inner
 // pairs (all-multi on both sides) unify, so the outer event fires.
 constexpr char kNestedAndRule[] = R"(
   CREATE RULE nested, nested conjunction

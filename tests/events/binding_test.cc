@@ -1,6 +1,39 @@
 #include "events/binding.h"
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "events/symbol.h"
+
+namespace {
+
+std::atomic<uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rfidcep::events {
 namespace {
@@ -85,6 +118,46 @@ TEST(BindingsTest, BindingValueToString) {
   EXPECT_EQ(BindingValueToString(BindingValue{std::string("x")}), "x");
   EXPECT_EQ(BindingValueToString(BindingValue{TimePoint{kSecond}}),
             "1.000000s");
+}
+
+// The pairing probe PairBinary runs per candidate (bench_bindings'
+// BM_PairingProbe, BM_ComputeJoinKey and BM_UnifiesWith time the same
+// calls): hash the incoming instance's join tuple, then re-check
+// unification against a buffered candidate. Neither may allocate — in
+// particular, no std::string key is built.
+TEST(BindingsTest, PairingProbeAllocatesNothing) {
+  std::vector<SymbolId> vars;
+  for (int i = 0; i < 4; ++i) {
+    vars.push_back(InternSymbol("probe_v" + std::to_string(i)));
+  }
+  std::sort(vars.begin(), vars.end());
+  SymbolId t1 = InternSymbol("probe_t1");
+  SymbolId t2 = InternSymbol("probe_t2");
+  Bindings incoming;
+  Bindings candidate;
+  for (int i = 0; i < 4; ++i) {
+    // Longer than any small-string buffer, so a copy would allocate.
+    std::string value = "urn:epc:id:sgtin:0614141.107346." + std::to_string(i);
+    incoming.BindScalar(vars[i], value);
+    candidate.BindScalar(vars[i], value);
+  }
+  incoming.BindScalar(t2, TimePoint{17 * kSecond});
+  candidate.BindScalar(t1, TimePoint{12 * kSecond});
+
+  uint64_t before = g_allocations.load();
+  int complete_keys = 0;
+  int unified = 0;
+  for (int round = 0; round < 100; ++round) {
+    for (size_t n = 1; n <= vars.size(); ++n) {
+      bool complete = false;
+      uint64_t key = ComputeJoinKey(incoming, vars.data(), n, &complete);
+      complete_keys += complete && key != kWildcardJoinKey;
+      unified += candidate.UnifiesWith(incoming);
+    }
+  }
+  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(complete_keys, 400);
+  EXPECT_EQ(unified, 400);
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 //      determinism guarantee is per rule, not across rules);
 //   3. single-shot Process loop vs batch-split ProcessAll;
 //   4. end-of-stream Flush vs incremental AdvanceTo interleaved between
-//      observations (pseudo events fire early instead of at Flush);
+//      observations (pseudo events fire early instead of at Flush), and
+//      serial vs serial / sharded(2) runs with every complete join key
+//      forced onto one chain (debug_force_join_collisions), so the flat
+//      join buffers unlink and expire entries of mixed join tuples;
 //   5. durable (WAL) crash axis — rules carry real SQL actions against
 //      the RFID store, the run is killed at a salt-chosen BYTE offset in
 //      the write-ahead log (mid-record torn tails included), and
@@ -347,6 +350,10 @@ struct RunSpec {
   bool split_batch = false;  // Two ProcessAll halves instead of Process.
   bool incremental = false;  // AdvanceTo interleaved between observations.
   bool tolerate_out_of_order = false;
+  // Every complete join key onto one chain (DetectorOptions): distinct
+  // join tuples share a chain, so pairing, unlinking and expiry run on
+  // mixed chains instead of one chain per tuple.
+  bool force_join_collisions = false;
 };
 
 SpansByRule RunEngine(const std::string& program,
@@ -354,6 +361,7 @@ SpansByRule RunEngine(const std::string& program,
   EngineOptions options;
   options.detector.context = ParameterContext::kChronicle;
   options.detector.tolerate_out_of_order = spec.tolerate_out_of_order;
+  options.detector.debug_force_join_collisions = spec.force_join_collisions;
   options.shards = spec.shards;
   RcedaEngine engine(/*db=*/nullptr, events::Environment{}, options);
   SpansByRule out;
@@ -443,6 +451,8 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
       {"incremental AdvanceTo", RunSpec{1, false, true, false}},
       {"sharded(2) batch-split", RunSpec{2, true, false, false}},
       {"sharded(2) incremental", RunSpec{2, false, true, false}},
+      {"serial forced-collisions", RunSpec{1, false, false, false, true}},
+      {"sharded(2) forced-collisions", RunSpec{2, false, false, false, true}},
   };
   for (const auto& protocol : kProtocols) {
     SpansByRule other = RunEngine(program, c.stream, protocol.spec);
