@@ -17,15 +17,6 @@ single point (the CI smoke runs --rules=2000), it is compared against
 the closest committed current.rules.series point at --max-ratio like
 an events row.
 
-When the run contains `actions`-series rows (the FIG9-ACT off/sync/
-async sweep), the guard gates the async action pipeline: the async
-row's usec/event must stay at or below --actions-max-ratio (default
-1.05) times the sync row's — moving action execution off the detection
-path must not make the pipeline slower end to end. The gate is skipped
-(with a note) when the recording host had a single CPU: the async
-worker then has no core to overlap onto and every handoff is pure
-scheduling overhead, which measures the host, not the pipeline.
-
 When the run also contains `shards`-series rows, the guard additionally
 gates the sharded pipeline: every shards point must have a committed
 counterpart (same shard count) in current.shards.series — a run point
@@ -104,35 +95,6 @@ def check_shards(shard_rows, baseline, min_ratio):
         print("bench_guard: a sharded point has no committed counterpart "
               "or its relative speedup regressed below "
               f"{min_ratio}x of the committed value", file=sys.stderr)
-    return ok
-
-
-def check_actions(action_rows, max_ratio):
-    """Gates actions-series rows: async usec/event <= max_ratio x sync
-    (see module docstring). Returns True when the budget holds or the
-    gate does not apply."""
-    by_mode = {r["actions"]: r for r in action_rows}
-    sync = by_mode.get("sync")
-    async_ = by_mode.get("async")
-    if sync is None or async_ is None:
-        print("bench_guard: actions rows lack a sync/async pair; "
-              "nothing to gate (run --series=actions without --actions)",
-              file=sys.stderr)
-        return True
-    host_cpus = min(sync.get("host_cpus", 0), async_.get("host_cpus", 0))
-    if host_cpus == 1:
-        print("actions gate: skipped (single-core host: the async stage "
-              "has no core to overlap onto)")
-        return True
-    ratio = async_["usec_per_event"] / sync["usec_per_event"]
-    ok = ratio <= max_ratio
-    print(f"actions: sync {sync['usec_per_event']:.3f} us/ev -> async "
-          f"{async_['usec_per_event']:.3f} us/ev, ratio {ratio:.3f} "
-          f"(budget {max_ratio})  {'ok' if ok else 'REGRESSION'}")
-    if not ok:
-        print("bench_guard: async action dispatch is slower than inline "
-              f"execution (ratio > {max_ratio}) — the pipeline stage is "
-              "adding overhead instead of overlapping it", file=sys.stderr)
     return ok
 
 
@@ -247,10 +209,6 @@ def main():
                         help="fail when the rules sweep's max/min "
                              "usec/event ratio exceeds this (dispatch must "
                              "scale with matching rules, not rule count)")
-    parser.add_argument("--actions-max-ratio", type=float, default=1.05,
-                        help="fail when the async actions row's usec/event "
-                             "exceeds the sync row's by this factor "
-                             "(skipped on single-core hosts)")
     args = parser.parse_args()
 
     run = load_json(args.run)
@@ -267,14 +225,11 @@ def main():
                   if r.get("series") == "shards"]
     rules_rows = [r for r in run.get("rows", [])
                   if r.get("series") == "rules"]
-    action_rows = [r for r in run.get("rows", [])
-                   if r.get("series") == "actions"]
     workload_rows = [r for r in run.get("rows", [])
                      if r.get("series") == "workload"]
-    if (not rows and not shard_rows and not rules_rows and not action_rows
-            and not workload_rows):
-        print("bench_guard: run has no events-, rules-, shards-, "
-              "actions- or workload-series rows (pass --series=... to "
+    if not rows and not shard_rows and not rules_rows and not workload_rows:
+        print("bench_guard: run has no events-, rules-, shards- or "
+              "workload-series rows (pass --series=... to "
               "fig9_scalability)", file=sys.stderr)
         sys.exit(2)
 
@@ -298,9 +253,6 @@ def main():
     if rules_rows:
         failed |= not check_rules(rules_rows, baseline, args.max_ratio,
                                   args.rules_max_ratio)
-
-    if action_rows:
-        failed |= not check_actions(action_rows, args.actions_max_ratio)
 
     if shard_rows:
         failed |= not check_shards(shard_rows, baseline,

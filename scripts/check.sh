@@ -17,8 +17,9 @@
 # The ASan/UBSan pass exists because the detection hot path works with
 # raw SymbolIds, string_views into the reader registry, and hand-rolled
 # sorted-vector merges — exactly the kind of code ASan/UBSan pays for.
+# UBSan findings abort the test (-fno-sanitize-recover=undefined).
 # The TSan pass covers the sharded pipeline (SPSC rings, doorbells,
-# barrier acks), the async action stage, and the lock-free instruments;
+# barrier acks) and the lock-free instruments;
 # it runs the tests tagged with the TSAN ctest label
 # (rfidcep_test(... TSAN) in tests/CMakeLists.txt) since everything
 # else is single-threaded.

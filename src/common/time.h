@@ -45,9 +45,13 @@ std::string FormatTimePoint(TimePoint t);
 std::string FormatDuration(Duration d);
 
 // Saturating addition: t + d clamped to kTimeInfinity. Used when computing
-// expiry deadlines from possibly-infinite constraints.
+// expiry deadlines from possibly-infinite constraints. `t` may be
+// negative (a window reaching back before the stream start).
 inline TimePoint AddSaturating(TimePoint t, Duration d) {
-  if (d >= kDurationInfinity - t) return kTimeInfinity;
+  if (d == kDurationInfinity) return kTimeInfinity;
+  // A finite d added to t <= 0 cannot overflow, and the bound below would
+  // itself overflow for negative t.
+  if (t > 0 && d >= kTimeInfinity - t) return kTimeInfinity;
   return t + d;
 }
 

@@ -84,8 +84,6 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
             // Effect already durable (recovered from the log): credit the
             // logical counters and skip re-execution.
             ++sql_actions_executed_;
-            ++actions_deduped_;
-            rows_written_ += hit->second;
             if (instruments_ != nullptr) {
               instruments_->sql_actions->Increment();
               instruments_->rows_written->Increment(hit->second);
@@ -117,7 +115,6 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
           }
         }
         ++sql_actions_executed_;
-        rows_written_ += result->affected;
         if (instruments_ != nullptr) {
           instruments_->sql_actions->Increment();
           instruments_->rows_written->Increment(result->affected);
@@ -142,7 +139,6 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
           // re-invocation — this is what keeps alarms single-fire
           // across a restore.
           ++procedures_invoked_;
-          ++actions_deduped_;
           if (instruments_ != nullptr) {
             instruments_->procedures->Increment();
             instruments_->deduped->Increment();

@@ -46,9 +46,9 @@ struct RuleFiring {
   // layouts (assigned in canonical replay order). Dedup key half for
   // exactly-once effects when a WAL is attached.
   uint64_t seq = 0;
-  // True for firings re-enqueued from a restored snapshot's pending
-  // action queue: the original event instance is gone, so a procedure
-  // whose WAL frame was lost is credited but not re-invoked (see
+  // True for firings replayed from a restored snapshot's pending-action
+  // section: the original event instance is gone, so a procedure whose
+  // WAL frame was lost is credited but not re-invoked (see
   // docs/recovery.md "Exactly-once effects").
   bool replayed = false;
 };
@@ -91,8 +91,14 @@ class ActionDispatcher {
   uint64_t sql_actions_executed() const { return sql_actions_executed_; }
   uint64_t procedures_invoked() const { return procedures_invoked_; }
   uint64_t unknown_procedures() const { return unknown_procedures_; }
-  uint64_t actions_deduped() const { return actions_deduped_; }
-  uint64_t rows_written() const { return rows_written_; }
+  // Sets the logical counters: zero on an engine Reset, a checkpoint's
+  // totals on restore, so counting continues from there.
+  void SetCounters(uint64_t sql_actions, uint64_t procedures,
+                   uint64_t unknown_procedures) {
+    sql_actions_executed_ = sql_actions;
+    procedures_invoked_ = procedures;
+    unknown_procedures_ = unknown_procedures;
+  }
 
   // Attaches (or detaches, with nulls) metrics and tracing. Both
   // pointers must outlive the dispatcher; the disabled path is a branch
@@ -115,8 +121,6 @@ class ActionDispatcher {
   uint64_t sql_actions_executed_ = 0;
   uint64_t procedures_invoked_ = 0;
   uint64_t unknown_procedures_ = 0;
-  uint64_t actions_deduped_ = 0;
-  uint64_t rows_written_ = 0;
 };
 
 }  // namespace rfidcep::engine

@@ -143,7 +143,6 @@ Status RcedaEngine::Compile() {
   if (rules_.empty()) {
     return Status::FailedPrecondition("no rules registered");
   }
-  action_stage_.reset();  // A failed earlier Compile() may have left one.
   RFIDCEP_ASSIGN_OR_RETURN(EventGraph graph, EventGraph::Build(rules_));
   graph_.emplace(std::move(graph));
   fired_counts_.assign(rules_.size(), 0);
@@ -183,16 +182,6 @@ Status RcedaEngine::Compile() {
     dispatcher_.SetObservability(&m.actions, trace_);
   } else {
     dispatcher_.SetObservability(nullptr, trace_);
-  }
-  if (options_.async_actions && options_.execute_actions) {
-    ActionStage::Options stage_options;
-    stage_options.queue_capacity = options_.action_queue_capacity;
-    if (metrics_ != nullptr) {
-      stage_options.enqueue_stalls =
-          registry_.GetCounter("action_enqueue_stalls_total");
-      stage_options.batches = registry_.GetCounter("actions_batches_total");
-    }
-    action_stage_ = std::make_unique<ActionStage>(&dispatcher_, stage_options);
   }
   if (options_.shards > 1) {
     ShardedOptions sharded_options;
@@ -238,9 +227,6 @@ DetectorOptions RcedaEngine::SerialDetectorOptions() const {
 }
 
 void RcedaEngine::Decompile() {
-  // The stage first: its worker holds the dispatcher and registry-owned
-  // instruments until it joins.
-  action_stage_.reset();
   detector_.reset();
   sharded_.reset();
   graph_.reset();
@@ -277,7 +263,6 @@ Status RcedaEngine::Reset() {
   if (!compiled()) {
     return Status::FailedPrecondition("engine is not compiled");
   }
-  if (action_stage_ != nullptr) action_stage_->Drain();
   if (sharded_ != nullptr) {
     sharded_->Reset();
   } else {
@@ -293,7 +278,7 @@ Status RcedaEngine::Reset() {
   registry_.Reset();  // Zero instruments; registration is preserved.
   trace_obs_seq_ = 0;
   flushed_ = false;
-  RebaseActionAccounting(ActionAccounting{});  // Logical totals back to zero.
+  dispatcher_.SetCounters(0, 0, 0);
   return Status::Ok();
 }
 
@@ -368,12 +353,8 @@ Status RcedaEngine::Flush() {
     detector_->Flush();
     stats_.detector = detector_->stats();
   }
-  // Stream end is a durability point: every firing the flush delivered
-  // is executed, logged, and fsynced before Flush() returns.
-  if (action_stage_ != nullptr) {
-    action_stage_->Drain();
-    SyncActionProgress();
-  }
+  // Stream end is a durability point: every action the flush executed
+  // is logged and fsynced before Flush() returns.
   if (store::Wal* wal = dispatcher_.wal(); wal != nullptr) {
     RFIDCEP_RETURN_IF_ERROR(wal->Sync());
   }
@@ -400,15 +381,6 @@ Status RcedaEngine::SerializeState(std::string* out) {
     detector_->AdvanceTo(detector_->clock());
     stats_.detector = detector_->stats();
   }
-  // Matches the advance just delivered are enqueued by now; read ONE
-  // confirmed boundary and use it for the stats, the durable LSN, and
-  // the pending capture, so all three describe the same instant (the
-  // worker keeps running — capture does not quiesce the stage).
-  ActionStage::Progress progress;
-  if (action_stage_ != nullptr) {
-    progress = action_stage_->progress();
-    ApplyActionProgress(progress);
-  }
 
   snapshot::EngineSnapshot snap;
   snap.fingerprint = snapshot::ComputeFingerprint(options_.detector.context,
@@ -423,30 +395,6 @@ Status RcedaEngine::SerializeState(std::string* out) {
     snap.fired.emplace_back(rules_[i].id, fired_counts_[i]);
   }
   if (options_.enable_metrics) snap.counters = registry_.CounterValues();
-  if (options_.enable_metrics && action_stage_ != nullptr) {
-    // The live action counters can run ahead of the confirmed boundary
-    // by a partially-confirmed batch; pin the snapshot's copies to the
-    // same logical instant as the stats and the pending queue.
-    const std::pair<std::string_view, uint64_t> confirmed[] = {
-        {"actions_sql_total", stats_.sql_actions_executed},
-        {"store_rows_written_total",
-         stats_base_.rows_written +
-             (progress.rows_written - source_base_.rows_written)},
-        {"actions_procedures_total", stats_.procedures_invoked},
-        {"actions_unknown_procedures_total", stats_.unknown_procedures},
-        {"actions_deduped_total",
-         stats_base_.deduped + (progress.actions_deduped - source_base_.deduped)},
-        {"rfidcep_action_errors_total", stats_.action_errors},
-    };
-    for (auto& [name, value] : snap.counters) {
-      for (const auto& [confirmed_name, confirmed_value] : confirmed) {
-        if (name == confirmed_name) {
-          value = confirmed_value;
-          break;
-        }
-      }
-    }
-  }
   if (sharded_ != nullptr) {
     sharded_->CaptureState(rules_, &snap);
   } else {
@@ -457,28 +405,14 @@ Status RcedaEngine::SerializeState(std::string* out) {
     snap.sources.resize(1);
     detector_->SaveState(graph_->NodeStateKeys(rule_ids), &snap.sources[0]);
   }
-  store::Wal* wal = dispatcher_.wal();
-  if (action_stage_ != nullptr) {
-    snap.durable_lsn = progress.confirmed_lsn;
-    for (const ActionStage::PendingAction& pending :
-         action_stage_->PendingAfter(progress.confirmed_count)) {
-      snapshot::EngineSnapshot::PendingActionRecord rec;
-      rec.rule_id = pending.rule->id;
-      rec.seq = pending.seq;
-      rec.fire_time = pending.fire_time;
-      store::ParamMap params = pending.instance != nullptr
-                                   ? BuildParams(pending.instance->bindings())
-                                   : pending.params;
-      rec.params.assign(params.begin(), params.end());
-      snap.pending_actions.push_back(std::move(rec));
-    }
-  } else if (wal != nullptr) {
-    // Sync dispatch: everything executed is already appended.
+  // Every action executed so far is already appended, so the pending
+  // section stays empty. The durable LSN is read BEFORE this sync, so the
+  // sync is guaranteed to cover it: a checkpoint never claims an LSN the
+  // disk doesn't have.
+  if (store::Wal* wal = dispatcher_.wal(); wal != nullptr) {
     snap.durable_lsn = wal->last_lsn();
+    RFIDCEP_RETURN_IF_ERROR(wal->Sync());
   }
-  // The durable LSN was read BEFORE this sync, so the sync is guaranteed
-  // to cover it: a checkpoint never claims an LSN the disk doesn't have.
-  if (wal != nullptr) RFIDCEP_RETURN_IF_ERROR(wal->Sync());
   *out = snapshot::EncodeEngineSnapshot(snap);
   if (options_.enable_metrics) {
     registry_.GetGauge("snapshot_bytes")->Set(
@@ -495,9 +429,6 @@ Status RcedaEngine::SerializeState(std::string* out) {
 Status RcedaEngine::RestoreState(std::string_view bytes) {
   if (!compiled()) return NotCompiled();
   SteadyTime start = Now();
-  // Quiesce the action pipeline: once drained, the dispatcher, its WAL,
-  // and the stage's progress are stable for the duration of the restore.
-  if (action_stage_ != nullptr) action_stage_->Drain();
   snapshot::EngineSnapshot snap;
   RFIDCEP_RETURN_IF_ERROR(snapshot::DecodeEngineSnapshot(bytes, &snap));
   uint64_t expected = snapshot::ComputeFingerprint(options_.detector.context,
@@ -614,21 +545,13 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
     registry_.GetGauge("restore_ns")->Set(ElapsedNs(start));
   }
 
-  // Logical action totals continue from the snapshot's confirmed values;
-  // the sources (dispatcher / stage progress) are process-local and keep
-  // their own cumulative counts, hence the re-base.
-  ActionAccounting restored;
-  restored.sql_actions = snap.stats.sql_actions_executed;
-  restored.procedures = snap.stats.procedures_invoked;
-  restored.unknown_procedures = snap.stats.unknown_procedures;
-  restored.errors = snap.stats.action_errors;
-  for (const auto& [name, value] : snap.counters) {
-    if (name == "store_rows_written_total") restored.rows_written = value;
-    if (name == "actions_deduped_total") restored.deduped = value;
-  }
-  RebaseActionAccounting(restored);
+  // Logical action totals continue from the snapshot's.
+  dispatcher_.SetCounters(snap.stats.sql_actions_executed,
+                          snap.stats.procedures_invoked,
+                          snap.stats.unknown_procedures);
 
-  // Re-enqueue the checkpoint's in-flight firings with their original
+  // Replay the checkpoint's pending firings (written only by older
+  // builds, whose actions ran on a worker thread) with their original
   // sequence numbers. Firings whose actions made it into the recovered
   // WAL dedup (effects and counters credited, not re-executed); firings
   // the crash lost re-execute. Together with reprocessing the stream
@@ -655,17 +578,7 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
       firing.fire_time = rec.fire_time;
       firing.seq = rec.seq;
       firing.replayed = true;
-      if (action_stage_ != nullptr) {
-        action_stage_->Enqueue(std::move(firing), nullptr);
-      } else {
-        Status status = dispatcher_.Dispatch(firing);
-        if (!status.ok()) {
-          ++stats_.action_errors;
-          if (metrics_ != nullptr) metrics_->action_errors->Increment();
-          if (deferred_error_.ok()) deferred_error_ = status;
-        }
-        SyncDispatcherStats();
-      }
+      ExecuteActions(firing);
     }
   }
 
@@ -812,87 +725,25 @@ void RcedaEngine::OnMatch(size_t rule_index,
     if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start));
     return;
   }
-  if (action_stage_ != nullptr) {
-    // Async pipeline: hand off and return to detection. The worker
-    // records the firing's dispatch latency into action_us; handle_us
-    // here covers delivery through enqueue (including backpressure).
-    action_stage_->Enqueue(std::move(firing),
-                           r != nullptr ? r->action_us : nullptr);
-    if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start));
-    return;
-  }
   SteadyTime action_start;
   if (r != nullptr) action_start = Now();
+  ExecuteActions(firing);
+  if (r != nullptr) {
+    r->action_us->Record(ElapsedUs(action_start));
+    r->handle_us->Record(ElapsedUs(handle_start));
+  }
+}
+
+void RcedaEngine::ExecuteActions(const RuleFiring& firing) {
   Status status = dispatcher_.Dispatch(firing);
-  if (r != nullptr) r->action_us->Record(ElapsedUs(action_start));
   if (!status.ok()) {
     ++stats_.action_errors;
-    if (m != nullptr) m->action_errors->Increment();
+    if (metrics_ != nullptr) metrics_->action_errors->Increment();
     if (deferred_error_.ok()) deferred_error_ = status;
   }
-  SyncDispatcherStats();
-  if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start));
-}
-
-// --- Action accounting ------------------------------------------------------
-
-RcedaEngine::ActionAccounting RcedaEngine::CurrentActionSource() const {
-  if (action_stage_ != nullptr) {
-    ActionStage::Progress p = action_stage_->progress();
-    return ActionAccounting{p.sql_actions,        p.rows_written,
-                            p.procedures,        p.unknown_procedures,
-                            p.actions_deduped,   p.firing_errors};
-  }
-  // Sync mode: errors are accounted inline by OnMatch, not via a base.
-  return ActionAccounting{dispatcher_.sql_actions_executed(),
-                          dispatcher_.rows_written(),
-                          dispatcher_.procedures_invoked(),
-                          dispatcher_.unknown_procedures(),
-                          dispatcher_.actions_deduped(),
-                          0};
-}
-
-void RcedaEngine::RebaseActionAccounting(const ActionAccounting& restored) {
-  stats_base_ = restored;
-  source_base_ = CurrentActionSource();
-}
-
-void RcedaEngine::SyncDispatcherStats() {
-  stats_.sql_actions_executed =
-      stats_base_.sql_actions +
-      (dispatcher_.sql_actions_executed() - source_base_.sql_actions);
-  stats_.procedures_invoked =
-      stats_base_.procedures +
-      (dispatcher_.procedures_invoked() - source_base_.procedures);
-  stats_.unknown_procedures =
-      stats_base_.unknown_procedures +
-      (dispatcher_.unknown_procedures() - source_base_.unknown_procedures);
-}
-
-void RcedaEngine::ApplyActionProgress(const ActionStage::Progress& p) {
-  stats_.sql_actions_executed =
-      stats_base_.sql_actions + (p.sql_actions - source_base_.sql_actions);
-  stats_.procedures_invoked =
-      stats_base_.procedures + (p.procedures - source_base_.procedures);
-  stats_.unknown_procedures =
-      stats_base_.unknown_procedures +
-      (p.unknown_procedures - source_base_.unknown_procedures);
-  uint64_t errors =
-      stats_base_.errors + (p.firing_errors - source_base_.errors);
-  if (errors > stats_.action_errors) {
-    if (metrics_ != nullptr) {
-      metrics_->action_errors->Increment(errors - stats_.action_errors);
-    }
-    stats_.action_errors = errors;
-  }
-  if (deferred_error_.ok() && !p.first_error.ok()) {
-    deferred_error_ = p.first_error;
-  }
-}
-
-void RcedaEngine::SyncActionProgress() {
-  if (action_stage_ == nullptr) return;
-  ApplyActionProgress(action_stage_->progress());
+  stats_.sql_actions_executed = dispatcher_.sql_actions_executed();
+  stats_.procedures_invoked = dispatcher_.procedures_invoked();
+  stats_.unknown_procedures = dispatcher_.unknown_procedures();
 }
 
 }  // namespace rfidcep::engine

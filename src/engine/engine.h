@@ -27,7 +27,6 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "engine/action_stage.h"
 #include "engine/actions.h"
 #include "engine/detector.h"
 #include "engine/graph.h"
@@ -53,18 +52,6 @@ struct EngineOptions {
   // stays serial. Conditions, actions, fired counts, and the match
   // callback always run on the calling thread, in serial order per rule.
   int shards = 1;
-  // Run rule actions on a dedicated pipeline stage instead of inline on
-  // the detection path (engine/action_stage.h). Matches are still fired,
-  // counted, and sequenced on the detection thread in canonical order;
-  // only the SQL/procedure execution moves off it. EngineStats action
-  // fields and the deferred error then refresh at the synchronization
-  // points (Flush, SerializeState, RestoreState, Reset) rather than per
-  // match. No effect when execute_actions is false.
-  bool async_actions = false;
-  // Bounded action-queue capacity when async_actions is set (rounded up
-  // to a power of two). A full queue blocks the detection thread —
-  // bounded-queue backpressure, same as the shard rings.
-  size_t action_queue_capacity = 1024;
   // Whether Compile() resolves registry instruments and times rule
   // evaluation. Defaults on at compile time (cmake -DRFIDCEP_METRICS=OFF
   // flips the default); when off, every instrumentation site in the
@@ -259,41 +246,16 @@ class RcedaEngine : public EngineFrontend {
   std::string DebugReport() const;
 
  private:
-  // Cumulative action counters as reported by one source (the dispatcher
-  // in sync mode, the stage's confirmed Progress in async mode). Sources
-  // are process-local and monotonic, so after a restore the engine's
-  // logical totals are computed as
-  //   restored base + (source now - source at restore)
-  // — see SyncActionProgress().
-  struct ActionAccounting {
-    uint64_t sql_actions = 0;
-    uint64_t rows_written = 0;
-    uint64_t procedures = 0;
-    uint64_t unknown_procedures = 0;
-    uint64_t deduped = 0;
-    uint64_t errors = 0;
-  };
-
   void OnMatch(size_t rule_index, const events::EventInstancePtr& instance,
                TimePoint fire_time);
   // Detector options for the serial path with observability wiring
   // (instruments/trace) applied; requires Compile() to have resolved
   // `metrics_` when metrics are enabled.
   DetectorOptions SerialDetectorOptions() const;
-  // Folds the action stage's confirmed progress `p` into EngineStats and
-  // the deferred error (async mode; no-op source of truth in sync mode,
-  // where OnMatch updates inline).
-  void ApplyActionProgress(const ActionStage::Progress& p);
-  // Reads the stage's current progress and applies it.
-  void SyncActionProgress();
-  // Re-bases the action accounting on the current source counters with
-  // `restored` as the new logical totals (restore/reset).
-  void RebaseActionAccounting(const ActionAccounting& restored);
-  // Current source counters: stage progress when async, dispatcher
-  // counters when sync (requires the stage drained / absent).
-  ActionAccounting CurrentActionSource() const;
-  // Base-adjusted logical totals into stats_ from the sync dispatcher.
-  void SyncDispatcherStats();
+  // Runs `firing`'s actions on the calling thread, folding errors into
+  // the stats and the deferred error and copying the dispatcher's
+  // logical counters into the stats.
+  void ExecuteActions(const RuleFiring& firing);
 
   store::Database* db_;
   events::Environment env_;
@@ -310,12 +272,6 @@ class RcedaEngine : public EngineFrontend {
   std::unique_ptr<EngineInstruments> metrics_;  // Null when disabled.
   std::unique_ptr<Detector> detector_;            // Serial detection.
   std::unique_ptr<ShardedDetector> sharded_;      // Sharded detection.
-  // Declared after the detectors and the registry: the stage's worker
-  // dispatches into registry-owned instruments up to its join, so it
-  // must be destroyed first (members destroy in reverse order).
-  std::unique_ptr<ActionStage> action_stage_;     // options.async_actions.
-  ActionAccounting stats_base_;   // Logical totals at last restore/reset.
-  ActionAccounting source_base_;  // Source counters at that moment.
   MatchCallback match_callback_;
   EngineStats stats_;
   Status deferred_error_;

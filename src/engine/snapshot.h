@@ -6,10 +6,11 @@
 // initiator/terminator instances and their consumption status ARE that
 // state), synth/inst sequence counters, engine statistics, fired counts,
 // and the metric counter values. Since version 2 it also anchors action
-// *effects*: the firing sequence counter, the confirmed store-WAL LSN,
-// and the in-flight (pending) action queue — together with the WAL
-// itself this makes SQL effects exactly-once across a crash (see
-// docs/recovery.md "Exactly-once effects"). Store rows are still not in
+// *effects*: the firing sequence counter, the store-WAL LSN at capture,
+// and a pending-action list (always empty from today's engine, which
+// executes actions before the call that fired them returns) — together
+// with the WAL itself this makes SQL effects exactly-once across a crash
+// (see docs/recovery.md "Exactly-once effects"). Store rows are still not in
 // the snapshot; they are reconstructed by replaying the WAL.
 //
 // Snapshots are taken at a single logical instant: the engine advances
@@ -156,9 +157,10 @@ struct EngineSnapshot {
   int source_shards = 1;  // Detection workers of the capturing engine.
   std::vector<DetectorSnapshot> sources;
 
-  // --- Version 2: durable action pipeline ---------------------------------
-  // A firing enqueued but not yet confirmed (executed + WAL-flushed) at
-  // capture. Restore re-enqueues these, deduplicated against the
+  // --- Version 2: durable actions -------------------------------------------
+  // A firing whose actions had not been confirmed (executed + WAL-flushed)
+  // at capture; only older builds, which ran actions on a worker thread,
+  // wrote any. Restore replays these inline, deduplicated against the
   // recovered WAL, before reprocessing the stream suffix.
   struct PendingActionRecord {
     std::string rule_id;
@@ -166,7 +168,7 @@ struct EngineSnapshot {
     TimePoint fire_time = 0;
     std::vector<std::pair<std::string, store::ParamValue>> params;
   };
-  uint64_t durable_lsn = 0;  // Confirmed WAL LSN at capture (0 = no WAL).
+  uint64_t durable_lsn = 0;  // WAL LSN at capture (0 = no WAL).
   std::vector<PendingActionRecord> pending_actions;
 };
 

@@ -89,8 +89,6 @@ Result<std::vector<TenantConfig>> ParseTenantConfigText(
               "tenant config: bad shards=" + value + " (expected 1.." +
               std::to_string(engine::kMaxDetectionShards) + ")" + at);
         }
-      } else if (key == "async") {
-        RFIDCEP_RETURN_IF_ERROR(ParseBool(key, value, &config.async_actions));
       } else if (key == "store") {
         RFIDCEP_RETURN_IF_ERROR(ParseBool(key, value, &config.store));
       } else if (key == "tolerate_out_of_order") {
@@ -158,7 +156,6 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
   options.detector.tolerate_out_of_order =
       tenant->config_.tolerate_out_of_order;
   options.shards = tenant->config_.shards;
-  options.async_actions = tenant->config_.async_actions;
   tenant->engine_ = std::make_unique<engine::RcedaEngine>(
       tenant->db_.get(), events::Environment{}, options);
   RFIDCEP_RETURN_IF_ERROR(tenant->engine_->AddRulesFromText(rules));

@@ -35,7 +35,6 @@ struct TenantConfig {
   std::string rules_file;
   std::string rules_text;
   int shards = 1;  // In [1, engine::kMaxDetectionShards].
-  bool async_actions = false;
   // When true (default) the tenant gets an RFID store + WAL; rules with
   // SQL actions require it.
   bool store = true;
@@ -43,7 +42,7 @@ struct TenantConfig {
 };
 
 // Parses the daemon's tenant config: one tenant per line,
-//   tenant <name> rules=<file> [shards=N] [async=0|1] [store=0|1]
+//   tenant <name> rules=<file> [shards=N] [store=0|1]
 //          [tolerate_out_of_order=0|1]
 // Blank lines and '#' comments are skipped. Relative rules paths
 // resolve against the config file's directory.

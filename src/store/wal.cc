@@ -385,8 +385,8 @@ Result<uint64_t> Wal::Append(WalRecord record) {
   buffer_ += bytes;
   segment_bytes_ += bytes.size();
   ++next_lsn_;
-  // Batch boundaries come from callers via Flush()/Sync(); the size cap
-  // just bounds memory if a caller never marks one.
+  // Durability points come from callers via Sync(); the size cap just
+  // bounds memory between them.
   constexpr size_t kMaxBufferBytes = 256u << 10;
   if (options_.fsync == FsyncPolicy::kEveryAppend) {
     RFIDCEP_RETURN_IF_ERROR(SyncLocked());
@@ -394,11 +394,6 @@ Result<uint64_t> Wal::Append(WalRecord record) {
     RFIDCEP_RETURN_IF_ERROR(FlushLocked());
   }
   return record.lsn;
-}
-
-Status Wal::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return FlushLocked();
 }
 
 Status Wal::SyncLocked() const {

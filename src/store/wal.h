@@ -117,11 +117,8 @@ class Wal {
   // Appends one record, assigning and returning its LSN. Thread-safe.
   // Records are buffered in memory (unless the fsync policy is
   // kEveryAppend) so a run of appends costs one write(): callers mark
-  // batch boundaries with Flush() and durability points with Sync().
+  // durability points with Sync().
   Result<uint64_t> Append(WalRecord record);
-
-  // Writes buffered records to the OS (no fsync). Thread-safe.
-  Status Flush();
 
   // Flushes and fsyncs everything appended so far. Thread-safe.
   Status Sync();

@@ -34,6 +34,8 @@ TEST(TimeTest, AddSaturating) {
   EXPECT_EQ(AddSaturating(10, 5), 15);
   EXPECT_EQ(AddSaturating(10, kDurationInfinity), kTimeInfinity);
   EXPECT_EQ(AddSaturating(kTimeInfinity - 1, 2), kTimeInfinity);
+  EXPECT_EQ(AddSaturating(-5, 10), 5);
+  EXPECT_EQ(AddSaturating(-5, kDurationInfinity), kTimeInfinity);
 }
 
 }  // namespace

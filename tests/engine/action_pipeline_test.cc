@@ -1,15 +1,13 @@
-// Async action pipeline (engine/action_stage.h) + store WAL: equivalence
-// with sync dispatch, exactly-once store effects across a simulated
-// crash, and non-quiescent pending-queue capture in snapshots.
+// Rule actions + store WAL: exactly-once store effects across a
+// simulated crash, and inline replay of the pending-action section that
+// older checkpoints carry.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -19,6 +17,7 @@
 #include "store/csv.h"
 #include "store/database.h"
 #include "store/wal.h"
+#include "tests/engine/test_util.h"
 
 namespace rfidcep::engine {
 namespace {
@@ -54,10 +53,10 @@ std::vector<events::Observation> MakeStream(int count) {
 }
 
 struct Rig {
-  explicit Rig(EngineOptions options = {}) {
+  explicit Rig(EngineOptions options = {}, std::string_view rules = kRules) {
     EXPECT_TRUE(db.InstallRfidSchema().ok());
     engine = std::make_unique<RcedaEngine>(&db, events::Environment{}, options);
-    EXPECT_TRUE(engine->AddRulesFromText(kRules).ok());
+    EXPECT_TRUE(engine->AddRulesFromText(rules).ok());
   }
 
   Status Run(const std::vector<events::Observation>& stream, size_t begin = 0,
@@ -87,12 +86,6 @@ std::string DumpStore(store::Database* db) {
   return out;
 }
 
-EngineOptions AsyncOptions() {
-  EngineOptions options;
-  options.async_actions = true;
-  return options;
-}
-
 class TempWalDir {
  public:
   explicit TempWalDir(const std::string& name)
@@ -117,35 +110,6 @@ class TempWalDir {
   fs::path dir_;
 };
 
-TEST(ActionPipelineTest, AsyncMatchesSyncIncludingBackpressure) {
-  std::vector<events::Observation> stream = MakeStream(300);
-
-  Rig sync;
-  ASSERT_TRUE(sync.Run(stream).ok());
-  ASSERT_TRUE(sync.engine->Flush().ok());
-  std::string expected = DumpStore(&sync.db);
-
-  EngineOptions tiny_queue = AsyncOptions();
-  tiny_queue.action_queue_capacity = 2;  // Force enqueue backpressure.
-  for (EngineOptions options : {AsyncOptions(), tiny_queue}) {
-    Rig async(options);
-    ASSERT_TRUE(async.Run(stream).ok());
-    ASSERT_TRUE(async.engine->Flush().ok());
-    EXPECT_EQ(DumpStore(&async.db), expected);
-    EXPECT_EQ(async.engine->stats().rules_fired,
-              sync.engine->stats().rules_fired);
-    EXPECT_EQ(async.engine->stats().sql_actions_executed,
-              sync.engine->stats().sql_actions_executed);
-    EXPECT_EQ(async.engine->stats().action_errors,
-              sync.engine->stats().action_errors);
-    for (const char* rule : {"loc", "dup"}) {
-      EXPECT_EQ(async.engine->FiredCount(rule), sync.engine->FiredCount(rule));
-    }
-    EXPECT_TRUE(async.engine->first_deferred_error().ok())
-        << async.engine->first_deferred_error().message();
-  }
-}
-
 // Crash after a checkpoint: everything the WAL lost past the checkpoint
 // is re-derived by reprocessing the suffix; store contents end up
 // byte-identical to an uninterrupted run.
@@ -164,7 +128,7 @@ TEST(ActionPipelineTest, ExactlyOnceAcrossCrashWithLostTail) {
   {
     Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
     ASSERT_TRUE(wal.ok()) << wal.status().message();
-    Rig crashed(AsyncOptions());
+    Rig crashed;
     ASSERT_TRUE(crashed.engine->AttachWal(wal->get()).ok());
     ASSERT_TRUE(crashed.Run(stream, 0, kCut).ok());
     ASSERT_TRUE(crashed.engine->SerializeState(&snapshot_bytes).ok());
@@ -177,7 +141,7 @@ TEST(ActionPipelineTest, ExactlyOnceAcrossCrashWithLostTail) {
 
   Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
   ASSERT_TRUE(wal.ok()) << wal.status().message();
-  Rig recovered(AsyncOptions());
+  Rig recovered;
   Result<uint64_t> cursor = ReplayWalIntoDatabase(**wal, &recovered.db);
   ASSERT_TRUE(cursor.ok()) << cursor.status().message();
   ASSERT_TRUE(recovered.engine->AttachWal(wal->get()).ok());
@@ -200,9 +164,8 @@ TEST(ActionPipelineTest, ExactlyOnceAcrossCrashWithLostTail) {
 // Crash where the WAL survived PAST the checkpoint (effects durable but
 // unacknowledged): the re-derived firings deduplicate instead of
 // double-writing, and the restored engine lands on the same layout-
-// independent totals — here the recovery even switches to sync dispatch
-// on a sharded layout.
-TEST(ActionPipelineTest, DurableTailDeduplicatesAcrossModeAndLayout) {
+// independent totals — here the recovery runs on a sharded layout.
+TEST(ActionPipelineTest, DurableTailDeduplicatesAcrossLayout) {
   std::vector<events::Observation> stream = MakeStream(200);
   const size_t kCut = 100;
 
@@ -216,20 +179,20 @@ TEST(ActionPipelineTest, DurableTailDeduplicatesAcrossModeAndLayout) {
   {
     Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
     ASSERT_TRUE(wal.ok()) << wal.status().message();
-    Rig crashed(AsyncOptions());
+    Rig crashed;
     ASSERT_TRUE(crashed.engine->AttachWal(wal->get()).ok());
     ASSERT_TRUE(crashed.Run(stream, 0, kCut).ok());
     ASSERT_TRUE(crashed.engine->SerializeState(&snapshot_bytes).ok());
     ASSERT_TRUE(crashed.Run(stream, kCut, 160).ok());
-    // Engine teardown drains the stage and the WAL destructor flushes,
-    // so the whole prefix (incl. post-checkpoint records) is durable.
+    // The WAL destructor flushes, so the whole prefix (incl.
+    // post-checkpoint records) is durable.
   }
 
   Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
   ASSERT_TRUE(wal.ok()) << wal.status().message();
-  EngineOptions sharded_sync;
-  sharded_sync.shards = 2;
-  Rig recovered(sharded_sync);
+  EngineOptions sharded;
+  sharded.shards = 2;
+  Rig recovered(sharded);
   Result<uint64_t> cursor = ReplayWalIntoDatabase(**wal, &recovered.db);
   ASSERT_TRUE(cursor.ok()) << cursor.status().message();
   ASSERT_TRUE(recovered.engine->AttachWal(wal->get()).ok());
@@ -247,73 +210,82 @@ TEST(ActionPipelineTest, DurableTailDeduplicatesAcrossModeAndLayout) {
       0u);
 }
 
-// SerializeState does not quiesce the stage: firings stuck behind a
-// blocked worker are captured in the snapshot's pending queue, and a
-// restore credits replayed procedures without re-invoking them.
-TEST(ActionPipelineTest, PendingQueueIsCapturedAndReplayedWithoutReinvoking) {
-  constexpr std::string_view kProcRule = R"(
+// Checkpoints written while actions ran on a worker thread carry the
+// firings that worker had not yet confirmed. The committed fixture was
+// captured from kPendingRules over MakeStream(8) with the worker held on
+// the first `notify` call: all 16 firings are pending (8 SQL, 8
+// procedure) and no action is counted yet. RestoreState replays them
+// inline: each SQL firing executes once — also when restored again over
+// the WAL the first restore wrote — and procedure firings are credited
+// but not invoked, since their event instances are gone.
+TEST(ActionPipelineTest, OldCheckpointPendingActionsReplayOnce) {
+  constexpr std::string_view kPendingRules = R"(
     CREATE RULE alert, alert rule
     ON observation(r, o, t)
     IF true
     DO notify(o)
+
+    CREATE RULE log, log rule
+    ON observation(r, o, t)
+    IF true
+    DO INSERT INTO OBSERVATION VALUES (r, o, t)
   )";
-  std::vector<events::Observation> stream = MakeStream(8);
+  // The capturing run's totals after its Flush().
+  constexpr uint64_t kRulesFired = 16;
+  constexpr uint64_t kSqlActions = 8;
+  constexpr uint64_t kProcedures = 8;
+  constexpr uint64_t kFiredPerRule = 8;
 
-  std::mutex gate;
-  std::atomic<int> invoked{0};
-  std::string snapshot_bytes;
-  {
-    store::Database db;
-    ASSERT_TRUE(db.InstallRfidSchema().ok());
-    RcedaEngine engine(&db, events::Environment{}, AsyncOptions());
-    ASSERT_TRUE(engine.AddRulesFromText(kProcRule).ok());
-    engine.RegisterProcedure("notify",
-                             [&](const RuleFiring&, const std::string&) {
-                               std::lock_guard<std::mutex> lock(gate);
-                               ++invoked;
-                             });
-    ASSERT_TRUE(engine.Compile().ok());
-    {
-      std::lock_guard<std::mutex> hold(gate);  // Worker blocks on firing 1.
-      for (const events::Observation& obs : stream) {
-        ASSERT_TRUE(engine.Process(obs).ok());
-      }
-      ASSERT_TRUE(engine.SerializeState(&snapshot_bytes).ok());
-    }
-    ASSERT_TRUE(engine.Flush().ok());
-    EXPECT_EQ(engine.stats().procedures_invoked, stream.size());
-    EXPECT_EQ(invoked.load(), static_cast<int>(stream.size()));
-  }
-
+  const std::string bytes = testing::ReadFile(
+      std::string(RFIDCEP_TESTDATA_DIR) +
+      "/checkpoint_v2_pending_actions.snap");
   snapshot::EngineSnapshot snap;
-  ASSERT_TRUE(snapshot::DecodeEngineSnapshot(snapshot_bytes, &snap).ok());
-  EXPECT_EQ(snap.version, 2u);
-  // The worker was blocked on the first firing the whole time, so at
-  // least the un-dispatched rest of the queue must have been captured,
-  // each stamped with its per-rule firing ordinal.
-  EXPECT_GE(snap.pending_actions.size(), stream.size() - 1);
+  ASSERT_TRUE(snapshot::DecodeEngineSnapshot(bytes, &snap).ok());
+  ASSERT_EQ(snap.version, 2u);
+  EXPECT_EQ(snap.stats.sql_actions_executed, 0u);
+  EXPECT_EQ(snap.stats.procedures_invoked, 0u);
+  size_t pending_sql = 0;
   for (const auto& rec : snap.pending_actions) {
-    EXPECT_EQ(rec.rule_id, "alert");
-    EXPECT_GT(rec.seq, 0u);
-    EXPECT_LE(rec.seq, stream.size());
+    if (rec.rule_id == "log") ++pending_sql;
   }
+  ASSERT_EQ(pending_sql, kSqlActions);
+  ASSERT_EQ(snap.pending_actions.size() - pending_sql, kProcedures);
 
-  // Restore elsewhere: replayed procedure firings are credited in the
-  // stats but NOT invoked (their event instances are gone).
-  store::Database db2;
-  ASSERT_TRUE(db2.InstallRfidSchema().ok());
-  RcedaEngine restored(&db2, events::Environment{}, AsyncOptions());
-  ASSERT_TRUE(restored.AddRulesFromText(kProcRule).ok());
-  std::atomic<int> reinvoked{0};
-  restored.RegisterProcedure("notify",
-                             [&](const RuleFiring&, const std::string&) {
-                               ++reinvoked;
-                             });
-  ASSERT_TRUE(restored.Compile().ok());
-  ASSERT_TRUE(restored.RestoreState(snapshot_bytes).ok());
-  ASSERT_TRUE(restored.Flush().ok());
-  EXPECT_EQ(restored.stats().procedures_invoked, stream.size());
-  EXPECT_EQ(reinvoked.load(), 0);
+  // The store an uninterrupted run leaves: one row per observation.
+  Rig reference({}, kPendingRules);
+  ASSERT_TRUE(reference.Run(MakeStream(8)).ok());
+  ASSERT_TRUE(reference.engine->Flush().ok());
+  const std::string expected = DumpStore(&reference.db);
+
+  TempWalDir wal_dir("action_pipeline_pending_fixture");
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    SCOPED_TRACE(attempt == 0 ? "fresh WAL" : "WAL from the first restore");
+    Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
+    ASSERT_TRUE(wal.ok()) << wal.status().message();
+    Rig restored({}, kPendingRules);
+    Result<uint64_t> cursor = ReplayWalIntoDatabase(**wal, &restored.db);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().message();
+    int invoked = 0;
+    restored.engine->RegisterProcedure(
+        "notify", [&](const RuleFiring&, const std::string&) { ++invoked; });
+    ASSERT_TRUE(restored.engine->AttachWal(wal->get()).ok());
+    ASSERT_TRUE(restored.engine->Compile().ok());
+    ASSERT_TRUE(restored.engine->RestoreState(bytes).ok());
+    ASSERT_TRUE(restored.engine->Flush().ok());
+
+    EXPECT_EQ(DumpStore(&restored.db), expected);
+    EXPECT_EQ(invoked, 0);
+    const EngineStats& stats = restored.engine->stats();
+    EXPECT_EQ(stats.rules_fired, kRulesFired);
+    EXPECT_EQ(stats.sql_actions_executed, kSqlActions);
+    EXPECT_EQ(stats.procedures_invoked, kProcedures);
+    EXPECT_EQ(stats.unknown_procedures, 0u);
+    EXPECT_EQ(stats.action_errors, 0u);
+    EXPECT_EQ(restored.engine->FiredCount("alert"), kFiredPerRule);
+    EXPECT_EQ(restored.engine->FiredCount("log"), kFiredPerRule);
+    EXPECT_TRUE(restored.engine->first_deferred_error().ok())
+        << restored.engine->first_deferred_error().message();
+  }
 }
 
 TEST(ActionPipelineTest, WalGatesRejectMismatchedSnapshots) {

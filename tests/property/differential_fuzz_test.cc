@@ -17,7 +17,7 @@
 //      the write-ahead log (mid-record torn tails included), and
 //      WAL replay + snapshot restore must reproduce the uninterrupted
 //      run's match stream AND byte-identical final tables (exactly-once
-//      effects), across sync/async dispatch and shard layouts;
+//      effects), across shard layouts;
 //   6. metamorphic rewrite axis — each case's compiled rule expressions
 //      get a random chain of provably equivalent rewrites
 //      (engine/rewrite.h: operand permutation, OR rotation, ⊥-branch
@@ -35,6 +35,8 @@
 // RFIDCEP_FUZZ_CASES scales the sweep (default runs in a few seconds;
 // CI's nightly dispatch sets it high). Minimized regressions live in
 // tests/property/corpus/ and are replayed by the Corpus test below.
+
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -588,9 +590,8 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
 // stream per rule in emission order AND its final tables — byte for byte
 // when the recovery keeps the crashed run's shard layout, as row
 // multisets per table when it re-partitions (cross-rule row interleaving
-// is the one thing sharding does not promise). Dispatch mode (sync or
-// async) and shard count are salt-chosen independently on both sides of
-// the crash.
+// is the one thing sharding does not promise). The shard count is
+// salt-chosen independently on both sides of the crash.
 
 // Identity of one procedure/alarm invocation, comparable between a
 // rig's handler log and the WAL's surviving kProcedure/kAlarm frames.
@@ -601,21 +602,18 @@ std::string ProcKey(const std::string& rule_id, uint64_t seq,
 
 struct DurableRig {
   std::unique_ptr<store::Database> db = std::make_unique<store::Database>();
-  // Declared before the engine: teardown drains the async action stage,
-  // which still invokes the handlers recording into this map.
   std::map<std::string, int> invocations;
   std::unique_ptr<RcedaEngine> engine;
   SpansByRule matches;
 
   // Compile is left to the caller: a WAL can only attach before it.
   static std::unique_ptr<DurableRig> Make(const std::string& program,
-                                          bool async, int shards) {
+                                          int shards) {
     auto r = std::make_unique<DurableRig>();
     if (!r->db->InstallRfidSchema().ok()) return nullptr;
     EngineOptions options;
     options.detector.context = ParameterContext::kChronicle;
     options.shards = shards;
-    options.async_actions = async;
     r->engine = std::make_unique<RcedaEngine>(r->db.get(),
                                               events::Environment{}, options);
     SpansByRule* out = &r->matches;
@@ -706,19 +704,16 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
   if (!set.ok()) return "parse failed: " + set.status().ToString();
   if (!EventGraph::Build(set->rules).ok()) return std::nullopt;
 
-  const bool crash_async = (salt & 1) != 0;
+  // Bits 1 and 3 pick the shard layouts; bits 0 and 2 are spare.
   const int crash_shards = (salt & 2) != 0 ? 2 : 1;
-  const bool recover_async = (salt & 4) != 0;
   const int recover_shards = (salt & 8) != 0 ? 2 : 1;
   const size_t cut = c.stream.empty() ? 0 : (salt >> 4) % (c.stream.size() + 1);
 
-  // Uninterrupted synchronous run on the crash layout: the oracle for
-  // the match stream and the final table contents. Dispatch mode never
-  // changes effect order (the async stage executes in enqueue order), so
-  // a same-layout recovery must match this byte for byte; a recovery
-  // onto the other layout is held to per-table multisets instead.
-  auto reference =
-      DurableRig::Make(program, /*async=*/false, /*shards=*/crash_shards);
+  // Uninterrupted run on the crash layout: the oracle for the match
+  // stream and the final table contents. A same-layout recovery must
+  // match this byte for byte; a recovery onto the other layout is held
+  // to per-table multisets instead.
+  auto reference = DurableRig::Make(program, crash_shards);
   if (reference == nullptr) return "reference rig failed to build";
   if (!reference->engine->Compile().ok()) return "reference compile failed";
   for (const Observation& obs : c.stream) {
@@ -728,7 +723,9 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
   }
   if (!reference->engine->Flush().ok()) return "reference flush failed";
 
-  fs::path wal_dir = fs::path(::testing::TempDir()) / "diff_fuzz_wal";
+  // Per process, so concurrent fuzz runs never share a log.
+  fs::path wal_dir = fs::path(::testing::TempDir()) /
+                     ("diff_fuzz_wal_" + std::to_string(getpid()));
   fs::remove_all(wal_dir);
   store::WalOptions wal_options;
   wal_options.segment_bytes = 512;  // Tiny segments: cuts cross rotations.
@@ -742,7 +739,7 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
     Result<std::unique_ptr<store::Wal>> wal =
         store::Wal::Open(wal_dir.string(), wal_options);
     if (!wal.ok()) return "wal open failed: " + wal.status().ToString();
-    auto crashed = DurableRig::Make(program, crash_async, crash_shards);
+    auto crashed = DurableRig::Make(program, crash_shards);
     if (crashed == nullptr) return "crash rig failed to build";
     if (!crashed->engine->AttachWal(wal->get()).ok() ||
         !crashed->engine->Compile().ok()) {
@@ -766,7 +763,7 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
         return "crash-run tail processing failed";
       }
     }
-    crashed->engine.reset();  // Teardown drains the async stage into the WAL.
+    crashed->engine.reset();
     crashed_inv = std::move(crashed->invocations);
     crashed.reset();
     final_bytes = (*wal)->total_bytes();
@@ -793,7 +790,7 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
       !s.ok()) {
     return "wal procedure scan failed: " + s.ToString();
   }
-  auto recovered = DurableRig::Make(program, recover_async, recover_shards);
+  auto recovered = DurableRig::Make(program, recover_shards);
   if (recovered == nullptr) return "recovery rig failed to build";
   if (Result<uint64_t> cursor =
           store::ReplayWalIntoDatabase(**wal, recovered->db.get());
@@ -816,9 +813,8 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
 
   auto describe = [&] {
     return " (cut " + std::to_string(cut) + "/" +
-           std::to_string(c.stream.size()) + ", " +
-           (crash_async ? "async" : "sync") + std::to_string(crash_shards) +
-           " -> " + (recover_async ? "async" : "sync") +
+           std::to_string(c.stream.size()) + ", shards " +
+           std::to_string(crash_shards) + " -> " +
            std::to_string(recover_shards) + ")";
   };
   for (const auto& [rule_id, expected] : reference->matches) {
@@ -1400,8 +1396,8 @@ TEST(DifferentialFuzz, CorpusReplays) {
           << "corpus recovery regression "
           << rules_path.filename().string() << ": " << recovery.value_or("");
     }
-    // And the durable (WAL) protocol, with crash salts covering both
-    // dispatch modes and shard layouts.
+    // And the durable (WAL) protocol, with crash salts covering serial
+    // and sharded layouts.
     for (uint64_t salt : {0x21u, 0x9eu, 0x137u}) {
       std::optional<std::string> durable = CheckDurableRecoveryCase(c, salt);
       EXPECT_FALSE(durable.has_value())

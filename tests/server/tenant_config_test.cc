@@ -23,7 +23,7 @@ TEST(TenantConfigTest, ParsesEveryKey) {
   Result<std::vector<TenantConfig>> parsed = ParseTenantConfigText(
       "# comment\n"
       "\n"
-      "tenant alpha rules=a.rules shards=32 async=1 store=0 "
+      "tenant alpha rules=a.rules shards=32 store=0 "
       "tolerate_out_of_order=true\n"
       "tenant beta rules=/abs/b.rules\n",
       "/etc/rfidcep");
@@ -33,7 +33,6 @@ TEST(TenantConfigTest, ParsesEveryKey) {
   EXPECT_EQ(alpha.name, "alpha");
   EXPECT_EQ(alpha.rules_file, "/etc/rfidcep/a.rules");
   EXPECT_EQ(alpha.shards, engine::kMaxDetectionShards);
-  EXPECT_TRUE(alpha.async_actions);
   EXPECT_FALSE(alpha.store);
   EXPECT_TRUE(alpha.tolerate_out_of_order);
   const TenantConfig& beta = (*parsed)[1];
@@ -55,14 +54,17 @@ TEST(TenantConfigTest, ShardsMustBeOneWholeInRangeInteger) {
   }
 }
 
-TEST(TenantConfigTest, PartitionIsAnUnknownKey) {
-  Status status =
-      ParseError("tenant a rules=r\ntenant b rules=r partition=rule\n");
-  EXPECT_NE(status.message().find("unknown key 'partition'"),
-            std::string::npos)
-      << status.message();
-  EXPECT_NE(status.message().find("(line 2)"), std::string::npos)
-      << status.message();
+// Keys of modes the engine does not have are config errors, not ignored.
+TEST(TenantConfigTest, RemovedModeKeysAreUnknown) {
+  for (const std::string key : {"partition", "async"}) {
+    Status status =
+        ParseError("tenant a rules=r\ntenant b rules=r " + key + "=1\n");
+    EXPECT_NE(status.message().find("unknown key '" + key + "'"),
+              std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("(line 2)"), std::string::npos)
+        << status.message();
+  }
 }
 
 TEST(TenantConfigTest, DuplicateTenantRejected) {
