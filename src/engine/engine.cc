@@ -384,7 +384,7 @@ Status RcedaEngine::SerializeState(std::string* out) {
 
   snapshot::EngineSnapshot snap;
   snap.fingerprint = snapshot::ComputeFingerprint(options_.detector.context,
-                                                  rules_, *graph_);
+                                                  rules_);
   snap.context = static_cast<uint8_t>(options_.detector.context);
   snap.flushed = flushed_;
   snap.clock = clock();
@@ -432,7 +432,7 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
   snapshot::EngineSnapshot snap;
   RFIDCEP_RETURN_IF_ERROR(snapshot::DecodeEngineSnapshot(bytes, &snap));
   uint64_t expected = snapshot::ComputeFingerprint(options_.detector.context,
-                                                   rules_, *graph_);
+                                                   rules_);
   if (snap.fingerprint != expected) {
     return Status::FailedPrecondition(
         "snapshot rule-set fingerprint mismatch: the snapshot was taken "

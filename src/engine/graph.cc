@@ -69,7 +69,14 @@ EventExprPtr PropagateIntervalConstraints(const EventExprPtr& expr) {
 }
 
 int EventGraph::Intern(const EventExpr& expr, bool terminator_closed) {
-  std::string key = expr.CanonicalKey();
+  // A primitive instance spans no time, so a propagated WITHIN bound can
+  // never filter it: leaves are keyed by their pattern alone and carry no
+  // window. One binding per observation then serves every parent, whatever
+  // that parent's window; windows apply where instances combine.
+  const bool leaf = expr.op() == ExprOp::kPrimitive;
+  std::string key =
+      leaf ? EventExpr::Primitive(expr.primitive())->CanonicalKey()
+           : expr.CanonicalKey();
   // SEQ+ run state is parent-specific only where a parent SEQ's positive
   // terminator force-materializes the run (SeqTerminatorArrival): two
   // rules sharing that node would observe (and disturb) each other's
@@ -109,7 +116,7 @@ int EventGraph::Intern(const EventExpr& expr, bool terminator_closed) {
   node.primitive = expr.primitive();
   node.dist_lo = expr.dist_lo();
   node.dist_hi = expr.dist_hi();
-  node.within = expr.within();
+  node.within = leaf ? kDurationInfinity : expr.within();
   node.children = child_ids;
   node.canonical_key = key;
   node.seqplus_share_eligible = eligible;
@@ -123,7 +130,7 @@ int EventGraph::Intern(const EventExpr& expr, bool terminator_closed) {
       parents.push_back(id);
     }
   }
-  if (expr.op() == ExprOp::kPrimitive) primitive_nodes_.push_back(id);
+  if (leaf) primitive_nodes_.push_back(id);
   return id;
 }
 

@@ -8,7 +8,9 @@
 //      propagated top-down (child.within = min(child.within,
 //      parent.within));
 //   2. common-subgraph merging by canonical key, so shared subevents are
-//      detected once;
+//      detected once. Primitive leaves are keyed by their pattern alone:
+//      a primitive instance spans no time, so no window can filter it,
+//      and leaves differing only by a propagated WITHIN are one node;
 //   3. bottom-up detection-mode assignment (push / pull / mixed);
 //   4. top-down pseudo-event planning (which nodes anchor expiry timers
 //      and which non-spontaneous nodes they query);
@@ -42,7 +44,7 @@ struct GraphNode {
   events::PrimitiveEventType primitive;  // Leaves only.
   Duration dist_lo = 0;                      // kSeq / kSeqPlus.
   Duration dist_hi = kDurationInfinity;      // kSeq / kSeqPlus.
-  Duration within = kDurationInfinity;       // Propagated interval bound.
+  Duration within = kDurationInfinity;       // Propagated bound (not leaves).
   std::vector<int> children;                 // Child node ids (slot order).
   std::vector<int> parents;                  // Parent node ids (deduped).
   std::vector<size_t> rule_indexes;          // Rules rooted at this node.
@@ -93,9 +95,9 @@ class EventGraph {
   // The compiled (normalized, interval-propagated, hash-consed) event
   // expression of rule `rule_index`, rebuilt as a walkable EventExpr tree.
   // Shared subgraphs come back as shared subtrees (same EventExprPtr), so
-  // structural sharing survives the round trip. This is the form the
-  // reference interpreter (src/engine/reference/) evaluates: it reflects
-  // exactly what the detector runs, not what the rule author wrote.
+  // structural sharing survives the round trip. It reflects exactly what
+  // the detector runs (leaves carry no window), not what the rule author
+  // wrote; the metamorphic rewriter (engine/rewrite.h) starts from it.
   events::EventExprPtr RuleExpr(size_t rule_index) const;
 
   // All leaf (primitive) node ids.

@@ -53,7 +53,7 @@ ReferenceInterpreter::ReferenceInterpreter(const EventExprPtr& root,
   assert((options_.context == ParameterContext::kChronicle ||
           options_.context == ParameterContext::kUnrestricted) &&
          "reference interpreter implements chronicle and unrestricted only");
-  // Idempotent for already-compiled expressions (EventGraph::RuleExpr).
+  // Idempotent for already-propagated expressions.
   EventExprPtr propagated = PropagateIntervalConstraints(root);
   root_ = Build(*propagated);
   root_->is_root = true;
@@ -82,9 +82,15 @@ ReferenceInterpreter::~ReferenceInterpreter() = default;
 // Hash-consing by canonical key mirrors the graph compiler: a rule using
 // the same subevent twice (duplicate filter) gets one shared node whose
 // arrivals play every role, in the same slot order as the detector.
+// Leaves are keyed by their pattern alone: a primitive instance spans no
+// time, so a window on a leaf is vacuous, and one pattern under several
+// windows is one leaf (also the key leaves dispatch in).
 ReferenceInterpreter::Node* ReferenceInterpreter::Build(
     const EventExpr& expr) {
-  std::string key = expr.CanonicalKey();
+  const bool leaf = expr.op() == ExprOp::kPrimitive;
+  std::string key =
+      leaf ? EventExpr::Primitive(expr.primitive())->CanonicalKey()
+           : expr.CanonicalKey();
   // SEQ+ occurrences are never shared (mirrors the graph compiler): run
   // state reacts to the parent SEQ's terminator, so each parent needs a
   // private copy.
@@ -105,7 +111,7 @@ ReferenceInterpreter::Node* ReferenceInterpreter::Build(
   node->primitive = expr.primitive();
   node->dist_lo = expr.dist_lo();
   node->dist_hi = expr.dist_hi();
-  node->within = expr.within();
+  node->within = leaf ? kDurationInfinity : expr.within();
   node->canonical_key = key;
   node->children = std::move(children);
   for (Node* child : node->children) {
@@ -114,7 +120,7 @@ ReferenceInterpreter::Node* ReferenceInterpreter::Build(
       parents.push_back(node);
     }
   }
-  if (node->op == ExprOp::kPrimitive) leaves_.push_back(node);
+  if (leaf) leaves_.push_back(node);
   if (shareable) interned_.emplace(std::move(key), node);
   return node;
 }

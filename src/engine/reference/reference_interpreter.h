@@ -25,9 +25,9 @@
 // The interpreter shares the engine's committed boundary conventions
 // (closed [τl, τu] distance bounds, closed WITHIN, pseudo events fire only
 // once the stream strictly passes their execution time — docs/semantics.md
-// has the full table). Feed it the *compiled* expression form
-// (EventGraph::RuleExpr) so oracle and detector evaluate the same
-// normalized tree.
+// has the full table). Feed it a rule's own event expression: the fuzz
+// oracle never takes its input from the graph under test, so node sharing
+// in the compiler cannot leak into the expected matches.
 
 #ifndef RFIDCEP_ENGINE_REFERENCE_REFERENCE_INTERPRETER_H_
 #define RFIDCEP_ENGINE_REFERENCE_REFERENCE_INTERPRETER_H_
@@ -57,9 +57,9 @@ struct ReferenceOptions {
 
 class ReferenceInterpreter {
  public:
-  // `root` is one rule's event expression, ideally the compiled form from
-  // EventGraph::RuleExpr (interval constraints are (re-)propagated here,
-  // which is idempotent). `env` must outlive the interpreter.
+  // `root` is one rule's event expression (interval constraints are
+  // propagated here, which is idempotent, so EventGraph::RuleExpr output
+  // works too). `env` must outlive the interpreter.
   ReferenceInterpreter(const events::EventExprPtr& root,
                        const events::Environment* env,
                        ReferenceOptions options = {});

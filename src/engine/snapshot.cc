@@ -480,14 +480,13 @@ uint64_t FnvU64(uint64_t h, uint64_t v) {
 }  // namespace
 
 uint64_t ComputeFingerprint(ParameterContext context,
-                            const std::vector<rules::Rule>& rules,
-                            const EventGraph& graph) {
+                            const std::vector<rules::Rule>& rules) {
   uint64_t h = kFnvOffset;
   h = FnvU64(h, static_cast<uint64_t>(context));
   h = FnvU64(h, rules.size());
-  for (size_t i = 0; i < rules.size(); ++i) {
-    h = FnvBytes(h, rules[i].id);
-    h = FnvBytes(h, graph.node(graph.RuleRoot(i)).canonical_key);
+  for (const rules::Rule& rule : rules) {
+    h = FnvBytes(h, rule.id);
+    h = FnvBytes(h, PropagateIntervalConstraints(rule.event)->CanonicalKey());
   }
   return h;
 }
@@ -943,11 +942,23 @@ DetectorSnapshot MergeShardSnapshots(
   // internal order is preserved exactly — same-key state lives on one
   // replica, so only that relative order is observable — and primitives,
   // which each replica holds in timestamp order, interleave back into
-  // stream arrival order.
+  // stream arrival order. Each source is walked in its recorded sequence
+  // order, not table order: SaveState interns node-major, so an instance
+  // only a later node still buffers sits after newer ones in the table.
   std::vector<uint64_t> new_seq(total_instances, 0);
   {
-    auto eff_t_end = [&](size_t s, size_t i) {
-      const InstanceRecord& rec = sources[s].instances[i];
+    std::vector<std::vector<uint32_t>> by_seq(sources.size());
+    for (size_t s = 0; s < sources.size(); ++s) {
+      const std::vector<InstanceRecord>& table = sources[s].instances;
+      by_seq[s].resize(table.size());
+      for (uint32_t i = 0; i < table.size(); ++i) by_seq[s][i] = i;
+      auto earlier = [&table](uint32_t a, uint32_t b) {
+        return table[a].sequence_number < table[b].sequence_number;
+      };
+      std::stable_sort(by_seq[s].begin(), by_seq[s].end(), earlier);
+    }
+    auto eff_t_end = [&](size_t s, size_t pos) {
+      const InstanceRecord& rec = sources[s].instances[by_seq[s][pos]];
       return rec.is_primitive ? rec.observation.timestamp : rec.t_end;
     };
     std::vector<size_t> cursor(sources.size(), 0);
@@ -955,13 +966,13 @@ DetectorSnapshot MergeShardSnapshots(
     for (uint32_t assigned = 0; assigned < total_instances; ++assigned) {
       size_t best = sources.size();
       for (size_t s = 0; s < sources.size(); ++s) {
-        if (cursor[s] >= sources[s].instances.size()) continue;
+        if (cursor[s] >= by_seq[s].size()) continue;
         if (best == sources.size() ||
             eff_t_end(s, cursor[s]) < eff_t_end(best, cursor[best])) {
           best = s;
         }
       }
-      new_seq[offset[best] + cursor[best]] = ++next;
+      new_seq[offset[best] + by_seq[best][cursor[best]]] = ++next;
       ++cursor[best];
     }
     for (uint32_t i = 0; i < total_instances; ++i) {

@@ -31,7 +31,8 @@
 // records carry variable NAMES and anchor positions; join keys and
 // pseudo anchors are recomputed against the restoring process's symbol
 // table. A snapshot is validated against a rule-set fingerprint (rule
-// ids + root canonical keys + parameter context) before it is loaded.
+// ids + propagated rule-event keys + parameter context) before it is
+// loaded.
 
 #ifndef RFIDCEP_ENGINE_SNAPSHOT_H_
 #define RFIDCEP_ENGINE_SNAPSHOT_H_
@@ -173,11 +174,14 @@ struct EngineSnapshot {
 };
 
 // FNV-1a over the parameter context, rule count, and each rule's (id,
-// root canonical key) in rule-index order: two engines with equal
-// fingerprints compile graphs with identical node state-key vocabularies.
+// interval-propagated event key) in rule-index order: two engines with
+// equal fingerprints compile graphs with identical node state-key
+// vocabularies. The key comes from the rule, not from the graph, so how
+// the compiler shares nodes never changes a fingerprint: a rule rooted at
+// WITHIN(observation(...), w) keeps the key of the window-stamped leaf
+// that older builds compiled it to.
 uint64_t ComputeFingerprint(ParameterContext context,
-                            const std::vector<rules::Rule>& rules,
-                            const EventGraph& graph);
+                            const std::vector<rules::Rule>& rules);
 
 // Binary little-endian encoding. Encoding is deterministic: re-encoding
 // a decoded snapshot, or re-capturing a freshly restored engine of the

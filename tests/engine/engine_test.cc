@@ -261,5 +261,65 @@ TEST(EngineTest, StatsTrackDetectorCounters) {
   EXPECT_EQ(stats.detector.primitive_matches, 1u);
 }
 
+TEST(EngineTest, WindowFamilyBindsEachObservationOncePerLeafPattern) {
+  // Five duplicate rules that differ only by window compile to two leaf
+  // patterns, so each observation binds twice, not ten times, and every
+  // rule still fires exactly as it does alone.
+  const std::vector<std::string> family = {
+      R"(CREATE RULE dup4, duplicate
+         ON WITHIN(observation(r, o, t1); observation(r, o, t2), 4sec)
+         IF true DO send alarm)",
+      R"(CREATE RULE dup5, duplicate
+         ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5sec)
+         IF true DO send alarm)",
+      R"(CREATE RULE dup6, duplicate
+         ON WITHIN(observation(r, o, t1); observation(r, o, t2), 6sec)
+         IF true DO send alarm)",
+      R"(CREATE RULE dup7, duplicate
+         ON WITHIN(observation(r, o, t1); observation(r, o, t2), 7sec)
+         IF true DO send alarm)",
+      R"(CREATE RULE dup8, duplicate
+         ON WITHIN(observation(r, o, t1); observation(r, o, t2), 8sec)
+         IF true DO send alarm)",
+  };
+  const std::vector<events::Observation> stream = {
+      {"r1", "x", 0 * kSecond},  {"r2", "y", 1 * kSecond},
+      {"r1", "x", 3 * kSecond},  {"r2", "y", 6 * kSecond},
+      {"r1", "x", 10 * kSecond}, {"r2", "y", 13 * kSecond},
+      {"r1", "x", 17 * kSecond}, {"r1", "x", 22 * kSecond},
+  };
+  auto spans = [](const EngineHarness& h, const std::string& rule_id) {
+    std::vector<std::pair<TimePoint, TimePoint>> out;
+    for (const auto& m : h.MatchesFor(rule_id)) {
+      out.emplace_back(m.t_begin, m.t_end);
+    }
+    return out;
+  };
+
+  EngineHarness all;
+  std::string program;
+  for (const std::string& rule : family) program += rule + "\n";
+  ASSERT_TRUE(all.AddRules(program).ok());
+  ASSERT_TRUE(all.engine->Compile().ok());
+  ASSERT_TRUE(all.engine->ProcessAll(stream).ok());
+  ASSERT_TRUE(all.engine->Flush().ok());
+  EXPECT_EQ(all.engine->stats().detector.primitive_matches, 2 * stream.size());
+
+  size_t distinct = 0;
+  for (size_t i = 0; i < family.size(); ++i) {
+    const std::string id = "dup" + std::to_string(4 + i);
+    EngineHarness alone;
+    ASSERT_TRUE(alone.AddRules(family[i]).ok());
+    ASSERT_TRUE(alone.engine->Compile().ok());
+    ASSERT_TRUE(alone.engine->ProcessAll(stream).ok());
+    ASSERT_TRUE(alone.engine->Flush().ok());
+    EXPECT_EQ(spans(all, id), spans(alone, id)) << id;
+    if (i > 0 && spans(all, id) != spans(all, "dup" + std::to_string(3 + i))) {
+      ++distinct;
+    }
+  }
+  EXPECT_GT(distinct, 0u) << "the windows must matter on this stream";
+}
+
 }  // namespace
 }  // namespace rfidcep::engine

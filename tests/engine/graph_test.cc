@@ -102,6 +102,61 @@ TEST(EventGraphTest, DistinctWithinBoundsAreNotMerged) {
   EXPECT_EQ(merged->RuleRoot(0), merged->RuleRoot(1));
 }
 
+TEST(EventGraphTest, LeavesDifferingOnlyByWithinShareOneNode) {
+  // The Fig. 9 duplicate family: five windows over the same two leaf
+  // patterns. A primitive instance spans no time, so no window can filter
+  // it: two leaves serve all five SEQ roots.
+  rules::RuleSet set = MustParse(R"(
+    CREATE RULE dup4, duplicate
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 4sec)
+    IF true DO send alarm
+    CREATE RULE dup5, duplicate
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5sec)
+    IF true DO send alarm
+    CREATE RULE dup6, duplicate
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 6sec)
+    IF true DO send alarm
+    CREATE RULE dup7, duplicate
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 7sec)
+    IF true DO send alarm
+    CREATE RULE dup8, duplicate
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 8sec)
+    IF true DO send alarm
+  )");
+  Result<EventGraph> graph = EventGraph::Build(set.rules);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  EXPECT_EQ(graph->primitive_nodes().size(), 2u);
+  EXPECT_EQ(graph->num_nodes(), 7u);
+  for (size_t i = 0; i < set.rules.size(); ++i) {
+    const GraphNode& root = graph->node(graph->RuleRoot(i));
+    EXPECT_EQ(root.op, ExprOp::kSeq);
+    EXPECT_EQ(root.within, static_cast<Duration>(4 + i) * kSecond);
+    EXPECT_EQ(root.children, graph->node(graph->RuleRoot(0)).children);
+  }
+  for (int id : graph->primitive_nodes()) {
+    EXPECT_EQ(graph->node(id).within, kDurationInfinity);
+    EXPECT_EQ(graph->node(id).parents.size(), 5u);
+  }
+
+  // Rules rooted at the same primitive under different windows share
+  // that leaf, which then fires both rules.
+  rules::RuleSet roots = MustParse(R"(
+    CREATE RULE short, one
+    ON WITHIN(observation("A", o, t1), 5sec)
+    IF true
+    DO send alarm
+    CREATE RULE long, two
+    ON WITHIN(observation("A", o, t1), 9sec)
+    IF true
+    DO send alarm
+  )");
+  Result<EventGraph> shared = EventGraph::Build(roots.rules);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  ASSERT_EQ(shared->num_nodes(), 1u);
+  EXPECT_EQ(shared->RuleRoot(0), shared->RuleRoot(1));
+  EXPECT_EQ(shared->node(0).rule_indexes, (std::vector<size_t>{0, 1}));
+}
+
 TEST(EventGraphTest, DetectionModes) {
   rules::RuleSet set = MustParse(R"(
     DEFINE E4 = observation("r4", o4, t4), type(o4) = "laptop"

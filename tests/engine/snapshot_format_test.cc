@@ -257,5 +257,53 @@ TEST(SnapshotGoldenTest, CommittedFixturesRestoreOnEveryShardCount) {
   }
 }
 
+// checkpoint_v2_within_leaves.snap was captured by commit c85f3fb, whose
+// graph compiled one leaf per (pattern, propagated window): `keyed` was
+// rooted at PRIM{<=6sec}, and dup5/dup9 each had two private leaves.
+// Today's graph keys leaves by pattern alone, so the rule-set fingerprint
+// must still verify (it hashes each rule's propagated event, not the
+// graph's root key) and the leaves' old produced counters are dropped.
+constexpr const char* kWithinLeafRules = R"(
+  CREATE RULE keyed, single reader
+  ON WITHIN(observation("A", o, t1), 6sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE dup5, short duplicate
+  ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE dup9, long duplicate
+  ON WITHIN(observation(r, o, t1); observation(r, o, t2), 9sec)
+  IF true
+  DO send alarm
+)";
+
+TEST(SnapshotGoldenTest, WindowStampedLeafFixtureRestores) {
+  const std::string bytes = testing::ReadFile(FixturePath(2, "_within_leaves"));
+  ASSERT_FALSE(bytes.empty()) << "missing fixture";
+  snapshot::EngineSnapshot decoded;
+  ASSERT_TRUE(snapshot::DecodeEngineSnapshot(bytes, &decoded).ok());
+  ASSERT_EQ(decoded.sources.size(), 1u);
+  size_t stamped_leaves = 0;
+  for (const snapshot::NodeStateRecord& rec : decoded.sources[0].nodes) {
+    if (rec.state_key.starts_with("PRIM{<=")) ++stamped_leaves;
+  }
+  EXPECT_EQ(stamped_leaves, 5u);
+
+  const std::vector<events::Observation> head = {
+      {"A", "x", 1 * kSecond}, {"B", "y", 2 * kSecond},
+      {"A", "x", 3 * kSecond}, {"B", "y", 8 * kSecond},
+      {"A", "z", 9 * kSecond}, {"A", "x", 10 * kSecond},
+  };
+  const std::vector<events::Observation> tail = {
+      {"A", "z", 12 * kSecond}, {"B", "y", 13 * kSecond},
+      {"A", "x", 16 * kSecond}, {"A", "z", 20 * kSecond},
+  };
+  testing::ExpectRestoresToUninterruptedRun(kWithinLeafRules, head, tail,
+                                            bytes);
+}
+
 }  // namespace
 }  // namespace rfidcep::engine
