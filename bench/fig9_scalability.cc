@@ -578,14 +578,13 @@ int RunDurableStoreSmoke(const BenchFlags& flags) {
   TruncateWalAt(wal_dir,
                 checkpoint_bytes + (final_bytes - checkpoint_bytes) / 2);
 
-  rfidcep::Result<std::unique_ptr<Wal>> reopened =
-      Wal::Open(wal_dir, wal_options);
-  Check(reopened.status(), "wal reopen");
-  std::unique_ptr<Wal> wal = std::move(*reopened);
+  // One-pass recovery: the reopen replays the log into the fresh store.
   Database db;
   Check(db.InstallRfidSchema(), "schema");
-  Check(rfidcep::store::ReplayWalIntoDatabase(*wal, &db).status(),
-        "wal replay");
+  rfidcep::Result<std::unique_ptr<Wal>> reopened =
+      Wal::Open(wal_dir, wal_options, &db);
+  Check(reopened.status(), "wal reopen");
+  std::unique_ptr<Wal> wal = std::move(*reopened);
   auto second = make_engine(&db);
   Check(second->AttachWal(wal.get()), "attach wal");
   Check(second->Compile(), "compile");

@@ -19,10 +19,11 @@
 # sorted-vector merges — exactly the kind of code ASan/UBSan pays for.
 # UBSan findings abort the test (-fno-sanitize-recover=undefined).
 # The TSan pass covers the sharded pipeline (SPSC rings, doorbells,
-# barrier acks) and the lock-free instruments;
-# it runs the tests tagged with the TSAN ctest label
-# (rfidcep_test(... TSAN) in tests/CMakeLists.txt) since everything
-# else is single-threaded.
+# barrier acks), the lock-free instruments, and the rfidcepd daemon
+# (server_test: connection threads, the tenant mutex, the HTTP thread,
+# and the crash-and-recover path through tenant recovery); it runs the
+# tests tagged with the TSAN ctest label (rfidcep_test(... TSAN) in
+# tests/CMakeLists.txt) since everything else is single-threaded.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

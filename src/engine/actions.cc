@@ -1,6 +1,7 @@
 #include "engine/actions.h"
 
 #include <cctype>
+#include <optional>
 
 #include "engine/trace.h"
 
@@ -57,13 +58,15 @@ void ActionDispatcher::RegisterProcedure(std::string_view name,
   procedures_[NormalizeName(name)] = std::move(procedure);
 }
 
-void ActionDispatcher::AttachWal(store::Wal* wal) {
-  wal_ = wal;
-  executed_ = wal != nullptr ? wal->recovered_actions() : store::WalActionMap{};
-}
-
 Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
   Status first_error;
+  // The rule's recovered keys, when this firing may be among them: null
+  // without a WAL and once the firing is past the rule's highest
+  // recovered sequence, so a live stream skips the lookups.
+  const store::WalActionSet::RuleEntries* recovered =
+      wal_ != nullptr
+          ? wal_->recovered_actions().Candidates(firing.rule->id, firing.seq)
+          : nullptr;
   const auto& actions = firing.rule->actions;
   for (uint32_t index = 0; index < actions.size(); ++index) {
     const rules::RuleAction& action = actions[index];
@@ -77,16 +80,15 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
           }
           continue;
         }
-        if (wal_ != nullptr) {
-          auto hit = executed_.find(
-              store::WalActionKey(firing.rule->id, firing.seq, index));
-          if (hit != executed_.end()) {
+        if (recovered != nullptr) {
+          if (std::optional<uint32_t> affected =
+                  store::WalActionSet::Find(*recovered, firing.seq, index)) {
             // Effect already durable (recovered from the log): credit the
             // logical counters and skip re-execution.
             ++sql_actions_executed_;
             if (instruments_ != nullptr) {
               instruments_->sql_actions->Increment();
-              instruments_->rows_written->Increment(hit->second);
+              instruments_->rows_written->Increment(*affected);
               instruments_->deduped->Increment();
             }
             continue;
@@ -131,9 +133,8 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
           }
           continue;
         }
-        if (wal_ != nullptr &&
-            executed_.count(store::WalActionKey(firing.rule->id, firing.seq,
-                                                index)) != 0) {
+        if (recovered != nullptr &&
+            store::WalActionSet::Find(*recovered, firing.seq, index)) {
           // The callback already ran before the crash and its frame
           // survived in the log: credit the logical counters and skip
           // re-invocation — this is what keeps alarms single-fire

@@ -76,8 +76,9 @@ class ActionDispatcher {
   // SQL statements and procedure/alarm invocations alike — is appended
   // to it, and actions whose (rule, seq, index) key already appears in
   // the recovered log are skipped with their counters credited
-  // (exactly-once across restore). The WAL must outlive the dispatcher.
-  void AttachWal(store::Wal* wal);
+  // (exactly-once across restore). The dedup set is read through the
+  // WAL, not copied; the WAL must outlive the dispatcher.
+  void AttachWal(store::Wal* wal) { wal_ = wal; }
   store::Wal* wal() const { return wal_; }
 
   // Runs every action of `firing.rule`. Returns the first error but still
@@ -117,7 +118,6 @@ class ActionDispatcher {
   const ActionInstruments* instruments_ = nullptr;
   TraceSink* trace_ = nullptr;
   store::Wal* wal_ = nullptr;
-  store::WalActionMap executed_;  // Dedup map recovered from the WAL.
   uint64_t sql_actions_executed_ = 0;
   uint64_t procedures_invoked_ = 0;
   uint64_t unknown_procedures_ = 0;

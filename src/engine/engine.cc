@@ -78,10 +78,8 @@ Status RcedaEngine::AddRule(rules::Rule rule) {
     return Status::FailedPrecondition(
         "cannot add rules after the engine has been compiled");
   }
-  for (const rules::Rule& existing : rules_) {
-    if (existing.id == rule.id) {
-      return Status::AlreadyExists("duplicate rule id '" + rule.id + "'");
-    }
+  if (!rule_index_.emplace(rule.id, rules_.size()).second) {
+    return Status::AlreadyExists("duplicate rule id '" + rule.id + "'");
   }
   rules_.push_back(std::move(rule));
   return Status::Ok();
@@ -101,14 +99,18 @@ Status RcedaEngine::AddRulesFromText(std::string_view program) {
 }
 
 Status RcedaEngine::RemoveRule(std::string_view rule_id) {
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    if (rules_[i].id == rule_id) {
-      Decompile();
-      rules_.erase(rules_.begin() + static_cast<long>(i));
-      return Status::Ok();
-    }
+  auto it = rule_index_.find(rule_id);
+  if (it == rule_index_.end()) {
+    return Status::NotFound("no rule '" + std::string(rule_id) + "'");
   }
-  return Status::NotFound("no rule '" + std::string(rule_id) + "'");
+  const size_t removed = it->second;
+  Decompile();
+  rule_index_.erase(it);
+  rules_.erase(rules_.begin() + static_cast<long>(removed));
+  for (auto& [id, index] : rule_index_) {
+    if (index > removed) --index;
+  }
+  return Status::Ok();
 }
 
 Status RcedaEngine::SetShards(int shards) {
@@ -457,18 +459,12 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
   // guarantees the id sets agree.
   std::vector<uint64_t> fired(rules_.size(), 0);
   for (const auto& [rule_id, count] : snap.fired) {
-    bool found = false;
-    for (size_t i = 0; i < rules_.size(); ++i) {
-      if (rules_[i].id == rule_id) {
-        fired[i] = count;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    auto it = rule_index_.find(rule_id);
+    if (it == rule_index_.end()) {
       return Status::Internal("snapshot: fired count for unknown rule '" +
                               rule_id + "'");
     }
+    fired[it->second] = count;
   }
 
   if (sharded_ != nullptr) {
@@ -560,20 +556,14 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
   if (options_.execute_actions) {
     for (const snapshot::EngineSnapshot::PendingActionRecord& rec :
          snap.pending_actions) {
-      const rules::Rule* rule = nullptr;
-      for (const rules::Rule& candidate : rules_) {
-        if (candidate.id == rec.rule_id) {
-          rule = &candidate;
-          break;
-        }
-      }
-      if (rule == nullptr) {
+      auto it = rule_index_.find(rec.rule_id);
+      if (it == rule_index_.end()) {
         // Unreachable past the fingerprint gate; corruption if it is.
         return Status::Internal("snapshot: pending action for unknown rule '" +
                                 rec.rule_id + "'");
       }
       RuleFiring firing;
-      firing.rule = rule;
+      firing.rule = &rules_[it->second];
       firing.params = store::ParamMap(rec.params.begin(), rec.params.end());
       firing.fire_time = rec.fire_time;
       firing.seq = rec.seq;
@@ -656,10 +646,9 @@ std::string RcedaEngine::DebugReport() const {
 }
 
 uint64_t RcedaEngine::FiredCount(std::string_view rule_id) const {
-  for (size_t i = 0; i < rules_.size(); ++i) {
-    if (rules_[i].id == rule_id) return fired_counts_[i];
-  }
-  return 0;
+  auto it = rule_index_.find(rule_id);
+  if (it == rule_index_.end() || it->second >= fired_counts_.size()) return 0;
+  return fired_counts_[it->second];
 }
 
 void RcedaEngine::OnMatch(size_t rule_index,

@@ -27,6 +27,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "engine/actions.h"
 #include "engine/detector.h"
 #include "engine/graph.h"
@@ -262,6 +263,7 @@ class RcedaEngine : public EngineFrontend {
   EngineOptions options_;
   ActionDispatcher dispatcher_;
   std::vector<rules::Rule> rules_;
+  StringViewMap<size_t> rule_index_;  // Rule id -> index in rules_.
   std::vector<uint64_t> fired_counts_;
   std::optional<EventGraph> graph_;
   // Declared before the detectors: they hold instrument pointers into

@@ -6,7 +6,7 @@
 // gets a thread; frames are processed strictly in order and each one is
 // acknowledged after its engine call returns, so a client's last ack is
 // exactly the durable resend boundary across a restart. Backpressure is
-// end-to-end and bounded: the engine's SPSC shard/action rings block the
+// end-to-end and bounded: the engine's SPSC shard rings block the
 // connection thread, the kernel socket buffers fill, and the client's
 // send blocks — nothing in the daemon buffers unboundedly. Connections
 // beyond max_connections are rejected with a protocol error (bounded

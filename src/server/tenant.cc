@@ -136,20 +136,18 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
   std::unique_ptr<Tenant> tenant(new Tenant(std::move(config)));
   tenant->checkpoint_path_ = (tenant_dir / "checkpoint.snap").string();
 
-  // Recovery order (docs/recovery.md): replay the surviving WAL into a
-  // fresh store, attach it so its dedup map seeds the dispatcher, then
-  // compile and restore the snapshot. Any suffix the checkpoint missed
-  // is re-derived when clients resend unacknowledged frames.
+  // Recovery order (docs/recovery.md): one walk over the surviving WAL
+  // rebuilds a fresh store and collects the dedup set; attaching the WAL
+  // hands that set to the dispatcher; then compile and restore the
+  // snapshot. Any suffix the checkpoint missed is re-derived when
+  // clients resend unacknowledged frames.
   if (tenant->config_.store) {
     tenant->db_ = std::make_unique<store::Database>();
     RFIDCEP_RETURN_IF_ERROR(tenant->db_->InstallRfidSchema());
-    Result<std::unique_ptr<store::Wal>> wal =
-        store::Wal::Open((tenant_dir / "wal").string());
+    Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(
+        (tenant_dir / "wal").string(), {}, tenant->db_.get());
     RFIDCEP_RETURN_IF_ERROR(wal.status());
     tenant->wal_ = std::move(*wal);
-    RFIDCEP_RETURN_IF_ERROR(
-        store::ReplayWalIntoDatabase(*tenant->wal_, tenant->db_.get())
-            .status());
   }
 
   engine::EngineOptions options;

@@ -2,15 +2,16 @@
 //
 // A tenant owns the full durable stack for one deployment — in-memory
 // RFID store, store WAL, compiled engine — plus its slice of the state
-// directory. Open() rebuilds the stack in recovery order (WAL replay
-// into a fresh store, dedup-map attach, compile, snapshot restore), so
-// a restarted daemon resumes exactly where the last checkpoint left it;
-// the snapshot is layout-portable, so the restart may change the shard
-// count or dispatch mode (docs/recovery.md). The server drives a tenant
-// only through the narrow engine::EngineFrontend surface and the
-// checkpoint entry point; one mutex per tenant serializes connections
-// feeding the same engine, and the engine's own bounded rings provide
-// backpressure below it.
+// directory. Open() rebuilds the stack in recovery order (one walk over
+// the WAL replays it into a fresh store and collects the dedup set,
+// then attach, compile, snapshot restore), so a restarted daemon
+// resumes exactly where the last checkpoint left it; the snapshot is
+// layout-portable, so the restart may change the shard count
+// (docs/recovery.md). The server drives a tenant only through the
+// narrow engine::EngineFrontend surface and the checkpoint entry point;
+// one mutex per tenant serializes connections feeding the same engine,
+// and the engine's own bounded shard rings provide backpressure below
+// it.
 
 #ifndef RFIDCEP_SERVER_TENANT_H_
 #define RFIDCEP_SERVER_TENANT_H_
@@ -70,6 +71,9 @@ class Tenant {
   // Full engine access for in-process embedders (tests register
   // procedures, inspect layout); the daemon itself stays on frontend().
   engine::RcedaEngine& engine() { return *engine_; }
+  // The tenant's RFID store; null when the config disables it. Callers
+  // hold mu() while reading it under a live server.
+  store::Database* db() { return db_.get(); }
 
   std::mutex& mu() { return mu_; }
 
@@ -88,9 +92,9 @@ class Tenant {
   std::string checkpoint_path_;
   bool restored_ = false;
   std::mutex mu_;
-  // Destruction order matters: the engine drains its action stage into
-  // the WAL, so it must die before the WAL, which must die before the
-  // database it logically belongs to.
+  // Destruction order matters: the engine holds pointers to the WAL and
+  // the database, so it must die before the WAL, which must die before
+  // the database it logically belongs to.
   std::unique_ptr<store::Database> db_;
   std::unique_ptr<store::Wal> wal_;
   std::unique_ptr<engine::RcedaEngine> engine_;

@@ -1,6 +1,7 @@
 #include "store/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,12 +11,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 #include <utility>
 
 #include "common/crc32.h"
 #include "store/database.h"
+#include "store/sql_parser.h"
 
 namespace rfidcep::store {
 namespace {
@@ -89,11 +90,19 @@ class Dec {
   }
   int64_t I64() { return static_cast<int64_t>(U64()); }
   std::string Str() {
-    uint32_t n = U32();
-    if (!Need(n)) return {};
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
+    std::string s;
+    StrInto(&s);
     return s;
+  }
+  // Str() into an existing string, reusing its buffer.
+  void StrInto(std::string* out) {
+    uint32_t n = U32();
+    if (!Need(n)) {
+      out->clear();
+      return;
+    }
+    out->assign(data_.data() + pos_, n);
+    pos_ += n;
   }
 
   bool ok() const { return ok_; }
@@ -184,8 +193,8 @@ bool DecodeRecord(std::string_view payload, WalRecord* out) {
   out->action_seq = dec.U64();
   out->action_index = dec.U32();
   out->affected = dec.U32();
-  out->rule_id = dec.Str();
-  out->sql = dec.Str();
+  dec.StrInto(&out->rule_id);
+  dec.StrInto(&out->sql);
   uint32_t nparams = dec.U32();
   out->params.clear();
   for (uint32_t i = 0; dec.ok() && i < nparams; ++i) {
@@ -204,56 +213,126 @@ bool DecodeRecord(std::string_view payload, WalRecord* out) {
   return dec.AtEnd();
 }
 
-Status ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open wal segment " + path);
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  return Status::Ok();
+Status Errno(const std::string& what) {
+  return Status::Internal(what + ": " + std::strerror(errno));
 }
 
-// Walks one segment's records. Returns the byte offset of the first
-// invalid record (== data.size() when the whole segment is valid).
-// `expected_lsn` advances past each valid record.
-size_t WalkSegment(const std::string& data, uint64_t* expected_lsn,
-                   const std::function<void(const WalRecord&)>& on_record) {
+// Reads a whole segment with one sized read. A failed or short read is
+// an error, never a torn tail: trimming to what was read would cut
+// valid records out of the log.
+Status ReadFile(const std::string& path, std::string* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Errno("cannot open wal segment " + path);
+  Status status;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    status = Errno("cannot stat wal segment " + path);
+  } else {
+    out->resize(static_cast<size_t>(st.st_size));
+    size_t done = 0;
+    while (status.ok() && done < out->size()) {
+      ssize_t n = ::read(fd, out->data() + done, out->size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        status = Errno("cannot read wal segment " + path);
+      } else if (n == 0) {
+        status = Status::Internal(
+            "short read of wal segment " + path + ": " +
+            std::to_string(done) + " of " + std::to_string(out->size()) +
+            " bytes");
+      } else {
+        done += static_cast<size_t>(n);
+      }
+    }
+  }
+  ::close(fd);
+  return status;
+}
+
+using RecordFn = std::function<Status(const WalRecord&)>;
+
+// The one walker: checks each record of one segment (frame bounds, CRC,
+// LSN continuity), decodes it once into `*record` and hands it to
+// `on_record`. `*valid` ends at the byte offset of the first invalid
+// record (data.size() when the whole segment is valid);
+// `*expected_lsn` advances past each valid record. A callback error
+// stops the walk and is returned.
+Status WalkSegment(std::string_view data, uint64_t* expected_lsn,
+                   WalRecord* record, const RecordFn& on_record,
+                   size_t* valid) {
   size_t offset = 0;
   while (offset < data.size()) {
-    if (data.size() - offset < kFrameHeader) return offset;
-    Dec header(std::string_view(data).substr(offset, kFrameHeader));
+    if (data.size() - offset < kFrameHeader) break;
+    Dec header(data.substr(offset, kFrameHeader));
     uint32_t len = header.U32();
     uint32_t crc = header.U32();
     if (len > kMaxPayloadBytes || data.size() - offset - kFrameHeader < len) {
-      return offset;
+      break;
     }
-    std::string_view payload(data.data() + offset + kFrameHeader, len);
-    if (Crc32(payload.data(), payload.size()) != crc) return offset;
-    WalRecord record;
-    if (!DecodeRecord(payload, &record)) return offset;
-    if (record.lsn != *expected_lsn) return offset;
+    std::string_view payload = data.substr(offset + kFrameHeader, len);
+    if (Crc32(payload.data(), payload.size()) != crc) break;
+    if (!DecodeRecord(payload, record)) break;
+    if (record->lsn != *expected_lsn) break;
     ++*expected_lsn;
-    if (on_record) on_record(record);
+    RFIDCEP_RETURN_IF_ERROR(on_record(*record));
     offset += kFrameHeader + len;
   }
-  return offset;
+  *valid = offset;
+  return Status::Ok();
 }
 
-std::vector<std::string> ListSegments(const std::string& dir) {
-  std::vector<std::string> names;
+// The one SQL applier: re-executes logged kSql records against a store,
+// parsing each distinct statement text once per walk. kProcedure and
+// kAlarm records have no store effect.
+class StoreReplayer {
+ public:
+  explicit StoreReplayer(Database* db) : db_(db) {}
+
+  Status Apply(const WalRecord& record) {
+    if (record.kind != WalRecordKind::kSql) return Status::Ok();
+    auto it = statements_.find(std::string_view(record.sql));
+    if (it == statements_.end()) {
+      Result<SqlStatement> parsed = ParseSql(record.sql);
+      if (!parsed.ok()) return Failed(record, parsed.status());
+      it = statements_.emplace(record.sql, std::move(*parsed)).first;
+    }
+    Result<ExecResult> result = ExecuteSql(it->second, db_, record.params);
+    if (!result.ok()) return Failed(record, result.status());
+    return Status::Ok();
+  }
+
+ private:
+  static Status Failed(const WalRecord& record, const Status& status) {
+    return Status(status.code(), "replaying wal lsn " +
+                                     std::to_string(record.lsn) + " (" +
+                                     record.sql + "): " + status.message());
+  }
+
+  Database* db_;
+  StringViewMap<SqlStatement> statements_;
+};
+
+Status ListSegments(const std::string& dir, std::vector<std::string>* names) {
+  names->clear();
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    std::string name = it->path().filename().string();
     if (name.rfind(kSegmentPrefix, 0) == 0 && name.size() > 4 &&
         name.compare(name.size() - 4, 4, kSegmentSuffix) == 0) {
-      names.push_back(std::move(name));
+      names->push_back(std::move(name));
     }
   }
-  std::sort(names.begin(), names.end());  // Zero-padded LSN => LSN order.
-  return names;
+  if (ec) {
+    return Status::Internal("cannot list wal directory " + dir + ": " +
+                            ec.message());
+  }
+  std::sort(names->begin(), names->end());  // Zero-padded LSN => LSN order.
+  return Status::Ok();
 }
 
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
+bool KeyLess(const WalActionSet::Entry& a, const WalActionSet::Entry& b) {
+  return a.seq != b.seq ? a.seq < b.seq : a.index < b.index;
 }
 
 }  // namespace
@@ -271,7 +350,8 @@ Wal::~Wal() {
   }
 }
 
-Result<std::unique_ptr<Wal>> Wal::Open(std::string dir, WalOptions options) {
+Result<std::unique_ptr<Wal>> Wal::Open(std::string dir, WalOptions options,
+                                       Database* replay_into) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -279,23 +359,30 @@ Result<std::unique_ptr<Wal>> Wal::Open(std::string dir, WalOptions options) {
                             ec.message());
   }
   std::unique_ptr<Wal> wal(new Wal(std::move(dir), options));
-  RFIDCEP_RETURN_IF_ERROR(wal->ScanExisting());
+  RFIDCEP_RETURN_IF_ERROR(wal->ScanExisting(replay_into));
   return wal;
 }
 
-Status Wal::ScanExisting() {
-  std::vector<std::string> names = ListSegments(dir_);
+Status Wal::ScanExisting(Database* replay_into) {
+  std::optional<StoreReplayer> store;
+  if (replay_into != nullptr) store.emplace(replay_into);
+  const RecordFn on_record = [&](const WalRecord& r) {
+    recovered_actions_.Add(r.rule_id, r.action_seq, r.action_index,
+                           r.affected);
+    return store.has_value() ? store->Apply(r) : Status::Ok();
+  };
+  std::vector<std::string> names;
+  RFIDCEP_RETURN_IF_ERROR(ListSegments(dir_, &names));
   uint64_t expected_lsn = 1;
+  std::string data;
+  WalRecord record;
   for (size_t i = 0; i < names.size(); ++i) {
     const std::string path = dir_ + "/" + names[i];
-    std::string data;
     RFIDCEP_RETURN_IF_ERROR(ReadFile(path, &data));
     const bool final_segment = i + 1 == names.size();
-    size_t valid = WalkSegment(data, &expected_lsn, [&](const WalRecord& r) {
-      recovered_actions_[WalActionKey(r.rule_id, r.action_seq,
-                                      r.action_index)] =
-          r.affected;
-    });
+    size_t valid = 0;
+    RFIDCEP_RETURN_IF_ERROR(
+        WalkSegment(data, &expected_lsn, &record, on_record, &valid));
     if (valid < data.size()) {
       if (!final_segment) {
         return Status::InvalidArgument(
@@ -321,6 +408,7 @@ Status Wal::ScanExisting() {
       sealed_bytes_ += data.size();
     }
   }
+  recovered_actions_.Seal();
   recovered_lsn_ = expected_lsn - 1;
   next_lsn_ = expected_lsn;
   if (fd_ < 0) RFIDCEP_RETURN_IF_ERROR(OpenSegment(next_lsn_));
@@ -410,22 +498,23 @@ Status Wal::Sync() {
   return SyncLocked();
 }
 
-Status Wal::Replay(uint64_t after_lsn,
-                   const std::function<Status(const WalRecord&)>& fn) const {
+Status Wal::Replay(uint64_t after_lsn, const RecordFn& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
   RFIDCEP_RETURN_IF_ERROR(FlushLocked());  // Replay reads the files.
-  std::vector<std::string> names = ListSegments(dir_);
+  std::vector<std::string> names;
+  RFIDCEP_RETURN_IF_ERROR(ListSegments(dir_, &names));
+  const RecordFn after_cursor = [&](const WalRecord& r) {
+    return r.lsn <= after_lsn ? Status::Ok() : fn(r);
+  };
   uint64_t expected_lsn = 1;
+  std::string data;
+  WalRecord record;
   for (const std::string& name : names) {
     const std::string path = dir_ + "/" + name;
-    std::string data;
     RFIDCEP_RETURN_IF_ERROR(ReadFile(path, &data));
-    Status status;
-    size_t valid = WalkSegment(data, &expected_lsn, [&](const WalRecord& r) {
-      if (!status.ok() || r.lsn <= after_lsn) return;
-      status = fn(r);
-    });
-    RFIDCEP_RETURN_IF_ERROR(status);
+    size_t valid = 0;
+    RFIDCEP_RETURN_IF_ERROR(
+        WalkSegment(data, &expected_lsn, &record, after_cursor, &valid));
     if (valid < data.size()) {
       // Open() already trimmed torn tails, so mid-replay damage means the
       // files changed underneath us.
@@ -449,25 +538,72 @@ uint64_t Wal::total_bytes() const {
 
 Result<uint64_t> ReplayWalIntoDatabase(const Wal& wal, Database* db,
                                        uint64_t after_lsn) {
+  StoreReplayer store(db);
   uint64_t last = after_lsn;
-  Status replayed = wal.Replay(after_lsn, [&](const WalRecord& record) {
-    if (record.kind != WalRecordKind::kSql) {
-      // Procedure/alarm frames have no store effect; their keys matter
-      // only for dedup, which AttachWal reads from recovered_actions().
-      last = record.lsn;
-      return Status::Ok();
-    }
-    Result<ExecResult> result = ExecuteSql(record.sql, db, record.params);
-    if (!result.ok()) {
-      return Status(result.status().code(),
-                    "replaying wal lsn " + std::to_string(record.lsn) + " (" +
-                        record.sql + "): " + result.status().message());
-    }
+  RFIDCEP_RETURN_IF_ERROR(wal.Replay(after_lsn, [&](const WalRecord& record) {
+    RFIDCEP_RETURN_IF_ERROR(store.Apply(record));
     last = record.lsn;
     return Status::Ok();
-  });
-  RFIDCEP_RETURN_IF_ERROR(replayed);
+  }));
   return last;
+}
+
+void WalActionSet::Add(std::string_view rule_id, uint64_t seq, uint32_t index,
+                       uint32_t affected) {
+  auto it = rules_.find(rule_id);
+  if (it == rules_.end()) {
+    it = rules_.emplace(std::string(rule_id), RuleEntries{}).first;
+  }
+  it->second.push_back(Entry{seq, index, affected});
+}
+
+void WalActionSet::Seal() {
+  size_ = 0;
+  max_seq_ = 0;
+  for (auto& [rule_id, entries] : rules_) {
+    // Per-rule emission order leaves a rule's records sorted already;
+    // the stable sort is for logs that restarted a rule's numbering, and
+    // keeps a repeated key's records in LSN order for the pass below.
+    if (!std::is_sorted(entries.begin(), entries.end(), KeyLess)) {
+      std::stable_sort(entries.begin(), entries.end(), KeyLess);
+    }
+    size_t kept = 0;
+    for (const Entry& entry : entries) {
+      if (kept > 0 && !KeyLess(entries[kept - 1], entry)) {
+        entries[kept - 1] = entry;  // Repeated key: the last record wins.
+      } else {
+        entries[kept++] = entry;
+      }
+    }
+    entries.resize(kept);
+    entries.shrink_to_fit();
+    size_ += kept;
+    max_seq_ = std::max(max_seq_, entries.back().seq);
+  }
+}
+
+const WalActionSet::RuleEntries* WalActionSet::Candidates(
+    std::string_view rule_id, uint64_t seq) const {
+  if (seq > max_seq_) return nullptr;  // Past every rule (or empty).
+  auto it = rules_.find(rule_id);
+  if (it == rules_.end() || seq > it->second.back().seq) return nullptr;
+  return &it->second;
+}
+
+std::optional<uint32_t> WalActionSet::Find(const RuleEntries& entries,
+                                           uint64_t seq, uint32_t index) {
+  const Entry key{seq, index, 0};
+  auto it = std::lower_bound(entries.begin(), entries.end(), key, KeyLess);
+  if (it == entries.end() || KeyLess(key, *it)) return std::nullopt;
+  return it->affected;
+}
+
+std::optional<uint32_t> WalActionSet::Find(std::string_view rule_id,
+                                           uint64_t seq,
+                                           uint32_t index) const {
+  const RuleEntries* entries = Candidates(rule_id, seq);
+  if (entries == nullptr) return std::nullopt;
+  return Find(*entries, seq, index);
 }
 
 }  // namespace rfidcep::store

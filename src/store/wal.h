@@ -13,19 +13,24 @@
 //
 // Each record also carries the firing's rule, its per-rule firing
 // sequence number, and the action's index within the firing. Together
-// they form a dedup key (WalActionKey): after a restore, the engine
+// they form a dedup key (WalActionSet): after a restore, the engine
 // re-derives post-checkpoint firings deterministically — per-rule
 // emission order is the layout-independent guarantee, which is why the
 // sequence is per rule rather than engine-wide — and the dispatcher
 // skips any action whose key already appears in the recovered log. This
 // is what makes effects exactly-once across a crash, even when the
-// recovering engine runs a different dispatch mode or shard layout
-// (docs/recovery.md "Exactly-once effects").
+// recovering engine runs a different shard layout (docs/recovery.md
+// "Exactly-once effects").
+//
+// Recovery is one walk over the log: Open() reads each segment once,
+// checks every record's CRC and LSN continuity, decodes it once, adds
+// its key to the dedup set and, given a store, replays it there.
 //
 // Crash tolerance: a torn write can only damage the tail of the final
 // segment. Open() validates every record, truncates a torn or corrupt
 // tail in the last segment, and treats corruption in any earlier
-// segment as an unrecoverable error.
+// segment — or a segment it cannot read in full — as an unrecoverable
+// error.
 
 #ifndef RFIDCEP_STORE_WAL_H_
 #define RFIDCEP_STORE_WAL_H_
@@ -34,12 +39,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "common/strings.h"
 #include "common/time.h"
 #include "store/sql_executor.h"
 
@@ -82,33 +88,67 @@ struct WalRecord {
   ParamMap params;            // Bindings the action ran with.
 };
 
-// Dedup key for exactly-once dispatch: rule + per-rule firing sequence +
-// action index. The sequence is per rule because only per-rule emission
-// order is deterministic across shard layouts; an engine-wide number
-// would stop deduplicating when the recovering engine is partitioned
-// differently from the crashed one.
-inline std::string WalActionKey(std::string_view rule_id, uint64_t action_seq,
-                                uint32_t action_index) {
-  std::string key(rule_id);
-  key += '\x1f';
-  key += std::to_string(action_seq);
-  key += '\x1f';
-  key += std::to_string(action_index);
-  return key;
-}
-
-// WalActionKey -> rows affected, for crediting logical write counters
+// The executed-action dedup set recovered from the log. A key is rule
+// id + per-rule firing sequence + action index. The sequence is per
+// rule because only per-rule emission order is deterministic across
+// shard layouts; an engine-wide number would stop deduplicating when
+// the recovering engine is partitioned differently from the crashed
+// one. Each rule id is stored once, with its keys sorted; each key
+// keeps the rows its logged execution affected (the last record's, if
+// the log holds the key twice), for crediting logical write counters
 // when a deduplicated action is skipped.
-using WalActionMap = std::unordered_map<std::string, uint32_t>;
+class WalActionSet {
+ public:
+  struct Entry {
+    uint64_t seq = 0;
+    uint32_t index = 0;
+    uint32_t affected = 0;
+  };
+  // One rule's entries, sorted by (seq, index), one per key.
+  using RuleEntries = std::vector<Entry>;
+
+  // The entries of `rule_id` when the log may hold a key of that
+  // firing: null when the rule has no entries or `seq` is above its
+  // highest recovered sequence.
+  const RuleEntries* Candidates(std::string_view rule_id, uint64_t seq) const;
+  // Rows affected by the logged action (seq, index) among `entries`;
+  // nullopt when it is not there.
+  static std::optional<uint32_t> Find(const RuleEntries& entries,
+                                      uint64_t seq, uint32_t index);
+  // Both steps: rows affected by the logged action, or nullopt.
+  std::optional<uint32_t> Find(std::string_view rule_id, uint64_t seq,
+                               uint32_t index) const;
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  friend class Wal;
+
+  // Builds the set from records added in LSN order; Seal() sorts each
+  // rule's entries and keeps the last record of a repeated key.
+  void Add(std::string_view rule_id, uint64_t seq, uint32_t index,
+           uint32_t affected);
+  void Seal();
+
+  StringViewMap<RuleEntries> rules_;
+  uint64_t max_seq_ = 0;  // Over every rule: a cheap first cut-off.
+  size_t size_ = 0;
+};
 
 class Wal {
  public:
-  // Opens the log in `dir` (created if missing), scans existing
-  // segments, truncates a torn tail in the final segment, and collects
-  // the executed-action dedup map. Fails on corruption anywhere before
-  // the final segment's tail.
+  // Opens the log in `dir` (created if missing) in one walk over its
+  // segments: validates every record, truncates a torn tail in the
+  // final segment, collects the executed-action dedup set and, when
+  // `replay_into` is non-null, replays every logged SQL statement into
+  // that store (the one-pass recovery; null only scans). Fails on
+  // corruption anywhere before the final segment's tail, on a segment
+  // it cannot read in full, and on a statement the store rejects — in
+  // which case the store holds a prefix of the log.
   static Result<std::unique_ptr<Wal>> Open(std::string dir,
-                                           WalOptions options = {});
+                                           WalOptions options = {},
+                                           Database* replay_into = nullptr);
 
   ~Wal();
   Wal(const Wal&) = delete;
@@ -135,14 +175,16 @@ class Wal {
 
   // State found by the Open() scan (immutable afterwards).
   uint64_t recovered_lsn() const { return recovered_lsn_; }
-  const WalActionMap& recovered_actions() const { return recovered_actions_; }
+  const WalActionSet& recovered_actions() const { return recovered_actions_; }
 
   const std::string& dir() const { return dir_; }
 
  private:
   Wal(std::string dir, WalOptions options);
 
-  Status ScanExisting();          // Open-time validation + torn-tail trim.
+  // Open-time walk: validation, dedup set, optional store replay and
+  // torn-tail trim.
+  Status ScanExisting(Database* replay_into);
   // Creates a fresh segment file. Const because rotation happens from
   // const flush paths; only touches mutable append state.
   Status OpenSegment(uint64_t first_lsn) const;
@@ -154,7 +196,7 @@ class Wal {
   const WalOptions options_;
 
   uint64_t recovered_lsn_ = 0;
-  WalActionMap recovered_actions_;
+  WalActionSet recovered_actions_;
 
   // Append state is mutable so const readers (Replay, total_bytes) can
   // flush the append buffer under mu_ before looking at the files.
@@ -172,7 +214,8 @@ class Wal {
 // rebuilding store contents; kProcedure/kAlarm records advance the
 // cursor without re-invoking anything. Returns the last visited LSN
 // (or `after_lsn` when the log holds nothing newer, which makes a
-// second replay with the returned cursor a no-op).
+// second replay with the returned cursor a no-op). Uses the same walker
+// and statement cache as the one-pass Open().
 Result<uint64_t> ReplayWalIntoDatabase(const Wal& wal, Database* db,
                                        uint64_t after_lsn = 0);
 

@@ -180,6 +180,39 @@ TEST(EngineTest, RemoveRuleAndRecompile) {
   EXPECT_FALSE(h.engine->RemoveRule("ghost").ok());
 }
 
+// Rule ids resolve through one id -> index map: removing a rule shifts
+// every later rule down, and frees its id for reuse.
+TEST(EngineTest, RemoveRuleKeepsIdLookupsAligned) {
+  EngineHarness h;
+  ASSERT_TRUE(h.AddRules(R"(
+    CREATE RULE first, one ON observation("a", o, t) IF true DO send alarm
+    CREATE RULE second, two ON observation("b", o, t) IF true DO send alarm
+    CREATE RULE third, three ON observation("c", o, t) IF true DO send alarm
+  )").ok());
+  ASSERT_TRUE(h.engine->RemoveRule("first").ok());
+  ASSERT_EQ(h.engine->num_rules(), 2u);
+  EXPECT_EQ(h.engine->rule(0).id, "second");
+  EXPECT_EQ(h.engine->rule(1).id, "third");
+
+  Status duplicate = h.AddRules(
+      "CREATE RULE third, again ON observation(r, o, t) IF true DO send alarm");
+  EXPECT_EQ(duplicate.code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(h.AddRules("CREATE RULE first, back ON observation(\"a\", o, t) "
+                         "IF true DO send alarm")
+                  .ok());
+  ASSERT_EQ(h.engine->num_rules(), 3u);
+  EXPECT_EQ(h.engine->rule(2).id, "first");
+
+  ASSERT_TRUE(h.ObserveAt("c", "x", 1).ok());
+  ASSERT_TRUE(h.ObserveAt("a", "y", 2).ok());
+  ASSERT_TRUE(h.ObserveAt("c", "z", 3).ok());
+  EXPECT_EQ(h.engine->FiredCount("first"), 1u);
+  EXPECT_EQ(h.engine->FiredCount("second"), 0u);
+  EXPECT_EQ(h.engine->FiredCount("third"), 2u);
+  EXPECT_EQ(h.engine->FiredCount("ghost"), 0u);
+  EXPECT_EQ(h.engine->RemoveRule("ghost").code(), StatusCode::kNotFound);
+}
+
 TEST(EngineTest, DecompileAllowsAddingRules) {
   EngineHarness h;
   ASSERT_TRUE(h.AddRules("CREATE RULE a, one ON observation(\"a\", o, t) IF "

@@ -778,8 +778,12 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
                          ? salt % (final_bytes - checkpoint_bytes + 1)
                          : 0));
 
-  Result<std::unique_ptr<store::Wal>> wal =
-      store::Wal::Open(wal_dir.string(), wal_options);
+  // One-pass recovery, as Tenant::Open runs it: the reopen replays the
+  // surviving log into the fresh store while collecting the dedup set.
+  auto recovered = DurableRig::Make(program, recover_shards);
+  if (recovered == nullptr) return "recovery rig failed to build";
+  Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(
+      wal_dir.string(), wal_options, recovered->db.get());
   if (!wal.ok()) return "wal reopen failed: " + wal.status().ToString();
   // Procedure/alarm frames that survived the cut: the durable record of
   // which callbacks already ran. Captured now, before the recovered run
@@ -793,13 +797,6 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
       });
       !s.ok()) {
     return "wal procedure scan failed: " + s.ToString();
-  }
-  auto recovered = DurableRig::Make(program, recover_shards);
-  if (recovered == nullptr) return "recovery rig failed to build";
-  if (Result<uint64_t> cursor =
-          store::ReplayWalIntoDatabase(**wal, recovered->db.get());
-      !cursor.ok()) {
-    return "wal replay failed: " + cursor.status().ToString();
   }
   if (!recovered->engine->AttachWal(wal->get()).ok() ||
       !recovered->engine->Compile().ok()) {

@@ -14,14 +14,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
+#include "store/csv.h"
 #include "store/database.h"
+#include "store/wal.h"
 
 namespace rfidcep::server {
 namespace {
@@ -368,6 +374,219 @@ TEST_F(ServerTest, ShutdownMidStreamRestartsOntoDifferentShardCount) {
 
     EXPECT_TRUE(server.Shutdown().ok());
   }
+}
+
+// A location-history rule (an UPDATE closing the open interval, then an
+// INSERT: later rows depend on earlier ones) beside kAlphaRules' alarm.
+constexpr std::string_view kCrashRules = R"(
+  CREATE RULE loc, location history rule
+  ON observation(r, o, t)
+  IF true
+  DO UPDATE OBJECTLOCATION SET tend = t WHERE object_epc = o AND
+     tend = "UC";
+     INSERT INTO OBJECTLOCATION VALUES (o, r, t, "UC")
+
+  CREATE RULE dup, duplicate read rule
+  ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5sec)
+  IF true
+  DO raise alarm
+)";
+
+std::string DumpStore(const store::Database& db) {
+  std::string out;
+  for (const char* table :
+       {"OBSERVATION", "OBJECTLOCATION", "OBJECTCONTAINMENT"}) {
+    out += table;
+    out += '\n';
+    out += store::TableToCsv(*db.GetTable(table));
+  }
+  return out;
+}
+
+std::vector<fs::path> WalSegments(const fs::path& wal_dir) {
+  std::vector<fs::path> segments;
+  for (const auto& entry : fs::directory_iterator(wal_dir)) {
+    segments.push_back(entry.path());
+  }
+  std::sort(segments.begin(), segments.end());
+  return segments;
+}
+
+uint64_t WalBytes(const fs::path& wal_dir) {
+  uint64_t bytes = 0;
+  for (const fs::path& segment : WalSegments(wal_dir)) {
+    bytes += fs::file_size(segment);
+  }
+  return bytes;
+}
+
+// Cuts the final WAL segment halfway through the record holding log
+// byte `target`, as a crash inside write() would leave it.
+void CutFinalSegmentMidRecord(const fs::path& wal_dir, uint64_t target) {
+  const std::vector<fs::path> segments = WalSegments(wal_dir);
+  ASSERT_FALSE(segments.empty());
+  const fs::path& last = segments.back();
+  const uint64_t last_size = fs::file_size(last);
+  const uint64_t base = WalBytes(wal_dir) - last_size;
+  ASSERT_GE(target, base) << "target precedes the final segment";
+  std::string data(last_size, '\0');
+  {
+    std::ifstream in(last, std::ios::binary);
+    ASSERT_TRUE(in.read(data.data(), static_cast<std::streamsize>(last_size)));
+  }
+  // Frames are u32 payload length, u32 CRC, payload.
+  for (uint64_t offset = 0; offset + 8 <= last_size;) {
+    uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(static_cast<uint8_t>(data[offset + i]))
+             << (8 * i);
+    }
+    const uint64_t end = offset + 8 + len;
+    if (base + end > target) {
+      fs::resize_file(last, offset + 8 + len / 2);
+      return;
+    }
+    offset = end;
+  }
+  FAIL() << "no record spans WAL byte " << target;
+}
+
+// The crash path through tenant recovery: a checkpoint, then a suffix
+// the crash dooms (Server destroyed without Shutdown(), final WAL
+// segment cut mid-record), then a server on the same state directory
+// re-derives every post-checkpoint firing against the recovered log
+// while the client resends each frame after its checkpoint ack.
+TEST_F(ServerTest, CrashAfterCheckpointRecoversStoreExactlyOnce) {
+  const std::vector<events::Observation> trace = MakeTrace(600);
+  const auto batches = Batched(trace, 32);
+  const size_t split = batches.size() / 2;
+  const size_t doomed_end = split + (batches.size() - split) / 2;
+  const fs::path wal_dir = dir_ / "alpha" / "wal";
+  TenantConfig config = AlphaConfig(/*shards=*/1);
+  config.rules_text = kCrashRules;
+
+  // Alarm invocations per (rule, firing seq), per lifetime.
+  using Invocations = std::map<std::string, int>;
+  auto count_alarms = [](engine::RcedaEngine& engine, Invocations* out) {
+    engine.RegisterProcedure(
+        "raise alarm",
+        [out](const engine::RuleFiring& firing, const std::string&) {
+          ++(*out)[firing.rule->id + "#" + std::to_string(firing.seq)];
+        });
+  };
+
+  Invocations crashed;
+  uint64_t checkpoint_bytes = 0;
+  {
+    Server server(Options());
+    ASSERT_TRUE(server.AddTenant(config).ok());
+    count_alarms(server.tenant("alpha")->engine(), &crashed);
+    ASSERT_TRUE(server.Start().ok());
+    Client client;
+    ASSERT_TRUE(client.Connect(server.bound_port(), "alpha"));
+    for (size_t i = 0; i < split; ++i) {
+      ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
+    }
+    ASSERT_TRUE(client.Roundtrip(EncodeFrame(FrameType::kCheckpoint, "")));
+    // The checkpoint synced the WAL: these bytes are its durable prefix.
+    checkpoint_bytes = WalBytes(wal_dir);
+    for (size_t i = split; i < doomed_end; ++i) {
+      ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
+    }
+    client.Close();
+  }  // ~Server: no checkpoint; the WAL flushes what it buffered.
+  const uint64_t crash_bytes = WalBytes(wal_dir);
+  ASSERT_GT(crash_bytes, checkpoint_bytes);
+  CutFinalSegmentMidRecord(
+      wal_dir, checkpoint_bytes + (crash_bytes - checkpoint_bytes) / 2);
+
+  // Which alarm frames survived the cut, read from a copy so the
+  // tenant's own Open() still meets the torn tail.
+  std::set<std::string> kept;
+  {
+    const fs::path copy = dir_ / "wal_copy";
+    fs::copy(wal_dir, copy, fs::copy_options::recursive);
+    Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(copy.string());
+    ASSERT_TRUE(wal.ok()) << wal.status().message();
+    ASSERT_TRUE((*wal)
+                    ->Replay(0,
+                             [&](const store::WalRecord& r) {
+                               if (r.kind == store::WalRecordKind::kAlarm) {
+                                 kept.insert(r.rule_id + "#" +
+                                             std::to_string(r.action_seq));
+                               }
+                               return Status::Ok();
+                             })
+                    .ok());
+    wal->reset();
+    fs::remove_all(copy);
+  }
+
+  Invocations recovered;
+  Server server(Options());
+  ASSERT_TRUE(server.AddTenant(config).ok());
+  Tenant* tenant = server.tenant("alpha");
+  ASSERT_TRUE(tenant->restored());
+  count_alarms(tenant->engine(), &recovered);
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect(server.bound_port(), "alpha"));
+  for (size_t i = split; i < batches.size(); ++i) {
+    ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
+  }
+  ASSERT_TRUE(client.Roundtrip(EncodeFrame(FrameType::kFlush, "")));
+  StatsReply stats;
+  ASSERT_TRUE(client.Stats(&stats));
+  std::string store_dump;
+  {
+    std::lock_guard<std::mutex> lock(tenant->mu());
+    store_dump = DumpStore(*tenant->db());
+  }
+
+  Reference ref(kCrashRules);
+  Invocations uninterrupted;
+  count_alarms(*ref.engine, &uninterrupted);
+  ASSERT_TRUE(ref.engine->ProcessAll(trace).ok());
+  ASSERT_TRUE(ref.engine->Flush().ok());
+
+  const engine::EngineStats& want = ref.engine->stats();
+  EXPECT_EQ(stats.observations, want.detector.observations);
+  EXPECT_EQ(stats.matches, want.detector.rule_matches);
+  EXPECT_EQ(stats.rules_fired, want.rules_fired);
+  EXPECT_EQ(stats.sql_actions, want.sql_actions_executed);
+  EXPECT_EQ(stats.procedures, want.procedures_invoked);
+  ASSERT_EQ(stats.fired.size(), 2u);
+  for (const auto& [rule, count] : stats.fired) {
+    EXPECT_EQ(count, ref.engine->FiredCount(rule)) << rule;
+  }
+  // Same layout on both sides of the crash: byte-identical tables.
+  EXPECT_EQ(store_dump, DumpStore(ref.db));
+
+  client.Close();
+  ASSERT_TRUE(server.Shutdown().ok());  // Joins the connection threads.
+
+  // docs/recovery.md's envelope: every alarm of the uninterrupted run
+  // ran once; a second run only for a key the crashed server invoked
+  // whose frame the cut destroyed; no alarm the reference never raised.
+  int lost_frames = 0;
+  for (const auto& [key, count] : uninterrupted) {
+    ASSERT_EQ(count, 1) << key;
+    const bool rerun_allowed = crashed.count(key) != 0 && kept.count(key) == 0;
+    const int combined = (crashed.count(key) != 0 ? crashed.at(key) : 0) +
+                         (recovered.count(key) != 0 ? recovered.at(key) : 0);
+    EXPECT_EQ(combined, rerun_allowed ? 2 : 1) << key;
+    lost_frames += rerun_allowed ? 1 : 0;
+  }
+  for (const Invocations* run : {&crashed, &recovered}) {
+    for (const auto& [key, count] : *run) {
+      EXPECT_EQ(uninterrupted.count(key), 1u) << "phantom alarm " << key;
+    }
+  }
+  // The trace raises alarms on both sides of the cut, or the test is
+  // vacuous.
+  EXPECT_GT(kept.size(), 0u);
+  EXPECT_GT(lost_frames, 0);
+  EXPECT_GT(want.sql_actions_executed, 0u);
 }
 
 TEST_F(ServerTest, GarbageBytesFailTheConnectionCleanly) {

@@ -4,10 +4,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/crc32.h"
+#include "store/csv.h"
 #include "store/database.h"
 #include "store/sql_executor.h"
 
@@ -89,9 +91,10 @@ TEST_F(WalTest, RoundTripsEveryParamValueKind) {
 
   std::unique_ptr<Wal> wal = OpenOrDie();
   EXPECT_EQ(wal->recovered_lsn(), 1u);
-  const std::string key = WalActionKey("dock rule", 7, 2);
-  ASSERT_EQ(wal->recovered_actions().count(key), 1u);
-  EXPECT_EQ(wal->recovered_actions().at(key), 3u);
+  const std::optional<uint32_t> affected =
+      wal->recovered_actions().Find("dock rule", 7, 2);
+  ASSERT_TRUE(affected.has_value());
+  EXPECT_EQ(*affected, 3u);
 
   std::vector<WalRecord> records = ReplayAll(*wal);
   ASSERT_EQ(records.size(), 1u);
@@ -139,6 +142,165 @@ TEST_F(WalTest, ReplayIntoDatabaseIsIdempotentViaCursor) {
   EXPECT_EQ(db.GetTable("OBSERVATION")->size(), 3u);
 }
 
+std::string DumpRfidTables(const Database& db) {
+  std::string out;
+  for (const char* table :
+       {"OBSERVATION", "OBJECTLOCATION", "OBJECTCONTAINMENT"}) {
+    out += table;
+    out += '\n';
+    out += TableToCsv(*db.GetTable(table));
+  }
+  return out;
+}
+
+// The one-pass Open(dir, options, &db) and the two-step Open(dir) +
+// ReplayWalIntoDatabase rebuild the same store from the same rotated,
+// torn log, and both answer every dedup question the same way.
+TEST_F(WalTest, OnePassRecoveryEqualsOpenThenReplay) {
+  WalOptions small;
+  small.segment_bytes = 256;  // Rotates every few records.
+  struct Key {
+    std::string rule;
+    uint64_t seq;
+    uint32_t index;
+  };
+  std::vector<Key> keys;          // In LSN order.
+  std::vector<uint32_t> affected;  // Logged rows per key, same order.
+  {
+    // Every action executes against a live store first, as the
+    // dispatcher does, so each record logs its real affected count.
+    Database live;
+    ASSERT_TRUE(live.InstallRfidSchema().ok());
+    std::unique_ptr<Wal> wal = OpenOrDie(small);
+    auto log = [&](WalRecordKind kind, const std::string& rule, uint64_t seq,
+                   uint32_t index, const std::string& text,
+                   const ParamMap& params) {
+      WalRecord record;
+      record.kind = kind;
+      record.rule_id = rule;
+      record.action_seq = seq;
+      record.action_index = index;
+      record.sql = text;
+      record.params = params;
+      if (kind == WalRecordKind::kSql) {
+        Result<ExecResult> result = ExecuteSql(text, &live, params);
+        ASSERT_TRUE(result.ok()) << result.status().message();
+        record.affected = static_cast<uint32_t>(result->affected);
+      }
+      keys.push_back({rule, seq, index});
+      affected.push_back(record.affected);
+      ASSERT_TRUE(wal->Append(std::move(record)).ok());
+    };
+    for (uint64_t i = 1; i <= 12; ++i) {
+      const uint64_t seq = 10 * i;  // Gaps: seq +- 1 is never logged.
+      ParamMap scalars;
+      scalars["r"] = ParamValue::Scalar(Value::String("dock" +
+                                                      std::to_string(i % 3)));
+      scalars["o"] = ParamValue::Scalar(Value::String("case" +
+                                                      std::to_string(i % 4)));
+      scalars["t"] = ParamValue::Scalar(Value::Time(static_cast<TimePoint>(i)));
+      log(WalRecordKind::kSql, "r1", seq, 0,
+          "INSERT INTO OBSERVATION VALUES (r, o, t)", scalars);
+      // An UPDATE chain: each read of a case closes its open interval.
+      log(WalRecordKind::kSql, "r1", seq, 1,
+          "UPDATE OBJECTLOCATION SET tend = t WHERE object_epc = o AND "
+          "tend = \"UC\"",
+          scalars);
+      log(WalRecordKind::kSql, "r1", seq, 2,
+          "INSERT INTO OBJECTLOCATION VALUES (o, r, t, \"UC\")", scalars);
+      if (i % 3 == 0) {
+        log(WalRecordKind::kProcedure, "r1", seq, 3, "start shipment",
+            scalars);
+      }
+      ParamMap bulk = scalars;
+      std::vector<Value> items;
+      for (uint64_t j = 0; j < i % 3 + 1; ++j) {
+        items.push_back(Value::String("item" + std::to_string(i) + "_" +
+                                      std::to_string(j)));
+      }
+      bulk["o2"] = ParamValue::Multi(std::move(items));
+      log(WalRecordKind::kSql, "r10", seq + 5, 0,
+          "BULK INSERT INTO OBJECTCONTAINMENT VALUES (o2, o, t, \"UC\")",
+          bulk);
+      if (i % 2 == 0) {
+        log(WalRecordKind::kAlarm, "r10", seq + 5, 1, "send alarm", scalars);
+      }
+    }
+    // A key logged twice (a rule whose numbering restarted): the later
+    // record's rows-affected count is the one recovery credits.
+    ParamMap again;
+    again["o2"] = ParamValue::Multi(
+        {Value::String("x"), Value::String("y"), Value::String("z")});
+    again["o"] = ParamValue::Scalar(Value::String("pallet"));
+    again["t"] = ParamValue::Scalar(Value::Time(99));
+    log(WalRecordKind::kSql, "r10", 15, 0,
+        "BULK INSERT INTO OBJECTCONTAINMENT VALUES (o2, o, t, \"UC\")", again);
+    // The record the crash tears.
+    ParamMap torn;
+    torn["r"] = ParamValue::Scalar(Value::String("dock9"));
+    torn["o"] = ParamValue::Scalar(Value::String("lost"));
+    torn["t"] = ParamValue::Scalar(Value::Time(1000));
+    log(WalRecordKind::kSql, "r1", 130, 0,
+        "INSERT INTO OBSERVATION VALUES (r, o, t)", torn);
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  std::vector<fs::path> files = SegmentFiles();
+  ASSERT_GT(files.size(), 3u);
+  fs::resize_file(files.back(), fs::file_size(files.back()) - 3);
+  const fs::path two_step_dir = dir_.string() + "_two_step";
+  fs::remove_all(two_step_dir);
+  fs::copy(dir_, two_step_dir);
+
+  Database one_pass_db;
+  ASSERT_TRUE(one_pass_db.InstallRfidSchema().ok());
+  Result<std::unique_ptr<Wal>> one_pass =
+      Wal::Open(dir_.string(), small, &one_pass_db);
+  ASSERT_TRUE(one_pass.ok()) << one_pass.status().message();
+
+  Database two_step_db;
+  ASSERT_TRUE(two_step_db.InstallRfidSchema().ok());
+  Result<std::unique_ptr<Wal>> two_step = Wal::Open(two_step_dir.string(), small);
+  ASSERT_TRUE(two_step.ok()) << two_step.status().message();
+  Result<uint64_t> cursor = ReplayWalIntoDatabase(**two_step, &two_step_db);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().message();
+
+  const uint64_t kept = keys.size() - 1;  // All but the torn record.
+  EXPECT_EQ((*one_pass)->recovered_lsn(), kept);
+  EXPECT_EQ((*one_pass)->last_lsn(), *cursor);
+  EXPECT_EQ((*two_step)->last_lsn(), *cursor);
+  EXPECT_EQ(DumpRfidTables(one_pass_db), DumpRfidTables(two_step_db));
+  EXPECT_EQ(one_pass_db.GetTable("OBSERVATION")->size(), 12u);
+  EXPECT_GT(one_pass_db.GetTable("OBJECTCONTAINMENT")->size(), 12u);
+
+  for (const std::unique_ptr<Wal>* wal : {&*one_pass, &*two_step}) {
+    const WalActionSet& set = (*wal)->recovered_actions();
+    EXPECT_EQ(set.size(), kept - 1);  // One key was logged twice.
+    for (size_t i = 0; i < kept; ++i) {
+      const Key& key = keys[i];
+      SCOPED_TRACE(key.rule + " " + std::to_string(key.seq) + " " +
+                   std::to_string(key.index));
+      const std::optional<uint32_t> hit =
+          set.Find(key.rule, key.seq, key.index);
+      ASSERT_TRUE(hit.has_value());
+      if (key.rule == "r10" && key.seq == 15 && key.index == 0) {
+        EXPECT_EQ(*hit, 3u);  // The later of the two records.
+      } else {
+        EXPECT_EQ(*hit, affected[i]);
+      }
+      EXPECT_FALSE(set.Find(key.rule, key.seq + 1, key.index).has_value());
+      EXPECT_FALSE(set.Find(key.rule, key.seq - 1, key.index).has_value());
+      EXPECT_FALSE(set.Find(key.rule, key.seq, 7).has_value());
+      EXPECT_FALSE(set.Find("r2", key.seq, key.index).has_value());
+    }
+    // r1 and r10 never share a (seq, index): a prefix-confused key
+    // would hit here.
+    EXPECT_FALSE(set.Find("r1", 15, 0).has_value());
+    EXPECT_FALSE(set.Find("r10", 10, 0).has_value());
+    EXPECT_FALSE(set.Find("r1", 130, 0).has_value());  // Torn away.
+  }
+  fs::remove_all(two_step_dir);
+}
+
 TEST_F(WalTest, ProcedureAndAlarmRecordsDedupButDoNotReplay) {
   {
     std::unique_ptr<Wal> wal = OpenOrDie();
@@ -167,10 +329,8 @@ TEST_F(WalTest, ProcedureAndAlarmRecordsDedupButDoNotReplay) {
   std::unique_ptr<Wal> wal = OpenOrDie();
   EXPECT_EQ(wal->recovered_lsn(), 3u);
   // Every kind lands in the dedup map, so recovery skips re-invocation.
-  EXPECT_EQ(wal->recovered_actions().count(WalActionKey("dock rule", 1, 1)),
-            1u);
-  EXPECT_EQ(wal->recovered_actions().count(WalActionKey("dock rule", 2, 0)),
-            1u);
+  EXPECT_TRUE(wal->recovered_actions().Find("dock rule", 1, 1).has_value());
+  EXPECT_TRUE(wal->recovered_actions().Find("dock rule", 2, 0).has_value());
   std::vector<WalRecord> records = ReplayAll(*wal);
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].kind, WalRecordKind::kSql);
@@ -229,7 +389,7 @@ TEST_F(WalTest, TornFinalRecordIsTruncatedAndAppendContinues) {
 
   std::unique_ptr<Wal> wal = OpenOrDie();
   EXPECT_EQ(wal->recovered_lsn(), 2u);
-  EXPECT_EQ(wal->recovered_actions().count(WalActionKey("r3", 3, 0)), 0u);
+  EXPECT_FALSE(wal->recovered_actions().Find("r3", 3, 0).has_value());
 
   // The torn bytes are gone; the next append takes the freed LSN.
   Result<uint64_t> lsn = wal->Append(MakeRecord(4, 0));
@@ -284,6 +444,32 @@ TEST_F(WalTest, CorruptionInEarlierSegmentFailsOpen) {
   ASSERT_FALSE(wal.ok());
   EXPECT_EQ(wal.status().code(), StatusCode::kInvalidArgument)
       << wal.status().message();
+}
+
+// A segment that cannot be read is an I/O error, not an empty segment:
+// taking it for one would make the next segment's first LSN look like
+// damage, and the final segment would be truncated to nothing. A
+// directory under a segment's name stands in for a failing read().
+TEST_F(WalTest, UnreadableSegmentFailsOpenWithoutTruncating) {
+  WalOptions small;
+  small.segment_bytes = 100;
+  {
+    std::unique_ptr<Wal> wal = OpenOrDie(small);
+    for (uint64_t seq = 1; seq <= 3; ++seq) {
+      ASSERT_TRUE(wal->Append(MakeRecord(seq, 0)).ok());
+    }
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  std::vector<fs::path> files = SegmentFiles();
+  ASSERT_EQ(files.size(), 2u);
+  const uint64_t final_size = fs::file_size(files[1]);
+  ASSERT_GT(final_size, 0u);
+  fs::remove(files[0]);
+  fs::create_directory(files[0]);
+
+  Result<std::unique_ptr<Wal>> wal = Wal::Open(dir_.string(), small);
+  EXPECT_FALSE(wal.ok());
+  EXPECT_EQ(fs::file_size(files[1]), final_size);
 }
 
 TEST_F(WalTest, EmptySegmentFileIsValid) {
