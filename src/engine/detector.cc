@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -42,6 +44,30 @@ constexpr uint64_t kWildcardKey = events::kWildcardJoinKey;
 constexpr uint64_t kCollisionKey = 0x636f6c6cull;
 
 constexpr JoinBuffer::Index kNoEntry = JoinBuffer::kNone;
+
+// Members per window family: one bit each in JoinBuffer::Members.
+constexpr int kMaxFamilyMembers = 64;
+
+// When `e` leaves a binary node's slot buffer under the bounds
+// (`within`, `dist_hi`): the WITHIN bound counts from e's start, and a SEQ
+// initiator's distance bound from its end.
+TimePoint SlotDeadline(ExprOp op, Duration within, Duration dist_hi,
+                       const EventInstance& e) {
+  TimePoint deadline = AddSaturating(e.t_begin(), within);
+  if (op == ExprOp::kSeq) {
+    deadline = std::min(deadline, AddSaturating(e.t_end(), dist_hi));
+  }
+  return deadline;
+}
+
+TimePoint SlotDeadline(const GraphNode& node, const EventInstance& e) {
+  return SlotDeadline(node.op, node.within, node.dist_hi, e);
+}
+
+uint64_t MixSignature(uint64_t h, uint64_t v) {
+  h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 31);
+}
 
 Bindings MergedOrDie(const Bindings& a, const Bindings& b) {
   Bindings tmp = a;
@@ -93,6 +119,7 @@ Detector::Detector(const EventGraph* graph, const events::Environment* env,
       produced_per_node_(graph->num_nodes(), 0),
       seqplus_self_(graph->num_nodes(), false),
       index_(*graph) {
+  BuildFamilies();
   // SEQ+ self-closure: needed unless every use is as a SEQ initiator
   // whose terminator actually arrives (then the terminator drives
   // materialization). A negated terminator never produces arrivals, so
@@ -110,6 +137,57 @@ Detector::Detector(const EventGraph* graph, const events::Environment* env,
       }
     }
     seqplus_self_[node.id] = self;
+  }
+}
+
+void Detector::BuildFamilies() {
+  const std::vector<GraphNode>& nodes = graph_->nodes();
+  // A child counts by its family when it is a NOT node (its siblings by
+  // window are different nodes with one log), else by its node id.
+  auto child_class = [&](int child) -> int64_t {
+    return nodes[child].op == ExprOp::kNot ? -1 - states_[child].family
+                                           : child;
+  };
+  auto same_family = [&](const GraphNode& a, const GraphNode& b) {
+    if (a.op != b.op || a.join_syms != b.join_syms) return false;
+    if (a.op == ExprOp::kNot) return a.children[0] == b.children[0];
+    return child_class(a.children[0]) == child_class(b.children[0]) &&
+           child_class(a.children[1]) == child_class(b.children[1]);
+  };
+  // Signature hash -> newest family with that hash; older ones (full, or
+  // a hash collision) chain through `older`.
+  std::unordered_map<uint64_t, int> newest;
+  newest.reserve(nodes.size());
+  std::vector<int> older;
+  // Ids are topological, so NOT children are grouped before their parents.
+  for (const GraphNode& node : nodes) {
+    if (node.op != ExprOp::kAnd && node.op != ExprOp::kSeq &&
+        node.op != ExprOp::kNot) {
+      continue;
+    }
+    uint64_t h = MixSignature(0, static_cast<uint64_t>(node.op));
+    for (int child : node.children) {
+      h = MixSignature(h, static_cast<uint64_t>(child_class(child)));
+    }
+    for (events::SymbolId sym : node.join_syms) h = MixSignature(h, sym);
+    auto it = newest.try_emplace(h, -1).first;
+    int family = it->second;
+    while (family >= 0 && (families_[family].size == kMaxFamilyMembers ||
+                           !same_family(node, nodes[families_[family].rep]))) {
+      family = older[family];
+    }
+    if (family < 0) {
+      family = static_cast<int>(families_.size());
+      families_.emplace_back().rep = node.id;
+      older.push_back(it->second);
+      it->second = family;
+    }
+    Family& fam = families_[family];
+    states_[node.id].family = family;
+    states_[node.id].member = JoinBuffer::Members{1} << fam.size++;
+    fam.within = std::max(fam.within, node.within);
+    fam.dist_hi = std::max(fam.dist_hi, node.dist_hi);
+    fam.retention = std::max(fam.retention, node.retention);
   }
 }
 
@@ -298,9 +376,9 @@ void Detector::RouteToParent(int parent_id, int child_id,
       SeqPlusArrival(parent_id, instance);
       return;
     case ExprOp::kAnd: {
-      // One key computation per (instance, node), shared by every role the
-      // instance plays below.
-      JoinKey key = KeyFor(parent_id, instance->bindings());
+      // One key computation per (instance, family), shared by every role
+      // the instance plays below and by every member of the family.
+      JoinKey key = FamilyKey(parent_id, *instance);
       for (int slot = 0; slot < 2; ++slot) {
         if (parent.children[slot] == child_id) {
           AndArrival(parent_id, slot, instance, key);
@@ -309,7 +387,7 @@ void Detector::RouteToParent(int parent_id, int child_id,
       return;
     }
     case ExprOp::kSeq: {
-      JoinKey key = KeyFor(parent_id, instance->bindings());
+      JoinKey key = FamilyKey(parent_id, *instance);
       // Terminator role first, then initiator buffering, so an instance
       // serving both roles (duplicate-filter rule) pairs with a strictly
       // older occurrence before becoming an initiator itself.
@@ -337,11 +415,30 @@ Detector::JoinKey Detector::KeyFor(int node_id,
   return key;
 }
 
+Detector::JoinKey Detector::FamilyKey(int node_id, const EventInstance& e) {
+  // Routed instances are fresh, so their sequence numbers are unique.
+  Family& family = families_[states_[node_id].family];
+  if (family.keyed_seq != e.sequence_number()) {
+    family.key = KeyFor(node_id, e.bindings());
+    family.keyed_seq = e.sequence_number();
+  }
+  return family.key;
+}
+
 void Detector::BufferInsert(int node_id, int slot_index, EventInstancePtr e,
-                            TimePoint deadline, JoinKey key) {
-  JoinBuffer& slot = states_[node_id].slots[slot_index];
+                            JoinKey key) {
+  const NodeState& st = states_[node_id];
+  Family& family = families_[st.family];
+  JoinBuffer& slot = family.buffers[slot_index];
   slot.DrainExpired(clock_);
-  slot.Append(key.hash, std::move(e), deadline);
+  // Not before the clock moves on: an instance emitted late (a SEQ+ run
+  // closed by its expiry pseudo event) can arrive past its deadline, and
+  // its anchored pseudo event fires only after the rest of this cascade,
+  // in which a sibling's drain must not free the anchor.
+  TimePoint deadline = std::max(
+      clock_, SlotDeadline(graph_->node(node_id).op, family.within,
+                           family.dist_hi, *e));
+  slot.Append(key.hash, std::move(e), deadline, st.member);
 }
 
 // --- AND ------------------------------------------------------------------------
@@ -364,7 +461,7 @@ void Detector::AndArrival(int node_id, int slot, const EventInstancePtr& e,
     TimePoint expiry = AddSaturating(e->t_begin(), w);
     uint64_t seq = e->sequence_number();
     TimePoint created = e->t_end();
-    BufferInsert(node_id, slot, e, expiry, key);
+    BufferInsert(node_id, slot, e, key);
     SchedulePseudo(expiry, created, other.id, node_id, seq, key.hash);
     return;
   }
@@ -374,13 +471,10 @@ void Detector::AndArrival(int node_id, int slot, const EventInstancePtr& e,
   if (options_.context == ParameterContext::kUnrestricted) buffer = true;
   if (options_.context == ParameterContext::kRecent) {
     // Only the most recent instance per slot is retained.
-    st.slots[slot].Clear();
+    families_[st.family].buffers[slot].ReleaseAll(st.member);
     buffer = true;
   }
-  if (buffer) {
-    BufferInsert(node_id, slot, e, AddSaturating(e->t_begin(), node.within),
-                 key);
-  }
+  if (buffer) BufferInsert(node_id, slot, e, key);
 }
 
 // --- SEQ -------------------------------------------------------------------------
@@ -393,18 +487,17 @@ void Detector::SeqInitiatorArrival(int node_id, const EventInstancePtr& e1,
 
   if (right.op == ExprOp::kNot) {
     // SEQ(a ; ¬b): confirmed at expiry if no negated occurrence follows.
-    TimePoint expiry = std::min(AddSaturating(e1->t_begin(), node.within),
-                                AddSaturating(e1->t_end(), node.dist_hi));
+    TimePoint expiry = SlotDeadline(node, *e1);
     uint64_t seq = e1->sequence_number();
     TimePoint created = e1->t_end();
-    BufferInsert(node_id, 0, e1, expiry, key);
+    BufferInsert(node_id, 0, e1, key);
     SchedulePseudo(expiry, created, right.id, node_id, seq, key.hash);
     return;
   }
-  TimePoint deadline = std::min(AddSaturating(e1->t_begin(), node.within),
-                                AddSaturating(e1->t_end(), node.dist_hi));
-  if (options_.context == ParameterContext::kRecent) st.slots[0].Clear();
-  BufferInsert(node_id, 0, e1, deadline, key);
+  if (options_.context == ParameterContext::kRecent) {
+    families_[st.family].buffers[0].ReleaseAll(st.member);
+  }
+  BufferInsert(node_id, 0, e1, key);
 }
 
 void Detector::SeqTerminatorArrival(int node_id, const EventInstancePtr& e2,
@@ -445,8 +538,9 @@ void Detector::SeqTerminatorArrival(int node_id, const EventInstancePtr& e2,
 bool Detector::PairBinary(int node_id, int incoming_slot,
                           const EventInstancePtr& incoming, JoinKey key) {
   const GraphNode& node = graph_->node(node_id);
-  NodeState& st = states_[node_id];
-  JoinBuffer& buffer = st.slots[1 - incoming_slot];
+  const JoinBuffer::Members member = states_[node_id].member;
+  JoinBuffer& buffer =
+      families_[states_[node_id].family].buffers[1 - incoming_slot];
   buffer.DrainExpired(clock_);
 
   auto admissible = [&](const EventInstancePtr& cand) {
@@ -477,7 +571,13 @@ bool Detector::PairBinary(int node_id, int incoming_slot,
   auto scan_chain = [&](JoinBuffer::Index i) {
     for (; i != kNoEntry; i = buffer.next(i)) {
       const JoinBuffer::Entry& entry = buffer.entry(i);
-      if (entry.deadline < clock_ || !admissible(entry.instance)) continue;
+      // Other members' entries, and entries past this member's deadline
+      // that a wider sibling still holds, are not this node's.
+      if ((entry.members & member) == 0 ||
+          SlotDeadline(node, *entry.instance) < clock_ ||
+          !admissible(entry.instance)) {
+        continue;
+      }
       uint64_t seq = entry.instance->sequence_number();
       if (!single) {
         all.emplace_back(seq, i);
@@ -507,7 +607,7 @@ bool Detector::PairBinary(int node_id, int incoming_slot,
   switch (context) {
     case ParameterContext::kChronicle: {
       EventInstancePtr partner = buffer.entry(best).instance;
-      buffer.Remove(best);
+      buffer.Release(best, member);
       ProducePair(node_id, partner, incoming);
       return true;
     }
@@ -526,7 +626,7 @@ bool Detector::PairBinary(int node_id, int incoming_slot,
   partners.reserve(all.size());
   for (const auto& [seq, i] : all) {
     partners.push_back(buffer.entry(i).instance);
-    if (context != ParameterContext::kUnrestricted) buffer.Remove(i);
+    if (context != ParameterContext::kUnrestricted) buffer.Release(i, member);
   }
   if (context == ParameterContext::kCumulative) {
     // All open initiators merge into one instance with the terminator.
@@ -636,17 +736,19 @@ void Detector::CloseRun(int node_id, Run run) {
 // --- NOT --------------------------------------------------------------------------
 
 void Detector::NotLogInsert(int not_node_id, const EventInstancePtr& e) {
-  const GraphNode& node = graph_->node(not_node_id);
-  JoinBuffer& log = states_[not_node_id].not_log;
+  const NodeState& st = states_[not_node_id];
+  Family& family = families_[st.family];
+  JoinBuffer& log = family.buffers[0];
   log.DrainExpired(clock_);
-  log.Append(KeyFor(not_node_id, e->bindings()).hash, e,
-             AddSaturating(e->t_end(), node.retention));
+  log.Append(FamilyKey(not_node_id, *e).hash, e,
+             AddSaturating(e->t_end(), family.retention), st.member);
 }
 
 bool Detector::NotHasOccurrence(int not_node_id, const Bindings& probe,
                                 TimePoint from, TimePoint to,
                                 bool include_from, bool include_to) {
-  const JoinBuffer& log = states_[not_node_id].not_log;
+  const JoinBuffer::Members member = states_[not_node_id].member;
+  const JoinBuffer& log = families_[states_[not_node_id].family].buffers[0];
   auto in_window = [&](const EventInstancePtr& inst) {
     TimePoint t = inst->t_end();
     bool after_from = include_from ? t >= from : t > from;
@@ -655,10 +757,13 @@ bool Detector::NotHasOccurrence(int not_node_id, const Bindings& probe,
   };
   auto scan_chain = [&](JoinBuffer::Index i) {
     for (; i != kNoEntry; i = log.next(i)) {
-      const EventInstancePtr& inst = log.entry(i).instance;
+      const JoinBuffer::Entry& entry = log.entry(i);
       // UnifiesWith re-checks bindings, so collisions cannot produce a
       // false "occurrence exists".
-      if (in_window(inst) && probe.UnifiesWith(inst->bindings())) return true;
+      if ((entry.members & member) != 0 && in_window(entry.instance) &&
+          probe.UnifiesWith(entry.instance->bindings())) {
+        return true;
+      }
     }
     return false;
   };
@@ -700,16 +805,18 @@ void Detector::FirePseudo(const PseudoEvent& pe) {
   }
 
   // Anchored completion for AND / SEQ with a negated side: find the
-  // buffered anchor in its chain.
-  NodeState& st = states_[pe.parent_node];
+  // buffered anchor in its chain, and release this node's hold on it.
+  const NodeState& st = states_[pe.parent_node];
   EventInstancePtr anchor;
   for (int slot = 0; slot < 2 && anchor == nullptr; ++slot) {
-    JoinBuffer& buffer = st.slots[slot];
+    JoinBuffer& buffer = families_[st.family].buffers[slot];
     for (JoinBuffer::Index i = buffer.Head(pe.anchor_key); i != kNoEntry;
          i = buffer.next(i)) {
-      if (buffer.entry(i).instance->sequence_number() == pe.anchor_seq) {
-        anchor = buffer.entry(i).instance;
-        buffer.Remove(i);
+      const JoinBuffer::Entry& entry = buffer.entry(i);
+      if ((entry.members & st.member) != 0 &&
+          entry.instance->sequence_number() == pe.anchor_seq) {
+        anchor = entry.instance;
+        buffer.Release(i, st.member);
         break;
       }
     }
@@ -791,30 +898,43 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
     snapshot::NodeStateRecord rec;
     rec.retention = node.retention;
     rec.produced = produced_per_node_[id];
-    // Entries already past their deadline (lazily pruned) are skipped: no
-    // pairing, anchored pseudo or NOT window can ever see them again.
-    auto live_by_seq = [&](const JoinBuffer& buffer) {
+    // Each member records its own view: the entries carrying its bit, at
+    // its own deadline. Entries already past that deadline (lazily pruned,
+    // or kept for a wider sibling) are skipped: no pairing, anchored
+    // pseudo or NOT window of this node can ever see them again.
+    auto live_by_seq = [&](const JoinBuffer& buffer, auto deadline_of) {
       std::vector<std::pair<EventInstancePtr, TimePoint>> live;
       buffer.AnyChain([&](JoinBuffer::Index i) {
         for (; i != kNoEntry; i = buffer.next(i)) {
           const JoinBuffer::Entry& entry = buffer.entry(i);
-          if (entry.deadline >= clock_) {
-            live.emplace_back(entry.instance, entry.deadline);
-          }
+          if ((entry.members & st.member) == 0) continue;
+          TimePoint deadline = deadline_of(*entry.instance);
+          if (deadline >= clock_) live.emplace_back(entry.instance, deadline);
         }
         return false;
       });
       std::sort(live.begin(), live.end(), by_seq);
       return live;
     };
-    for (int slot = 0; slot < 2; ++slot) {
-      for (const auto& [e, deadline] : live_by_seq(st.slots[slot])) {
-        rec.slots[slot].push_back(
-            snapshot::SlotEntryRecord{intern(e), deadline});
+    if (node.op == ExprOp::kNot) {
+      auto deadline_of = [&](const EventInstance& e) {
+        return AddSaturating(e.t_end(), node.retention);
+      };
+      for (const auto& [e, deadline] :
+           live_by_seq(families_[st.family].buffers[0], deadline_of)) {
+        rec.not_log.push_back(intern(e));
       }
-    }
-    for (const auto& [e, deadline] : live_by_seq(st.not_log)) {
-      rec.not_log.push_back(intern(e));
+    } else if (st.family >= 0) {
+      auto deadline_of = [&](const EventInstance& e) {
+        return SlotDeadline(node, e);
+      };
+      for (int slot = 0; slot < 2; ++slot) {
+        for (const auto& [e, deadline] :
+             live_by_seq(families_[st.family].buffers[slot], deadline_of)) {
+          rec.slots[slot].push_back(
+              snapshot::SlotEntryRecord{intern(e), deadline});
+        }
+      }
     }
     rec.runs.reserve(st.open_runs.size());
     for (const Run& run : st.open_runs) {
@@ -876,7 +996,12 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
 
 Status Detector::RestoreState(const snapshot::RestorePlan& plan,
                               const DetectorStats& stats) {
-  states_.assign(graph_->num_nodes(), NodeState{});
+  for (NodeState& st : states_) st.open_runs.clear();
+  for (Family& family : families_) {
+    family.buffers[0] = JoinBuffer();
+    family.buffers[1] = JoinBuffer();
+    family.keyed_seq = 0;
+  }
   produced_per_node_.assign(graph_->num_nodes(), 0);
   pseudo_queue_ = {};
   clock_ = plan.clock;
@@ -884,6 +1009,19 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
   pseudo_counter_ = plan.pseudo_counter;
   stats_ = stats;
 
+  // Member records merge into their family's buffers by instance: every
+  // (family, slot) list is appended in sequence order, so each member's
+  // chains and the expiry records reproduce the original arrival order,
+  // and members holding one instance share its entry again.
+  struct Held {
+    int family;
+    int slot;
+    uint64_t seq;
+    uintptr_t instance;  // Groups one instance's members.
+    int node_id;
+    const EventInstancePtr* e;
+  };
+  std::vector<Held> held;
   for (const snapshot::RestoredNode& rn : plan.nodes) {
     if (rn.node_id < 0 || rn.node_id >= static_cast<int>(states_.size())) {
       return Status::Internal("restore: node id out of range");
@@ -891,17 +1029,17 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
     NodeState& st = states_[rn.node_id];
     const GraphNode& node = graph_->node(rn.node_id);
     produced_per_node_[rn.node_id] = rn.produced;
-    // Entries arrive in sequence order, so per-key chain order and the
-    // expiry records reproduce the original arrival order.
-    for (int slot = 0; slot < 2; ++slot) {
-      for (const auto& [e, deadline] : rn.slots[slot]) {
-        st.slots[slot].Append(KeyFor(rn.node_id, e->bindings()).hash, e,
-                              deadline);
+    auto hold = [&](int slot, const EventInstancePtr& e) {
+      held.push_back(Held{st.family, slot, e->sequence_number(),
+                          reinterpret_cast<uintptr_t>(e.get()), rn.node_id,
+                          &e});
+    };
+    if (node.op == ExprOp::kNot) {
+      for (const EventInstancePtr& e : rn.not_log) hold(0, e);
+    } else if (st.family >= 0) {
+      for (int slot = 0; slot < 2; ++slot) {
+        for (const auto& [e, deadline] : rn.slots[slot]) hold(slot, e);
       }
-    }
-    for (const EventInstancePtr& e : rn.not_log) {
-      st.not_log.Append(KeyFor(rn.node_id, e->bindings()).hash, e,
-                        AddSaturating(e->t_end(), node.retention));
     }
     for (const snapshot::RestoredRun& rr : rn.runs) {
       if (rr.elements.empty()) {
@@ -919,6 +1057,21 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
       run.t_end = rr.t_end;
       st.open_runs.push_back(std::move(run));
     }
+  }
+  std::sort(held.begin(), held.end(), [](const Held& x, const Held& y) {
+    return std::tie(x.family, x.slot, x.seq, x.instance, x.node_id) <
+           std::tie(y.family, y.slot, y.seq, y.instance, y.node_id);
+  });
+  for (const Held& h : held) {
+    const EventInstancePtr& e = *h.e;
+    Family& family = families_[h.family];
+    const GraphNode& node = graph_->node(h.node_id);
+    TimePoint deadline =
+        node.op == ExprOp::kNot
+            ? AddSaturating(e->t_end(), family.retention)
+            : SlotDeadline(node.op, family.within, family.dist_hi, *e);
+    family.buffers[h.slot].Append(KeyFor(h.node_id, e->bindings()).hash, e,
+                                  deadline, states_[h.node_id].member);
   }
 
   for (const snapshot::RestoredPseudo& rp : plan.pseudos) {
@@ -957,17 +1110,35 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
 
 size_t Detector::TotalBufferedEntries() const {
   size_t total = 0;
-  for (size_t i = 0; i < states_.size(); ++i) {
-    total += BufferedAt(static_cast<int>(i));
+  for (const Family& family : families_) {
+    total += family.buffers[0].size() + family.buffers[1].size();
+  }
+  for (const NodeState& st : states_) {
+    for (const Run& run : st.open_runs) total += run.elements.size();
   }
   return total;
 }
 
 size_t Detector::BufferedAt(int node_id) const {
   const NodeState& st = states_[node_id];
-  size_t total = st.slots[0].size() + st.slots[1].size() + st.not_log.size();
+  size_t total = 0;
   for (const Run& run : st.open_runs) total += run.elements.size();
+  if (st.family < 0) return total;
+  for (const JoinBuffer& buffer : families_[st.family].buffers) {
+    buffer.AnyChain([&](JoinBuffer::Index i) {
+      for (; i != kNoEntry; i = buffer.next(i)) {
+        if ((buffer.entry(i).members & st.member) != 0) ++total;
+      }
+      return false;
+    });
+  }
   return total;
+}
+
+int Detector::FamilyRep(int node_id) const {
+  int family = states_[node_id].family;
+  if (family < 0 || families_[family].size < 2) return -1;
+  return families_[family].rep;
 }
 
 }  // namespace rfidcep::engine

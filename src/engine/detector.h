@@ -20,6 +20,27 @@
 //     queue sorted by execution time and interleaved with the observation
 //     stream, exactly as in §4.5.
 //
+// Window families. Rules are often written once per window (Fig. 9's
+// generator writes each shape at five), and every such node would hash,
+// buffer and expire the same instances. Nodes that differ only by their
+// windows therefore share buffers (paper §4.3's common-subgraph merge,
+// carried into the runtime):
+//
+//   * AND/SEQ nodes with the same op, the same children and the same join
+//     variables form one family; a NOT child counts by its own family;
+//   * NOT nodes with the same child and the same join variables form one.
+//
+// A family has one JoinBuffer per slot (one log for NOT) and at most 64
+// members; a larger group splits. Every entry carries the mask of members
+// holding it. Each member keeps its own graph node — windows, distance
+// bounds, rule indexes and pseudo events — and its own consumption: it
+// scans only entries carrying its bit, checks its own deadline and
+// admissibility, and consumption, the recent context's slot clear and an
+// anchored pseudo's removal clear only its bit. Expiry frees entries at
+// the family's widest deadline. A node with no siblings is a family of
+// one. Sharing is invisible to every rule: each rule's matches equal
+// those of the rule run alone.
+//
 // Instances pair under a configurable parameter context (chronicle by
 // default, §4.2); shared variables across constituents must unify
 // (equality joins).
@@ -171,17 +192,22 @@ class Detector {
   TimePoint firing_execute_at() const { return firing_->execute_at; }
   const std::vector<uint64_t>& firing_stamp() const { return firing_->stamp; }
 
-  // Total buffered entries across all nodes (tests/benchmarks: bounded
-  // memory under expiry GC).
+  // Buffered entries in memory: every physical slot, NOT-log and open run
+  // entry counted once, however many family members hold it (the memory
+  // figure; tests and benchmarks: bounded memory under expiry GC).
   size_t TotalBufferedEntries() const;
 
   // Instances produced by graph node `node_id` so far.
   uint64_t ProducedAt(int node_id) const {
     return produced_per_node_[node_id];
   }
-  // Currently buffered entries (slots + NOT log + open run elements) at
-  // graph node `node_id`.
+  // Entries graph node `node_id` holds: its view of its family's slot
+  // buffers or NOT log (the entries carrying its bit), plus its open run's
+  // elements. Entries shared by several members count at each of them.
   size_t BufferedAt(int node_id) const;
+  // The lowest node id of `node_id`'s window family when the family has
+  // other members (DebugReport's `family=#<rep>`), else -1.
+  int FamilyRep(int node_id) const;
   // Pseudo events currently pending in the queue.
   size_t PendingPseudoEvents() const { return pseudo_queue_.size(); }
 
@@ -227,12 +253,27 @@ class Detector {
   // (kWildcardJoinKey), which every complete-key lookup also scans; an
   // incomplete lookup scans every chain. Distinct join tuples may share a
   // chain (hash collision); scans re-check unification, so collisions
-  // cost time, not correctness. A NOT-log entry's deadline is its
-  // t_end + retention; NOT scans filter by window only.
+  // cost time, not correctness. A member's deadline for a slot entry is
+  // SlotDeadline under its own bounds, for a NOT-log entry t_end plus its
+  // retention; NOT scans filter by window only.
+  struct Family {
+    JoinBuffer buffers[2];  // AND: both slots; SEQ: slot 0; NOT: the log.
+    int rep = -1;           // Lowest member node id.
+    int size = 0;           // Members, at most 64.
+    // Widest member bounds: the buffers expire entries at the latest
+    // deadline any member gives them.
+    Duration within = 0;
+    Duration dist_hi = 0;
+    Duration retention = 0;
+    // Join key of the last instance routed to a member (by sequence
+    // number), so each instance is hashed once per family.
+    uint64_t keyed_seq = 0;
+    JoinKey key;
+  };
   struct NodeState {
-    JoinBuffer slots[2];         // AND both, SEQ slot 0.
-    JoinBuffer not_log;          // NOT only.
-    std::vector<Run> open_runs;  // SEQ+ only (<=1 open).
+    int family = -1;                 // AND / SEQ / NOT only.
+    JoinBuffer::Members member = 0;  // This node's bit in its family.
+    std::vector<Run> open_runs;      // SEQ+ only (<=1 open).
   };
 
   struct PseudoEvent {
@@ -284,11 +325,16 @@ class Detector {
   void CloseRun(int node_id, Run run);
 
   // --- Slot buffers --------------------------------------------------------
+  // Groups the graph's AND/SEQ/NOT nodes into window families.
+  void BuildFamilies();
   // Hashed join key of `bindings` under the node's join variables;
   // wildcard (incomplete) when a variable is unbound.
   JoinKey KeyFor(int node_id, const events::Bindings& bindings) const;
+  // KeyFor(node_id, e.bindings()), computed once per (instance, family).
+  JoinKey FamilyKey(int node_id, const events::EventInstance& e);
+  // Buffers `e` in `slot` of the node's family for this node.
   void BufferInsert(int node_id, int slot, events::EventInstancePtr e,
-                    TimePoint deadline, JoinKey key);
+                    JoinKey key);
 
   // --- Pairing ------------------------------------------------------------
   // Pairs `incoming` (whose join key under this node is `key`) against the
@@ -321,6 +367,7 @@ class Detector {
   RuleMatchCallback on_match_;
 
   std::vector<NodeState> states_;
+  std::vector<Family> families_;
   std::vector<uint64_t> produced_per_node_;
   std::vector<bool> seqplus_self_;  // Precomputed self-closure flags.
   PrimitiveIndex index_;  // Primitive dispatch (engine/rule_index.h).

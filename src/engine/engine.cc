@@ -633,6 +633,10 @@ std::string RcedaEngine::DebugReport() const {
       out += std::to_string(detector_->ProducedAt(node.id));
       out += " buffered=";
       out += std::to_string(detector_->BufferedAt(node.id));
+      if (int rep = detector_->FamilyRep(node.id); rep >= 0) {
+        out += " family=#";
+        out += std::to_string(rep);
+      }
       out += " ";
       out += node.canonical_key;
       out += "\n";

@@ -242,8 +242,11 @@ class RcedaEngine : public EngineFrontend {
   const Status& first_deferred_error() const { return deferred_error_; }
 
   // One line per graph node: mode, canonical key, instances produced,
-  // entries currently buffered — plus queue/clock totals. For operators
-  // and debugging; requires compiled().
+  // entries the node holds (its view of a shared buffer; Detector::
+  // BufferedAt) and, for a window-family member, `family=#<rep>` — plus
+  // queue/clock totals, whose `buffered=` counts each physical entry once
+  // (Detector::TotalBufferedEntries). For operators and debugging;
+  // requires compiled().
   std::string DebugReport() const;
 
  private:

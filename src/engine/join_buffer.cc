@@ -23,7 +23,20 @@ size_t JoinBuffer::HomeSlot(uint64_t key, size_t capacity) {
 
 JoinBuffer::Index JoinBuffer::Append(uint64_t key,
                                      events::EventInstancePtr instance,
-                                     TimePoint deadline) {
+                                     TimePoint deadline, Members member) {
+  assert(member != 0);
+  size_t s = FindOrClaimSlot(key);
+  if (Index tail = table_[s].tail; table_[s].head != kNone) {
+    Entry& last = pool_[tail];
+    if (last.instance == instance && (last.members & member) == 0) {
+      last.members |= member;
+      if (deadline > last.deadline) {
+        last.deadline = deadline;
+        if (deadline != kTimeInfinity) PushExpiry(deadline, key);
+      }
+      return tail;
+    }
+  }
   Index index;
   if (free_ != kNone) {
     index = free_;
@@ -40,8 +53,9 @@ JoinBuffer::Index JoinBuffer::Append(uint64_t key,
   entry.instance = std::move(instance);
   entry.deadline = deadline;
   entry.key = key;
+  entry.members = member;
   entry.next = kNone;
-  Slot& slot = table_[FindOrClaimSlot(key)];
+  Slot& slot = table_[s];
   if (slot.head == kNone) {
     slot.key = key;
     slot.head = index;
@@ -55,6 +69,22 @@ JoinBuffer::Index JoinBuffer::Append(uint64_t key,
   ++size_;
   if (deadline != kTimeInfinity) PushExpiry(deadline, key);
   return index;
+}
+
+bool JoinBuffer::Release(Index index, Members member) {
+  Entry& entry = pool_[index];
+  entry.members &= ~member;
+  if (entry.members != 0) return false;
+  Remove(index);
+  return true;
+}
+
+void JoinBuffer::ReleaseAll(Members member) {
+  for (Index i = 0; i < pool_.size(); ++i) {
+    if (pool_[i].instance != nullptr && (pool_[i].members & member) != 0) {
+      Release(i, member);
+    }
+  }
 }
 
 void JoinBuffer::Remove(Index index) {
@@ -93,24 +123,13 @@ void JoinBuffer::PruneAllFronts(TimePoint clock) {
   }
 }
 
-void JoinBuffer::DrainExpired(TimePoint clock) {
+void JoinBuffer::Drain(TimePoint clock) {
   while (ring_size_ > 0 && ring_[ring_head_].deadline < clock) {
     uint64_t key = ring_[ring_head_].key;
     ring_head_ = (ring_head_ + 1) & static_cast<uint32_t>(ring_.size() - 1);
     --ring_size_;
     PruneFront(key, clock);
   }
-}
-
-void JoinBuffer::Clear() {
-  if (size_ == 0 && ring_size_ == 0) return;
-  pool_.clear();
-  std::fill(table_.begin(), table_.end(), Slot{});
-  ring_head_ = 0;
-  ring_size_ = 0;
-  size_ = 0;
-  keys_ = 0;
-  free_ = kNone;
 }
 
 size_t JoinBuffer::FindSlot(uint64_t key) const {
@@ -185,6 +204,7 @@ JoinBuffer::Index JoinBuffer::PruneSlot(size_t s, TimePoint clock) {
 void JoinBuffer::Free(Index index) {
   Entry& entry = pool_[index];
   entry.instance.reset();
+  entry.members = 0;
   entry.prev = kNone;
   entry.next = free_;
   free_ = index;

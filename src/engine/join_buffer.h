@@ -8,9 +8,9 @@
 // (events::ComputeJoinKey) and prune by per-entry deadlines. JoinBuffer
 // keeps them in three flat arrays:
 //
-//   * a pool of entries (instance, deadline, key, prev/next index) with a
-//     free list, so consumed and pruned entries are reused at once and the
-//     pool never exceeds the peak number of live entries;
+//   * a pool of entries (instance, deadline, key, member mask, prev/next
+//     index) with a free list, so consumed and pruned entries are reused
+//     at once and the pool never exceeds the peak number of live entries;
 //   * an open-addressing table (linear probing, backward-shift deletion,
 //     no tombstones) mapping a join key to the head and tail of that key's
 //     doubly linked chain, which keeps the key's entries in insertion
@@ -18,6 +18,16 @@
 //   * a ring of (deadline, key) expiry records in insertion order, drained
 //     lazily as the clock passes each deadline: a drained record prunes
 //     the expired front of its key's chain.
+//
+// One buffer can serve up to 64 members (a window family: graph nodes
+// that differ only by their windows, see detector.h). Each entry carries
+// the mask of members holding it. A member appending the instance that
+// already sits at the tail of its key's chain only sets its bit there;
+// a member releasing an entry clears its bit, and the entry is freed with
+// the last bit. Deadlines are the buffer's own: an entry's deadline is
+// the largest one any member appended it with, so expiry never frees an
+// entry some member may still see; each member filters by its own
+// deadline when it scans.
 //
 // A default-constructed buffer allocates nothing, and no operation
 // allocates per key: once the arrays have grown to the working set,
@@ -42,11 +52,14 @@ class JoinBuffer {
   // Pool position of an entry. Stable while the entry is live.
   using Index = uint32_t;
   static constexpr Index kNone = std::numeric_limits<Index>::max();
+  // One bit per member; a buffer serves at most 64 members.
+  using Members = uint64_t;
 
   struct Entry {
     events::EventInstancePtr instance;  // Null while on the free list.
     TimePoint deadline = 0;
     uint64_t key = 0;
+    Members members = 0;  // Members holding the entry; never 0 while live.
     Index prev = kNone;
     Index next = kNone;
   };
@@ -54,12 +67,22 @@ class JoinBuffer {
   // Live entries.
   size_t size() const { return size_; }
 
-  // Appends `instance` at the tail of `key`'s chain. A finite `deadline`
-  // also queues an expiry record; kTimeInfinity never expires.
+  // Buffers `instance` under `key` for `member` (a single bit). When the
+  // tail of `key`'s chain already holds `instance` for other members,
+  // `member` joins that entry and its deadline rises to `deadline` if
+  // later; otherwise a new entry is appended at the tail. A finite
+  // deadline also queues an expiry record; kTimeInfinity never expires.
+  // Returns the entry's index.
   Index Append(uint64_t key, events::EventInstancePtr instance,
-               TimePoint deadline);
+               TimePoint deadline, Members member = 1);
 
-  // Unlinks entry `index` from its chain and frees it.
+  // Clears `member` from entry `index`; frees the entry when no member is
+  // left. Returns whether it was freed.
+  bool Release(Index index, Members member);
+  // Release(index, member) on every entry `member` holds.
+  void ReleaseAll(Members member);
+
+  // Unlinks entry `index` from its chain and frees it, whoever holds it.
   void Remove(Index index);
 
   // Head of `key`'s chain, or kNone.
@@ -72,11 +95,12 @@ class JoinBuffer {
   // Pops the expiry records whose deadline is before `clock`, in
   // insertion order up to the first live one, pruning each record's chain
   // front. Entries stuck behind a live chain front or a live record stay
-  // until a later drain or scan reaches them.
-  void DrainExpired(TimePoint clock);
-
-  // Drops every entry. Keeps the arrays' capacity.
-  void Clear();
+  // until a later drain or scan reaches them. Inline up to the first
+  // check: every member of a family drains the shared buffer on each
+  // arrival, and all but the first find nothing to do.
+  void DrainExpired(TimePoint clock) {
+    if (ring_size_ > 0 && ring_[ring_head_].deadline < clock) Drain(clock);
+  }
 
   const Entry& entry(Index index) const { return pool_[index]; }
   Index next(Index index) const { return pool_[index].next; }
@@ -125,6 +149,8 @@ class JoinBuffer {
   Index PruneSlot(size_t s, TimePoint clock);
   void Free(Index index);
   void PushExpiry(TimePoint deadline, uint64_t key);
+  // DrainExpired past its first check.
+  void Drain(TimePoint clock);
 
   std::vector<Entry> pool_;
   std::vector<Slot> table_;   // Empty, or a power-of-two size.

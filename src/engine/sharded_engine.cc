@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string_view>
 #include <variant>
+#include <vector>
 
 #include "engine/snapshot.h"
 #include "engine/trace.h"
@@ -89,6 +90,32 @@ void FilterPlanToBucket(snapshot::RestorePlan* plan,
       plan->pseudos.end());
 }
 
+// Whether rule `rule_index` has a binary node with no negated child.
+// Under the recent context such a node keeps only the newest instance of
+// a slot across every join key, so a keyed replica — which sees only its
+// own partition — would keep a different newest instance than the serial
+// detector.
+bool ClearsSlotAcrossKeys(const EventGraph& graph, size_t rule_index) {
+  std::vector<int> stack{graph.RuleRoot(rule_index)};
+  std::vector<bool> seen(graph.num_nodes(), false);
+  while (!stack.empty()) {
+    int id = stack.back();
+    stack.pop_back();
+    if (seen[id]) continue;
+    seen[id] = true;
+    const GraphNode& node = graph.node(id);
+    if (node.op == events::ExprOp::kAnd || node.op == events::ExprOp::kSeq) {
+      bool negated = false;
+      for (int child : node.children) {
+        if (graph.node(child).op == events::ExprOp::kNot) negated = true;
+      }
+      if (!negated) return true;
+    }
+    for (int child : node.children) stack.push_back(child);
+  }
+  return false;
+}
+
 }  // namespace
 
 ShardedDetector::ShardedDetector(const events::Environment* env,
@@ -102,11 +129,17 @@ Result<std::unique_ptr<ShardedDetector>> ShardedDetector::Create(
   // --- Partition --------------------------------------------------------
   // Key-partitionable rules are replicated across every keyed worker and
   // the stream is split by hash(partition key); everything else shares
-  // one residual worker.
+  // one residual worker. Under the recent context, a rule whose slot
+  // clear spans join keys is not partitionable (ClearsSlotAcrossKeys).
   std::vector<size_t> epc;
   std::vector<size_t> site;
   std::vector<size_t> residual;
+  const bool recent = options.detector.context == ParameterContext::kRecent;
   for (size_t i = 0; i < rules.size(); ++i) {
+    if (recent && ClearsSlotAcrossKeys(union_graph, i)) {
+      residual.push_back(i);
+      continue;
+    }
     switch (union_graph.ClassifyRulePartition(i).cls) {
       case EventGraph::RulePartitionClass::kEpcKeyed:
         epc.push_back(i);
@@ -698,8 +731,11 @@ std::string ShardedDetector::DebugReport(
              std::string(DetectionModeName(node.mode)) + " produced=" +
              std::to_string(shard->detector->ProducedAt(node.id)) +
              " buffered=" +
-             std::to_string(shard->detector->BufferedAt(node.id)) + " " +
-             node.canonical_key + "\n";
+             std::to_string(shard->detector->BufferedAt(node.id));
+      if (int rep = shard->detector->FamilyRep(node.id); rep >= 0) {
+        out += " family=#" + std::to_string(rep);
+      }
+      out += " " + node.canonical_key + "\n";
     }
   }
   return out;

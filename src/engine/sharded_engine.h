@@ -32,7 +32,8 @@
 // probe, and chronicle pairing unifies on the partition variable, so the
 // state an observation touches is a function of its key alone
 // (EventGraph::ClassifyRulePartition); SEQ+ rules, whose open runs span
-// keys, are never keyed. Duplicated subgraphs across workers mean
+// keys, are never keyed, and neither are rules whose recent-context slot
+// clear spans keys (a binary node with no negated side). Duplicated subgraphs across workers mean
 // aggregate counters like primitive_matches and instances_produced may
 // exceed the serial counts.
 

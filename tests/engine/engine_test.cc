@@ -354,5 +354,44 @@ TEST(EngineTest, WindowFamilyBindsEachObservationOncePerLeafPattern) {
   EXPECT_GT(distinct, 0u) << "the windows must matter on this stream";
 }
 
+TEST(EngineTest, WindowFamilyHoldsEachInstanceOnce) {
+  // Three window variants of the duplicate rule are one family: an
+  // initiator all three buffer is one physical entry, counted once in
+  // the total and once in each member's view.
+  EngineHarness h;
+  ASSERT_TRUE(h.AddRules(R"(
+    CREATE RULE dup2, duplicate
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 2sec)
+    IF true DO send alarm
+    CREATE RULE dup5, duplicate
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5sec)
+    IF true DO send alarm
+    CREATE RULE dup9, duplicate
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 9sec)
+    IF true DO send alarm
+  )").ok());
+  ASSERT_TRUE(h.ObserveAt("a", "x", 1).ok());
+  EXPECT_EQ(h.engine->TotalBufferedEntries(), 1u);
+  std::string report = h.engine->DebugReport();
+  EXPECT_NE(report.find("buffered=1\n"), std::string::npos) << report;
+  // Leaves #0 and #1, then the three members; #2 represents the family.
+  for (int id : {2, 3, 4}) {
+    EXPECT_NE(report.find("#" + std::to_string(id) +
+                          " push produced=0 buffered=1 family=#2 SEQ"),
+              std::string::npos)
+        << report;
+  }
+  // At 4s (a,x,1) is past dup2's deadline, and dup5/dup9 consume it;
+  // (a,x,4) is shared by all three. Expiry runs at the family's widest
+  // deadline (1 + 9 s), so the old entry stays until then.
+  ASSERT_TRUE(h.ObserveAt("a", "x", 4).ok());
+  EXPECT_EQ(h.engine->FiredCount("dup2"), 0u);
+  EXPECT_EQ(h.engine->FiredCount("dup5"), 1u);
+  EXPECT_EQ(h.engine->FiredCount("dup9"), 1u);
+  EXPECT_EQ(h.engine->TotalBufferedEntries(), 2u);
+  ASSERT_TRUE(h.ObserveAt("b", "y", 11).ok());
+  EXPECT_EQ(h.engine->TotalBufferedEntries(), 2u);  // (a,x,4), (b,y,11).
+}
+
 }  // namespace
 }  // namespace rfidcep::engine

@@ -4,7 +4,9 @@
 // from a small set in which many share a probe position — including the
 // wildcard key 0 and keys homed on the table's last slot, whose clusters
 // wrap around — so unlinking, backward-shift deletion and table growth
-// are all exercised on crowded clusters.
+// are all exercised on crowded clusters. The member-mask tests below
+// cover a buffer shared by a window family, and how the detector groups
+// nodes into families of at most 64.
 
 #include "engine/join_buffer.h"
 
@@ -22,8 +24,11 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/detector.h"
+#include "engine/graph.h"
 #include "events/binding.h"
 #include "events/event_instance.h"
+#include "rules/parser.h"
 
 namespace {
 
@@ -114,9 +119,9 @@ class Model {
       expiry_.pop_front();
     }
   }
-  void Clear() {
+  // Every entry goes; expiry records stay, as in the buffer.
+  void RemoveAll() {
     chains_.clear();
-    expiry_.clear();
     size_ = 0;
   }
 
@@ -216,8 +221,8 @@ TEST(JoinBufferTest, RandomOperationsMatchModel) {
       buffer.DrainExpired(clock);
       model.DrainExpired(clock);
     } else if (rng() % 4 == 0) {
-      buffer.Clear();
-      model.Clear();
+      buffer.ReleaseAll(1);
+      model.RemoveAll();
     }
     ExpectMatchesModel(buffer, model, keys, step);
     if (::testing::Test::HasFatalFailure()) return;
@@ -233,7 +238,7 @@ TEST(JoinBufferTest, DefaultConstructedAllocatesNothing) {
     EXPECT_EQ(buffer.PruneFront(42, 10), JoinBuffer::kNone);
     buffer.PruneAllFronts(10);
     buffer.DrainExpired(10);
-    buffer.Clear();
+    buffer.ReleaseAll(1);
     EXPECT_FALSE(buffer.AnyChain([](Index) { return true; }));
     EXPECT_EQ(buffer.pool_capacity(), 0u);
     EXPECT_EQ(buffer.table_capacity(), 0u);
@@ -310,6 +315,180 @@ TEST(JoinBufferTest, ExpiryChurnKeepsCapacityBounded) {
 
 TEST(JoinBufferTest, ConsumeAndExpiryChurnKeepsCapacityBounded) {
   ChurnStaysBounded(/*consume_half=*/true);
+}
+
+// --- Member masks (window families) ------------------------------------------
+
+constexpr JoinBuffer::Members kBit0 = 1;
+constexpr JoinBuffer::Members kBit1 = 2;
+
+TEST(JoinBufferMembersTest, SameInstanceAppendSetsABitAndAddsNoEntry) {
+  EventInstancePtr a = MakeInstance(1);
+  EventInstancePtr b = MakeInstance(2);
+  JoinBuffer buffer;
+  Index first = buffer.Append(7, a, 10, kBit0);
+  EXPECT_EQ(buffer.Append(7, a, 10, kBit1), first);
+  EXPECT_EQ(buffer.size(), 1u);
+  EXPECT_EQ(buffer.entry(first).members, kBit0 | kBit1);
+  EXPECT_EQ(buffer.next(first), JoinBuffer::kNone);
+  // A member appending the same instance again gets a second entry, as
+  // does a different instance, or the same one behind another instance.
+  Index again = buffer.Append(7, a, 10, kBit0);
+  EXPECT_NE(again, first);
+  Index other = buffer.Append(7, b, 10, kBit1);
+  EXPECT_NE(buffer.Append(7, a, 10, (JoinBuffer::Members{1} << 63)), other);
+  EXPECT_EQ(buffer.size(), 4u);
+  // Only the tail of the instance's own key is joined.
+  EXPECT_NE(buffer.Append(8, b, 10, kBit0), other);
+  EXPECT_EQ(buffer.size(), 5u);
+}
+
+TEST(JoinBufferMembersTest, ReleaseFreesTheEntryOnlyAtTheLastBit) {
+  EventInstancePtr a = MakeInstance(1);
+  JoinBuffer buffer;
+  Index i = buffer.Append(7, a, 10, kBit0);
+  buffer.Append(7, a, 10, kBit1);
+  EXPECT_FALSE(buffer.Release(i, kBit0));
+  EXPECT_EQ(buffer.size(), 1u);
+  EXPECT_EQ(buffer.entry(i).members, kBit1);
+  EXPECT_EQ(buffer.Head(7), i);
+  EXPECT_TRUE(buffer.Release(i, kBit1));
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(buffer.Head(7), JoinBuffer::kNone);
+  EXPECT_EQ(a.use_count(), 1);
+
+  // ReleaseAll clears one member across every chain and keeps the others.
+  std::vector<Index> both;
+  for (uint64_t key = 1; key <= 4; ++key) {
+    EventInstancePtr e = MakeInstance(key);
+    both.push_back(buffer.Append(key, e, 10, kBit0));
+    buffer.Append(key, e, 10, kBit1);
+    buffer.Append(key, MakeInstance(10 + key), 10, kBit0);
+  }
+  EXPECT_EQ(buffer.size(), 8u);
+  buffer.ReleaseAll(kBit0);
+  EXPECT_EQ(buffer.size(), 4u);
+  for (uint64_t key = 1; key <= 4; ++key) {
+    Index head = buffer.Head(key);
+    ASSERT_EQ(head, both[key - 1]);
+    EXPECT_EQ(buffer.entry(head).members, kBit1);
+    EXPECT_EQ(buffer.next(head), JoinBuffer::kNone);
+  }
+  buffer.ReleaseAll(kBit1);
+  EXPECT_EQ(buffer.size(), 0u);
+}
+
+TEST(JoinBufferMembersTest, ExpiryActsAtTheFamilyDeadline) {
+  // Members appending one instance with different deadlines keep it until
+  // the latest, whichever order they append in.
+  for (bool widest_first : {false, true}) {
+    SCOPED_TRACE(widest_first ? "widest first" : "widest last");
+    EventInstancePtr a = MakeInstance(1);
+    JoinBuffer buffer;
+    Index i = buffer.Append(7, a, widest_first ? 9 : 5, kBit0);
+    buffer.Append(7, a, widest_first ? 5 : 9, kBit1);
+    EXPECT_EQ(buffer.entry(i).deadline, 9);
+    buffer.DrainExpired(6);
+    EXPECT_EQ(buffer.PruneFront(7, 9), i);
+    buffer.PruneAllFronts(9);
+    buffer.DrainExpired(9);
+    EXPECT_EQ(buffer.size(), 1u);
+    buffer.DrainExpired(10);
+    EXPECT_EQ(buffer.size(), 0u);
+    EXPECT_EQ(buffer.Head(7), JoinBuffer::kNone);
+  }
+  EventInstancePtr b = MakeInstance(2);
+  JoinBuffer buffer;
+  buffer.Append(7, b, 5, kBit0);
+  buffer.Append(7, b, 9, kBit1);
+  EXPECT_EQ(buffer.PruneFront(7, 10), JoinBuffer::kNone);
+  EXPECT_EQ(buffer.size(), 0u);
+}
+
+// A 64-member family under churn: every step buffers one fresh instance
+// for all 64 members under a fresh key, each member releases a random
+// subset of what it holds, and the rest expires. Pool, table and ring
+// stay within a fixed multiple of the live window.
+TEST(JoinBufferMembersTest, SixtyFourMemberChurnKeepsCapacityBounded) {
+  constexpr size_t kWindow = 32;
+  constexpr int kMembers = 64;
+  std::mt19937_64 rng(64);
+  JoinBuffer buffer;
+  // (index, sequence number) of every entry appended and maybe still live.
+  std::deque<std::pair<Index, uint64_t>> appended;
+  auto holds = [&](const std::pair<Index, uint64_t>& at) {
+    const JoinBuffer::Entry& entry = buffer.entry(at.first);
+    return entry.instance != nullptr &&
+           entry.instance->sequence_number() == at.second;
+  };
+  for (size_t step = 0; step < 200000; ++step) {
+    TimePoint clock = static_cast<TimePoint>(step);
+    buffer.DrainExpired(clock);
+    while (!appended.empty() && !holds(appended.front())) {
+      appended.pop_front();
+    }
+    EventInstancePtr e = MakeInstance(step + 1);
+    uint64_t key = (step + 1) * 0x9e3779b97f4a7c15ull;
+    Index index = JoinBuffer::kNone;
+    for (int m = 0; m < kMembers; ++m) {
+      Index got = buffer.Append(key, e,
+                                clock + static_cast<TimePoint>(kWindow) - 1,
+                                JoinBuffer::Members{1} << m);
+      if (m == 0) index = got;
+      ASSERT_EQ(got, index);
+    }
+    appended.emplace_back(index, step + 1);
+    // Half the members release one older entry: it survives until all 64
+    // have, unless expiry takes it first.
+    if (appended.size() > 1) {
+      const auto& victim = appended[rng() % (appended.size() - 1)];
+      if (holds(victim)) {
+        JoinBuffer::Members mask = buffer.entry(victim.first).members;
+        for (int m = 0; m < kMembers; ++m) {
+          JoinBuffer::Members bit = JoinBuffer::Members{1} << m;
+          if ((mask & bit) == 0 || rng() % 2 == 0) continue;
+          mask &= ~bit;
+          ASSERT_EQ(buffer.Release(victim.first, bit), mask == 0);
+        }
+      }
+    }
+    ASSERT_LE(buffer.size(), kWindow + 1);
+  }
+  constexpr size_t kBound = 4 * (kWindow + 1);
+  EXPECT_LE(buffer.pool_capacity(), kBound);
+  EXPECT_LE(buffer.table_capacity(), kBound);
+  EXPECT_LE(buffer.expiry_capacity(), kBound);
+}
+
+// Window siblings share a family of at most 64 members: the 65th
+// sibling starts a second family, which the 66th joins.
+TEST(JoinBufferMembersTest, SixtyFifthMemberStartsANewFamily) {
+  std::string program;
+  for (int w = 1; w <= 66; ++w) {
+    program += "CREATE RULE w" + std::to_string(w) +
+               ", sibling ON WITHIN(observation(\"A\", o, t1); "
+               "observation(\"B\", o, t2), " +
+               std::to_string(w) + "sec) IF true DO act\n";
+  }
+  Result<rules::RuleSet> set = rules::ParseRuleProgram(program);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  Result<EventGraph> graph = EventGraph::Build(set->rules);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  const events::Environment env{};
+  Detector detector(&*graph, &env, DetectorOptions{},
+                    [](size_t, const EventInstancePtr&) {});
+  std::vector<int> reps;
+  for (size_t i = 0; i < set->rules.size(); ++i) {
+    reps.push_back(detector.FamilyRep(graph->RuleRoot(i)));
+  }
+  const int first = graph->RuleRoot(0);
+  for (size_t i = 0; i < 64; ++i) EXPECT_EQ(reps[i], first) << i;
+  EXPECT_EQ(reps[64], graph->RuleRoot(64));
+  EXPECT_EQ(reps[65], graph->RuleRoot(64));
+  // Leaves keep no buffer and belong to no family.
+  for (int leaf : graph->primitive_nodes()) {
+    EXPECT_EQ(detector.FamilyRep(leaf), -1);
+  }
 }
 
 TEST(JoinBufferTest, HomeSlotKeepsTopBits) {

@@ -4,7 +4,9 @@
 
 #include "engine/sharded_engine.h"
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -270,6 +272,75 @@ TEST(ShardedEngineTest, SeqPlusRulesRunOnTheResidualWorker) {
       h.engine->DebugReport().find("shard 4 [residual]: rules=[pack1 pack2]"),
       std::string::npos)
       << h.engine->DebugReport();
+}
+
+// Under the recent context a binary node keeps only the newest instance
+// of a slot across every join key, which a keyed replica (seeing only its
+// own partition) cannot reproduce: `ab` below fires once on 2 keyed
+// replicas but never serially, because (A,y,4) replaces (A,z,2) before
+// (B,z,4) arrives. Such rules run on the residual worker, so every
+// context matches serial at every shard count.
+TEST(ShardedEngineTest, EveryContextMatchesSerial) {
+  constexpr char kRules[] = R"(
+    CREATE RULE ab, newest initiator
+    ON WITHIN(SEQ(observation("A", o, t1); observation("B", o, t2)), 5sec)
+    IF true DO send alarm
+
+    CREATE RULE cd, conjunction
+    ON WITHIN(observation("C", o, t1) AND observation("D", o, t2), 5sec)
+    IF true DO send alarm
+
+    CREATE RULE quiet, no C after A
+    ON WITHIN(observation("A", o, t1) AND NOT observation("C", o, t2), 3sec)
+    IF true DO send alarm
+  )";
+  const std::vector<events::Observation> stream = {
+      {"A", "z", 2 * kSecond}, {"B", "y", 3 * kSecond},
+      {"A", "y", 4 * kSecond}, {"B", "z", 4 * kSecond},
+      {"C", "x", 5 * kSecond}, {"D", "y", 6 * kSecond},
+      {"C", "y", 7 * kSecond}, {"D", "x", 7 * kSecond},
+      {"A", "x", 8 * kSecond}, {"B", "x", 9 * kSecond},
+      {"C", "z", 10 * kSecond}, {"D", "z", 10 * kSecond},
+      {"A", "w", 11 * kSecond}, {"C", "w", 12 * kSecond},
+      {"B", "w", 13 * kSecond}, {"A", "q", 20 * kSecond},
+  };
+  using Spans = std::map<std::string, std::vector<std::pair<TimePoint,
+                                                            TimePoint>>>;
+  auto run = [&](ParameterContext context, int shards, size_t length) {
+    EngineOptions options = WithShards(shards);
+    options.detector.context = context;
+    EngineHarness h(options);
+    EXPECT_TRUE(h.AddRules(kRules).ok());
+    EXPECT_TRUE(h.engine->Compile().ok());
+    EXPECT_TRUE(h.engine
+                    ->ProcessAll(std::vector<events::Observation>(
+                        stream.begin(),
+                        stream.begin() + static_cast<long>(length)))
+                    .ok());
+    EXPECT_TRUE(h.engine->Flush().ok());
+    Spans spans;
+    for (const RecordedMatch& m : h.matches) {
+      spans[m.rule_id].emplace_back(m.t_begin, m.t_end);
+    }
+    return spans;
+  };
+  // The first four observations alone: serial recent never fires `ab`.
+  for (int shards : {1, 2, 4}) {
+    EXPECT_EQ(run(ParameterContext::kRecent, shards, 4).count("ab"), 0u)
+        << shards << " shards";
+  }
+  for (ParameterContext context :
+       {ParameterContext::kChronicle, ParameterContext::kRecent,
+        ParameterContext::kContinuous, ParameterContext::kCumulative,
+        ParameterContext::kUnrestricted}) {
+    SCOPED_TRACE(std::string(ParameterContextName(context)));
+    Spans serial = run(context, 1, stream.size());
+    EXPECT_EQ(serial.size(), 3u);  // Every rule fires.
+    for (int shards : {2, 4}) {
+      EXPECT_EQ(run(context, shards, stream.size()), serial)
+          << shards << " shards";
+    }
+  }
 }
 
 TEST(ShardedEngineTest, SubscriptionVocabularyCoversLeafKinds) {

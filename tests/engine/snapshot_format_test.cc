@@ -291,6 +291,28 @@ TEST(SnapshotGoldenTest, WindowStampedLeafFixtureRestores) {
     if (rec.state_key.starts_with("PRIM{<=")) ++stamped_leaves;
   }
   EXPECT_EQ(stamped_leaves, 5u);
+  // dup5 and dup9 are one window family today, but each held its own
+  // leaf's instance of an observation then: their records name distinct
+  // instances of one observation, which restore keeps as separate
+  // entries of the shared buffer.
+  std::vector<uint32_t> dup_entries[2];
+  for (const snapshot::NodeStateRecord& rec : decoded.sources[0].nodes) {
+    if (!rec.state_key.starts_with("SEQ")) continue;
+    int member = rec.state_key.starts_with("SEQ[0sec,inf]{<=5sec}") ? 0 : 1;
+    for (const snapshot::SlotEntryRecord& entry : rec.slots[0]) {
+      dup_entries[member].push_back(entry.instance);
+    }
+  }
+  bool same_observation = false;
+  for (uint32_t a : dup_entries[0]) {
+    for (uint32_t b : dup_entries[1]) {
+      EXPECT_NE(a, b);
+      const snapshot::InstanceRecord& x = decoded.sources[0].instances[a];
+      const snapshot::InstanceRecord& y = decoded.sources[0].instances[b];
+      if (x.observation == y.observation) same_observation = true;
+    }
+  }
+  EXPECT_TRUE(same_observation);
 
   const std::vector<events::Observation> head = {
       {"A", "x", 1 * kSecond}, {"B", "y", 2 * kSecond},
@@ -303,6 +325,92 @@ TEST(SnapshotGoldenTest, WindowStampedLeafFixtureRestores) {
   };
   testing::ExpectRestoresToUninterruptedRun(kWithinLeafRules, head, tail,
                                             bytes);
+}
+
+// checkpoint_v2_window_family.snap was captured by commit f333851, before
+// window families, after kWindowFamilyHead. Each rule pair below is one
+// window family today, and the members' state disagrees at the cut:
+// `near` consumed (a,x,1) while `far` still holds it, `dup4` and `dup8`
+// hold (a,x,5.5) together, and guard5/guard8 (AND with NOT) and
+// trail3/trail6 (SEQ with NOT) each have anchored pseudo events pending
+// on shared anchors. Restoring merges the members' records into one
+// buffer per family, and capturing again writes each member's own view.
+constexpr const char* kWindowFamilyRules = R"(
+  CREATE RULE near, short gap
+  ON WITHIN(TSEQ(observation("a", o, t1); observation("b", o, t2), 0sec, 2sec), 10sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE far, long gap
+  ON WITHIN(TSEQ(observation("a", o, t1); observation("b", o, t2), 3sec, 6sec), 10sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE dup4, short duplicate
+  ON WITHIN(observation(r, o, t3); observation(r, o, t4), 4sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE dup8, long duplicate
+  ON WITHIN(observation(r, o, t3); observation(r, o, t4), 8sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE guard5, quiet zone
+  ON WITHIN(observation("a", o, t1) AND NOT observation("c", o, t5), 5sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE guard8, wide quiet zone
+  ON WITHIN(observation("a", o, t1) AND NOT observation("c", o, t5), 8sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE trail3, no c after a
+  ON WITHIN(observation("a", o, t1); NOT observation("c", o, t5), 3sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE trail6, no c long after a
+  ON WITHIN(observation("a", o, t1); NOT observation("c", o, t5), 6sec)
+  IF true
+  DO send alarm
+)";
+
+const std::vector<events::Observation> kWindowFamilyHead = {
+    {"a", "x", 1 * kSecond},         {"b", "x", 2 * kSecond},
+    {"c", "y", 2500 * kMillisecond}, {"a", "z", 3 * kSecond},
+    {"a", "x", 5500 * kMillisecond},
+};
+
+TEST(SnapshotGoldenTest, WindowFamilyFixtureRestoresMemberViews) {
+  const std::string bytes =
+      testing::ReadFile(FixturePath(2, "_window_family"));
+  ASSERT_FALSE(bytes.empty()) << "missing fixture";
+  const std::vector<events::Observation> tail = {
+      {"b", "x", 6 * kSecond},  {"c", "z", 7 * kSecond},
+      {"b", "z", 8 * kSecond},  {"a", "y", 9 * kSecond},
+      {"c", "x", 12 * kSecond}, {"b", "y", 13 * kSecond},
+      {"a", "x", 14 * kSecond}, {"a", "x", 16 * kSecond},
+  };
+  testing::ExpectRestoresToUninterruptedRun(kWindowFamilyRules,
+                                            kWindowFamilyHead, tail, bytes);
+
+  // The family engine writes the same bytes the per-node buffers did:
+  // captured after the same head, and captured again after a restore.
+  EngineHarness live;
+  ASSERT_TRUE(live.AddRules(kWindowFamilyRules).ok());
+  ASSERT_TRUE(live.engine->Compile().ok());
+  ASSERT_TRUE(live.engine->ProcessAll(kWindowFamilyHead).ok());
+  EXPECT_EQ(Serialized(live.engine.get()), bytes);
+  EngineHarness restored;
+  ASSERT_TRUE(restored.AddRules(kWindowFamilyRules).ok());
+  ASSERT_TRUE(restored.engine->Compile().ok());
+  ASSERT_TRUE(restored.engine->RestoreState(bytes).ok());
+  EXPECT_EQ(Serialized(restored.engine.get()), bytes);
+  // Shared entries are stored once: fewer physical entries than the
+  // members' views add up to.
+  EXPECT_LT(restored.engine->TotalBufferedEntries(), 27u);
 }
 
 }  // namespace

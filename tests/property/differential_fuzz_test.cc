@@ -38,11 +38,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -321,6 +323,69 @@ std::vector<Observation> BaggageFuzzStream(uint64_t seed) {
   return workload.event_order;
 }
 
+// Redraws every WITHIN bound of `event`: the root's (at offset 0) in
+// [6, 16] seconds like ExprGen::Root, nested ones in [2, 10].
+std::string RedrawWindows(std::string event, Prng* prng) {
+  // Right to left: rewriting a bound never moves an unvisited WITHIN.
+  for (size_t at = event.rfind("WITHIN("); at != std::string::npos;
+       at = at == 0 ? std::string::npos : event.rfind("WITHIN(", at - 1)) {
+    int depth = 0;
+    size_t comma = std::string::npos;
+    size_t close = std::string::npos;
+    for (size_t i = at + 6; i < event.size() && close == std::string::npos;
+         ++i) {
+      if (event[i] == '(') ++depth;
+      if (event[i] == ')' && --depth == 0) close = i;
+      if (event[i] == ',' && depth == 1) comma = i;
+    }
+    if (comma == std::string::npos || close == std::string::npos) continue;
+    const bool root = at == 0;
+    event.replace(comma + 2, close - comma - 2,
+                  Sec(prng->UniformInt(root ? 6 : 2, root ? 16 : 10)));
+  }
+  return event;
+}
+
+// A window sibling of generated rule f<from>: the same rule as f<to>
+// with every WITHIN bound redrawn, so both rules' nodes fall into one
+// window family and share its buffers. A durable action keeps to the new
+// rule's own loc_id.
+std::string WindowSibling(const std::string& rule, int from, int to,
+                          Prng* prng) {
+  const std::string old_id = "CREATE RULE f" + std::to_string(from) + ",";
+  const size_t on = rule.find(" ON ");
+  const size_t tail = rule.find(" IF ", on);
+  std::string action = rule.substr(tail);
+  const std::string old_loc = "\"L" + std::to_string(from) + "\"";
+  const std::string new_loc = "\"L" + std::to_string(to) + "\"";
+  for (size_t at = action.find(old_loc); at != std::string::npos;
+       at = action.find(old_loc, at + new_loc.size())) {
+    action.replace(at, old_loc.size(), new_loc);
+  }
+  return "CREATE RULE f" + std::to_string(to) + "," +
+         rule.substr(old_id.size(), on + 4 - old_id.size()) +
+         RedrawWindows(rule.substr(on + 4, tail - on - 4), prng) + action;
+}
+
+// About a third of the cases get one or two window siblings of a random
+// rule (drawn after the stream, so the rest of the case is what the seed
+// drew before siblings existed). Siblings that do not compile are
+// skipped.
+void AddWindowSiblings(Prng* prng, FuzzCase* c) {
+  if (!prng->Chance(0.35)) return;
+  const int base = static_cast<int>(
+      prng->UniformInt(0, static_cast<int64_t>(c->rules.size()) - 1));
+  const int siblings = static_cast<int>(prng->UniformInt(1, 2));
+  for (int i = 0; i < siblings; ++i) {
+    const int index = static_cast<int>(c->rules.size());
+    std::string text = WindowSibling(c->rules[base], base, index, prng);
+    Result<rules::RuleSet> set = rules::ParseRuleProgram(text);
+    if (!set.ok()) continue;
+    std::vector<const rules::Rule*> refs{&set->rules[0]};
+    if (EventGraph::Build(refs).ok()) c->rules.push_back(std::move(text));
+  }
+}
+
 FuzzCase GenCase(uint64_t seed) {
   Prng prng(seed);
   FuzzCase c;
@@ -329,6 +394,7 @@ FuzzCase GenCase(uint64_t seed) {
     c.rules.push_back(GenRule(&prng, i, /*depth=*/3));
   }
   c.stream = GenStream(&prng, 20, 60);
+  AddWindowSiblings(&prng, &c);
   return c;
 }
 
@@ -342,6 +408,7 @@ FuzzCase GenDurableCase(uint64_t seed) {
     c.rules.push_back(GenRule(&prng, i, /*depth=*/3, /*sql_actions=*/true));
   }
   c.stream = GenStream(&prng, 20, 60);
+  AddWindowSiblings(&prng, &c);
   return c;
 }
 
@@ -356,12 +423,13 @@ struct RunSpec {
   // join tuples share a chain, so pairing, unlinking and expiry run on
   // mixed chains instead of one chain per tuple.
   bool force_join_collisions = false;
+  ParameterContext context = ParameterContext::kChronicle;
 };
 
 SpansByRule RunEngine(const std::string& program,
                       const std::vector<Observation>& stream, RunSpec spec) {
   EngineOptions options;
-  options.detector.context = ParameterContext::kChronicle;
+  options.detector.context = spec.context;
   options.detector.tolerate_out_of_order = spec.tolerate_out_of_order;
   options.detector.debug_force_join_collisions = spec.force_join_collisions;
   options.shards = spec.shards;
@@ -489,11 +557,12 @@ struct RecoveryEngine {
   std::unique_ptr<RcedaEngine> engine;
   SpansByRule matches;
 
-  static std::unique_ptr<RecoveryEngine> Make(const std::string& program,
-                                              int shards) {
+  static std::unique_ptr<RecoveryEngine> Make(
+      const std::string& program, int shards,
+      ParameterContext context = ParameterContext::kChronicle) {
     auto r = std::make_unique<RecoveryEngine>();
     EngineOptions options;
-    options.detector.context = ParameterContext::kChronicle;
+    options.detector.context = context;
     options.shards = shards;
     r->engine = std::make_unique<RcedaEngine>(/*db=*/nullptr,
                                               events::Environment{}, options);
@@ -578,6 +647,144 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
                  "\n  recovered:     " + FormatSpans(combined);
         }
       }
+    }
+  }
+  return std::nullopt;
+}
+
+// --- Window families: sharing is invisible ---------------------------------
+//
+// Rules that differ only by their windows share one window family
+// (engine/detector.h): one join buffer per slot, one NOT log, one join
+// key per instance. Each rule's span list in an engine holding its window
+// siblings must equal that rule run alone — in every parameter context,
+// serially, across a mid-stream checkpoint and restore, and on 2 and 4
+// shards.
+
+constexpr ParameterContext kAllContexts[] = {
+    ParameterContext::kChronicle, ParameterContext::kRecent,
+    ParameterContext::kContinuous, ParameterContext::kCumulative,
+    ParameterContext::kUnrestricted};
+
+// Family shapes: each @W is a WITHIN bound and each @D a TSEQ distance
+// bound, drawn per sibling. SEQ, TSEQ and AND; NOT on either side; a
+// nested SEQ whose inner node is the family (the outer ones differ by
+// child); and a SEQ whose terminator, a TSEQ+ run (one node: its own
+// WITHIN is below every sibling's), closes at its expiry pseudo event,
+// after the clock has passed some initiators' deadlines.
+constexpr const char* kFamilyShapes[] = {
+    "WITHIN(SEQ(observation(r, o, t1); observation(r, o, t2)), @W)",
+    "WITHIN(TSEQ(observation(\"A\", o, t1); observation(\"B\", o, t2), "
+    "0sec, @D), @W)",
+    "WITHIN(observation(\"A\", o, t1) AND observation(r, o, t2), @W)",
+    "WITHIN(observation(\"A\", o, t1) AND NOT observation(\"C\", o, t2), "
+    "@W)",
+    "WITHIN(NOT observation(\"C\", o, t1) AND observation(\"A\", o, t2), "
+    "@W)",
+    "WITHIN(TSEQ(NOT observation(\"C\", o, t1); observation(\"B\", o, t2), "
+    "0sec, @D), @W)",
+    "WITHIN(TSEQ(observation(\"A\", o, t1); NOT observation(\"C\", o, t2), "
+    "0sec, @D), @W)",
+    "WITHIN(SEQ(WITHIN(SEQ(observation(\"A\", o, t1); "
+    "observation(\"B\", o, t2)), @W); observation(r, o, t3)), @W)",
+    "WITHIN(SEQ(observation(\"A\", o, t1); "
+    "WITHIN(TSEQ+(observation(\"B\", o2, t2), 0sec, 1sec), 2sec)), @W)",
+};
+
+// Two to four window siblings of one shape over a random stream.
+FuzzCase GenFamilyCase(uint64_t seed) {
+  Prng prng(seed);
+  const std::string shape = kFamilyShapes[prng.UniformInt(
+      0, static_cast<int64_t>(std::size(kFamilyShapes)) - 1)];
+  FuzzCase c;
+  const int siblings = static_cast<int>(prng.UniformInt(2, 4));
+  for (int i = 0; i < siblings; ++i) {
+    std::string event;
+    for (size_t at = 0; at < shape.size(); ++at) {
+      if (shape[at] == '@') {
+        event += shape[at + 1] == 'W' ? Sec(prng.UniformInt(2, 10))
+                                      : Sec(prng.UniformInt(1, 4));
+        ++at;
+      } else {
+        event += shape[at];
+      }
+    }
+    c.rules.push_back("CREATE RULE s" + std::to_string(i) +
+                      ", window sibling ON " + event + " IF true DO act");
+  }
+  c.stream = GenStream(&prng, 20, 60);
+  return c;
+}
+
+std::optional<std::string> DiffSpans(const std::string& what,
+                                     const SpansByRule& expected,
+                                     const SpansByRule& got) {
+  for (const auto& [rule_id, spans] : expected) {
+    auto it = got.find(rule_id);
+    if (it == got.end() || it->second != spans) {
+      return what + " divergence on rule " + rule_id +
+             "\n  expected: " + FormatSpans(spans) + "\n  got:      " +
+             (it == got.end() ? std::string("(missing)")
+                              : FormatSpans(it->second));
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> CheckFamilyCase(const FuzzCase& c, uint64_t salt) {
+  const std::string program = c.Program();
+  Result<rules::RuleSet> set = rules::ParseRuleProgram(program);
+  if (!set.ok()) return "parse failed: " + set.status().ToString();
+  if (!EventGraph::Build(set->rules).ok()) return "graph build failed";
+  const size_t cut = salt % (c.stream.size() + 1);
+  const std::vector<Observation> head(
+      c.stream.begin(), c.stream.begin() + static_cast<long>(cut));
+  const std::vector<Observation> tail(
+      c.stream.begin() + static_cast<long>(cut), c.stream.end());
+  for (ParameterContext context : kAllContexts) {
+    const std::string name(ParameterContextName(context));
+    RunSpec spec;
+    spec.context = context;
+    const SpansByRule family = RunEngine(program, c.stream, spec);
+    for (const std::string& rule : c.rules) {
+      std::optional<std::string> why =
+          DiffSpans(name + " alone vs with window siblings",
+                    RunEngine(rule, c.stream, spec), family);
+      if (why.has_value()) return why;
+    }
+
+    auto source = RecoveryEngine::Make(program, 1, context);
+    auto target = RecoveryEngine::Make(program, 1, context);
+    if (source == nullptr || target == nullptr) return "compile failed";
+    std::string bytes;
+    if (!source->engine->ProcessAll(head).ok() ||
+        !source->engine->SerializeState(&bytes).ok()) {
+      return name + ": checkpoint failed at cut " + std::to_string(cut);
+    }
+    if (Status s = target->engine->RestoreState(bytes); !s.ok()) {
+      return name + ": restore failed: " + s.ToString();
+    }
+    if (!target->engine->ProcessAll(tail).ok() ||
+        !target->engine->Flush().ok()) {
+      return name + ": restored suffix processing failed";
+    }
+    SpansByRule stitched = source->matches;
+    for (auto& [rule_id, spans] : stitched) {
+      const std::vector<Span>& post = target->matches[rule_id];
+      spans.insert(spans.end(), post.begin(), post.end());
+    }
+    std::optional<std::string> why =
+        DiffSpans(name + " uninterrupted vs restored at cut " +
+                      std::to_string(cut),
+                  family, stitched);
+    if (why.has_value()) return why;
+
+    for (int shards : {2, 4}) {
+      spec.shards = shards;
+      why = DiffSpans(name + " serial vs sharded(" + std::to_string(shards) +
+                          ")",
+                      family, RunEngine(program, c.stream, spec));
+      if (why.has_value()) return why;
     }
   }
   return std::nullopt;
@@ -1339,6 +1546,24 @@ TEST(DifferentialFuzz, DurableCrashRecoveryAgrees) {
     const uint64_t salt = seed * 0x9e3779b97f4a7c15ULL;
     auto check = [salt](const FuzzCase& trial) {
       return CheckDurableRecoveryCase(trial, salt);
+    };
+    std::optional<std::string> why = check(c);
+    if (why.has_value()) {
+      FuzzCase minimized = Shrink(c, check);
+      std::optional<std::string> min_why = check(minimized);
+      FAIL() << ReportDivergence(minimized, min_why.value_or(*why), seed);
+    }
+  }
+}
+
+TEST(DifferentialFuzz, WindowSiblingsAreInvisible) {
+  const int cases = std::max(1, FuzzCases() / 8);
+  for (int i = 0; i < cases; ++i) {
+    uint64_t seed = 0xfa31ULL * 1000003ULL + static_cast<uint64_t>(i);
+    FuzzCase c = GenFamilyCase(seed);
+    const uint64_t salt = seed >> 5;
+    auto check = [salt](const FuzzCase& trial) {
+      return CheckFamilyCase(trial, salt);
     };
     std::optional<std::string> why = check(c);
     if (why.has_value()) {
