@@ -1,6 +1,7 @@
 // Microbenchmarks for the binding layer the detection hot path lives on:
-// Merge (copy vs move), ToMulti, join-key computation, the full pairing
-// probe (key + unification re-check), and join-buffer upkeep.
+// binding a primitive match, Merge (copy vs move), ToMulti, join-key
+// computation, the full pairing probe (key + unification re-check), and
+// join-buffer upkeep.
 //
 // Every benchmark reports an `allocs_per_iter` counter backed by a global
 // operator new override. The probe-path benchmarks and BM_JoinBufferChurn
@@ -22,6 +23,7 @@
 #include "engine/join_buffer.h"
 #include "events/binding.h"
 #include "events/event_instance.h"
+#include "events/event_type.h"
 #include "events/symbol.h"
 
 namespace {
@@ -79,6 +81,26 @@ Bindings MakeLeafBindings(SymbolId r, SymbolId o, SymbolId t,
   b.BindScalar(t, when);
   return b;
 }
+
+// What the detector does for each leaf an observation matches: bind the
+// reader, a 36-byte object EPC, the time and the reader's location from
+// the observation's shared text handles. Allocates only the entry vector
+// (1 per iteration); the EPC text is never copied.
+void BM_BindPrimitive(benchmark::State& state) {
+  PrimitiveEventType type(Term::Variable("bb_bp_r"),
+                          Term::Variable("bb_bp_o"), "bb_bp_t");
+  const SharedText reader("urn:epc:id:sgln:0614141.00777.0");
+  const SharedText object("urn:epc:id:sgtin:0614141.100001.2731");
+  const SharedText location("urn:epc:id:sgln:0614141.00777.dock");
+  TimePoint when = 17 * kSecond;
+  benchmark::DoNotOptimize(when);
+  AllocationScope allocs(state);
+  for (auto _ : state) {
+    Bindings bindings = type.Bind(reader, object, when, location);
+    benchmark::DoNotOptimize(bindings);
+  }
+}
+BENCHMARK(BM_BindPrimitive);
 
 // The per-probe work PairBinary does for one candidate: hash the join
 // tuple of the incoming instance, then re-check unification against a

@@ -10,8 +10,9 @@ namespace rfidcep::engine {
 namespace {
 
 store::Value ToValue(const events::BindingValue& value) {
-  if (const std::string* s = std::get_if<std::string>(&value)) {
-    return store::Value::String(*s);
+  if (const events::SharedText* text =
+          std::get_if<events::SharedText>(&value)) {
+    return store::Value::String(text->str());
   }
   return store::Value::Time(std::get<TimePoint>(value));
 }

@@ -72,12 +72,15 @@ int TypeLevelDetector::BuildNodes(const EventExprPtr& expr) {
 
 Status TypeLevelDetector::Process(const Observation& obs) {
   ++stats_.observations;
+  const events::SharedText reader = obs.reader;
+  const events::SharedText object = obs.object;
   for (int node_index : primitive_nodes_) {
     const events::PrimitiveEventType& type =
         nodes_[node_index].expr->primitive();
     if (!type.Matches(obs, *env_)) continue;
-    EmitAt(node_index,
-           EventInstance::MakePrimitive(obs, type.Bind(obs), ++seq_));
+    EmitAt(node_index, EventInstance::MakePrimitive(
+                           reader, object, obs.timestamp,
+                           type.Bind(reader, object, obs.timestamp), ++seq_));
   }
   return Status::Ok();
 }

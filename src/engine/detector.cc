@@ -45,6 +45,8 @@ constexpr uint64_t kCollisionKey = 0x636f6c6cull;
 
 constexpr JoinBuffer::Index kNoEntry = JoinBuffer::kNone;
 
+const events::SharedText kNoText;
+
 // Members per window family: one bit each in JoinBuffer::Members.
 constexpr int kMaxFamilyMembers = 64;
 
@@ -70,11 +72,13 @@ uint64_t MixSignature(uint64_t h, uint64_t v) {
 }
 
 Bindings MergedOrDie(const Bindings& a, const Bindings& b) {
-  Bindings tmp = a;
-  bool ok = tmp.Merge(b);
+  Bindings merged;
+  merged.Reserve(a.scalar_count() + b.scalar_count(),
+                 a.multi_count() + b.multi_count());
+  bool ok = merged.Merge(a) && merged.Merge(b);
   assert(ok && "pairing predicate must have verified unification");
   (void)ok;
-  return tmp;
+  return merged;
 }
 
 }  // namespace
@@ -213,23 +217,31 @@ Status Detector::Process(const Observation& obs) {
   if (m != nullptr && m->observations != nullptr) m->observations->Increment();
 
   std::string_view group = env_->GroupViewOf(obs.reader);
+  // The observation's EPC text is copied once, when the first leaf
+  // matches, and its location looked up once, when the first leaf binding
+  // `<reader_var>_location` matches; every leaf's bindings and primitive
+  // instance share the handles.
+  events::SharedText reader;
+  events::SharedText object;
+  const events::SharedText* location = nullptr;
+  bool texts_made = false;
   auto emit_leaf = [&](int node_id, const events::PrimitiveEventType& type) {
     ++stats_.primitive_matches;
     if (m != nullptr) m->primitive_matches->Increment();
-    Bindings bindings = type.Bind(obs);
-    // Derived binding: for a variable reader term `r`, `r_location` is
-    // the reader's registered symbolic location — so location rules can
-    // write `INSERT INTO OBJECTLOCATION VALUES (o, r_location, t, "UC")`
-    // instead of hardcoding one location per rule.
-    if (type.reader_location_sym() != events::kInvalidSymbol &&
-        env_->readers != nullptr) {
-      std::string_view location = env_->readers->LocationViewOf(obs.reader);
-      if (!location.empty()) {
-        bindings.BindScalar(type.reader_location_sym(), std::string(location));
-      }
+    if (!texts_made) {
+      reader = obs.reader;
+      object = obs.object;
+      texts_made = true;
     }
-    Emit(node_id,
-         EventInstance::MakePrimitive(obs, std::move(bindings), NextSeq()));
+    if (location == nullptr &&
+        type.reader_location_sym() != events::kInvalidSymbol) {
+      location = &LocationText(obs.reader);
+    }
+    Bindings bindings = type.Bind(reader, object, obs.timestamp,
+                                  location != nullptr ? *location : kNoText);
+    Emit(node_id, EventInstance::MakePrimitive(reader, object, obs.timestamp,
+                                               std::move(bindings),
+                                               NextSeq()));
   };
   // The probe implies reader-literal and pushed type predicates; type(o)
   // is resolved once per observation, and only when some leaf pushed it.
@@ -400,6 +412,18 @@ void Detector::RouteToParent(int parent_id, int child_id,
       return;
     }
   }
+}
+
+const events::SharedText& Detector::LocationText(
+    std::string_view reader_epc) {
+  if (env_->readers == nullptr) return kNoText;
+  std::string_view location = env_->readers->LocationViewOf(reader_epc);
+  if (location.empty()) return kNoText;
+  auto it = location_texts_.find(location);
+  if (it == location_texts_.end()) {
+    it = location_texts_.emplace(location, events::SharedText(location)).first;
+  }
+  return it->second;
 }
 
 // --- Slot buffers -------------------------------------------------------------

@@ -55,6 +55,7 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "engine/context.h"
 #include "engine/graph.h"
 #include "engine/join_buffer.h"
@@ -360,6 +361,10 @@ class Detector {
 
   // --- Helpers -------------------------------------------------------------------
   uint64_t NextSeq() { return ++sequence_counter_; }
+  // The registered location of `reader_epc` as a shared handle (empty
+  // when unregistered or without a registry); valid until the detector
+  // is destroyed.
+  const events::SharedText& LocationText(std::string_view reader_epc);
 
   const EventGraph* graph_;
   const events::Environment* env_;
@@ -372,6 +377,10 @@ class Detector {
   std::vector<bool> seqplus_self_;  // Precomputed self-closure flags.
   PrimitiveIndex index_;  // Primitive dispatch (engine/rule_index.h).
   uint64_t fullscan_observations_ = 0;
+  // One `<reader_var>_location` handle per registered location text, made
+  // on first use and shared by every instance that binds it. Bounded by
+  // the reader registry, not by the stream.
+  StringViewMap<events::SharedText> location_texts_;
 
   std::priority_queue<PseudoEvent, std::vector<PseudoEvent>, PseudoLater>
       pseudo_queue_;

@@ -228,10 +228,19 @@ DetectorOptions RcedaEngine::SerialDetectorOptions() const {
   return detector_options;
 }
 
+uint64_t RcedaEngine::Fingerprint() {
+  if (!fingerprint_.has_value()) {
+    fingerprint_ =
+        snapshot::ComputeFingerprint(options_.detector.context, rules_);
+  }
+  return *fingerprint_;
+}
+
 void RcedaEngine::Decompile() {
   detector_.reset();
   sharded_.reset();
   graph_.reset();
+  fingerprint_.reset();
   // Instrument handles are re-resolved by the next Compile(); the
   // registry (and every accumulated value) survives.
   dispatcher_.SetObservability(nullptr, nullptr);
@@ -385,8 +394,7 @@ Status RcedaEngine::SerializeState(std::string* out) {
   }
 
   snapshot::EngineSnapshot snap;
-  snap.fingerprint = snapshot::ComputeFingerprint(options_.detector.context,
-                                                  rules_);
+  snap.fingerprint = Fingerprint();
   snap.context = static_cast<uint8_t>(options_.detector.context);
   snap.flushed = flushed_;
   snap.clock = clock();
@@ -433,9 +441,7 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
   SteadyTime start = Now();
   snapshot::EngineSnapshot snap;
   RFIDCEP_RETURN_IF_ERROR(snapshot::DecodeEngineSnapshot(bytes, &snap));
-  uint64_t expected = snapshot::ComputeFingerprint(options_.detector.context,
-                                                   rules_);
-  if (snap.fingerprint != expected) {
+  if (snap.fingerprint != Fingerprint()) {
     return Status::FailedPrecondition(
         "snapshot rule-set fingerprint mismatch: the snapshot was taken "
         "under a different rule set or parameter context");
@@ -674,7 +680,11 @@ void RcedaEngine::OnMatch(size_t rule_index,
   RuleFiring firing;
   firing.rule = &rule;
   firing.instance = instance;
-  firing.params = BuildParams(instance->bindings());
+  // Only the condition and the actions read params; the match callback
+  // and the trace take the instance.
+  if (rule.condition != nullptr || options_.execute_actions) {
+    firing.params = BuildParams(instance->bindings());
+  }
   firing.fire_time = fire_time;
 
   if (rule.condition != nullptr) {

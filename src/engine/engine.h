@@ -256,6 +256,10 @@ class RcedaEngine : public EngineFrontend {
   // (instruments/trace) applied; requires Compile() to have resolved
   // `metrics_` when metrics are enabled.
   DetectorOptions SerialDetectorOptions() const;
+  // The snapshot rule-set fingerprint of the compiled rule set, computed
+  // on the first checkpoint or restore (not in Compile(), which would
+  // slow every set-up) and dropped by Decompile().
+  uint64_t Fingerprint();
   // Runs `firing`'s actions on the calling thread, folding errors into
   // the stats and the deferred error and copying the dispatcher's
   // logical counters into the stats.
@@ -269,6 +273,7 @@ class RcedaEngine : public EngineFrontend {
   StringViewMap<size_t> rule_index_;  // Rule id -> index in rules_.
   std::vector<uint64_t> fired_counts_;
   std::optional<EventGraph> graph_;
+  std::optional<uint64_t> fingerprint_;  // See Fingerprint().
   // Declared before the detectors: they hold instrument pointers into
   // the registry up to and including their destructors (the sharded
   // coordinator updates ring gauges while enqueueing stop commands), so

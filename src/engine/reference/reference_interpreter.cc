@@ -176,21 +176,20 @@ void ReferenceInterpreter::DispatchLeaves(const Observation& obs) {
     }
     return nullptr;
   };
+  const events::SharedText reader = obs.reader;
+  const events::SharedText object = obs.object;
+  const events::SharedText location =
+      env_->readers != nullptr ? env_->readers->LocationViewOf(obs.reader)
+                               : std::string_view();
   auto dispatch_to = [&](const Node* match_leaf) {
     for (Node* leaf : leaves_) {
       if (leaf != match_leaf) continue;
       if (!leaf->primitive.Matches(obs, *env_)) continue;
-      Bindings bindings = leaf->primitive.Bind(obs);
-      if (leaf->primitive.reader_location_sym() != events::kInvalidSymbol &&
-          env_->readers != nullptr) {
-        std::string_view location = env_->readers->LocationViewOf(obs.reader);
-        if (!location.empty()) {
-          bindings.BindScalar(leaf->primitive.reader_location_sym(),
-                              std::string(location));
-        }
-      }
-      Deliver(leaf, EventInstance::MakePrimitive(obs, std::move(bindings),
-                                                 NextSeq()));
+      Deliver(leaf, EventInstance::MakePrimitive(
+                        reader, object, obs.timestamp,
+                        leaf->primitive.Bind(reader, object, obs.timestamp,
+                                             location),
+                        NextSeq()));
     }
   };
   std::string_view group = env_->GroupViewOf(obs.reader);

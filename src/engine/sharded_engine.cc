@@ -38,10 +38,10 @@ bool KeepInBucket(const EventInstancePtr& instance, events::SymbolId sym,
                   uint32_t bucket, int replicas) {
   if (sym == events::kInvalidSymbol || instance == nullptr) return bucket == 0;
   const events::BindingValue* value = instance->bindings().FindScalar(sym);
-  if (value == nullptr || !std::holds_alternative<std::string>(*value)) {
-    return bucket == 0;
-  }
-  return PartitionHash(std::get<std::string>(*value)) %
+  const events::SharedText* text =
+      value != nullptr ? std::get_if<events::SharedText>(value) : nullptr;
+  if (text == nullptr) return bucket == 0;
+  return PartitionHash(text->view()) %
              static_cast<uint64_t>(replicas) ==
          bucket;
 }

@@ -78,12 +78,16 @@ class Reader {
     return Status::Ok();
   }
   Status Str(std::string* s) {
+    std::string_view view;
+    RFIDCEP_RETURN_IF_ERROR(Str(&view));
+    s->assign(view);
+    return Status::Ok();
+  }
+  // A view into the input, valid as long as the input is.
+  Status Str(std::string_view* s) {
     uint32_t n = 0;
     RFIDCEP_RETURN_IF_ERROR(U32(&n));
-    RFIDCEP_RETURN_IF_ERROR(Need(n));
-    s->assign(data_.substr(pos_, n));
-    pos_ += n;
-    return Status::Ok();
+    return Raw(n, s);
   }
   Status Raw(size_t n, std::string_view* out) {
     RFIDCEP_RETURN_IF_ERROR(Need(n));
@@ -117,9 +121,9 @@ class Reader {
 // --- Value helpers ----------------------------------------------------------
 
 void PutValue(Writer* w, const BindingValue& v) {
-  if (const std::string* s = std::get_if<std::string>(&v)) {
+  if (const events::SharedText* text = std::get_if<events::SharedText>(&v)) {
     w->U8(0);
-    w->Str(*s);
+    w->Str(text->view());
   } else {
     w->U8(1);
     w->I64(std::get<TimePoint>(v));
@@ -130,9 +134,9 @@ Status GetValue(Reader* r, BindingValue* v) {
   uint8_t tag = 0;
   RFIDCEP_RETURN_IF_ERROR(r->U8(&tag));
   if (tag == 0) {
-    std::string s;
-    RFIDCEP_RETURN_IF_ERROR(r->Str(&s));
-    *v = std::move(s);
+    std::string_view text;
+    RFIDCEP_RETURN_IF_ERROR(r->Str(&text));
+    *v = events::SharedText(text);
     return Status::Ok();
   }
   if (tag == 1) {
@@ -618,6 +622,17 @@ Status DecodeEngineSnapshot(std::string_view bytes, EngineSnapshot* out) {
 
 namespace {
 
+// The text of a primitive record's observation as a handle, shared with
+// an equal bound value when the record has one, as detection shares it.
+events::SharedText ObservationText(const InstanceRecord& rec,
+                                   const std::string& text) {
+  for (const auto& [name, value] : rec.scalars) {
+    const auto* bound = std::get_if<events::SharedText>(&value);
+    if (bound != nullptr && bound->view() == text) return *bound;
+  }
+  return events::SharedText(text);
+}
+
 // Rebuilds one source's instance table as live objects. Each call makes
 // fresh instances, so plans for different target detectors never share.
 Result<std::vector<EventInstancePtr>> DecodeInstances(
@@ -637,7 +652,10 @@ Result<std::vector<EventInstancePtr>> DecodeInstances(
     }
     if (rec.is_primitive) {
       out.push_back(EventInstance::MakePrimitive(
-          rec.observation, std::move(bindings), rec.sequence_number));
+          ObservationText(rec, rec.observation.reader),
+          ObservationText(rec, rec.observation.object),
+          rec.observation.timestamp, std::move(bindings),
+          rec.sequence_number));
     } else {
       std::vector<EventInstancePtr> children;
       children.reserve(rec.children.size());

@@ -2,28 +2,32 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <new>
 
 namespace rfidcep::events {
 
 namespace {
 
 // splitmix64 finalizer: full-avalanche mixing of a 64-bit state.
-uint64_t Mix64(uint64_t x) {
+constexpr uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
 }
 
-uint64_t HashBytes(const char* data, size_t size) {
+constexpr uint64_t HashBytes(std::string_view bytes) {
   // FNV-1a, then an avalanche pass (FNV alone mixes low bits poorly).
   uint64_t h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
+  for (char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;
   }
   return Mix64(h);
 }
+
+constexpr uint64_t kEmptyTextHash = HashBytes(std::string_view());
 
 template <typename Entries>
 auto LowerBound(Entries& entries, SymbolId var) {
@@ -34,15 +38,38 @@ auto LowerBound(Entries& entries, SymbolId var) {
 
 }  // namespace
 
+SharedText::SharedText(std::string_view text) {
+  if (text.empty()) return;
+  void* memory = ::operator new(sizeof(Rep) + text.size());
+  rep_ = new (memory) Rep{{1}, text.size(), HashBytes(text)};
+  std::memcpy(static_cast<char*>(memory) + sizeof(Rep), text.data(),
+              text.size());
+}
+
+void SharedText::Free(Rep* rep) noexcept {
+  rep->~Rep();
+  ::operator delete(rep);
+}
+
+uint64_t SharedText::hash() const {
+  return rep_ != nullptr ? rep_->hash : kEmptyTextHash;
+}
+
+bool operator==(const SharedText& a, const SharedText& b) {
+  return a.rep_ == b.rep_ || (a.hash() == b.hash() && a.view() == b.view());
+}
+
 std::string BindingValueToString(const BindingValue& value) {
-  if (const std::string* s = std::get_if<std::string>(&value)) return *s;
+  if (const SharedText* text = std::get_if<SharedText>(&value)) {
+    return text->str();
+  }
   return FormatTimePoint(std::get<TimePoint>(value));
 }
 
 uint64_t HashBindingValue(const BindingValue& value) {
   uint64_t h;
-  if (const std::string* s = std::get_if<std::string>(&value)) {
-    h = HashBytes(s->data(), s->size());
+  if (const SharedText* text = std::get_if<SharedText>(&value)) {
+    h = text->hash();
   } else {
     h = Mix64(0x7465u ^  // Type tag: timestamps never alias strings.
               static_cast<uint64_t>(std::get<TimePoint>(value)));

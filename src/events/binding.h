@@ -19,13 +19,22 @@
 // vectors once with integer comparisons, no per-node allocation and no
 // string compares. String-keyed overloads survive as conveniences for tests
 // and action parameter building; the detection hot path never uses them.
+//
+// EPC values are SharedText handles, not strings: the detector copies an
+// observation's reader and object EPC once, and every leaf's bindings, the
+// primitive instance and every pair merged from it share those bytes and
+// their precomputed hash. Copying a Bindings therefore allocates its entry
+// vectors and nothing else.
 
 #ifndef RFIDCEP_EVENTS_BINDING_H_
 #define RFIDCEP_EVENTS_BINDING_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -34,8 +43,72 @@
 
 namespace rfidcep::events {
 
-// A bound attribute value: an EPC string or a timestamp.
-using BindingValue = std::variant<std::string, TimePoint>;
+// Immutable, reference-counted text that carries its own hash: the EPC
+// alternative of a BindingValue.
+//
+// Making a handle copies the bytes once (one operator new call) and hashes
+// them once; copying it is an atomic increment and releasing it an atomic
+// decrement, so handles may be copied on one thread and dropped on another
+// (sharded match replay does). There is no global intern table: the text
+// lives exactly as long as some binding or instance holds it, so detection
+// state stays bounded on an endless stream of distinct EPCs. Equality
+// checks the storage first, then the hash, then the bytes.
+class SharedText {
+ public:
+  // The empty text. Never allocates (nor does making one from "").
+  SharedText() = default;
+  // Implicit, so string values bind as before; each call copies the text.
+  SharedText(std::string_view text);
+  SharedText(const std::string& text) : SharedText(std::string_view(text)) {}
+  SharedText(const char* text) : SharedText(std::string_view(text)) {}
+
+  SharedText(const SharedText& other) noexcept : rep_(other.rep_) {
+    if (rep_ != nullptr) rep_->refs.fetch_add(1);
+  }
+  SharedText(SharedText&& other) noexcept
+      : rep_(std::exchange(other.rep_, nullptr)) {}
+  SharedText& operator=(SharedText other) noexcept {
+    std::swap(rep_, other.rep_);
+    return *this;
+  }
+  ~SharedText() {
+    if (rep_ != nullptr && rep_->refs.fetch_sub(1) == 1) Free(rep_);
+  }
+
+  std::string_view view() const {
+    return rep_ != nullptr ? std::string_view(rep_->data(), rep_->size)
+                           : std::string_view();
+  }
+  std::string str() const { return std::string(view()); }
+  bool empty() const { return rep_ == nullptr; }
+
+  // FNV-1a over the bytes plus a splitmix64 finalizer, computed when the
+  // handle was made.
+  uint64_t hash() const;
+
+  // True when both handles hold one copy of the text, not merely equal text.
+  bool SharesStorageWith(const SharedText& other) const {
+    return rep_ == other.rep_;
+  }
+
+  friend bool operator==(const SharedText& a, const SharedText& b);
+
+ private:
+  struct Rep {
+    std::atomic<size_t> refs;
+    size_t size;
+    uint64_t hash;
+    // The text follows the header in the same allocation.
+    const char* data() const { return reinterpret_cast<const char*>(this + 1); }
+  };
+
+  static void Free(Rep* rep) noexcept;
+
+  Rep* rep_ = nullptr;  // Null for the empty text.
+};
+
+// A bound attribute value: an EPC or a timestamp.
+using BindingValue = std::variant<SharedText, TimePoint>;
 
 std::string BindingValueToString(const BindingValue& value);
 
@@ -49,6 +122,13 @@ class Bindings {
   using MultiEntry = std::pair<SymbolId, std::vector<BindingValue>>;
 
   Bindings() = default;
+
+  // Sizes the entry vectors for that many bindings, so building a known
+  // shape allocates each vector once.
+  void Reserve(size_t scalars, size_t multis) {
+    scalars_.reserve(scalars);
+    multis_.reserve(multis);
+  }
 
   // --- SymbolId API (hot path) --------------------------------------------
   // Binds `var` to a scalar value. Overwrites any existing scalar binding.

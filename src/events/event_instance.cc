@@ -2,15 +2,19 @@
 
 namespace rfidcep::events {
 
-EventInstancePtr EventInstance::MakePrimitive(Observation obs,
+EventInstancePtr EventInstance::MakePrimitive(SharedText reader,
+                                              SharedText object,
+                                              TimePoint timestamp,
                                               Bindings bindings,
                                               uint64_t sequence_number) {
   auto instance = std::shared_ptr<EventInstance>(new EventInstance());
-  instance->t_begin_ = obs.timestamp;
-  instance->t_end_ = obs.timestamp;
+  instance->t_begin_ = timestamp;
+  instance->t_end_ = timestamp;
   instance->bindings_ = std::move(bindings);
-  instance->observation_ = std::move(obs);
+  instance->reader_ = std::move(reader);
+  instance->object_ = std::move(object);
   instance->sequence_number_ = sequence_number;
+  instance->primitive_ = true;
   return instance;
 }
 
@@ -24,6 +28,10 @@ EventInstancePtr EventInstance::MakeComplex(
   instance->children_ = std::move(children);
   instance->sequence_number_ = sequence_number;
   return instance;
+}
+
+Observation EventInstance::observation() const {
+  return Observation{reader_.str(), object_.str(), t_begin_};
 }
 
 namespace {
@@ -50,7 +58,7 @@ std::string EventInstance::ToString() const {
   std::string out = "[" + FormatTimePoint(t_begin_) + "," +
                     FormatTimePoint(t_end_) + "]";
   if (is_primitive()) {
-    out += "obs(" + observation_->reader + "," + observation_->object + ")";
+    out += "obs(" + reader_.str() + "," + object_.str() + ")";
   } else {
     out += "(" + std::to_string(children_.size()) + " children)";
   }

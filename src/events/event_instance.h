@@ -1,17 +1,19 @@
 // Event instances (occurrences) and the paper's temporal functions (Fig. 3).
 //
 // An EventInstance is an occurrence of an event type over [t_begin, t_end].
-// Primitive instances wrap one Observation; complex instances own their
-// constituent instances, so a detected match can be traversed for action
-// parameter binding. Instances are immutable after construction and shared
-// between buffers via shared_ptr.
+// Primitive instances hold one observation as its reader and object
+// SharedText handles plus its timestamp — the same handles their bindings
+// share, so an observation's EPC text is stored once however many leaves,
+// instances and pairs reach it. Complex instances own their constituent
+// instances, so a detected match can be traversed for action parameter
+// binding. Instances are immutable after construction and shared between
+// buffers via shared_ptr.
 
 #ifndef RFIDCEP_EVENTS_EVENT_INSTANCE_H_
 #define RFIDCEP_EVENTS_EVENT_INSTANCE_H_
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,9 +28,11 @@ using EventInstancePtr = std::shared_ptr<const EventInstance>;
 
 class EventInstance {
  public:
-  // Creates a primitive instance from `obs` with the given variable
-  // bindings (reader/object/time variables of the matched primitive type).
-  static EventInstancePtr MakePrimitive(Observation obs, Bindings bindings,
+  // Creates a primitive instance for the observation (reader, object,
+  // timestamp) with the given variable bindings (reader/object/time
+  // variables of the matched primitive type).
+  static EventInstancePtr MakePrimitive(SharedText reader, SharedText object,
+                                        TimePoint timestamp, Bindings bindings,
                                         uint64_t sequence_number);
 
   // Creates a complex instance spanning [t_begin, t_end] with merged
@@ -38,7 +42,7 @@ class EventInstance {
                                       std::vector<EventInstancePtr> children,
                                       uint64_t sequence_number);
 
-  bool is_primitive() const { return observation_.has_value(); }
+  bool is_primitive() const { return primitive_; }
 
   TimePoint t_begin() const { return t_begin_; }
   TimePoint t_end() const { return t_end_; }
@@ -51,8 +55,11 @@ class EventInstance {
   uint64_t sequence_number() const { return sequence_number_; }
 
   const Bindings& bindings() const { return bindings_; }
-  // Primitive only.
-  const Observation& observation() const { return *observation_; }
+  // Primitive only: the observation's EPC handles, and the observation
+  // rebuilt from them as strings.
+  const SharedText& reader_text() const { return reader_; }
+  const SharedText& object_text() const { return object_; }
+  Observation observation() const;
   const std::vector<EventInstancePtr>& children() const { return children_; }
 
   // Flattens the instance tree into its primitive observations, in tree
@@ -68,9 +75,11 @@ class EventInstance {
   TimePoint t_begin_ = 0;
   TimePoint t_end_ = 0;
   Bindings bindings_;
-  std::optional<Observation> observation_;
+  SharedText reader_;  // Primitive only.
+  SharedText object_;  // Primitive only.
   std::vector<EventInstancePtr> children_;
   uint64_t sequence_number_ = 0;
+  bool primitive_ = false;
 };
 
 // dist(e1, e2) = t_end(e2) - t_end(e1)  (paper Fig. 3).

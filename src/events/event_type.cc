@@ -39,16 +39,22 @@ bool PrimitiveEventType::Matches(const Observation& obs,
   return true;
 }
 
-Bindings PrimitiveEventType::Bind(const Observation& obs) const {
+Bindings PrimitiveEventType::Bind(const SharedText& reader,
+                                  const SharedText& object,
+                                  TimePoint timestamp,
+                                  const SharedText& reader_location) const {
+  const bool bind_location =
+      reader_location_sym_ != kInvalidSymbol && !reader_location.empty();
   Bindings bindings;
-  if (reader_sym_ != kInvalidSymbol) {
-    bindings.BindScalar(reader_sym_, obs.reader);
-  }
-  if (object_sym_ != kInvalidSymbol) {
-    bindings.BindScalar(object_sym_, obs.object);
-  }
-  if (time_sym_ != kInvalidSymbol) {
-    bindings.BindScalar(time_sym_, obs.timestamp);
+  bindings.Reserve((reader_sym_ != kInvalidSymbol) +
+                       (object_sym_ != kInvalidSymbol) +
+                       (time_sym_ != kInvalidSymbol) + bind_location,
+                   0);
+  if (reader_sym_ != kInvalidSymbol) bindings.BindScalar(reader_sym_, reader);
+  if (object_sym_ != kInvalidSymbol) bindings.BindScalar(object_sym_, object);
+  if (time_sym_ != kInvalidSymbol) bindings.BindScalar(time_sym_, timestamp);
+  if (bind_location) {
+    bindings.BindScalar(reader_location_sym_, reader_location);
   }
   return bindings;
 }

@@ -88,8 +88,16 @@ class PrimitiveEventType {
   // True if `obs` is an instance of this type under `env`.
   bool Matches(const Observation& obs, const Environment& env) const;
 
-  // Variable bindings produced by a successful match.
-  Bindings Bind(const Observation& obs) const;
+  // Variable bindings produced by a successful match of the observation
+  // (reader, object, timestamp). The values share the given handles, so
+  // every leaf an observation matches binds one copy of its EPC text.
+  // A non-empty `reader_location` binds the derived `<reader_var>_location`
+  // (reader_location_sym()): the reader's registered symbolic location, so
+  // location rules can write `INSERT INTO OBJECTLOCATION VALUES
+  // (o, r_location, t, "UC")` instead of hardcoding one location per rule.
+  Bindings Bind(const SharedText& reader, const SharedText& object,
+                TimePoint timestamp,
+                const SharedText& reader_location = SharedText()) const;
 
   // Canonical rendering used for common-subgraph merging, e.g.
   // "obs('r1',o,t1)" or "obs(r,o,t),group='g1',type='case'".

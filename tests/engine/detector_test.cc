@@ -265,7 +265,7 @@ TEST(DetectorSeqPlusTest, RunBindingsAreMultiValued) {
   ASSERT_TRUE(b.HasMulti("o1"));
   EXPECT_EQ(b.Multi("o1").size(), 2u);
   ASSERT_TRUE(b.HasScalar("o2"));
-  EXPECT_EQ(std::get<std::string>(b.Scalar("o2")), "case");
+  EXPECT_EQ(std::get<events::SharedText>(b.Scalar("o2")).view(), "case");
 }
 
 TEST(DetectorSeqPlusTest, DistanceGapTooSmallSplitsRun) {

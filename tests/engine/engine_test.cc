@@ -11,6 +11,7 @@ namespace rfidcep::engine {
 namespace {
 
 using ::rfidcep::engine::testing::EngineHarness;
+using ::rfidcep::engine::testing::RecordedMatch;
 
 TEST(EngineTest, CompileRequiresRules) {
   store::Database db;
@@ -391,6 +392,56 @@ TEST(EngineTest, WindowFamilyHoldsEachInstanceOnce) {
   EXPECT_EQ(h.engine->TotalBufferedEntries(), 2u);
   ASSERT_TRUE(h.ObserveAt("b", "y", 11).ok());
   EXPECT_EQ(h.engine->TotalBufferedEntries(), 2u);  // (a,x,4), (b,y,11).
+}
+
+TEST(EngineTest, LeavesAndPairsShareTheObservationsEpcText) {
+  // Two leaves match each observation; both primitive instances, their
+  // bindings and the pair built from them hold one copy of its EPC text.
+  EngineHarness h;
+  ASSERT_TRUE(h.AddRules(R"(
+    CREATE RULE first, leaf one
+    ON observation(r, o, t1)
+    IF true DO send alarm
+    CREATE RULE second, leaf two
+    ON observation(r, o, t2)
+    IF true DO send alarm
+    CREATE RULE dup, duplicate
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5sec)
+    IF true DO send alarm
+  )").ok());
+  const std::string epc = "urn:epc:id:sgtin:0614141.100001.2731";
+  ASSERT_TRUE(h.ObserveAt("r1", epc, 1).ok());
+  ASSERT_TRUE(h.ObserveAt("r1", epc, 2).ok());
+  const std::vector<RecordedMatch> first = h.MatchesFor("first");
+  const std::vector<RecordedMatch> second = h.MatchesFor("second");
+  const std::vector<RecordedMatch> dup = h.MatchesFor("dup");
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  ASSERT_EQ(dup.size(), 1u);
+  auto object_of = [](const events::EventInstancePtr& e) {
+    return std::get<events::SharedText>(e->bindings().Scalar("o"));
+  };
+  for (size_t i = 0; i < 2; ++i) {
+    const events::EventInstance& a = *first[i].instance;
+    const events::EventInstance& b = *second[i].instance;
+    EXPECT_EQ(a.object_text().view(), epc);
+    EXPECT_TRUE(a.object_text().SharesStorageWith(b.object_text()));
+    EXPECT_TRUE(a.reader_text().SharesStorageWith(b.reader_text()));
+    EXPECT_TRUE(
+        object_of(first[i].instance).SharesStorageWith(a.object_text()));
+    EXPECT_TRUE(
+        object_of(second[i].instance).SharesStorageWith(a.object_text()));
+  }
+  // Each observation copies its text once: equal, not shared, across them.
+  const events::SharedText& earlier = first[0].instance->object_text();
+  const events::SharedText& later = first[1].instance->object_text();
+  EXPECT_EQ(earlier, later);
+  EXPECT_FALSE(earlier.SharesStorageWith(later));
+  // The pair's merged binding keeps the initiator's handle.
+  const events::EventInstancePtr& pair = dup[0].instance;
+  ASSERT_EQ(pair->children().size(), 2u);
+  EXPECT_TRUE(object_of(pair).SharesStorageWith(earlier));
+  EXPECT_TRUE(pair->children()[1]->object_text().SharesStorageWith(later));
 }
 
 }  // namespace

@@ -149,6 +149,42 @@ TEST(SnapshotFormatTest, FingerprintMismatchRejected) {
   EXPECT_NE(status.message().find("fingerprint"), std::string::npos);
 }
 
+// The header is the 8-byte magic, a u32 version, then the u64 fingerprint.
+uint64_t FingerprintOf(const std::string& bytes) {
+  uint64_t fingerprint = 0;
+  std::memcpy(&fingerprint, bytes.data() + 12, sizeof(fingerprint));
+  return fingerprint;
+}
+
+TEST(SnapshotFormatTest, CheckpointsCarryTheRuleSetFingerprint) {
+  auto h = LoadedHarness();
+  std::string first = Serialized(h->engine.get());
+  ASSERT_TRUE(h->engine->ProcessAll(ContinuationStream()).ok());
+  std::string second = Serialized(h->engine.get());
+  ASSERT_NE(first, second);
+  Result<rules::RuleSet> set = rules::ParseRuleProgram(kFixtureRules);
+  ASSERT_TRUE(set.ok());
+  uint64_t expected =
+      snapshot::ComputeFingerprint(ParameterContext::kChronicle, set->rules);
+  EXPECT_EQ(FingerprintOf(first), expected);
+  EXPECT_EQ(FingerprintOf(second), expected);
+}
+
+TEST(SnapshotFormatTest, RecompiledRuleSetRefusesOldSnapshot) {
+  auto h = LoadedHarness();
+  std::string old_bytes = Serialized(h->engine.get());
+  ASSERT_TRUE(h->engine->RemoveRule("quiet").ok());
+  ASSERT_TRUE(h->engine->Compile().ok());
+  Status status = h->engine->RestoreState(old_bytes);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("fingerprint"), std::string::npos);
+  // The recompiled set's own checkpoints still restore.
+  ASSERT_TRUE(h->engine->ProcessAll(ContinuationStream()).ok());
+  std::string bytes = Serialized(h->engine.get());
+  EXPECT_NE(FingerprintOf(bytes), FingerprintOf(old_bytes));
+  EXPECT_TRUE(h->engine->RestoreState(bytes).ok());
+}
+
 TEST(SnapshotFormatTest, TruncationRejectedAtEveryPrefix) {
   auto h = LoadedHarness();
   std::string bytes = Serialized(h->engine.get());

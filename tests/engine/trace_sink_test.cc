@@ -42,7 +42,7 @@ TEST_F(TraceSinkTest, ObservationRecord) {
 
 TEST_F(TraceSinkTest, NodeActivationRecord) {
   EventInstancePtr instance =
-      EventInstance::MakePrimitive(Observation{"r1", "o1", 10}, Bindings{}, 3);
+      EventInstance::MakePrimitive("r1", "o1", 10, Bindings{}, 3);
   sink_.RecordNodeActivation(2, 5, "SEQ", *instance);
   ASSERT_EQ(lines_.size(), 1u);
   EXPECT_EQ(lines_[0],
@@ -52,7 +52,7 @@ TEST_F(TraceSinkTest, NodeActivationRecord) {
 
 TEST_F(TraceSinkTest, PseudoMatchConditionActionRecords) {
   EventInstancePtr instance =
-      EventInstance::MakePrimitive(Observation{"r", "o", 20}, Bindings{}, 1);
+      EventInstance::MakePrimitive("r", "o", 20, Bindings{}, 1);
   sink_.RecordPseudoFired(0, 4, 30, 25);
   sink_.RecordMatch("r1", *instance, 42);
   sink_.RecordCondition("r1", true);

@@ -7,8 +7,7 @@ namespace {
 
 EventInstancePtr Prim(const std::string& reader, const std::string& object,
                       TimePoint t, uint64_t seq) {
-  return EventInstance::MakePrimitive(Observation{reader, object, t},
-                                      Bindings(), seq);
+  return EventInstance::MakePrimitive(reader, object, t, Bindings(), seq);
 }
 
 TEST(EventInstanceTest, PrimitiveIsInstantaneous) {

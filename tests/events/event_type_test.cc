@@ -53,15 +53,15 @@ TEST(EventTypeTest, LiteralObjectMatchesExactly) {
 
 TEST(EventTypeTest, BindProducesVariableBindings) {
   PrimitiveEventType type(Term::Variable("r"), Term::Variable("o1"), "t1");
-  Bindings b = type.Bind(Observation{"rX", "oY", 42 * kSecond});
-  EXPECT_EQ(std::get<std::string>(b.Scalar("r")), "rX");
-  EXPECT_EQ(std::get<std::string>(b.Scalar("o1")), "oY");
+  Bindings b = type.Bind("rX", "oY", 42 * kSecond);
+  EXPECT_EQ(std::get<SharedText>(b.Scalar("r")).view(), "rX");
+  EXPECT_EQ(std::get<SharedText>(b.Scalar("o1")).view(), "oY");
   EXPECT_EQ(std::get<TimePoint>(b.Scalar("t1")), 42 * kSecond);
 }
 
 TEST(EventTypeTest, LiteralTermsDoNotBind) {
   PrimitiveEventType type(Term::Literal("r1"), Term::Variable("o"), "t");
-  Bindings b = type.Bind(Observation{"r1", "oY", 1});
+  Bindings b = type.Bind("r1", "oY", 1);
   EXPECT_FALSE(b.HasScalar("r1"));
   EXPECT_TRUE(b.HasScalar("o"));
   EXPECT_EQ(b.scalar_count(), 2u);  // o and t.

@@ -58,7 +58,9 @@ inline std::vector<EventInstancePtr> EnumerateInstances(
       for (const Observation& obs : history) {
         if (expr.primitive().Matches(obs, env)) {
           out.push_back(EventInstance::MakePrimitive(
-              obs, expr.primitive().Bind(obs), ++*seq));
+              obs.reader, obs.object, obs.timestamp,
+              expr.primitive().Bind(obs.reader, obs.object, obs.timestamp),
+              ++*seq));
         }
       }
       break;
