@@ -9,9 +9,13 @@
 # examples/trace_replay for a human-readable account of what fired. A
 # third .rewrites argument (dumped by the metamorphic axis) is staged
 # alongside the pair, so CorpusReplays also re-applies the recorded
-# rewrite chain and re-checks original vs rewritten agreement. A fixed
-# case is a candidate for tests/property/corpus/ — copy the files there
-# with a comment header explaining the bug.
+# rewrite chain and re-checks original vs rewritten agreement. The
+# differential replay runs with the fuzz harness's reader registry (A and
+# B in group G at locations LA and LB, C unregistered), as the sweep did;
+# the engine replay runs with trace_replay's supply-chain registry, so for
+# rules naming group G its account can differ. A fixed case is a
+# candidate for tests/property/corpus/ — copy the files there with a
+# comment header explaining the bug.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then

@@ -45,8 +45,6 @@ constexpr uint64_t kCollisionKey = 0x636f6c6cull;
 
 constexpr JoinBuffer::Index kNoEntry = JoinBuffer::kNone;
 
-const events::SharedText kNoText;
-
 // Members per window family: one bit each in JoinBuffer::Members.
 constexpr int kMaxFamilyMembers = 64;
 
@@ -216,30 +214,26 @@ Status Detector::Process(const Observation& obs) {
   ++stats_.observations;
   if (m != nullptr && m->observations != nullptr) m->observations->Increment();
 
-  std::string_view group = env_->GroupViewOf(obs.reader);
-  // The observation's EPC text is copied once, when the first leaf
-  // matches, and its location looked up once, when the first leaf binding
-  // `<reader_var>_location` matches; every leaf's bindings and primitive
-  // instance share the handles.
-  events::SharedText reader;
+  ReaderRecord scratch;
+  ReaderRecord& record = RecordFor(obs.reader, &scratch);
+  // The object's EPC text (and an unregistered reader's) is copied once,
+  // when the first leaf matches; every leaf's bindings and primitive
+  // instance share the handles, and a kept record's reader and location
+  // handles are shared by every observation of the reader.
   events::SharedText object;
-  const events::SharedText* location = nullptr;
   bool texts_made = false;
   auto emit_leaf = [&](int node_id, const events::PrimitiveEventType& type) {
     ++stats_.primitive_matches;
     if (m != nullptr) m->primitive_matches->Increment();
     if (!texts_made) {
-      reader = obs.reader;
+      if (record.reader.empty()) record.reader = obs.reader;
       object = obs.object;
       texts_made = true;
     }
-    if (location == nullptr &&
-        type.reader_location_sym() != events::kInvalidSymbol) {
-      location = &LocationText(obs.reader);
-    }
-    Bindings bindings = type.Bind(reader, object, obs.timestamp,
-                                  location != nullptr ? *location : kNoText);
-    Emit(node_id, EventInstance::MakePrimitive(reader, object, obs.timestamp,
+    Bindings bindings =
+        type.Bind(record.reader, object, obs.timestamp, record.location);
+    Emit(node_id, EventInstance::MakePrimitive(record.reader, object,
+                                               obs.timestamp,
                                                std::move(bindings),
                                                NextSeq()));
   };
@@ -263,21 +257,15 @@ Status Detector::Process(const Observation& obs) {
     }
   };
   auto candidate = [&](const DispatchEntry& entry) {
-    if (entry.check_group && group != entry.group) return;
+    if (entry.check_group && record.group != entry.group) return;
     if (entry.check_object && obs.object != entry.object_literal) return;
     emit_leaf(entry.node_id, graph_->node(entry.node_id).primitive);
   };
-  if (const PrimitiveIndex::Bucket* bucket =
-          index_.FindReaderBucket(obs.reader)) {
+  for (const PrimitiveIndex::Bucket* bucket :
+       {record.reader_bucket, record.group_bucket}) {
+    if (bucket == nullptr) continue;
     resolve_type(*bucket);
     PrimitiveIndex::Probe(*bucket, type_view, candidate);
-  }
-  if (group != obs.reader) {
-    if (const PrimitiveIndex::Bucket* bucket =
-            index_.FindReaderBucket(group)) {
-      resolve_type(*bucket);
-      PrimitiveIndex::Probe(*bucket, type_view, candidate);
-    }
   }
   resolve_type(index_.unkeyed());
   PrimitiveIndex::Probe(index_.unkeyed(), type_view, candidate);
@@ -414,16 +402,36 @@ void Detector::RouteToParent(int parent_id, int child_id,
   }
 }
 
-const events::SharedText& Detector::LocationText(
-    std::string_view reader_epc) {
-  if (env_->readers == nullptr) return kNoText;
-  std::string_view location = env_->readers->LocationViewOf(reader_epc);
-  if (location.empty()) return kNoText;
-  auto it = location_texts_.find(location);
-  if (it == location_texts_.end()) {
-    it = location_texts_.emplace(location, events::SharedText(location)).first;
+Detector::ReaderRecord& Detector::RecordFor(std::string_view reader,
+                                            ReaderRecord* scratch) {
+  if (const epc::ReaderRegistry* registry = env_->readers) {
+    if (registry->generation() != records_generation_) {
+      // A registration may have moved a reader to another group or
+      // location, or overwritten the text a group view aliases.
+      reader_records_.clear();
+      records_generation_ = registry->generation();
+    }
+    if (auto it = reader_records_.find(reader); it != reader_records_.end()) {
+      return it->second;
+    }
+    if (const epc::ReaderRegistry::ReaderInfo* info = registry->Find(reader)) {
+      ReaderRecord& record = reader_records_[std::string(reader)];
+      record.reader = reader;
+      record.location = info->location_id;
+      ResolveBuckets(reader, info->group, &record);
+      return record;
+    }
   }
-  return it->second;
+  ResolveBuckets(reader, reader, scratch);
+  return *scratch;
+}
+
+void Detector::ResolveBuckets(std::string_view reader, std::string_view group,
+                              ReaderRecord* record) const {
+  record->group = group;
+  record->reader_bucket = index_.FindReaderBucket(reader);
+  record->group_bucket =
+      group != reader ? index_.FindReaderBucket(group) : nullptr;
 }
 
 // --- Slot buffers -------------------------------------------------------------

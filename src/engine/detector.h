@@ -217,6 +217,10 @@ class Detector {
   // subscribable vocabulary.
   uint64_t FullscanObservations() const { return fullscan_observations_; }
 
+  // Reader dispatch records kept (see ReaderRecord); never more than the
+  // reader registry holds.
+  size_t ReaderRecords() const { return reader_records_.size(); }
+
   // --- Checkpoint/restore (engine/snapshot.h) -----------------------------
   // Captures this detector's runtime state into `out`. `state_keys` is
   // EventGraph::NodeStateKeys for this detector's graph (one key per
@@ -303,6 +307,33 @@ class Detector {
     }
   };
 
+  // What dispatch needs of one reader, resolved once. A registered
+  // reader's record is built when the reader is first seen and kept until
+  // the registry's generation moves; an unregistered reader's is built for
+  // its one observation and dropped, so records are bounded by the
+  // registry, not by the stream.
+  struct ReaderRecord {
+    // The reader EPC every binding and primitive instance shares. An
+    // unregistered reader's is made when its first leaf matches.
+    events::SharedText reader;
+    // `<reader_var>_location`: the registered location, else empty.
+    events::SharedText location;
+    // group(r): aliases the registry, or the observation's reader text
+    // when unregistered (the paper's default).
+    std::string_view group;
+    // index_'s buckets for the reader literal and, when the group differs
+    // from the reader, for the group; null when absent.
+    const PrimitiveIndex::Bucket* reader_bucket = nullptr;
+    const PrimitiveIndex::Bucket* group_bucket = nullptr;
+  };
+
+  // The record for `reader`: the kept one, a newly kept one when the
+  // reader is registered, else `scratch` filled in for this observation.
+  ReaderRecord& RecordFor(std::string_view reader, ReaderRecord* scratch);
+  // Sets `record`'s group to `group` and looks up its buckets.
+  void ResolveBuckets(std::string_view reader, std::string_view group,
+                      ReaderRecord* record) const;
+
   // --- Routing ------------------------------------------------------------
   void Emit(int node_id, events::EventInstancePtr instance);
   void RouteToParent(int parent_id, int child_id,
@@ -361,10 +392,6 @@ class Detector {
 
   // --- Helpers -------------------------------------------------------------------
   uint64_t NextSeq() { return ++sequence_counter_; }
-  // The registered location of `reader_epc` as a shared handle (empty
-  // when unregistered or without a registry); valid until the detector
-  // is destroyed.
-  const events::SharedText& LocationText(std::string_view reader_epc);
 
   const EventGraph* graph_;
   const events::Environment* env_;
@@ -377,10 +404,10 @@ class Detector {
   std::vector<bool> seqplus_self_;  // Precomputed self-closure flags.
   PrimitiveIndex index_;  // Primitive dispatch (engine/rule_index.h).
   uint64_t fullscan_observations_ = 0;
-  // One `<reader_var>_location` handle per registered location text, made
-  // on first use and shared by every instance that binds it. Bounded by
-  // the reader registry, not by the stream.
-  StringViewMap<events::SharedText> location_texts_;
+  // Registered readers seen so far, as of registry generation
+  // `records_generation_`.
+  StringViewMap<ReaderRecord> reader_records_;
+  uint64_t records_generation_ = 0;
 
   std::priority_queue<PseudoEvent, std::vector<PseudoEvent>, PseudoLater>
       pseudo_queue_;

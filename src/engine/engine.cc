@@ -622,8 +622,10 @@ std::string RcedaEngine::DebugReport() const {
   } else {
     out = "clock=" + FormatTimePoint(detector_->clock()) +
           " pending_pseudo=" +
-          std::to_string(detector_->PendingPseudoEvents()) + " buffered=" +
-          std::to_string(detector_->TotalBufferedEntries()) + "\n";
+          std::to_string(detector_->PendingPseudoEvents()) +
+          " reader_records=" + std::to_string(detector_->ReaderRecords()) +
+          " buffered=" + std::to_string(detector_->TotalBufferedEntries()) +
+          "\n";
     if (detector_->FullscanObservations() > 0) {
       out += "dispatch_fullscan=" +
              std::to_string(detector_->FullscanObservations()) +

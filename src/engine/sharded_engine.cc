@@ -706,7 +706,8 @@ std::string ShardedDetector::DebugReport(
     out += "] clock=" + FormatTimePoint(shard->detector->clock()) +
            " pending_pseudo=" +
            std::to_string(shard->detector->PendingPseudoEvents()) +
-           " buffered=" +
+           " reader_records=" +
+           std::to_string(shard->detector->ReaderRecords()) + " buffered=" +
            std::to_string(shard->detector->TotalBufferedEntries()) +
            " inbox_depth=" + std::to_string(shard->inbox->size()) + "/" +
            std::to_string(shard->inbox->capacity()) +

@@ -39,6 +39,7 @@ void ReaderRegistry::RegisterReader(std::string reader_epc, std::string group,
   auto [it, inserted] = readers_.try_emplace(reader_epc);
   it->second = ReaderInfo{std::move(group), std::move(location_id)};
   if (inserted) registration_order_.push_back(std::move(reader_epc));
+  ++generation_;
 }
 
 std::string ReaderRegistry::GroupOf(std::string_view reader_epc) const {
@@ -50,18 +51,15 @@ std::string ReaderRegistry::LocationOf(std::string_view reader_epc) const {
 }
 
 std::string_view ReaderRegistry::GroupViewOf(std::string_view reader_epc) const {
-  if (auto it = readers_.find(reader_epc); it != readers_.end()) {
-    return it->second.group;
-  }
-  return reader_epc;
+  const ReaderInfo* info = Find(reader_epc);
+  return info != nullptr ? std::string_view(info->group) : reader_epc;
 }
 
 std::string_view ReaderRegistry::LocationViewOf(
     std::string_view reader_epc) const {
-  if (auto it = readers_.find(reader_epc); it != readers_.end()) {
-    return it->second.location_id;
-  }
-  return {};
+  const ReaderInfo* info = Find(reader_epc);
+  return info != nullptr ? std::string_view(info->location_id)
+                         : std::string_view();
 }
 
 std::vector<std::string> ReaderRegistry::ReadersInGroup(

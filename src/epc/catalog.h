@@ -60,9 +60,21 @@ class ReaderRegistry {
   };
 
   // Registers a reader with its group and the symbolic location it covers.
-  // Re-registering a reader overwrites its entry.
+  // Re-registering a reader overwrites its entry. Either way the
+  // generation moves on.
   void RegisterReader(std::string reader_epc, std::string group,
                       std::string location_id);
+
+  // The entry of a registered reader, or nullptr. Valid until the next
+  // registration.
+  const ReaderInfo* Find(std::string_view reader_epc) const {
+    auto it = readers_.find(reader_epc);
+    return it != readers_.end() ? &it->second : nullptr;
+  }
+
+  // Counts registrations. Whatever a caller resolved from the registry
+  // (a group view, a location) stays current while this stays the same.
+  uint64_t generation() const { return generation_; }
 
   // group(r): the registered group, or `reader_epc` itself if unregistered
   // (the paper's default).
@@ -85,6 +97,7 @@ class ReaderRegistry {
  private:
   StringViewMap<ReaderInfo> readers_;
   std::vector<std::string> registration_order_;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace rfidcep::epc

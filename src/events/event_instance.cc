@@ -7,7 +7,7 @@ EventInstancePtr EventInstance::MakePrimitive(SharedText reader,
                                               TimePoint timestamp,
                                               Bindings bindings,
                                               uint64_t sequence_number) {
-  auto instance = std::shared_ptr<EventInstance>(new EventInstance());
+  auto instance = std::make_shared<EventInstance>(Token());
   instance->t_begin_ = timestamp;
   instance->t_end_ = timestamp;
   instance->bindings_ = std::move(bindings);
@@ -21,7 +21,7 @@ EventInstancePtr EventInstance::MakePrimitive(SharedText reader,
 EventInstancePtr EventInstance::MakeComplex(
     TimePoint t_begin, TimePoint t_end, Bindings bindings,
     std::vector<EventInstancePtr> children, uint64_t sequence_number) {
-  auto instance = std::shared_ptr<EventInstance>(new EventInstance());
+  auto instance = std::make_shared<EventInstance>(Token());
   instance->t_begin_ = t_begin;
   instance->t_end_ = t_end;
   instance->bindings_ = std::move(bindings);

@@ -27,7 +27,15 @@ class EventInstance;
 using EventInstancePtr = std::shared_ptr<const EventInstance>;
 
 class EventInstance {
+  // Keeps the constructor to the factories below while letting them use
+  // std::make_shared: the instance and its count share one allocation.
+  struct Token {
+    explicit Token() = default;
+  };
+
  public:
+  explicit EventInstance(Token) {}
+
   // Creates a primitive instance for the observation (reader, object,
   // timestamp) with the given variable bindings (reader/object/time
   // variables of the matched primitive type).
@@ -70,8 +78,6 @@ class EventInstance {
   std::string ToString() const;
 
  private:
-  EventInstance() = default;
-
   TimePoint t_begin_ = 0;
   TimePoint t_end_ = 0;
   Bindings bindings_;

@@ -505,5 +505,120 @@ TEST(DetectorPrimitiveTest, TypeConstraintFilters) {
   EXPECT_EQ(h.matches.size(), 1u);
 }
 
+// --- Reader dispatch records -------------------------------------------------
+
+// The `reader_records=` counts a DebugReport prints: one for a serial
+// engine, one per shard line for a sharded one.
+std::vector<size_t> ReaderRecordCounts(const std::string& report) {
+  std::vector<size_t> counts;
+  const std::string field = "reader_records=";
+  for (size_t at = report.find(field); at != std::string::npos;
+       at = report.find(field, at + 1)) {
+    counts.push_back(std::stoul(report.substr(at + field.size())));
+  }
+  return counts;
+}
+
+std::string BoundText(const RecordedMatch& match, const char* var) {
+  return std::get<events::SharedText>(match.instance->bindings().Scalar(var))
+      .str();
+}
+
+TEST(DetectorReaderRecordTest, ReRegistrationTakesEffectAtNextObservation) {
+  // A keyed rule engages the sharded pipeline at shards > 1, whose workers
+  // keep their own records.
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EngineOptions options;
+    options.shards = shards;
+    EngineHarness h(options);
+    h.readers.RegisterReader("r1", "dock", "loc_dock");
+    ASSERT_TRUE(h.AddRules(R"(
+      CREATE RULE at_dock, dock
+      ON observation(r, o, t), group(r) = "dock"
+      IF true DO send alarm
+      CREATE RULE at_shelf, shelf
+      ON observation(r, o, t), group(r) = "shelf"
+      IF true DO send alarm
+      CREATE RULE dup, keyed
+      ON WITHIN(observation(r, o, t1); observation(r, o, t2), 1sec)
+      IF true DO send alarm
+    )").ok());
+    ASSERT_TRUE(h.ObserveAt("r1", "x", 1).ok());
+    ASSERT_TRUE(h.ObserveAt("r1", "y", 2).ok());
+    h.readers.RegisterReader("r1", "shelf", "loc_shelf");
+    ASSERT_TRUE(h.ObserveAt("r1", "x", 3).ok());
+    ASSERT_TRUE(h.engine->Flush().ok());
+    EXPECT_EQ(h.engine->num_shards() > 1, shards > 1);
+
+    std::vector<RecordedMatch> dock = h.MatchesFor("at_dock");
+    std::vector<RecordedMatch> shelf = h.MatchesFor("at_shelf");
+    ASSERT_EQ(dock.size(), 2u);
+    ASSERT_EQ(shelf.size(), 1u);
+    EXPECT_EQ(shelf[0].t_end, 3 * kSecond);
+    EXPECT_EQ(BoundText(dock[1], "r_location"), "loc_dock");
+    EXPECT_EQ(BoundText(shelf[0], "r_location"), "loc_shelf");
+    EXPECT_TRUE(h.MatchesFor("dup").empty());
+  }
+}
+
+TEST(DetectorReaderRecordTest, UnregisteredReadersLeaveNoRecords) {
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EngineOptions options;
+    options.shards = shards;
+    EngineHarness h(options);
+    h.readers.RegisterReader("known", "g", "loc");
+    ASSERT_TRUE(h.AddRules(R"(
+      CREATE RULE any, every reader
+      ON WITHIN(observation(r, o, t1); observation(r, o, t2), 1sec)
+      IF true DO send alarm
+    )").ok());
+    ASSERT_TRUE(h.engine->Compile().ok());
+    std::vector<events::Observation> stream;
+    for (int i = 0; i < 10000; ++i) {
+      stream.push_back({"reader" + std::to_string(i), "x", i * kSecond});
+    }
+    ASSERT_TRUE(h.engine->ProcessAll(stream).ok());
+    EXPECT_EQ(h.engine->stats().detector.primitive_matches, 20000u);
+    std::vector<size_t> counts = ReaderRecordCounts(h.engine->DebugReport());
+    ASSERT_EQ(counts.size(), static_cast<size_t>(shards));
+    for (size_t count : counts) EXPECT_EQ(count, 0u);
+
+    ASSERT_TRUE(h.engine->Process({"known", "x", 10000 * kSecond}).ok());
+    counts = ReaderRecordCounts(h.engine->DebugReport());
+    size_t total = 0;
+    for (size_t count : counts) total += count;
+    EXPECT_EQ(total, 1u);
+  }
+}
+
+TEST(DetectorReaderRecordTest, ObservationsOfOneReaderShareItsHandle) {
+  EngineHarness h;
+  h.readers.RegisterReader("a", "ga", "loc_a");
+  ASSERT_TRUE(h.AddRules(R"(
+    CREATE RULE o, overlapping branches
+    ON observation("a", o, t) OR observation(r, o, t2), group(r) = "ga"
+    IF true
+    DO send alarm
+  )").ok());
+  ASSERT_TRUE(h.ObserveAt("a", "x", 1).ok());
+  ASSERT_TRUE(h.ObserveAt("a", "y", 2).ok());
+  ASSERT_EQ(h.matches.size(), 4u);
+  const events::SharedText& first = h.matches[0].instance->reader_text();
+  EXPECT_EQ(first.view(), "a");
+  // Two leaves of one observation, and two observations of the reader.
+  for (const RecordedMatch& match : h.matches) {
+    EXPECT_TRUE(match.instance->reader_text().SharesStorageWith(first));
+  }
+  // The second leaf binds r; its value is the same handle.
+  EXPECT_TRUE(std::get<events::SharedText>(
+                  h.matches[1].instance->bindings().Scalar("r"))
+                  .SharesStorageWith(first));
+  EXPECT_EQ(BoundText(h.matches[3], "r_location"), "loc_a");
+  EXPECT_EQ(ReaderRecordCounts(h.engine->DebugReport()),
+            std::vector<size_t>{1});
+}
+
 }  // namespace
 }  // namespace rfidcep::engine

@@ -24,7 +24,14 @@
 //      introduction, SEQ⇄TSEQ, bound slack, WITHIN push); original and
 //      rewritten programs must agree through the reference interpreter
 //      and the serial and sharded engines — ordered when the chain
-//      preserves order, as multisets otherwise.
+//      preserves order, as multisets otherwise;
+//   7. reader-group axis — leaves naming reader groups (`group(r) = …`,
+//      a reader literal naming a group); serial and sharded(2, 4) runs
+//      must each equal the reference in spans and in the r_location
+//      values their matches bind.
+//
+// Every engine and the reference run with one fixed reader registry
+// (FuzzEnvironment): A and B registered, C not.
 //
 // Cases are seeded: random rule sets (OR/AND/NOT/SEQ/TSEQ/SEQ+/TSEQ+/
 // WITHIN nested up to depth 4) over random observation streams with
@@ -114,7 +121,10 @@ std::string Sec(int64_t s) { return std::to_string(s) + "sec"; }
 
 class ExprGen {
  public:
-  explicit ExprGen(Prng* prng) : prng_(*prng) {}
+  // `groups` lets leaves name reader groups (see Primitive); off, the
+  // generator draws exactly what it drew before groups existed.
+  explicit ExprGen(Prng* prng, bool groups = false)
+      : prng_(*prng), groups_(groups) {}
 
   // One rule event, nested up to `depth` constructor levels below the
   // mandatory root WITHIN (which bounds every expiry window, keeping the
@@ -157,7 +167,25 @@ class ExprGen {
       scalar_objects_.push_back(object);
       scalar_times_.push_back(time);
     }
-    return "observation(" + reader + ", " + object + ", " + time + ")";
+    // Group choices come after every draw above. Under the harness
+    // registry, G is A's and B's group, C is its own, and no reader's
+    // group is A.
+    std::string constraint;
+    if (groups_) {
+      static const char* kGroups[] = {"G", "C", "A"};
+      const int64_t choice = prng_.UniformInt(0, 5);
+      if (choice == 1) {
+        reader = "\"G\"";  // A reader literal naming a group.
+      } else if (choice >= 2 && choice <= 4) {
+        reader = "r";
+        constraint = std::string(", group(r) = \"") + kGroups[choice - 2] +
+                     "\"";
+      } else if (choice == 5) {
+        constraint = ", group(r) = \"G\"";  // On the reader as drawn.
+      }
+    }
+    return "observation(" + reader + ", " + object + ", " + time + ")" +
+           constraint;
   }
 
   std::string Expr(int depth, bool safe) {
@@ -215,6 +243,7 @@ class ExprGen {
   }
 
   Prng& prng_;
+  bool groups_;
   int var_counter_ = 0;
   std::vector<std::string> scalar_objects_;
   std::vector<std::string> scalar_times_;
@@ -265,9 +294,9 @@ std::string GenActions(Prng* prng, const ExprGen& gen, int rule_index) {
 // graph validation (unbounded expiry through an OR, pull-mode roots); the
 // generator retries and finally falls back to a known-good template.
 std::string GenRule(Prng* prng, int rule_index, int depth,
-                    bool sql_actions = false) {
+                    bool sql_actions = false, bool groups = false) {
   for (int attempt = 0; attempt < 8; ++attempt) {
-    ExprGen gen(prng);
+    ExprGen gen(prng, groups);
     std::string root = gen.Root(depth);
     std::string action =
         sql_actions ? GenActions(prng, gen, rule_index) : "act";
@@ -412,7 +441,56 @@ FuzzCase GenDurableCase(uint64_t seed) {
   return c;
 }
 
+// Rules whose leaves name reader groups, over the harness registry: the
+// registered-reader dispatch path and its r_location bindings.
+FuzzCase GenGroupCase(uint64_t seed) {
+  Prng prng(seed);
+  FuzzCase c;
+  int num_rules = static_cast<int>(prng.UniformInt(1, 3));
+  for (int i = 0; i < num_rules; ++i) {
+    c.rules.push_back(GenRule(&prng, i, /*depth=*/3, /*sql_actions=*/false,
+                              /*groups=*/true));
+  }
+  c.stream = GenStream(&prng, 20, 60);
+  return c;
+}
+
 // --- Execution protocols -----------------------------------------------------
+
+// The harness's one reader registry: A and B in group G at distinct
+// locations, C unregistered (group(C) = C, no location). Every engine and
+// the reference run with it, so reader literals reach registered and
+// unregistered readers alike and r-variable leaves bind r_location for
+// A and B.
+const events::Environment& FuzzEnvironment() {
+  static const epc::ReaderRegistry readers = [] {
+    epc::ReaderRegistry registry;
+    registry.RegisterReader("A", "G", "LA");
+    registry.RegisterReader("B", "G", "LB");
+    return registry;
+  }();
+  static const events::Environment env{nullptr, &readers};
+  return env;
+}
+
+// A match's span plus the r_location values it binds ("" when none; a
+// SEQ+ run's values in run order), keyed by rule id.
+using LocatedSpan = std::pair<Span, std::string>;
+using LocatedByRule = std::map<std::string, std::vector<LocatedSpan>>;
+
+LocatedSpan Locate(const events::EventInstance& e) {
+  const events::SymbolId sym = events::FindSymbol("r_location");
+  const events::Bindings& bindings = e.bindings();
+  std::string where;
+  if (const events::BindingValue* value = bindings.FindScalar(sym)) {
+    where = events::BindingValueToString(*value);
+  } else if (const auto* values = bindings.FindMulti(sym)) {
+    for (const events::BindingValue& value : *values) {
+      where += events::BindingValueToString(value) + ";";
+    }
+  }
+  return {Span{e.t_begin(), e.t_end()}, std::move(where)};
+}
 
 struct RunSpec {
   int shards = 1;
@@ -426,24 +504,31 @@ struct RunSpec {
   ParameterContext context = ParameterContext::kChronicle;
 };
 
+// A non-null `located` also receives every match with its r_location
+// values.
 SpansByRule RunEngine(const std::string& program,
-                      const std::vector<Observation>& stream, RunSpec spec) {
+                      const std::vector<Observation>& stream, RunSpec spec,
+                      LocatedByRule* located = nullptr) {
   EngineOptions options;
   options.detector.context = spec.context;
   options.detector.tolerate_out_of_order = spec.tolerate_out_of_order;
   options.detector.debug_force_join_collisions = spec.force_join_collisions;
   options.shards = spec.shards;
-  RcedaEngine engine(/*db=*/nullptr, events::Environment{}, options);
+  RcedaEngine engine(/*db=*/nullptr, FuzzEnvironment(), options);
   SpansByRule out;
   engine.SetMatchCallback(
-      [&out](const rules::Rule& rule, const EventInstancePtr& e) {
+      [&out, located](const rules::Rule& rule, const EventInstancePtr& e) {
         out[rule.id].push_back(Span{e->t_begin(), e->t_end()});
+        if (located != nullptr) (*located)[rule.id].push_back(Locate(*e));
       });
   EXPECT_TRUE(engine.AddRulesFromText(program).ok());
   EXPECT_TRUE(engine.Compile().ok());
   // Every rule id present even when it never fires, so comparisons see
   // empty-vs-nonempty instead of missing keys.
-  for (size_t i = 0; i < engine.num_rules(); ++i) out[engine.rule(i).id];
+  for (size_t i = 0; i < engine.num_rules(); ++i) {
+    out[engine.rule(i).id];
+    if (located != nullptr) (*located)[engine.rule(i).id];
+  }
 
   if (spec.split_batch) {
     size_t half = stream.size() / 2;
@@ -478,17 +563,21 @@ SpansByRule RunEngine(const std::string& program,
 // graph under test, so how the compiler shares or rewrites nodes cannot
 // leak into the expected spans.
 SpansByRule RunReference(const rules::RuleSet& set,
-                         const std::vector<Observation>& stream) {
-  static const events::Environment env{};
+                         const std::vector<Observation>& stream,
+                         LocatedByRule* located = nullptr) {
   SpansByRule out;
   for (size_t i = 0; i < set.rules.size(); ++i) {
     reference::ReferenceOptions options;
     options.context = ParameterContext::kChronicle;
     reference::ReferenceInterpreter interp(
-        PropagateIntervalConstraints(set.rules[i].event), &env, options);
+        PropagateIntervalConstraints(set.rules[i].event), &FuzzEnvironment(),
+        options);
     std::vector<Span>& spans = out[set.rules[i].id];
+    std::vector<LocatedSpan>* where =
+        located != nullptr ? &(*located)[set.rules[i].id] : nullptr;
     for (const EventInstancePtr& e : interp.Run(stream)) {
       spans.push_back(Span{e->t_begin(), e->t_end()});
+      if (where != nullptr) where->push_back(Locate(*e));
     }
   }
   return out;
@@ -565,7 +654,7 @@ struct RecoveryEngine {
     options.detector.context = context;
     options.shards = shards;
     r->engine = std::make_unique<RcedaEngine>(/*db=*/nullptr,
-                                              events::Environment{}, options);
+                                              FuzzEnvironment(), options);
     SpansByRule* out = &r->matches;
     r->engine->SetMatchCallback(
         [out](const rules::Rule& rule, const EventInstancePtr& e) {
@@ -790,6 +879,61 @@ std::optional<std::string> CheckFamilyCase(const FuzzCase& c, uint64_t salt) {
   return std::nullopt;
 }
 
+// --- Reader groups -----------------------------------------------------------
+//
+// Group rules (GenGroupCase): serial and sharded(2, 4) runs must each
+// equal the reference as multisets of (span, r_location values), and the
+// sharded runs the serial one in emission order. A non-null `located`
+// counts the reference's matches that bind a location.
+std::optional<std::string> CheckGroupCase(const FuzzCase& c,
+                                          size_t* located = nullptr) {
+  const std::string program = c.Program();
+  Result<rules::RuleSet> set = rules::ParseRuleProgram(program);
+  if (!set.ok()) return "parse failed: " + set.status().ToString();
+  if (!EventGraph::Build(set->rules).ok()) return "graph build failed";
+  auto sorted = [](std::vector<LocatedSpan> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  auto format = [](const std::vector<LocatedSpan>& v) {
+    std::string out = "{";
+    for (const auto& [span, where] : v) {
+      out += " [" + std::to_string(span.t_begin) + "," +
+             std::to_string(span.t_end) + "]@" + where;
+    }
+    return out + " }";
+  };
+  LocatedByRule reference;
+  RunReference(*set, c.stream, &reference);
+  for (const auto& [rule_id, matches] : reference) {
+    for (const LocatedSpan& match : matches) {
+      if (located != nullptr && !match.second.empty()) ++*located;
+    }
+  }
+  SpansByRule serial;
+  for (int shards : {1, 2, 4}) {
+    const std::string name = "sharded(" + std::to_string(shards) + ")";
+    LocatedByRule located;
+    RunSpec spec;
+    spec.shards = shards;
+    SpansByRule spans = RunEngine(program, c.stream, spec, &located);
+    for (const auto& [rule_id, expected] : reference) {
+      if (sorted(expected) != sorted(located[rule_id])) {
+        return "reference vs " + name + " divergence on group rule " +
+               rule_id + "\n  reference: " + format(sorted(expected)) +
+               "\n  " + name + ": " + format(sorted(located[rule_id]));
+      }
+    }
+    if (shards == 1) {
+      serial = std::move(spans);
+    } else if (std::optional<std::string> why =
+                   DiffSpans("serial vs " + name, serial, spans)) {
+      return why;
+    }
+  }
+  return std::nullopt;
+}
+
 // --- Durable crash-recovery protocol (WAL axis) ------------------------------
 //
 // The exactly-once invariant end to end: a run with SQL actions, a store
@@ -826,7 +970,7 @@ struct DurableRig {
     options.detector.context = ParameterContext::kChronicle;
     options.shards = shards;
     r->engine = std::make_unique<RcedaEngine>(r->db.get(),
-                                              events::Environment{}, options);
+                                              FuzzEnvironment(), options);
     SpansByRule* out = &r->matches;
     r->engine->SetMatchCallback(
         [out](const rules::Rule& rule, const EventInstancePtr& e) {
@@ -1572,6 +1716,29 @@ TEST(DifferentialFuzz, WindowSiblingsAreInvisible) {
       FAIL() << ReportDivergence(minimized, min_why.value_or(*why), seed);
     }
   }
+}
+
+TEST(DifferentialFuzz, GroupRulesMatchReference) {
+  // Leaves naming reader groups over the harness registry: registered
+  // readers dispatch through their kept records, C through a per-
+  // observation one, at 1, 2 and 4 shards.
+  const int cases = FuzzCases();
+  int located_cases = 0;
+  auto check = [](const FuzzCase& trial) { return CheckGroupCase(trial); };
+  for (int i = 0; i < cases; ++i) {
+    uint64_t seed = 0x6a0bULL * 1000003ULL + static_cast<uint64_t>(i);
+    FuzzCase c = GenGroupCase(seed);
+    size_t located = 0;
+    std::optional<std::string> why = CheckGroupCase(c, &located);
+    if (why.has_value()) {
+      FuzzCase minimized = Shrink(c, check);
+      std::optional<std::string> min_why = check(minimized);
+      FAIL() << ReportDivergence(minimized, min_why.value_or(*why), seed);
+    }
+    if (located > 0) ++located_cases;
+  }
+  // The axis must reach r_location bindings, not only spans.
+  EXPECT_GT(located_cases, cases / 4);
 }
 
 // --- Corpus replay -----------------------------------------------------------
