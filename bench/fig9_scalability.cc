@@ -1,6 +1,6 @@
 // FIG9-A / FIG9-B: reproduction of the paper's Fig. 9 — "Event processing
-// time versus number of events and number of rules" (§5) — plus a shards
-// series for the sharded detection pipeline.
+// time versus number of events and number of rules" (§5) — plus the
+// airport-baggage workload series.
 //
 // Setup mirrors the paper: a simulated RFID-enabled supply chain
 // (warehouses, shipping, retail, sale), observation arrival rate 1000
@@ -8,16 +8,12 @@
 // monitoring, and *action cost excluded* from the measured processing time
 // (execute_actions = false).
 //
-//   ./build/bench/fig9_scalability [--series=events|rules|shards|
-//                                   workload|both|all]
-//                                  [--shards=N[,N...]] [--batch=N]
+//   ./build/bench/fig9_scalability [--series=events|rules|workload|
+//                                   both|all]
+//                                  [--batch=N]
 //                                  [--rules=N] [--sites=N] [--events=N]
 //                                  [--metrics] [--metrics-out=FILE]
 //                                  [--json-out=FILE] [--recovery-smoke]
-//
-// --shards takes a comma list for the shards series (a serial shards=1
-// baseline point is always included); other series use the first value.
-// Sharded runs partition the stream by key (engine/sharded_engine.h).
 //
 // The rules series (FIG9-B) sweeps the SKU x site rule family — one
 // duplicate-detection rule per (site, SKU) pair over 20 sites and 500
@@ -38,7 +34,7 @@
 // OBJECTCONTAINMENT tables must be byte-identical (store/csv.h dumps)
 // to the uninterrupted run's — the exactly-once contract of
 // docs/recovery.md "Exactly-once effects". CI runs this as the recovery
-// smoke job at shards 1/2/4.
+// smoke job.
 //
 // Metric collection defaults OFF here (the engine defaults it on) so the
 // timed numbers stay comparable with BENCH_rfidcep.json; --metrics turns
@@ -46,15 +42,12 @@
 // --json-out writes every timing row as JSON for scripts/bench_guard.py.
 //
 // The stream is pre-split into batches outside the timed region and fed
-// through RcedaEngine::ProcessAll, the batch entry point (one routing
-// fan-out, one barrier, and one stats sync per batch in sharded mode).
+// through RcedaEngine::ProcessAll, the batch entry point.
 //
 // Expected shape (paper): total processing time grows ~linearly with the
 // number of primitive events, and stays moderate as the number of rules
 // grows (sub-linear in rules thanks to common-subgraph merging and
-// indexed primitive dispatch). The shards series reports the same
-// workload partitioned across worker threads; wall-clock gains require
-// the host to have that many cores (see docs/performance.md).
+// indexed primitive dispatch).
 
 #include <algorithm>
 #include <chrono>
@@ -63,7 +56,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -93,8 +85,6 @@ struct RunResult {
 
 struct BenchFlags {
   std::string series = "both";
-  int shards = 1;
-  std::vector<int> shard_list;  // --shards comma list (shards series).
   size_t batch = 1024;
   int rules = 0;    // 0 = per-series default.
   int sites = 0;    // 0 = per-series default.
@@ -113,14 +103,14 @@ struct BenchOutput {
 
 void AppendJsonRow(BenchOutput* out, const char* series,
                    const char* rule_family, size_t events, int rules,
-                   int shards, const RunResult& r) {
+                   const RunResult& r) {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "{\"series\":\"%s\",\"rule_family\":\"%s\","
-                "\"events\":%zu,\"rules\":%d,\"shards\":%d,"
+                "\"events\":%zu,\"rules\":%d,"
                 "\"total_ms\":%.3f,\"usec_per_event\":%.4f,"
                 "\"matches\":%llu,\"fired\":%llu}",
-                series, rule_family, events, rules, shards, r.total_ms,
+                series, rule_family, events, rules, r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.rules_fired));
   out->json_rows.emplace_back(buf);
@@ -146,7 +136,7 @@ void Check(const Status& status, const char* what) {
 
 RunResult RunOnce(const std::string& rule_program,
                   const rfidcep::sim::SupplyChainConfig& chain_config,
-                  size_t num_events, int shards, const BenchFlags& flags,
+                  size_t num_events, const BenchFlags& flags,
                   BenchOutput* out) {
   const size_t batch_size = flags.batch;
   rfidcep::sim::SupplyChain chain(chain_config);
@@ -163,7 +153,6 @@ RunResult RunOnce(const std::string& rule_program,
 
   EngineOptions options;
   options.execute_actions = false;  // Paper: action cost not counted.
-  options.shards = shards;
   options.enable_metrics = flags.metrics;
   RcedaEngine engine(nullptr, chain.environment(), options);
   Check(engine.AddRulesFromText(rule_program), "rule");
@@ -194,9 +183,8 @@ void RunEventsSeries(const BenchFlags& flags, BenchOutput* out) {
       "\nFIG9-A: total event processing time versus number of primitive "
       "events\n");
   std::printf("(fixed rule set: %d rules over %d sites, arrival rate 1000 "
-              "ev/s, actions excluded, shards=%d, batch=%zu)\n",
-              num_rules, flags.sites > 0 ? flags.sites : 5, flags.shards,
-              flags.batch);
+              "ev/s, actions excluded, batch=%zu)\n",
+              num_rules, flags.sites > 0 ? flags.sites : 5, flags.batch);
   std::printf("%12s %14s %14s %12s %12s\n", "events", "total_ms",
               "usec/event", "matches", "pseudo");
   const int sites = flags.sites > 0 ? flags.sites : 5;
@@ -206,13 +194,11 @@ void RunEventsSeries(const BenchFlags& flags, BenchOutput* out) {
   std::vector<size_t> points = {50000, 100000, 150000, 200000, 250000};
   if (flags.events > 0) points = {flags.events};
   for (size_t events : points) {
-    RunResult r =
-        RunOnce(rules, BenchConfig(sites), events, flags.shards, flags, out);
+    RunResult r = RunOnce(rules, BenchConfig(sites), events, flags, out);
     std::printf("%12zu %14.1f %14.3f %12llu %12llu\n", events, r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.pseudo_fired));
-    AppendJsonRow(out, "events", "generated", events, num_rules, flags.shards,
-                  r);
+    AppendJsonRow(out, "events", "generated", events, num_rules, r);
   }
 }
 
@@ -236,9 +222,8 @@ void RunRulesSeries(const BenchFlags& flags, BenchOutput* out) {
   naming.num_skus = 500;  // Rule family spans the full SKU space.
   std::printf("(fixed stream: %zu primitive events at 1000 ev/s over %d "
               "sites x %d SKUs, sku_site rule family over %d SKUs, "
-              "actions excluded, shards=%d, batch=%zu)\n",
-              events, sites, config.num_skus, naming.num_skus, flags.shards,
-              flags.batch);
+              "actions excluded, batch=%zu)\n",
+              events, sites, config.num_skus, naming.num_skus, flags.batch);
   std::printf("%12s %14s %14s %12s %12s\n", "rules", "total_ms", "usec/event",
               "matches", "pseudo");
   rfidcep::sim::SupplyChain naming_chain(naming);
@@ -247,47 +232,11 @@ void RunRulesSeries(const BenchFlags& flags, BenchOutput* out) {
   if (flags.rules > 0) points = {flags.rules};
   for (int rules : points) {
     std::string program = naming_chain.SkuSiteRuleProgram(rules);
-    RunResult r = RunOnce(program, config, events, flags.shards, flags, out);
+    RunResult r = RunOnce(program, config, events, flags, out);
     std::printf("%12d %14.1f %14.3f %12llu %12llu\n", rules, r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.pseudo_fired));
-    AppendJsonRow(out, "rules", "sku_site", events, rules, flags.shards, r);
-  }
-}
-
-// Many-rules workload partitioned across detection shards (default
-// {1, 2, 4}; override the multi-shard points with --shards=2,4,...).
-// Match and fired counts must be identical at every shard count — the
-// pipeline's determinism contract — so they are printed for auditing.
-void RunShardsSeries(const BenchFlags& flags, BenchOutput* out) {
-  const int rules = flags.rules > 0 ? flags.rules : 100;
-  const int sites = flags.sites > 0 ? flags.sites : 20;
-  const size_t events = flags.events > 0 ? flags.events : 100000;
-  std::printf("\nFIG9-S: total event processing time versus detection "
-              "shards\n");
-  std::printf("(fixed workload: %d rules over %d sites, %zu primitive "
-              "events, batch=%zu, actions excluded)\n",
-              rules, sites, events, flags.batch);
-  std::printf("%12s %14s %14s %12s %12s\n", "shards", "total_ms",
-              "usec/event", "matches", "fired");
-  rfidcep::sim::SupplyChain chain(BenchConfig(sites));
-  std::string program = chain.GeneratedRuleProgram(rules);
-  std::vector<int> points = {1};
-  if (flags.shard_list.empty()) {
-    points.push_back(2);
-    points.push_back(4);
-  } else {
-    for (int shards : flags.shard_list) {
-      if (shards > 1) points.push_back(shards);
-    }
-  }
-  for (int shards : points) {
-    RunResult r =
-        RunOnce(program, BenchConfig(sites), events, shards, flags, out);
-    std::printf("%12d %14.1f %14.3f %12llu %12llu\n", shards, r.total_ms,
-                r.usec_per_event, static_cast<unsigned long long>(r.matches),
-                static_cast<unsigned long long>(r.rules_fired));
-    AppendJsonRow(out, "shards", "generated", events, rules, shards, r);
+    AppendJsonRow(out, "rules", "sku_site", events, rules, r);
   }
 }
 
@@ -308,7 +257,6 @@ RunResult RunWorkloadOnce(const std::string& rule_program,
   }
   EngineOptions options;
   options.execute_actions = false;
-  options.shards = flags.shards;
   options.enable_metrics = flags.metrics;
   options.detector.tolerate_out_of_order = tolerate;
   RcedaEngine engine(nullptr, rfidcep::events::Environment{}, options);
@@ -357,10 +305,9 @@ CREATE RULE reread, baggage ON WITHIN(TSEQ+(observation("gate", o, t), 0sec, 1se
   if (flags.events > 0) points = {flags.events};
   std::printf("\nFIG9-W: airport-baggage workload, in-order versus "
               "out-of-order arrival\n");
-  std::printf("(4 baggage rules, per-reader upload batching, shards=%d, "
-              "batch=%zu; `upload` feeds arrival order with out-of-order "
-              "tolerance)\n",
-              flags.shards, flags.batch);
+  std::printf("(4 baggage rules, per-reader upload batching, batch=%zu; "
+              "`upload` feeds arrival order with out-of-order tolerance)\n",
+              flags.batch);
   std::printf("%12s %8s %14s %14s %12s %12s\n", "events", "order",
               "total_ms", "usec/event", "matches", "fired");
   for (size_t target : points) {
@@ -392,71 +339,28 @@ CREATE RULE reread, baggage ON WITHIN(TSEQ+(observation("gate", o, t), 0sec, 1se
                   static_cast<unsigned long long>(r.rules_fired));
       AppendJsonRow(out, "workload",
                     feed.tolerate ? "baggage_upload" : "baggage_time", events,
-                    4, flags.shards, r);
+                    4, r);
     }
   }
 }
 
-// Counter lines (`*_total ...`) of a Prometheus exposition, sorted,
-// with the `shard="N"` label aggregated away (values summed by the
-// remaining name). Gauges and histogram buckets carry timings and queue
-// depths that legitimately differ across executions, so only counters
-// reconcile. Enqueue stalls are backpressure events — thread-scheduling
-// dependent, not deterministic even between two uninterrupted runs — so
-// they are excluded too, as is the dedup counter (an
-// interrupted-and-recovered run legitimately dedups re-fired actions
-// against the WAL; an uninterrupted run never does — the LOGICAL
-// action counters still reconcile because dedup hits credit them).
-// The shard label must be aggregated because per-shard ATTRIBUTION of
-// pre-checkpoint work is not part of the durability contract: a
-// data-partitioned engine captures one merged serial-equivalent
-// snapshot, and restore re-splits it by partition key, so restored
-// produced counts land on different shards than the ones that
-// originally did the work. The shard-summed totals are exact.
-// `skip_node_counters` drops per-node firing counters: their node ids
-// are relative to each layout's graphs, so across a re-partitioning
-// restore (any sharded engine — its snapshot is pre-merged to one
-// serial-equivalent source) pre-checkpoint firings cannot be
-// re-credited by node id and legitimately stay behind.
-std::vector<std::string> CounterLines(const std::string& exposition,
-                                      bool skip_node_counters) {
-  std::map<std::string, unsigned long long> sums;
+// Counter lines (`*_total ...`) of a Prometheus exposition, sorted.
+// Gauges and histogram buckets carry timings and queue depths that
+// legitimately differ across executions, so only counters reconcile.
+// The dedup counter is excluded too: an interrupted-and-recovered run
+// legitimately dedups re-fired actions against the WAL, an uninterrupted
+// run never does (the LOGICAL action counters still reconcile because
+// dedup hits credit them).
+std::vector<std::string> CounterLines(const std::string& exposition) {
+  std::vector<std::string> lines;
   std::istringstream in(exposition);
   std::string line;
   while (std::getline(in, line)) {
     if (line.find("_total") == std::string::npos) continue;
-    if (line.find("enqueue_stalls") != std::string::npos) continue;
     if (line.find("actions_deduped") != std::string::npos) continue;
-    if (skip_node_counters &&
-        line.find("node=") != std::string::npos) {
-      continue;
-    }
-    size_t space = line.rfind(' ');
-    if (space == std::string::npos) continue;
-    std::string name = line.substr(0, space);
-    unsigned long long value = std::strtoull(line.c_str() + space + 1,
-                                             nullptr, 10);
-    // Drop a `shard="N"` label (with its separating comma, whichever
-    // side it is on; `{shard="N"}` collapses to no label block at all).
-    size_t pos = name.find("shard=\"");
-    if (pos != std::string::npos) {
-      size_t end = name.find('"', pos + 7) + 1;  // Past the value quote.
-      if (end < name.size() && name[end] == ',') {
-        ++end;  // {shard="0",node="1"} -> {node="1"}
-      } else if (name[pos - 1] == ',') {
-        --pos;  // {node="1",shard="0"} -> {node="1"}
-      } else {
-        --pos;
-        ++end;  // {shard="0"} -> (no labels)
-      }
-      name.erase(pos, end - pos);
-    }
-    sums[name] += value;
+    lines.push_back(line);
   }
-  std::vector<std::string> lines;
-  for (const auto& [name, value] : sums) {
-    lines.push_back(name + " " + std::to_string(value));
-  }
+  std::sort(lines.begin(), lines.end());
   return lines;
 }
 
@@ -513,7 +417,6 @@ int RunDurableStoreSmoke(const BenchFlags& flags) {
 
   EngineOptions options;
   options.execute_actions = true;
-  options.shards = flags.shards;
   options.enable_metrics = true;
   auto make_engine = [&](Database* db) {
     auto engine =
@@ -531,11 +434,9 @@ int RunDurableStoreSmoke(const BenchFlags& flags) {
     return out;
   };
 
-  std::printf("\nDURABLE STORE SMOKE: %zu events, %d rules, shards=%d, "
-              "checkpoint after batch %zu/%zu, crash after batch %zu, WAL "
-              "cut mid-record\n",
-              events, num_rules, flags.shards, cut, batches.size(),
-              doomed_end);
+  std::printf("\nDURABLE STORE SMOKE: %zu events, %d rules, checkpoint after "
+              "batch %zu/%zu, crash after batch %zu, WAL cut mid-record\n",
+              events, num_rules, cut, batches.size(), doomed_end);
 
   Database reference_db;
   Check(reference_db.InstallRfidSchema(), "schema");
@@ -619,11 +520,8 @@ int RunDurableStoreSmoke(const BenchFlags& flags) {
                 want_store.size(), got_store.size());
   }
 
-  const bool skip_node_counters = reference->num_shards() > 1;
-  std::vector<std::string> want =
-      CounterLines(reference->ExportMetrics(), skip_node_counters);
-  std::vector<std::string> got =
-      CounterLines(second->ExportMetrics(), skip_node_counters);
+  std::vector<std::string> want = CounterLines(reference->ExportMetrics());
+  std::vector<std::string> got = CounterLines(second->ExportMetrics());
   if (want == got) {
     std::printf("  %-24s %zu lines reconcile\n", "exported counters",
                 want.size());
@@ -668,7 +566,6 @@ int RunRecoverySmoke(const BenchFlags& flags) {
 
   EngineOptions options;
   options.execute_actions = false;
-  options.shards = flags.shards;
   options.enable_metrics = true;
   auto make_engine = [&] {
     auto engine = std::make_unique<RcedaEngine>(nullptr, chain.environment(),
@@ -678,9 +575,9 @@ int RunRecoverySmoke(const BenchFlags& flags) {
     return engine;
   };
 
-  std::printf("\nRECOVERY SMOKE: %zu events, %d rules, shards=%d, "
-              "checkpoint after batch %zu/%zu\n",
-              events, num_rules, flags.shards, cut, batches.size());
+  std::printf("\nRECOVERY SMOKE: %zu events, %d rules, checkpoint after "
+              "batch %zu/%zu\n",
+              events, num_rules, cut, batches.size());
 
   auto reference = make_engine();
   for (const auto& batch : batches) {
@@ -717,11 +614,8 @@ int RunRecoverySmoke(const BenchFlags& flags) {
   require("pseudo_fired", reference->stats().detector.pseudo_fired,
           second->stats().detector.pseudo_fired);
 
-  const bool skip_node_counters = reference->num_shards() > 1;
-  std::vector<std::string> want =
-      CounterLines(reference->ExportMetrics(), skip_node_counters);
-  std::vector<std::string> got =
-      CounterLines(second->ExportMetrics(), skip_node_counters);
+  std::vector<std::string> want = CounterLines(reference->ExportMetrics());
+  std::vector<std::string> got = CounterLines(second->ExportMetrics());
   if (want == got) {
     std::printf("  %-24s %zu lines reconcile\n", "exported counters",
                 want.size());
@@ -751,17 +645,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--series=", 9) == 0) {
       flags.series = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      // Comma list: the shards series sweeps every value (plus the
-      // serial baseline); single-engine series use the first one.
-      for (const char* p = argv[i] + 9; *p != '\0';) {
-        char* next = nullptr;
-        int value = static_cast<int>(std::strtol(p, &next, 10));
-        if (next == p) break;
-        flags.shard_list.push_back(value);
-        p = (*next == ',') ? next + 1 : next;
-      }
-      flags.shards = flags.shard_list.empty() ? 0 : flags.shard_list.front();
     } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
       flags.batch = static_cast<size_t>(std::atol(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--rules=", 8) == 0) {
@@ -784,8 +667,14 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (flags.shards < 1 || flags.batch < 1) {
-    std::fprintf(stderr, "--shards and --batch must be >= 1\n");
+  if (flags.batch < 1) {
+    std::fprintf(stderr, "--batch must be >= 1\n");
+    return 1;
+  }
+  const std::string& s = flags.series;
+  if (s != "events" && s != "rules" && s != "workload" && s != "both" &&
+      s != "all") {
+    std::fprintf(stderr, "unknown series: %s\n", s.c_str());
     return 1;
   }
   std::printf("rfidcep Fig. 9 reproduction "
@@ -793,14 +682,12 @@ int main(int argc, char** argv) {
               "Worlds\")\n");
   if (flags.recovery_smoke) return RunRecoverySmoke(flags);
   BenchOutput output;
-  const std::string& s = flags.series;
   if (s == "events" || s == "both" || s == "all") {
     RunEventsSeries(flags, &output);
   }
   if (s == "rules" || s == "both" || s == "all") {
     RunRulesSeries(flags, &output);
   }
-  if (s == "shards" || s == "all") RunShardsSeries(flags, &output);
   if (s == "workload" || s == "all") RunWorkloadSeries(flags, &output);
   if (!flags.json_out.empty()) {
     std::ofstream out(flags.json_out);

@@ -17,18 +17,6 @@ single point (the CI smoke runs --rules=2000), it is compared against
 the closest committed current.rules.series point at --max-ratio like
 an events row.
 
-When the run also contains `shards`-series rows, the guard additionally
-gates the sharded pipeline: every shards point must have a committed
-counterpart (same shard count) in current.shards.series — a run point
-without one fails rather than passing unchecked — and the run's
-RELATIVE speedup versus its own shards=1 row must stay at or above
---shards-min-ratio (default 0.9) times the committed speedup_vs_1shard.
-Comparing relative speedups, not absolute usec/event, keeps the gate
-meaningful across hosts of different speeds and core counts — a
-shards=2 point that commits at 0.8x on the recording host fails CI only
-when the smoke run drops below 0.72x of ITS serial baseline, i.e. when
-the coordination overhead itself regressed.
-
 When the run contains `workload`-series rows (the FIG9-W airport-
 baggage sweep), each row is gated at --max-ratio against the committed
 current.workload.series point with the same rule_family and closest
@@ -37,8 +25,7 @@ reproduce the committed match count (the generator is seeded, so a
 mismatch means detection semantics drifted, not noise).
 
     scripts/bench_guard.py --run=fig9-smoke.json \
-        [--baseline=BENCH_rfidcep.json] [--max-ratio=2.5] \
-        [--shards-min-ratio=0.9]
+        [--baseline=BENCH_rfidcep.json] [--max-ratio=2.5]
 
 Exit status: 0 ok, 1 regression, 2 bad input.
 """
@@ -56,46 +43,6 @@ def load_json(path):
     except (OSError, ValueError) as e:
         print(f"bench_guard: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-
-
-def check_shards(shard_rows, baseline, min_ratio):
-    """Gates shards-series rows against current.shards.series. Returns
-    True when every point has a committed counterpart and holds its
-    committed relative speedup (see module docstring)."""
-    committed = (baseline.get("current", {}).get("shards", {})
-                 .get("series", []))
-    by_shards = {r["shards"]: r for r in committed}
-    serial = [r for r in shard_rows if r["shards"] == 1]
-    if not serial:
-        print("bench_guard: shards rows lack the shards=1 baseline "
-              "point (fig9_scalability always emits it — pass the "
-              "whole series)", file=sys.stderr)
-        sys.exit(2)
-    serial_usec = min(r["usec_per_event"] for r in serial)
-    ok = True
-    print(f"{'shards':>10} {'run spdup':>10} {'committed':>10} "
-          f"{'floor':>8}  verdict")
-    for row in shard_rows:
-        if row["shards"] == 1:
-            continue
-        speedup = serial_usec / row["usec_per_event"]
-        base = by_shards.get(row["shards"])
-        if base is None or "speedup_vs_1shard" not in base:
-            ok = False
-            print(f"{row['shards']:>10} {speedup:>10.3f} {'-':>10} "
-                  f"{'-':>8}  MISSING (no committed point)")
-            continue
-        floor = base["speedup_vs_1shard"] * min_ratio
-        verdict = "ok" if speedup >= floor else "REGRESSION"
-        ok &= verdict == "ok"
-        print(f"{row['shards']:>10} {speedup:>10.3f} "
-              f"{base['speedup_vs_1shard']:>10.3f} {floor:>8.3f}  "
-              f"{verdict}")
-    if not ok:
-        print("bench_guard: a sharded point has no committed counterpart "
-              "or its relative speedup regressed below "
-              f"{min_ratio}x of the committed value", file=sys.stderr)
-    return ok
 
 
 def check_rules(rules_rows, baseline, max_ratio, rules_max_ratio):
@@ -201,10 +148,6 @@ def main():
                         help="seed baseline (default: repo BENCH_rfidcep.json)")
     parser.add_argument("--max-ratio", type=float, default=2.5,
                         help="fail when usec/event exceeds seed by this factor")
-    parser.add_argument("--shards-min-ratio", type=float, default=0.9,
-                        help="fail when a shards point's relative speedup "
-                             "falls below this fraction of the committed "
-                             "speedup_vs_1shard")
     parser.add_argument("--rules-max-ratio", type=float, default=2.0,
                         help="fail when the rules sweep's max/min "
                              "usec/event ratio exceeds this (dispatch must "
@@ -221,16 +164,14 @@ def main():
         sys.exit(2)
 
     rows = [r for r in run.get("rows", []) if r.get("series") == "events"]
-    shard_rows = [r for r in run.get("rows", [])
-                  if r.get("series") == "shards"]
     rules_rows = [r for r in run.get("rows", [])
                   if r.get("series") == "rules"]
     workload_rows = [r for r in run.get("rows", [])
                      if r.get("series") == "workload"]
-    if not rows and not shard_rows and not rules_rows and not workload_rows:
-        print("bench_guard: run has no events-, rules-, shards- or "
-              "workload-series rows (pass --series=... to "
-              "fig9_scalability)", file=sys.stderr)
+    if not rows and not rules_rows and not workload_rows:
+        print("bench_guard: run has no events-, rules- or workload-series "
+              "rows (pass --series=... to fig9_scalability)",
+              file=sys.stderr)
         sys.exit(2)
 
     failed = False
@@ -254,19 +195,13 @@ def main():
         failed |= not check_rules(rules_rows, baseline, args.max_ratio,
                                   args.rules_max_ratio)
 
-    if shard_rows:
-        failed |= not check_shards(shard_rows, baseline,
-                                   args.shards_min_ratio)
-
     if workload_rows:
         failed |= not check_workload(workload_rows, baseline,
                                      args.max_ratio)
 
     if failed:
         print("bench_guard: performance regressed past budget "
-              f"(--max-ratio={args.max_ratio}, "
-              f"--shards-min-ratio={args.shards_min_ratio})",
-              file=sys.stderr)
+              f"(--max-ratio={args.max_ratio})", file=sys.stderr)
         sys.exit(1)
     print("bench_guard: within budget")
 

@@ -18,12 +18,14 @@
 # raw SymbolIds, string_views into the reader registry, and hand-rolled
 # sorted-vector merges — exactly the kind of code ASan/UBSan pays for.
 # UBSan findings abort the test (-fno-sanitize-recover=undefined).
-# The TSan pass covers the sharded pipeline (SPSC rings, doorbells,
-# barrier acks), the lock-free instruments, and the rfidcepd daemon
-# (server_test: connection threads, the tenant mutex, the HTTP thread,
-# and the crash-and-recover path through tenant recovery); it runs the
-# tests tagged with the TSAN ctest label (rfidcep_test(... TSAN) in
-# tests/CMakeLists.txt) since everything else is single-threaded.
+# The TSan pass covers the code that runs on several threads: the
+# rfidcepd daemon (server_test: connection threads, the tenant mutex,
+# the HTTP thread, and the crash-and-recover path through tenant
+# recovery), the lock-free metric instruments, the trace sink's mutex,
+# the symbol table, and SharedText's atomic counts. It runs the tests
+# tagged with the TSAN ctest label (rfidcep_test(... TSAN) in
+# tests/CMakeLists.txt); every engine runs detection on one thread, so
+# everything else is single-threaded.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -4,18 +4,16 @@
 #   scripts/fuzz_repro.sh CASE.rules CASE.trace [CASE.rewrites] [BUILD_DIR]
 #
 # Runs the full differential check (reference interpreter vs serial,
-# sharded x2/x4, batch-split, and incremental AdvanceTo executions) over
-# exactly that rules/trace pair, then replays it through the engine with
-# examples/trace_replay for a human-readable account of what fired. A
-# third .rewrites argument (dumped by the metamorphic axis) is staged
-# alongside the pair, so CorpusReplays also re-applies the recorded
-# rewrite chain and re-checks original vs rewritten agreement. The
-# differential replay runs with the fuzz harness's reader registry (A and
-# B in group G at locations LA and LB, C unregistered), as the sweep did;
-# the engine replay runs with trace_replay's supply-chain registry, so for
-# rules naming group G its account can differ. A fixed case is a
-# candidate for tests/property/corpus/ — copy the files there with a
-# comment header explaining the bug.
+# batch-split, incremental AdvanceTo, crash-recovery and durable
+# executions) over exactly that rules/trace pair, with the fuzz harness's
+# reader registry (A and B in group G at locations LA and LB, C
+# unregistered), as the sweep did. A divergence report is the account of
+# what fired: it prints the reference and engine spans of the diverging
+# rule. A third .rewrites argument (dumped by the metamorphic axis) is
+# staged alongside the pair, so CorpusReplays also re-applies the
+# recorded rewrite chain and re-checks original vs rewritten agreement.
+# A fixed case is a candidate for tests/property/corpus/ — copy the files
+# there with a comment header explaining the bug.
 set -euo pipefail
 
 if [[ $# -lt 2 ]]; then
@@ -40,14 +38,11 @@ if [[ $# -ge 3 ]]; then
   fi
 fi
 FUZZ_BIN="$BUILD_DIR/tests/differential_fuzz_test"
-REPLAY_BIN="$BUILD_DIR/examples/trace_replay"
 
-for bin in "$FUZZ_BIN" "$REPLAY_BIN"; do
-  if [[ ! -x "$bin" ]]; then
-    echo "error: $bin not built (cmake -B \"$BUILD_DIR\" -S \"$REPO_ROOT\" && cmake --build \"$BUILD_DIR\" -j)" >&2
-    exit 1
-  fi
-done
+if [[ ! -x "$FUZZ_BIN" ]]; then
+  echo "error: $FUZZ_BIN not built (cmake -B \"$BUILD_DIR\" -S \"$REPO_ROOT\" && cmake --build \"$BUILD_DIR\" -j)" >&2
+  exit 1
+fi
 
 # Stage the case as a one-case corpus and run the differential replay.
 STAGE="$(mktemp -d)"
@@ -61,18 +56,10 @@ if [[ -n "$REWRITES" ]]; then
   echo
 fi
 
-echo "== differential replay (reference vs serial/sharded/batched/incremental)"
-# Capture the verdict but keep going: the engine replay below is most
-# useful precisely when the differential check diverges.
+echo "== differential replay (reference vs serial/batched/incremental/recovered)"
 DIFF_STATUS=0
 RFIDCEP_CORPUS_DIR="$STAGE" "$FUZZ_BIN" \
   --gtest_filter='DifferentialFuzz.CorpusReplays' || DIFF_STATUS=$?
-
-echo
-echo "== engine replay"
-# Corpus files carry '#' comment headers the rule parser does not accept.
-grep -v '^#' "$RULES" > "$STAGE/replay.rules"
-"$REPLAY_BIN" --rules="$STAGE/replay.rules" --trace="$TRACE"
 
 echo
 if [[ "$DIFF_STATUS" -ne 0 ]]; then

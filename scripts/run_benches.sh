@@ -4,8 +4,6 @@
 #   * bench/fig9_scalability --series=events  (paper Fig. 9a reproduction)
 #   * bench/fig9_scalability --series=rules   (SKU x site rule-set sweep,
 #                                              500 -> 10,000 rules)
-#   * bench/fig9_scalability --series=shards  (sharded pipeline sweep;
-#                                              checked, not recorded)
 #   * bench/fig9_scalability --series=workload (FIG9-W airport baggage)
 #   * bench/bench_bindings                    (hot-path microbenchmarks +
 #                                              allocs_per_iter counters)
@@ -16,8 +14,7 @@
 # benchmarks, and rewrites BENCH_rfidcep.json at the repo root. The
 # "seed" series in the JSON is the recorded pre-optimization baseline
 # (commit 65bc83f built Release on a single-core host); it is kept
-# verbatim so the speedup claim stays auditable. current.shards is
-# carried forward from the existing file as well (see below).
+# verbatim so the speedup claim stays auditable.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -45,16 +42,6 @@ for _ in 1 2; do
   RULES_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=rules)"$'\n'
 done
 echo "$RULES_TXT"
-# Shards sweep (keyed rules replicated, the stream split by hash(EPC) —
-# engine/sharded_engine.h). The shards=1 serial baseline row repeats in
-# both runs; the parser keeps the fastest. Its counts are checked against
-# the committed series, which is kept as it is.
-SHARDS_TXT=""
-for _ in 1 2; do
-  SHARDS_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=shards \
-    --shards=2,4 --rules=100 --sites=20 --events=100000)"$'\n'
-done
-echo "$SHARDS_TXT"
 # Airport-baggage workload (FIG9-W): the committed series the nightly
 # workload sweep is gated against (usec/event, plus exact match counts —
 # the generator is seeded).
@@ -68,7 +55,7 @@ BINDINGS_JSON="$("$BUILD_DIR/bench/bench_bindings" \
   --benchmark_format=json --benchmark_min_time=0.2 2>/dev/null)"
 HOST_CORES="$(nproc)"
 
-FIG9_TXT="$FIG9_TXT" RULES_TXT="$RULES_TXT" SHARDS_TXT="$SHARDS_TXT" \
+FIG9_TXT="$FIG9_TXT" RULES_TXT="$RULES_TXT" \
   BINDINGS_JSON="$BINDINGS_JSON" WORKLOAD_FILES="$WORKLOAD_FILES" \
   HOST_CORES="$HOST_CORES" python3 - "$OUT" <<'EOF'
 import json, os, sys
@@ -134,36 +121,6 @@ rules_ratio = round(
     max(r["usec_per_event"] for r in rules) /
     min(r["usec_per_event"] for r in rules), 3)
 
-shards = []
-for row in parse_rows(os.environ["SHARDS_TXT"], "shards"):
-    shards.append({
-        "shards": row["shards"],
-        "total_ms": row["total_ms"],
-        "usec_per_event": row["usec_per_event"],
-        "matches": row["counts"][0],
-        "rules_fired": row["counts"][1],
-    })
-assert shards and shards[0]["shards"] == 1, "shards series missing"
-for row in shards:
-    # Determinism contract: every shard count reproduces serial results.
-    assert row["matches"] == shards[0]["matches"], row
-    assert row["rules_fired"] == shards[0]["rules_fired"], row
-    row["speedup_vs_1shard"] = round(
-        shards[0]["usec_per_event"] / row["usec_per_event"], 3)
-print("shards sweep (not recorded): " + ", ".join(
-    f"{r['shards']} shards {r['speedup_vs_1shard']}x" for r in shards))
-
-# current.shards is carried forward, not re-recorded: the CI and nightly
-# shards smokes run 50 rules over 10 sites, and bench_guard floors taken
-# from a multi-core recording of this 100-rule series are out of their
-# reach (ROADMAP item 2). The fresh sweep must still reproduce its counts.
-with open(sys.argv[1]) as f:
-    committed_shards = json.load(f)["current"]["shards"]
-assert len(shards) == len(committed_shards["series"])
-for row, base in zip(shards, committed_shards["series"]):
-    for k in ("shards", "matches", "rules_fired"):
-        assert row[k] == base[k], (row, base)
-
 workload = {}
 for path in os.environ["WORKLOAD_FILES"].split():
     with open(path) as f:
@@ -193,8 +150,7 @@ doc = {
     "benchmark": "rfidcep Fig. 9a (events series) + binding microbenchmarks",
     "harness": "bench/fig9_scalability, Release build; fastest of 3 "
                "repeats per events point, fastest of 2 per rules and "
-               "workload point; current.shards is carried forward (see "
-               "its `kept` note)",
+               "workload point",
     "units": {"fig9a": "usec per primitive event", "micro": "ns CPU"},
     "seed_baseline": {
         "commit": "65bc83f",
@@ -211,7 +167,6 @@ doc = {
             "usec_ratio_max_vs_min": rules_ratio,
             "series": rules,
         },
-        "shards": committed_shards,
         "micro": micro,
         "workload": {
             "workload": "FIG9-W airport baggage (sim/workload.h "
@@ -241,8 +196,6 @@ doc = {
         "and a warm join buffer buffers, consumes and expires entries "
         "without allocating (asserted in ctest by binding_test and "
         "join_buffer_test)",
-        "the sharded pipeline reproduces serial matches and fired counts "
-        "exactly at every shard count (see current.shards.series)",
         "per-event dispatch cost scales with the rules an observation "
         "can match, not the rule-set size: 10,000 rules cost at most "
         f"{rules_ratio:.2f}x the cheapest rules-sweep point "

@@ -10,8 +10,8 @@ Two runs over the same generated trace:
      tenant's stats reply. This is the oracle.
   2. Interrupted: fresh state dir, stream the first half (every frame
      individually acknowledged), SIGTERM the daemon (it checkpoints and
-     exits 0), relaunch over the same state dir with a *different shard
-     count*, stream the rest, flush, read stats.
+     exits 0), relaunch over the same state dir with the same config,
+     stream the rest, flush, read stats.
 
 The interrupted run's final stats must equal the oracle's exactly —
 observations, matches, rules fired, SQL actions, per-rule fired counts —
@@ -162,13 +162,13 @@ class Daemon:
             return response.read().decode()
 
 
-def write_config(workdir, name, shards):
+def write_config(workdir):
     rules = os.path.join(workdir, "smoke.rules")
     with open(rules, "w") as f:
         f.write(RULES)
-    config = os.path.join(workdir, f"{name}.conf")
+    config = os.path.join(workdir, "smoke.conf")
     with open(config, "w") as f:
-        f.write(f"tenant smoke rules={rules} shards={shards}\n")
+        f.write(f"tenant smoke rules={rules}\n")
     return config
 
 
@@ -185,11 +185,11 @@ def main():
     trace = make_trace(args.events)
     batches = [trace[i : i + args.batch]
                for i in range(0, len(trace), args.batch)]
+    config = write_config(workdir)
 
     # Run 1: uninterrupted oracle.
     state_a = os.path.join(workdir, "state-a")
-    daemon = Daemon(args.bin, write_config(workdir, "a", shards=1), state_a,
-                    workdir)
+    daemon = Daemon(args.bin, config, state_a, workdir)
     client = Client(daemon.port, "smoke")
     for batch in batches:
         client.roundtrip(encode_batch(batch))
@@ -201,21 +201,18 @@ def main():
     assert oracle["observations"] == args.events, oracle
     assert oracle["sql_actions"] > 0 and oracle["matches"] > 0, oracle
 
-    # Run 2: SIGTERM mid-stream, restart on a different shard count.
+    # Run 2: SIGTERM mid-stream, restart over the same state dir.
     state_b = os.path.join(workdir, "state-b")
-    daemon = Daemon(args.bin, write_config(workdir, "b1", shards=1), state_b,
-                    workdir)
+    daemon = Daemon(args.bin, config, state_b, workdir)
     client = Client(daemon.port, "smoke")
     split = len(batches) // 2
     for batch in batches[:split]:
         client.roundtrip(encode_batch(batch))
     client.close()
     daemon.sigterm()
-    print(f"interrupted after {split}/{len(batches)} batches; restarting "
-          "with shards=2")
+    print(f"interrupted after {split}/{len(batches)} batches; restarting")
 
-    daemon = Daemon(args.bin, write_config(workdir, "b2", shards=2), state_b,
-                    workdir)
+    daemon = Daemon(args.bin, config, state_b, workdir)
     client = Client(daemon.port, "smoke")
     for batch in batches[split:]:
         client.roundtrip(encode_batch(batch))

@@ -77,7 +77,7 @@ class Gauge {
 };
 
 // An immutable point-in-time copy of a histogram, mergeable across
-// instruments (per-shard histograms sum into an engine-wide view).
+// instruments (e.g. per-rule histograms sum into one view).
 struct HistogramSnapshot {
   std::vector<uint64_t> bounds;  // Inclusive upper bounds, ascending.
   std::vector<uint64_t> counts;  // bounds.size() + 1 (last = overflow).
@@ -130,7 +130,7 @@ class Histogram {
 // `rule_fired_total{rule="r1"}`; the registry treats it as an opaque key
 // except that ExportText() splices histogram `le` labels into an
 // existing label set. Getting an already-registered name returns the
-// same instrument (so per-shard components can share one); getting a
+// same instrument (so several components can share one); getting a
 // name registered as a different kind returns nullptr.
 class MetricsRegistry {
  public:

@@ -42,8 +42,8 @@ struct RuleFiring {
   events::EventInstancePtr instance;
   store::ParamMap params;   // Bindings of the match, as SQL parameters.
   TimePoint fire_time = 0;  // Engine clock at detection.
-  // Engine-wide firing sequence number, deterministic across shard
-  // layouts (assigned in canonical replay order). Dedup key half for
+  // The rule's fired ordinal, which snapshots carry, so a run and its
+  // restored continuation number firings alike. Dedup key half for
   // exactly-once effects when a WAL is attached.
   uint64_t seq = 0;
   // True for firings replayed from a restored snapshot's pending-action

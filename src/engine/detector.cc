@@ -82,9 +82,8 @@ Bindings MergedOrDie(const Bindings& a, const Bindings& b) {
 }  // namespace
 
 DetectorInstruments MakeDetectorInstruments(common::MetricsRegistry* registry,
-                                            int shard_id,
                                             const EventGraph& graph) {
-  const std::string shard = "{shard=\"" + std::to_string(shard_id) + "\"}";
+  const std::string shard = "{shard=\"0\"}";
   DetectorInstruments m;
   m.primitive_matches =
       registry->GetCounter("detector_primitive_matches_total" + shard);
@@ -104,8 +103,8 @@ DetectorInstruments MakeDetectorInstruments(common::MetricsRegistry* registry,
   m.node_firings.reserve(static_cast<size_t>(graph.num_nodes()));
   for (const GraphNode& node : graph.nodes()) {
     m.node_firings.push_back(registry->GetCounter(
-        "graph_node_firings_total{shard=\"" + std::to_string(shard_id) +
-        "\",node=\"" + std::to_string(node.id) + "\",op=\"" +
+        "graph_node_firings_total{shard=\"0\",node=\"" +
+        std::to_string(node.id) + "\",op=\"" +
         std::string(events::ExprOpName(node.op)) + "\"}"));
   }
   return m;
@@ -207,10 +206,8 @@ Status Detector::Process(const Observation& obs) {
         "out-of-order observation at " + FormatTimePoint(obs.timestamp) +
         " (clock is " + FormatTimePoint(clock_) + ")");
   }
-  if (!external_seq_) ++cmd_seq_;
   FirePseudosBefore(obs.timestamp);
   clock_ = obs.timestamp;
-  dispatch_sub_ = 0;
   ++stats_.observations;
   if (m != nullptr && m->observations != nullptr) m->observations->Increment();
 
@@ -273,7 +270,6 @@ Status Detector::Process(const Observation& obs) {
 }
 
 void Detector::AdvanceTo(TimePoint t) {
-  if (!external_seq_) ++cmd_seq_;
   if (t < clock_) return;
   // Same firing rule as Process: pseudo events at exactly `t` stay
   // pending, because an observation arriving at `t` must be handled first
@@ -285,7 +281,6 @@ void Detector::AdvanceTo(TimePoint t) {
 }
 
 void Detector::Flush() {
-  if (!external_seq_) ++cmd_seq_;
   while (!pseudo_queue_.empty()) {
     PseudoEvent pe = pseudo_queue_.top();
     pseudo_queue_.pop();
@@ -306,22 +301,9 @@ void Detector::SchedulePseudo(TimePoint execute_at, TimePoint created_at,
                               uint64_t anchor_seq, uint64_t anchor_key) {
   if (execute_at == kTimeInfinity) return;
   ++stats_.pseudo_scheduled;
-  // Stamp the scheduling position (see PseudoEvent::stamp). During a
-  // firing, the position is the firing pseudo's own position plus a
-  // per-firing sub-counter; during dispatch it is (clock, command, sub).
-  std::vector<uint64_t> stamp;
-  if (firing_ != nullptr) {
-    stamp.reserve(firing_->stamp.size() + 3);
-    stamp.push_back(static_cast<uint64_t>(firing_->execute_at));
-    stamp.push_back(1);
-    stamp.insert(stamp.end(), firing_->stamp.begin(), firing_->stamp.end());
-    stamp.push_back(++fire_sub_);
-  } else {
-    stamp = {static_cast<uint64_t>(clock_), 0, cmd_seq_, ++dispatch_sub_};
-  }
   pseudo_queue_.push(PseudoEvent{execute_at, created_at, target_node,
                                  parent_node, anchor_seq, anchor_key,
-                                 ++pseudo_counter_, std::move(stamp)});
+                                 ++pseudo_counter_});
   if (const DetectorInstruments* m = options_.instruments) {
     m->pseudo_scheduled->Increment();
     int64_t depth = static_cast<int64_t>(pseudo_queue_.size());
@@ -342,8 +324,7 @@ void Detector::Emit(int node_id, EventInstancePtr instance) {
     if (!m->node_firings.empty()) m->node_firings[node_id]->Increment();
   }
   if (options_.trace != nullptr) {
-    options_.trace->RecordNodeActivation(options_.shard_id, node_id,
-                                         events::ExprOpName(node.op),
+    options_.trace->RecordNodeActivation(node_id, events::ExprOpName(node.op),
                                          *instance);
   }
   for (size_t rule_index : node.rule_indexes) {
@@ -816,19 +797,11 @@ void Detector::FirePseudo(const PseudoEvent& pe) {
             : 0);
   }
   if (options_.trace != nullptr) {
-    options_.trace->RecordPseudoFired(options_.shard_id, pe.target_node,
-                                      pe.execute_at, pe.created_at);
+    options_.trace->RecordPseudoFired(pe.target_node, pe.execute_at,
+                                      pe.created_at);
   }
   clock_ = std::max(clock_, pe.execute_at);
   ++stats_.pseudo_fired;
-  // Everything below — cascaded schedules and emitted matches included —
-  // happens "during this firing" for stamping purposes.
-  firing_ = &pe;
-  fire_sub_ = 0;
-  struct FiringScope {
-    const PseudoEvent** slot;
-    ~FiringScope() { *slot = nullptr; }
-  } scope{&firing_};
   const GraphNode& parent = graph_->node(pe.parent_node);
 
   if (parent.op == ExprOp::kSeqPlus) {
@@ -872,7 +845,7 @@ void Detector::FirePseudo(const PseudoEvent& pe) {
 
 void Detector::SaveState(const std::vector<std::string>& state_keys,
                          snapshot::DetectorSnapshot* out) const {
-  out->source_id = options_.shard_id;
+  out->source_id = 0;
   out->clock = clock_;
   out->sequence_counter = sequence_counter_;
   // Canonical dense orders: restore renumbers the queue 1..n (fired
@@ -998,7 +971,6 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
     snapshot::PseudoRecord rec;
     rec.execute_at = pe.execute_at;
     rec.created_at = pe.created_at;
-    rec.stamp = pe.stamp;
     rec.target_key = state_keys[pe.target_node];
     rec.parent_key = state_keys[pe.parent_node];
     if (graph_->node(pe.parent_node).op == ExprOp::kSeqPlus) {
@@ -1119,14 +1091,9 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
       anchor_seq = rp.anchor->sequence_number();
       anchor_key = KeyFor(rp.parent_node, rp.anchor->bindings()).hash;
     }
-    // Synthesized stamp: [0, 0, 0, order] sorts before every stamp a
-    // post-restore command can mint (their sub-counters start at 1), and
-    // preserves the merged queue order among restored pseudos — exactly
-    // the "scheduled before the checkpoint" position.
     pseudo_queue_.push(PseudoEvent{rp.execute_at, rp.created_at,
                                    rp.target_node, rp.parent_node, anchor_seq,
-                                   anchor_key, rp.order,
-                                   {0, 0, 0, rp.order}});
+                                   anchor_key, rp.order});
   }
   if (const DetectorInstruments* m = options_.instruments) {
     int64_t depth = static_cast<int64_t>(pseudo_queue_.size());

@@ -73,12 +73,11 @@ struct DetectorSnapshot;
 struct RestorePlan;
 }  // namespace snapshot
 
-// Registry instrument handles for one detector. The engine (or the
-// sharded pipeline, one per shard) resolves these from its
-// MetricsRegistry at compile time; a null DetectorOptions::instruments
-// disables every update site with a single branch. Individual fields may
-// also be null (e.g. the sharded pipeline counts observations once at
-// the routing stage, so per-shard detectors leave those unset).
+// Registry instrument handles for one detector. The engine resolves
+// these from its MetricsRegistry at compile time; a null
+// DetectorOptions::instruments disables every update site with a single
+// branch. Individual fields may also be null (the engine-global
+// acceptance counters are the owner's to wire).
 struct DetectorInstruments {
   common::Counter* observations = nullptr;
   common::Counter* out_of_order_dropped = nullptr;
@@ -112,13 +111,11 @@ struct DetectorOptions {
   // be identical (chain scans re-check unification); only performance
   // degrades. Never enable outside tests.
   bool debug_force_join_collisions = false;
-  // Observability wiring, set by the engine / sharded pipeline. Both may
-  // be null (the default): the disabled path is a branch on a null
-  // pointer at each update site. `instruments` must outlive the detector.
+  // Observability wiring, set by the engine. Both may be null (the
+  // default): the disabled path is a branch on a null pointer at each
+  // update site. `instruments` must outlive the detector.
   const DetectorInstruments* instruments = nullptr;
   TraceSink* trace = nullptr;
-  // Label for trace records and per-shard metrics (0 in serial mode).
-  int shard_id = 0;
 };
 
 struct DetectorStats {
@@ -131,13 +128,12 @@ struct DetectorStats {
   uint64_t rule_matches = 0;           // Root completions reported.
 };
 
-// Resolves the per-shard instrument set (labels `shard="N"`, one
-// per-node firing counter per graph node) from `registry`. The global
-// acceptance counters (observations / out_of_order_dropped) are left
-// null — the owner decides whether this detector is the acceptance gate
-// (serial engine) or not (sharded workers, counted at routing).
+// Resolves the detector's instrument set (label `shard="0"`, kept so
+// exported series names stay stable; one per-node firing counter per
+// graph node) from `registry`. The global acceptance counters
+// (observations / out_of_order_dropped) are left null for the owner to
+// wire.
 DetectorInstruments MakeDetectorInstruments(common::MetricsRegistry* registry,
-                                            int shard_id,
                                             const EventGraph& graph);
 
 // Called when rule `rule_index`'s event completes with `instance`.
@@ -172,26 +168,6 @@ class Detector {
 
   TimePoint clock() const { return clock_; }
   const DetectorStats& stats() const { return stats_; }
-
-  // --- Command identity (sharded replay) ----------------------------------
-  // Serial callers never touch these: each Process() call auto-increments
-  // an internal command counter. Sharded workers override it with the
-  // coordinator's global command sequence before every command, so the
-  // scheduling stamps (PseudoEvent::stamp) and match replay keys agree
-  // across shards regardless of which subset of the stream each one sees.
-  void SetCommandSeq(uint64_t seq) {
-    external_seq_ = true;
-    cmd_seq_ = seq;
-  }
-  uint64_t command_seq() const { return cmd_seq_; }
-
-  // Firing context, valid while a match callback runs: whether the match
-  // was emitted during a pseudo-event firing (as opposed to observation
-  // dispatch), and if so the firing pseudo's execution time and stamp.
-  // Sharded emission uses these to stamp match records for replay.
-  bool in_pseudo_firing() const { return firing_ != nullptr; }
-  TimePoint firing_execute_at() const { return firing_->execute_at; }
-  const std::vector<uint64_t>& firing_stamp() const { return firing_->stamp; }
 
   // Buffered entries in memory: every physical slot, NOT-log and open run
   // entry counted once, however many family members hold it (the memory
@@ -289,16 +265,6 @@ class Detector {
     uint64_t anchor_seq;   // Buffered anchor instance (0 = none).
     uint64_t anchor_key;   // Join key of the anchor's chain.
     uint64_t order;        // FIFO tie-break.
-    // Scheduling-position stamp: a layout-independent encoding of WHERE
-    // in the serial execution this pseudo was scheduled, so detectors
-    // running disjoint substreams (data-partitioned shards) can merge
-    // their pseudo-driven emissions back into serial FIFO order.
-    //   dispatch-scheduled: [clock, 0, command_seq, sub]
-    //   cascade-scheduled : [parent.execute_at, 1, parent.stamp..., sub]
-    // For pseudos with equal execute_at, lexicographic stamp order equals
-    // the serial scheduling order (dispatch at time t precedes firings at
-    // execute_at == t; a cascade sorts after its parent).
-    std::vector<uint64_t> stamp;
   };
   struct PseudoLater {
     bool operator()(const PseudoEvent& a, const PseudoEvent& b) const {
@@ -414,12 +380,6 @@ class Detector {
   TimePoint clock_ = 0;
   uint64_t sequence_counter_ = 0;
   uint64_t pseudo_counter_ = 0;
-  // Command identity + scheduling position (see SetCommandSeq above).
-  uint64_t cmd_seq_ = 0;
-  bool external_seq_ = false;
-  uint64_t dispatch_sub_ = 0;          // Schedules during current dispatch.
-  uint64_t fire_sub_ = 0;              // Schedules during current firing.
-  const PseudoEvent* firing_ = nullptr;  // Set for the span of FirePseudo.
   DetectorStats stats_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "engine/snapshot.h"
@@ -16,7 +15,7 @@ namespace rfidcep::engine {
 // belong to the registry, so re-compiling or toggling metrics never
 // loses counts.
 struct EngineInstruments {
-  common::Counter* observations = nullptr;  // Shared with the detection tier.
+  common::Counter* observations = nullptr;  // Shared with the detector.
   common::Counter* out_of_order = nullptr;
   common::Counter* process_calls = nullptr;
   common::Counter* matches = nullptr;
@@ -34,7 +33,7 @@ struct EngineInstruments {
   };
   std::vector<PerRule> per_rule;  // By rule index.
   ActionInstruments actions;
-  DetectorInstruments detector;  // Serial path (shard 0) only.
+  DetectorInstruments detector;
 };
 
 namespace {
@@ -63,6 +62,24 @@ Status NotCompiled() {
 Status AlreadyFlushed() {
   return Status::FailedPrecondition(
       "stream already flushed (Reset() starts a new stream)");
+}
+
+// The serial engine's series for counter `name` of a checkpoint written
+// by an older sharded build, or "" when it has none. The detectors'
+// `shard="N"` series all map onto the one detector's `shard="0"`. Per-
+// node firing counters are dropped (node ids are relative to each
+// layout's graphs), as are the routing families only sharding
+// registered.
+std::string SerialCounterName(const std::string& name) {
+  if (name.starts_with("shard_") ||
+      name == "rfidcep_unrouted_observations_total" ||
+      name.find("node=") != std::string::npos) {
+    return "";
+  }
+  const size_t label = name.find("shard=\"");
+  if (label == std::string::npos) return name;
+  const size_t value = label + 7;
+  return name.substr(0, value) + "0" + name.substr(name.find('"', value));
 }
 
 }  // namespace
@@ -110,20 +127,6 @@ Status RcedaEngine::RemoveRule(std::string_view rule_id) {
   for (auto& [id, index] : rule_index_) {
     if (index > removed) --index;
   }
-  return Status::Ok();
-}
-
-Status RcedaEngine::SetShards(int shards) {
-  if (compiled()) {
-    return Status::FailedPrecondition(
-        "cannot change the shard count while compiled (Decompile() first)");
-  }
-  if (shards < 1 || shards > kMaxDetectionShards) {
-    return Status::InvalidArgument(
-        "shard count must be in [1, " +
-        std::to_string(kMaxDetectionShards) + "]");
-  }
-  options_.shards = shards;
   return Status::Ok();
 }
 
@@ -185,47 +188,28 @@ Status RcedaEngine::Compile() {
   } else {
     dispatcher_.SetObservability(nullptr, trace_);
   }
-  if (options_.shards > 1) {
-    ShardedOptions sharded_options;
-    sharded_options.shards = options_.shards;
-    sharded_options.detector = options_.detector;
-    sharded_options.metrics = metrics_ != nullptr ? &registry_ : nullptr;
-    sharded_options.trace = trace_;
-    RFIDCEP_ASSIGN_OR_RETURN(
-        sharded_,
-        ShardedDetector::Create(
-            rules_, *graph_, &env_, sharded_options,
-            [this](size_t rule_index,
-                   const events::EventInstancePtr& instance,
-                   TimePoint fire_time) {
-              OnMatch(rule_index, instance, fire_time);
-            }));
-    // Null when no rule is key-partitionable: detection runs serial.
-    if (sharded_ != nullptr) return Status::Ok();
-  }
   if (metrics_ != nullptr) {
-    metrics_->detector = MakeDetectorInstruments(&registry_, 0, *graph_);
-    // The serial detector is the acceptance gate, so it also feeds the
-    // engine-global counters (in sharded mode the coordinator does).
+    metrics_->detector = MakeDetectorInstruments(&registry_, *graph_);
+    // The detector is the acceptance gate, so it also feeds the
+    // engine-global counters.
     metrics_->detector.observations = metrics_->observations;
     metrics_->detector.out_of_order_dropped = metrics_->out_of_order;
   }
-  detector_ = std::make_unique<Detector>(
-      &*graph_, &env_, SerialDetectorOptions(),
-      [this](size_t rule_index, const events::EventInstancePtr& instance) {
-        OnMatch(rule_index, instance, detector_->clock());
-      });
+  BuildDetector();
   return Status::Ok();
 }
 
-DetectorOptions RcedaEngine::SerialDetectorOptions() const {
+void RcedaEngine::BuildDetector() {
   DetectorOptions detector_options = options_.detector;
   detector_options.trace = trace_;
-  detector_options.shard_id = 0;
   if (metrics_ != nullptr) {
     detector_options.instruments = &metrics_->detector;
   }
-  return detector_options;
+  detector_ = std::make_unique<Detector>(
+      &*graph_, &env_, detector_options,
+      [this](size_t rule_index, const events::EventInstancePtr& instance) {
+        OnMatch(rule_index, instance);
+      });
 }
 
 uint64_t RcedaEngine::Fingerprint() {
@@ -238,7 +222,6 @@ uint64_t RcedaEngine::Fingerprint() {
 
 void RcedaEngine::Decompile() {
   detector_.reset();
-  sharded_.reset();
   graph_.reset();
   fingerprint_.reset();
   // Instrument handles are re-resolved by the next Compile(); the
@@ -274,15 +257,7 @@ Status RcedaEngine::Reset() {
   if (!compiled()) {
     return Status::FailedPrecondition("engine is not compiled");
   }
-  if (sharded_ != nullptr) {
-    sharded_->Reset();
-  } else {
-    detector_ = std::make_unique<Detector>(
-        &*graph_, &env_, SerialDetectorOptions(),
-        [this](size_t rule_index, const events::EventInstancePtr& instance) {
-          OnMatch(rule_index, instance, detector_->clock());
-        });
-  }
+  BuildDetector();
   fired_counts_.assign(rules_.size(), 0);
   stats_ = EngineStats{};
   deferred_error_ = Status::Ok();
@@ -302,15 +277,9 @@ Status RcedaEngine::Process(const events::Observation& obs) {
     m->process_calls->Increment();
     start = Now();
   }
-  Status status;
-  if (sharded_ != nullptr) {
-    status = sharded_->ProcessBatch(&obs, 1);
-    stats_.detector = sharded_->stats();
-  } else {
-    if (trace_ != nullptr) trace_->RecordObservation(++trace_obs_seq_, obs);
-    status = detector_->Process(obs);
-    stats_.detector = detector_->stats();
-  }
+  if (trace_ != nullptr) trace_->RecordObservation(++trace_obs_seq_, obs);
+  Status status = detector_->Process(obs);
+  stats_.detector = detector_->stats();
   if (m != nullptr) m->process_us->Record(ElapsedUs(start));
   return status;
 }
@@ -325,18 +294,12 @@ Status RcedaEngine::ProcessAll(const std::vector<events::Observation>& batch) {
     start = Now();
   }
   Status status;
-  if (sharded_ != nullptr) {
-    // Routing fan-out: one barrier and one stats sync per batch.
-    status = sharded_->ProcessBatch(batch.data(), batch.size());
-    stats_.detector = sharded_->stats();
-  } else {
-    for (const events::Observation& obs : batch) {
-      if (trace_ != nullptr) trace_->RecordObservation(++trace_obs_seq_, obs);
-      status = detector_->Process(obs);
-      if (!status.ok()) break;
-    }
-    stats_.detector = detector_->stats();
+  for (const events::Observation& obs : batch) {
+    if (trace_ != nullptr) trace_->RecordObservation(++trace_obs_seq_, obs);
+    status = detector_->Process(obs);
+    if (!status.ok()) break;
   }
+  stats_.detector = detector_->stats();
   if (m != nullptr) m->process_us->Record(ElapsedUs(start));
   return status;
 }
@@ -344,26 +307,16 @@ Status RcedaEngine::ProcessAll(const std::vector<events::Observation>& batch) {
 Status RcedaEngine::AdvanceTo(TimePoint t) {
   if (!compiled()) return NotCompiled();
   if (flushed_) return AlreadyFlushed();
-  if (sharded_ != nullptr) {
-    sharded_->AdvanceTo(t);
-    stats_.detector = sharded_->stats();
-  } else {
-    detector_->AdvanceTo(t);
-    stats_.detector = detector_->stats();
-  }
+  detector_->AdvanceTo(t);
+  stats_.detector = detector_->stats();
   return Status::Ok();
 }
 
 Status RcedaEngine::Flush() {
   if (!compiled()) return NotCompiled();
   if (flushed_) return Status::Ok();  // Idempotent: nothing left to fire.
-  if (sharded_ != nullptr) {
-    sharded_->Flush();
-    stats_.detector = sharded_->stats();
-  } else {
-    detector_->Flush();
-    stats_.detector = detector_->stats();
-  }
+  detector_->Flush();
+  stats_.detector = detector_->stats();
   // Stream end is a durability point: every action the flush executed
   // is logged and fsynced before Flush() returns.
   if (store::Wal* wal = dispatcher_.wal(); wal != nullptr) {
@@ -380,18 +333,11 @@ Status RcedaEngine::SerializeState(std::string* out) {
   SteadyTime start = Now();
   // Capture at one logical instant: advance detection to the engine
   // clock, firing (and delivering) expirations scheduled strictly before
-  // it. Every detector clock then equals the engine clock and every
-  // pending pseudo event executes at or after it — the invariant the
-  // restore-time state merge relies on (see snapshot.h). Bypasses the
-  // public AdvanceTo so a flushed engine (diverged shard clocks, empty
-  // queues) can still be captured.
-  if (sharded_ != nullptr) {
-    sharded_->AdvanceTo(sharded_->clock());
-    stats_.detector = sharded_->stats();
-  } else {
-    detector_->AdvanceTo(detector_->clock());
-    stats_.detector = detector_->stats();
-  }
+  // it, so every pending pseudo event executes at or after the capture
+  // clock (see snapshot.h). Bypasses the public AdvanceTo so a flushed
+  // engine can still be captured.
+  detector_->AdvanceTo(detector_->clock());
+  stats_.detector = detector_->stats();
 
   snapshot::EngineSnapshot snap;
   snap.fingerprint = Fingerprint();
@@ -405,16 +351,12 @@ Status RcedaEngine::SerializeState(std::string* out) {
     snap.fired.emplace_back(rules_[i].id, fired_counts_[i]);
   }
   if (options_.enable_metrics) snap.counters = registry_.CounterValues();
-  if (sharded_ != nullptr) {
-    sharded_->CaptureState(rules_, &snap);
-  } else {
-    std::vector<std::string> rule_ids;
-    rule_ids.reserve(rules_.size());
-    for (const rules::Rule& rule : rules_) rule_ids.push_back(rule.id);
-    snap.source_shards = 1;
-    snap.sources.resize(1);
-    detector_->SaveState(graph_->NodeStateKeys(rule_ids), &snap.sources[0]);
-  }
+  std::vector<std::string> rule_ids;
+  rule_ids.reserve(rules_.size());
+  for (const rules::Rule& rule : rules_) rule_ids.push_back(rule.id);
+  snap.source_shards = 1;
+  snap.sources.resize(1);
+  detector_->SaveState(graph_->NodeStateKeys(rule_ids), &snap.sources[0]);
   // Every action executed so far is already appended, so the pending
   // section stays empty. The durable LSN is read BEFORE this sync, so the
   // sync is guaranteed to cover it: a checkpoint never claims an LSN the
@@ -473,19 +415,14 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
     fired[it->second] = count;
   }
 
-  if (sharded_ != nullptr) {
-    RFIDCEP_RETURN_IF_ERROR(sharded_->RestoreState(rules_, snap));
-  } else {
-    std::vector<std::string> rule_ids;
-    rule_ids.reserve(rules_.size());
-    for (const rules::Rule& rule : rules_) rule_ids.push_back(rule.id);
-    RFIDCEP_ASSIGN_OR_RETURN(
-        snapshot::RestorePlan plan,
-        snapshot::BuildRestorePlan(snap, graph_->NodeStateKeys(rule_ids),
-                                   graph_->NodeStateAliases()));
-    RFIDCEP_RETURN_IF_ERROR(
-        detector_->RestoreState(plan, snap.stats.detector));
-  }
+  std::vector<std::string> rule_ids;
+  rule_ids.reserve(rules_.size());
+  for (const rules::Rule& rule : rules_) rule_ids.push_back(rule.id);
+  RFIDCEP_ASSIGN_OR_RETURN(
+      snapshot::RestorePlan plan,
+      snapshot::BuildRestorePlan(snap, graph_->NodeStateKeys(rule_ids),
+                                 graph_->NodeStateAliases()));
+  RFIDCEP_RETURN_IF_ERROR(detector_->RestoreState(plan, snap.stats.detector));
   fired_counts_ = std::move(fired);
   stats_ = snap.stats;
   flushed_ = snap.flushed;
@@ -494,52 +431,13 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
 
   if (options_.enable_metrics) {
     // Counter continuity: zero everything, then re-apply the snapshot's
-    // totals. Counters transfer verbatim only from a serial capture into
-    // a serial engine. With a sharded side (a data-partitioned capture is
-    // pre-merged to one serial-equivalent source; an older rule-sharded
-    // capture's workers hosted different rules than today's replicas)
-    // the per-shard SPLIT is meaningless even when the shard counts
-    // agree, but the totals are not: they are summed over the shard
-    // label and credited to the target's shard-0 instrument — the same
-    // convention the restore plan uses for unkeyed state. Per-node firing
-    // counters are the exception: node ids are relative to each layout's
-    // graphs, so they stay with the layout that did the work.
+    // totals — verbatim from a serial capture, mapped onto this engine's
+    // series from a sharded one (SerialCounterName).
     registry_.Reset();
-    bool same_layout = snap.source_shards == 1 && num_shards() == 1;
-    std::map<std::string, uint64_t> aggregated;
     for (const auto& [name, value] : snap.counters) {
-      size_t label = name.find("shard=\"");
-      if (same_layout || label == std::string::npos) {
-        if (common::Counter* counter = registry_.GetCounter(name)) {
-          counter->Increment(value);
-        }
-        continue;
-      }
-      if (name.find("node=") != std::string::npos) continue;
-      // Strip the `shard="N"` label (and whichever separator flanks it).
-      std::string base = name;
-      size_t end = base.find('"', label + 7) + 1;
-      if (end < base.size() && base[end] == ',') {
-        ++end;
-      } else if (base[label - 1] == ',') {
-        --label;
-      } else {
-        --label;
-        ++end;
-      }
-      base.erase(label, end - label);
-      aggregated[base] += value;
-    }
-    for (const auto& [base, value] : aggregated) {
-      std::string target = base;
-      if (num_shards() > 1) {
-        size_t brace = target.find('{');
-        if (brace == std::string::npos) {
-          target += "{shard=\"0\"}";
-        } else {
-          target.insert(brace + 1, "shard=\"0\",");
-        }
-      }
+      const std::string target =
+          snap.source_shards == 1 ? name : SerialCounterName(name);
+      if (target.empty()) continue;
       if (common::Counter* counter = registry_.GetCounter(target)) {
         counter->Increment(value);
       }
@@ -616,39 +514,33 @@ Status RcedaEngine::Restore(const std::string& path) {
 
 std::string RcedaEngine::DebugReport() const {
   if (!compiled()) return "engine is not compiled\n";
-  std::string out;
-  if (sharded_ != nullptr) {
-    out = sharded_->DebugReport(rules_);
-  } else {
-    out = "clock=" + FormatTimePoint(detector_->clock()) +
-          " pending_pseudo=" +
-          std::to_string(detector_->PendingPseudoEvents()) +
-          " reader_records=" + std::to_string(detector_->ReaderRecords()) +
-          " buffered=" + std::to_string(detector_->TotalBufferedEntries()) +
-          "\n";
-    if (detector_->FullscanObservations() > 0) {
-      out += "dispatch_fullscan=" +
-             std::to_string(detector_->FullscanObservations()) +
-             " (no subscribable vocabulary: every observation scans every "
-             "leaf)\n";
+  std::string out =
+      "clock=" + FormatTimePoint(detector_->clock()) + " pending_pseudo=" +
+      std::to_string(detector_->PendingPseudoEvents()) +
+      " reader_records=" + std::to_string(detector_->ReaderRecords()) +
+      " buffered=" + std::to_string(detector_->TotalBufferedEntries()) + "\n";
+  if (detector_->FullscanObservations() > 0) {
+    out += "dispatch_fullscan=" +
+           std::to_string(detector_->FullscanObservations()) +
+           " (no subscribable vocabulary: every observation scans every "
+           "leaf)\n";
+  }
+  for (const GraphNode& node : graph_->nodes()) {
+    out += "#";
+    out += std::to_string(node.id);
+    out += " ";
+    out += DetectionModeName(node.mode);
+    out += " produced=";
+    out += std::to_string(detector_->ProducedAt(node.id));
+    out += " buffered=";
+    out += std::to_string(detector_->BufferedAt(node.id));
+    if (int rep = detector_->FamilyRep(node.id); rep >= 0) {
+      out += " family=#";
+      out += std::to_string(rep);
     }
-    for (const GraphNode& node : graph_->nodes()) {
-      out += "#";
-      out += std::to_string(node.id);
-      out += " ";
-      out += DetectionModeName(node.mode);
-      out += " produced=";
-      out += std::to_string(detector_->ProducedAt(node.id));
-      out += " buffered=";
-      out += std::to_string(detector_->BufferedAt(node.id));
-      if (int rep = detector_->FamilyRep(node.id); rep >= 0) {
-        out += " family=#";
-        out += std::to_string(rep);
-      }
-      out += " ";
-      out += node.canonical_key;
-      out += "\n";
-    }
+    out += " ";
+    out += node.canonical_key;
+    out += "\n";
   }
   for (size_t i = 0; i < rules_.size(); ++i) {
     out += "rule " + rules_[i].id + " fired=" +
@@ -664,9 +556,9 @@ uint64_t RcedaEngine::FiredCount(std::string_view rule_id) const {
 }
 
 void RcedaEngine::OnMatch(size_t rule_index,
-                          const events::EventInstancePtr& instance,
-                          TimePoint fire_time) {
+                          const events::EventInstancePtr& instance) {
   const rules::Rule& rule = rules_[rule_index];
+  const TimePoint fire_time = detector_->clock();
   EngineInstruments* m = metrics_.get();
   EngineInstruments::PerRule* r =
       m != nullptr ? &m->per_rule[rule_index] : nullptr;
@@ -719,11 +611,10 @@ void RcedaEngine::OnMatch(size_t rule_index,
     m->rules_fired->Increment();
     r->fired->Increment();
   }
-  // The firing's sequence number is its per-rule fired ordinal: per-rule
-  // emission order is the determinism guarantee that holds across shard
-  // layouts, and fired_counts_ travels in every snapshot — so the
-  // numbering is identical across layouts and across a run and its
-  // restored continuation (the WAL dedup keyspace, with the rule id).
+  // The firing's sequence number is its per-rule fired ordinal:
+  // fired_counts_ travels in every snapshot, so the numbering is
+  // identical across a run and its restored continuation (the WAL dedup
+  // keyspace, with the rule id).
   firing.seq = fired_counts_[rule_index];
 
   if (!options_.execute_actions) {

@@ -31,7 +31,6 @@
 #include "engine/actions.h"
 #include "engine/detector.h"
 #include "engine/graph.h"
-#include "engine/sharded_engine.h"
 #include "events/event_type.h"
 #include "rules/parser.h"
 #include "rules/rule.h"
@@ -45,19 +44,16 @@ struct EngineOptions {
   // callback) but actions are not executed — the paper's Fig. 9
   // measurement excludes action cost the same way.
   bool execute_actions = true;
-  // Number of detection shards. 1 (the default) is the serial in-place
-  // fast path: one merged graph, one detector, no queue hops. Values > 1
-  // partition the stream by key across that many replicas of the keyed
-  // rules, plus one residual worker for cross-object rules (see
-  // engine/sharded_engine.h); with no key-partitionable rule, detection
-  // stays serial. Conditions, actions, fired counts, and the match
-  // callback always run on the calling thread, in serial order per rule.
+  // Read by nothing: detection always runs on one detector on the
+  // calling thread, and Compile() accepts any value. The field stays only
+  // because perfbench/library.cc (ProbeSharded) still sets it; it goes
+  // with that probe.
   int shards = 1;
   // Whether Compile() resolves registry instruments and times rule
   // evaluation. Defaults on at compile time (cmake -DRFIDCEP_METRICS=OFF
   // flips the default); when off, every instrumentation site in the
-  // engine, detector, shards, and action dispatcher is a branch on a
-  // null pointer (<2% overhead, see docs/observability.md).
+  // engine, detector and action dispatcher is a branch on a null
+  // pointer (<2% overhead, see docs/observability.md).
   bool enable_metrics = common::kMetricsDefaultEnabled;
 };
 
@@ -121,22 +117,9 @@ class RcedaEngine : public EngineFrontend {
   // Removes a rule by id. Implies Decompile() when already compiled.
   Status RemoveRule(std::string_view rule_id);
 
-  // Builds the event graph and detector (or the sharded detection
-  // pipeline when options.shards > 1 and some rule is key-partitionable).
-  // Idempotent until rules change.
+  // Builds the event graph and detector. Idempotent until rules change.
   Status Compile();
-  bool compiled() const {
-    return detector_ != nullptr || sharded_ != nullptr;
-  }
-
-  // Changes the shard count used by the next Compile(). Requires
-  // !compiled() (Decompile() first to re-shard an existing engine).
-  Status SetShards(int shards);
-  // Detection workers in use: 1 for the serial fast path; when sharded,
-  // the keyed replicas plus the residual worker, if any.
-  int num_shards() const {
-    return sharded_ != nullptr ? sharded_->num_shards() : 1;
-  }
+  bool compiled() const { return detector_ != nullptr; }
 
   // Drops the compiled graph and all runtime state so rules can be added
   // or removed again. Statistics and fired counts are preserved.
@@ -171,8 +154,9 @@ class RcedaEngine : public EngineFrontend {
   // Replaces detection state from serialized `bytes`. Requires
   // compiled() with the same rule set and parameter context — validated
   // by the snapshot's rule-set fingerprint (kFailedPrecondition on
-  // mismatch, and on a format version this build does not read). The
-  // shard count may differ from the snapshot's: state is re-partitioned.
+  // mismatch, and on a format version this build does not read).
+  // Checkpoints written by older sharded builds restore too: their
+  // per-source state merges onto the one detector.
   Status RestoreState(std::string_view bytes) override;
   // SerializeState / RestoreState against the file at `path`.
   Status Checkpoint(const std::string& path);
@@ -209,8 +193,8 @@ class RcedaEngine : public EngineFrontend {
   // next Compile(); null detaches. Requires !compiled(). The sink must
   // outlive the engine (or the next Decompile()).
   Status SetTraceSink(TraceSink* sink);
-  // The engine's registry: every instrument the engine, its detector(s),
-  // shards, and action dispatcher registered. Live — counters update as
+  // The engine's registry: every instrument the engine, its detector
+  // and action dispatcher registered. Live — counters update as
   // the stream is processed.
   common::MetricsRegistry& metrics_registry() { return registry_; }
   // Prometheus text exposition of every registered metric (see
@@ -226,15 +210,12 @@ class RcedaEngine : public EngineFrontend {
   // Requires compiled().
   const EventGraph& graph() const { return *graph_; }
   TimePoint clock() const {
-    if (sharded_ != nullptr) return sharded_->clock();
     return detector_ != nullptr ? detector_->clock() : 0;
   }
   size_t TotalBufferedEntries() const {
-    if (sharded_ != nullptr) return sharded_->TotalBufferedEntries();
     return detector_ != nullptr ? detector_->TotalBufferedEntries() : 0;
   }
   size_t PendingPseudoEvents() const {
-    if (sharded_ != nullptr) return sharded_->PendingPseudoEvents();
     return detector_ != nullptr ? detector_->PendingPseudoEvents() : 0;
   }
   // First error encountered while evaluating conditions/actions on the
@@ -250,12 +231,12 @@ class RcedaEngine : public EngineFrontend {
   std::string DebugReport() const;
 
  private:
-  void OnMatch(size_t rule_index, const events::EventInstancePtr& instance,
-               TimePoint fire_time);
-  // Detector options for the serial path with observability wiring
-  // (instruments/trace) applied; requires Compile() to have resolved
-  // `metrics_` when metrics are enabled.
-  DetectorOptions SerialDetectorOptions() const;
+  // Handles one rule match at the detector's current clock.
+  void OnMatch(size_t rule_index, const events::EventInstancePtr& instance);
+  // (Re)creates the detector over the compiled graph, with the
+  // observability wiring (instruments/trace) applied; requires Compile()
+  // to have resolved `metrics_` when metrics are enabled.
+  void BuildDetector();
   // The snapshot rule-set fingerprint of the compiled rule set, computed
   // on the first checkpoint or restore (not in Compile(), which would
   // slow every set-up) and dropped by Decompile().
@@ -274,19 +255,16 @@ class RcedaEngine : public EngineFrontend {
   std::vector<uint64_t> fired_counts_;
   std::optional<EventGraph> graph_;
   std::optional<uint64_t> fingerprint_;  // See Fingerprint().
-  // Declared before the detectors: they hold instrument pointers into
-  // the registry up to and including their destructors (the sharded
-  // coordinator updates ring gauges while enqueueing stop commands), so
-  // the registry must be destroyed after them.
+  // Declared before the detector, which holds instrument pointers into
+  // the registry, so the registry is destroyed after it.
   common::MetricsRegistry registry_;
   std::unique_ptr<EngineInstruments> metrics_;  // Null when disabled.
-  std::unique_ptr<Detector> detector_;            // Serial detection.
-  std::unique_ptr<ShardedDetector> sharded_;      // Sharded detection.
+  std::unique_ptr<Detector> detector_;
   MatchCallback match_callback_;
   EngineStats stats_;
   Status deferred_error_;
   TraceSink* trace_ = nullptr;                  // Not owned.
-  uint64_t trace_obs_seq_ = 0;                  // Serial-path obs records.
+  uint64_t trace_obs_seq_ = 0;                  // Observation records.
   bool flushed_ = false;  // Stream ended by Flush(); cleared by
                           // Compile()/Reset(), restored from snapshots.
 };

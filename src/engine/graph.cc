@@ -399,11 +399,10 @@ void EventGraph::ComputeRetention() {
   }
 }
 
-Status EventGraph::Validate(
-    const std::vector<const rules::Rule*>& rules) const {
+Status EventGraph::Validate(const std::vector<rules::Rule>& rules) const {
   auto rule_error = [&](size_t rule_index, const std::string& what) {
     return Status::FailedPrecondition(
-        "invalid rule '" + rules[rule_index]->id + "': " + what);
+        "invalid rule '" + rules[rule_index].id + "': " + what);
   };
 
   // Per-node structural checks.
@@ -478,21 +477,13 @@ Status EventGraph::Validate(
 }
 
 Result<EventGraph> EventGraph::Build(const std::vector<rules::Rule>& rules) {
-  std::vector<const rules::Rule*> pointers;
-  pointers.reserve(rules.size());
-  for (const rules::Rule& rule : rules) pointers.push_back(&rule);
-  return Build(pointers);
-}
-
-Result<EventGraph> EventGraph::Build(
-    const std::vector<const rules::Rule*>& rules) {
   EventGraph graph;
   for (size_t i = 0; i < rules.size(); ++i) {
-    if (rules[i]->event == nullptr) {
-      return Status::InvalidArgument("rule '" + rules[i]->id +
+    if (rules[i].event == nullptr) {
+      return Status::InvalidArgument("rule '" + rules[i].id +
                                      "' has no event");
     }
-    EventExprPtr propagated = PropagateIntervalConstraints(rules[i]->event);
+    EventExprPtr propagated = PropagateIntervalConstraints(rules[i].event);
     int root = graph.Intern(*propagated, /*terminator_closed=*/false);
     graph.rule_roots_.push_back(root);
     graph.nodes_[root].rule_indexes.push_back(i);
@@ -502,96 +493,6 @@ Result<EventGraph> EventGraph::Build(
   graph.ComputeJoinVars();
   RFIDCEP_RETURN_IF_ERROR(graph.Validate(rules));
   return graph;
-}
-
-EventGraph::Subscription EventGraph::ComputeSubscription() const {
-  Subscription sub;
-  for (int id : primitive_nodes_) {
-    const events::PrimitiveEventType& type = nodes_[id].primitive;
-    if (type.reader().is_literal) {
-      sub.reader_keys.push_back(type.reader().text);
-    } else if (type.group_constraint().has_value()) {
-      sub.reader_keys.push_back(*type.group_constraint());
-    } else {
-      sub.any_reader = true;
-    }
-  }
-  std::sort(sub.reader_keys.begin(), sub.reader_keys.end());
-  sub.reader_keys.erase(
-      std::unique(sub.reader_keys.begin(), sub.reader_keys.end()),
-      sub.reader_keys.end());
-  return sub;
-}
-
-EventGraph::RulePartition EventGraph::ClassifyRulePartition(
-    size_t rule_index) const {
-  RulePartition out;
-  bool has_seqplus = false;
-  bool object_ok = true, reader_ok = true;
-  std::string object_var, reader_var;
-  std::vector<bool> seen(nodes_.size());
-  std::vector<int> stack{rule_roots_[rule_index]};
-  while (!stack.empty()) {
-    int id = stack.back();
-    stack.pop_back();
-    if (seen[id]) continue;
-    seen[id] = true;
-    const GraphNode& node = nodes_[id];
-    if (node.op == ExprOp::kSeqPlus) has_seqplus = true;
-    if (node.op == ExprOp::kPrimitive) {
-      const events::Term& object = node.primitive.object();
-      if (object.is_literal) {
-        object_ok = false;
-      } else if (object_var.empty()) {
-        object_var = object.text;
-      } else if (object_var != object.text) {
-        object_ok = false;
-      }
-      const events::Term& reader = node.primitive.reader();
-      if (reader.is_literal) {
-        reader_ok = false;
-      } else if (reader_var.empty()) {
-        reader_var = reader.text;
-      } else if (reader_var != reader.text) {
-        reader_ok = false;
-      }
-    }
-    for (int child : node.children) stack.push_back(child);
-  }
-  if (has_seqplus) return out;  // Open runs span keys: never partitionable.
-  if (object_ok && !object_var.empty()) {
-    out.cls = RulePartitionClass::kEpcKeyed;
-    out.key_var = object_var;
-  } else if (reader_ok && !reader_var.empty()) {
-    out.cls = RulePartitionClass::kSiteKeyed;
-    out.key_var = reader_var;
-  }
-  return out;
-}
-
-std::vector<std::string> EventGraph::NodePartitionVars(bool object_dim) const {
-  std::vector<std::string> vars(nodes_.size());
-  // Leaves bind their own term variable; hash-consing guarantees every
-  // internal node's leaves agree (variable names are part of the
-  // canonical key), so any leaf under the node names its partition var.
-  std::function<const std::string&(int)> var_of =
-      [&](int id) -> const std::string& {
-    if (!vars[id].empty()) return vars[id];
-    const GraphNode& node = nodes_[id];
-    if (node.op == ExprOp::kPrimitive) {
-      const events::Term& term =
-          object_dim ? node.primitive.object() : node.primitive.reader();
-      if (!term.is_literal) vars[id] = term.text;
-      return vars[id];
-    }
-    for (int child : node.children) {
-      const std::string& v = var_of(child);
-      if (!v.empty()) return vars[id] = v, vars[id];
-    }
-    return vars[id];
-  };
-  for (size_t id = 0; id < nodes_.size(); ++id) var_of(static_cast<int>(id));
-  return vars;
 }
 
 std::vector<std::string> EventGraph::NodeStateKeys(

@@ -80,10 +80,6 @@ class EventGraph {
   // SEQ+ nodes included: safe prefix sharing, see Intern), and validated.
   // Fails with kFailedPrecondition naming the first invalid rule.
   static Result<EventGraph> Build(const std::vector<rules::Rule>& rules);
-  // Same, over an arbitrary selection of rules (rules are move-only, so
-  // shard compilation selects by pointer). Rule indexes in the resulting
-  // graph are positions in `rules`.
-  static Result<EventGraph> Build(const std::vector<const rules::Rule*>& rules);
 
   const std::vector<GraphNode>& nodes() const { return nodes_; }
   const GraphNode& node(int id) const { return nodes_[id]; }
@@ -103,51 +99,10 @@ class EventGraph {
   // All leaf (primitive) node ids.
   const std::vector<int>& primitive_nodes() const { return primitive_nodes_; }
 
-  // --- Routing (sharded detection) ---------------------------------------
-  // The primitive subscription vocabulary of this graph: every reader
-  // literal and group-constraint value over its leaves. An observation can
-  // only match a leaf here if its reader — or its reader's group — hits
-  // `reader_keys`, unless `any_reader` is set (some leaf constrains
-  // neither the reader nor its group). This is the same key choice the
-  // detector's primitive dispatch map uses, so routing by it is exact.
-  struct Subscription {
-    std::vector<std::string> reader_keys;  // Sorted, deduped.
-    bool any_reader = false;
-  };
-  Subscription ComputeSubscription() const;
-
-  // --- Data partitioning (sharded detection) ------------------------------
-  // Whether a rule can be evaluated per partition key without ever
-  // consulting state from another key — the equivalence-preserving
-  // condition for hashing observations across graph replicas. A rule is
-  // EPC-keyed when every leaf (positive and negated) binds the same
-  // non-literal object variable: every join, NOT-window probe, and
-  // chronicle pairing then unifies on that variable, so the state touched
-  // by an observation is a function of its object value alone. Site-keyed
-  // is the same argument over the reader variable. SEQ+ disqualifies a
-  // rule outright: open runs absorb instances across keys.
-  enum class RulePartitionClass {
-    kEpcKeyed = 0,   // Partition by hash(observation.object).
-    kSiteKeyed,      // Partition by hash(observation.reader).
-    kCrossObject,    // Not key-partitionable: runs on the residual worker.
-  };
-  struct RulePartition {
-    RulePartitionClass cls = RulePartitionClass::kCrossObject;
-    std::string key_var;  // The shared variable (keyed classes only).
-  };
-  RulePartition ClassifyRulePartition(size_t rule_index) const;
-
-  // For a graph whose rules are all keyed on one dimension: the partition
-  // variable each node's instances bind (the object/reader variable of
-  // any leaf under the node — hash-consing makes it unique per node).
-  // Used to re-bucket restored state onto keyed replicas. Empty string
-  // for nodes with no such variable (literal terms).
-  std::vector<std::string> NodePartitionVars(bool object_dim) const;
-
   // --- Snapshots (engine/snapshot.h) --------------------------------------
   // A graph-independent identity for every node's runtime state, used to
-  // match detector state across differently-partitioned graphs over the
-  // same rule set (serial <-> sharded restore). Shareable nodes are
+  // match detector state across graphs compiled from the same rule set
+  // by different builds or layouts (checkpoint restore). Shareable nodes are
   // identified by their canonical key (hash-consing makes it unique in
   // any graph). Private SEQ+ nodes — duplicate canonical keys are
   // possible — are qualified by position: a SEQ+ rule root by the owning
@@ -183,7 +138,7 @@ class EventGraph {
   void ComputeModes();
   void ComputeRetention();
   void ComputeJoinVars();
-  Status Validate(const std::vector<const rules::Rule*>& rules) const;
+  Status Validate(const std::vector<rules::Rule>& rules) const;
 
   std::vector<GraphNode> nodes_;
   std::vector<int> rule_roots_;

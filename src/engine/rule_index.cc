@@ -30,10 +30,9 @@ PrimitiveIndex::PrimitiveIndex(const EventGraph& graph) {
 void PrimitiveIndex::AddBucket(Bucket* bucket, const EventGraph& graph,
                                std::vector<int> node_ids) {
   // Canonical-key order, not interning order: interning order depends on
-  // which rules share a leaf (a leaf first interned by an earlier rule
-  // keeps its early id in the merged graph but not in a shard-local one),
-  // while canonical order restricted to any rule subset is the same in
-  // every compilation — which sharded replay relies on. Leaf canonical
+  // which rules share a leaf and in what order they were added, while
+  // canonical order is the same in every compilation, so leaves of one
+  // observation emit in an order the rule set alone fixes. Leaf canonical
   // keys are unique by hash-consing, so this is a total order; ranks let
   // typed/untyped sub-lists merge back into exactly this order.
   std::sort(node_ids.begin(), node_ids.end(), [&](int a, int b) {

@@ -3,9 +3,8 @@
 // candidate leaf nodes, so per-event dispatch cost tracks the rules an
 // observation can actually affect.
 //
-// Key choice matches EventGraph::ComputeSubscription: a leaf is bucketed
-// under its reader literal if it has one, else under its group
-// constraint, else it is unkeyed. An observation probes
+// Key choice: a leaf is bucketed under its reader literal if it has one,
+// else under its group constraint, else it is unkeyed. An observation probes
 // bucket[obs.reader], then bucket[group(obs.reader)] (if different), then
 // the unkeyed bucket, and entries carry canonical ranks so a probe
 // visits candidates in canonical-key order.

@@ -1,9 +1,7 @@
 #include "engine/snapshot.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <limits>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -880,8 +878,7 @@ Result<RestorePlan> BuildRestorePlan(
       if (cursor[s] == pos) ++cursor[s];
     }
     auto parent_it = target_by_key.find(rec.parent_key);
-    // Another shard's node, or a pre-sharing copy that is not the
-    // representative.
+    // A pre-sharing copy that is not the representative.
     if (parent_it == target_by_key.end()) continue;
     auto target_it = target_by_key.find(rec.target_key);
     if (target_it == target_by_key.end()) {
@@ -912,270 +909,6 @@ Result<RestorePlan> BuildRestorePlan(
   }
   plan.pseudo_counter = order;
   return plan;
-}
-
-DetectorSnapshot MergeShardSnapshots(
-    const std::vector<DetectorSnapshot>& sources,
-    const std::vector<bool>& keyed_replica) {
-  DetectorSnapshot out;
-  out.source_id = 0;
-  if (sources.empty()) return out;
-  out.clock = sources[0].clock;
-
-  // Concatenate instance tables; children indexes shift by each source's
-  // offset. (Records from non-chosen sides stay in the table unreferenced
-  // — harmless, and keeps anchors a pure index remap.)
-  std::vector<uint32_t> offset(sources.size(), 0);
-  uint32_t total_instances = 0;
-  for (size_t s = 0; s < sources.size(); ++s) {
-    offset[s] = total_instances;
-    total_instances += static_cast<uint32_t>(sources[s].instances.size());
-  }
-  out.instances.reserve(total_instances);
-  for (size_t s = 0; s < sources.size(); ++s) {
-    for (const InstanceRecord& rec : sources[s].instances) {
-      InstanceRecord copy = rec;
-      for (uint32_t& child : copy.children) child += offset[s];
-      out.instances.push_back(std::move(copy));
-    }
-    out.sequence_counter =
-        std::max(out.sequence_counter, sources[s].sequence_counter);
-    const DetectorStats& st = sources[s].stats;
-    out.stats.observations += st.observations;
-    out.stats.out_of_order_dropped += st.out_of_order_dropped;
-    out.stats.primitive_matches += st.primitive_matches;
-    out.stats.instances_produced += st.instances_produced;
-    out.stats.pseudo_scheduled += st.pseudo_scheduled;
-    out.stats.pseudo_fired += st.pseudo_fired;
-    out.stats.rule_matches += st.rule_matches;
-  }
-
-  // Renumber sequence numbers into one global order. Per-source sequence
-  // numbers collide across replicas (each replica counts its own slice),
-  // and downstream consumers need them unique and arrival-ordered within
-  // a bucket: FirePseudo re-finds its anchor by sequence number, and
-  // restore rebuilds bucket deques assuming sequence order is arrival
-  // order. K-way merge popping the source whose next instance carries the
-  // smallest effective end time (ties by source id): each source's
-  // internal order is preserved exactly — same-key state lives on one
-  // replica, so only that relative order is observable — and primitives,
-  // which each replica holds in timestamp order, interleave back into
-  // stream arrival order. Each source is walked in its recorded sequence
-  // order, not table order: SaveState interns node-major, so an instance
-  // only a later node still buffers sits after newer ones in the table.
-  std::vector<uint64_t> new_seq(total_instances, 0);
-  {
-    std::vector<std::vector<uint32_t>> by_seq(sources.size());
-    for (size_t s = 0; s < sources.size(); ++s) {
-      const std::vector<InstanceRecord>& table = sources[s].instances;
-      by_seq[s].resize(table.size());
-      for (uint32_t i = 0; i < table.size(); ++i) by_seq[s][i] = i;
-      auto earlier = [&table](uint32_t a, uint32_t b) {
-        return table[a].sequence_number < table[b].sequence_number;
-      };
-      std::stable_sort(by_seq[s].begin(), by_seq[s].end(), earlier);
-    }
-    auto eff_t_end = [&](size_t s, size_t pos) {
-      const InstanceRecord& rec = sources[s].instances[by_seq[s][pos]];
-      return rec.is_primitive ? rec.observation.timestamp : rec.t_end;
-    };
-    std::vector<size_t> cursor(sources.size(), 0);
-    uint64_t next = 0;
-    for (uint32_t assigned = 0; assigned < total_instances; ++assigned) {
-      size_t best = sources.size();
-      for (size_t s = 0; s < sources.size(); ++s) {
-        if (cursor[s] >= by_seq[s].size()) continue;
-        if (best == sources.size() ||
-            eff_t_end(s, cursor[s]) < eff_t_end(best, cursor[best])) {
-          best = s;
-        }
-      }
-      new_seq[offset[best] + by_seq[best][cursor[best]]] = ++next;
-      ++cursor[best];
-    }
-    for (uint32_t i = 0; i < total_instances; ++i) {
-      out.instances[i].sequence_number = new_seq[i];
-    }
-    out.sequence_counter = std::max(out.sequence_counter, next);
-  }
-
-  // Group node records by state key (first-appearance order, so merged
-  // output is deterministic).
-  struct Ref {
-    size_t source;
-    const NodeStateRecord* rec;
-  };
-  std::vector<std::string_view> key_order;
-  std::unordered_map<std::string_view, std::vector<Ref>> by_key;
-  for (size_t s = 0; s < sources.size(); ++s) {
-    for (const NodeStateRecord& rec : sources[s].nodes) {
-      auto [it, inserted] = by_key.try_emplace(rec.state_key);
-      if (inserted) key_order.push_back(rec.state_key);
-      it->second.push_back(Ref{s, &rec});
-    }
-  }
-
-  // Anchor remap: (source, parent state key) -> per-slot src pos -> merged
-  // pos. Entries absent here were not chosen into the merge: their
-  // pseudos degrade to kStale and fire as no-ops, mirroring the live twin
-  // kept from the winning side of the same shared node.
-  constexpr uint32_t kDropped = std::numeric_limits<uint32_t>::max();
-  std::map<std::pair<size_t, std::string_view>,
-           std::array<std::vector<uint32_t>, 2>>
-      posmap;
-
-  auto seq_of = [&](size_t s, uint32_t instance) {
-    // Renumbered: unique across sources, arrival-ordered (see above).
-    return out.instances[offset[s] + instance].sequence_number;
-  };
-
-  for (std::string_view key : key_order) {
-    const std::vector<Ref>& refs = by_key.at(key);
-    std::vector<Ref> keyed, other;
-    for (const Ref& r : refs) {
-      (keyed_replica[r.source] ? keyed : other).push_back(r);
-    }
-    // A non-replica copy is complete over every key; take it when its
-    // retention covers the replicas' window, else union the replica
-    // slices (see header comment).
-    const Ref* pick = nullptr;
-    for (const Ref& r : other) {
-      if (pick == nullptr || r.rec->retention > pick->rec->retention) {
-        pick = &r;
-      }
-    }
-    if (pick != nullptr && !keyed.empty() &&
-        pick->rec->retention < keyed.front().rec->retention) {
-      pick = nullptr;  // Replicas retain longer: union them instead.
-    }
-
-    NodeStateRecord merged;
-    merged.state_key = std::string(key);
-    if (pick != nullptr) {
-      const NodeStateRecord& rec = *pick->rec;
-      merged.retention = rec.retention;
-      merged.produced = rec.produced;
-      merged.not_log.reserve(rec.not_log.size());
-      for (uint32_t inst : rec.not_log) {
-        merged.not_log.push_back(inst + offset[pick->source]);
-      }
-      merged.runs = rec.runs;
-      for (RunRecord& run : merged.runs) {
-        for (uint32_t& element : run.elements) {
-          element += offset[pick->source];
-        }
-      }
-      auto& slots = posmap[{pick->source, key}];
-      for (int slot = 0; slot < 2; ++slot) {
-        merged.slots[slot].reserve(rec.slots[slot].size());
-        slots[slot].assign(rec.slots[slot].size(), kDropped);
-        for (size_t pos = 0; pos < rec.slots[slot].size(); ++pos) {
-          slots[slot][pos] = static_cast<uint32_t>(merged.slots[slot].size());
-          SlotEntryRecord entry = rec.slots[slot][pos];
-          entry.instance += offset[pick->source];
-          merged.slots[slot].push_back(entry);
-        }
-      }
-    } else {
-      merged.retention = keyed.front().rec->retention;
-      for (const Ref& r : keyed) merged.produced += r.rec->produced;
-      // Union per slot, sorted by (sequence number, source): each
-      // replica's order is its arrival order, and cross-key interleaving
-      // is unobservable (probes unify on the partition key first).
-      struct SrcEntry {
-        uint64_t seq;
-        size_t source;
-        size_t pos;
-        SlotEntryRecord entry;
-      };
-      for (int slot = 0; slot < 2; ++slot) {
-        std::vector<SrcEntry> entries;
-        for (const Ref& r : keyed) {
-          const auto& src_slot = r.rec->slots[slot];
-          posmap[{r.source, key}][slot].assign(src_slot.size(), kDropped);
-          for (size_t pos = 0; pos < src_slot.size(); ++pos) {
-            entries.push_back(SrcEntry{seq_of(r.source, src_slot[pos].instance),
-                                       r.source, pos, src_slot[pos]});
-          }
-        }
-        std::sort(entries.begin(), entries.end(),
-                  [](const SrcEntry& a, const SrcEntry& b) {
-                    return std::tie(a.seq, a.source) < std::tie(b.seq, b.source);
-                  });
-        merged.slots[slot].reserve(entries.size());
-        for (const SrcEntry& e : entries) {
-          posmap[{e.source, key}][slot][e.pos] =
-              static_cast<uint32_t>(merged.slots[slot].size());
-          SlotEntryRecord entry = e.entry;
-          entry.instance += offset[e.source];
-          merged.slots[slot].push_back(entry);
-        }
-      }
-      std::vector<std::tuple<uint64_t, size_t, uint32_t>> log_entries;
-      for (const Ref& r : keyed) {
-        for (uint32_t inst : r.rec->not_log) {
-          log_entries.emplace_back(seq_of(r.source, inst), r.source,
-                                   inst + offset[r.source]);
-        }
-      }
-      std::sort(log_entries.begin(), log_entries.end());
-      merged.not_log.reserve(log_entries.size());
-      for (const auto& [seq, s, inst] : log_entries) {
-        merged.not_log.push_back(inst);
-      }
-      for (const Ref& r : keyed) {
-        for (const RunRecord& run : r.rec->runs) {
-          RunRecord copy = run;
-          for (uint32_t& element : copy.elements) element += offset[r.source];
-          merged.runs.push_back(std::move(copy));
-        }
-      }
-    }
-    out.nodes.push_back(std::move(merged));
-  }
-
-  // Merge pseudo queues by (execute_at, stamp): the stamps encode each
-  // pseudo's serial scheduling position, so this is exactly the serial
-  // FIFO order the queue would hold in an unsharded run.
-  struct PRef {
-    size_t source;
-    size_t pos;
-    const PseudoRecord* rec;
-  };
-  std::vector<PRef> prefs;
-  for (size_t s = 0; s < sources.size(); ++s) {
-    for (size_t p = 0; p < sources[s].pseudos.size(); ++p) {
-      prefs.push_back(PRef{s, p, &sources[s].pseudos[p]});
-    }
-  }
-  std::sort(prefs.begin(), prefs.end(), [](const PRef& a, const PRef& b) {
-    return std::tie(a.rec->execute_at, a.rec->stamp, a.source, a.pos) <
-           std::tie(b.rec->execute_at, b.rec->stamp, b.source, b.pos);
-  });
-  out.pseudos.reserve(prefs.size());
-  for (const PRef& p : prefs) {
-    PseudoRecord rec = *p.rec;
-    if (rec.anchor_kind == AnchorKind::kLive) {
-      uint32_t merged_pos = kDropped;
-      auto it = posmap.find({p.source, std::string_view(rec.parent_key)});
-      if (it != posmap.end()) {
-        const std::vector<uint32_t>& slot_map = it->second[rec.anchor_slot];
-        if (rec.anchor_pos < slot_map.size()) {
-          merged_pos = slot_map[rec.anchor_pos];
-        }
-      }
-      if (merged_pos == kDropped) {
-        rec.anchor_kind = AnchorKind::kStale;
-        rec.anchor_slot = 0;
-        rec.anchor_pos = 0;
-      } else {
-        rec.anchor_pos = merged_pos;
-      }
-    }
-    out.pseudos.push_back(std::move(rec));
-  }
-  out.pseudo_counter = out.pseudos.size();
-  return out;
 }
 
 }  // namespace rfidcep::engine::snapshot

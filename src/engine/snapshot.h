@@ -17,15 +17,17 @@
 // every detector to the engine clock before capturing (firing — and
 // delivering — any expirations scheduled strictly before it), so all
 // captured detectors agree on the clock and every pending pseudo event
-// executes at or after it. That invariant is what makes a snapshot
-// restorable at ANY shard count: per-node state is identified by a
-// graph-independent state key (EventGraph::NodeStateKeys) and
-// re-partitioned onto the target's graphs, and the per-source pseudo
-// queues merge by a greedy topological pass that preserves every
-// source's relative order (sources hosting the same node pend identical
-// pseudo subsequences, so duplicates collapse exactly). Engines write
-// one source (a sharded capture is pre-merged, see MergeShardSnapshots);
-// several sources come from checkpoints of older rule-sharded layouts.
+// executes at or after it. Per-node state is identified by a
+// graph-independent state key (EventGraph::NodeStateKeys), so a snapshot
+// restores onto any graph compiled from the same rule set. Engines write
+// one source. Older sharded builds wrote checkpoints this build still
+// restores: a data-partitioned capture was merged to one source at
+// capture time (`source_shards` > 1), and an older rule-sharded layout
+// wrote one source per shard. Several sources merge onto the one
+// detector: per-source pseudo queues merge by a greedy topological pass
+// that preserves every source's relative order (sources hosting the same
+// node pend identical pseudo subsequences, so duplicates collapse
+// exactly).
 //
 // Portability: symbol ids and join-key hashes are process-local, so
 // records carry variable NAMES and anchor positions; join keys and
@@ -122,15 +124,10 @@ struct PseudoRecord {
   AnchorKind anchor_kind = AnchorKind::kNone;
   uint8_t anchor_slot = 0;
   uint32_t anchor_pos = 0;
-  // Scheduling-position stamp (Detector::PseudoEvent::stamp). In-memory
-  // only — NOT serialized: it exists so MergeShardSnapshots can sort
-  // per-shard queues into serial FIFO order at capture time. Queue order
-  // in the encoded bytes already IS the firing order, so decoded records
-  // don't need it (restore synthesizes before-the-checkpoint stamps).
-  std::vector<uint64_t> stamp;
 };
 
-// One source detector (the serial detector, or one shard).
+// One source detector (the engine's detector, or one shard of an older
+// rule-sharded layout).
 struct DetectorSnapshot {
   int source_id = 0;
   TimePoint clock = 0;  // Equals the engine clock (capture invariant).
@@ -153,9 +150,11 @@ struct EngineSnapshot {
   // Fired count per rule id (rule-id keyed: survives re-indexing).
   std::vector<std::pair<std::string, uint64_t>> fired;
   // Counter dump from the metrics registry (restored after Reset();
-  // verbatim only between serial engines, see RcedaEngine::RestoreState).
+  // verbatim from a serial capture, see RcedaEngine::RestoreState).
   std::vector<std::pair<std::string, uint64_t>> counters;
-  int source_shards = 1;  // Detection workers of the capturing engine.
+  // Detection workers of the capturing engine: 1 from this build, more
+  // from a checkpoint an older sharded build wrote.
+  int source_shards = 1;
   std::vector<DetectorSnapshot> sources;
 
   // --- Version 2: durable actions -------------------------------------------
@@ -234,8 +233,8 @@ struct RestorePlan {
 // several sources restore from the max-retention source (ties: lowest
 // source id) — retention is the only parent-dependent state dimension,
 // and the max-retention log is a superset whose extra entries no live
-// window query can see. Pseudo orders are assigned by the global merge,
-// so plans built per shard from one snapshot agree on relative order.
+// window query can see. Pseudo orders are assigned by the merge of
+// every source's queue.
 //
 // `target_aliases` (EventGraph::NodeStateAliases, may be empty) lets
 // snapshots written before SEQ+ prefix sharing restore: a target key
@@ -248,27 +247,6 @@ struct RestorePlan {
 Result<RestorePlan> BuildRestorePlan(
     const EngineSnapshot& snap, const std::vector<std::string>& target_keys,
     const std::vector<std::string>& target_aliases = {});
-
-// --- Data-partitioned capture -----------------------------------------------
-// Merges the per-shard snapshots of a sharded engine into ONE
-// serial-equivalent source, so the encoded snapshot is indistinguishable
-// from a serial capture and restores onto any layout through the normal
-// BuildRestorePlan path. Unlike the sources of a rule-sharded checkpoint
-// (which duplicate a shared node's state), keyed replicas hold
-// COMPLEMENTARY per-key slices of the same state key, so per node the
-// merge either
-//   * takes a non-replica (residual) copy — complete over all keys — when
-//     its retention covers the replicas' window, or
-//   * unions the replica slices (sorted by sequence number, then source;
-//     cross-key relative order is unobservable: every probe and pairing
-//     unifies on the partition key first).
-// Pseudo queues merge by (execute_at, stamp) — the serial FIFO order —
-// and anchors are re-pointed at the merged slot positions; a pseudo whose
-// side of a shared node lost the choice keeps firing as a no-op (kStale),
-// exactly mirroring its live twin from the winning side.
-// `keyed_replica[i]` flags whether sources[i] is a keyed replica.
-DetectorSnapshot MergeShardSnapshots(const std::vector<DetectorSnapshot>& sources,
-                                     const std::vector<bool>& keyed_replica);
 
 }  // namespace rfidcep::engine::snapshot
 

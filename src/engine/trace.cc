@@ -92,20 +92,10 @@ void TraceSink::RecordObservation(uint64_t seq,
   Write(std::move(line));
 }
 
-void TraceSink::RecordUnrouted(uint64_t seq, const events::Observation& obs) {
-  std::string line = Begin("unrouted");
-  AppendInt(&line, "seq", static_cast<int64_t>(seq));
-  AppendField(&line, "reader", obs.reader, /*quote=*/true);
-  AppendField(&line, "object", obs.object, /*quote=*/true);
-  AppendInt(&line, "t", obs.timestamp);
-  Write(std::move(line));
-}
-
-void TraceSink::RecordNodeActivation(int shard, int node_id,
-                                     std::string_view mode,
+void TraceSink::RecordNodeActivation(int node_id, std::string_view mode,
                                      const events::EventInstance& instance) {
   std::string line = Begin("node");
-  AppendInt(&line, "shard", shard);
+  AppendInt(&line, "shard", 0);
   AppendInt(&line, "node", node_id);
   AppendField(&line, "mode", mode, /*quote=*/true);
   AppendInt(&line, "t0", instance.t_begin());
@@ -114,10 +104,10 @@ void TraceSink::RecordNodeActivation(int shard, int node_id,
   Write(std::move(line));
 }
 
-void TraceSink::RecordPseudoFired(int shard, int node_id, TimePoint execute_at,
+void TraceSink::RecordPseudoFired(int node_id, TimePoint execute_at,
                                   TimePoint created_at) {
   std::string line = Begin("pseudo");
-  AppendInt(&line, "shard", shard);
+  AppendInt(&line, "shard", 0);
   AppendInt(&line, "node", node_id);
   AppendInt(&line, "exec", execute_at);
   AppendInt(&line, "created", created_at);

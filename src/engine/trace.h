@@ -5,10 +5,9 @@
 // of an instance's life:
 //
 //   {"k":"obs", "seq":N, "reader":..., "object":..., "t":usec}
-//   {"k":"unrouted","seq":N,"reader":...,"object":...,"t":usec}
-//   {"k":"node","shard":S,"node":ID,"mode":...,"t0":...,"t1":...,
+//   {"k":"node","shard":0,"node":ID,"mode":...,"t0":...,"t1":...,
 //    "iseq":instance-seq}                      (graph-node activation)
-//   {"k":"pseudo","shard":S,"node":ID,"exec":...,"created":...}
+//   {"k":"pseudo","shard":0,"node":ID,"exec":...,"created":...}
 //   {"k":"match","rule":...,"t0":...,"t1":...,"fire":...}
 //   {"k":"cond","rule":...,"held":true|false}
 //   {"k":"action","rule":...,"kind":"sql"|"proc","ok":true|false}
@@ -18,9 +17,10 @@
 // bit-identical run to run — the point of the format: diff two traces to
 // localize where a detection diverged, or feed one to tooling that
 // reconstructs per-instance timelines. Records are written in engine
-// order; with sharded detection, worker threads serialize through the
-// sink's mutex (tracing is a debugging facility — when the sink is
-// detached the hot path only tests a null pointer).
+// order; writers serialize through the sink's mutex, so several engines
+// may share one sink (tracing is a debugging facility — when the sink is
+// detached the hot path only tests a null pointer). The "shard" field is
+// always 0; it stays so existing trace readers keep parsing.
 
 #ifndef RFIDCEP_ENGINE_TRACE_H_
 #define RFIDCEP_ENGINE_TRACE_H_
@@ -56,13 +56,9 @@ class TraceSink {
   TraceSink& operator=(const TraceSink&) = delete;
 
   void RecordObservation(uint64_t seq, const events::Observation& obs);
-  // An observation no shard subscription consumed (sharded routing only):
-  // silently dropping it would hide vocabulary/routing bugs, so the drop
-  // leaves a record keyed by the same command seq as its "obs" line.
-  void RecordUnrouted(uint64_t seq, const events::Observation& obs);
-  void RecordNodeActivation(int shard, int node_id, std::string_view mode,
+  void RecordNodeActivation(int node_id, std::string_view mode,
                             const events::EventInstance& instance);
-  void RecordPseudoFired(int shard, int node_id, TimePoint execute_at,
+  void RecordPseudoFired(int node_id, TimePoint execute_at,
                          TimePoint created_at);
   void RecordMatch(std::string_view rule_id,
                    const events::EventInstance& instance, TimePoint fire_time);
@@ -70,7 +66,8 @@ class TraceSink {
   void RecordAction(std::string_view rule_id, std::string_view kind, bool ok);
   // Checkpoint / restore marker: `op` is "checkpoint" or "restore",
   // `bytes` the encoded snapshot size, `clock` the capture clock,
-  // `shards` the snapshot's source_shards (1 = a serial capture).
+  // `shards` the snapshot's source_shards (1 = a serial capture; more
+  // only when restoring a checkpoint written by an older sharded build).
   void RecordSnapshot(std::string_view op, uint64_t bytes, TimePoint clock,
                       int shards);
 

@@ -48,8 +48,8 @@ namespace rfidcep::events {
 //
 // Making a handle copies the bytes once (one operator new call) and hashes
 // them once; copying it is an atomic increment and releasing it an atomic
-// decrement, so handles may be copied on one thread and dropped on another
-// (sharded match replay does). There is no global intern table: the text
+// decrement, so handles may be copied on one thread and dropped on another.
+// There is no global intern table: the text
 // lives exactly as long as some binding or instance holds it, so detection
 // state stays bounded on an endless stream of distinct EPCs. Equality
 // checks the storage first, then the hash, then the bytes.

@@ -6,17 +6,19 @@
 // gets a thread; frames are processed strictly in order and each one is
 // acknowledged after its engine call returns, so a client's last ack is
 // exactly the durable resend boundary across a restart. Backpressure is
-// end-to-end and bounded: the engine's SPSC shard rings block the
-// connection thread, the kernel socket buffers fill, and the client's
-// send blocks — nothing in the daemon buffers unboundedly. Connections
-// beyond max_connections are rejected with a protocol error (bounded
-// accept); contended tenant engines are counted as ingest stalls.
+// end-to-end and bounded: each connection thread processes a frame
+// synchronously and acks it after the engine call returns, so a slow
+// engine stops that thread reading, the kernel socket buffers fill, and
+// the client's send blocks — nothing in the daemon buffers unboundedly.
+// Connections beyond max_connections are rejected with a protocol error
+// (bounded accept); contended tenant engines are counted as ingest
+// stalls.
 //
 // Lifecycle (docs/server.md): Start() binds and serves; Shutdown() —
 // the SIGTERM path — stops accepting, fails in-flight connections after
 // their current frame, checkpoints every tenant (which syncs the WAL),
 // and returns. A new Server over the same state directory resumes from
-// those checkpoints, possibly with a different shard layout.
+// those checkpoints.
 
 #ifndef RFIDCEP_SERVER_SERVER_H_
 #define RFIDCEP_SERVER_SERVER_H_

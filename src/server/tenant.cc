@@ -1,6 +1,5 @@
 #include "server/tenant.h"
 
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -78,17 +77,6 @@ Result<std::vector<TenantConfig>> ParseTenantConfigText(
             p.is_absolute() || base_dir.empty()
                 ? value
                 : (fs::path(base_dir) / p).string();
-      } else if (key == "shards") {
-        // The whole token must be one in-range integer: "2abc" or a value
-        // that wraps in int is a config error, not a shard count.
-        const char* end = value.data() + value.size();
-        auto [ptr, ec] = std::from_chars(value.data(), end, config.shards);
-        if (ec != std::errc() || ptr != end || config.shards < 1 ||
-            config.shards > engine::kMaxDetectionShards) {
-          return Status::InvalidArgument(
-              "tenant config: bad shards=" + value + " (expected 1.." +
-              std::to_string(engine::kMaxDetectionShards) + ")" + at);
-        }
       } else if (key == "store") {
         RFIDCEP_RETURN_IF_ERROR(ParseBool(key, value, &config.store));
       } else if (key == "tolerate_out_of_order") {
@@ -153,7 +141,6 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
   engine::EngineOptions options;
   options.detector.tolerate_out_of_order =
       tenant->config_.tolerate_out_of_order;
-  options.shards = tenant->config_.shards;
   tenant->engine_ = std::make_unique<engine::RcedaEngine>(
       tenant->db_.get(), events::Environment{}, options);
   RFIDCEP_RETURN_IF_ERROR(tenant->engine_->AddRulesFromText(rules));

@@ -5,13 +5,12 @@
 // directory. Open() rebuilds the stack in recovery order (one walk over
 // the WAL replays it into a fresh store and collects the dedup set,
 // then attach, compile, snapshot restore), so a restarted daemon
-// resumes exactly where the last checkpoint left it; the snapshot is
-// layout-portable, so the restart may change the shard count
-// (docs/recovery.md). The server drives a tenant only through the
-// narrow engine::EngineFrontend surface and the checkpoint entry point;
-// one mutex per tenant serializes connections feeding the same engine,
-// and the engine's own bounded shard rings provide backpressure below
-// it.
+// resumes exactly where the last checkpoint left it (docs/recovery.md).
+// The server drives a tenant only through the narrow
+// engine::EngineFrontend surface and the checkpoint entry point; one
+// mutex per tenant serializes connections feeding the same engine. Each
+// engine call runs to completion on the calling connection thread,
+// which acks the frame only after it returns.
 
 #ifndef RFIDCEP_SERVER_TENANT_H_
 #define RFIDCEP_SERVER_TENANT_H_
@@ -35,7 +34,6 @@ struct TenantConfig {
   // (tests and embedders).
   std::string rules_file;
   std::string rules_text;
-  int shards = 1;  // In [1, engine::kMaxDetectionShards].
   // When true (default) the tenant gets an RFID store + WAL; rules with
   // SQL actions require it.
   bool store = true;
@@ -43,7 +41,7 @@ struct TenantConfig {
 };
 
 // Parses the daemon's tenant config: one tenant per line,
-//   tenant <name> rules=<file> [shards=N] [store=0|1]
+//   tenant <name> rules=<file> [store=0|1]
 //          [tolerate_out_of_order=0|1]
 // Blank lines and '#' comments are skipped. Relative rules paths
 // resolve against the config file's directory.

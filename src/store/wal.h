@@ -14,13 +14,10 @@
 // Each record also carries the firing's rule, its per-rule firing
 // sequence number, and the action's index within the firing. Together
 // they form a dedup key (WalActionSet): after a restore, the engine
-// re-derives post-checkpoint firings deterministically — per-rule
-// emission order is the layout-independent guarantee, which is why the
-// sequence is per rule rather than engine-wide — and the dispatcher
-// skips any action whose key already appears in the recovered log. This
-// is what makes effects exactly-once across a crash, even when the
-// recovering engine runs a different shard layout (docs/recovery.md
-// "Exactly-once effects").
+// re-derives post-checkpoint firings deterministically, and the
+// dispatcher skips any action whose key already appears in the recovered
+// log. This is what makes effects exactly-once across a crash
+// (docs/recovery.md "Exactly-once effects").
 //
 // Recovery is one walk over the log: Open() reads each segment once,
 // checks every record's CRC and LSN continuity, decodes it once, adds
@@ -90,13 +87,13 @@ struct WalRecord {
 
 // The executed-action dedup set recovered from the log. A key is rule
 // id + per-rule firing sequence + action index. The sequence is per
-// rule because only per-rule emission order is deterministic across
-// shard layouts; an engine-wide number would stop deduplicating when
-// the recovering engine is partitioned differently from the crashed
-// one. Each rule id is stored once, with its keys sorted; each key
-// keeps the rows its logged execution affected (the last record's, if
-// the log holds the key twice), for crediting logical write counters
-// when a deduplicated action is skipped.
+// rule (the rule's fired ordinal, which snapshots carry); logs written
+// by older sharded builds, whose only layout-independent order was per
+// rule, key their records the same way. Each rule id is stored once,
+// with its keys sorted; each key keeps the rows its logged execution
+// affected (the last record's, if the log holds the key twice), for
+// crediting logical write counters when a deduplicated action is
+// skipped.
 class WalActionSet {
  public:
   struct Entry {

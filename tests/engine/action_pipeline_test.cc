@@ -53,9 +53,9 @@ std::vector<events::Observation> MakeStream(int count) {
 }
 
 struct Rig {
-  explicit Rig(EngineOptions options = {}, std::string_view rules = kRules) {
+  explicit Rig(std::string_view rules = kRules) {
     EXPECT_TRUE(db.InstallRfidSchema().ok());
-    engine = std::make_unique<RcedaEngine>(&db, events::Environment{}, options);
+    engine = std::make_unique<RcedaEngine>(&db, events::Environment{});
     EXPECT_TRUE(engine->AddRulesFromText(rules).ok());
   }
 
@@ -163,9 +163,8 @@ TEST(ActionPipelineTest, ExactlyOnceAcrossCrashWithLostTail) {
 
 // Crash where the WAL survived PAST the checkpoint (effects durable but
 // unacknowledged): the re-derived firings deduplicate instead of
-// double-writing, and the restored engine lands on the same layout-
-// independent totals — here the recovery runs on a sharded layout.
-TEST(ActionPipelineTest, DurableTailDeduplicatesAcrossLayout) {
+// double-writing, and the restored engine lands on the same totals.
+TEST(ActionPipelineTest, DurableTailDeduplicates) {
   std::vector<events::Observation> stream = MakeStream(200);
   const size_t kCut = 100;
 
@@ -190,9 +189,7 @@ TEST(ActionPipelineTest, DurableTailDeduplicatesAcrossLayout) {
 
   Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
   ASSERT_TRUE(wal.ok()) << wal.status().message();
-  EngineOptions sharded;
-  sharded.shards = 2;
-  Rig recovered(sharded);
+  Rig recovered;
   Result<uint64_t> cursor = ReplayWalIntoDatabase(**wal, &recovered.db);
   ASSERT_TRUE(cursor.ok()) << cursor.status().message();
   ASSERT_TRUE(recovered.engine->AttachWal(wal->get()).ok());
@@ -252,7 +249,7 @@ TEST(ActionPipelineTest, OldCheckpointPendingActionsReplayOnce) {
   ASSERT_EQ(snap.pending_actions.size() - pending_sql, kProcedures);
 
   // The store an uninterrupted run leaves: one row per observation.
-  Rig reference({}, kPendingRules);
+  Rig reference(kPendingRules);
   ASSERT_TRUE(reference.Run(MakeStream(8)).ok());
   ASSERT_TRUE(reference.engine->Flush().ok());
   const std::string expected = DumpStore(&reference.db);
@@ -262,7 +259,7 @@ TEST(ActionPipelineTest, OldCheckpointPendingActionsReplayOnce) {
     SCOPED_TRACE(attempt == 0 ? "fresh WAL" : "WAL from the first restore");
     Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
     ASSERT_TRUE(wal.ok()) << wal.status().message();
-    Rig restored({}, kPendingRules);
+    Rig restored(kPendingRules);
     Result<uint64_t> cursor = ReplayWalIntoDatabase(**wal, &restored.db);
     ASSERT_TRUE(cursor.ok()) << cursor.status().message();
     int invoked = 0;

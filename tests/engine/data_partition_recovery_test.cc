@@ -1,20 +1,25 @@
 // Regression: a checkpoint captured on a data-partitioned engine must
-// restore into any layout without inventing or losing matches for
-// negation (WITHIN ... AND NOT ...) rules whose confirmation pseudos
-// straddle the cut. Distilled from differential-fuzz seed 51365158574:
-// two EPC keys on different replicas each hold an open negation window
-// at the capture instant, and the merged snapshot has to keep each
-// pending confirmation anchored to ITS OWN initiator.
+// restore without inventing or losing matches for negation (WITHIN ...
+// AND NOT ...) rules whose confirmation pseudos straddle the cut.
+// Distilled from differential-fuzz seed 51365158574: two EPC keys on
+// different replicas each hold an open negation window at the capture
+// instant, and the merged snapshot has to keep each pending confirmation
+// anchored to ITS OWN initiator.
+//
+// Data-partitioned sharding is gone, but the checkpoints it wrote still
+// restore. checkpoint_v2_data_sharded_negation.snap was captured by
+// commit 2447fa7 at shards=2, after the observation Stream() marks: the
+// fuzz failure's cut, between the two falsifiers.
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "engine/snapshot.h"
 #include "events/observation.h"
-#include "rules/parser.h"
+#include "tests/engine/test_util.h"
 
 namespace rfidcep::engine {
 namespace {
@@ -27,37 +32,7 @@ constexpr char kNegationRule[] =
     " 15sec)\n"
     "IF true DO act\n";
 
-struct Span {
-  std::string rule;
-  TimePoint t_begin;
-  TimePoint t_end;
-  friend bool operator==(const Span& a, const Span& b) {
-    return a.rule == b.rule && a.t_begin == b.t_begin && a.t_end == b.t_end;
-  }
-};
-
-struct Harness {
-  std::unique_ptr<RcedaEngine> engine;
-  std::vector<Span> matches;
-
-  static std::unique_ptr<Harness> Make(int shards) {
-    auto h = std::make_unique<Harness>();
-    EngineOptions options;
-    options.detector.context = ParameterContext::kChronicle;
-    options.shards = shards;
-    options.enable_metrics = true;
-    h->engine = std::make_unique<RcedaEngine>(/*db=*/nullptr,
-                                              events::Environment{}, options);
-    std::vector<Span>* out = &h->matches;
-    h->engine->SetMatchCallback(
-        [out](const rules::Rule& rule, const events::EventInstancePtr& e) {
-          out->push_back(Span{rule.id, e->t_begin(), e->t_end()});
-        });
-    if (!h->engine->AddRulesFromText(kNegationRule).ok()) return nullptr;
-    if (!h->engine->Compile().ok()) return nullptr;
-    return h;
-  }
-};
+constexpr size_t kCut = 5;
 
 std::vector<Observation> Stream() {
   // Trimmed from the fuzz stream: B,z opens a window at 3s (falsified by
@@ -75,68 +50,22 @@ std::vector<Observation> Stream() {
   };
 }
 
-uint64_t NodeFirings(RcedaEngine& engine) {
-  uint64_t sum = 0;
-  for (const auto& [name, value] : engine.metrics_registry().CounterValues()) {
-    if (name.starts_with("graph_node_firings_total{")) sum += value;
-  }
-  return sum;
-}
-
-void RunCutAt(size_t cut, int src_shards, int tgt_shards) {
-  std::vector<Observation> stream = Stream();
-  ASSERT_LE(cut, stream.size());
-
-  auto reference = Harness::Make(1);
-  ASSERT_NE(reference, nullptr);
-  ASSERT_TRUE(reference->engine->ProcessAll(stream).ok());
-  ASSERT_TRUE(reference->engine->Flush().ok());
-
-  auto source = Harness::Make(src_shards);
-  ASSERT_NE(source, nullptr);
-  std::vector<Observation> head(stream.begin(),
-                                stream.begin() + static_cast<long>(cut));
-  std::vector<Observation> tail(stream.begin() + static_cast<long>(cut),
-                                stream.end());
-  ASSERT_TRUE(source->engine->ProcessAll(head).ok());
-  std::string bytes;
-  ASSERT_TRUE(source->engine->SerializeState(&bytes).ok());
-
-  auto target = Harness::Make(tgt_shards);
-  ASSERT_NE(target, nullptr);
-  ASSERT_TRUE(target->engine->RestoreState(bytes).ok());
-  // Counters copy verbatim only between serial engines. With a sharded
-  // side, per-node firings stay with the layout that did the work, also
-  // at 2 -> 2 and 4 -> 4, where the worker counts agree.
-  EXPECT_EQ(NodeFirings(*target->engine),
-            src_shards == 1 && tgt_shards == 1
-                ? NodeFirings(*source->engine)
-                : 0u)
-      << src_shards << " -> " << tgt_shards;
-  ASSERT_TRUE(target->engine->ProcessAll(tail).ok());
-  ASSERT_TRUE(target->engine->Flush().ok());
-
-  std::vector<Span> combined = source->matches;
-  combined.insert(combined.end(), target->matches.begin(),
-                  target->matches.end());
-  EXPECT_EQ(combined, reference->matches)
-      << "cut " << cut << ", " << src_shards << " -> " << tgt_shards;
-}
-
 TEST(DataPartitionRecoveryTest, PendingNegationWindowsStayPerKey) {
-  // The fuzz failure: 2-shard data-partitioned capture between the two
-  // falsifiers, restored serially, fired y's window with z's deadline.
-  for (size_t cut = 0; cut <= Stream().size(); ++cut) {
-    RunCutAt(cut, /*src_shards=*/2, /*tgt_shards=*/1);
-  }
-}
+  const std::string bytes =
+      testing::ReadFile(std::string(RFIDCEP_TESTDATA_DIR) +
+                        "/checkpoint_v2_data_sharded_negation.snap");
+  ASSERT_FALSE(bytes.empty()) << "missing fixture";
+  snapshot::EngineSnapshot decoded;
+  ASSERT_TRUE(snapshot::DecodeEngineSnapshot(bytes, &decoded).ok());
+  EXPECT_EQ(decoded.source_shards, 2);
+  ASSERT_EQ(decoded.sources.size(), 1u);
+  // Both windows are still open at the cut: one confirmation pseudo each.
+  EXPECT_EQ(decoded.sources[0].pseudos.size(), 2u);
 
-TEST(DataPartitionRecoveryTest, AllLayoutPairsAgree) {
-  for (int src_shards : {1, 2, 4}) {
-    for (int tgt_shards : {1, 2, 4}) {
-      RunCutAt(/*cut=*/5, src_shards, tgt_shards);
-    }
-  }
+  const std::vector<Observation> stream = Stream();
+  const std::vector<Observation> head(stream.begin(), stream.begin() + kCut);
+  const std::vector<Observation> tail(stream.begin() + kCut, stream.end());
+  testing::ExpectRestoresToUninterruptedRun(kNegationRule, head, tail, bytes);
 }
 
 }  // namespace

@@ -507,16 +507,13 @@ TEST(DetectorPrimitiveTest, TypeConstraintFilters) {
 
 // --- Reader dispatch records -------------------------------------------------
 
-// The `reader_records=` counts a DebugReport prints: one for a serial
-// engine, one per shard line for a sharded one.
-std::vector<size_t> ReaderRecordCounts(const std::string& report) {
-  std::vector<size_t> counts;
+// The `reader_records=` count a DebugReport prints.
+size_t ReaderRecordCount(const std::string& report) {
   const std::string field = "reader_records=";
-  for (size_t at = report.find(field); at != std::string::npos;
-       at = report.find(field, at + 1)) {
-    counts.push_back(std::stoul(report.substr(at + field.size())));
-  }
-  return counts;
+  const size_t at = report.find(field);
+  EXPECT_NE(at, std::string::npos) << report;
+  return at == std::string::npos ? 0
+                                 : std::stoul(report.substr(at + field.size()));
 }
 
 std::string BoundText(const RecordedMatch& match, const char* var) {
@@ -525,72 +522,54 @@ std::string BoundText(const RecordedMatch& match, const char* var) {
 }
 
 TEST(DetectorReaderRecordTest, ReRegistrationTakesEffectAtNextObservation) {
-  // A keyed rule engages the sharded pipeline at shards > 1, whose workers
-  // keep their own records.
-  for (int shards : {1, 2}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    EngineOptions options;
-    options.shards = shards;
-    EngineHarness h(options);
-    h.readers.RegisterReader("r1", "dock", "loc_dock");
-    ASSERT_TRUE(h.AddRules(R"(
-      CREATE RULE at_dock, dock
-      ON observation(r, o, t), group(r) = "dock"
-      IF true DO send alarm
-      CREATE RULE at_shelf, shelf
-      ON observation(r, o, t), group(r) = "shelf"
-      IF true DO send alarm
-      CREATE RULE dup, keyed
-      ON WITHIN(observation(r, o, t1); observation(r, o, t2), 1sec)
-      IF true DO send alarm
-    )").ok());
-    ASSERT_TRUE(h.ObserveAt("r1", "x", 1).ok());
-    ASSERT_TRUE(h.ObserveAt("r1", "y", 2).ok());
-    h.readers.RegisterReader("r1", "shelf", "loc_shelf");
-    ASSERT_TRUE(h.ObserveAt("r1", "x", 3).ok());
-    ASSERT_TRUE(h.engine->Flush().ok());
-    EXPECT_EQ(h.engine->num_shards() > 1, shards > 1);
+  EngineHarness h;
+  h.readers.RegisterReader("r1", "dock", "loc_dock");
+  ASSERT_TRUE(h.AddRules(R"(
+    CREATE RULE at_dock, dock
+    ON observation(r, o, t), group(r) = "dock"
+    IF true DO send alarm
+    CREATE RULE at_shelf, shelf
+    ON observation(r, o, t), group(r) = "shelf"
+    IF true DO send alarm
+    CREATE RULE dup, keyed
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 1sec)
+    IF true DO send alarm
+  )").ok());
+  ASSERT_TRUE(h.ObserveAt("r1", "x", 1).ok());
+  ASSERT_TRUE(h.ObserveAt("r1", "y", 2).ok());
+  h.readers.RegisterReader("r1", "shelf", "loc_shelf");
+  ASSERT_TRUE(h.ObserveAt("r1", "x", 3).ok());
+  ASSERT_TRUE(h.engine->Flush().ok());
 
-    std::vector<RecordedMatch> dock = h.MatchesFor("at_dock");
-    std::vector<RecordedMatch> shelf = h.MatchesFor("at_shelf");
-    ASSERT_EQ(dock.size(), 2u);
-    ASSERT_EQ(shelf.size(), 1u);
-    EXPECT_EQ(shelf[0].t_end, 3 * kSecond);
-    EXPECT_EQ(BoundText(dock[1], "r_location"), "loc_dock");
-    EXPECT_EQ(BoundText(shelf[0], "r_location"), "loc_shelf");
-    EXPECT_TRUE(h.MatchesFor("dup").empty());
-  }
+  std::vector<RecordedMatch> dock = h.MatchesFor("at_dock");
+  std::vector<RecordedMatch> shelf = h.MatchesFor("at_shelf");
+  ASSERT_EQ(dock.size(), 2u);
+  ASSERT_EQ(shelf.size(), 1u);
+  EXPECT_EQ(shelf[0].t_end, 3 * kSecond);
+  EXPECT_EQ(BoundText(dock[1], "r_location"), "loc_dock");
+  EXPECT_EQ(BoundText(shelf[0], "r_location"), "loc_shelf");
+  EXPECT_TRUE(h.MatchesFor("dup").empty());
 }
 
 TEST(DetectorReaderRecordTest, UnregisteredReadersLeaveNoRecords) {
-  for (int shards : {1, 2}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    EngineOptions options;
-    options.shards = shards;
-    EngineHarness h(options);
-    h.readers.RegisterReader("known", "g", "loc");
-    ASSERT_TRUE(h.AddRules(R"(
-      CREATE RULE any, every reader
-      ON WITHIN(observation(r, o, t1); observation(r, o, t2), 1sec)
-      IF true DO send alarm
-    )").ok());
-    ASSERT_TRUE(h.engine->Compile().ok());
-    std::vector<events::Observation> stream;
-    for (int i = 0; i < 10000; ++i) {
-      stream.push_back({"reader" + std::to_string(i), "x", i * kSecond});
-    }
-    ASSERT_TRUE(h.engine->ProcessAll(stream).ok());
-    EXPECT_EQ(h.engine->stats().detector.primitive_matches, 20000u);
-    std::vector<size_t> counts = ReaderRecordCounts(h.engine->DebugReport());
-    ASSERT_EQ(counts.size(), static_cast<size_t>(shards));
-    for (size_t count : counts) EXPECT_EQ(count, 0u);
-
-    ASSERT_TRUE(h.engine->Process({"known", "x", 10000 * kSecond}).ok());
-    counts = ReaderRecordCounts(h.engine->DebugReport());
-    size_t total = 0;
-    for (size_t count : counts) total += count;
-    EXPECT_EQ(total, 1u);
+  EngineHarness h;
+  h.readers.RegisterReader("known", "g", "loc");
+  ASSERT_TRUE(h.AddRules(R"(
+    CREATE RULE any, every reader
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 1sec)
+    IF true DO send alarm
+  )").ok());
+  ASSERT_TRUE(h.engine->Compile().ok());
+  std::vector<events::Observation> stream;
+  for (int i = 0; i < 10000; ++i) {
+    stream.push_back({"reader" + std::to_string(i), "x", i * kSecond});
   }
+  ASSERT_TRUE(h.engine->ProcessAll(stream).ok());
+  EXPECT_EQ(h.engine->stats().detector.primitive_matches, 20000u);
+  EXPECT_EQ(ReaderRecordCount(h.engine->DebugReport()), 0u);
+
+  ASSERT_TRUE(h.engine->Process({"known", "x", 10000 * kSecond}).ok());
+  EXPECT_EQ(ReaderRecordCount(h.engine->DebugReport()), 1u);
 }
 
 TEST(DetectorReaderRecordTest, ObservationsOfOneReaderShareItsHandle) {
@@ -616,8 +595,7 @@ TEST(DetectorReaderRecordTest, ObservationsOfOneReaderShareItsHandle) {
                   h.matches[1].instance->bindings().Scalar("r"))
                   .SharesStorageWith(first));
   EXPECT_EQ(BoundText(h.matches[3], "r_location"), "loc_a");
-  EXPECT_EQ(ReaderRecordCounts(h.engine->DebugReport()),
-            std::vector<size_t>{1});
+  EXPECT_EQ(ReaderRecordCount(h.engine->DebugReport()), 1u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Engine lifecycle contract (engine/engine.h "Streaming"): every
 // streaming call requires Compile(); Flush() ends the stream and is
-// idempotent; Reset()/Compile() start a new stream. Exercised on both
-// the serial fast path and the sharded pipeline.
+// idempotent; Reset()/Compile() start a new stream.
 
 #include <gtest/gtest.h>
 
@@ -16,19 +15,8 @@ using ::rfidcep::engine::testing::EngineHarness;
 constexpr const char* kRule =
     "CREATE RULE x, a ON observation(r, o, t) IF true DO send alarm";
 
-EngineOptions WithShards(int shards) {
-  EngineOptions options;
-  options.shards = shards;
-  return options;
-}
-
-class LifecycleTest : public ::testing::TestWithParam<int> {
- protected:
-  EngineOptions Options() const { return WithShards(GetParam()); }
-};
-
-TEST_P(LifecycleTest, StreamingBeforeCompileFails) {
-  EngineHarness h(Options());
+TEST(LifecycleTest, StreamingBeforeCompileFails) {
+  EngineHarness h;
   ASSERT_TRUE(h.AddRules(kRule).ok());
   EXPECT_EQ(h.engine->Process({"r", "o", 1}).code(),
             StatusCode::kFailedPrecondition);
@@ -40,8 +28,8 @@ TEST_P(LifecycleTest, StreamingBeforeCompileFails) {
   EXPECT_TRUE(h.matches.empty());
 }
 
-TEST_P(LifecycleTest, StreamingAfterFlushFails) {
-  EngineHarness h(Options());
+TEST(LifecycleTest, StreamingAfterFlushFails) {
+  EngineHarness h;
   ASSERT_TRUE(h.AddRules(kRule).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
   ASSERT_TRUE(h.engine->Process({"r", "o", 1 * kSecond}).ok());
@@ -55,8 +43,8 @@ TEST_P(LifecycleTest, StreamingAfterFlushFails) {
   EXPECT_EQ(h.matches.size(), 1u);
 }
 
-TEST_P(LifecycleTest, FlushIsIdempotent) {
-  EngineHarness h(Options());
+TEST(LifecycleTest, FlushIsIdempotent) {
+  EngineHarness h;
   ASSERT_TRUE(h.AddRules(kRule).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
   ASSERT_TRUE(h.engine->Process({"r", "o", 1 * kSecond}).ok());
@@ -69,8 +57,8 @@ TEST_P(LifecycleTest, FlushIsIdempotent) {
   EXPECT_EQ(h.matches.size(), 1u);
 }
 
-TEST_P(LifecycleTest, ResetStartsANewStream) {
-  EngineHarness h(Options());
+TEST(LifecycleTest, ResetStartsANewStream) {
+  EngineHarness h;
   ASSERT_TRUE(h.AddRules(kRule).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
   ASSERT_TRUE(h.engine->Process({"r", "o", 5 * kSecond}).ok());
@@ -82,8 +70,8 @@ TEST_P(LifecycleTest, ResetStartsANewStream) {
   EXPECT_EQ(h.matches.size(), 2u);
 }
 
-TEST_P(LifecycleTest, RecompileStartsANewStream) {
-  EngineHarness h(Options());
+TEST(LifecycleTest, RecompileStartsANewStream) {
+  EngineHarness h;
   ASSERT_TRUE(h.AddRules(kRule).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
   ASSERT_TRUE(h.engine->Process({"r", "o", 5 * kSecond}).ok());
@@ -95,8 +83,8 @@ TEST_P(LifecycleTest, RecompileStartsANewStream) {
   EXPECT_EQ(h.matches.size(), 2u);
 }
 
-TEST_P(LifecycleTest, CheckpointBeforeCompileFails) {
-  EngineHarness h(Options());
+TEST(LifecycleTest, CheckpointBeforeCompileFails) {
+  EngineHarness h;
   ASSERT_TRUE(h.AddRules(kRule).ok());
   std::string bytes;
   EXPECT_EQ(h.engine->SerializeState(&bytes).code(),
@@ -105,10 +93,10 @@ TEST_P(LifecycleTest, CheckpointBeforeCompileFails) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST_P(LifecycleTest, FlushedEngineCanBeCheckpointedAndRestored) {
+TEST(LifecycleTest, FlushedEngineCanBeCheckpointedAndRestored) {
   // A checkpoint of a flushed engine restores as flushed: the stream
   // stays ended until Reset().
-  EngineHarness h(Options());
+  EngineHarness h;
   ASSERT_TRUE(h.AddRules(kRule).ok());
   ASSERT_TRUE(h.engine->Compile().ok());
   ASSERT_TRUE(h.engine->Process({"r", "o", 1 * kSecond}).ok());
@@ -121,12 +109,6 @@ TEST_P(LifecycleTest, FlushedEngineCanBeCheckpointedAndRestored) {
   ASSERT_TRUE(h.engine->Reset().ok());
   ASSERT_TRUE(h.engine->Process({"r", "o", 2 * kSecond}).ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(SerialAndSharded, LifecycleTest,
-                         ::testing::Values(1, 2, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "Shards" + std::to_string(info.param);
-                         });
 
 }  // namespace
 }  // namespace rfidcep::engine

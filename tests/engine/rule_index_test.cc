@@ -3,7 +3,7 @@
 // all-wildcard full-scan fallback, safe cross-rule SEQ+ prefix sharing
 // (ownership isolation, checked against the reference interpreter), and
 // snapshots through an open shared run — fresh ones and a committed
-// pre-sharing fixture — restored at every shard count.
+// pre-sharing fixture.
 
 #include "engine/rule_index.h"
 
@@ -164,8 +164,7 @@ TEST(RuleIndexTest, IndexedDispatchMatchesPinnedSequence) {
 // terminators (the run still closes via the SEQ+ node's own expiry, so
 // sharing is safe) plus a third whose identical-looking TSEQ+ is
 // terminator-closed — its terminator CONSUMES the run, so it must keep
-// a private copy. The fourth is keyed on the tag, so sharded layouts
-// run keyed replicas next to the residual worker that hosts the rest.
+// a private copy. The fourth, keyed on the tag, shares no node with them.
 constexpr std::string_view kSharingProgram = R"(
   DEFINE E1 = observation("r_conv", o1, t1)
   CREATE RULE wa, exit negated

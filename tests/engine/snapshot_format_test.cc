@@ -1,8 +1,8 @@
 // Snapshot format contract (engine/snapshot.h): deterministic bytes,
 // versioned header with explicit gates on magic / version / rule-set
 // fingerprint, and golden on-disk fixtures — one per format version this
-// build reads (tests/engine/testdata/checkpoint_v<N>.snap), plus one
-// written by a layout this build no longer has — that every future build
+// build reads (tests/engine/testdata/checkpoint_v<N>.snap), plus ones
+// written by layouts this build no longer has — that every future build
 // must keep restoring.
 //
 // After an INTENTIONAL format bump, commit a fixture for the new version
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -241,15 +242,17 @@ TEST(SnapshotFormatTest, RestoreFromMissingFileIsNotFound) {
 // The committed fixtures: one checkpoint per readable format version,
 // each captured from the fixture engine after FixtureStream(). Restoring
 // any of them and continuing the stream must keep producing exactly the
-// matches an uninterrupted run produces — on the serial path and
-// re-partitioned across shards. A build whose reader no longer
+// matches an uninterrupted run produces. A build whose reader no longer
 // understands an old version must fail here, not silently misread it.
 // The v1 fixture predates SEQ+ prefix sharing (its `run` state sits
-// under a per-rule key), and checkpoint_v2_rule_sharded.snap was written
-// by a rule-sharded layout at shards=2 (one detector source per shard):
-// restoring them exercises the state-key alias and multi-source merge
-// paths of BuildRestorePlan.
-TEST(SnapshotGoldenTest, CommittedFixturesRestoreOnEveryShardCount) {
+// under a per-rule key). Two were written by sharded layouts this build
+// no longer has: checkpoint_v2_rule_sharded.snap by a rule-sharded one
+// at shards=2 (one detector source per shard), exercising the state-key
+// alias and multi-source merge paths of BuildRestorePlan; and
+// checkpoint_v2_data_sharded.snap by commit 2447fa7's data-partitioned
+// pipeline at shards=4 (`pair` is EPC-keyed, so four keyed replicas plus
+// a residual worker for `quiet` and `run`), merged to one source.
+TEST(SnapshotGoldenTest, CommittedFixturesRestore) {
   ASSERT_EQ(snapshot::kSnapshotVersion, 2u)
       << "format bumped: regenerate a checkpoint fixture for the new "
          "version and keep the old fixtures restoring (or raise "
@@ -268,14 +271,16 @@ TEST(SnapshotGoldenTest, CommittedFixturesRestoreOnEveryShardCount) {
   struct Fixture {
     std::string path;
     uint32_t version;
-    size_t sources;  // Detector sources the capturing layout wrote.
+    size_t sources;     // Detector sources the capturing layout wrote.
+    int source_shards;  // Its detection workers.
   };
   std::vector<Fixture> fixtures;
   for (uint32_t version = snapshot::kMinSnapshotVersion;
        version <= snapshot::kSnapshotVersion; ++version) {
-    fixtures.push_back({FixturePath(version), version, 1});
+    fixtures.push_back({FixturePath(version), version, 1, 1});
   }
-  fixtures.push_back({FixturePath(2, "_rule_sharded"), 2, 2});
+  fixtures.push_back({FixturePath(2, "_rule_sharded"), 2, 2, 2});
+  fixtures.push_back({FixturePath(2, "_data_sharded"), 2, 1, 5});
 
   for (const Fixture& fixture : fixtures) {
     SCOPED_TRACE(fixture.path);
@@ -288,9 +293,48 @@ TEST(SnapshotGoldenTest, CommittedFixturesRestoreOnEveryShardCount) {
     snapshot::EngineSnapshot decoded;
     ASSERT_TRUE(snapshot::DecodeEngineSnapshot(bytes, &decoded).ok());
     EXPECT_EQ(decoded.sources.size(), fixture.sources);
+    EXPECT_EQ(decoded.source_shards, fixture.source_shards);
     testing::ExpectRestoresToUninterruptedRun(kFixtureRules, FixtureStream(),
                                               ContinuationStream(), bytes);
   }
+}
+
+// A sharded capture labeled each worker's detector counters `shard="N"`.
+// Restored, their totals continue on the one detector's `shard="0"`
+// series; the routing families only sharding registered, and per-node
+// firing counters (node ids of the capturing layout's graphs), are
+// dropped.
+TEST(SnapshotGoldenTest, DataShardedCountersContinueOnShardZero) {
+  const std::string bytes = testing::ReadFile(FixturePath(2, "_data_sharded"));
+  ASSERT_FALSE(bytes.empty()) << "missing fixture";
+  EngineHarness h;
+  ASSERT_TRUE(h.AddRules(kFixtureRules).ok());
+  ASSERT_TRUE(h.engine->Compile().ok());
+  ASSERT_TRUE(h.engine->RestoreState(bytes).ok());
+
+  const uint64_t matches = h.engine->stats().detector.rule_matches;
+  EXPECT_GT(matches, 0u);
+  std::map<std::string, uint64_t> counters;
+  for (const auto& [name, value] :
+       h.engine->metrics_registry().CounterValues()) {
+    counters[name] = value;
+  }
+  EXPECT_EQ(counters["detector_rule_matches_total{shard=\"0\"}"], matches);
+  for (const auto& [name, value] : counters) {
+    EXPECT_FALSE(name.starts_with("detector_") &&
+                 name.find('{') == std::string::npos)
+        << "unlabeled series " << name;
+    EXPECT_FALSE(name.starts_with("shard_")) << name;
+    EXPECT_NE(name, "rfidcep_unrouted_observations_total");
+    if (name.starts_with("graph_node_firings_total{")) {
+      EXPECT_EQ(value, 0u) << name;
+    }
+  }
+  const std::string exported = h.engine->ExportMetrics();
+  EXPECT_NE(exported.find("detector_rule_matches_total{shard=\"0\"} " +
+                          std::to_string(matches) + "\n"),
+            std::string::npos)
+      << exported;
 }
 
 // checkpoint_v2_within_leaves.snap was captured by commit c85f3fb, whose

@@ -81,10 +81,10 @@ inline std::string ReadFile(const std::string& path) {
 }
 
 // Checks a snapshot against an uninterrupted run: `bytes` was captured
-// from an engine running `program` after `head`. Restored at shards 1, 2
-// and 4 and fed `tail`, every engine must fire exactly the matches a
-// serial engine fed head + tail fires after that capture instant, and
-// end on the same fired counts.
+// from an engine running `program` after `head`. Restored and fed
+// `tail`, the engine must fire exactly the matches an engine fed
+// head + tail fires after that capture instant, and end on the same
+// fired counts.
 inline void ExpectRestoresToUninterruptedRun(
     std::string_view program, const std::vector<events::Observation>& head,
     const std::vector<events::Observation>& tail, const std::string& bytes) {
@@ -109,24 +109,18 @@ inline void ExpectRestoresToUninterruptedRun(
   ASSERT_TRUE(reference.engine->ProcessAll(tail).ok());
   ASSERT_TRUE(reference.engine->Flush().ok());
 
-  for (int shards : {1, 2, 4}) {
-    SCOPED_TRACE("restored on " + std::to_string(shards) + " shards");
-    EngineOptions options;
-    options.shards = shards;
-    EngineHarness restored(options);
-    ASSERT_TRUE(restored.AddRules(program).ok());
-    ASSERT_TRUE(restored.engine->Compile().ok());
-    EXPECT_EQ(restored.engine->num_shards() > 1, shards > 1);
-    ASSERT_TRUE(restored.engine->RestoreState(bytes).ok());
-    ASSERT_TRUE(restored.engine->ProcessAll(tail).ok());
-    ASSERT_TRUE(restored.engine->Flush().ok());
-    EXPECT_EQ(spans(restored, 0), spans(reference, at_cut));
-    for (size_t i = 0; i < reference.engine->num_rules(); ++i) {
-      const std::string& id = reference.engine->rule(i).id;
-      EXPECT_EQ(restored.engine->FiredCount(id),
-                reference.engine->FiredCount(id))
-          << id;
-    }
+  EngineHarness restored;
+  ASSERT_TRUE(restored.AddRules(program).ok());
+  ASSERT_TRUE(restored.engine->Compile().ok());
+  ASSERT_TRUE(restored.engine->RestoreState(bytes).ok());
+  ASSERT_TRUE(restored.engine->ProcessAll(tail).ok());
+  ASSERT_TRUE(restored.engine->Flush().ok());
+  EXPECT_EQ(spans(restored, 0), spans(reference, at_cut));
+  for (size_t i = 0; i < reference.engine->num_rules(); ++i) {
+    const std::string& id = reference.engine->rule(i).id;
+    EXPECT_EQ(restored.engine->FiredCount(id),
+              reference.engine->FiredCount(id))
+        << id;
   }
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the JSONL trace sink (engine/trace.h): record shapes,
-// JSON escaping, and concurrent writers (sharded workers share one sink),
-// which is why this binary carries the TSAN ctest label.
+// JSON escaping, and concurrent writers (several engines may share one
+// sink), which is why this binary carries the TSAN ctest label.
 
 #include "engine/trace.h"
 
@@ -43,17 +43,17 @@ TEST_F(TraceSinkTest, ObservationRecord) {
 TEST_F(TraceSinkTest, NodeActivationRecord) {
   EventInstancePtr instance =
       EventInstance::MakePrimitive("r1", "o1", 10, Bindings{}, 3);
-  sink_.RecordNodeActivation(2, 5, "SEQ", *instance);
+  sink_.RecordNodeActivation(5, "SEQ", *instance);
   ASSERT_EQ(lines_.size(), 1u);
   EXPECT_EQ(lines_[0],
-            "{\"k\":\"node\",\"shard\":2,\"node\":5,\"mode\":\"SEQ\","
+            "{\"k\":\"node\",\"shard\":0,\"node\":5,\"mode\":\"SEQ\","
             "\"t0\":10,\"t1\":10,\"iseq\":3}");
 }
 
 TEST_F(TraceSinkTest, PseudoMatchConditionActionRecords) {
   EventInstancePtr instance =
       EventInstance::MakePrimitive("r", "o", 20, Bindings{}, 1);
-  sink_.RecordPseudoFired(0, 4, 30, 25);
+  sink_.RecordPseudoFired(4, 30, 25);
   sink_.RecordMatch("r1", *instance, 42);
   sink_.RecordCondition("r1", true);
   sink_.RecordAction("r1", "sql", false);
@@ -97,7 +97,7 @@ TEST_F(TraceSinkTest, OstreamConstructorAppendsNewlines) {
             "{\"k\":\"cond\",\"rule\":\"r\",\"held\":true}\n");
 }
 
-// Sharded workers write through one sink; every line must arrive intact
+// Concurrent writers go through one sink; every line must arrive intact
 // and the record count must be exact. Runs under the TSAN label.
 TEST_F(TraceSinkTest, ConcurrentWritersSerializeCleanly) {
   constexpr int kThreads = 8;

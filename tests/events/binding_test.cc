@@ -230,8 +230,8 @@ TEST(BindingsTest, CopyingPrimitiveBindingsAllocatesOnlyTheVector) {
                   .SharesStorageWith(object));
 }
 
-// Sharded match replay copies handles into instances on a worker thread
-// and drops them on the coordinator. Here a worker copies every handle
+// Handles may be copied on one thread and dropped on another (binding.h).
+// Here a worker copies every handle
 // into a batch per round while a second thread releases earlier batches,
 // so the counts change on both threads at once; the worker's own handles
 // die with it, so the last release of a text, and its free, may land on

@@ -1,34 +1,36 @@
-// Differential semantics fuzzing: four executions of every random case
-// must agree (ISSUE 4's oracle protocol):
+// Differential semantics fuzzing: every execution of a random case must
+// agree:
 //
 //   1. reference interpreter (src/engine/reference/) vs serial Detector —
 //      per-rule span multisets;
-//   2. serial vs the data-partitioned ShardedDetector at shards 2 and 4 —
-//      per-rule span lists in exact firing order (the sharded pipeline's
-//      determinism guarantee is per rule, not across rules);
-//   3. single-shot Process loop vs batch-split ProcessAll;
-//   4. end-of-stream Flush vs incremental AdvanceTo interleaved between
+//   2. single-shot Process loop vs batch-split ProcessAll — per-rule span
+//      lists in exact firing order, as for every engine-vs-engine axis;
+//   3. end-of-stream Flush vs incremental AdvanceTo interleaved between
 //      observations (pseudo events fire early instead of at Flush), and
-//      serial vs serial / sharded(2) runs with every complete join key
-//      forced onto one chain (debug_force_join_collisions), so the flat
-//      join buffers unlink and expire entries of mixed join tuples;
+//      runs with every complete join key forced onto one chain
+//      (debug_force_join_collisions), so the flat join buffers unlink
+//      and expire entries of mixed join tuples;
+//   4. crash-recovery axis — a checkpoint at a salt-chosen prefix,
+//      restored into a fresh engine, must continue to the uninterrupted
+//      run's matches, and re-serialize to the same bytes;
 //   5. durable (WAL) crash axis — rules carry real SQL actions against
 //      the RFID store, the run is killed at a salt-chosen BYTE offset in
 //      the write-ahead log (mid-record torn tails included), and
 //      WAL replay + snapshot restore must reproduce the uninterrupted
 //      run's match stream AND byte-identical final tables (exactly-once
-//      effects), across shard layouts;
+//      effects);
 //   6. metamorphic rewrite axis — each case's compiled rule expressions
 //      get a random chain of provably equivalent rewrites
 //      (engine/rewrite.h: operand permutation, OR rotation, ⊥-branch
 //      introduction, SEQ⇄TSEQ, bound slack, WITHIN push); original and
 //      rewritten programs must agree through the reference interpreter
-//      and the serial and sharded engines — ordered when the chain
-//      preserves order, as multisets otherwise;
+//      and the engine — ordered when the chain preserves order, as
+//      multisets otherwise;
 //   7. reader-group axis — leaves naming reader groups (`group(r) = …`,
-//      a reader literal naming a group); serial and sharded(2, 4) runs
-//      must each equal the reference in spans and in the r_location
-//      values their matches bind.
+//      a reader literal naming a group); the engine must equal the
+//      reference in spans and in the r_location values its matches bind;
+//   8. window-family axis — each rule must match alike with and without
+//      its window siblings, in every parameter context.
 //
 // Every engine and the reference run with one fixed reader registry
 // (FuzzEnvironment): A and B registered, C not.
@@ -254,9 +256,7 @@ class ExprGen {
 // INSERTs into the RFID tables, and an SQL+procedure mix. Every
 // statement stays executable, so a store divergence means lost or
 // doubled effects, not error-path noise. The UPDATE's WHERE is scoped to
-// the rule's own loc_id: cross-rule firing order is only per-rule
-// deterministic across shard layouts, so rules must not rewrite each
-// other's rows or the final multiset itself would be layout-dependent.
+// the rule's own loc_id, so rules never rewrite each other's rows.
 std::string GenActions(Prng* prng, const ExprGen& gen, int rule_index) {
   const std::vector<std::string>& objects = gen.scalar_objects();
   const std::vector<std::string>& times = gen.scalar_times();
@@ -305,8 +305,7 @@ std::string GenRule(Prng* prng, int rule_index, int depth,
                        action;
     Result<rules::RuleSet> set = rules::ParseRuleProgram(text);
     if (!set.ok()) continue;
-    std::vector<const rules::Rule*> refs{&set->rules[0]};
-    if (EventGraph::Build(refs).ok()) return text;
+    if (EventGraph::Build(set->rules).ok()) return text;
   }
   return "CREATE RULE f" + std::to_string(rule_index) +
          ", fuzz fallback ON WITHIN(SEQ(observation(\"A\", o1, t1); "
@@ -410,8 +409,7 @@ void AddWindowSiblings(Prng* prng, FuzzCase* c) {
     std::string text = WindowSibling(c->rules[base], base, index, prng);
     Result<rules::RuleSet> set = rules::ParseRuleProgram(text);
     if (!set.ok()) continue;
-    std::vector<const rules::Rule*> refs{&set->rules[0]};
-    if (EventGraph::Build(refs).ok()) c->rules.push_back(std::move(text));
+    if (EventGraph::Build(set->rules).ok()) c->rules.push_back(std::move(text));
   }
 }
 
@@ -493,7 +491,6 @@ LocatedSpan Locate(const events::EventInstance& e) {
 }
 
 struct RunSpec {
-  int shards = 1;
   bool split_batch = false;  // Two ProcessAll halves instead of Process.
   bool incremental = false;  // AdvanceTo interleaved between observations.
   bool tolerate_out_of_order = false;
@@ -513,7 +510,6 @@ SpansByRule RunEngine(const std::string& program,
   options.detector.context = spec.context;
   options.detector.tolerate_out_of_order = spec.tolerate_out_of_order;
   options.detector.debug_force_join_collisions = spec.force_join_collisions;
-  options.shards = spec.shards;
   RcedaEngine engine(/*db=*/nullptr, FuzzEnvironment(), options);
   SpansByRule out;
   engine.SetMatchCallback(
@@ -608,20 +604,15 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
     const char* name;
     RunSpec spec;
   } kProtocols[] = {
-      {"sharded(2)", RunSpec{2, false, false, false}},
-      {"sharded(4)", RunSpec{4, false, false, false}},
-      {"batch-split ProcessAll", RunSpec{1, true, false, false}},
-      {"incremental AdvanceTo", RunSpec{1, false, true, false}},
-      {"sharded(2) batch-split", RunSpec{2, true, false, false}},
-      {"sharded(2) incremental", RunSpec{2, false, true, false}},
-      {"serial forced-collisions", RunSpec{1, false, false, false, true}},
-      {"sharded(2) forced-collisions", RunSpec{2, false, false, false, true}},
+      {"batch-split ProcessAll", RunSpec{.split_batch = true}},
+      {"incremental AdvanceTo", RunSpec{.incremental = true}},
+      {"serial forced-collisions", RunSpec{.force_join_collisions = true}},
   };
   for (const auto& protocol : kProtocols) {
     SpansByRule other = RunEngine(program, c.stream, protocol.spec);
     for (const auto& [rule_id, expected] : serial) {
-      // Exact emission order per rule: the sharded replay and the pseudo
-      // firing path both guarantee it.
+      // Exact emission order per rule: the pseudo firing path
+      // guarantees it.
       if (other[rule_id] != expected) {
         return std::string("serial vs ") + protocol.name +
                " divergence on rule " + rule_id +
@@ -635,24 +626,22 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
 
 // --- Crash-recovery protocol (tentpole validation) ---------------------------
 //
-// Checkpoint at a salt-chosen prefix, restore into serial and sharded
-// (2, 4) engines, continue the stream: (prefix matches on the source) +
-// (suffix matches on the restored engine) must equal the uninterrupted
-// serial run exactly, per rule, in emission order. The serial→serial
-// snapshot is additionally required to be byte-idempotent
-// (restore + re-serialize reproduces the same bytes).
+// Checkpoint at a salt-chosen prefix, restore into a fresh engine,
+// continue the stream: (prefix matches on the source) + (suffix matches
+// on the restored engine) must equal the uninterrupted run exactly, per
+// rule, in emission order. The snapshot is additionally required to be
+// byte-idempotent (restore + re-serialize reproduces the same bytes).
 
 struct RecoveryEngine {
   std::unique_ptr<RcedaEngine> engine;
   SpansByRule matches;
 
   static std::unique_ptr<RecoveryEngine> Make(
-      const std::string& program, int shards,
+      const std::string& program,
       ParameterContext context = ParameterContext::kChronicle) {
     auto r = std::make_unique<RecoveryEngine>();
     EngineOptions options;
     options.detector.context = context;
-    options.shards = shards;
     r->engine = std::make_unique<RcedaEngine>(/*db=*/nullptr,
                                               FuzzEnvironment(), options);
     SpansByRule* out = &r->matches;
@@ -685,57 +674,38 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
                                           static_cast<long>(cut),
                                       c.stream.end());
 
-  // Every source layout checkpoints; every target layout must restore it
-  // exactly (a sharded capture merges its keyed replicas into one
-  // serial-equivalent source).
-  for (const int source_shards : {1, 2, 4}) {
-    auto source = RecoveryEngine::Make(program, source_shards);
-    if (source == nullptr) return "source engine failed to compile";
-    if (!source->engine->ProcessAll(head).ok()) {
-      return "source prefix processing failed";
-    }
-    std::string bytes;
-    if (Status s = source->engine->SerializeState(&bytes); !s.ok()) {
-      return "checkpoint failed at cut " + std::to_string(cut) + " from " +
-             std::to_string(source_shards) + " shards: " + s.ToString();
-    }
-    if (source_shards == 1) {
-      auto twin = RecoveryEngine::Make(program, 1);
-      if (twin == nullptr) return "twin engine failed to compile";
-      if (Status s = twin->engine->RestoreState(bytes); !s.ok()) {
-        return "serial restore failed: " + s.ToString();
-      }
-      std::string again;
-      if (!twin->engine->SerializeState(&again).ok() || again != bytes) {
-        return "serial snapshot is not byte-idempotent at cut " +
-               std::to_string(cut);
-      }
-    }
-    for (const int target_shards : {1, 2, 4}) {
-      auto target = RecoveryEngine::Make(program, target_shards);
-      if (target == nullptr) return "target engine failed to compile";
-      if (Status s = target->engine->RestoreState(bytes); !s.ok()) {
-        return "restore into " + std::to_string(target_shards) +
-               " shards failed: " + s.ToString();
-      }
-      if (!target->engine->ProcessAll(tail).ok() ||
-          !target->engine->Flush().ok()) {
-        return "restored suffix processing failed";
-      }
-      for (const auto& [rule_id, expected] : reference) {
-        std::vector<Span> combined = source->matches[rule_id];
-        const std::vector<Span>& post = target->matches[rule_id];
-        combined.insert(combined.end(), post.begin(), post.end());
-        if (combined != expected) {
-          return "crash-recovery divergence on rule " + rule_id + " (cut " +
-                 std::to_string(cut) + "/" +
-                 std::to_string(c.stream.size()) + ", " +
-                 std::to_string(source_shards) + " -> " +
-                 std::to_string(target_shards) + " shards)" +
-                 "\n  uninterrupted: " + FormatSpans(expected) +
-                 "\n  recovered:     " + FormatSpans(combined);
-        }
-      }
+  auto source = RecoveryEngine::Make(program);
+  if (source == nullptr) return "source engine failed to compile";
+  if (!source->engine->ProcessAll(head).ok()) {
+    return "source prefix processing failed";
+  }
+  std::string bytes;
+  if (Status s = source->engine->SerializeState(&bytes); !s.ok()) {
+    return "checkpoint failed at cut " + std::to_string(cut) + ": " +
+           s.ToString();
+  }
+  auto target = RecoveryEngine::Make(program);
+  if (target == nullptr) return "target engine failed to compile";
+  if (Status s = target->engine->RestoreState(bytes); !s.ok()) {
+    return "restore failed: " + s.ToString();
+  }
+  std::string again;
+  if (!target->engine->SerializeState(&again).ok() || again != bytes) {
+    return "snapshot is not byte-idempotent at cut " + std::to_string(cut);
+  }
+  if (!target->engine->ProcessAll(tail).ok() ||
+      !target->engine->Flush().ok()) {
+    return "restored suffix processing failed";
+  }
+  for (const auto& [rule_id, expected] : reference) {
+    std::vector<Span> combined = source->matches[rule_id];
+    const std::vector<Span>& post = target->matches[rule_id];
+    combined.insert(combined.end(), post.begin(), post.end());
+    if (combined != expected) {
+      return "crash-recovery divergence on rule " + rule_id + " (cut " +
+             std::to_string(cut) + "/" + std::to_string(c.stream.size()) +
+             ")" + "\n  uninterrupted: " + FormatSpans(expected) +
+             "\n  recovered:     " + FormatSpans(combined);
     }
   }
   return std::nullopt;
@@ -747,8 +717,7 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
 // (engine/detector.h): one join buffer per slot, one NOT log, one join
 // key per instance. Each rule's span list in an engine holding its window
 // siblings must equal that rule run alone — in every parameter context,
-// serially, across a mid-stream checkpoint and restore, and on 2 and 4
-// shards.
+// uninterrupted and across a mid-stream checkpoint and restore.
 
 constexpr ParameterContext kAllContexts[] = {
     ParameterContext::kChronicle, ParameterContext::kRecent,
@@ -842,8 +811,8 @@ std::optional<std::string> CheckFamilyCase(const FuzzCase& c, uint64_t salt) {
       if (why.has_value()) return why;
     }
 
-    auto source = RecoveryEngine::Make(program, 1, context);
-    auto target = RecoveryEngine::Make(program, 1, context);
+    auto source = RecoveryEngine::Make(program, context);
+    auto target = RecoveryEngine::Make(program, context);
     if (source == nullptr || target == nullptr) return "compile failed";
     std::string bytes;
     if (!source->engine->ProcessAll(head).ok() ||
@@ -867,24 +836,15 @@ std::optional<std::string> CheckFamilyCase(const FuzzCase& c, uint64_t salt) {
                       std::to_string(cut),
                   family, stitched);
     if (why.has_value()) return why;
-
-    for (int shards : {2, 4}) {
-      spec.shards = shards;
-      why = DiffSpans(name + " serial vs sharded(" + std::to_string(shards) +
-                          ")",
-                      family, RunEngine(program, c.stream, spec));
-      if (why.has_value()) return why;
-    }
   }
   return std::nullopt;
 }
 
 // --- Reader groups -----------------------------------------------------------
 //
-// Group rules (GenGroupCase): serial and sharded(2, 4) runs must each
-// equal the reference as multisets of (span, r_location values), and the
-// sharded runs the serial one in emission order. A non-null `located`
-// counts the reference's matches that bind a location.
+// Group rules (GenGroupCase): the engine must equal the reference as
+// multisets of (span, r_location values). A non-null `located` counts
+// the reference's matches that bind a location.
 std::optional<std::string> CheckGroupCase(const FuzzCase& c,
                                           size_t* located = nullptr) {
   const std::string program = c.Program();
@@ -910,25 +870,13 @@ std::optional<std::string> CheckGroupCase(const FuzzCase& c,
       if (located != nullptr && !match.second.empty()) ++*located;
     }
   }
-  SpansByRule serial;
-  for (int shards : {1, 2, 4}) {
-    const std::string name = "sharded(" + std::to_string(shards) + ")";
-    LocatedByRule located;
-    RunSpec spec;
-    spec.shards = shards;
-    SpansByRule spans = RunEngine(program, c.stream, spec, &located);
-    for (const auto& [rule_id, expected] : reference) {
-      if (sorted(expected) != sorted(located[rule_id])) {
-        return "reference vs " + name + " divergence on group rule " +
-               rule_id + "\n  reference: " + format(sorted(expected)) +
-               "\n  " + name + ": " + format(sorted(located[rule_id]));
-      }
-    }
-    if (shards == 1) {
-      serial = std::move(spans);
-    } else if (std::optional<std::string> why =
-                   DiffSpans("serial vs " + name, serial, spans)) {
-      return why;
+  LocatedByRule engine;
+  RunEngine(program, c.stream, RunSpec{}, &engine);
+  for (const auto& [rule_id, expected] : reference) {
+    if (sorted(expected) != sorted(engine[rule_id])) {
+      return "reference vs serial divergence on group rule " + rule_id +
+             "\n  reference: " + format(sorted(expected)) +
+             "\n  serial:    " + format(sorted(engine[rule_id]));
     }
   }
   return std::nullopt;
@@ -942,11 +890,7 @@ std::optional<std::string> CheckGroupCase(const FuzzCase& c,
 // across segment rotations (tiny segments below). Replaying the
 // surviving log into a fresh store, restoring the snapshot, and
 // reprocessing the suffix must reproduce the uninterrupted run's match
-// stream per rule in emission order AND its final tables — byte for byte
-// when the recovery keeps the crashed run's shard layout, as row
-// multisets per table when it re-partitions (cross-rule row interleaving
-// is the one thing sharding does not promise). The shard count is
-// salt-chosen independently on both sides of the crash.
+// stream per rule in emission order AND its final tables byte for byte.
 
 // Identity of one procedure/alarm invocation, comparable between a
 // rig's handler log and the WAL's surviving kProcedure/kAlarm frames.
@@ -962,13 +906,11 @@ struct DurableRig {
   SpansByRule matches;
 
   // Compile is left to the caller: a WAL can only attach before it.
-  static std::unique_ptr<DurableRig> Make(const std::string& program,
-                                          int shards) {
+  static std::unique_ptr<DurableRig> Make(const std::string& program) {
     auto r = std::make_unique<DurableRig>();
     if (!r->db->InstallRfidSchema().ok()) return nullptr;
     EngineOptions options;
     options.detector.context = ParameterContext::kChronicle;
-    options.shards = shards;
     r->engine = std::make_unique<RcedaEngine>(r->db.get(),
                                               FuzzEnvironment(), options);
     SpansByRule* out = &r->matches;
@@ -997,34 +939,6 @@ std::string DumpStore(store::Database* db) {
     out += table;
     out += "\n";
     out += store::TableToCsv(*db->GetTable(table));
-  }
-  return out;
-}
-
-// Row-order-insensitive dump: each table's data rows sorted. Row order
-// interleaves across rules, and cross-rule order is the one thing the
-// sharded pipeline does NOT promise — so a recovery onto a different
-// shard layout is held to multiset equality per table, while same-layout
-// recovery is held to the byte-identical DumpStore.
-std::string DumpStoreSorted(store::Database* db) {
-  std::string out;
-  for (const char* table :
-       {"OBSERVATION", "OBJECTLOCATION", "OBJECTCONTAINMENT"}) {
-    std::string csv = store::TableToCsv(*db->GetTable(table));
-    std::istringstream in(csv);
-    std::string header;
-    std::getline(in, header);
-    std::vector<std::string> rows;
-    for (std::string line; std::getline(in, line);) rows.push_back(line);
-    std::sort(rows.begin(), rows.end());
-    out += table;
-    out += "\n";
-    out += header;
-    out += "\n";
-    for (const std::string& row : rows) {
-      out += row;
-      out += "\n";
-    }
   }
   return out;
 }
@@ -1059,16 +973,12 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
   if (!set.ok()) return "parse failed: " + set.status().ToString();
   if (!EventGraph::Build(set->rules).ok()) return std::nullopt;
 
-  // Bits 1 and 3 pick the shard layouts; bits 0 and 2 are spare.
-  const int crash_shards = (salt & 2) != 0 ? 2 : 1;
-  const int recover_shards = (salt & 8) != 0 ? 2 : 1;
+  // The low four bits are unused.
   const size_t cut = c.stream.empty() ? 0 : (salt >> 4) % (c.stream.size() + 1);
 
-  // Uninterrupted run on the crash layout: the oracle for the match
-  // stream and the final table contents. A same-layout recovery must
-  // match this byte for byte; a recovery onto the other layout is held
-  // to per-table multisets instead.
-  auto reference = DurableRig::Make(program, crash_shards);
+  // Uninterrupted run: the oracle for the match stream and the final
+  // table contents.
+  auto reference = DurableRig::Make(program);
   if (reference == nullptr) return "reference rig failed to build";
   if (!reference->engine->Compile().ok()) return "reference compile failed";
   for (const Observation& obs : c.stream) {
@@ -1094,7 +1004,7 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
     Result<std::unique_ptr<store::Wal>> wal =
         store::Wal::Open(wal_dir.string(), wal_options);
     if (!wal.ok()) return "wal open failed: " + wal.status().ToString();
-    auto crashed = DurableRig::Make(program, crash_shards);
+    auto crashed = DurableRig::Make(program);
     if (crashed == nullptr) return "crash rig failed to build";
     if (!crashed->engine->AttachWal(wal->get()).ok() ||
         !crashed->engine->Compile().ok()) {
@@ -1131,7 +1041,7 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
 
   // One-pass recovery, as Tenant::Open runs it: the reopen replays the
   // surviving log into the fresh store while collecting the dedup set.
-  auto recovered = DurableRig::Make(program, recover_shards);
+  auto recovered = DurableRig::Make(program);
   if (recovered == nullptr) return "recovery rig failed to build";
   Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(
       wal_dir.string(), wal_options, recovered->db.get());
@@ -1165,9 +1075,7 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
 
   auto describe = [&] {
     return " (cut " + std::to_string(cut) + "/" +
-           std::to_string(c.stream.size()) + ", shards " +
-           std::to_string(crash_shards) + " -> " +
-           std::to_string(recover_shards) + ")";
+           std::to_string(c.stream.size()) + ")";
   };
   for (const auto& [rule_id, expected] : reference->matches) {
     std::vector<Span> combined = head_matches[rule_id];
@@ -1179,15 +1087,10 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
              "\n  recovered:     " + FormatSpans(combined);
     }
   }
-  const bool same_layout = recover_shards == crash_shards;
-  const std::string expected_store = same_layout
-                                         ? DumpStore(reference->db.get())
-                                         : DumpStoreSorted(reference->db.get());
-  const std::string got = same_layout ? DumpStore(recovered->db.get())
-                                      : DumpStoreSorted(recovered->db.get());
+  const std::string expected_store = DumpStore(reference->db.get());
+  const std::string got = DumpStore(recovered->db.get());
   if (got != expected_store) {
-    return std::string("durable-recovery store divergence") +
-           (same_layout ? "" : " (row-order-insensitive)") + describe() +
+    return "durable-recovery store divergence" + describe() +
            "\n  uninterrupted tables:\n" + expected_store +
            "  recovered tables:\n" + got;
   }
@@ -1284,9 +1187,7 @@ FuzzCase Shrink(FuzzCase c, const CaseChecker& check) {
 // makes tie order observable by design). Divergences triage in layers:
 // the two reference runs disagreeing is a rewriter soundness bug; the
 // rewritten reference vs the rewritten serial engine is an engine bug
-// on a shape the generator never emits; and the rewritten program must
-// agree with itself across shard layouts, exactly as the base protocol
-// demands.
+// on a shape the generator never emits.
 
 struct RewriteStep {
   int rule = 0;        // Index into FuzzCase::rules.
@@ -1470,26 +1371,6 @@ std::optional<std::string> CheckMetamorphicCase(
     }
   }
 
-  // Layer 4: the rewritten program through the shard protocols, each
-  // held to the serial run in exact emission order.
-  const struct {
-    const char* name;
-    RunSpec spec;
-  } kMetaProtocols[] = {
-      {"sharded(2)", RunSpec{2, false, false, false}},
-      {"sharded(4)", RunSpec{4, false, false, false}},
-  };
-  for (const auto& protocol : kMetaProtocols) {
-    SpansByRule other = RunEngine(rew_program, c.stream, protocol.spec);
-    for (const auto& [rule_id, expected] : serial_rew) {
-      if (other[rule_id] != expected) {
-        return std::string("rewritten serial vs ") + protocol.name +
-               " divergence on rule " + rule_id +
-               "\n  serial: " + FormatSpans(expected) + "\n  " +
-               protocol.name + ": " + FormatSpans(other[rule_id]);
-      }
-    }
-  }
   return std::nullopt;
 }
 
@@ -1627,7 +1508,7 @@ TEST(DifferentialFuzz, FourExecutionsAgree) {
 TEST(DifferentialFuzz, MetamorphicEquivalence) {
   // Every seeded case gets a random chain of provably equivalent
   // rewrites; the original and rewritten programs must agree through the
-  // reference interpreter, the serial engine, and sharded layouts.
+  // reference interpreter and the engine.
   const int cases = FuzzCases();
   int rewritten_cases = 0;
   for (int i = 0; i < cases; ++i) {
@@ -1655,9 +1536,8 @@ TEST(DifferentialFuzz, MetamorphicEquivalence) {
 }
 
 TEST(DifferentialFuzz, CrashRecoveryAgrees) {
-  // Tentpole acceptance sweep: every seeded case is checkpointed at a
-  // seed-chosen prefix, restored serially and re-partitioned onto 2 and
-  // 4 shards, and the stitched runs must reproduce the uninterrupted
+  // Every seeded case is checkpointed at a seed-chosen prefix and
+  // restored, and the stitched run must reproduce the uninterrupted
   // execution exactly.
   const int cases = FuzzCases();
   for (int i = 0; i < cases; ++i) {
@@ -1721,7 +1601,7 @@ TEST(DifferentialFuzz, WindowSiblingsAreInvisible) {
 TEST(DifferentialFuzz, GroupRulesMatchReference) {
   // Leaves naming reader groups over the harness registry: registered
   // readers dispatch through their kept records, C through a per-
-  // observation one, at 1, 2 and 4 shards.
+  // observation one.
   const int cases = FuzzCases();
   int located_cases = 0;
   auto check = [](const FuzzCase& trial) { return CheckGroupCase(trial); };
@@ -1788,8 +1668,7 @@ TEST(DifferentialFuzz, CorpusReplays) {
           << "corpus recovery regression "
           << rules_path.filename().string() << ": " << recovery.value_or("");
     }
-    // And the durable (WAL) protocol, with crash salts covering serial
-    // and sharded layouts.
+    // And the durable (WAL) protocol, at a few crash salts.
     for (uint64_t salt : {0x21u, 0x9eu, 0x137u}) {
       std::optional<std::string> durable = CheckDurableRecoveryCase(c, salt);
       EXPECT_FALSE(durable.has_value())

@@ -2,8 +2,7 @@
 // socket, a client speaking the binary protocol, and an in-process
 // library engine as the oracle. The daemon must be a transparent
 // transport — byte-identical match/fired counts to the library path —
-// and its SIGTERM lifecycle must reconcile exactly across a restart,
-// including onto a different shard count.
+// and its SIGTERM lifecycle must reconcile exactly across a restart.
 
 #include "server/server.h"
 
@@ -169,11 +168,10 @@ class Client {
 };
 
 struct Reference {
-  explicit Reference(std::string_view rules, engine::EngineOptions options =
-                                                 {}) {
+  explicit Reference(std::string_view rules) {
     EXPECT_TRUE(db.InstallRfidSchema().ok());
-    engine = std::make_unique<engine::RcedaEngine>(&db, events::Environment{},
-                                                   options);
+    engine =
+        std::make_unique<engine::RcedaEngine>(&db, events::Environment{});
     EXPECT_TRUE(engine->AddRulesFromText(rules).ok());
     engine->RegisterProcedure("raise alarm",
                               [this](const engine::RuleFiring&,
@@ -202,11 +200,10 @@ class ServerTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  TenantConfig AlphaConfig(int shards) {
+  TenantConfig AlphaConfig() {
     TenantConfig config;
     config.name = "alpha";
     config.rules_text = kAlphaRules;
-    config.shards = shards;
     return config;
   }
 
@@ -228,12 +225,11 @@ class ServerTest : public ::testing::Test {
     }
   }
 
-  ServerOptions Options(const std::string& subdir = "") {
+  ServerOptions Options() {
     ServerOptions options;
     options.port = 0;
     options.http_port = -1;
-    options.state_dir = subdir.empty() ? dir_.string()
-                                       : (dir_ / subdir).string();
+    options.state_dir = dir_.string();
     return options;
   }
 
@@ -241,80 +237,73 @@ class ServerTest : public ::testing::Test {
 };
 
 // The daemon is a transparent transport: every count a client can see
-// equals the library path, at one shard and at two.
+// equals the library path.
 TEST_F(ServerTest, LoopbackCountsMatchLibraryPath) {
   const std::vector<events::Observation> trace = MakeTrace(600);
-  for (int shards : {1, 2}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+  Server server(Options());
+  ASSERT_TRUE(server.AddTenant(AlphaConfig()).ok());
+  ASSERT_TRUE(server.AddTenant(BetaConfig()).ok());
+  int alpha_alarms = 0;
+  int beta_alarms = 0;
+  CountAlarms(server, "alpha", &alpha_alarms);
+  CountAlarms(server, "beta", &beta_alarms);
+  ASSERT_TRUE(server.Start().ok());
 
-    Server server(Options("s" + std::to_string(shards)));
-    ASSERT_TRUE(server.AddTenant(AlphaConfig(shards)).ok());
-    ASSERT_TRUE(server.AddTenant(BetaConfig()).ok());
-    int alpha_alarms = 0;
-    int beta_alarms = 0;
-    CountAlarms(server, "alpha", &alpha_alarms);
-    CountAlarms(server, "beta", &beta_alarms);
-    ASSERT_TRUE(server.Start().ok());
-
-    Client alpha;
-    Client beta;
-    ASSERT_TRUE(alpha.Connect(server.bound_port(), "alpha"));
-    ASSERT_TRUE(beta.Connect(server.bound_port(), "beta"));
-    for (const auto& batch : Batched(trace, 32)) {
-      ASSERT_TRUE(alpha.Roundtrip(EncodeBatch(batch)));
-      ASSERT_TRUE(beta.Roundtrip(EncodeBatch(batch)));
-    }
-    ASSERT_TRUE(alpha.Roundtrip(EncodeFrame(FrameType::kFlush, "")));
-    ASSERT_TRUE(beta.Roundtrip(EncodeFrame(FrameType::kFlush, "")));
-
-    StatsReply alpha_stats;
-    StatsReply beta_stats;
-    ASSERT_TRUE(alpha.Stats(&alpha_stats));
-    ASSERT_TRUE(beta.Stats(&beta_stats));
-
-    // Library oracle, same shard count, fed the same trace directly.
-    engine::EngineOptions options;
-    options.shards = shards;
-    Reference alpha_ref(kAlphaRules, options);
-    Reference beta_ref(kBetaRules);
-    ASSERT_TRUE(alpha_ref.engine->ProcessAll(trace).ok());
-    ASSERT_TRUE(beta_ref.engine->ProcessAll(trace).ok());
-    ASSERT_TRUE(alpha_ref.engine->Flush().ok());
-    ASSERT_TRUE(beta_ref.engine->Flush().ok());
-
-    const engine::EngineStats& alpha_want = alpha_ref.engine->stats();
-    EXPECT_EQ(alpha_stats.observations, alpha_want.detector.observations);
-    EXPECT_EQ(alpha_stats.matches, alpha_want.detector.rule_matches);
-    EXPECT_EQ(alpha_stats.rules_fired, alpha_want.rules_fired);
-    EXPECT_EQ(alpha_stats.sql_actions, alpha_want.sql_actions_executed);
-    EXPECT_EQ(alpha_stats.procedures, alpha_want.procedures_invoked);
-    ASSERT_EQ(alpha_stats.fired.size(), 2u);
-    for (const auto& [rule, count] : alpha_stats.fired) {
-      EXPECT_EQ(count, alpha_ref.engine->FiredCount(rule)) << rule;
-    }
-    EXPECT_EQ(alpha_alarms, alpha_ref.alarms);
-
-    const engine::EngineStats& beta_want = beta_ref.engine->stats();
-    EXPECT_EQ(beta_stats.observations, beta_want.detector.observations);
-    EXPECT_EQ(beta_stats.matches, beta_want.detector.rule_matches);
-    EXPECT_EQ(beta_stats.rules_fired, beta_want.rules_fired);
-    EXPECT_EQ(beta_stats.procedures, beta_want.procedures_invoked);
-    EXPECT_EQ(beta_alarms, beta_ref.alarms);
-
-    // The trace fires something in every family, or the test is vacuous.
-    EXPECT_GT(alpha_stats.sql_actions, 0u);
-    EXPECT_GT(alpha_stats.procedures, 0u);
-    EXPECT_GT(beta_stats.rules_fired, 0u);
-
-    EXPECT_TRUE(server.Shutdown().ok());
+  Client alpha;
+  Client beta;
+  ASSERT_TRUE(alpha.Connect(server.bound_port(), "alpha"));
+  ASSERT_TRUE(beta.Connect(server.bound_port(), "beta"));
+  for (const auto& batch : Batched(trace, 32)) {
+    ASSERT_TRUE(alpha.Roundtrip(EncodeBatch(batch)));
+    ASSERT_TRUE(beta.Roundtrip(EncodeBatch(batch)));
   }
+  ASSERT_TRUE(alpha.Roundtrip(EncodeFrame(FrameType::kFlush, "")));
+  ASSERT_TRUE(beta.Roundtrip(EncodeFrame(FrameType::kFlush, "")));
+
+  StatsReply alpha_stats;
+  StatsReply beta_stats;
+  ASSERT_TRUE(alpha.Stats(&alpha_stats));
+  ASSERT_TRUE(beta.Stats(&beta_stats));
+
+  // Library oracle, fed the same trace directly.
+  Reference alpha_ref(kAlphaRules);
+  Reference beta_ref(kBetaRules);
+  ASSERT_TRUE(alpha_ref.engine->ProcessAll(trace).ok());
+  ASSERT_TRUE(beta_ref.engine->ProcessAll(trace).ok());
+  ASSERT_TRUE(alpha_ref.engine->Flush().ok());
+  ASSERT_TRUE(beta_ref.engine->Flush().ok());
+
+  const engine::EngineStats& alpha_want = alpha_ref.engine->stats();
+  EXPECT_EQ(alpha_stats.observations, alpha_want.detector.observations);
+  EXPECT_EQ(alpha_stats.matches, alpha_want.detector.rule_matches);
+  EXPECT_EQ(alpha_stats.rules_fired, alpha_want.rules_fired);
+  EXPECT_EQ(alpha_stats.sql_actions, alpha_want.sql_actions_executed);
+  EXPECT_EQ(alpha_stats.procedures, alpha_want.procedures_invoked);
+  ASSERT_EQ(alpha_stats.fired.size(), 2u);
+  for (const auto& [rule, count] : alpha_stats.fired) {
+    EXPECT_EQ(count, alpha_ref.engine->FiredCount(rule)) << rule;
+  }
+  EXPECT_EQ(alpha_alarms, alpha_ref.alarms);
+
+  const engine::EngineStats& beta_want = beta_ref.engine->stats();
+  EXPECT_EQ(beta_stats.observations, beta_want.detector.observations);
+  EXPECT_EQ(beta_stats.matches, beta_want.detector.rule_matches);
+  EXPECT_EQ(beta_stats.rules_fired, beta_want.rules_fired);
+  EXPECT_EQ(beta_stats.procedures, beta_want.procedures_invoked);
+  EXPECT_EQ(beta_alarms, beta_ref.alarms);
+
+  // The trace fires something in every family, or the test is vacuous.
+  EXPECT_GT(alpha_stats.sql_actions, 0u);
+  EXPECT_GT(alpha_stats.procedures, 0u);
+  EXPECT_GT(beta_stats.rules_fired, 0u);
+
+  EXPECT_TRUE(server.Shutdown().ok());
 }
 
 // The SIGTERM path: shutdown mid-stream checkpoints, a new server over
-// the same state directory — on a different shard count — resumes, and
-// the client finishes the stream. Totals reconcile exactly with an
+// the same state directory resumes, and the client finishes the stream. Totals reconcile exactly with an
 // uninterrupted run; no alarm or procedure fires twice.
-TEST_F(ServerTest, ShutdownMidStreamRestartsOntoDifferentShardCount) {
+TEST_F(ServerTest, ShutdownMidStreamRestartResumes) {
   const std::vector<events::Observation> trace = MakeTrace(600);
   const auto batches = Batched(trace, 32);
   const size_t split = batches.size() / 2;
@@ -323,7 +312,7 @@ TEST_F(ServerTest, ShutdownMidStreamRestartsOntoDifferentShardCount) {
 
   {
     Server server(Options());
-    ASSERT_TRUE(server.AddTenant(AlphaConfig(/*shards=*/1)).ok());
+    ASSERT_TRUE(server.AddTenant(AlphaConfig()).ok());
     CountAlarms(server, "alpha", &alarms_before);
     ASSERT_TRUE(server.Start().ok());
     Client client;
@@ -338,7 +327,7 @@ TEST_F(ServerTest, ShutdownMidStreamRestartsOntoDifferentShardCount) {
 
   {
     Server server(Options());
-    ASSERT_TRUE(server.AddTenant(AlphaConfig(/*shards=*/2)).ok());
+    ASSERT_TRUE(server.AddTenant(AlphaConfig()).ok());
     ASSERT_TRUE(server.tenant("alpha")->restored());
     CountAlarms(server, "alpha", &alarms_after);
     ASSERT_TRUE(server.Start().ok());
@@ -462,7 +451,7 @@ TEST_F(ServerTest, CrashAfterCheckpointRecoversStoreExactlyOnce) {
   const size_t split = batches.size() / 2;
   const size_t doomed_end = split + (batches.size() - split) / 2;
   const fs::path wal_dir = dir_ / "alpha" / "wal";
-  TenantConfig config = AlphaConfig(/*shards=*/1);
+  TenantConfig config = AlphaConfig();
   config.rules_text = kCrashRules;
 
   // Alarm invocations per (rule, firing seq), per lifetime.

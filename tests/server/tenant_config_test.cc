@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/sharded_engine.h"
 #include "server/tenant.h"
 
 namespace rfidcep::server {
@@ -23,7 +22,7 @@ TEST(TenantConfigTest, ParsesEveryKey) {
   Result<std::vector<TenantConfig>> parsed = ParseTenantConfigText(
       "# comment\n"
       "\n"
-      "tenant alpha rules=a.rules shards=32 store=0 "
+      "tenant alpha rules=a.rules store=0 "
       "tolerate_out_of_order=true\n"
       "tenant beta rules=/abs/b.rules\n",
       "/etc/rfidcep");
@@ -32,33 +31,18 @@ TEST(TenantConfigTest, ParsesEveryKey) {
   const TenantConfig& alpha = (*parsed)[0];
   EXPECT_EQ(alpha.name, "alpha");
   EXPECT_EQ(alpha.rules_file, "/etc/rfidcep/a.rules");
-  EXPECT_EQ(alpha.shards, engine::kMaxDetectionShards);
   EXPECT_FALSE(alpha.store);
   EXPECT_TRUE(alpha.tolerate_out_of_order);
   const TenantConfig& beta = (*parsed)[1];
   EXPECT_EQ(beta.rules_file, "/abs/b.rules");
-  EXPECT_EQ(beta.shards, 1);
   EXPECT_TRUE(beta.store);
-}
-
-TEST(TenantConfigTest, ShardsMustBeOneWholeInRangeInteger) {
-  for (const char* value :
-       {"2abc", "4294967298", "99", "33", "0", "-1", "", " 2", "2.0"}) {
-    Status status = ParseError(std::string("tenant a rules=r shards=") +
-                               value + "\n");
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << value;
-    EXPECT_NE(status.message().find("shards="), std::string::npos)
-        << status.message();
-    EXPECT_NE(status.message().find("(line 1)"), std::string::npos)
-        << status.message();
-  }
 }
 
 // Keys of modes the engine does not have are config errors, not ignored.
 TEST(TenantConfigTest, RemovedModeKeysAreUnknown) {
-  for (const std::string key : {"partition", "async"}) {
+  for (const std::string key : {"partition", "async", "shards"}) {
     Status status =
-        ParseError("tenant a rules=r\ntenant b rules=r " + key + "=1\n");
+        ParseError("tenant a rules=r\ntenant b rules=r " + key + "=2\n");
     EXPECT_NE(status.message().find("unknown key '" + key + "'"),
               std::string::npos)
         << status.message();
@@ -76,7 +60,7 @@ TEST(TenantConfigTest, DuplicateTenantRejected) {
 }
 
 TEST(TenantConfigTest, MissingRulesRejected) {
-  Status status = ParseError("tenant a shards=2\n");
+  Status status = ParseError("tenant a store=0\n");
   EXPECT_NE(status.message().find("has no rules= file"), std::string::npos)
       << status.message();
   EXPECT_NE(status.message().find("(line 1)"), std::string::npos)
