@@ -1,33 +1,36 @@
 #!/usr/bin/env python3
-"""Bench regression guard: compare a fig9_scalability run against the seed.
+"""Bench regression guard: compare a fig9_scalability run against the
+committed numbers in BENCH_rfidcep.json (`current`).
 
-Reads the JSON written by `fig9_scalability --json-out=FILE` and the
-checked-in baseline (BENCH_rfidcep.json), matches every `events`-series
-row to the closest seed Fig. 9a point by event count, and fails when
-usec/event regresses past --max-ratio (default 2.5x — CI smoke runs are
-small and noisy, so the guard catches order-of-magnitude regressions,
-not percent-level drift; scripts/run_benches.sh tracks the latter).
+Reads the JSON written by `fig9_scalability --json-out=FILE`, matches
+every `events`-series row to the closest current.fig9a_events point by
+event count, and fails when usec/event regresses past --max-ratio
+(default 2.5x: CI runs are noisy, so the guard catches large
+regressions, not percent-level drift; scripts/run_benches.sh tracks the
+latter). Every series is compared with its committed point, never with
+the pre-optimization seed, and every CI smoke runs at a committed point,
+so the ratio reads the same stream on both sides. The generators are
+seeded: a row at an exact committed point must also reproduce the
+committed match count, or detection semantics drifted (DIVERGED).
 
 When the run contains `rules`-series rows (the SKU x site rule-set
 sweep), the guard gates the rule-set compiler's dispatch scaling: with
 two or more compiled points, the max/min usec-per-event ratio across
 the sweep must stay at or below --rules-max-ratio (default 2.0 — the
 "10k rules costs at most 2x the 500-rule point" contract); with a
-single point (the CI smoke runs --rules=2000), it is compared against
-the closest committed current.rules.series point at --max-ratio like
-an events row.
+single point (the CI smoke runs --rules=2000 on the full stream), it is
+compared against the closest committed current.rules.series point at
+--max-ratio like an events row.
 
 When the run contains `workload`-series rows (the FIG9-W airport-
 baggage sweep), each row is gated at --max-ratio against the committed
 current.workload.series point with the same rule_family and closest
-event count; a run at the exact committed event count must also
-reproduce the committed match count (the generator is seeded, so a
-mismatch means detection semantics drifted, not noise).
+event count.
 
     scripts/bench_guard.py --run=fig9-smoke.json \
         [--baseline=BENCH_rfidcep.json] [--max-ratio=2.5]
 
-Exit status: 0 ok, 1 regression, 2 bad input.
+Exit status: 0 ok, 1 regression or divergence, 2 bad input.
 """
 
 import argparse
@@ -45,9 +48,55 @@ def load_json(path):
         sys.exit(2)
 
 
+def verdict_for(row, base, ratio, max_ratio, exact):
+    """DIVERGED when `exact` (the row ran `base`'s committed stream) and
+    the match counts differ, else ok / REGRESSION by ratio."""
+    if exact and "matches" in base and base["matches"] != row.get("matches"):
+        print(f"bench_guard: {row['series']} row ({row['events']} events, "
+              f"{row['rules']} rules) produced {row.get('matches')} "
+              f"matches, committed {base['matches']} — the seeded "
+              "generator is deterministic, so detection semantics changed",
+              file=sys.stderr)
+        return "DIVERGED"
+    return "ok" if ratio <= max_ratio else "REGRESSION"
+
+
+def check_events(rows, baseline, max_ratio):
+    """Gates events-series rows against current.fig9a_events. Returns
+    True when every row holds."""
+    committed = baseline.get("current", {}).get("fig9a_events", [])
+    if not committed:
+        print("bench_guard: baseline has no current.fig9a_events",
+              file=sys.stderr)
+        sys.exit(2)
+    ok = True
+    print(f"{'events':>10} {'run us/ev':>12} {'committed':>12} "
+          f"{'ratio':>8}  verdict   (committed point)")
+    for row in rows:
+        base = min(committed, key=lambda p: abs(p["events"] - row["events"]))
+        ratio = row["usec_per_event"] / base["usec_per_event"]
+        verdict = verdict_for(row, base, ratio, max_ratio,
+                              base["events"] == row["events"])
+        ok &= verdict == "ok"
+        print(f"{row['events']:>10} {row['usec_per_event']:>12.3f} "
+              f"{base['usec_per_event']:>12.3f} {ratio:>8.2f}  "
+              f"{verdict:<9} (events={base['events']})")
+    return ok
+
+
 def check_rules(rules_rows, baseline, max_ratio, rules_max_ratio):
     """Gates rules-series rows (see module docstring). Returns True when
-    the sweep's dispatch scaling holds its budget."""
+    the sweep's dispatch scaling holds its budget and every row at a
+    committed point reproduces its match count."""
+    rules = baseline.get("current", {}).get("rules", {})
+    committed = rules.get("series", [])
+    stream = rules.get("events")
+
+    def base_for(row):
+        base = min(committed, key=lambda p: abs(p["rules"] - row["rules"]))
+        exact = base["rules"] == row["rules"] and stream == row["events"]
+        return base, exact
+
     rows = rules_rows
     if len(rows) >= 2:
         lo = min(rows, key=lambda r: r["usec_per_event"])
@@ -64,36 +113,36 @@ def check_rules(rules_rows, baseline, max_ratio, rules_max_ratio):
                   "matching rules — the rule-set compiler's contract "
                   f"(max/min <= {rules_max_ratio}) is broken",
                   file=sys.stderr)
+        # Only counts are gated per row: the scaling ratio above is the
+        # sweep's timing budget.
+        for row in rows if committed else []:
+            base, exact = base_for(row)
+            ok &= verdict_for(row, base, 0.0, max_ratio, exact) == "ok"
         return ok
-    committed = (baseline.get("current", {}).get("rules", {})
-                 .get("series", []))
     if not committed:
         print("bench_guard: baseline has no current.rules.series; "
               "skipping the single-point rules gate", file=sys.stderr)
         return True
     row = rows[0]
-    base = min(committed, key=lambda p: abs(p["rules"] - row["rules"]))
+    base, exact = base_for(row)
     ratio = row["usec_per_event"] / base["usec_per_event"]
-    ok = ratio <= max_ratio
+    verdict = verdict_for(row, base, ratio, max_ratio, exact)
     print(f"rules smoke: {row['rules']} rules at "
           f"{row['usec_per_event']:.3f} us/ev vs committed "
           f"{base['rules']} rules at {base['usec_per_event']:.3f} us/ev, "
-          f"ratio {ratio:.2f} (budget {max_ratio})  "
-          f"{'ok' if ok else 'REGRESSION'}")
-    if not ok:
+          f"ratio {ratio:.2f} (budget {max_ratio})  {verdict}")
+    if verdict == "REGRESSION":
         print("bench_guard: rules-series usec/event regressed past "
               f"--max-ratio={max_ratio}", file=sys.stderr)
-    return ok
+    return verdict == "ok"
 
 
 def check_workload(workload_rows, baseline, max_ratio):
     """Gates workload-series rows (the FIG9-W airport-baggage sweep)
     against current.workload.series: each (rule_family, closest events)
     point must hold usec/event within max_ratio of the committed value,
-    and — because the workload generator is seeded — a run at the exact
-    committed event count must reproduce its match count bit-for-bit
-    (an out-of-order-tolerance semantic canary, not a perf gate).
-    Returns True when every comparable point holds."""
+    and a run at the exact committed event count must reproduce its
+    match count. Returns True when every comparable point holds."""
     committed = (baseline.get("current", {}).get("workload", {})
                  .get("series", []))
     if not committed:
@@ -116,20 +165,12 @@ def check_workload(workload_rows, baseline, max_ratio):
             continue
         base = min(points, key=lambda p: abs(p["events"] - row["events"]))
         ratio = row["usec_per_event"] / base["usec_per_event"]
-        verdict = "ok" if ratio <= max_ratio else "REGRESSION"
-        if (base["events"] == row["events"] and "matches" in base
-                and base["matches"] != row.get("matches")):
-            verdict = "DIVERGED"
+        verdict = verdict_for(row, base, ratio, max_ratio,
+                              base["events"] == row["events"])
         ok &= verdict == "ok"
         print(f"{row['events']:>10} {family:>16} "
               f"{row['usec_per_event']:>10.3f} "
               f"{base['usec_per_event']:>10.3f} {ratio:>6.2f}  {verdict}")
-        if verdict == "DIVERGED":
-            print(f"bench_guard: {family} at {row['events']} events "
-                  f"produced {row.get('matches')} matches, committed "
-                  f"{base['matches']} — the seeded workload is "
-                  "deterministic, so detection semantics changed",
-                  file=sys.stderr)
     if not ok:
         print("bench_guard: workload-series gate failed "
               f"(--max-ratio={max_ratio})", file=sys.stderr)
@@ -145,9 +186,11 @@ def main():
                             os.path.dirname(os.path.dirname(
                                 os.path.abspath(__file__))),
                             "BENCH_rfidcep.json"),
-                        help="seed baseline (default: repo BENCH_rfidcep.json)")
+                        help="committed numbers (default: repo "
+                             "BENCH_rfidcep.json)")
     parser.add_argument("--max-ratio", type=float, default=2.5,
-                        help="fail when usec/event exceeds seed by this factor")
+                        help="fail when usec/event exceeds the committed "
+                             "point's by this factor")
     parser.add_argument("--rules-max-ratio", type=float, default=2.0,
                         help="fail when the rules sweep's max/min "
                              "usec/event ratio exceeds this (dispatch must "
@@ -156,12 +199,6 @@ def main():
 
     run = load_json(args.run)
     baseline = load_json(args.baseline)
-
-    seed_points = baseline.get("seed_baseline", {}).get("fig9a_events", [])
-    if not seed_points:
-        print("bench_guard: baseline has no seed_baseline.fig9a_events",
-              file=sys.stderr)
-        sys.exit(2)
 
     rows = [r for r in run.get("rows", []) if r.get("series") == "events"]
     rules_rows = [r for r in run.get("rows", [])
@@ -176,20 +213,7 @@ def main():
 
     failed = False
     if rows:
-        print(f"{'events':>10} {'run us/ev':>12} {'seed us/ev':>12} "
-              f"{'ratio':>8}  verdict   (seed point)")
-    for row in rows:
-        events = row["events"]
-        # Closest seed point by event count; smoke runs use fewer events
-        # than any seed point, which is conservative (per-event cost
-        # falls as fixed compile cost amortizes over more events).
-        seed = min(seed_points, key=lambda p: abs(p["events"] - events))
-        ratio = row["usec_per_event"] / seed["usec_per_event"]
-        verdict = "ok" if ratio <= args.max_ratio else "REGRESSION"
-        failed |= verdict != "ok"
-        print(f"{events:>10} {row['usec_per_event']:>12.3f} "
-              f"{seed['usec_per_event']:>12.3f} {ratio:>8.2f}  {verdict:<9} "
-              f"(events={seed['events']})")
+        failed |= not check_events(rows, baseline, args.max_ratio)
 
     if rules_rows:
         failed |= not check_rules(rules_rows, baseline, args.max_ratio,
@@ -201,7 +225,8 @@ def main():
 
     if failed:
         print("bench_guard: performance regressed past budget "
-              f"(--max-ratio={args.max_ratio})", file=sys.stderr)
+              f"(--max-ratio={args.max_ratio}) or a count diverged",
+              file=sys.stderr)
         sys.exit(1)
     print("bench_guard: within budget")
 

@@ -163,6 +163,7 @@ doc = {
             "workload": "sku_site rule family (one duplicate-detection "
                         "rule per (site, SKU) pair), 20 sites x 500 SKUs, "
                         "one fixed 100000-event stream, batch=1024",
+            "events": 100000,
             "host_cores": int(os.environ["HOST_CORES"]),
             "usec_ratio_max_vs_min": rules_ratio,
             "series": rules,

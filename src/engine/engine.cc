@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -468,7 +469,7 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
       }
       RuleFiring firing;
       firing.rule = &rules_[it->second];
-      firing.params = store::ParamMap(rec.params.begin(), rec.params.end());
+      firing.params = rec.params;
       firing.fire_time = rec.fire_time;
       firing.seq = rec.seq;
       firing.replayed = true;
@@ -485,16 +486,24 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
 
 Status RcedaEngine::Checkpoint(const std::string& path) {
   std::string bytes;
+  // SerializeState syncs the WAL before reading its LSN, so everything
+  // the snapshot claims durable is on disk first.
   RFIDCEP_RETURN_IF_ERROR(SerializeState(&bytes));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::NotFound("cannot open checkpoint file '" + path +
-                            "' for writing");
+  // Written beside the live file and renamed over it: a write that fails
+  // midway leaves the previous checkpoint in place.
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out.write(bytes.data(), static_cast<std::streamsize>(bytes.size())) ||
+        !out.flush()) {
+      return Status::Internal("cannot write checkpoint file '" + tmp + "'");
+    }
   }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    return Status::Internal("failed writing checkpoint file '" + path + "'");
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    return Status::Internal("cannot replace checkpoint file '" + path +
+                            "': " + ec.message());
   }
   return Status::Ok();
 }

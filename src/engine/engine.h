@@ -158,7 +158,9 @@ class RcedaEngine : public EngineFrontend {
   // Checkpoints written by older sharded builds restore too: their
   // per-source state merges onto the one detector.
   Status RestoreState(std::string_view bytes) override;
-  // SerializeState / RestoreState against the file at `path`.
+  // SerializeState / RestoreState against the file at `path`. Checkpoint
+  // writes `<path>.tmp` and renames it over `path`, so a failed
+  // checkpoint leaves the previous file restorable.
   Status Checkpoint(const std::string& path);
   Status Restore(const std::string& path);
   // Attaches a store write-ahead log (store/wal.h): every executed SQL

@@ -1,14 +1,15 @@
 #include "engine/snapshot.h"
 
 #include <algorithm>
-#include <bit>
 #include <map>
 #include <optional>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/byte_codec.h"
 #include "events/symbol.h"
+#include "store/param_codec.h"
 
 namespace rfidcep::engine::snapshot {
 
@@ -19,443 +20,233 @@ using events::EventInstancePtr;
 
 namespace {
 
-// --- Byte stream helpers ----------------------------------------------------
+using common::ByteReader;
+using common::ByteWriter;
 
-class Writer {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) U8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    out_.append(s);
-  }
-  void Raw(std::string_view s) { out_.append(s); }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  Status U8(uint8_t* v) {
-    RFIDCEP_RETURN_IF_ERROR(Need(1));
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return Status::Ok();
-  }
-  Status U32(uint32_t* v) {
-    RFIDCEP_RETURN_IF_ERROR(Need(4));
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-  Status U64(uint64_t* v) {
-    RFIDCEP_RETURN_IF_ERROR(Need(8));
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]))
-            << (8 * i);
-    }
-    return Status::Ok();
-  }
-  Status I64(int64_t* v) {
-    uint64_t u = 0;
-    RFIDCEP_RETURN_IF_ERROR(U64(&u));
-    *v = static_cast<int64_t>(u);
-    return Status::Ok();
-  }
-  Status Str(std::string* s) {
-    std::string_view view;
-    RFIDCEP_RETURN_IF_ERROR(Str(&view));
-    s->assign(view);
-    return Status::Ok();
-  }
-  // A view into the input, valid as long as the input is.
-  Status Str(std::string_view* s) {
-    uint32_t n = 0;
-    RFIDCEP_RETURN_IF_ERROR(U32(&n));
-    return Raw(n, s);
-  }
-  Status Raw(size_t n, std::string_view* out) {
-    RFIDCEP_RETURN_IF_ERROR(Need(n));
-    *out = data_.substr(pos_, n);
-    pos_ += n;
-    return Status::Ok();
-  }
-  // Collection sizes are length-prefixed; cap preallocation by what the
-  // remaining bytes could possibly hold (min 1 byte per element).
-  Status Count(uint32_t* n) {
-    RFIDCEP_RETURN_IF_ERROR(U32(n));
-    if (*n > data_.size() - pos_) {
-      return Status::InvalidArgument("snapshot: impossible element count");
-    }
-    return Status::Ok();
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  Status Need(size_t n) {
-    if (data_.size() - pos_ < n) {
-      return Status::InvalidArgument("snapshot: truncated input");
-    }
-    return Status::Ok();
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
+// Minimum encoded size of each counted element: ByteReader::Count holds a
+// decoded count to it, so a forged count cannot size a container past
+// what the remaining bytes could encode.
+constexpr size_t kMinBindingValue = 1 + 4;           // Tag + empty text.
+constexpr size_t kMinScalar = 4 + kMinBindingValue;  // Name + value.
+constexpr size_t kMinMulti = 4 + 4;                  // Name + count.
+constexpr size_t kMinIndex = 4;  // Child, NOT-log entry, run element.
+// Kind, observation or span, sequence number, three counts.
+constexpr size_t kMinInstance = 1 + 16 + 8 + 3 * 4;
+constexpr size_t kMinSlotEntry = 4 + 8;
+constexpr size_t kMinRun = 4 + 8 + 8;
+// Key, retention, produced, four counts.
+constexpr size_t kMinNode = 4 + 8 + 8 + 4 * 4;
+constexpr size_t kMinPseudo = 8 + 8 + 4 + 4 + 1 + 1 + 4;
+// Id, clock, two counters, stats, three counts.
+constexpr size_t kMinSource = 4 + 8 + 8 + 8 + 7 * 8 + 3 * 4;
+constexpr size_t kMinNamedCount = 4 + 8;  // Fired and counter entries.
+constexpr size_t kMinPendingAction = 4 + 8 + 8 + 4;
 
 // --- Value helpers ----------------------------------------------------------
 
-void PutValue(Writer* w, const BindingValue& v) {
+void PutValue(ByteWriter& w, const BindingValue& v) {
   if (const events::SharedText* text = std::get_if<events::SharedText>(&v)) {
-    w->U8(0);
-    w->Str(text->view());
+    w.U8(0);
+    w.Str32(text->view());
   } else {
-    w->U8(1);
-    w->I64(std::get<TimePoint>(v));
+    w.U8(1);
+    w.I64(std::get<TimePoint>(v));
   }
 }
 
-Status GetValue(Reader* r, BindingValue* v) {
-  uint8_t tag = 0;
-  RFIDCEP_RETURN_IF_ERROR(r->U8(&tag));
-  if (tag == 0) {
-    std::string_view text;
-    RFIDCEP_RETURN_IF_ERROR(r->Str(&text));
-    *v = events::SharedText(text);
-    return Status::Ok();
+BindingValue GetValue(ByteReader& r) {
+  switch (r.U8()) {
+    case 0:
+      return events::SharedText(r.Str32());
+    case 1:
+      return r.I64();
   }
-  if (tag == 1) {
-    TimePoint t = 0;
-    RFIDCEP_RETURN_IF_ERROR(r->I64(&t));
-    *v = t;
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("snapshot: unknown binding value tag");
+  r.Fail("unknown binding value tag");
+  return TimePoint{0};
 }
 
-// Store values (pending-action params), tagged by ValueKind. Mirrors the
-// WAL codec: kNull/kUc carry no payload, kDouble round-trips via bit
-// pattern so re-encoding is byte-exact.
-void PutStoreScalar(Writer* w, const store::Value& v) {
-  w->U8(static_cast<uint8_t>(v.kind()));
-  switch (v.kind()) {
-    case store::ValueKind::kNull:
-    case store::ValueKind::kUc:
-      break;
-    case store::ValueKind::kInt:
-      w->I64(v.AsInt());
-      break;
-    case store::ValueKind::kTime:
-      w->I64(v.AsTime());
-      break;
-    case store::ValueKind::kDouble:
-      w->U64(std::bit_cast<uint64_t>(v.AsDouble()));
-      break;
-    case store::ValueKind::kString:
-      w->Str(v.AsString());
-      break;
-  }
+void PutDetectorStats(ByteWriter& w, const DetectorStats& s) {
+  w.U64(s.observations);
+  w.U64(s.out_of_order_dropped);
+  w.U64(s.primitive_matches);
+  w.U64(s.instances_produced);
+  w.U64(s.pseudo_scheduled);
+  w.U64(s.pseudo_fired);
+  w.U64(s.rule_matches);
 }
 
-Status GetStoreScalar(Reader* r, store::Value* v) {
-  uint8_t tag = 0;
-  RFIDCEP_RETURN_IF_ERROR(r->U8(&tag));
-  switch (static_cast<store::ValueKind>(tag)) {
-    case store::ValueKind::kNull:
-      *v = store::Value::Null();
-      return Status::Ok();
-    case store::ValueKind::kUc:
-      *v = store::Value::Uc();
-      return Status::Ok();
-    case store::ValueKind::kInt: {
-      int64_t i = 0;
-      RFIDCEP_RETURN_IF_ERROR(r->I64(&i));
-      *v = store::Value::Int(i);
-      return Status::Ok();
-    }
-    case store::ValueKind::kTime: {
-      int64_t t = 0;
-      RFIDCEP_RETURN_IF_ERROR(r->I64(&t));
-      *v = store::Value::Time(t);
-      return Status::Ok();
-    }
-    case store::ValueKind::kDouble: {
-      uint64_t bits = 0;
-      RFIDCEP_RETURN_IF_ERROR(r->U64(&bits));
-      *v = store::Value::Double(std::bit_cast<double>(bits));
-      return Status::Ok();
-    }
-    case store::ValueKind::kString: {
-      std::string s;
-      RFIDCEP_RETURN_IF_ERROR(r->Str(&s));
-      *v = store::Value::String(std::move(s));
-      return Status::Ok();
-    }
-  }
-  return Status::InvalidArgument("snapshot: unknown store value tag");
+void GetDetectorStats(ByteReader& r, DetectorStats* s) {
+  s->observations = r.U64();
+  s->out_of_order_dropped = r.U64();
+  s->primitive_matches = r.U64();
+  s->instances_produced = r.U64();
+  s->pseudo_scheduled = r.U64();
+  s->pseudo_fired = r.U64();
+  s->rule_matches = r.U64();
 }
 
-void PutParamValue(Writer* w, const store::ParamValue& p) {
-  w->U8(p.is_multi ? 1 : 0);
-  if (p.is_multi) {
-    w->U32(static_cast<uint32_t>(p.values.size()));
-    for (const store::Value& v : p.values) PutStoreScalar(w, v);
-  } else {
-    PutStoreScalar(w, p.scalar);
-  }
-}
-
-Status GetParamValue(Reader* r, store::ParamValue* p) {
-  uint8_t is_multi = 0;
-  RFIDCEP_RETURN_IF_ERROR(r->U8(&is_multi));
-  p->is_multi = is_multi != 0;
-  if (p->is_multi) {
-    uint32_t n = 0;
-    RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-    p->values.resize(n);
-    for (store::Value& v : p->values) {
-      RFIDCEP_RETURN_IF_ERROR(GetStoreScalar(r, &v));
-    }
-    return Status::Ok();
-  }
-  return GetStoreScalar(r, &p->scalar);
-}
-
-void PutDetectorStats(Writer* w, const DetectorStats& s) {
-  w->U64(s.observations);
-  w->U64(s.out_of_order_dropped);
-  w->U64(s.primitive_matches);
-  w->U64(s.instances_produced);
-  w->U64(s.pseudo_scheduled);
-  w->U64(s.pseudo_fired);
-  w->U64(s.rule_matches);
-}
-
-Status GetDetectorStats(Reader* r, DetectorStats* s) {
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&s->observations));
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&s->out_of_order_dropped));
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&s->primitive_matches));
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&s->instances_produced));
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&s->pseudo_scheduled));
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&s->pseudo_fired));
-  return r->U64(&s->rule_matches);
-}
-
-void PutInstance(Writer* w, const InstanceRecord& rec) {
-  w->U8(rec.is_primitive ? 1 : 0);
+void PutInstance(ByteWriter& w, const InstanceRecord& rec) {
+  w.U8(rec.is_primitive ? 1 : 0);
   if (rec.is_primitive) {
-    w->Str(rec.observation.reader);
-    w->Str(rec.observation.object);
-    w->I64(rec.observation.timestamp);
+    w.Str32(rec.observation.reader);
+    w.Str32(rec.observation.object);
+    w.I64(rec.observation.timestamp);
   } else {
-    w->I64(rec.t_begin);
-    w->I64(rec.t_end);
+    w.I64(rec.t_begin);
+    w.I64(rec.t_end);
   }
-  w->U64(rec.sequence_number);
-  w->U32(static_cast<uint32_t>(rec.scalars.size()));
+  w.U64(rec.sequence_number);
+  w.U32(static_cast<uint32_t>(rec.scalars.size()));
   for (const auto& [name, value] : rec.scalars) {
-    w->Str(name);
+    w.Str32(name);
     PutValue(w, value);
   }
-  w->U32(static_cast<uint32_t>(rec.multis.size()));
+  w.U32(static_cast<uint32_t>(rec.multis.size()));
   for (const auto& [name, values] : rec.multis) {
-    w->Str(name);
-    w->U32(static_cast<uint32_t>(values.size()));
+    w.Str32(name);
+    w.U32(static_cast<uint32_t>(values.size()));
     for (const BindingValue& value : values) PutValue(w, value);
   }
-  w->U32(static_cast<uint32_t>(rec.children.size()));
-  for (uint32_t child : rec.children) w->U32(child);
+  w.U32(static_cast<uint32_t>(rec.children.size()));
+  for (uint32_t child : rec.children) w.U32(child);
 }
 
-Status GetInstance(Reader* r, uint32_t self_index, InstanceRecord* rec) {
-  uint8_t primitive = 0;
-  RFIDCEP_RETURN_IF_ERROR(r->U8(&primitive));
-  rec->is_primitive = primitive != 0;
+void GetInstance(ByteReader& r, uint32_t self_index, InstanceRecord* rec) {
+  rec->is_primitive = r.U8() != 0;
   if (rec->is_primitive) {
-    RFIDCEP_RETURN_IF_ERROR(r->Str(&rec->observation.reader));
-    RFIDCEP_RETURN_IF_ERROR(r->Str(&rec->observation.object));
-    RFIDCEP_RETURN_IF_ERROR(r->I64(&rec->observation.timestamp));
+    rec->observation.reader = r.Str32();
+    rec->observation.object = r.Str32();
+    rec->observation.timestamp = r.I64();
   } else {
-    RFIDCEP_RETURN_IF_ERROR(r->I64(&rec->t_begin));
-    RFIDCEP_RETURN_IF_ERROR(r->I64(&rec->t_end));
+    rec->t_begin = r.I64();
+    rec->t_end = r.I64();
   }
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&rec->sequence_number));
-  uint32_t n = 0;
-  RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-  rec->scalars.resize(n);
+  rec->sequence_number = r.U64();
+  rec->scalars.resize(r.Count(kMinScalar));
   for (auto& [name, value] : rec->scalars) {
-    RFIDCEP_RETURN_IF_ERROR(r->Str(&name));
-    RFIDCEP_RETURN_IF_ERROR(GetValue(r, &value));
+    name = r.Str32();
+    value = GetValue(r);
   }
-  RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-  rec->multis.resize(n);
+  rec->multis.resize(r.Count(kMinMulti));
   for (auto& [name, values] : rec->multis) {
-    RFIDCEP_RETURN_IF_ERROR(r->Str(&name));
-    uint32_t m = 0;
-    RFIDCEP_RETURN_IF_ERROR(r->Count(&m));
-    values.resize(m);
-    for (BindingValue& value : values) {
-      RFIDCEP_RETURN_IF_ERROR(GetValue(r, &value));
-    }
+    name = r.Str32();
+    values.resize(r.Count(kMinBindingValue));
+    for (BindingValue& value : values) value = GetValue(r);
   }
-  RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-  rec->children.resize(n);
+  rec->children.resize(r.Count(kMinIndex));
   for (uint32_t& child : rec->children) {
-    RFIDCEP_RETURN_IF_ERROR(r->U32(&child));
-    if (child >= self_index) {
-      return Status::InvalidArgument(
-          "snapshot: instance child index out of order");
-    }
+    child = r.U32();
+    if (child >= self_index) r.Fail("instance child index out of order");
   }
-  return Status::Ok();
 }
 
-void PutNodeState(Writer* w, const NodeStateRecord& rec) {
-  w->Str(rec.state_key);
-  w->I64(rec.retention);
-  w->U64(rec.produced);
-  for (int slot = 0; slot < 2; ++slot) {
-    w->U32(static_cast<uint32_t>(rec.slots[slot].size()));
-    for (const SlotEntryRecord& entry : rec.slots[slot]) {
-      w->U32(entry.instance);
-      w->I64(entry.deadline);
+void PutNodeState(ByteWriter& w, const NodeStateRecord& rec) {
+  w.Str32(rec.state_key);
+  w.I64(rec.retention);
+  w.U64(rec.produced);
+  for (const std::vector<SlotEntryRecord>& slot : rec.slots) {
+    w.U32(static_cast<uint32_t>(slot.size()));
+    for (const SlotEntryRecord& entry : slot) {
+      w.U32(entry.instance);
+      w.I64(entry.deadline);
     }
   }
-  w->U32(static_cast<uint32_t>(rec.not_log.size()));
-  for (uint32_t instance : rec.not_log) w->U32(instance);
-  w->U32(static_cast<uint32_t>(rec.runs.size()));
+  w.U32(static_cast<uint32_t>(rec.not_log.size()));
+  for (uint32_t instance : rec.not_log) w.U32(instance);
+  w.U32(static_cast<uint32_t>(rec.runs.size()));
   for (const RunRecord& run : rec.runs) {
-    w->U32(static_cast<uint32_t>(run.elements.size()));
-    for (uint32_t element : run.elements) w->U32(element);
-    w->I64(run.t_begin);
-    w->I64(run.t_end);
+    w.U32(static_cast<uint32_t>(run.elements.size()));
+    for (uint32_t element : run.elements) w.U32(element);
+    w.I64(run.t_begin);
+    w.I64(run.t_end);
   }
 }
 
-Status GetNodeState(Reader* r, uint32_t num_instances, NodeStateRecord* rec) {
-  auto check = [num_instances](uint32_t instance) {
-    if (instance >= num_instances) {
-      return Status::InvalidArgument(
-          "snapshot: node state references unknown instance");
+void GetNodeState(ByteReader& r, uint32_t num_instances, NodeStateRecord* rec) {
+  const auto instance = [&r, num_instances] {
+    const uint32_t index = r.U32();
+    if (index >= num_instances) {
+      r.Fail("node state references unknown instance");
     }
-    return Status::Ok();
+    return index;
   };
-  RFIDCEP_RETURN_IF_ERROR(r->Str(&rec->state_key));
-  RFIDCEP_RETURN_IF_ERROR(r->I64(&rec->retention));
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&rec->produced));
-  uint32_t n = 0;
-  for (int slot = 0; slot < 2; ++slot) {
-    RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-    rec->slots[slot].resize(n);
-    for (SlotEntryRecord& entry : rec->slots[slot]) {
-      RFIDCEP_RETURN_IF_ERROR(r->U32(&entry.instance));
-      RFIDCEP_RETURN_IF_ERROR(check(entry.instance));
-      RFIDCEP_RETURN_IF_ERROR(r->I64(&entry.deadline));
+  rec->state_key = r.Str32();
+  rec->retention = r.I64();
+  rec->produced = r.U64();
+  for (std::vector<SlotEntryRecord>& slot : rec->slots) {
+    slot.resize(r.Count(kMinSlotEntry));
+    for (SlotEntryRecord& entry : slot) {
+      entry.instance = instance();
+      entry.deadline = r.I64();
     }
   }
-  RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-  rec->not_log.resize(n);
-  for (uint32_t& instance : rec->not_log) {
-    RFIDCEP_RETURN_IF_ERROR(r->U32(&instance));
-    RFIDCEP_RETURN_IF_ERROR(check(instance));
-  }
-  RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-  rec->runs.resize(n);
+  rec->not_log.resize(r.Count(kMinIndex));
+  for (uint32_t& index : rec->not_log) index = instance();
+  rec->runs.resize(r.Count(kMinRun));
   for (RunRecord& run : rec->runs) {
-    uint32_t m = 0;
-    RFIDCEP_RETURN_IF_ERROR(r->Count(&m));
-    run.elements.resize(m);
-    for (uint32_t& element : run.elements) {
-      RFIDCEP_RETURN_IF_ERROR(r->U32(&element));
-      RFIDCEP_RETURN_IF_ERROR(check(element));
-    }
-    RFIDCEP_RETURN_IF_ERROR(r->I64(&run.t_begin));
-    RFIDCEP_RETURN_IF_ERROR(r->I64(&run.t_end));
+    run.elements.resize(r.Count(kMinIndex));
+    for (uint32_t& element : run.elements) element = instance();
+    run.t_begin = r.I64();
+    run.t_end = r.I64();
   }
-  return Status::Ok();
 }
 
-void PutPseudo(Writer* w, const PseudoRecord& rec) {
-  w->I64(rec.execute_at);
-  w->I64(rec.created_at);
-  w->Str(rec.target_key);
-  w->Str(rec.parent_key);
-  w->U8(static_cast<uint8_t>(rec.anchor_kind));
-  w->U8(rec.anchor_slot);
-  w->U32(rec.anchor_pos);
+void PutPseudo(ByteWriter& w, const PseudoRecord& rec) {
+  w.I64(rec.execute_at);
+  w.I64(rec.created_at);
+  w.Str32(rec.target_key);
+  w.Str32(rec.parent_key);
+  w.U8(static_cast<uint8_t>(rec.anchor_kind));
+  w.U8(rec.anchor_slot);
+  w.U32(rec.anchor_pos);
 }
 
-Status GetPseudo(Reader* r, PseudoRecord* rec) {
-  RFIDCEP_RETURN_IF_ERROR(r->I64(&rec->execute_at));
-  RFIDCEP_RETURN_IF_ERROR(r->I64(&rec->created_at));
-  RFIDCEP_RETURN_IF_ERROR(r->Str(&rec->target_key));
-  RFIDCEP_RETURN_IF_ERROR(r->Str(&rec->parent_key));
-  uint8_t kind = 0;
-  RFIDCEP_RETURN_IF_ERROR(r->U8(&kind));
+void GetPseudo(ByteReader& r, PseudoRecord* rec) {
+  rec->execute_at = r.I64();
+  rec->created_at = r.I64();
+  rec->target_key = r.Str32();
+  rec->parent_key = r.Str32();
+  const uint8_t kind = r.U8();
   if (kind > static_cast<uint8_t>(AnchorKind::kStale)) {
-    return Status::InvalidArgument("snapshot: unknown pseudo anchor kind");
+    r.Fail("unknown pseudo anchor kind");
   }
   rec->anchor_kind = static_cast<AnchorKind>(kind);
-  RFIDCEP_RETURN_IF_ERROR(r->U8(&rec->anchor_slot));
-  if (rec->anchor_slot > 1) {
-    return Status::InvalidArgument("snapshot: pseudo anchor slot out of range");
-  }
-  return r->U32(&rec->anchor_pos);
+  rec->anchor_slot = r.U8();
+  if (rec->anchor_slot > 1) r.Fail("pseudo anchor slot out of range");
+  rec->anchor_pos = r.U32();
 }
 
-void PutSource(Writer* w, const DetectorSnapshot& src) {
-  w->U32(static_cast<uint32_t>(src.source_id));
-  w->I64(src.clock);
-  w->U64(src.sequence_counter);
-  w->U64(src.pseudo_counter);
+void PutSource(ByteWriter& w, const DetectorSnapshot& src) {
+  w.U32(static_cast<uint32_t>(src.source_id));
+  w.I64(src.clock);
+  w.U64(src.sequence_counter);
+  w.U64(src.pseudo_counter);
   PutDetectorStats(w, src.stats);
-  w->U32(static_cast<uint32_t>(src.instances.size()));
+  w.U32(static_cast<uint32_t>(src.instances.size()));
   for (const InstanceRecord& rec : src.instances) PutInstance(w, rec);
-  w->U32(static_cast<uint32_t>(src.nodes.size()));
+  w.U32(static_cast<uint32_t>(src.nodes.size()));
   for (const NodeStateRecord& rec : src.nodes) PutNodeState(w, rec);
-  w->U32(static_cast<uint32_t>(src.pseudos.size()));
+  w.U32(static_cast<uint32_t>(src.pseudos.size()));
   for (const PseudoRecord& rec : src.pseudos) PutPseudo(w, rec);
 }
 
-Status GetSource(Reader* r, DetectorSnapshot* src) {
-  uint32_t id = 0;
-  RFIDCEP_RETURN_IF_ERROR(r->U32(&id));
-  src->source_id = static_cast<int>(id);
-  RFIDCEP_RETURN_IF_ERROR(r->I64(&src->clock));
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&src->sequence_counter));
-  RFIDCEP_RETURN_IF_ERROR(r->U64(&src->pseudo_counter));
-  RFIDCEP_RETURN_IF_ERROR(GetDetectorStats(r, &src->stats));
-  uint32_t n = 0;
-  RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-  src->instances.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    RFIDCEP_RETURN_IF_ERROR(GetInstance(r, i, &src->instances[i]));
+void GetSource(ByteReader& r, DetectorSnapshot* src) {
+  src->source_id = static_cast<int>(r.U32());
+  src->clock = r.I64();
+  src->sequence_counter = r.U64();
+  src->pseudo_counter = r.U64();
+  GetDetectorStats(r, &src->stats);
+  src->instances.resize(r.Count(kMinInstance));
+  const auto num_instances = static_cast<uint32_t>(src->instances.size());
+  for (uint32_t i = 0; i < num_instances; ++i) {
+    GetInstance(r, i, &src->instances[i]);
   }
-  uint32_t num_instances = n;
-  RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-  src->nodes.resize(n);
+  src->nodes.resize(r.Count(kMinNode));
   for (NodeStateRecord& rec : src->nodes) {
-    RFIDCEP_RETURN_IF_ERROR(GetNodeState(r, num_instances, &rec));
+    GetNodeState(r, num_instances, &rec);
   }
-  RFIDCEP_RETURN_IF_ERROR(r->Count(&n));
-  src->pseudos.resize(n);
-  for (PseudoRecord& rec : src->pseudos) {
-    RFIDCEP_RETURN_IF_ERROR(GetPseudo(r, &rec));
-  }
-  return Status::Ok();
+  src->pseudos.resize(r.Count(kMinPseudo));
+  for (PseudoRecord& rec : src->pseudos) GetPseudo(r, &rec);
 }
 
 // --- Fingerprint ------------------------------------------------------------
@@ -494,15 +285,16 @@ uint64_t ComputeFingerprint(ParameterContext context,
 }
 
 std::string EncodeEngineSnapshot(const EngineSnapshot& snap) {
-  Writer w;
-  w.Raw(kSnapshotMagic);
+  std::string out;
+  ByteWriter w(&out);
+  w.Bytes(kSnapshotMagic);
   w.U32(snap.version);
   w.U64(snap.fingerprint);
   w.U8(snap.context);
   w.U8(snap.flushed ? 1 : 0);
   w.I64(snap.clock);
   w.U64(snap.trace_obs_seq);
-  PutDetectorStats(&w, snap.stats.detector);
+  PutDetectorStats(w, snap.stats.detector);
   w.U64(snap.stats.rules_fired);
   w.U64(snap.stats.condition_rejects);
   w.U64(snap.stats.condition_errors);
@@ -512,106 +304,86 @@ std::string EncodeEngineSnapshot(const EngineSnapshot& snap) {
   w.U64(snap.stats.unknown_procedures);
   w.U32(static_cast<uint32_t>(snap.fired.size()));
   for (const auto& [rule_id, count] : snap.fired) {
-    w.Str(rule_id);
+    w.Str32(rule_id);
     w.U64(count);
   }
   w.U32(static_cast<uint32_t>(snap.counters.size()));
   for (const auto& [name, value] : snap.counters) {
-    w.Str(name);
+    w.Str32(name);
     w.U64(value);
   }
   w.U32(static_cast<uint32_t>(snap.source_shards));
   w.U32(static_cast<uint32_t>(snap.sources.size()));
-  for (const DetectorSnapshot& src : snap.sources) PutSource(&w, src);
+  for (const DetectorSnapshot& src : snap.sources) PutSource(w, src);
   if (snap.version >= 2) {
     // Durable action section. Version-1 encodes (for the golden
     // backward-compat fixtures) stop at the sources.
     w.U64(snap.durable_lsn);
     w.U32(static_cast<uint32_t>(snap.pending_actions.size()));
     for (const EngineSnapshot::PendingActionRecord& p : snap.pending_actions) {
-      w.Str(p.rule_id);
+      w.Str32(p.rule_id);
       w.U64(p.seq);
       w.I64(p.fire_time);
-      w.U32(static_cast<uint32_t>(p.params.size()));
-      for (const auto& [name, value] : p.params) {
-        w.Str(name);
-        PutParamValue(&w, value);
-      }
+      store::PutParams(w, p.params);
     }
   }
-  return w.Take();
+  return out;
 }
 
 Status DecodeEngineSnapshot(std::string_view bytes, EngineSnapshot* out) {
-  Reader r(bytes);
-  std::string_view magic;
-  RFIDCEP_RETURN_IF_ERROR(r.Raw(kSnapshotMagic.size(), &magic));
-  if (magic != kSnapshotMagic) {
+  ByteReader r(bytes);
+  const std::string_view magic = r.Bytes(kSnapshotMagic.size());
+  if (r.ok() && magic != kSnapshotMagic) {
     return Status::FailedPrecondition("snapshot: bad magic (not a snapshot)");
   }
-  RFIDCEP_RETURN_IF_ERROR(r.U32(&out->version));
-  if (out->version < kMinSnapshotVersion || out->version > kSnapshotVersion) {
+  out->version = r.U32();
+  if (r.ok() && (out->version < kMinSnapshotVersion ||
+                 out->version > kSnapshotVersion)) {
     return Status::FailedPrecondition(
         "snapshot: unsupported format version " +
         std::to_string(out->version) + " (this build reads versions " +
         std::to_string(kMinSnapshotVersion) + "-" +
         std::to_string(kSnapshotVersion) + ")");
   }
-  RFIDCEP_RETURN_IF_ERROR(r.U64(&out->fingerprint));
-  RFIDCEP_RETURN_IF_ERROR(r.U8(&out->context));
-  uint8_t flushed = 0;
-  RFIDCEP_RETURN_IF_ERROR(r.U8(&flushed));
-  out->flushed = flushed != 0;
-  RFIDCEP_RETURN_IF_ERROR(r.I64(&out->clock));
-  RFIDCEP_RETURN_IF_ERROR(r.U64(&out->trace_obs_seq));
-  RFIDCEP_RETURN_IF_ERROR(GetDetectorStats(&r, &out->stats.detector));
-  RFIDCEP_RETURN_IF_ERROR(r.U64(&out->stats.rules_fired));
-  RFIDCEP_RETURN_IF_ERROR(r.U64(&out->stats.condition_rejects));
-  RFIDCEP_RETURN_IF_ERROR(r.U64(&out->stats.condition_errors));
-  RFIDCEP_RETURN_IF_ERROR(r.U64(&out->stats.action_errors));
-  RFIDCEP_RETURN_IF_ERROR(r.U64(&out->stats.sql_actions_executed));
-  RFIDCEP_RETURN_IF_ERROR(r.U64(&out->stats.procedures_invoked));
-  RFIDCEP_RETURN_IF_ERROR(r.U64(&out->stats.unknown_procedures));
-  uint32_t n = 0;
-  RFIDCEP_RETURN_IF_ERROR(r.Count(&n));
-  out->fired.resize(n);
+  out->fingerprint = r.U64();
+  out->context = r.U8();
+  out->flushed = r.U8() != 0;
+  out->clock = r.I64();
+  out->trace_obs_seq = r.U64();
+  GetDetectorStats(r, &out->stats.detector);
+  out->stats.rules_fired = r.U64();
+  out->stats.condition_rejects = r.U64();
+  out->stats.condition_errors = r.U64();
+  out->stats.action_errors = r.U64();
+  out->stats.sql_actions_executed = r.U64();
+  out->stats.procedures_invoked = r.U64();
+  out->stats.unknown_procedures = r.U64();
+  out->fired.resize(r.Count(kMinNamedCount));
   for (auto& [rule_id, count] : out->fired) {
-    RFIDCEP_RETURN_IF_ERROR(r.Str(&rule_id));
-    RFIDCEP_RETURN_IF_ERROR(r.U64(&count));
+    rule_id = r.Str32();
+    count = r.U64();
   }
-  RFIDCEP_RETURN_IF_ERROR(r.Count(&n));
-  out->counters.resize(n);
+  out->counters.resize(r.Count(kMinNamedCount));
   for (auto& [name, value] : out->counters) {
-    RFIDCEP_RETURN_IF_ERROR(r.Str(&name));
-    RFIDCEP_RETURN_IF_ERROR(r.U64(&value));
+    name = r.Str32();
+    value = r.U64();
   }
-  uint32_t shards = 0;
-  RFIDCEP_RETURN_IF_ERROR(r.U32(&shards));
-  out->source_shards = static_cast<int>(shards);
-  RFIDCEP_RETURN_IF_ERROR(r.Count(&n));
-  out->sources.resize(n);
-  for (DetectorSnapshot& src : out->sources) {
-    RFIDCEP_RETURN_IF_ERROR(GetSource(&r, &src));
-  }
+  out->source_shards = static_cast<int>(r.U32());
+  out->sources.resize(r.Count(kMinSource));
+  for (DetectorSnapshot& src : out->sources) GetSource(r, &src);
   if (out->version >= 2) {
-    RFIDCEP_RETURN_IF_ERROR(r.U64(&out->durable_lsn));
-    RFIDCEP_RETURN_IF_ERROR(r.Count(&n));
-    out->pending_actions.resize(n);
+    out->durable_lsn = r.U64();
+    out->pending_actions.resize(r.Count(kMinPendingAction));
     for (EngineSnapshot::PendingActionRecord& p : out->pending_actions) {
-      RFIDCEP_RETURN_IF_ERROR(r.Str(&p.rule_id));
-      RFIDCEP_RETURN_IF_ERROR(r.U64(&p.seq));
-      RFIDCEP_RETURN_IF_ERROR(r.I64(&p.fire_time));
-      uint32_t np = 0;
-      RFIDCEP_RETURN_IF_ERROR(r.Count(&np));
-      p.params.resize(np);
-      for (auto& [name, value] : p.params) {
-        RFIDCEP_RETURN_IF_ERROR(r.Str(&name));
-        RFIDCEP_RETURN_IF_ERROR(GetParamValue(&r, &value));
-      }
+      p.rule_id = r.Str32();
+      p.seq = r.U64();
+      p.fire_time = r.I64();
+      store::GetParams(r, &p.params);
     }
   }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("snapshot: trailing bytes after payload");
+  if (!r.AtEnd()) r.Fail("trailing bytes after payload");
+  if (!r.ok()) {
+    return Status::InvalidArgument(std::string("snapshot: ") + r.error());
   }
   return Status::Ok();
 }

@@ -166,7 +166,7 @@ struct EngineSnapshot {
     std::string rule_id;
     uint64_t seq = 0;        // The firing's per-rule sequence number.
     TimePoint fire_time = 0;
-    std::vector<std::pair<std::string, store::ParamValue>> params;
+    store::ParamMap params;
   };
   uint64_t durable_lsn = 0;  // WAL LSN at capture (0 = no WAL).
   std::vector<PendingActionRecord> pending_actions;
@@ -186,9 +186,11 @@ uint64_t ComputeFingerprint(ParameterContext context,
 // a decoded snapshot, or re-capturing a freshly restored engine of the
 // same layout, is byte-identical.
 std::string EncodeEngineSnapshot(const EngineSnapshot& snap);
-// Bounds-checked decode. Fails with kFailedPrecondition on a bad magic
-// or unsupported version (the explicit format gate), kInvalidArgument on
-// truncation or malformed records.
+// Bounds-checked decode (common/byte_codec.h). Fails with
+// kFailedPrecondition on a bad magic or unsupported version (the explicit
+// format gate), kInvalidArgument on truncation, malformed records, or a
+// count that the remaining bytes could not hold at its element's minimum
+// encoded size.
 Status DecodeEngineSnapshot(std::string_view bytes, EngineSnapshot* out);
 
 // --- Restore planning -------------------------------------------------------

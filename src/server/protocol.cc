@@ -1,104 +1,25 @@
 #include "server/protocol.h"
 
-#include <cstring>
-
-#include "common/crc32.h"
+#include "common/byte_codec.h"
 
 namespace rfidcep::server {
 namespace {
 
-using common::Crc32;
+using common::ByteReader;
+using common::ByteWriter;
 
-// Little-endian wire helpers, the WAL codec's style.
-class Enc {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U16(uint16_t v) {
-    for (int i = 0; i < 2; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str16(std::string_view s) {
-    U16(static_cast<uint16_t>(s.size()));
-    out_.append(s);
-  }
-  void Str32(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    out_.append(s);
-  }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-class Dec {
- public:
-  explicit Dec(std::string_view data) : data_(data) {}
-
-  uint8_t U8() { return Need(1) ? static_cast<uint8_t>(data_[pos_++]) : 0; }
-  uint16_t U16() {
-    if (!Need(2)) return 0;
-    uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v = static_cast<uint16_t>(
-          v | static_cast<uint16_t>(static_cast<uint8_t>(data_[pos_ + i]))
-                  << (8 * i));
-    }
-    pos_ += 2;
-    return v;
-  }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  std::string Str16() { return Bytes(U16()); }
-  std::string Str32() { return Bytes(U32()); }
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return ok_ && pos_ == data_.size(); }
-
- private:
-  std::string Bytes(size_t n) {
-    if (!Need(n)) return {};
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-  bool Need(size_t n) {
-    if (!ok_ || data_.size() - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
+// Builds one frame of `type` in place: the header, the type byte, then
+// whatever `body` writes.
+template <typename BodyFn>
+std::string Framed(FrameType type, BodyFn&& body) {
+  std::string out;
+  const size_t start = common::BeginFrame(&out);
+  ByteWriter w(&out);
+  w.U8(static_cast<uint8_t>(type));
+  body(w);
+  common::EndFrame(&out, start);
+  return out;
+}
 
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed ") + what + " body");
@@ -107,131 +28,117 @@ Status Malformed(const char* what) {
 }  // namespace
 
 std::string EncodeHello(std::string_view tenant) {
-  Enc enc;
-  enc.U32(kProtocolMagic);
-  enc.U16(kProtocolVersion);
-  enc.Str16(tenant);
-  return enc.Take();
-}
-
-std::string EncodeFrame(FrameType type, std::string_view body) {
-  Enc payload;
-  payload.U8(static_cast<uint8_t>(type));
-  std::string bytes = payload.Take();
-  bytes.append(body);
-  Enc frame;
-  frame.U32(static_cast<uint32_t>(bytes.size()));
-  frame.U32(Crc32(bytes.data(), bytes.size()));
-  std::string out = frame.Take();
-  out += bytes;
+  std::string out;
+  ByteWriter w(&out);
+  w.U32(kProtocolMagic);
+  w.U16(kProtocolVersion);
+  w.Str16(tenant);
   return out;
 }
 
+std::string EncodeFrame(FrameType type, std::string_view body) {
+  return Framed(type, [&](ByteWriter& w) { w.Bytes(body); });
+}
+
 std::string EncodeBatch(const std::vector<events::Observation>& batch) {
-  Enc enc;
-  enc.U32(static_cast<uint32_t>(batch.size()));
-  for (const events::Observation& obs : batch) {
-    enc.Str16(obs.reader);
-    enc.Str16(obs.object);
-    enc.I64(obs.timestamp);
-  }
-  return EncodeFrame(FrameType::kBatch, enc.Take());
+  return Framed(FrameType::kBatch, [&](ByteWriter& w) {
+    w.U32(static_cast<uint32_t>(batch.size()));
+    for (const events::Observation& obs : batch) {
+      w.Str16(obs.reader);
+      w.Str16(obs.object);
+      w.I64(obs.timestamp);
+    }
+  });
 }
 
 std::string EncodeAdvance(TimePoint t) {
-  Enc enc;
-  enc.I64(t);
-  return EncodeFrame(FrameType::kAdvance, enc.Take());
+  return Framed(FrameType::kAdvance, [&](ByteWriter& w) { w.I64(t); });
 }
 
 std::string EncodeAck(uint64_t seq) {
-  Enc enc;
-  enc.U64(seq);
-  return EncodeFrame(FrameType::kAck, enc.Take());
+  return Framed(FrameType::kAck, [&](ByteWriter& w) { w.U64(seq); });
 }
 
 std::string EncodeError(const Status& status) {
-  Enc enc;
-  enc.U32(static_cast<uint32_t>(status.code()));
-  enc.Str32(status.message());
-  return EncodeFrame(FrameType::kError, enc.Take());
+  return Framed(FrameType::kError, [&](ByteWriter& w) {
+    w.U32(static_cast<uint32_t>(status.code()));
+    w.Str32(status.message());
+  });
 }
 
 std::string EncodeStatsReply(const StatsReply& stats) {
-  Enc enc;
-  enc.U64(stats.observations);
-  enc.U64(stats.matches);
-  enc.U64(stats.rules_fired);
-  enc.U64(stats.sql_actions);
-  enc.U64(stats.procedures);
-  enc.U32(static_cast<uint32_t>(stats.fired.size()));
-  for (const auto& [rule_id, count] : stats.fired) {
-    enc.Str16(rule_id);
-    enc.U64(count);
-  }
-  return EncodeFrame(FrameType::kStatsReply, enc.Take());
+  return Framed(FrameType::kStatsReply, [&](ByteWriter& w) {
+    w.U64(stats.observations);
+    w.U64(stats.matches);
+    w.U64(stats.rules_fired);
+    w.U64(stats.sql_actions);
+    w.U64(stats.procedures);
+    w.U32(static_cast<uint32_t>(stats.fired.size()));
+    for (const auto& [rule_id, count] : stats.fired) {
+      w.Str16(rule_id);
+      w.U64(count);
+    }
+  });
 }
 
 Status DecodeBatch(std::string_view body,
                    std::vector<events::Observation>* out) {
-  Dec dec(body);
-  uint32_t count = dec.U32();
-  // Each observation costs at least u16+u16+i64 = 12 bytes: a count the
-  // remaining bytes cannot possibly hold is rejected before reserving.
-  if (!dec.ok() || count > body.size() / 12 + 1) return Malformed("batch");
+  ByteReader r(body);
+  // Each observation costs at least u16+u16+i64 = 12 bytes.
+  const uint32_t count = r.Count(12);
   out->clear();
   out->reserve(count);
-  for (uint32_t i = 0; dec.ok() && i < count; ++i) {
+  for (uint32_t i = 0; r.ok() && i < count; ++i) {
     events::Observation obs;
-    obs.reader = dec.Str16();
-    obs.object = dec.Str16();
-    obs.timestamp = dec.I64();
+    obs.reader = r.Str16();
+    obs.object = r.Str16();
+    obs.timestamp = r.I64();
     out->push_back(std::move(obs));
   }
-  if (!dec.AtEnd()) return Malformed("batch");
+  if (!r.AtEnd()) return Malformed("batch");
   return Status::Ok();
 }
 
 Status DecodeAdvance(std::string_view body, TimePoint* out) {
-  Dec dec(body);
-  *out = dec.I64();
-  if (!dec.AtEnd()) return Malformed("advance");
+  ByteReader r(body);
+  *out = r.I64();
+  if (!r.AtEnd()) return Malformed("advance");
   return Status::Ok();
 }
 
 Status DecodeAck(std::string_view body, uint64_t* out) {
-  Dec dec(body);
-  *out = dec.U64();
-  if (!dec.AtEnd()) return Malformed("ack");
+  ByteReader r(body);
+  *out = r.U64();
+  if (!r.AtEnd()) return Malformed("ack");
   return Status::Ok();
 }
 
 Status DecodeError(std::string_view body, Status* out) {
-  Dec dec(body);
-  uint32_t code = dec.U32();
-  std::string message = dec.Str32();
-  if (!dec.AtEnd()) return Malformed("error");
+  ByteReader r(body);
+  const uint32_t code = r.U32();
+  std::string message(r.Str32());
+  if (!r.AtEnd()) return Malformed("error");
   *out = Status(static_cast<StatusCode>(code), std::move(message));
   return Status::Ok();
 }
 
 Status DecodeStatsReply(std::string_view body, StatsReply* out) {
-  Dec dec(body);
-  out->observations = dec.U64();
-  out->matches = dec.U64();
-  out->rules_fired = dec.U64();
-  out->sql_actions = dec.U64();
-  out->procedures = dec.U64();
-  uint32_t count = dec.U32();
-  if (!dec.ok() || count > body.size()) return Malformed("stats reply");
+  ByteReader r(body);
+  out->observations = r.U64();
+  out->matches = r.U64();
+  out->rules_fired = r.U64();
+  out->sql_actions = r.U64();
+  out->procedures = r.U64();
+  // Each entry costs at least u16+u64 = 10 bytes.
+  const uint32_t count = r.Count(10);
   out->fired.clear();
   out->fired.reserve(count);
-  for (uint32_t i = 0; dec.ok() && i < count; ++i) {
-    std::string rule_id = dec.Str16();
-    uint64_t fired = dec.U64();
+  for (uint32_t i = 0; r.ok() && i < count; ++i) {
+    std::string rule_id(r.Str16());
+    const uint64_t fired = r.U64();
     out->fired.emplace_back(std::move(rule_id), fired);
   }
-  if (!dec.AtEnd()) return Malformed("stats reply");
+  if (!r.AtEnd()) return Malformed("stats reply");
   return Status::Ok();
 }
 
@@ -253,22 +160,22 @@ DecodeResult FrameReader::Fail(std::string message) {
 
 DecodeResult FrameReader::Next(Frame* out) {
   if (!error_.empty()) return DecodeResult::kError;
-  std::string_view view = std::string_view(buffer_).substr(pos_);
-  if (view.size() < kFrameHeaderBytes) return DecodeResult::kNeedMore;
-  Dec header(view.substr(0, kFrameHeaderBytes));
-  const uint32_t len = header.U32();
-  const uint32_t crc = header.U32();
-  if (len == 0) return Fail("empty frame payload");
-  if (len > kMaxFrameBytes) {
-    return Fail("oversized frame: " + std::to_string(len) + " bytes (cap " +
-                std::to_string(kMaxFrameBytes) + ")");
+  const common::ParsedFrame frame = common::ParseFrame(
+      std::string_view(buffer_).substr(pos_), kMaxFrameBytes);
+  switch (frame.check) {
+    case common::FrameCheck::kFrame:
+      break;
+    case common::FrameCheck::kNeedMore:
+      return DecodeResult::kNeedMore;
+    case common::FrameCheck::kEmpty:
+      return Fail("empty frame payload");
+    case common::FrameCheck::kOversized:
+      return Fail("oversized frame: " + std::to_string(frame.length) +
+                  " bytes (cap " + std::to_string(kMaxFrameBytes) + ")");
+    case common::FrameCheck::kCrcMismatch:
+      return Fail("frame CRC mismatch");
   }
-  if (view.size() - kFrameHeaderBytes < len) return DecodeResult::kNeedMore;
-  std::string_view payload = view.substr(kFrameHeaderBytes, len);
-  if (Crc32(payload.data(), payload.size()) != crc) {
-    return Fail("frame CRC mismatch");
-  }
-  const uint8_t type = static_cast<uint8_t>(payload[0]);
+  const uint8_t type = static_cast<uint8_t>(frame.payload[0]);
   const bool known =
       (type >= static_cast<uint8_t>(FrameType::kBatch) &&
        type <= static_cast<uint8_t>(FrameType::kPing)) ||
@@ -276,18 +183,18 @@ DecodeResult FrameReader::Next(Frame* out) {
        type <= static_cast<uint8_t>(FrameType::kStatsReply));
   if (!known) return Fail("unknown frame type " + std::to_string(type));
   out->type = static_cast<FrameType>(type);
-  out->body.assign(payload.substr(1));
-  pos_ += kFrameHeaderBytes + len;
+  out->body.assign(frame.payload.substr(1));
+  pos_ += kFrameHeaderBytes + frame.length;
   return DecodeResult::kItem;
 }
 
 DecodeResult DecodeHello(std::string_view buffer, Hello* out, size_t* consumed,
                          std::string* error) {
   if (buffer.size() < kHelloPrefixBytes) return DecodeResult::kNeedMore;
-  Dec dec(buffer.substr(0, kHelloPrefixBytes));
-  const uint32_t magic = dec.U32();
-  const uint16_t version = dec.U16();
-  const uint16_t tenant_len = dec.U16();
+  ByteReader r(buffer.substr(0, kHelloPrefixBytes));
+  const uint32_t magic = r.U32();
+  const uint16_t version = r.U16();
+  const uint16_t tenant_len = r.U16();
   if (magic != kProtocolMagic) {
     *error = "bad protocol magic";
     return DecodeResult::kError;

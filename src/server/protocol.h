@@ -3,9 +3,9 @@
 //
 // A connection opens with a fixed hello — magic, protocol version, and
 // the tenant name — then carries frames in both directions. Framing is
-// deliberately the WAL's: a u32 payload length, a u32 CRC-32 of the
-// payload (common/crc32.h, zlib-compatible), then the payload, whose
-// first byte is the frame type. A frame that fails any check — header
+// the WAL's CRC frame (common/byte_codec.h): a u32 payload length, a u32
+// CRC-32 of the payload (zlib-compatible), then the payload, whose first
+// byte is the frame type. A frame that fails any check — header
 // truncated by peer close, length over the cap, CRC mismatch, unknown
 // type, undecodable body — is unrecoverable for the stream (framing
 // gives no resynchronization point), so the decoder latches the error
@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/status.h"
 #include "events/observation.h"
 
@@ -32,7 +33,7 @@ namespace rfidcep::server {
 inline constexpr uint32_t kProtocolMagic = 0x50454352u;
 inline constexpr uint16_t kProtocolVersion = 1;
 // Frame header: u32 payload length + u32 CRC32(payload).
-inline constexpr size_t kFrameHeaderBytes = 8;
+inline constexpr size_t kFrameHeaderBytes = common::kFrameHeaderBytes;
 // Per-frame payload cap; larger lengths are treated as corruption
 // before any allocation happens.
 inline constexpr uint32_t kMaxFrameBytes = 4u << 20;

@@ -150,9 +150,7 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
   RFIDCEP_RETURN_IF_ERROR(tenant->engine_->Compile());
 
   if (fs::exists(tenant->checkpoint_path_)) {
-    std::string bytes;
-    RFIDCEP_RETURN_IF_ERROR(ReadTextFile(tenant->checkpoint_path_, &bytes));
-    Status restored = tenant->engine_->RestoreState(bytes);
+    Status restored = tenant->engine_->Restore(tenant->checkpoint_path_);
     if (!restored.ok()) {
       return Status(restored.code(), "tenant '" + tenant->config_.name +
                                          "': restoring " +
@@ -164,26 +162,6 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
   return tenant;
 }
 
-Status Tenant::Checkpoint() {
-  std::string bytes;
-  // SerializeState syncs the WAL before reading its LSN, so everything
-  // the snapshot claims durable really is on disk first.
-  RFIDCEP_RETURN_IF_ERROR(engine_->SerializeState(&bytes));
-  const std::string tmp = checkpoint_path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.write(bytes.data(), static_cast<std::streamsize>(bytes.size())) ||
-        !out.flush()) {
-      return Status::Internal("cannot write checkpoint " + tmp);
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, checkpoint_path_, ec);
-  if (ec) {
-    return Status::Internal("cannot replace checkpoint " + checkpoint_path_ +
-                            ": " + ec.message());
-  }
-  return Status::Ok();
-}
+Status Tenant::Checkpoint() { return engine_->Checkpoint(checkpoint_path_); }
 
 }  // namespace rfidcep::server

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -14,8 +13,9 @@
 #include <system_error>
 #include <utility>
 
-#include "common/crc32.h"
+#include "common/byte_codec.h"
 #include "store/database.h"
+#include "store/param_codec.h"
 #include "store/sql_parser.h"
 
 namespace rfidcep::store {
@@ -25,9 +25,8 @@ namespace fs = std::filesystem;
 
 constexpr char kSegmentPrefix[] = "wal-";
 constexpr char kSegmentSuffix[] = ".seg";
-// Frame header: u32 payload length + u32 CRC32 of the payload.
-constexpr size_t kFrameHeader = 8;
-// Generous per-record cap; anything larger is treated as corruption.
+// Records are CRC frames (common/byte_codec.h). Generous per-record cap;
+// anything larger is treated as corruption.
 constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 
 std::string SegmentName(uint64_t first_lsn) {
@@ -37,180 +36,31 @@ std::string SegmentName(uint64_t first_lsn) {
   return buf;
 }
 
-using common::Crc32;
-
-// Little-endian payload encoding, mirroring the snapshot codec style.
-class Enc {
- public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    out_.append(s);
-  }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-class Dec {
- public:
-  explicit Dec(std::string_view data) : data_(data) {}
-
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  std::string Str() {
-    std::string s;
-    StrInto(&s);
-    return s;
-  }
-  // Str() into an existing string, reusing its buffer.
-  void StrInto(std::string* out) {
-    uint32_t n = U32();
-    if (!Need(n)) {
-      out->clear();
-      return;
-    }
-    out->assign(data_.data() + pos_, n);
-    pos_ += n;
-  }
-
-  bool ok() const { return ok_; }
-  bool AtEnd() const { return ok_ && pos_ == data_.size(); }
-
- private:
-  bool Need(size_t n) {
-    if (!ok_ || data_.size() - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-void PutValue(Enc& enc, const Value& v) {
-  enc.U8(static_cast<uint8_t>(v.kind()));
-  switch (v.kind()) {
-    case ValueKind::kNull:
-    case ValueKind::kUc:
-      break;
-    case ValueKind::kInt:
-      enc.I64(v.AsInt());
-      break;
-    case ValueKind::kDouble:
-      enc.U64(std::bit_cast<uint64_t>(v.AsDouble()));
-      break;
-    case ValueKind::kString:
-      enc.Str(v.AsString());
-      break;
-    case ValueKind::kTime:
-      enc.I64(v.AsTime());
-      break;
-  }
+void EncodeRecord(const WalRecord& record, common::ByteWriter& w) {
+  w.U8(static_cast<uint8_t>(record.kind));
+  w.U64(record.lsn);
+  w.U64(record.action_seq);
+  w.U32(record.action_index);
+  w.U32(record.affected);
+  w.Str32(record.rule_id);
+  w.Str32(record.sql);
+  PutParams(w, record.params);
 }
 
-Value GetValue(Dec& dec) {
-  switch (static_cast<ValueKind>(dec.U8())) {
-    case ValueKind::kNull:
-      return Value::Null();
-    case ValueKind::kInt:
-      return Value::Int(dec.I64());
-    case ValueKind::kDouble:
-      return Value::Double(std::bit_cast<double>(dec.U64()));
-    case ValueKind::kString:
-      return Value::String(dec.Str());
-    case ValueKind::kTime:
-      return Value::Time(dec.I64());
-    case ValueKind::kUc:
-      return Value::Uc();
-  }
-  return Value::Null();  // Dec flags the error via ok().
-}
-
-std::string EncodeRecord(const WalRecord& record) {
-  Enc enc;
-  enc.U8(static_cast<uint8_t>(record.kind));
-  enc.U64(record.lsn);
-  enc.U64(record.action_seq);
-  enc.U32(record.action_index);
-  enc.U32(record.affected);
-  enc.Str(record.rule_id);
-  enc.Str(record.sql);
-  enc.U32(static_cast<uint32_t>(record.params.size()));
-  for (const auto& [name, param] : record.params) {
-    enc.Str(name);
-    enc.U8(param.is_multi ? 1 : 0);
-    if (param.is_multi) {
-      enc.U32(static_cast<uint32_t>(param.values.size()));
-      for (const Value& v : param.values) PutValue(enc, v);
-    } else {
-      PutValue(enc, param.scalar);
-    }
-  }
-  return enc.Take();
-}
-
+// Decodes into `*out`, reusing its string buffers across records.
 bool DecodeRecord(std::string_view payload, WalRecord* out) {
-  Dec dec(payload);
-  uint8_t kind = dec.U8();
+  common::ByteReader r(payload);
+  const uint8_t kind = r.U8();
   if (kind > static_cast<uint8_t>(WalRecordKind::kAlarm)) return false;
   out->kind = static_cast<WalRecordKind>(kind);
-  out->lsn = dec.U64();
-  out->action_seq = dec.U64();
-  out->action_index = dec.U32();
-  out->affected = dec.U32();
-  dec.StrInto(&out->rule_id);
-  dec.StrInto(&out->sql);
-  uint32_t nparams = dec.U32();
-  out->params.clear();
-  for (uint32_t i = 0; dec.ok() && i < nparams; ++i) {
-    std::string name = dec.Str();
-    if (dec.U8()) {
-      uint32_t count = dec.U32();
-      std::vector<Value> values;
-      for (uint32_t j = 0; dec.ok() && j < count; ++j) {
-        values.push_back(GetValue(dec));
-      }
-      out->params.emplace(std::move(name), ParamValue::Multi(std::move(values)));
-    } else {
-      out->params.emplace(std::move(name), ParamValue::Scalar(GetValue(dec)));
-    }
-  }
-  return dec.AtEnd();
+  out->lsn = r.U64();
+  out->action_seq = r.U64();
+  out->action_index = r.U32();
+  out->affected = r.U32();
+  out->rule_id.assign(r.Str32());
+  out->sql.assign(r.Str32());
+  GetParams(r, &out->params);
+  return r.AtEnd();
 }
 
 Status Errno(const std::string& what) {
@@ -262,20 +112,14 @@ Status WalkSegment(std::string_view data, uint64_t* expected_lsn,
                    size_t* valid) {
   size_t offset = 0;
   while (offset < data.size()) {
-    if (data.size() - offset < kFrameHeader) break;
-    Dec header(data.substr(offset, kFrameHeader));
-    uint32_t len = header.U32();
-    uint32_t crc = header.U32();
-    if (len > kMaxPayloadBytes || data.size() - offset - kFrameHeader < len) {
-      break;
-    }
-    std::string_view payload = data.substr(offset + kFrameHeader, len);
-    if (Crc32(payload.data(), payload.size()) != crc) break;
-    if (!DecodeRecord(payload, record)) break;
+    const common::ParsedFrame frame =
+        common::ParseFrame(data.substr(offset), kMaxPayloadBytes);
+    if (frame.check != common::FrameCheck::kFrame) break;
+    if (!DecodeRecord(frame.payload, record)) break;
     if (record->lsn != *expected_lsn) break;
     ++*expected_lsn;
     RFIDCEP_RETURN_IF_ERROR(on_record(*record));
-    offset += kFrameHeader + len;
+    offset += common::kFrameHeaderBytes + frame.length;
   }
   *valid = offset;
   return Status::Ok();
@@ -464,14 +308,11 @@ Result<uint64_t> Wal::Append(WalRecord record) {
     }
   }
   record.lsn = next_lsn_;
-  std::string payload = EncodeRecord(record);
-  Enc frame;
-  frame.U32(static_cast<uint32_t>(payload.size()));
-  frame.U32(Crc32(payload.data(), payload.size()));
-  std::string bytes = frame.Take();
-  bytes += payload;
-  buffer_ += bytes;
-  segment_bytes_ += bytes.size();
+  const size_t start = common::BeginFrame(&buffer_);
+  common::ByteWriter w(&buffer_);
+  EncodeRecord(record, w);
+  common::EndFrame(&buffer_, start);
+  segment_bytes_ += buffer_.size() - start;
   ++next_lsn_;
   // Durability points come from callers via Sync(); the size cap just
   // bounds memory between them.

@@ -3,7 +3,9 @@
 // stream must stay within a fixed number of heap allocations per
 // observation. The budget sits just above the measured figure, so copying
 // EPC strings per leaf, instance or pair, or building action parameters
-// nobody reads, fails here instead of creeping back unnoticed.
+// nobody reads, fails here instead of creeping back unnoticed. The same
+// counting allocator bounds what a forged snapshot can make the decoder
+// allocate.
 
 #include <algorithm>
 #include <atomic>
@@ -15,23 +17,32 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "engine/snapshot.h"
 #include "sim/supply_chain.h"
 #include "store/database.h"
 
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<size_t> g_largest{0};  // Largest single request.
+
+void Count(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest && !g_largest.compare_exchange_weak(largest, size)) {
+  }
+}
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -39,7 +50,7 @@ void* operator new[](std::size_t size) {
 // The nothrow forms too (std::stable_sort's temporary buffer uses them),
 // so every delete below frees memory that came from malloc.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   return std::malloc(size == 0 ? 1 : size);
 }
 
@@ -113,6 +124,41 @@ TEST(AllocBudgetTest, Fig9aMatchPathStaysWithinBudget) {
             kBudgetPerObservation)
       << allocations << " allocations over " << observations
       << " observations";
+}
+
+// A corrupt checkpoint must fail its restore, not exhaust memory: each
+// count is held to what the remaining bytes could encode at its
+// element's minimum size before anything is sized from it. Each forged
+// file is a valid one-source version-1 snapshot padded with zeros to
+// 1 MiB, one count raised to the padding's length.
+TEST(AllocBudgetTest, ForgedSnapshotCountsAllocateLittle) {
+  snapshot::EngineSnapshot snap;
+  snap.version = 1;
+  // Without sources the encoding ends with the counter count, the source
+  // shard count and the source count; a source ends with its instance,
+  // node and pseudo counts.
+  const size_t header = snapshot::EncodeEngineSnapshot(snap).size();
+  snap.sources.resize(1);
+  const std::string valid = snapshot::EncodeEngineSnapshot(snap);
+  const std::pair<const char*, size_t> counts[] = {
+      {"counters", header - 12},        {"sources", header - 4},
+      {"instances", valid.size() - 12}, {"nodes", valid.size() - 8},
+      {"pseudos", valid.size() - 4},
+  };
+  constexpr size_t kFileBytes = 1u << 20;
+  const auto forged_count = static_cast<uint32_t>(kFileBytes - valid.size());
+  for (const auto& [name, offset] : counts) {
+    std::string forged = valid;
+    forged.resize(kFileBytes, '\0');
+    for (int i = 0; i < 4; ++i) {
+      forged[offset + i] = static_cast<char>(forged_count >> (8 * i));
+    }
+    g_largest.store(0);
+    snapshot::EngineSnapshot decoded;
+    EXPECT_FALSE(snapshot::DecodeEngineSnapshot(forged, &decoded).ok())
+        << name;
+    EXPECT_LE(g_largest.load(), size_t{8} << 20) << name;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -231,6 +233,113 @@ TEST(SnapshotFormatTest, CheckpointFileRoundTrip) {
         << rule;
   }
   std::remove(path.c_str());
+}
+
+// The live checkpoint is replaced by rename, never written over: a
+// checkpoint that fails (here its temp name is taken by a directory)
+// leaves the previous file whole and restorable.
+TEST(SnapshotFormatTest, FailedCheckpointKeepsThePreviousFile) {
+  const std::string path =
+      ::testing::TempDir() + "snapshot_failed_checkpoint.snap";
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  auto source = LoadedHarness();
+  ASSERT_TRUE(source->engine->Checkpoint(path).ok());
+  const std::string previous = testing::ReadFile(path);
+
+  std::filesystem::create_directory(tmp);
+  for (const events::Observation& obs : ContinuationStream()) {
+    ASSERT_TRUE(source->engine->Process(obs).ok());
+  }
+  EXPECT_FALSE(source->engine->Checkpoint(path).ok());
+  EXPECT_EQ(testing::ReadFile(path), previous);
+
+  auto restored = std::make_unique<EngineHarness>();
+  ASSERT_TRUE(restored->AddRules(kFixtureRules).ok());
+  ASSERT_TRUE(restored->engine->Compile().ok());
+  EXPECT_TRUE(restored->engine->Restore(path).ok());
+  std::filesystem::remove_all(tmp);
+  std::filesystem::remove(path);
+}
+
+// Each count floor is its element's true minimum encoded size: a snapshot
+// holding many minimal elements of one kind, and nothing else, decodes
+// and re-encodes to the same bytes.
+TEST(SnapshotFormatTest, CountFloorsAdmitMinimalElements) {
+  using Snap = snapshot::EngineSnapshot;
+  constexpr size_t kN = 1000;
+  const auto one_instance = [](Snap& s) -> snapshot::InstanceRecord& {
+    s.sources.resize(1);
+    s.sources[0].instances.resize(1);
+    return s.sources[0].instances[0];
+  };
+  const auto one_node = [&](Snap& s) -> snapshot::NodeStateRecord& {
+    one_instance(s);
+    s.sources[0].nodes.resize(1);
+    return s.sources[0].nodes[0];
+  };
+  const std::pair<const char*, std::function<void(Snap&)>> cases[] = {
+      {"fired", [](Snap& s) { s.fired.resize(kN); }},
+      {"counters", [](Snap& s) { s.counters.resize(kN); }},
+      {"sources", [](Snap& s) { s.sources.resize(kN); }},
+      {"instances",
+       [](Snap& s) {
+         s.sources.resize(1);
+         s.sources[0].instances.resize(kN);
+       }},
+      {"scalars", [&](Snap& s) { one_instance(s).scalars.resize(kN); }},
+      {"multis", [&](Snap& s) { one_instance(s).multis.resize(kN); }},
+      {"multi values",
+       [&](Snap& s) {
+         one_instance(s).multis.resize(1);
+         s.sources[0].instances[0].multis[0].second.resize(kN);
+       }},
+      {"children",
+       [&](Snap& s) {
+         one_instance(s);
+         s.sources[0].instances.resize(2);
+         s.sources[0].instances[1].children.assign(kN, 0);
+       }},
+      {"nodes",
+       [](Snap& s) {
+         s.sources.resize(1);
+         s.sources[0].nodes.resize(kN);
+       }},
+      {"slot entries", [&](Snap& s) { one_node(s).slots[1].resize(kN); }},
+      {"not log", [&](Snap& s) { one_node(s).not_log.assign(kN, 0); }},
+      {"runs", [&](Snap& s) { one_node(s).runs.resize(kN); }},
+      {"run elements",
+       [&](Snap& s) {
+         one_node(s).runs.resize(1);
+         s.sources[0].nodes[0].runs[0].elements.assign(kN, 0);
+       }},
+      {"pseudos",
+       [](Snap& s) {
+         s.sources.resize(1);
+         s.sources[0].pseudos.resize(kN);
+       }},
+      {"pending actions", [](Snap& s) { s.pending_actions.resize(kN); }},
+      {"params",
+       [](Snap& s) {
+         s.pending_actions.resize(1);
+         s.pending_actions[0].params[""] = store::ParamValue();
+       }},
+      {"param values",
+       [](Snap& s) {
+         s.pending_actions.resize(1);
+         s.pending_actions[0].params[""] = store::ParamValue::Multi(
+             std::vector<store::Value>(kN));
+       }},
+  };
+  for (const auto& [name, fill] : cases) {
+    Snap snap;
+    fill(snap);
+    const std::string bytes = snapshot::EncodeEngineSnapshot(snap);
+    Snap decoded;
+    const Status status = snapshot::DecodeEngineSnapshot(bytes, &decoded);
+    ASSERT_TRUE(status.ok()) << name << ": " << status.message();
+    EXPECT_EQ(snapshot::EncodeEngineSnapshot(decoded), bytes) << name;
+  }
 }
 
 TEST(SnapshotFormatTest, RestoreFromMissingFileIsNotFound) {

@@ -1,17 +1,22 @@
 // Robustness tests for the rfidcepd wire protocol (ISSUE 10): framing
-// round-trips, then — in the WAL torn-tail test's style — every-byte
-// truncation and every-byte corruption of a valid stream. The decoder
-// must never crash, never hand a damaged frame to the engine layer, and
-// must latch into a clean error on anything unrecoverable.
+// round-trips and golden bytes, then — in the WAL torn-tail test's
+// style — every-byte truncation and every-byte corruption of a valid
+// stream. The decoder must never crash, never hand a damaged frame to
+// the engine layer, and must latch into a clean error on anything
+// unrecoverable.
 
 #include "server/protocol.h"
 
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/crc32.h"
+#include "common/byte_codec.h"
 #include "gtest/gtest.h"
+#include "tests/common/hex_util.h"
 
 namespace rfidcep::server {
 namespace {
@@ -110,6 +115,85 @@ TEST(ProtocolTest, AckErrorAndStatsReplyRoundTrip) {
   EXPECT_EQ(decoded.rules_fired, 3u);
   EXPECT_EQ(decoded.sql_actions, 2u);
   EXPECT_EQ(decoded.procedures, 1u);
+  EXPECT_EQ(decoded.fired, stats.fired);
+}
+
+// The wire format, pinned: a hello and one frame of every type. Encoding
+// must produce exactly these bytes, and these bytes must decode back.
+TEST(ProtocolTest, EncodingsMatchGoldenVectors) {
+  StatsReply stats;
+  stats.observations = 7;
+  stats.matches = 5;
+  stats.rules_fired = 3;
+  stats.sql_actions = 2;
+  stats.procedures = 1;
+  stats.fired = {{"shoplifting", 2}, {"misplaced inventory", 1}};
+  constexpr std::string_view kGoldenHello =
+      "5243455001000b0077617265686f7573652d37";
+  const std::pair<std::string, std::string_view> frames[] = {
+      {EncodeBatch(SampleBatch()),
+       "410000003c93870c01030000000200723102006f31e8030000000000000b0064"
+       "6f636b2d726561646572090070616c6c65742d3432d007000000000000000000"
+       "000000000000000000"},
+      {EncodeAdvance(5000),
+       "090000001424171e028813000000000000"},
+      {EncodeFrame(FrameType::kFlush, ""),
+       "0100000037be0b4b03"},
+      {EncodeFrame(FrameType::kStats, ""),
+       "01000000942b6fd504"},
+      {EncodeFrame(FrameType::kCheckpoint, ""),
+       "01000000021b68a205"},
+      {EncodeFrame(FrameType::kPing, ""),
+       "01000000b84a613b06"},
+      {EncodeAck(41),
+       "090000009c6d6566802900000000000000"},
+      {EncodeError(Status::InvalidArgument("bad batch")),
+       "12000000889fb90e810100000009000000626164206261746368"},
+      {EncodeStatsReply(stats),
+       "5f000000e886238c820700000000000000050000000000000003000000000000"
+       "0002000000000000000100000000000000020000000b0073686f706c69667469"
+       "6e67020000000000000013006d6973706c6163656420696e76656e746f727901"
+       "00000000000000"},
+  };
+  EXPECT_EQ(ToHex(EncodeHello("warehouse-7")), kGoldenHello);
+  std::string golden_stream;
+  for (const auto& [encoded, golden] : frames) {
+    EXPECT_EQ(ToHex(encoded), golden);
+    golden_stream += FromHex(golden);
+  }
+
+  Hello decoded_hello;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_EQ(DecodeHello(FromHex(kGoldenHello), &decoded_hello, &consumed,
+                        &error),
+            DecodeResult::kItem);
+  EXPECT_EQ(decoded_hello.tenant, "warehouse-7");
+
+  DrainResult result = Drain(golden_stream);
+  ASSERT_EQ(result.frames.size(), std::size(frames));
+  EXPECT_EQ(result.error, "");
+  const FrameType types[] = {
+      FrameType::kBatch, FrameType::kAdvance,    FrameType::kFlush,
+      FrameType::kStats, FrameType::kCheckpoint, FrameType::kPing,
+      FrameType::kAck,   FrameType::kError,      FrameType::kStatsReply};
+  for (size_t i = 0; i < std::size(types); ++i) {
+    EXPECT_EQ(result.frames[i].type, types[i]) << i;
+  }
+  std::vector<events::Observation> batch;
+  ASSERT_TRUE(DecodeBatch(result.frames[0].body, &batch).ok());
+  EXPECT_EQ(batch, SampleBatch());
+  TimePoint t = 0;
+  ASSERT_TRUE(DecodeAdvance(result.frames[1].body, &t).ok());
+  EXPECT_EQ(t, 5000);
+  uint64_t seq = 0;
+  ASSERT_TRUE(DecodeAck(result.frames[6].body, &seq).ok());
+  EXPECT_EQ(seq, 41u);
+  Status status = Status::Ok();
+  ASSERT_TRUE(DecodeError(result.frames[7].body, &status).ok());
+  EXPECT_EQ(status.message(), "bad batch");
+  StatsReply decoded;
+  ASSERT_TRUE(DecodeStatsReply(result.frames[8].body, &decoded).ok());
   EXPECT_EQ(decoded.fired, stats.fired);
 }
 

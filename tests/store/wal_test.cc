@@ -4,14 +4,17 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/crc32.h"
+#include "common/byte_codec.h"
 #include "store/csv.h"
 #include "store/database.h"
 #include "store/sql_executor.h"
+#include "tests/common/hex_util.h"
 
 namespace rfidcep::store {
 namespace {
@@ -55,6 +58,15 @@ class WalTest : public ::testing::Test {
     });
     EXPECT_TRUE(status.ok()) << status.message();
     return records;
+  }
+
+  static std::string ReadBytes(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  static void WriteBytes(const fs::path& path, std::string_view bytes) {
+    std::ofstream(path, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
   std::vector<fs::path> SegmentFiles() const {
@@ -371,6 +383,115 @@ TEST_F(WalTest, UnknownRecordKindIsDroppedAsDamagedTail) {
   std::unique_ptr<Wal> wal = OpenOrDie();
   EXPECT_EQ(wal->recovered_lsn(), 0u);
   EXPECT_TRUE(wal->recovered_actions().empty());
+}
+
+TEST_F(WalTest, UnknownValueKindIsDroppedAsDamagedTail) {
+  // A CRC-valid record whose one param has a value kind no build writes
+  // is undecodable: Open() drops it as a damaged tail instead of binding
+  // NULL in its place.
+  {
+    std::unique_ptr<Wal> wal = OpenOrDie();
+    WalRecord record = MakeRecord(1, 0, "INSERT INTO t VALUES (:p)");
+    record.params["p"] = ParamValue::Scalar(Value::Null());
+    ASSERT_TRUE(wal->Append(std::move(record)).ok());
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  std::vector<fs::path> files = SegmentFiles();
+  ASSERT_EQ(files.size(), 1u);
+  std::string frame = ReadBytes(files[0]);
+  // The NULL's kind byte ends the payload; re-stamp the CRC over it.
+  frame.back() = '\x7f';
+  const uint32_t crc = common::Crc32(frame.data() + 8, frame.size() - 8);
+  for (int i = 0; i < 4; ++i) {
+    frame[4 + i] = static_cast<char>(crc >> (8 * i));
+  }
+  WriteBytes(files[0], frame);
+
+  std::unique_ptr<Wal> wal = OpenOrDie();
+  EXPECT_EQ(wal->recovered_lsn(), 0u);
+  EXPECT_TRUE(wal->recovered_actions().empty());
+}
+
+// The segment format, pinned: one record of each kind, each carrying a
+// param of every value kind, scalar and multi. Appending them must write
+// exactly these bytes, and these bytes must recover exactly them.
+TEST_F(WalTest, SegmentBytesMatchGoldenVector) {
+  ParamMap params;
+  params["d"] = ParamValue::Scalar(Value::Double(2.5));
+  params["i"] = ParamValue::Scalar(Value::Int(-42));
+  params["m"] = ParamValue::Multi({Value::Null(), Value::Int(9),
+                                   Value::Double(-0.5), Value::String("x"),
+                                   Value::Time(7), Value::Uc()});
+  params["n"] = ParamValue::Scalar(Value::Null());
+  params["s"] = ParamValue::Scalar(Value::String("pallet-42"));
+  params["t"] = ParamValue::Scalar(Value::Time(123456789));
+  params["u"] = ParamValue::Scalar(Value::Uc());
+  std::vector<WalRecord> records(
+      3, MakeRecord(7, 2, "INSERT INTO t VALUES (:i)"));
+  records[1].kind = WalRecordKind::kProcedure;
+  records[1].sql = "notify";
+  records[2].kind = WalRecordKind::kAlarm;
+  records[2].sql = "raise_alarm";
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].lsn = i + 1;
+    records[i].action_seq = 7 + i;
+    records[i].params = params;
+  }
+  constexpr std::string_view kGolden =
+      "bc000000ffa4063a000100000000000000070000000000000002000000010000"
+      "0002000000723719000000494e5345525420494e544f20742056414c55455320"
+      "283a69290700000001000000640002000000000000044001000000690001d6ff"
+      "ffffffffffff010000006d010600000000010900000000000000020000000000"
+      "00e0bf03010000007804070000000000000005010000006e0000010000007300"
+      "030900000070616c6c65742d34320100000074000415cd5b0700000000010000"
+      "00750005a90000002482478f0102000000000000000800000000000000020000"
+      "0001000000020000007237060000006e6f746966790700000001000000640002"
+      "000000000000044001000000690001d6ffffffffffffff010000006d01060000"
+      "000001090000000000000002000000000000e0bf030100000078040700000000"
+      "00000005010000006e0000010000007300030900000070616c6c65742d343201"
+      "00000074000415cd5b070000000001000000750005ae00000098fd0501020300"
+      "000000000000090000000000000002000000010000000200000072370b000000"
+      "72616973655f616c61726d070000000100000064000200000000000004400100"
+      "0000690001d6ffffffffffffff010000006d0106000000000109000000000000"
+      "0002000000000000e0bf03010000007804070000000000000005010000006e00"
+      "00010000007300030900000070616c6c65742d34320100000074000415cd5b07"
+      "0000000001000000750005";
+  {
+    std::unique_ptr<Wal> wal = OpenOrDie();
+    for (const WalRecord& record : records) {
+      ASSERT_TRUE(wal->Append(record).ok());
+    }
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  std::vector<fs::path> files = SegmentFiles();
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(ToHex(ReadBytes(files[0])), kGolden);
+
+  fs::remove_all(dir_);
+  fs::create_directories(dir_);
+  WriteBytes(dir_ / "wal-00000000000000000001.seg", FromHex(kGolden));
+  std::unique_ptr<Wal> wal = OpenOrDie();
+  EXPECT_EQ(wal->recovered_lsn(), 3u);
+  std::vector<WalRecord> replayed = ReplayAll(*wal);
+  ASSERT_EQ(replayed.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const WalRecord& want = records[i];
+    const WalRecord& got = replayed[i];
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.lsn, want.lsn);
+    EXPECT_EQ(got.action_seq, want.action_seq);
+    EXPECT_EQ(got.action_index, want.action_index);
+    EXPECT_EQ(got.affected, want.affected);
+    EXPECT_EQ(got.rule_id, want.rule_id);
+    EXPECT_EQ(got.sql, want.sql);
+    ASSERT_EQ(got.params.size(), want.params.size());
+    for (const auto& [name, param] : want.params) {
+      const ParamValue& decoded = got.params.at(name);
+      EXPECT_EQ(decoded.is_multi, param.is_multi) << name;
+      EXPECT_EQ(decoded.scalar, param.scalar) << name;
+      EXPECT_EQ(decoded.values, param.values) << name;
+    }
+  }
 }
 
 TEST_F(WalTest, TornFinalRecordIsTruncatedAndAppendContinues) {
