@@ -113,10 +113,21 @@ std::string SpliceLabel(const std::string& name, const std::string& suffix,
 
 }  // namespace
 
-std::string MetricsRegistry::ExportText() const {
+std::string MetricsRegistry::ExportText(
+    const std::vector<std::pair<std::string, uint64_t>>& samples) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
+  auto sample = samples.begin();
+  // Prints the plain samples that sort before `name` (all when null).
+  auto samples_before = [&](const std::string* name) {
+    for (; sample != samples.end() &&
+           (name == nullptr || sample->first < *name);
+         ++sample) {
+      out += sample->first + " " + std::to_string(sample->second) + "\n";
+    }
+  };
   for (const auto& [name, entry] : entries_) {
+    samples_before(&name);
     if (entry.counter != nullptr) {
       out += name + " " + std::to_string(entry.counter->value()) + "\n";
     } else if (entry.gauge != nullptr) {
@@ -138,6 +149,7 @@ std::string MetricsRegistry::ExportText() const {
              std::to_string(snap.count) + "\n";
     }
   }
+  samples_before(nullptr);
   return out;
 }
 
@@ -150,14 +162,9 @@ void MetricsRegistry::Reset() {
   }
 }
 
-std::vector<std::pair<std::string, uint64_t>> MetricsRegistry::CounterValues()
-    const {
+void MetricsRegistry::Erase(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, uint64_t>> out;
-  for (const auto& [name, entry] : entries_) {
-    if (entry.counter != nullptr) out.emplace_back(name, entry.counter->value());
-  }
-  return out;  // entries_ is a std::map: already sorted by name.
+  entries_.erase(name);
 }
 
 size_t MetricsRegistry::size() const {

@@ -12,9 +12,9 @@
 // Instrumented components follow one convention: they hold a pointer to
 // a struct of instrument pointers which is null when metrics are
 // disabled, so the disabled path is a single predictable branch.
-// Metrics default on at compile time (cmake -DRFIDCEP_METRICS=OFF flips
-// the default); EngineOptions::enable_metrics toggles per engine at
-// runtime.
+// EngineOptions::enable_metrics toggles collection per engine. The
+// engine keeps its counts in its own statistics, not here, and hands
+// them to ExportText() as plain samples.
 //
 // ExportText() emits the Prometheus text exposition format (one
 // `name{labels} value` line per sample; histograms expand to
@@ -34,15 +34,8 @@
 
 namespace rfidcep::common {
 
-// Compile-time default for EngineOptions::enable_metrics.
-#ifndef RFIDCEP_METRICS_DEFAULT
-#define RFIDCEP_METRICS_DEFAULT 1
-#endif
-inline constexpr bool kMetricsDefaultEnabled = RFIDCEP_METRICS_DEFAULT != 0;
-
 // A monotonically increasing 64-bit counter. Increment is a relaxed
-// fetch-add: totals are exact once the writers are quiescent (which
-// every engine entry point guarantees by barriering before it returns).
+// fetch-add: totals are exact once the writers are quiescent.
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
@@ -55,20 +48,11 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-// A last-written-wins signed gauge with an atomic running maximum
-// (UpdateMax) for high-watermark tracking (ring depth, queue depth).
+// A last-written-wins signed gauge.
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void Add(int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
-  // Raises the gauge to `v` if `v` is larger (CAS loop; wait-free in
-  // practice since a single writer owns each gauge).
-  void UpdateMax(int64_t v) {
-    int64_t cur = value_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
 
@@ -147,15 +131,18 @@ class MetricsRegistry {
   // Prometheus text exposition, samples sorted by name. Counters print
   // as-is; gauges likewise; each histogram expands into cumulative
   // `<name>_bucket{le="..."}` lines plus `<name>_sum` / `<name>_count`.
-  std::string ExportText() const;
+  // `samples` (sorted by name, none registered here) print as-is,
+  // merged in name order with the registered instruments.
+  std::string ExportText(
+      const std::vector<std::pair<std::string, uint64_t>>& samples = {}) const;
 
   // Zeroes every instrument; registration (names, bounds, handed-out
   // pointers) is preserved. Pairs with RcedaEngine::Reset().
   void Reset();
 
-  // Every registered counter's (name, value), sorted by name. Snapshot
-  // payloads carry these so restored engines keep their counter totals.
-  std::vector<std::pair<std::string, uint64_t>> CounterValues() const;
+  // Drops the instrument registered as `name`, if any; a pointer to it
+  // dangles afterwards, so the caller must hold none.
+  void Erase(const std::string& name);
 
   size_t size() const;
 

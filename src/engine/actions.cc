@@ -59,7 +59,8 @@ void ActionDispatcher::RegisterProcedure(std::string_view name,
   procedures_[NormalizeName(name)] = std::move(procedure);
 }
 
-Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
+Status ActionDispatcher::Dispatch(const RuleFiring& firing,
+                                  ActionStats* stats) {
   Status first_error;
   // The rule's recovered keys, when this firing may be among them: null
   // without a WAL and once the firing is past the rule's highest
@@ -86,12 +87,9 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
                   store::WalActionSet::Find(*recovered, firing.seq, index)) {
             // Effect already durable (recovered from the log): credit the
             // logical counters and skip re-execution.
-            ++sql_actions_executed_;
-            if (instruments_ != nullptr) {
-              instruments_->sql_actions->Increment();
-              instruments_->rows_written->Increment(*affected);
-              instruments_->deduped->Increment();
-            }
+            ++stats->sql_actions_executed;
+            stats->rows_written += *affected;
+            ++stats->actions_deduped;
             continue;
           }
         }
@@ -117,21 +115,15 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
             first_error = appended.status();
           }
         }
-        ++sql_actions_executed_;
-        if (instruments_ != nullptr) {
-          instruments_->sql_actions->Increment();
-          instruments_->rows_written->Increment(result->affected);
-        }
+        ++stats->sql_actions_executed;
+        stats->rows_written += result->affected;
         break;
       }
       case rules::RuleAction::Kind::kProcedure: {
         const std::string name = NormalizeName(action.procedure_name);
         auto it = procedures_.find(name);
         if (it == procedures_.end()) {
-          ++unknown_procedures_;
-          if (instruments_ != nullptr) {
-            instruments_->unknown_procedures->Increment();
-          }
+          ++stats->unknown_procedures;
           continue;
         }
         if (recovered != nullptr &&
@@ -140,11 +132,8 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
           // survived in the log: credit the logical counters and skip
           // re-invocation — this is what keeps alarms single-fire
           // across a restore.
-          ++procedures_invoked_;
-          if (instruments_ != nullptr) {
-            instruments_->procedures->Increment();
-            instruments_->deduped->Increment();
-          }
+          ++stats->procedures_invoked;
+          ++stats->actions_deduped;
           if (trace_ != nullptr) {
             trace_->RecordAction(firing.rule->id, "proc", true);
           }
@@ -176,8 +165,7 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing) {
             }
           }
         }
-        ++procedures_invoked_;
-        if (instruments_ != nullptr) instruments_->procedures->Increment();
+        ++stats->procedures_invoked;
         if (trace_ != nullptr) {
           trace_->RecordAction(firing.rule->id, "proc", true);
         }

@@ -14,7 +14,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "common/metrics.h"
 #include "common/status.h"
 #include "events/event_instance.h"
 #include "rules/rule.h"
@@ -26,15 +25,15 @@ namespace rfidcep::engine {
 
 class TraceSink;
 
-// Registry instrument handles for action dispatch; resolved by the
-// engine at compile time. All fields are non-null when the struct is
-// attached (SetObservability).
-struct ActionInstruments {
-  common::Counter* sql_actions = nullptr;
-  common::Counter* rows_written = nullptr;  // Store rows touched by SQL.
-  common::Counter* procedures = nullptr;
-  common::Counter* unknown_procedures = nullptr;
-  common::Counter* deduped = nullptr;  // WAL-deduplicated skips (recovery).
+// What dispatch did, counted logically: a WAL-deduplicated skip counts
+// as executed (its effect is already in the recovered store), so an
+// uninterrupted run and a crash+restore run converge on identical totals.
+struct ActionStats {
+  uint64_t sql_actions_executed = 0;
+  uint64_t procedures_invoked = 0;
+  uint64_t unknown_procedures = 0;
+  uint64_t rows_written = 0;     // Store rows SQL actions touched.
+  uint64_t actions_deduped = 0;  // Skipped: already in the recovered WAL.
 };
 
 struct RuleFiring {
@@ -81,46 +80,24 @@ class ActionDispatcher {
   void AttachWal(store::Wal* wal) { wal_ = wal; }
   store::Wal* wal() const { return wal_; }
 
-  // Runs every action of `firing.rule`. Returns the first error but still
-  // attempts the remaining actions. Unregistered procedures are counted,
-  // not errors (so examples can omit handlers).
-  Status Dispatch(const RuleFiring& firing);
+  // Runs every action of `firing.rule`, adding what it did to `*stats`.
+  // Returns the first error but still attempts the remaining actions.
+  // Unregistered procedures are counted, not errors (so examples can omit
+  // handlers).
+  Status Dispatch(const RuleFiring& firing, ActionStats* stats);
 
-  // Counters are *logical*: a WAL-deduplicated skip counts as executed
-  // (its effect is already in the recovered store), so an uninterrupted
-  // run and a crash+restore run converge on identical totals.
-  uint64_t sql_actions_executed() const { return sql_actions_executed_; }
-  uint64_t procedures_invoked() const { return procedures_invoked_; }
-  uint64_t unknown_procedures() const { return unknown_procedures_; }
-  // Sets the logical counters: zero on an engine Reset, a checkpoint's
-  // totals on restore, so counting continues from there.
-  void SetCounters(uint64_t sql_actions, uint64_t procedures,
-                   uint64_t unknown_procedures) {
-    sql_actions_executed_ = sql_actions;
-    procedures_invoked_ = procedures;
-    unknown_procedures_ = unknown_procedures;
-  }
-
-  // Attaches (or detaches, with nulls) metrics and tracing. Both
-  // pointers must outlive the dispatcher; the disabled path is a branch
-  // on a null pointer.
-  void SetObservability(const ActionInstruments* instruments,
-                        TraceSink* trace) {
-    instruments_ = instruments;
-    trace_ = trace;
-  }
+  // Attaches (or detaches, with null) the lifecycle trace. The sink must
+  // outlive the dispatcher; the disabled path is a branch on a null
+  // pointer.
+  void SetTraceSink(TraceSink* trace) { trace_ = trace; }
 
  private:
   static std::string NormalizeName(std::string_view name);
 
   store::Database* db_;
   std::unordered_map<std::string, Procedure> procedures_;
-  const ActionInstruments* instruments_ = nullptr;
   TraceSink* trace_ = nullptr;
   store::Wal* wal_ = nullptr;
-  uint64_t sql_actions_executed_ = 0;
-  uint64_t procedures_invoked_ = 0;
-  uint64_t unknown_procedures_ = 0;
 };
 
 }  // namespace rfidcep::engine

@@ -81,35 +81,6 @@ Bindings MergedOrDie(const Bindings& a, const Bindings& b) {
 
 }  // namespace
 
-DetectorInstruments MakeDetectorInstruments(common::MetricsRegistry* registry,
-                                            const EventGraph& graph) {
-  const std::string shard = "{shard=\"0\"}";
-  DetectorInstruments m;
-  m.primitive_matches =
-      registry->GetCounter("detector_primitive_matches_total" + shard);
-  m.instances_produced =
-      registry->GetCounter("detector_instances_produced_total" + shard);
-  m.rule_matches = registry->GetCounter("detector_rule_matches_total" + shard);
-  m.pseudo_scheduled =
-      registry->GetCounter("detector_pseudo_scheduled_total" + shard);
-  m.pseudo_fired = registry->GetCounter("detector_pseudo_fired_total" + shard);
-  m.pseudo_queue_depth =
-      registry->GetGauge("detector_pseudo_queue_depth" + shard);
-  m.pseudo_queue_peak =
-      registry->GetGauge("detector_pseudo_queue_peak" + shard);
-  m.pseudo_lag_us = registry->GetHistogram("detector_pseudo_lag_us" + shard);
-  m.dispatch_fullscan =
-      registry->GetCounter("rfidcep_dispatch_fullscan_total" + shard);
-  m.node_firings.reserve(static_cast<size_t>(graph.num_nodes()));
-  for (const GraphNode& node : graph.nodes()) {
-    m.node_firings.push_back(registry->GetCounter(
-        "graph_node_firings_total{shard=\"0\",node=\"" +
-        std::to_string(node.id) + "\",op=\"" +
-        std::string(events::ExprOpName(node.op)) + "\"}"));
-  }
-  return m;
-}
-
 Detector::Detector(const EventGraph* graph, const events::Environment* env,
                    DetectorOptions options, RuleMatchCallback on_match)
     : graph_(graph),
@@ -193,13 +164,9 @@ void Detector::BuildFamilies() {
 }
 
 Status Detector::Process(const Observation& obs) {
-  const DetectorInstruments* m = options_.instruments;
   if (obs.timestamp < clock_) {
     if (options_.tolerate_out_of_order) {
       ++stats_.out_of_order_dropped;
-      if (m != nullptr && m->out_of_order_dropped != nullptr) {
-        m->out_of_order_dropped->Increment();
-      }
       return Status::Ok();
     }
     return Status::InvalidArgument(
@@ -209,7 +176,6 @@ Status Detector::Process(const Observation& obs) {
   FirePseudosBefore(obs.timestamp);
   clock_ = obs.timestamp;
   ++stats_.observations;
-  if (m != nullptr && m->observations != nullptr) m->observations->Increment();
 
   ReaderRecord scratch;
   ReaderRecord& record = RecordFor(obs.reader, &scratch);
@@ -221,7 +187,6 @@ Status Detector::Process(const Observation& obs) {
   bool texts_made = false;
   auto emit_leaf = [&](int node_id, const events::PrimitiveEventType& type) {
     ++stats_.primitive_matches;
-    if (m != nullptr) m->primitive_matches->Increment();
     if (!texts_made) {
       if (record.reader.empty()) record.reader = obs.reader;
       object = obs.object;
@@ -236,12 +201,7 @@ Status Detector::Process(const Observation& obs) {
   };
   // The probe implies reader-literal and pushed type predicates; type(o)
   // is resolved once per observation, and only when some leaf pushed it.
-  if (index_.fullscan_fallback()) {
-    ++fullscan_observations_;
-    if (m != nullptr && m->dispatch_fullscan != nullptr) {
-      m->dispatch_fullscan->Increment();
-    }
-  }
+  if (index_.fullscan_fallback()) ++stats_.fullscan_dispatches;
   // type(o) resolves lazily — only when a probed bucket actually has
   // typed sub-buckets — so observations whose buckets pushed no type
   // predicate never pay the EPC parse.
@@ -304,12 +264,8 @@ void Detector::SchedulePseudo(TimePoint execute_at, TimePoint created_at,
   pseudo_queue_.push(PseudoEvent{execute_at, created_at, target_node,
                                  parent_node, anchor_seq, anchor_key,
                                  ++pseudo_counter_});
-  if (const DetectorInstruments* m = options_.instruments) {
-    m->pseudo_scheduled->Increment();
-    int64_t depth = static_cast<int64_t>(pseudo_queue_.size());
-    m->pseudo_queue_depth->Set(depth);
-    m->pseudo_queue_peak->UpdateMax(depth);
-  }
+  stats_.pseudo_queue_peak =
+      std::max<uint64_t>(stats_.pseudo_queue_peak, pseudo_queue_.size());
 }
 
 void Detector::Emit(int node_id, EventInstancePtr instance) {
@@ -319,19 +275,12 @@ void Detector::Emit(int node_id, EventInstancePtr instance) {
   }
   ++stats_.instances_produced;
   ++produced_per_node_[node_id];
-  if (const DetectorInstruments* m = options_.instruments) {
-    m->instances_produced->Increment();
-    if (!m->node_firings.empty()) m->node_firings[node_id]->Increment();
-  }
   if (options_.trace != nullptr) {
     options_.trace->RecordNodeActivation(node_id, events::ExprOpName(node.op),
                                          *instance);
   }
   for (size_t rule_index : node.rule_indexes) {
     ++stats_.rule_matches;
-    if (options_.instruments != nullptr) {
-      options_.instruments->rule_matches->Increment();
-    }
     on_match_(rule_index, instance);
   }
   for (int parent_id : node.parents) {
@@ -788,10 +737,8 @@ bool Detector::NotHasOccurrence(int not_node_id, const Bindings& probe,
 // --- Pseudo events -------------------------------------------------------------------
 
 void Detector::FirePseudo(const PseudoEvent& pe) {
-  if (const DetectorInstruments* m = options_.instruments) {
-    m->pseudo_fired->Increment();
-    m->pseudo_queue_depth->Set(static_cast<int64_t>(pseudo_queue_.size()));
-    m->pseudo_lag_us->Record(
+  if (options_.pseudo_lag_us != nullptr) {
+    options_.pseudo_lag_us->Record(
         clock_ > pe.execute_at
             ? static_cast<uint64_t>(clock_ - pe.execute_at)
             : 0);
@@ -1094,13 +1041,6 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
     pseudo_queue_.push(PseudoEvent{rp.execute_at, rp.created_at,
                                    rp.target_node, rp.parent_node, anchor_seq,
                                    anchor_key, rp.order});
-  }
-  if (const DetectorInstruments* m = options_.instruments) {
-    int64_t depth = static_cast<int64_t>(pseudo_queue_.size());
-    if (m->pseudo_queue_depth != nullptr) m->pseudo_queue_depth->Set(depth);
-    if (m->pseudo_queue_peak != nullptr) {
-      m->pseudo_queue_peak->UpdateMax(depth);
-    }
   }
   return Status::Ok();
 }

@@ -73,34 +73,6 @@ struct DetectorSnapshot;
 struct RestorePlan;
 }  // namespace snapshot
 
-// Registry instrument handles for one detector. The engine resolves
-// these from its MetricsRegistry at compile time; a null
-// DetectorOptions::instruments disables every update site with a single
-// branch. Individual fields may also be null (the engine-global
-// acceptance counters are the owner's to wire).
-struct DetectorInstruments {
-  common::Counter* observations = nullptr;
-  common::Counter* out_of_order_dropped = nullptr;
-  common::Counter* primitive_matches = nullptr;
-  common::Counter* instances_produced = nullptr;
-  common::Counter* rule_matches = nullptr;
-  common::Counter* pseudo_scheduled = nullptr;
-  common::Counter* pseudo_fired = nullptr;
-  common::Gauge* pseudo_queue_depth = nullptr;
-  common::Gauge* pseudo_queue_peak = nullptr;
-  // Event-time lag between a pseudo event's scheduled execution time and
-  // the clock when it actually fired (0 when fired exactly on time by the
-  // stream; positive when a later observation or AdvanceTo drove it).
-  common::Histogram* pseudo_lag_us = nullptr;
-  // Observations dispatched through the full-scan fallback (the rule
-  // set's leaves constrain neither reader, group, nor pushed type, so
-  // indexed dispatch degenerates to visiting every leaf).
-  common::Counter* dispatch_fullscan = nullptr;
-  // Instances emitted per graph node, indexed by node id (all non-null
-  // when the vector is sized; empty disables per-node counting).
-  std::vector<common::Counter*> node_firings;
-};
-
 struct DetectorOptions {
   ParameterContext context = ParameterContext::kChronicle;
   // If true, observations older than the clock are counted and dropped;
@@ -113,8 +85,11 @@ struct DetectorOptions {
   bool debug_force_join_collisions = false;
   // Observability wiring, set by the engine. Both may be null (the
   // default): the disabled path is a branch on a null pointer at each
-  // update site. `instruments` must outlive the detector.
-  const DetectorInstruments* instruments = nullptr;
+  // update site. Both must outlive the detector. `pseudo_lag_us` records
+  // each pseudo event's event-time lag: the clock when it fired minus its
+  // scheduled execution time (0 when the stream fired it on time;
+  // positive when a later observation or AdvanceTo drove it).
+  common::Histogram* pseudo_lag_us = nullptr;
   TraceSink* trace = nullptr;
 };
 
@@ -126,15 +101,14 @@ struct DetectorStats {
   uint64_t pseudo_scheduled = 0;
   uint64_t pseudo_fired = 0;
   uint64_t rule_matches = 0;           // Root completions reported.
+  // Observations dispatched through the full-scan fallback (the rule
+  // set's leaves constrain neither reader, group, nor pushed type, so
+  // indexed dispatch degenerates to visiting every leaf).
+  uint64_t fullscan_dispatches = 0;
+  uint64_t pseudo_queue_peak = 0;  // Most pseudo events pending at once.
+  // A snapshot's stats section stops at rule_matches: its counter section
+  // carries fullscan_dispatches, and the peak restarts at 0 on restore.
 };
-
-// Resolves the detector's instrument set (label `shard="0"`, kept so
-// exported series names stay stable; one per-node firing counter per
-// graph node) from `registry`. The global acceptance counters
-// (observations / out_of_order_dropped) are left null for the owner to
-// wire.
-DetectorInstruments MakeDetectorInstruments(common::MetricsRegistry* registry,
-                                            const EventGraph& graph);
 
 // Called when rule `rule_index`'s event completes with `instance`.
 using RuleMatchCallback =
@@ -168,6 +142,9 @@ class Detector {
 
   TimePoint clock() const { return clock_; }
   const DetectorStats& stats() const { return stats_; }
+  // Continues counting from `stats`: the detector of a recompiled engine
+  // picks up the totals of the one it replaces.
+  void set_stats(const DetectorStats& stats) { stats_ = stats; }
 
   // Buffered entries in memory: every physical slot, NOT-log and open run
   // entry counted once, however many family members hold it (the memory
@@ -187,11 +164,6 @@ class Detector {
   int FamilyRep(int node_id) const;
   // Pseudo events currently pending in the queue.
   size_t PendingPseudoEvents() const { return pseudo_queue_.size(); }
-
-  // Observations dispatched through the full-scan fallback (see
-  // DetectorInstruments::dispatch_fullscan); 0 when the rule set has
-  // subscribable vocabulary.
-  uint64_t FullscanObservations() const { return fullscan_observations_; }
 
   // Reader dispatch records kept (see ReaderRecord); never more than the
   // reader registry holds.
@@ -369,7 +341,6 @@ class Detector {
   std::vector<uint64_t> produced_per_node_;
   std::vector<bool> seqplus_self_;  // Precomputed self-closure flags.
   PrimitiveIndex index_;  // Primitive dispatch (engine/rule_index.h).
-  uint64_t fullscan_observations_ = 0;
   // Registered readers seen so far, as of registry generation
   // `records_generation_`.
   StringViewMap<ReaderRecord> reader_records_;

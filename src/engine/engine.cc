@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -11,30 +12,20 @@
 
 namespace rfidcep::engine {
 
-// Instrument handles resolved from the engine's registry at Compile()
-// time. Only pointers live here — the instruments (and their values)
+// Timing histograms resolved from the engine's registry at Compile()
+// time. Only pointers live here — the histograms (and their values)
 // belong to the registry, so re-compiling or toggling metrics never
-// loses counts.
+// loses them. Counts are not instruments: they are the engine's
+// statistics (CounterCatalog).
 struct EngineInstruments {
-  common::Counter* observations = nullptr;  // Shared with the detector.
-  common::Counter* out_of_order = nullptr;
-  common::Counter* process_calls = nullptr;
-  common::Counter* matches = nullptr;
-  common::Counter* rules_fired = nullptr;
-  common::Counter* condition_rejects = nullptr;
-  common::Counter* condition_errors = nullptr;
-  common::Counter* action_errors = nullptr;
   common::Histogram* process_us = nullptr;  // Per Process/ProcessAll call.
+  common::Histogram* pseudo_lag_us = nullptr;  // The detector's.
   struct PerRule {
-    common::Counter* matches = nullptr;
-    common::Counter* fired = nullptr;
     common::Histogram* condition_us = nullptr;
     common::Histogram* action_us = nullptr;
     common::Histogram* handle_us = nullptr;  // Match delivery -> done.
   };
   std::vector<PerRule> per_rule;  // By rule index.
-  ActionInstruments actions;
-  DetectorInstruments detector;
 };
 
 namespace {
@@ -65,22 +56,18 @@ Status AlreadyFlushed() {
       "stream already flushed (Reset() starts a new stream)");
 }
 
-// The serial engine's series for counter `name` of a checkpoint written
-// by an older sharded build, or "" when it has none. The detectors'
-// `shard="N"` series all map onto the one detector's `shard="0"`. Per-
-// node firing counters are dropped (node ids are relative to each
-// layout's graphs), as are the routing families only sharding
-// registered.
-std::string SerialCounterName(const std::string& name) {
-  if (name.starts_with("shard_") ||
-      name == "rfidcep_unrouted_observations_total" ||
-      name.find("node=") != std::string::npos) {
-    return "";
-  }
-  const size_t label = name.find("shard=\"");
-  if (label == std::string::npos) return name;
-  const size_t value = label + 7;
-  return name.substr(0, value) + "0" + name.substr(name.find('"', value));
+// The counts a snapshot's stats section lacks, by their names in the
+// counter section (CounterCatalog writes them; RestoreState reads them).
+constexpr std::string_view kProcessCalls = "rfidcep_process_calls_total";
+constexpr std::string_view kRowsWritten = "store_rows_written_total";
+constexpr std::string_view kDeduped = "actions_deduped_total";
+// One series per detector: `shard="0"` here, one per worker in a
+// checkpoint an older sharded build wrote, which restore sums.
+constexpr std::string_view kFullscan = "rfidcep_dispatch_fullscan_total{";
+constexpr std::string_view kRuleMatches = "rule_matches_total{rule=\"";
+
+std::string RuleLabel(const rules::Rule& rule) {
+  return "{rule=\"" + rule.id + "\"}";
 }
 
 }  // namespace
@@ -100,6 +87,7 @@ Status RcedaEngine::AddRule(rules::Rule rule) {
     return Status::AlreadyExists("duplicate rule id '" + rule.id + "'");
   }
   rules_.push_back(std::move(rule));
+  rule_counts_.emplace_back();
   return Status::Ok();
 }
 
@@ -122,9 +110,14 @@ Status RcedaEngine::RemoveRule(std::string_view rule_id) {
     return Status::NotFound("no rule '" + std::string(rule_id) + "'");
   }
   const size_t removed = it->second;
-  Decompile();
+  Decompile();  // Drops every pointer to the rule's histograms.
+  for (const char* family :
+       {"rule_condition_us", "rule_action_us", "rule_match_handle_us"}) {
+    registry_.Erase(family + RuleLabel(rules_[removed]));
+  }
   rule_index_.erase(it);
   rules_.erase(rules_.begin() + static_cast<long>(removed));
+  rule_counts_.erase(rule_counts_.begin() + static_cast<long>(removed));
   for (auto& [id, index] : rule_index_) {
     if (index > removed) --index;
   }
@@ -151,51 +144,25 @@ Status RcedaEngine::Compile() {
   }
   RFIDCEP_ASSIGN_OR_RETURN(EventGraph graph, EventGraph::Build(rules_));
   graph_.emplace(std::move(graph));
-  fired_counts_.assign(rules_.size(), 0);
   flushed_ = false;  // The fresh detector starts a new stream.
   if (options_.enable_metrics) {
     metrics_ = std::make_unique<EngineInstruments>();
     EngineInstruments& m = *metrics_;
-    m.observations = registry_.GetCounter("rfidcep_observations_total");
-    m.out_of_order =
-        registry_.GetCounter("rfidcep_out_of_order_dropped_total");
-    m.process_calls = registry_.GetCounter("rfidcep_process_calls_total");
-    m.matches = registry_.GetCounter("rfidcep_matches_total");
-    m.rules_fired = registry_.GetCounter("rfidcep_rules_fired_total");
-    m.condition_rejects =
-        registry_.GetCounter("rfidcep_condition_rejects_total");
-    m.condition_errors =
-        registry_.GetCounter("rfidcep_condition_errors_total");
-    m.action_errors = registry_.GetCounter("rfidcep_action_errors_total");
     m.process_us = registry_.GetHistogram("rfidcep_process_us");
+    m.pseudo_lag_us =
+        registry_.GetHistogram("detector_pseudo_lag_us{shard=\"0\"}");
     m.per_rule.reserve(rules_.size());
     for (const rules::Rule& rule : rules_) {
-      const std::string label = "{rule=\"" + rule.id + "\"}";
+      // RemoveRule erases these three families by name.
+      const std::string label = RuleLabel(rule);
       EngineInstruments::PerRule r;
-      r.matches = registry_.GetCounter("rule_matches_total" + label);
-      r.fired = registry_.GetCounter("rule_fired_total" + label);
       r.condition_us = registry_.GetHistogram("rule_condition_us" + label);
       r.action_us = registry_.GetHistogram("rule_action_us" + label);
       r.handle_us = registry_.GetHistogram("rule_match_handle_us" + label);
       m.per_rule.push_back(r);
     }
-    m.actions.sql_actions = registry_.GetCounter("actions_sql_total");
-    m.actions.rows_written = registry_.GetCounter("store_rows_written_total");
-    m.actions.procedures = registry_.GetCounter("actions_procedures_total");
-    m.actions.unknown_procedures =
-        registry_.GetCounter("actions_unknown_procedures_total");
-    m.actions.deduped = registry_.GetCounter("actions_deduped_total");
-    dispatcher_.SetObservability(&m.actions, trace_);
-  } else {
-    dispatcher_.SetObservability(nullptr, trace_);
   }
-  if (metrics_ != nullptr) {
-    metrics_->detector = MakeDetectorInstruments(&registry_, *graph_);
-    // The detector is the acceptance gate, so it also feeds the
-    // engine-global counters.
-    metrics_->detector.observations = metrics_->observations;
-    metrics_->detector.out_of_order_dropped = metrics_->out_of_order;
-  }
+  dispatcher_.SetTraceSink(trace_);
   BuildDetector();
   return Status::Ok();
 }
@@ -204,13 +171,14 @@ void RcedaEngine::BuildDetector() {
   DetectorOptions detector_options = options_.detector;
   detector_options.trace = trace_;
   if (metrics_ != nullptr) {
-    detector_options.instruments = &metrics_->detector;
+    detector_options.pseudo_lag_us = metrics_->pseudo_lag_us;
   }
   detector_ = std::make_unique<Detector>(
       &*graph_, &env_, detector_options,
       [this](size_t rule_index, const events::EventInstancePtr& instance) {
         OnMatch(rule_index, instance);
       });
+  detector_->set_stats(stats_.detector);
 }
 
 uint64_t RcedaEngine::Fingerprint() {
@@ -227,7 +195,7 @@ void RcedaEngine::Decompile() {
   fingerprint_.reset();
   // Instrument handles are re-resolved by the next Compile(); the
   // registry (and every accumulated value) survives.
-  dispatcher_.SetObservability(nullptr, nullptr);
+  dispatcher_.SetTraceSink(nullptr);
   metrics_.reset();
 }
 
@@ -251,21 +219,68 @@ Status RcedaEngine::SetTraceSink(TraceSink* sink) {
 
 std::string RcedaEngine::ExportMetrics() const {
   if (!options_.enable_metrics) return "# metrics disabled\n";
-  return registry_.ExportText();
+  return registry_.ExportText(CounterCatalog(/*gauges=*/true));
+}
+
+std::vector<std::pair<std::string, uint64_t>> RcedaEngine::CounterCatalog(
+    bool gauges) const {
+  const EngineStats& s = stats_;
+  const DetectorStats& d = s.detector;
+  std::vector<std::pair<std::string, uint64_t>> out = {
+      {std::string(kDeduped), s.actions_deduped},
+      {"actions_procedures_total", s.procedures_invoked},
+      {"actions_sql_total", s.sql_actions_executed},
+      {"actions_unknown_procedures_total", s.unknown_procedures},
+      {"detector_instances_produced_total{shard=\"0\"}", d.instances_produced},
+      {"detector_primitive_matches_total{shard=\"0\"}", d.primitive_matches},
+      {"detector_pseudo_fired_total{shard=\"0\"}", d.pseudo_fired},
+      {"detector_pseudo_scheduled_total{shard=\"0\"}", d.pseudo_scheduled},
+      {"detector_rule_matches_total{shard=\"0\"}", d.rule_matches},
+      {"rfidcep_action_errors_total", s.action_errors},
+      {"rfidcep_condition_errors_total", s.condition_errors},
+      {"rfidcep_condition_rejects_total", s.condition_rejects},
+      {std::string(kFullscan) + "shard=\"0\"}", d.fullscan_dispatches},
+      {"rfidcep_matches_total", d.rule_matches},
+      {"rfidcep_observations_total", d.observations},
+      {"rfidcep_out_of_order_dropped_total", d.out_of_order_dropped},
+      {std::string(kProcessCalls), s.process_calls},
+      {"rfidcep_rules_fired_total", s.rules_fired},
+      {std::string(kRowsWritten), s.rows_written},
+  };
+  if (gauges) {
+    out.emplace_back("detector_pseudo_queue_depth{shard=\"0\"}",
+                     PendingPseudoEvents());
+    out.emplace_back("detector_pseudo_queue_peak{shard=\"0\"}",
+                     d.pseudo_queue_peak);
+  }
+  for (size_t i = 0; i < rules_.size(); ++i) {
+    const std::string label = RuleLabel(rules_[i]);
+    out.emplace_back("rule_fired_total" + label, rule_counts_[i].fired);
+    out.emplace_back("rule_matches_total" + label, rule_counts_[i].matches);
+  }
+  if (compiled()) {
+    for (const GraphNode& node : graph_->nodes()) {
+      out.emplace_back("graph_node_firings_total{shard=\"0\",node=\"" +
+                           std::to_string(node.id) + "\",op=\"" +
+                           std::string(events::ExprOpName(node.op)) + "\"}",
+                       detector_->ProducedAt(node.id));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 Status RcedaEngine::Reset() {
   if (!compiled()) {
     return Status::FailedPrecondition("engine is not compiled");
   }
-  BuildDetector();
-  fired_counts_.assign(rules_.size(), 0);
   stats_ = EngineStats{};
+  BuildDetector();
+  rule_counts_.assign(rules_.size(), RuleCounts{});
   deferred_error_ = Status::Ok();
   registry_.Reset();  // Zero instruments; registration is preserved.
   trace_obs_seq_ = 0;
   flushed_ = false;
-  dispatcher_.SetCounters(0, 0, 0);
   return Status::Ok();
 }
 
@@ -273,11 +288,9 @@ Status RcedaEngine::Process(const events::Observation& obs) {
   if (!compiled()) return NotCompiled();
   if (flushed_) return AlreadyFlushed();
   EngineInstruments* m = metrics_.get();
+  ++stats_.process_calls;
   SteadyTime start;
-  if (m != nullptr) {
-    m->process_calls->Increment();
-    start = Now();
-  }
+  if (m != nullptr) start = Now();
   if (trace_ != nullptr) trace_->RecordObservation(++trace_obs_seq_, obs);
   Status status = detector_->Process(obs);
   stats_.detector = detector_->stats();
@@ -289,11 +302,9 @@ Status RcedaEngine::ProcessAll(const std::vector<events::Observation>& batch) {
   if (!compiled()) return NotCompiled();
   if (flushed_) return AlreadyFlushed();
   EngineInstruments* m = metrics_.get();
+  ++stats_.process_calls;
   SteadyTime start;
-  if (m != nullptr) {
-    m->process_calls->Increment();
-    start = Now();
-  }
+  if (m != nullptr) start = Now();
   Status status;
   for (const events::Observation& obs : batch) {
     if (trace_ != nullptr) trace_->RecordObservation(++trace_obs_seq_, obs);
@@ -349,9 +360,9 @@ Status RcedaEngine::SerializeState(std::string* out) {
   snap.stats = stats_;
   snap.fired.reserve(rules_.size());
   for (size_t i = 0; i < rules_.size(); ++i) {
-    snap.fired.emplace_back(rules_[i].id, fired_counts_[i]);
+    snap.fired.emplace_back(rules_[i].id, rule_counts_[i].fired);
   }
-  if (options_.enable_metrics) snap.counters = registry_.CounterValues();
+  if (options_.enable_metrics) snap.counters = CounterCatalog(false);
   std::vector<std::string> rule_ids;
   rule_ids.reserve(rules_.size());
   for (const rules::Rule& rule : rules_) rule_ids.push_back(rule.id);
@@ -406,14 +417,32 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
 
   // Per-rule fired counts are keyed by rule id; the fingerprint
   // guarantees the id sets agree.
-  std::vector<uint64_t> fired(rules_.size(), 0);
+  std::vector<RuleCounts> rule_counts(rules_.size());
   for (const auto& [rule_id, count] : snap.fired) {
     auto it = rule_index_.find(rule_id);
     if (it == rule_index_.end()) {
       return Status::Internal("snapshot: fired count for unknown rule '" +
                               rule_id + "'");
     }
-    fired[it->second] = count;
+    rule_counts[it->second].fired = count;
+  }
+  // Every other count derives from the stats, the fired counts and the
+  // nodes' produced counts; only those the stats section lacks are read
+  // from the counter section, by name.
+  for (const auto& [name, value] : snap.counters) {
+    if (name == kProcessCalls) {
+      snap.stats.process_calls = value;
+    } else if (name == kRowsWritten) {
+      snap.stats.rows_written = value;
+    } else if (name == kDeduped) {
+      snap.stats.actions_deduped = value;
+    } else if (name.starts_with(kFullscan)) {
+      snap.stats.detector.fullscan_dispatches += value;
+    } else if (name.starts_with(kRuleMatches) && name.ends_with("\"}")) {
+      auto it = rule_index_.find(std::string_view(name).substr(
+          kRuleMatches.size(), name.size() - kRuleMatches.size() - 2));
+      if (it != rule_index_.end()) rule_counts[it->second].matches = value;
+    }
   }
 
   std::vector<std::string> rule_ids;
@@ -424,32 +453,17 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
       snapshot::BuildRestorePlan(snap, graph_->NodeStateKeys(rule_ids),
                                  graph_->NodeStateAliases()));
   RFIDCEP_RETURN_IF_ERROR(detector_->RestoreState(plan, snap.stats.detector));
-  fired_counts_ = std::move(fired);
+  rule_counts_ = std::move(rule_counts);
   stats_ = snap.stats;
   flushed_ = snap.flushed;
   trace_obs_seq_ = snap.trace_obs_seq;
   deferred_error_ = Status::Ok();
 
   if (options_.enable_metrics) {
-    // Counter continuity: zero everything, then re-apply the snapshot's
-    // totals — verbatim from a serial capture, mapped onto this engine's
-    // series from a sharded one (SerialCounterName).
+    // Timings restart with the restored engine.
     registry_.Reset();
-    for (const auto& [name, value] : snap.counters) {
-      const std::string target =
-          snap.source_shards == 1 ? name : SerialCounterName(name);
-      if (target.empty()) continue;
-      if (common::Counter* counter = registry_.GetCounter(target)) {
-        counter->Increment(value);
-      }
-    }
     registry_.GetGauge("restore_ns")->Set(ElapsedNs(start));
   }
-
-  // Logical action totals continue from the snapshot's.
-  dispatcher_.SetCounters(snap.stats.sql_actions_executed,
-                          snap.stats.procedures_invoked,
-                          snap.stats.unknown_procedures);
 
   // Replay the checkpoint's pending firings (written only by older
   // builds, whose actions ran on a worker thread) with their original
@@ -528,9 +542,9 @@ std::string RcedaEngine::DebugReport() const {
       std::to_string(detector_->PendingPseudoEvents()) +
       " reader_records=" + std::to_string(detector_->ReaderRecords()) +
       " buffered=" + std::to_string(detector_->TotalBufferedEntries()) + "\n";
-  if (detector_->FullscanObservations() > 0) {
-    out += "dispatch_fullscan=" +
-           std::to_string(detector_->FullscanObservations()) +
+  if (const uint64_t fullscan = stats_.detector.fullscan_dispatches;
+      fullscan > 0) {
+    out += "dispatch_fullscan=" + std::to_string(fullscan) +
            " (no subscribable vocabulary: every observation scans every "
            "leaf)\n";
   }
@@ -553,15 +567,14 @@ std::string RcedaEngine::DebugReport() const {
   }
   for (size_t i = 0; i < rules_.size(); ++i) {
     out += "rule " + rules_[i].id + " fired=" +
-           std::to_string(fired_counts_[i]) + "\n";
+           std::to_string(rule_counts_[i].fired) + "\n";
   }
   return out;
 }
 
 uint64_t RcedaEngine::FiredCount(std::string_view rule_id) const {
   auto it = rule_index_.find(rule_id);
-  if (it == rule_index_.end() || it->second >= fired_counts_.size()) return 0;
-  return fired_counts_[it->second];
+  return it != rule_index_.end() ? rule_counts_[it->second].fired : 0;
 }
 
 void RcedaEngine::OnMatch(size_t rule_index,
@@ -572,11 +585,8 @@ void RcedaEngine::OnMatch(size_t rule_index,
   EngineInstruments::PerRule* r =
       m != nullptr ? &m->per_rule[rule_index] : nullptr;
   SteadyTime handle_start;
-  if (m != nullptr) {
-    handle_start = Now();
-    m->matches->Increment();
-    r->matches->Increment();
-  }
+  if (m != nullptr) handle_start = Now();
+  ++rule_counts_[rule_index].matches;
   if (trace_ != nullptr) trace_->RecordMatch(rule.id, *instance, fire_time);
   if (match_callback_) match_callback_(rule, instance);
 
@@ -598,7 +608,6 @@ void RcedaEngine::OnMatch(size_t rule_index,
     if (r != nullptr) r->condition_us->Record(ElapsedUs(cond_start));
     if (!holds.ok()) {
       ++stats_.condition_errors;
-      if (m != nullptr) m->condition_errors->Increment();
       if (trace_ != nullptr) trace_->RecordCondition(rule.id, false);
       if (deferred_error_.ok()) deferred_error_ = holds.status();
       if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start));
@@ -607,24 +616,16 @@ void RcedaEngine::OnMatch(size_t rule_index,
     if (trace_ != nullptr) trace_->RecordCondition(rule.id, *holds);
     if (!*holds) {
       ++stats_.condition_rejects;
-      if (m != nullptr) {
-        m->condition_rejects->Increment();
-        r->handle_us->Record(ElapsedUs(handle_start));
-      }
+      if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start));
       return;
     }
   }
-  ++fired_counts_[rule_index];
   ++stats_.rules_fired;
-  if (m != nullptr) {
-    m->rules_fired->Increment();
-    r->fired->Increment();
-  }
-  // The firing's sequence number is its per-rule fired ordinal:
-  // fired_counts_ travels in every snapshot, so the numbering is
-  // identical across a run and its restored continuation (the WAL dedup
-  // keyspace, with the rule id).
-  firing.seq = fired_counts_[rule_index];
+  // The firing's sequence number is its per-rule fired ordinal: the
+  // fired counts travel in every snapshot, so the numbering is identical
+  // across a run and its restored continuation (the WAL dedup keyspace,
+  // with the rule id).
+  firing.seq = ++rule_counts_[rule_index].fired;
 
   if (!options_.execute_actions) {
     if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start));
@@ -640,15 +641,11 @@ void RcedaEngine::OnMatch(size_t rule_index,
 }
 
 void RcedaEngine::ExecuteActions(const RuleFiring& firing) {
-  Status status = dispatcher_.Dispatch(firing);
+  Status status = dispatcher_.Dispatch(firing, &stats_);
   if (!status.ok()) {
     ++stats_.action_errors;
-    if (metrics_ != nullptr) metrics_->action_errors->Increment();
     if (deferred_error_.ok()) deferred_error_ = status;
   }
-  stats_.sql_actions_executed = dispatcher_.sql_actions_executed();
-  stats_.procedures_invoked = dispatcher_.procedures_invoked();
-  stats_.unknown_procedures = dispatcher_.unknown_procedures();
 }
 
 }  // namespace rfidcep::engine

@@ -49,56 +49,32 @@ struct EngineOptions {
   // because perfbench/library.cc (ProbeSharded) still sets it; it goes
   // with that probe.
   int shards = 1;
-  // Whether Compile() resolves registry instruments and times rule
-  // evaluation. Defaults on at compile time (cmake -DRFIDCEP_METRICS=OFF
-  // flips the default); when off, every instrumentation site in the
-  // engine, detector and action dispatcher is a branch on a null
-  // pointer (<2% overhead, see docs/observability.md).
-  bool enable_metrics = common::kMetricsDefaultEnabled;
+  // Whether ExportMetrics() reports and Compile() registers the timing
+  // histograms. When off, every timing site in the engine and detector
+  // is a branch on a null pointer; counts are kept either way (they are
+  // the statistics).
+  bool enable_metrics = true;
 };
 
-struct EngineStats {
+// The engine's statistics. With the per-rule counts and per-node
+// firings they are every count the engine exports: ExportMetrics() and
+// the snapshot's counter section read them, under their metric names,
+// through RcedaEngine::CounterCatalog. The action counts are the
+// ActionStats base (engine/actions.h). A snapshot's stats section lacks
+// process_calls, rows_written, actions_deduped and
+// detector.fullscan_dispatches; its counter section carries them.
+struct EngineStats : ActionStats {
   DetectorStats detector;
   uint64_t rules_fired = 0;        // Matches whose condition held.
   uint64_t condition_rejects = 0;  // Matches whose condition was false.
   uint64_t condition_errors = 0;
   uint64_t action_errors = 0;
-  uint64_t sql_actions_executed = 0;
-  uint64_t procedures_invoked = 0;
-  uint64_t unknown_procedures = 0;
+  uint64_t process_calls = 0;      // Process / ProcessAll calls.
 };
 
 struct EngineInstruments;
 
-// The daemon-facing slice of the engine: what a long-running server
-// front-end (src/server/) needs to drive a compiled, rule-loaded engine
-// — stream observations, mark durability points, and report — without
-// seeing rule registration, compilation, or wiring. Narrow on purpose:
-// the server (and its tests) program against this, so a fake engine can
-// stand in for the real one, and the daemon cannot reach into lifecycle
-// calls that only make sense at setup time.
-class EngineFrontend {
- public:
-  virtual ~EngineFrontend() = default;
-
-  // Streaming (see RcedaEngine for the lifecycle contract).
-  virtual Status ProcessAll(const std::vector<events::Observation>& batch) = 0;
-  virtual Status AdvanceTo(TimePoint t) = 0;
-  virtual Status Flush() = 0;
-
-  // Durability: snapshot bytes out / in (docs/recovery.md).
-  virtual Status SerializeState(std::string* out) = 0;
-  virtual Status RestoreState(std::string_view bytes) = 0;
-
-  // Introspection and observability.
-  virtual const EngineStats& stats() const = 0;
-  virtual uint64_t FiredCount(std::string_view rule_id) const = 0;
-  virtual size_t num_rules() const = 0;
-  virtual const rules::Rule& rule(size_t index) const = 0;
-  virtual std::string ExportMetrics() const = 0;
-};
-
-class RcedaEngine : public EngineFrontend {
+class RcedaEngine {
  public:
   // `db` may be null when no rule uses SQL actions. `env` supplies the
   // type()/group() mapping functions; copied.
@@ -122,12 +98,15 @@ class RcedaEngine : public EngineFrontend {
   bool compiled() const { return detector_ != nullptr; }
 
   // Drops the compiled graph and all runtime state so rules can be added
-  // or removed again. Statistics and fired counts are preserved.
+  // or removed again. Statistics and per-rule counts are preserved and
+  // keep counting after the next Compile(); per-node firings belong to
+  // the graph and restart with it. A removed rule's counts leave with it.
   void Decompile();
 
   // Rebuilds the detector: clears buffered partial matches, pending
   // pseudo events, and the clock (a new stream may start at t=0).
-  // Statistics and fired counts are reset. Requires compiled().
+  // Statistics, per-rule counts and timing histograms are reset.
+  // Requires compiled().
   Status Reset();
 
   // --- Streaming -----------------------------------------------------------
@@ -136,12 +115,12 @@ class RcedaEngine : public EngineFrontend {
   // with kFailedPrecondition, as do all three after Flush() has ended the
   // stream. Flush() itself is idempotent; Reset() starts a new stream.
   Status Process(const events::Observation& obs);
-  Status ProcessAll(const std::vector<events::Observation>& batch) override;
+  Status ProcessAll(const std::vector<events::Observation>& batch);
   // Fires pending pseudo events strictly before `t` / all of them. A
   // pseudo at exactly `t` stays pending so an observation at `t` can still
   // falsify or extend it first (same rule Process applies).
-  Status AdvanceTo(TimePoint t) override;
-  Status Flush() override;
+  Status AdvanceTo(TimePoint t);
+  Status Flush();
 
   // --- Durability (docs/recovery.md) ---------------------------------------
   // Serializes the engine's detection state (engine/snapshot.h format).
@@ -150,14 +129,14 @@ class RcedaEngine : public EngineFrontend {
   // scheduled strictly before it fire — and their matches are delivered —
   // as part of the checkpoint. Action side effects already in the store
   // are NOT captured.
-  Status SerializeState(std::string* out) override;
+  Status SerializeState(std::string* out);
   // Replaces detection state from serialized `bytes`. Requires
   // compiled() with the same rule set and parameter context — validated
   // by the snapshot's rule-set fingerprint (kFailedPrecondition on
   // mismatch, and on a format version this build does not read).
   // Checkpoints written by older sharded builds restore too: their
   // per-source state merges onto the one detector.
-  Status RestoreState(std::string_view bytes) override;
+  Status RestoreState(std::string_view bytes);
   // SerializeState / RestoreState against the file at `path`. Checkpoint
   // writes `<path>.tmp` and renames it over `path`, so a failed
   // checkpoint leaves the previous file restorable.
@@ -187,7 +166,7 @@ class RcedaEngine : public EngineFrontend {
 
   // --- Observability -----------------------------------------------------------
   // Toggles metric collection for the next Compile(). Requires
-  // !compiled() (Decompile() first); registered instruments and their
+  // !compiled() (Decompile() first); registered histograms and their
   // values are preserved across toggles.
   Status SetMetricsEnabled(bool enabled);
   bool metrics_enabled() const { return options_.enable_metrics; }
@@ -195,20 +174,17 @@ class RcedaEngine : public EngineFrontend {
   // next Compile(); null detaches. Requires !compiled(). The sink must
   // outlive the engine (or the next Decompile()).
   Status SetTraceSink(TraceSink* sink);
-  // The engine's registry: every instrument the engine, its detector
-  // and action dispatcher registered. Live — counters update as
-  // the stream is processed.
-  common::MetricsRegistry& metrics_registry() { return registry_; }
-  // Prometheus text exposition of every registered metric (see
-  // docs/observability.md for the catalog). "# metrics disabled" when
+  // Prometheus text exposition (docs/observability.md has the catalog):
+  // the counts of CounterCatalog() merged in name order with the
+  // registry's histograms and gauges. "# metrics disabled" when
   // collection is off.
-  std::string ExportMetrics() const override;
+  std::string ExportMetrics() const;
 
   // --- Introspection -----------------------------------------------------------
-  const EngineStats& stats() const override { return stats_; }
-  uint64_t FiredCount(std::string_view rule_id) const override;
-  size_t num_rules() const override { return rules_.size(); }
-  const rules::Rule& rule(size_t index) const override { return rules_[index]; }
+  const EngineStats& stats() const { return stats_; }
+  uint64_t FiredCount(std::string_view rule_id) const;
+  size_t num_rules() const { return rules_.size(); }
+  const rules::Rule& rule(size_t index) const { return rules_[index]; }
   // Requires compiled().
   const EventGraph& graph() const { return *graph_; }
   TimePoint clock() const {
@@ -243,10 +219,15 @@ class RcedaEngine : public EngineFrontend {
   // on the first checkpoint or restore (not in Compile(), which would
   // slow every set-up) and dropped by Decompile().
   uint64_t Fingerprint();
-  // Runs `firing`'s actions on the calling thread, folding errors into
-  // the stats and the deferred error and copying the dispatcher's
-  // logical counters into the stats.
+  // Runs `firing`'s actions on the calling thread, counting them and
+  // their errors in the stats and keeping the first error.
   void ExecuteActions(const RuleFiring& firing);
+  // Every count under its metric name, sorted by name: the statistics,
+  // the per-rule counts and the per-node firings. This list is the
+  // snapshot's counter section; with `gauges`, ExportMetrics() adds the
+  // pseudo-queue depth and peak, which checkpoints do not carry.
+  std::vector<std::pair<std::string, uint64_t>> CounterCatalog(
+      bool gauges) const;
 
   store::Database* db_;
   events::Environment env_;
@@ -254,11 +235,16 @@ class RcedaEngine : public EngineFrontend {
   ActionDispatcher dispatcher_;
   std::vector<rules::Rule> rules_;
   StringViewMap<size_t> rule_index_;  // Rule id -> index in rules_.
-  std::vector<uint64_t> fired_counts_;
+  struct RuleCounts {
+    uint64_t matches = 0;  // Matches delivered, before the condition.
+    uint64_t fired = 0;    // Matches whose condition held.
+  };
+  std::vector<RuleCounts> rule_counts_;  // By rule index, like rules_.
   std::optional<EventGraph> graph_;
   std::optional<uint64_t> fingerprint_;  // See Fingerprint().
-  // Declared before the detector, which holds instrument pointers into
-  // the registry, so the registry is destroyed after it.
+  // Histograms and gauges only; the counts live in stats_ and
+  // rule_counts_. Declared before the detector, which holds instrument
+  // pointers into the registry, so the registry is destroyed after it.
   common::MetricsRegistry registry_;
   std::unique_ptr<EngineInstruments> metrics_;  // Null when disabled.
   std::unique_ptr<Detector> detector_;

@@ -240,7 +240,7 @@ void Server::AcceptLoop() {
 bool Server::HandleFrame(int fd, Tenant* tenant, const Frame& frame,
                          uint64_t seq) {
   instruments_.frames->Increment();
-  engine::EngineFrontend& engine = tenant->frontend();
+  engine::RcedaEngine& engine = tenant->engine();
   // Serialize connections feeding one tenant; a contended engine is a
   // slow-reader stall worth counting before we block on it.
   std::unique_lock<std::mutex> lock(tenant->mu(), std::try_to_lock);
@@ -404,7 +404,14 @@ void Server::ServeConnection(int fd) {
 std::string Server::ExportMetrics() const {
   std::string out = registry_.ExportText();
   for (const auto& [name, tenant] : tenants_) {
-    std::istringstream in(tenant->frontend().ExportMetrics());
+    std::string text;
+    {
+      // The engine's counts are plain fields its ingest thread writes
+      // under the tenant lock.
+      std::lock_guard<std::mutex> lock(tenant->mu());
+      text = tenant->engine().ExportMetrics();
+    }
+    std::istringstream in(text);
     for (std::string line; std::getline(in, line);) {
       if (line.empty()) continue;
       out += line[0] == '#' ? line : LabelSample(line, name);

@@ -74,7 +74,8 @@ class Server {
   size_t num_tenants() const { return tenants_.size(); }
 
   // Server-level counters plus every tenant's engine metrics with a
-  // tenant="<name>" label injected (docs/server.md "Metrics").
+  // tenant="<name>" label injected (docs/server.md "Metrics"). Holds each
+  // tenant's lock while it reads that tenant.
   std::string ExportMetrics() const;
 
  private:

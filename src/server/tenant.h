@@ -6,11 +6,10 @@
 // the WAL replays it into a fresh store and collects the dedup set,
 // then attach, compile, snapshot restore), so a restarted daemon
 // resumes exactly where the last checkpoint left it (docs/recovery.md).
-// The server drives a tenant only through the narrow
-// engine::EngineFrontend surface and the checkpoint entry point; one
-// mutex per tenant serializes connections feeding the same engine. Each
-// engine call runs to completion on the calling connection thread,
-// which acks the frame only after it returns.
+// One mutex per tenant serializes everything that touches its engine:
+// connections feeding it, checkpoints, and /metrics scrapes reading its
+// counts. Each engine call runs to completion on the calling connection
+// thread, which acks the frame only after it returns.
 
 #ifndef RFIDCEP_SERVER_TENANT_H_
 #define RFIDCEP_SERVER_TENANT_H_
@@ -63,11 +62,8 @@ class Tenant {
   const std::string& name() const { return config_.name; }
   const TenantConfig& config() const { return config_; }
 
-  // The daemon-facing surface. Callers hold mu() around streaming and
-  // checkpoint calls; the engine itself is single-caller.
-  engine::EngineFrontend& frontend() { return *engine_; }
-  // Full engine access for in-process embedders (tests register
-  // procedures, inspect layout); the daemon itself stays on frontend().
+  // The tenant's engine. Under a live server, callers hold mu() around
+  // every call; the engine itself is single-caller.
   engine::RcedaEngine& engine() { return *engine_; }
   // The tenant's RFID store; null when the config disables it. Callers
   // hold mu() while reading it under a live server.

@@ -24,16 +24,12 @@ TEST(CounterTest, IncrementAndReset) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(GaugeTest, SetAddUpdateMax) {
+TEST(GaugeTest, SetAdd) {
   Gauge g;
   g.Set(7);
   EXPECT_EQ(g.value(), 7);
   g.Add(-10);
   EXPECT_EQ(g.value(), -3);
-  g.UpdateMax(5);
-  EXPECT_EQ(g.value(), 5);
-  g.UpdateMax(2);  // Lower values never win.
-  EXPECT_EQ(g.value(), 5);
 }
 
 TEST(HistogramTest, BucketingAtBoundEdges) {
@@ -134,12 +130,41 @@ TEST(MetricsRegistryTest, ResetPreservesRegistrationAndPointers) {
   EXPECT_EQ(registry.GetHistogram("h_us"), h);
 }
 
+TEST(MetricsRegistryTest, EraseDropsOneInstrument) {
+  MetricsRegistry registry;
+  registry.GetCounter("a_total")->Increment();
+  registry.GetHistogram("b_us", {1});
+  registry.Erase("b_us");
+  registry.Erase("never_registered");
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.ExportText(), "a_total 1\n");
+}
+
 TEST(MetricsRegistryTest, ExportTextCountersAndGauges) {
   MetricsRegistry registry;
   registry.GetCounter("b_total")->Increment(2);
   registry.GetGauge("a_depth")->Set(-1);
   // Sorted by name (std::map order).
   EXPECT_EQ(registry.ExportText(), "a_depth -1\nb_total 2\n");
+}
+
+// Plain samples (an engine's counts) merge in name order with the
+// registered instruments; a histogram sorts by its registered name.
+TEST(MetricsRegistryTest, ExportTextMergesPlainSamplesInNameOrder) {
+  MetricsRegistry registry;
+  registry.GetGauge("b_depth")->Set(4);
+  registry.GetHistogram("d_us", {1})->Record(1);
+  EXPECT_EQ(registry.ExportText({{"a_total", 1}, {"c_total", 3},
+                                 {"e_total", 5}}),
+            "a_total 1\n"
+            "b_depth 4\n"
+            "c_total 3\n"
+            "d_us_bucket{le=\"1\"} 1\n"
+            "d_us_bucket{le=\"+Inf\"} 1\n"
+            "d_us_sum 1\n"
+            "d_us_count 1\n"
+            "e_total 5\n");
+  EXPECT_EQ(MetricsRegistry().ExportText({{"x_total", 2}}), "x_total 2\n");
 }
 
 TEST(MetricsRegistryTest, ExportTextHistogramCumulativeBuckets) {
@@ -203,19 +228,6 @@ TEST(MetricsConcurrencyTest, ParallelHistogramRecordsAreExact) {
     expected_sum += static_cast<uint64_t>(t) * kPerThread;
   }
   EXPECT_EQ(snap.sum, expected_sum);
-}
-
-TEST(MetricsConcurrencyTest, ParallelGaugeUpdateMaxKeepsMaximum) {
-  Gauge g;
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&g, t] {
-      for (int i = 0; i < 10000; ++i) g.UpdateMax(t * 10000 + i);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(g.value(), (kThreads - 1) * 10000 + 9999);
 }
 
 TEST(MetricsConcurrencyTest, ParallelRegistrationIsRaceFree) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,10 +202,11 @@ TEST(ActionPipelineTest, DurableTailDeduplicates) {
   EXPECT_EQ(DumpStore(&recovered.db), expected);
   EXPECT_EQ(recovered.engine->stats().sql_actions_executed,
             reference.engine->stats().sql_actions_executed);
-  EXPECT_GT(
-      recovered.engine->metrics_registry().GetCounter("actions_deduped_total")
-          ->value(),
-      0u);
+  const std::map<std::string, uint64_t> exported =
+      testing::ParseExposition(recovered.engine->ExportMetrics());
+  EXPECT_GT(exported.at("actions_deduped_total"), 0u);
+  EXPECT_EQ(exported.at("actions_deduped_total"),
+            recovered.engine->stats().actions_deduped);
 }
 
 // Checkpoints written while actions ran on a worker thread carry the

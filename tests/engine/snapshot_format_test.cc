@@ -409,10 +409,9 @@ TEST(SnapshotGoldenTest, CommittedFixturesRestore) {
 }
 
 // A sharded capture labeled each worker's detector counters `shard="N"`.
-// Restored, their totals continue on the one detector's `shard="0"`
-// series; the routing families only sharding registered, and per-node
-// firing counters (node ids of the capturing layout's graphs), are
-// dropped.
+// Restored, the counts continue on the one detector's `shard="0"`
+// series; the routing families only sharding registered are gone, and
+// each per-node firing counter reads its node's restored `produced`.
 TEST(SnapshotGoldenTest, DataShardedCountersContinueOnShardZero) {
   const std::string bytes = testing::ReadFile(FixturePath(2, "_data_sharded"));
   ASSERT_FALSE(bytes.empty()) << "missing fixture";
@@ -423,27 +422,39 @@ TEST(SnapshotGoldenTest, DataShardedCountersContinueOnShardZero) {
 
   const uint64_t matches = h.engine->stats().detector.rule_matches;
   EXPECT_GT(matches, 0u);
-  std::map<std::string, uint64_t> counters;
-  for (const auto& [name, value] :
-       h.engine->metrics_registry().CounterValues()) {
-    counters[name] = value;
+  const std::map<std::string, uint64_t> exported =
+      testing::ParseExposition(h.engine->ExportMetrics());
+  EXPECT_EQ(exported.at("detector_rule_matches_total{shard=\"0\"}"), matches);
+  EXPECT_EQ(exported.at("rfidcep_matches_total"), matches);
+
+  // `#<id> <mode> produced=<n> ...` lines of the debug report.
+  std::map<std::string, uint64_t> produced;
+  std::istringstream report(h.engine->DebugReport());
+  for (std::string line; std::getline(report, line);) {
+    const size_t at = line.find(" produced=");
+    if (!line.starts_with("#") || at == std::string::npos) continue;
+    produced[line.substr(1, line.find(' ') - 1)] =
+        std::stoull(line.substr(at + 10));
   }
-  EXPECT_EQ(counters["detector_rule_matches_total{shard=\"0\"}"], matches);
-  for (const auto& [name, value] : counters) {
+  ASSERT_EQ(produced.size(), h.engine->graph().nodes().size());
+  uint64_t restored_firings = 0;
+  size_t node_series = 0;
+  for (const auto& [name, value] : exported) {
     EXPECT_FALSE(name.starts_with("detector_") &&
                  name.find('{') == std::string::npos)
         << "unlabeled series " << name;
     EXPECT_FALSE(name.starts_with("shard_")) << name;
     EXPECT_NE(name, "rfidcep_unrouted_observations_total");
     if (name.starts_with("graph_node_firings_total{")) {
-      EXPECT_EQ(value, 0u) << name;
+      const size_t id = name.find("node=\"") + 6;
+      const std::string node = name.substr(id, name.find('"', id) - id);
+      EXPECT_EQ(value, produced.at(node)) << name;
+      restored_firings += value;
+      ++node_series;
     }
   }
-  const std::string exported = h.engine->ExportMetrics();
-  EXPECT_NE(exported.find("detector_rule_matches_total{shard=\"0\"} " +
-                          std::to_string(matches) + "\n"),
-            std::string::npos)
-      << exported;
+  EXPECT_EQ(node_series, produced.size());
+  EXPECT_GT(restored_firings, 0u);
 }
 
 // checkpoint_v2_within_leaves.snap was captured by commit c85f3fb, whose

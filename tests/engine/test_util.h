@@ -5,6 +5,7 @@
 #define RFIDCEP_TESTS_ENGINE_TEST_UTIL_H_
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -70,6 +71,20 @@ class EngineHarness {
   std::unique_ptr<RcedaEngine> engine;
   std::vector<RecordedMatch> matches;
 };
+
+// The samples of a Prometheus exposition (RcedaEngine::ExportMetrics),
+// by full sample name including labels.
+inline std::map<std::string, uint64_t> ParseExposition(
+    const std::string& text) {
+  std::map<std::string, uint64_t> samples;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    const size_t space = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || space == std::string::npos) continue;
+    samples[line.substr(0, space)] = std::stoull(line.substr(space + 1));
+  }
+  return samples;
+}
 
 // The bytes of `path` ("" when it cannot be read), e.g. a committed
 // snapshot fixture.

@@ -184,6 +184,123 @@ TEST_F(MetricsIntegrationTest, ResetZeroesCountersAndReplayMatches) {
   EXPECT_EQ(counters_only(engine.ExportMetrics()), first);
 }
 
+// Every counter of an exposition: gauges and timing histograms dropped.
+std::map<std::string, int64_t> Counters(const std::string& text) {
+  std::map<std::string, int64_t> out;
+  for (const auto& [name, value] : ParseExposition(text)) {
+    if (name.find("_us") == std::string::npos &&
+        name.find("_queue_") == std::string::npos) {
+      out[name] = value;
+    }
+  }
+  return out;
+}
+
+// Decompile() keeps the statistics, and the next Compile() keeps counting
+// them: after a recompile, stats(), FiredCount and every exported counter
+// agree, and each counter is the sum of what the engine counted before
+// the recompile and what a fresh engine counts on the stream after it.
+// Per-node firings belong to the graph and restart with it.
+TEST_F(MetricsIntegrationTest, CountsSurviveDecompileAndCompile) {
+  EngineOptions options;
+  options.enable_metrics = true;
+  options.detector.tolerate_out_of_order = true;
+  const std::vector<events::Observation> head(stream_.begin(),
+                                              stream_.begin() + 2000);
+  const std::vector<events::Observation> tail(stream_.begin() + 2000,
+                                              stream_.begin() + 4000);
+  RcedaEngine engine(nullptr, chain_.environment(), options);
+  ASSERT_TRUE(engine.AddRulesFromText(program_).ok());
+  ASSERT_TRUE(engine.Compile().ok());
+  ASSERT_TRUE(engine.ProcessAll(head).ok());
+  const std::map<std::string, int64_t> before =
+      Counters(engine.ExportMetrics());
+  engine.Decompile();
+  ASSERT_TRUE(engine.Compile().ok());
+  ASSERT_TRUE(engine.ProcessAll(tail).ok());
+  ASSERT_TRUE(engine.Flush().ok());
+
+  RcedaEngine fresh(nullptr, chain_.environment(), options);
+  ASSERT_TRUE(fresh.AddRulesFromText(program_).ok());
+  ASSERT_TRUE(fresh.Compile().ok());
+  ASSERT_TRUE(fresh.ProcessAll(tail).ok());
+  ASSERT_TRUE(fresh.Flush().ok());
+  const std::map<std::string, int64_t> after_only =
+      Counters(fresh.ExportMetrics());
+
+  const std::string text = engine.ExportMetrics();
+  const std::map<std::string, int64_t> samples = ParseExposition(text);
+  const std::map<std::string, int64_t> counters = Counters(text);
+  ASSERT_EQ(counters.size(), before.size());
+  ASSERT_EQ(counters.size(), after_only.size());
+  for (const auto& [name, value] : counters) {
+    const int64_t want =
+        name.starts_with("graph_node_firings_total{")
+            ? after_only.at(name)
+            : before.at(name) + after_only.at(name);
+    EXPECT_EQ(value, want) << name;
+  }
+
+  const EngineStats& stats = engine.stats();
+  EXPECT_EQ(stats.detector.observations, head.size() + tail.size());
+  EXPECT_EQ(SampleOr(samples, "rfidcep_observations_total"),
+            static_cast<int64_t>(stats.detector.observations));
+  EXPECT_EQ(SampleOr(samples, "rfidcep_rules_fired_total"),
+            static_cast<int64_t>(stats.rules_fired));
+  EXPECT_EQ(SampleOr(samples, "rfidcep_process_calls_total"), 2);
+  EXPECT_EQ(SampleOr(samples, "rfidcep_process_us_count"), 2);
+  uint64_t fired_sum = 0;
+  for (int i = 0; i < kNumRules; ++i) {
+    const std::string id = "gen" + std::to_string(i);
+    EXPECT_EQ(SampleOr(samples, "rule_fired_total{rule=\"" + id + "\"}"),
+              static_cast<int64_t>(engine.FiredCount(id)))
+        << id;
+    fired_sum += engine.FiredCount(id);
+  }
+  EXPECT_EQ(fired_sum, stats.rules_fired);
+  EXPECT_GT(before.at("rfidcep_rules_fired_total"), 0);
+  EXPECT_GT(after_only.at("rfidcep_rules_fired_total"), 0);
+}
+
+// A removed rule's series leave with it; the other rules keep theirs.
+TEST_F(MetricsIntegrationTest, RemovedRuleSeriesDisappear) {
+  EngineOptions options;
+  options.enable_metrics = true;
+  options.detector.tolerate_out_of_order = true;
+  RcedaEngine engine(nullptr, chain_.environment(), options);
+  ASSERT_TRUE(engine.AddRulesFromText(program_).ok());
+  ASSERT_TRUE(engine.Compile().ok());
+  const std::vector<events::Observation> head(stream_.begin(),
+                                              stream_.begin() + 2000);
+  ASSERT_TRUE(engine.ProcessAll(head).ok());
+  const std::string removed = "rule=\"gen0\"";
+  const std::string kept = "rule=\"gen1\"";
+  const std::map<std::string, int64_t> before =
+      ParseExposition(engine.ExportMetrics());
+  ASSERT_GT(SampleOr(before, "rule_matches_total{" + removed + "}"), 0);
+
+  ASSERT_TRUE(engine.RemoveRule("gen0").ok());
+  ASSERT_TRUE(engine.Compile().ok());
+  const std::map<std::string, int64_t> after =
+      ParseExposition(engine.ExportMetrics());
+  size_t kept_series = 0;
+  for (const auto& [name, value] : after) {
+    EXPECT_EQ(name.find(removed), std::string::npos) << name;
+    if (name.find(kept) != std::string::npos) {
+      EXPECT_EQ(value, before.at(name)) << name;
+      ++kept_series;
+    }
+  }
+  size_t kept_before = 0;
+  for (const auto& [name, value] : before) {
+    if (name.find(kept) != std::string::npos) ++kept_before;
+  }
+  EXPECT_EQ(kept_series, kept_before);
+  EXPECT_GT(kept_series, 2u);  // Two counters plus the histograms.
+  EXPECT_EQ(SampleOr(after, "rfidcep_observations_total"),
+            static_cast<int64_t>(head.size()));
+}
+
 // The lifecycle trace and the counters agree on the same replay.
 TEST_F(MetricsIntegrationTest, TraceRecordsMatchCounters) {
   uint64_t obs_records = 0, match_records = 0;

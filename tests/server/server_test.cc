@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -21,6 +22,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -671,6 +673,62 @@ TEST_F(ServerTest, HttpServesMetricsAndHealth) {
   EXPECT_NE(metrics.find("tenant=\"beta\""), std::string::npos);
 
   EXPECT_NE(http_get("/nope").find("404"), std::string::npos);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+// The value of the sample `name` in a /metrics exposition, or -1.
+int64_t SampleValue(const std::string& metrics, const std::string& name) {
+  const size_t at = metrics.find("\n" + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(metrics.substr(at + name.size() + 2));
+}
+
+// /metrics reads a tenant's counts under the tenant lock, so a scrape
+// racing a streaming client reads whole batches (never a count torn by
+// the ingest thread), and once the stream is acked it reads exactly the
+// acked observations. The TSan pass checks the race.
+TEST_F(ServerTest, ScrapeWhileStreamingReadsAckedTotals) {
+  Server server(Options());
+  ASSERT_TRUE(server.AddTenant(AlphaConfig()).ok());
+  ASSERT_TRUE(server.Start().ok());
+  const std::string observations =
+      "rfidcep_observations_total{tenant=\"alpha\"}";
+  constexpr size_t kBatch = 25;
+  const auto batches = Batched(MakeTrace(2000), kBatch);
+
+  std::atomic<bool> streaming{true};
+  int scrapes = 0;
+  int64_t last = 0;
+  bool whole_batches = true;
+  bool monotone = true;
+  std::thread scraper([&] {
+    do {
+      const int64_t seen = SampleValue(server.ExportMetrics(), observations);
+      whole_batches = whole_batches && seen >= 0 && seen % kBatch == 0;
+      monotone = monotone && seen >= last;
+      last = seen;
+      ++scrapes;
+    } while (streaming.load());
+  });
+  Client client;
+  bool acked_all = client.Connect(server.bound_port(), "alpha");
+  size_t acked = 0;
+  for (const auto& batch : batches) {
+    if (!acked_all || !client.Roundtrip(EncodeBatch(batch))) {
+      acked_all = false;
+      break;
+    }
+    acked += batch.size();
+  }
+  streaming = false;
+  scraper.join();
+
+  ASSERT_TRUE(acked_all);
+  EXPECT_GT(scrapes, 0);
+  EXPECT_TRUE(whole_batches);
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(SampleValue(server.ExportMetrics(), observations),
+            static_cast<int64_t>(acked));
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
