@@ -3,11 +3,12 @@
 #
 #   scripts/fuzz_repro.sh CASE.rules CASE.trace [CASE.rewrites] [BUILD_DIR]
 #
-# Runs the full differential check (reference interpreter vs serial,
-# batch-split, incremental AdvanceTo, crash-recovery and durable
-# executions) over exactly that rules/trace pair, with the fuzz harness's
-# reader registry (A and B in group G at locations LA and LB, C
-# unregistered), as the sweep did. A divergence report is the account of
+# Runs the full differential check (reference interpreter vs serial in
+# chronicle and unrestricted, the per-case invariants, batch-split,
+# incremental AdvanceTo, crash-recovery and durable executions) over
+# exactly that rules/trace pair, with the fuzz harness's environment
+# (A and B in group G at locations LA and LB, C unregistered; o0 and o1
+# cases, o2 an item), as the sweep did. A divergence report is the account of
 # what fired: it prints the reference and engine spans of the diverging
 # rule. A third .rewrites argument (dumped by the metamorphic axis) is
 # staged alongside the pair, so CorpusReplays also re-applies the

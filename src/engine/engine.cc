@@ -199,15 +199,6 @@ void RcedaEngine::Decompile() {
   metrics_.reset();
 }
 
-Status RcedaEngine::SetMetricsEnabled(bool enabled) {
-  if (compiled()) {
-    return Status::FailedPrecondition(
-        "cannot toggle metrics while compiled (Decompile() first)");
-  }
-  options_.enable_metrics = enabled;
-  return Status::Ok();
-}
-
 Status RcedaEngine::SetTraceSink(TraceSink* sink) {
   if (compiled()) {
     return Status::FailedPrecondition(
@@ -362,7 +353,7 @@ Status RcedaEngine::SerializeState(std::string* out) {
   for (size_t i = 0; i < rules_.size(); ++i) {
     snap.fired.emplace_back(rules_[i].id, rule_counts_[i].fired);
   }
-  if (options_.enable_metrics) snap.counters = CounterCatalog(false);
+  snap.counters = CounterCatalog(false);
   std::vector<std::string> rule_ids;
   rule_ids.reserve(rules_.size());
   for (const rules::Rule& rule : rules_) rule_ids.push_back(rule.id);

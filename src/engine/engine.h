@@ -165,11 +165,6 @@ class RcedaEngine {
   }
 
   // --- Observability -----------------------------------------------------------
-  // Toggles metric collection for the next Compile(). Requires
-  // !compiled() (Decompile() first); registered histograms and their
-  // values are preserved across toggles.
-  Status SetMetricsEnabled(bool enabled);
-  bool metrics_enabled() const { return options_.enable_metrics; }
   // Attaches a JSONL lifecycle trace sink (see engine/trace.h) for the
   // next Compile(); null detaches. Requires !compiled(). The sink must
   // outlive the engine (or the next Decompile()).

@@ -59,7 +59,6 @@ void PrimitiveIndex::AddBucket(Bucket* bucket, const EventGraph& graph,
     }
     if (type.type_constraint().has_value()) {
       bucket->by_type[*type.type_constraint()].push_back(entry);
-      has_typed_entries_ = true;
       continue;
     }
     bucket->untyped.push_back(entry);

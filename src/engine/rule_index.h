@@ -63,10 +63,6 @@ class PrimitiveIndex {
   // silently degrading.
   bool fullscan_fallback() const { return fullscan_fallback_; }
 
-  // Whether any bucket has typed sub-buckets (the probe only resolves
-  // type(obs.object) when it does).
-  bool has_typed_entries() const { return has_typed_entries_; }
-
   // The bucket for a reader literal / group key, or nullptr.
   const Bucket* FindReaderBucket(std::string_view key) const {
     auto it = by_reader_.find(key);
@@ -111,7 +107,6 @@ class PrimitiveIndex {
   StringViewMap<Bucket> by_reader_;
   Bucket unkeyed_;
   bool fullscan_fallback_ = false;
-  bool has_typed_entries_ = false;
 };
 
 }  // namespace rfidcep::engine

@@ -150,8 +150,8 @@ struct EngineSnapshot {
   // Fired count per rule id (rule-id keyed: survives re-indexing).
   std::vector<std::pair<std::string, uint64_t>> fired;
   // The engine's counts under their metric names, sorted by name
-  // (RcedaEngine::CounterCatalog; empty when metrics were off). Restore
-  // reads back only the counts the stats section lacks.
+  // (RcedaEngine::CounterCatalog), with metrics on or off. Restore reads
+  // back only the counts the stats section lacks.
   std::vector<std::pair<std::string, uint64_t>> counters;
   // Detection workers of the capturing engine: 1 from this build, more
   // from a checkpoint an older sharded build wrote.

@@ -31,13 +31,6 @@ const Table* Database::GetTable(std::string_view name) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::string> Database::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [key, table] : tables_) names.push_back(table->name());
-  return names;
-}
-
 Status Database::InstallRfidSchema() {
   if (!HasTable("OBSERVATION")) {
     RFIDCEP_RETURN_IF_ERROR(CreateTable(

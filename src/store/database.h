@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "store/table.h"
@@ -33,8 +32,6 @@ class Database {
   bool HasTable(std::string_view name) const {
     return GetTable(name) != nullptr;
   }
-
-  std::vector<std::string> TableNames() const;
 
   // Creates the three relations the paper's rules target, with hash
   // indexes on the object EPC columns:

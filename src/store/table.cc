@@ -24,18 +24,6 @@ void Table::Scan(const std::function<void(const Row&)>& visitor) const {
   }
 }
 
-size_t Table::ScanWhere(const std::function<bool(const Row&)>& pred,
-                        const std::function<void(const Row&)>& visitor) const {
-  size_t n = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.alive && pred(slot.row)) {
-      visitor(slot.row);
-      ++n;
-    }
-  }
-  return n;
-}
-
 std::vector<Row> Table::SelectWhere(
     const std::function<bool(const Row&)>& pred) const {
   std::vector<Row> out;

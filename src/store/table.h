@@ -39,13 +39,6 @@ class Table {
   // Visits every live row. The visitor may not mutate the table.
   void Scan(const std::function<void(const Row&)>& visitor) const;
 
-  // Visits live rows matching `pred`; uses the index on `column` when one
-  // exists and `key` is provided.
-  // Generic callers should use SelectWhere below.
-  // Returns the number of visited rows.
-  size_t ScanWhere(const std::function<bool(const Row&)>& pred,
-                   const std::function<void(const Row&)>& visitor) const;
-
   // Collects live rows satisfying `pred` (nullptr = all rows).
   std::vector<Row> SelectWhere(
       const std::function<bool(const Row&)>& pred) const;

@@ -188,7 +188,7 @@ Wal::~Wal() {
   std::lock_guard<std::mutex> lock(mu_);
   FlushLocked();
   if (fd_ >= 0) {
-    if (options_.fsync != FsyncPolicy::kNone) ::fsync(fd_);
+    ::fsync(fd_);
     ::close(fd_);
     fd_ = -1;
   }
@@ -288,7 +288,7 @@ Status Wal::FlushLocked() const {
 
 Status Wal::RotateLocked() const {
   RFIDCEP_RETURN_IF_ERROR(FlushLocked());
-  if (options_.fsync != FsyncPolicy::kNone && ::fsync(fd_) != 0) {
+  if (::fsync(fd_) != 0) {
     return Errno("fsync " + segment_path_);
   }
   ::close(fd_);
@@ -317,9 +317,7 @@ Result<uint64_t> Wal::Append(WalRecord record) {
   // Durability points come from callers via Sync(); the size cap just
   // bounds memory between them.
   constexpr size_t kMaxBufferBytes = 256u << 10;
-  if (options_.fsync == FsyncPolicy::kEveryAppend) {
-    RFIDCEP_RETURN_IF_ERROR(SyncLocked());
-  } else if (buffer_.size() >= kMaxBufferBytes) {
+  if (buffer_.size() >= kMaxBufferBytes) {
     RFIDCEP_RETURN_IF_ERROR(FlushLocked());
   }
   return record.lsn;

@@ -50,16 +50,10 @@ namespace rfidcep::store {
 
 class Database;
 
-// When appended records reach the OS and the disk.
-enum class FsyncPolicy : uint8_t {
-  kNone = 0,      // write() only; a crash may lose the unsynced suffix.
-  kOnRotate = 1,  // fsync when a segment closes (and on explicit Sync()).
-  kEveryAppend = 2,  // fsync after every record.
-};
-
+// Appended records reach the disk when a segment closes (rotation or
+// close) and on Sync(); in between they wait in a bounded buffer.
 struct WalOptions {
   uint64_t segment_bytes = 4u << 20;  // Rotate when a segment reaches this.
-  FsyncPolicy fsync = FsyncPolicy::kOnRotate;
 };
 
 // What kind of effect a record describes. kSql records re-execute on
@@ -152,9 +146,8 @@ class Wal {
   Wal& operator=(const Wal&) = delete;
 
   // Appends one record, assigning and returning its LSN. Thread-safe.
-  // Records are buffered in memory (unless the fsync policy is
-  // kEveryAppend) so a run of appends costs one write(): callers mark
-  // durability points with Sync().
+  // Records are buffered in memory so a run of appends costs one
+  // write(): callers mark durability points with Sync().
   Result<uint64_t> Append(WalRecord record);
 
   // Flushes and fsyncs everything appended so far. Thread-safe.

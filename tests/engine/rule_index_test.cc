@@ -72,7 +72,6 @@ TEST(RuleIndexTest, BucketsPaperFamiliesByVocabulary) {
   PrimitiveIndex index(graph);
 
   EXPECT_FALSE(index.fullscan_fallback());
-  EXPECT_TRUE(index.has_typed_entries());
 
   // Reader literal and group constraints key buckets.
   ASSERT_NE(index.FindReaderBucket("r_conv"), nullptr);

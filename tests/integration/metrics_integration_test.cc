@@ -184,14 +184,12 @@ TEST_F(MetricsIntegrationTest, ResetZeroesCountersAndReplayMatches) {
   EXPECT_EQ(counters_only(engine.ExportMetrics()), first);
 }
 
-// Every counter of an exposition: gauges and timing histograms dropped.
+// Every counter of an exposition (the `_total` series): gauges, such as
+// a restore's `restore_ns`, and timing histograms dropped.
 std::map<std::string, int64_t> Counters(const std::string& text) {
   std::map<std::string, int64_t> out;
   for (const auto& [name, value] : ParseExposition(text)) {
-    if (name.find("_us") == std::string::npos &&
-        name.find("_queue_") == std::string::npos) {
-      out[name] = value;
-    }
+    if (name.find("_total") != std::string::npos) out[name] = value;
   }
   return out;
 }
@@ -260,6 +258,64 @@ TEST_F(MetricsIntegrationTest, CountsSurviveDecompileAndCompile) {
   EXPECT_EQ(fired_sum, stats.rules_fired);
   EXPECT_GT(before.at("rfidcep_rules_fired_total"), 0);
   EXPECT_GT(after_only.at("rfidcep_rules_fired_total"), 0);
+}
+
+// A checkpoint carries every count whether metrics are on or off: a
+// metrics-off checkpoint restored into a metrics-on engine finishes the
+// stream on the counters and statistics of an uninterrupted metrics-on
+// run, including the counts only the counter section holds.
+TEST_F(MetricsIntegrationTest, MetricsOffCheckpointKeepsEveryCount) {
+  EngineOptions on;
+  on.detector.tolerate_out_of_order = true;
+  EngineOptions off = on;
+  off.enable_metrics = false;
+  const std::vector<events::Observation> head(stream_.begin(),
+                                              stream_.begin() + 2000);
+  const std::vector<events::Observation> tail(stream_.begin() + 2000,
+                                              stream_.begin() + 4000);
+  // The restored engine continues on the source's store, as it would
+  // after WAL replay, so its UPDATEs touch the rows the head inserted.
+  store::Database db, uninterrupted_db;
+  ASSERT_TRUE(db.InstallRfidSchema().ok());
+  ASSERT_TRUE(uninterrupted_db.InstallRfidSchema().ok());
+  std::string bytes;
+  {
+    RcedaEngine source(&db, chain_.environment(), off);
+    ASSERT_TRUE(source.AddRulesFromText(program_).ok());
+    ASSERT_TRUE(source.Compile().ok());
+    ASSERT_TRUE(source.ProcessAll(head).ok());
+    ASSERT_TRUE(source.SerializeState(&bytes).ok());
+  }
+
+  RcedaEngine restored(&db, chain_.environment(), on);
+  ASSERT_TRUE(restored.AddRulesFromText(program_).ok());
+  ASSERT_TRUE(restored.Compile().ok());
+  ASSERT_TRUE(restored.RestoreState(bytes).ok());
+  ASSERT_TRUE(restored.ProcessAll(tail).ok());
+  ASSERT_TRUE(restored.Flush().ok());
+
+  RcedaEngine uninterrupted(&uninterrupted_db, chain_.environment(), on);
+  ASSERT_TRUE(uninterrupted.AddRulesFromText(program_).ok());
+  ASSERT_TRUE(uninterrupted.Compile().ok());
+  ASSERT_TRUE(uninterrupted.ProcessAll(head).ok());
+  ASSERT_TRUE(uninterrupted.ProcessAll(tail).ok());
+  ASSERT_TRUE(uninterrupted.Flush().ok());
+
+  EXPECT_EQ(Counters(restored.ExportMetrics()),
+            Counters(uninterrupted.ExportMetrics()));
+  const EngineStats& got = restored.stats();
+  const EngineStats& want = uninterrupted.stats();
+  EXPECT_EQ(got.process_calls, 2u);
+  EXPECT_EQ(got.process_calls, want.process_calls);
+  EXPECT_GT(got.rows_written, 0u);
+  EXPECT_EQ(got.rows_written, want.rows_written);
+  EXPECT_EQ(got.actions_deduped, want.actions_deduped);
+  EXPECT_EQ(got.sql_actions_executed, want.sql_actions_executed);
+  EXPECT_EQ(got.rules_fired, want.rules_fired);
+  EXPECT_EQ(got.detector.observations, want.detector.observations);
+  EXPECT_EQ(got.detector.fullscan_dispatches,
+            want.detector.fullscan_dispatches);
+  EXPECT_EQ(got.detector.rule_matches, want.detector.rule_matches);
 }
 
 // A removed rule's series leave with it; the other rules keep theirs.

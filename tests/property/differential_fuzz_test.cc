@@ -2,7 +2,12 @@
 // agree:
 //
 //   1. reference interpreter (src/engine/reference/) vs serial Detector —
-//      per-rule span multisets;
+//      per-rule span multisets, in the chronicle and the unrestricted
+//      context. On the same runs every case also checks that chronicle
+//      spans are a sub-multiset of unrestricted ones, that no
+//      constituent serves two chronicle matches of one rule, and that
+//      every match re-validates against its rule's declarative
+//      constraints under chronicle, recent, continuous and unrestricted;
 //   2. single-shot Process loop vs batch-split ProcessAll — per-rule span
 //      lists in exact firing order, as for every engine-vs-engine axis;
 //   3. end-of-stream Flush vs incremental AdvanceTo interleaved between
@@ -32,8 +37,10 @@
 //   8. window-family axis — each rule must match alike with and without
 //      its window siblings, in every parameter context.
 //
-// Every engine and the reference run with one fixed reader registry
-// (FuzzEnvironment): A and B registered, C not.
+// Every engine and the reference run with one fixed environment
+// (FuzzEnvironment): A and B registered, C not; o0 and o1 are cases, o2
+// an item. Fixed NOT-free templates, two of them over groups and types,
+// also run through the same checks as a deterministic sweep.
 //
 // Cases are seeded: random rule sets (OR/AND/NOT/SEQ/TSEQ/SEQ+/TSEQ+/
 // WITHIN nested up to depth 4) over random observation streams with
@@ -73,18 +80,25 @@
 #include "store/csv.h"
 #include "store/database.h"
 #include "store/wal.h"
-#include "tests/property/reference_oracle.h"
 
 namespace rfidcep::engine {
 namespace {
 
-using ::rfidcep::engine::testing::Span;
 using events::EventInstancePtr;
 using events::Observation;
+
+// A match's time span; sorted lists compare as multisets.
+struct Span {
+  TimePoint t_begin;
+  TimePoint t_end;
+  friend auto operator<=>(const Span&, const Span&) = default;
+};
 
 // Spans keyed by rule id. Ordered = emission order; callers sort a copy
 // when only the multiset matters.
 using SpansByRule = std::map<std::string, std::vector<Span>>;
+// Every match instance keyed by rule id, in emission order.
+using InstancesByRule = std::map<std::string, std::vector<EventInstancePtr>>;
 
 std::vector<Span> Sorted(std::vector<Span> spans) {
   std::sort(spans.begin(), spans.end());
@@ -455,11 +469,12 @@ FuzzCase GenGroupCase(uint64_t seed) {
 
 // --- Execution protocols -----------------------------------------------------
 
-// The harness's one reader registry: A and B in group G at distinct
-// locations, C unregistered (group(C) = C, no location). Every engine and
-// the reference run with it, so reader literals reach registered and
-// unregistered readers alike and r-variable leaves bind r_location for
-// A and B.
+// The harness's one environment. Its reader registry has A and B in
+// group G at distinct locations and C unregistered (group(C) = C, no
+// location), so reader literals reach registered and unregistered readers
+// alike and r-variable leaves bind r_location for A and B. Its catalog
+// types o0 and o1 as cases and o2 as an item, for the fixed templates'
+// type constraints. Every engine and the reference run with it.
 const events::Environment& FuzzEnvironment() {
   static const epc::ReaderRegistry readers = [] {
     epc::ReaderRegistry registry;
@@ -467,14 +482,20 @@ const events::Environment& FuzzEnvironment() {
     registry.RegisterReader("B", "G", "LB");
     return registry;
   }();
-  static const events::Environment env{nullptr, &readers};
+  static const epc::ProductCatalog catalog = [] {
+    epc::ProductCatalog types;
+    types.RegisterExact("o0", "case");
+    types.RegisterExact("o1", "case");
+    types.RegisterExact("o2", "item");
+    return types;
+  }();
+  static const events::Environment env{&catalog, &readers};
   return env;
 }
 
 // A match's span plus the r_location values it binds ("" when none; a
-// SEQ+ run's values in run order), keyed by rule id.
+// SEQ+ run's values in run order).
 using LocatedSpan = std::pair<Span, std::string>;
-using LocatedByRule = std::map<std::string, std::vector<LocatedSpan>>;
 
 LocatedSpan Locate(const events::EventInstance& e) {
   const events::SymbolId sym = events::FindSymbol("r_location");
@@ -501,11 +522,10 @@ struct RunSpec {
   ParameterContext context = ParameterContext::kChronicle;
 };
 
-// A non-null `located` also receives every match with its r_location
-// values.
+// A non-null `instances` also receives every match instance.
 SpansByRule RunEngine(const std::string& program,
                       const std::vector<Observation>& stream, RunSpec spec,
-                      LocatedByRule* located = nullptr) {
+                      InstancesByRule* instances = nullptr) {
   EngineOptions options;
   options.detector.context = spec.context;
   options.detector.tolerate_out_of_order = spec.tolerate_out_of_order;
@@ -513,9 +533,9 @@ SpansByRule RunEngine(const std::string& program,
   RcedaEngine engine(/*db=*/nullptr, FuzzEnvironment(), options);
   SpansByRule out;
   engine.SetMatchCallback(
-      [&out, located](const rules::Rule& rule, const EventInstancePtr& e) {
+      [&out, instances](const rules::Rule& rule, const EventInstancePtr& e) {
         out[rule.id].push_back(Span{e->t_begin(), e->t_end()});
-        if (located != nullptr) (*located)[rule.id].push_back(Locate(*e));
+        if (instances != nullptr) (*instances)[rule.id].push_back(e);
       });
   EXPECT_TRUE(engine.AddRulesFromText(program).ok());
   EXPECT_TRUE(engine.Compile().ok());
@@ -523,7 +543,7 @@ SpansByRule RunEngine(const std::string& program,
   // empty-vs-nonempty instead of missing keys.
   for (size_t i = 0; i < engine.num_rules(); ++i) {
     out[engine.rule(i).id];
-    if (located != nullptr) (*located)[engine.rule(i).id];
+    if (instances != nullptr) (*instances)[engine.rule(i).id];
   }
 
   if (spec.split_batch) {
@@ -557,30 +577,94 @@ SpansByRule RunEngine(const std::string& program,
 
 // The oracle runs each rule's own interval-propagated event, never the
 // graph under test, so how the compiler shares or rewrites nodes cannot
-// leak into the expected spans.
+// leak into the expected spans. `context` is chronicle or unrestricted,
+// the two the interpreter defines.
 SpansByRule RunReference(const rules::RuleSet& set,
                          const std::vector<Observation>& stream,
-                         LocatedByRule* located = nullptr) {
+                         ParameterContext context,
+                         InstancesByRule* instances = nullptr) {
   SpansByRule out;
   for (size_t i = 0; i < set.rules.size(); ++i) {
     reference::ReferenceOptions options;
-    options.context = ParameterContext::kChronicle;
+    options.context = context;
     reference::ReferenceInterpreter interp(
         PropagateIntervalConstraints(set.rules[i].event), &FuzzEnvironment(),
         options);
     std::vector<Span>& spans = out[set.rules[i].id];
-    std::vector<LocatedSpan>* where =
-        located != nullptr ? &(*located)[set.rules[i].id] : nullptr;
     for (const EventInstancePtr& e : interp.Run(stream)) {
       spans.push_back(Span{e->t_begin(), e->t_end()});
-      if (where != nullptr) where->push_back(Locate(*e));
+      if (instances != nullptr) (*instances)[set.rules[i].id].push_back(e);
     }
   }
   return out;
 }
 
-// Runs all execution protocols; returns a description of the first
-// divergence, or nullopt when they all agree.
+// Re-checks every temporal constraint and variable join of `expr` on a
+// detected instance tree: whatever a context selects must satisfy the
+// rule as declared.
+bool ValidateInstance(const events::EventExpr& expr,
+                      const events::EventInstance& instance) {
+  using events::ExprOp;
+  if (expr.has_within() && instance.interval() > expr.within()) return false;
+  switch (expr.op()) {
+    case ExprOp::kPrimitive:
+      return instance.is_primitive();
+    case ExprOp::kOr:
+      for (const events::EventExprPtr& child : expr.children()) {
+        if (ValidateInstance(*child, instance)) return true;
+      }
+      return false;
+    case ExprOp::kAnd: {
+      if (instance.children().size() != 2) return false;
+      const events::EventInstance& a = *instance.children()[0];
+      const events::EventInstance& b = *instance.children()[1];
+      if (!a.bindings().UnifiesWith(b.bindings())) return false;
+      return (ValidateInstance(*expr.children()[0], a) &&
+              ValidateInstance(*expr.children()[1], b)) ||
+             (ValidateInstance(*expr.children()[0], b) &&
+              ValidateInstance(*expr.children()[1], a));
+    }
+    case ExprOp::kSeq: {
+      if (instance.children().size() != 2) return false;
+      const events::EventInstance& first = *instance.children()[0];
+      const events::EventInstance& second = *instance.children()[1];
+      // A synthetic non-occurrence child (NOT side) has no children and
+      // no observation; skip structural checks for it.
+      bool first_synth = !first.is_primitive() && first.children().empty();
+      bool second_synth = !second.is_primitive() && second.children().empty();
+      if (!first_synth && !second_synth) {
+        if (first.t_end() >= second.t_begin()) return false;
+        Duration d = events::Dist(first, second);
+        if (d < expr.dist_lo() || d > expr.dist_hi()) return false;
+      }
+      bool first_ok = first_synth ||
+                      ValidateInstance(*expr.children()[0], first);
+      bool second_ok = second_synth ||
+                       ValidateInstance(*expr.children()[1], second);
+      return first_ok && second_ok;
+    }
+    case ExprOp::kSeqPlus: {
+      if (instance.children().empty()) return false;
+      for (size_t i = 0; i < instance.children().size(); ++i) {
+        if (!ValidateInstance(*expr.children()[0], *instance.children()[i])) {
+          return false;
+        }
+        if (i > 0) {
+          Duration d = events::Dist(*instance.children()[i - 1],
+                                    *instance.children()[i]);
+          if (d < expr.dist_lo() || d > expr.dist_hi()) return false;
+        }
+      }
+      return true;
+    }
+    case ExprOp::kNot:
+      return true;  // Absence is the reference's to check.
+  }
+  return false;
+}
+
+// Runs all execution protocols and the per-case invariants; returns a
+// description of the first divergence, or nullopt when they all agree.
 std::optional<std::string> CheckCase(const FuzzCase& c) {
   std::string program = c.Program();
   Result<rules::RuleSet> set = rules::ParseRuleProgram(program);
@@ -588,15 +672,23 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
   Result<EventGraph> graph = EventGraph::Build(set->rules);
   if (!graph.ok()) return "graph build failed: " + graph.status().ToString();
 
-  SpansByRule reference = RunReference(*set, c.stream);
-  SpansByRule serial = RunEngine(program, c.stream, RunSpec{});
-
-  for (const auto& [rule_id, expected] : reference) {
-    std::vector<Span> actual = Sorted(serial[rule_id]);
-    if (Sorted(expected) != actual) {
-      return "reference vs serial divergence on rule " + rule_id +
-             "\n  reference: " + FormatSpans(Sorted(expected)) +
-             "\n  serial:    " + FormatSpans(actual);
+  InstancesByRule chronicle, unrestricted;
+  SpansByRule serial = RunEngine(program, c.stream, RunSpec{}, &chronicle);
+  SpansByRule exhaustive = RunEngine(
+      program, c.stream,
+      RunSpec{.context = ParameterContext::kUnrestricted}, &unrestricted);
+  for (auto [context, engine] :
+       {std::pair{ParameterContext::kChronicle, &serial},
+        std::pair{ParameterContext::kUnrestricted, &exhaustive}}) {
+    for (const auto& [rule_id, expected] :
+         RunReference(*set, c.stream, context)) {
+      std::vector<Span> actual = Sorted((*engine)[rule_id]);
+      if (Sorted(expected) != actual) {
+        return "reference vs serial divergence (" +
+               std::string(ParameterContextName(context)) + ") on rule " +
+               rule_id + "\n  reference: " + FormatSpans(Sorted(expected)) +
+               "\n  serial:    " + FormatSpans(actual);
+      }
     }
   }
 
@@ -618,6 +710,53 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
                " divergence on rule " + rule_id +
                "\n  serial: " + FormatSpans(expected) + "\n  " +
                protocol.name + ": " + FormatSpans(other[rule_id]);
+      }
+    }
+  }
+
+  // Chronicle selects among the unrestricted matches and consumes what
+  // it pairs: per rule, its spans are a sub-multiset of unrestricted's,
+  // and no constituent serves two of its matches.
+  for (const auto& [rule_id, spans] : serial) {
+    const std::vector<Span> chosen = Sorted(spans);
+    const std::vector<Span> all = Sorted(exhaustive[rule_id]);
+    if (!std::includes(all.begin(), all.end(), chosen.begin(), chosen.end())) {
+      return "chronicle is not a subset of unrestricted on rule " + rule_id +
+             "\n  chronicle:    " + FormatSpans(chosen) +
+             "\n  unrestricted: " + FormatSpans(all);
+    }
+    std::set<uint64_t> used;
+    for (const EventInstancePtr& match : chronicle[rule_id]) {
+      for (const EventInstancePtr& part : match->children()) {
+        // A NOT side's synthetic instance constitutes nothing.
+        if (part->children().empty() && !part->is_primitive()) continue;
+        if (!used.insert(part->sequence_number()).second) {
+          return "constituent reused by two chronicle matches of rule " +
+                 rule_id + ": " + match->ToString();
+        }
+      }
+    }
+  }
+
+  // Every match of every context with a declarative reading satisfies
+  // its rule's constraints.
+  InstancesByRule recent, continuous;
+  RunEngine(program, c.stream, RunSpec{.context = ParameterContext::kRecent},
+            &recent);
+  RunEngine(program, c.stream,
+            RunSpec{.context = ParameterContext::kContinuous}, &continuous);
+  for (auto [context, matches] :
+       {std::pair{ParameterContext::kChronicle, &chronicle},
+        std::pair{ParameterContext::kRecent, &recent},
+        std::pair{ParameterContext::kContinuous, &continuous},
+        std::pair{ParameterContext::kUnrestricted, &unrestricted}}) {
+    for (const rules::Rule& rule : set->rules) {
+      for (const EventInstancePtr& match : (*matches)[rule.id]) {
+        if (!ValidateInstance(*rule.event, *match)) {
+          return std::string(ParameterContextName(context)) +
+                 " match of rule " + rule.id +
+                 " violates its constraints: " + match->ToString();
+        }
       }
     }
   }
@@ -851,7 +990,9 @@ std::optional<std::string> CheckGroupCase(const FuzzCase& c,
   Result<rules::RuleSet> set = rules::ParseRuleProgram(program);
   if (!set.ok()) return "parse failed: " + set.status().ToString();
   if (!EventGraph::Build(set->rules).ok()) return "graph build failed";
-  auto sorted = [](std::vector<LocatedSpan> v) {
+  auto located_spans = [](const std::vector<EventInstancePtr>& matches) {
+    std::vector<LocatedSpan> v;
+    for (const EventInstancePtr& e : matches) v.push_back(Locate(*e));
     std::sort(v.begin(), v.end());
     return v;
   };
@@ -863,20 +1004,20 @@ std::optional<std::string> CheckGroupCase(const FuzzCase& c,
     }
     return out + " }";
   };
-  LocatedByRule reference;
-  RunReference(*set, c.stream, &reference);
+  InstancesByRule reference;
+  RunReference(*set, c.stream, ParameterContext::kChronicle, &reference);
+  InstancesByRule engine;
+  RunEngine(program, c.stream, RunSpec{}, &engine);
   for (const auto& [rule_id, matches] : reference) {
-    for (const LocatedSpan& match : matches) {
+    const std::vector<LocatedSpan> expected = located_spans(matches);
+    for (const LocatedSpan& match : expected) {
       if (located != nullptr && !match.second.empty()) ++*located;
     }
-  }
-  LocatedByRule engine;
-  RunEngine(program, c.stream, RunSpec{}, &engine);
-  for (const auto& [rule_id, expected] : reference) {
-    if (sorted(expected) != sorted(engine[rule_id])) {
+    const std::vector<LocatedSpan> got = located_spans(engine[rule_id]);
+    if (expected != got) {
       return "reference vs serial divergence on group rule " + rule_id +
-             "\n  reference: " + format(sorted(expected)) +
-             "\n  serial:    " + format(sorted(engine[rule_id]));
+             "\n  reference: " + format(expected) +
+             "\n  serial:    " + format(got);
     }
   }
   return std::nullopt;
@@ -1334,8 +1475,10 @@ std::optional<std::string> CheckMetamorphicCase(
   // naive reference interpreter runs both forms; a difference means the
   // identity (or its precondition) is wrong — fix the rewriter, never
   // ship the variant.
-  SpansByRule ref_orig = RunReference(*set, c.stream);
-  SpansByRule ref_rew = RunReference(*rew_set, c.stream);
+  SpansByRule ref_orig =
+      RunReference(*set, c.stream, ParameterContext::kChronicle);
+  SpansByRule ref_rew =
+      RunReference(*rew_set, c.stream, ParameterContext::kChronicle);
   for (const auto& [rule_id, expected] : ref_orig) {
     if (Sorted(expected) != Sorted(ref_rew[rule_id])) {
       return "rewriter soundness bug: reference disagrees with itself on "
@@ -1619,6 +1762,64 @@ TEST(DifferentialFuzz, GroupRulesMatchReference) {
   }
   // The axis must reach r_location bindings, not only spans.
   EXPECT_GT(located_cases, cases / 4);
+}
+
+// --- Fixed templates ---------------------------------------------------------
+//
+// A deterministic sweep through CheckCase: NOT-free templates covering
+// every constructor, chosen so the engine's documented detection regime
+// is complete (TSEQ over TSEQ+ uses dist_lo >= inner dist_hi; see
+// DESIGN.md §3), then two over the harness registry's groups and the
+// catalog's types.
+constexpr const char* kTemplates[] = {
+    "observation(\"A\", o, t)",
+    "observation(\"A\", o, t) OR observation(\"B\", o, t)",
+    "WITHIN(observation(\"A\", o1, t1) AND observation(\"B\", o2, t2), 4sec)",
+    "WITHIN(SEQ(observation(\"A\", o1, t1); observation(\"B\", o2, t2)), "
+    "6sec)",
+    "TSEQ(observation(\"A\", o1, t1); observation(\"B\", o2, t2), 1sec, "
+    "5sec)",
+    // The duplicate-filter shape: an equality join on (r, o).
+    "WITHIN(observation(r, o, t1); observation(r, o, t2), 5sec)",
+    "TSEQ(TSEQ+(observation(\"A\", o1, t1), 0sec, 1sec); "
+    "observation(\"B\", o2, t2), 2sec, 20sec)",
+    "WITHIN(TSEQ+(observation(\"A\", o1, t1), 0sec, 2sec), 30sec)",
+    "WITHIN((observation(\"A\", o1, t1) OR observation(\"B\", o2, t2)) AND "
+    "observation(\"C\", o3, t3), 5sec)",
+    "WITHIN(SEQ(SEQ(observation(\"A\", o1, t1); observation(\"B\", o2, "
+    "t2)); observation(\"C\", o3, t3)), 12sec)",
+    "observation(r, o, t), group(r) = \"G\", type(o) = \"case\"",
+    "WITHIN(observation(r, o, t1), group(r) = \"G\"; "
+    "observation(r2, o, t2), group(r2) = \"C\", 8sec)",
+};
+
+// Sixty observations of objects o0-o3 at readers A-C, each step uniform
+// in [0, 3] seconds at microsecond resolution.
+std::vector<Observation> TemplateHistory(uint64_t seed) {
+  Prng prng(seed);
+  const char* readers[] = {"A", "B", "C"};
+  std::vector<Observation> out;
+  TimePoint t = 0;
+  for (int i = 0; i < 60; ++i) {
+    t += prng.UniformInt(0, 3 * kSecond);
+    out.push_back(Observation{readers[prng.UniformInt(0, 2)],
+                              "o" + std::to_string(prng.UniformInt(0, 3)), t});
+  }
+  return out;
+}
+
+TEST(DifferentialFuzz, FixedTemplatesAgree) {
+  for (size_t i = 0; i < std::size(kTemplates); ++i) {
+    for (uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u}) {
+      FuzzCase c;
+      c.rules.push_back(std::string("CREATE RULE p, fixed template ON ") +
+                        kTemplates[i] + " IF true DO act");
+      c.stream = TemplateHistory(seed);
+      std::optional<std::string> why = CheckCase(c);
+      EXPECT_FALSE(why.has_value())
+          << "template " << i << " seed " << seed << ": " << why.value_or("");
+    }
+  }
 }
 
 // --- Corpus replay -----------------------------------------------------------

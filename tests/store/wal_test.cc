@@ -636,17 +636,5 @@ TEST_F(WalTest, RotationPreservesLsnOrderAcrossSegments) {
   EXPECT_EQ(*lsn, kRecords + 1);
 }
 
-TEST_F(WalTest, EveryAppendPolicySurvivesUnflushedDrop) {
-  WalOptions durable;
-  durable.fsync = FsyncPolicy::kEveryAppend;
-  {
-    std::unique_ptr<Wal> wal = OpenOrDie(durable);
-    ASSERT_TRUE(wal->Append(MakeRecord(1, 0)).ok());
-    // No Sync(), no Flush(): the policy already pushed it to disk.
-  }
-  std::unique_ptr<Wal> wal = OpenOrDie(durable);
-  EXPECT_EQ(wal->recovered_lsn(), 1u);
-}
-
 }  // namespace
 }  // namespace rfidcep::store
