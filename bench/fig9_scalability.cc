@@ -41,6 +41,13 @@
 // it on and --metrics-out dumps the final run's Prometheus exposition.
 // --json-out writes every timing row as JSON for scripts/bench_guard.py.
 //
+// Every timed region also counts the user-space instructions and cycles
+// the calling thread retires (perf_event_open with exclude_kernel), shown
+// per event in the instr/event and cycles/event columns and as
+// `instructions_per_event` / `cycles_per_event` in --json-out rows.
+// Where the kernel refuses the counters, the run says why once, the
+// columns read "-" and the JSON fields are absent.
+//
 // The stream is pre-split into batches outside the timed region and fed
 // through RcedaEngine::ProcessAll, the batch entry point.
 //
@@ -49,7 +56,13 @@
 // grows (sub-linear in rules thanks to common-subgraph merging and
 // indexed primitive dispatch).
 
+#include <linux/perf_event.h>
+#include <sys/ioctl.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -57,6 +70,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -81,6 +95,94 @@ struct RunResult {
   uint64_t matches = 0;
   uint64_t pseudo_fired = 0;
   uint64_t rules_fired = 0;
+  // User-space counts per event; empty when the counters are unavailable.
+  std::optional<double> instructions_per_event;
+  std::optional<double> cycles_per_event;
+};
+
+// The user-space instructions and cycles the calling thread retires
+// between Start() and Stop(): two hardware counters in one perf_event
+// group, opened with exclude_kernel, which the default
+// kernel.perf_event_paranoid (2) allows an unprivileged process. Where
+// the kernel refuses them (a stricter paranoid level, a seccomp filter, a
+// virtual machine without a PMU) available() is false and why() says
+// why. Must be opened, started and stopped on the thread being counted.
+class ThreadCounters {
+ public:
+  struct Counts {
+    double instructions = 0;
+    double cycles = 0;
+  };
+
+  ThreadCounters() {
+    leader_ = Open(PERF_COUNT_HW_INSTRUCTIONS, -1);
+    if (leader_ >= 0) cycles_ = Open(PERF_COUNT_HW_CPU_CYCLES, leader_);
+    if (leader_ < 0 || cycles_ < 0) {
+      why_ = std::string("perf_event_open: ") + std::strerror(errno);
+      Close();
+    }
+  }
+  ~ThreadCounters() { Close(); }
+  ThreadCounters(const ThreadCounters&) = delete;
+  ThreadCounters& operator=(const ThreadCounters&) = delete;
+
+  bool available() const { return leader_ >= 0; }
+  const std::string& why() const { return why_; }
+
+  void Start() {
+    if (!available()) return;
+    ioctl(leader_, PERF_EVENT_IOC_RESET, PERF_IOC_FLAG_GROUP);
+    ioctl(leader_, PERF_EVENT_IOC_ENABLE, PERF_IOC_FLAG_GROUP);
+  }
+
+  // Counts since Start(), scaled up by enabled/running time when the
+  // kernel multiplexed the group. Empty when unavailable, or when the
+  // read fails or the group never ran (why() then says so).
+  std::optional<Counts> Stop() {
+    if (!available()) return std::nullopt;
+    ioctl(leader_, PERF_EVENT_IOC_DISABLE, PERF_IOC_FLAG_GROUP);
+    // PERF_FORMAT_GROUP with both times: nr, enabled, running, values.
+    uint64_t data[5] = {};
+    if (read(leader_, data, sizeof(data)) != sizeof(data) || data[0] != 2) {
+      why_ = std::string("perf counter read failed: ") + std::strerror(errno);
+      return std::nullopt;
+    }
+    if (data[2] == 0) {
+      why_ = "perf counters were never scheduled on this thread";
+      return std::nullopt;
+    }
+    const double scale =
+        static_cast<double>(data[1]) / static_cast<double>(data[2]);
+    return Counts{static_cast<double>(data[3]) * scale,
+                  static_cast<double>(data[4]) * scale};
+  }
+
+ private:
+  static int Open(uint64_t config, int group_fd) {
+    perf_event_attr attr;
+    std::memset(&attr, 0, sizeof(attr));
+    attr.size = sizeof(attr);
+    attr.type = PERF_TYPE_HARDWARE;
+    attr.config = config;
+    attr.disabled = group_fd == -1;  // The group starts with its leader.
+    attr.exclude_kernel = 1;
+    attr.exclude_hv = 1;
+    attr.read_format = PERF_FORMAT_GROUP | PERF_FORMAT_TOTAL_TIME_ENABLED |
+                       PERF_FORMAT_TOTAL_TIME_RUNNING;
+    return static_cast<int>(
+        syscall(SYS_perf_event_open, &attr, 0, -1, group_fd, 0));
+  }
+
+  void Close() {
+    for (int* fd : {&cycles_, &leader_}) {
+      if (*fd >= 0) close(*fd);
+      *fd = -1;
+    }
+  }
+
+  int leader_ = -1;
+  int cycles_ = -1;
+  std::string why_;
 };
 
 struct BenchFlags {
@@ -95,10 +197,12 @@ struct BenchFlags {
   std::string json_out;     // Timing rows for scripts/bench_guard.py.
 };
 
-// Rows accumulated across series for --json-out / --metrics-out.
+// Rows accumulated across series for --json-out / --metrics-out, and the
+// counters every timed region reads (all run on the main thread).
 struct BenchOutput {
   std::vector<std::string> json_rows;
   std::string metrics_text;  // Last run's exposition (--metrics only).
+  ThreadCounters counters;
 };
 
 void AppendJsonRow(BenchOutput* out, const char* series,
@@ -109,11 +213,60 @@ void AppendJsonRow(BenchOutput* out, const char* series,
                 "{\"series\":\"%s\",\"rule_family\":\"%s\","
                 "\"events\":%zu,\"rules\":%d,"
                 "\"total_ms\":%.3f,\"usec_per_event\":%.4f,"
-                "\"matches\":%llu,\"fired\":%llu}",
+                "\"matches\":%llu,\"fired\":%llu",
                 series, rule_family, events, rules, r.total_ms,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.rules_fired));
-  out->json_rows.emplace_back(buf);
+  std::string row = buf;
+  if (r.instructions_per_event && r.cycles_per_event) {
+    std::snprintf(buf, sizeof(buf),
+                  ",\"instructions_per_event\":%.1f,"
+                  "\"cycles_per_event\":%.1f",
+                  *r.instructions_per_event, *r.cycles_per_event);
+    row += buf;
+  }
+  out->json_rows.push_back(row + "}");
+}
+
+// A per-event count for the text tables: "-" when unavailable.
+std::string PerEventColumn(const std::optional<double>& value) {
+  if (!value) return "-";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.0f", *value);
+  return buf;
+}
+
+// Starts the timed region's clock and counters.
+std::chrono::steady_clock::time_point StartTimed(BenchOutput* out) {
+  out->counters.Start();
+  return std::chrono::steady_clock::now();
+}
+
+// Ends the timed region begun at `start` over `events` observations and
+// fills the result's time and per-event counts; says once why the
+// counters are missing when they are.
+RunResult StopTimed(std::chrono::steady_clock::time_point start,
+                    size_t events, BenchOutput* out) {
+  const auto end = std::chrono::steady_clock::now();
+  std::optional<ThreadCounters::Counts> counts = out->counters.Stop();
+  RunResult result;
+  result.total_ms =
+      std::chrono::duration<double, std::milli>(end - start).count();
+  result.usec_per_event =
+      result.total_ms * 1000.0 / static_cast<double>(events);
+  if (counts) {
+    result.instructions_per_event =
+        counts->instructions / static_cast<double>(events);
+    result.cycles_per_event = counts->cycles / static_cast<double>(events);
+  } else {
+    static bool told = false;
+    if (!told) {
+      std::printf("(no instruction/cycle counts: %s)\n",
+                  out->counters.why().c_str());
+      told = true;
+    }
+  }
+  return result;
 }
 
 rfidcep::sim::SupplyChainConfig BenchConfig(int num_sites) {
@@ -158,18 +311,12 @@ RunResult RunOnce(const std::string& rule_program,
   Check(engine.AddRulesFromText(rule_program), "rule");
   Check(engine.Compile(), "compile");
 
-  auto start = std::chrono::steady_clock::now();
+  const auto start = StartTimed(out);
   for (const std::vector<Observation>& batch : batches) {
     Check(engine.ProcessAll(batch), "process");
   }
   (void)engine.Flush();
-  auto end = std::chrono::steady_clock::now();
-
-  RunResult result;
-  result.total_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  result.usec_per_event = result.total_ms * 1000.0 /
-                          static_cast<double>(stream.size());
+  RunResult result = StopTimed(start, stream.size(), out);
   result.matches = engine.stats().detector.rule_matches;
   result.pseudo_fired = engine.stats().detector.pseudo_fired;
   result.rules_fired = engine.stats().rules_fired;
@@ -185,8 +332,9 @@ void RunEventsSeries(const BenchFlags& flags, BenchOutput* out) {
   std::printf("(fixed rule set: %d rules over %d sites, arrival rate 1000 "
               "ev/s, actions excluded, batch=%zu)\n",
               num_rules, flags.sites > 0 ? flags.sites : 5, flags.batch);
-  std::printf("%12s %14s %14s %12s %12s\n", "events", "total_ms",
-              "usec/event", "matches", "pseudo");
+  std::printf("%12s %14s %14s %12s %12s %12s %12s\n", "events",
+              "total_ms", "usec/event", "matches", "pseudo", "instr/event",
+              "cycles/event");
   const int sites = flags.sites > 0 ? flags.sites : 5;
   rfidcep::sim::SupplyChain chain(BenchConfig(sites));
   std::string rules = chain.GeneratedRuleProgram(num_rules);
@@ -195,9 +343,12 @@ void RunEventsSeries(const BenchFlags& flags, BenchOutput* out) {
   if (flags.events > 0) points = {flags.events};
   for (size_t events : points) {
     RunResult r = RunOnce(rules, BenchConfig(sites), events, flags, out);
-    std::printf("%12zu %14.1f %14.3f %12llu %12llu\n", events, r.total_ms,
-                r.usec_per_event, static_cast<unsigned long long>(r.matches),
-                static_cast<unsigned long long>(r.pseudo_fired));
+    std::printf("%12zu %14.1f %14.3f %12llu %12llu %12s %12s\n", events,
+                r.total_ms, r.usec_per_event,
+                static_cast<unsigned long long>(r.matches),
+                static_cast<unsigned long long>(r.pseudo_fired),
+                PerEventColumn(r.instructions_per_event).c_str(),
+                PerEventColumn(r.cycles_per_event).c_str());
     AppendJsonRow(out, "events", "generated", events, num_rules, r);
   }
 }
@@ -224,8 +375,9 @@ void RunRulesSeries(const BenchFlags& flags, BenchOutput* out) {
               "sites x %d SKUs, sku_site rule family over %d SKUs, "
               "actions excluded, batch=%zu)\n",
               events, sites, config.num_skus, naming.num_skus, flags.batch);
-  std::printf("%12s %14s %14s %12s %12s\n", "rules", "total_ms", "usec/event",
-              "matches", "pseudo");
+  std::printf("%12s %14s %14s %12s %12s %12s %12s\n", "rules", "total_ms",
+              "usec/event", "matches", "pseudo", "instr/event",
+              "cycles/event");
   rfidcep::sim::SupplyChain naming_chain(naming);
   // --rules pins the series to a single point (CI smoke).
   std::vector<int> points = {500, 1000, 2000, 5000, 10000};
@@ -233,9 +385,12 @@ void RunRulesSeries(const BenchFlags& flags, BenchOutput* out) {
   for (int rules : points) {
     std::string program = naming_chain.SkuSiteRuleProgram(rules);
     RunResult r = RunOnce(program, config, events, flags, out);
-    std::printf("%12d %14.1f %14.3f %12llu %12llu\n", rules, r.total_ms,
-                r.usec_per_event, static_cast<unsigned long long>(r.matches),
-                static_cast<unsigned long long>(r.pseudo_fired));
+    std::printf("%12d %14.1f %14.3f %12llu %12llu %12s %12s\n", rules,
+                r.total_ms, r.usec_per_event,
+                static_cast<unsigned long long>(r.matches),
+                static_cast<unsigned long long>(r.pseudo_fired),
+                PerEventColumn(r.instructions_per_event).c_str(),
+                PerEventColumn(r.cycles_per_event).c_str());
     AppendJsonRow(out, "rules", "sku_site", events, rules, r);
   }
 }
@@ -263,18 +418,12 @@ RunResult RunWorkloadOnce(const std::string& rule_program,
   Check(engine.AddRulesFromText(rule_program), "rule");
   Check(engine.Compile(), "compile");
 
-  auto start = std::chrono::steady_clock::now();
+  const auto start = StartTimed(out);
   for (const std::vector<Observation>& batch : batches) {
     Check(engine.ProcessAll(batch), "process");
   }
   (void)engine.Flush();
-  auto end = std::chrono::steady_clock::now();
-
-  RunResult result;
-  result.total_ms =
-      std::chrono::duration<double, std::milli>(end - start).count();
-  result.usec_per_event =
-      result.total_ms * 1000.0 / static_cast<double>(stream.size());
+  RunResult result = StopTimed(start, stream.size(), out);
   result.matches = engine.stats().detector.rule_matches;
   result.pseudo_fired = engine.stats().detector.pseudo_fired;
   result.rules_fired = engine.stats().rules_fired;
@@ -308,8 +457,9 @@ CREATE RULE reread, baggage ON WITHIN(TSEQ+(observation("gate", o, t), 0sec, 1se
   std::printf("(4 baggage rules, per-reader upload batching, batch=%zu; "
               "`upload` feeds arrival order with out-of-order tolerance)\n",
               flags.batch);
-  std::printf("%12s %8s %14s %14s %12s %12s\n", "events", "order",
-              "total_ms", "usec/event", "matches", "fired");
+  std::printf("%12s %8s %14s %14s %12s %12s %12s %12s\n", "events",
+              "order", "total_ms", "usec/event", "matches", "fired",
+              "instr/event", "cycles/event");
   for (size_t target : points) {
     const size_t bags = std::max<size_t>(1, target / 5);
     std::vector<std::string> bag_epcs;
@@ -333,10 +483,12 @@ CREATE RULE reread, baggage ON WITHIN(TSEQ+(observation("gate", o, t), 0sec, 1se
       RunResult r =
           RunWorkloadOnce(kBaggageRules, *feed.stream, feed.tolerate, flags,
                           out);
-      std::printf("%12zu %8s %14.1f %14.3f %12llu %12llu\n", events,
-                  feed.order, r.total_ms, r.usec_per_event,
+      std::printf("%12zu %8s %14.1f %14.3f %12llu %12llu %12s %12s\n",
+                  events, feed.order, r.total_ms, r.usec_per_event,
                   static_cast<unsigned long long>(r.matches),
-                  static_cast<unsigned long long>(r.rules_fired));
+                  static_cast<unsigned long long>(r.rules_fired),
+                  PerEventColumn(r.instructions_per_event).c_str(),
+                  PerEventColumn(r.cycles_per_event).c_str());
       AppendJsonRow(out, "workload",
                     feed.tolerate ? "baggage_upload" : "baggage_time", events,
                     4, r);

@@ -20,11 +20,13 @@
 # UBSan findings abort the test (-fno-sanitize-recover=undefined).
 # The TSan pass covers the code that runs on several threads: the
 # rfidcepd daemon (server_test: connection threads, the tenant mutex,
-# the HTTP thread, and the crash-and-recover path through tenant
-# recovery), the lock-free metric instruments, the trace sink's mutex,
-# the symbol table, and SharedText's atomic counts. It runs the tests
-# tagged with the TSAN ctest label (rfidcep_test(... TSAN) in
-# tests/CMakeLists.txt); every engine runs detection on one thread, so
+# the HTTP thread, a scrape formatting outside the tenant lock, and the
+# crash-and-recover path through tenant recovery), the lock-free metric
+# instruments, the trace sink's mutex, the symbol table, and the hand-over
+# contract of SharedText and EventInstancePtr, whose plain counts need a
+# happens-before edge between threads that take turns (binding_test). It
+# runs the tests tagged with the TSAN ctest label (rfidcep_test(... TSAN)
+# in tests/CMakeLists.txt); every engine runs detection on one thread, so
 # everything else is single-threaded.
 set -euo pipefail
 

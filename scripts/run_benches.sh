@@ -72,12 +72,14 @@ SEED_FIG9A = [
 ]
 
 def parse_rows(text, key):
-    """Parses 5-column data rows, keeping the fastest repeat per key and
-    asserting the count columns agree across repeats."""
+    """Parses data rows (key, total_ms, usec/event and two counts, then
+    the instr/event and cycles/event columns, which are ignored), keeping
+    the fastest repeat per key and asserting the count columns agree
+    across repeats."""
     best = {}
     for line in text.splitlines():
         parts = line.split()
-        if len(parts) != 5 or not parts[0].isdigit():
+        if len(parts) < 5 or not parts[0].isdigit():
             continue
         row = {
             key: int(parts[0]),

@@ -113,9 +113,31 @@ std::string SpliceLabel(const std::string& name, const std::string& suffix,
 
 }  // namespace
 
-std::string MetricsRegistry::ExportText(
-    const std::vector<std::pair<std::string, uint64_t>>& samples) const {
+MetricsSnapshot MetricsRegistry::Snapshot(
+    std::vector<std::pair<std::string, uint64_t>> samples) const {
+  MetricsSnapshot snap;
+  snap.samples = std::move(samples);
   std::lock_guard<std::mutex> lock(mu_);
+  snap.instruments.reserve(entries_.size());
+  for (const auto& [name, entry] : entries_) {
+    using Kind = MetricsSnapshot::Instrument::Kind;
+    MetricsSnapshot::Instrument& out = snap.instruments.emplace_back();
+    out.name = name;
+    if (entry.counter != nullptr) {
+      out.kind = Kind::kCounter;
+      out.counter = entry.counter->value();
+    } else if (entry.gauge != nullptr) {
+      out.kind = Kind::kGauge;
+      out.gauge = entry.gauge->value();
+    } else {
+      out.kind = Kind::kHistogram;
+      out.histogram = entry.histogram->Snapshot();
+    }
+  }
+  return snap;
+}
+
+std::string MetricsSnapshot::ExportText() const {
   std::string out;
   auto sample = samples.begin();
   // Prints the plain samples that sort before `name` (all when null).
@@ -126,27 +148,33 @@ std::string MetricsRegistry::ExportText(
       out += sample->first + " " + std::to_string(sample->second) + "\n";
     }
   };
-  for (const auto& [name, entry] : entries_) {
+  for (const Instrument& instrument : instruments) {
+    const std::string& name = instrument.name;
     samples_before(&name);
-    if (entry.counter != nullptr) {
-      out += name + " " + std::to_string(entry.counter->value()) + "\n";
-    } else if (entry.gauge != nullptr) {
-      out += name + " " + std::to_string(entry.gauge->value()) + "\n";
-    } else if (entry.histogram != nullptr) {
-      HistogramSnapshot snap = entry.histogram->Snapshot();
-      uint64_t cumulative = 0;
-      for (size_t i = 0; i < snap.counts.size(); ++i) {
-        cumulative += snap.counts[i];
-        std::string le = i < snap.bounds.size()
-                             ? std::to_string(snap.bounds[i])
-                             : "+Inf";
-        out += SpliceLabel(name, "_bucket", "le=\"" + le + "\"") + " " +
-               std::to_string(cumulative) + "\n";
+    switch (instrument.kind) {
+      case Instrument::Kind::kCounter:
+        out += name + " " + std::to_string(instrument.counter) + "\n";
+        break;
+      case Instrument::Kind::kGauge:
+        out += name + " " + std::to_string(instrument.gauge) + "\n";
+        break;
+      case Instrument::Kind::kHistogram: {
+        const HistogramSnapshot& snap = instrument.histogram;
+        uint64_t cumulative = 0;
+        for (size_t i = 0; i < snap.counts.size(); ++i) {
+          cumulative += snap.counts[i];
+          std::string le = i < snap.bounds.size()
+                               ? std::to_string(snap.bounds[i])
+                               : "+Inf";
+          out += SpliceLabel(name, "_bucket", "le=\"" + le + "\"") + " " +
+                 std::to_string(cumulative) + "\n";
+        }
+        out += SpliceLabel(name, "_sum", "") + " " +
+               std::to_string(snap.sum) + "\n";
+        out += SpliceLabel(name, "_count", "") + " " +
+               std::to_string(snap.count) + "\n";
+        break;
       }
-      out += SpliceLabel(name, "_sum", "") + " " + std::to_string(snap.sum) +
-             "\n";
-      out += SpliceLabel(name, "_count", "") + " " +
-             std::to_string(snap.count) + "\n";
     }
   }
   samples_before(nullptr);

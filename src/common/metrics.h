@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rfidcep::common {
@@ -76,7 +77,7 @@ struct HistogramSnapshot {
 };
 
 // A fixed-bucket histogram: bucket i counts samples <= bounds[i] (first
-// matching bucket), with one implicit overflow bucket. Record is two
+// matching bucket), with one implicit overflow bucket. Record is three
 // relaxed fetch-adds plus a short branchless-friendly scan of the bounds
 // array — no allocation, no locks.
 class Histogram {
@@ -84,12 +85,15 @@ class Histogram {
   // `bounds` must be non-empty and strictly increasing.
   explicit Histogram(std::vector<uint64_t> bounds);
 
-  void Record(uint64_t sample) {
+  // Records `sample` `weight` times: a sampled timer that measures one
+  // event in `weight` lets each measurement stand for the events it
+  // skipped, so count, sum and buckets keep estimating every event.
+  void Record(uint64_t sample, uint64_t weight = 1) {
     size_t i = 0;
     while (i < bounds_.size() && sample > bounds_[i]) ++i;
-    buckets_[i].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(sample, std::memory_order_relaxed);
+    buckets_[i].fetch_add(weight, std::memory_order_relaxed);
+    count_.fetch_add(weight, std::memory_order_relaxed);
+    sum_.fetch_add(sample * weight, std::memory_order_relaxed);
   }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -107,6 +111,31 @@ class Histogram {
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1.
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
+};
+
+// A point-in-time copy of a registry's instruments plus plain samples,
+// formatted later: taking it is the only part of an export that reads
+// the instruments, so a caller that guards them with a lock formats
+// after releasing it.
+struct MetricsSnapshot {
+  struct Instrument {
+    enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
+    std::string name;
+    Kind kind = Kind::kCounter;
+    uint64_t counter = 0;         // kCounter.
+    int64_t gauge = 0;            // kGauge.
+    HistogramSnapshot histogram;  // kHistogram.
+  };
+  std::vector<Instrument> instruments;  // Sorted by name.
+  // Sorted by name, none among the instruments.
+  std::vector<std::pair<std::string, uint64_t>> samples;
+
+  // Prometheus text exposition, samples sorted by name. Counters print
+  // as-is; gauges likewise; each histogram expands into cumulative
+  // `<name>_bucket{le="..."}` lines plus `<name>_sum` / `<name>_count`.
+  // The plain samples print as-is, merged in name order with the
+  // instruments.
+  std::string ExportText() const;
 };
 
 // Owns every instrument and resolves names to stable pointers. A name is
@@ -128,13 +157,15 @@ class MetricsRegistry {
   Histogram* GetHistogram(const std::string& name,
                           std::vector<uint64_t> bounds = {});
 
-  // Prometheus text exposition, samples sorted by name. Counters print
-  // as-is; gauges likewise; each histogram expands into cumulative
-  // `<name>_bucket{le="..."}` lines plus `<name>_sum` / `<name>_count`.
-  // `samples` (sorted by name, none registered here) print as-is,
-  // merged in name order with the registered instruments.
+  // Copies every instrument, with `samples` (sorted by name, none
+  // registered here) alongside.
+  MetricsSnapshot Snapshot(
+      std::vector<std::pair<std::string, uint64_t>> samples = {}) const;
+  // Snapshot(samples).ExportText().
   std::string ExportText(
-      const std::vector<std::pair<std::string, uint64_t>>& samples = {}) const;
+      std::vector<std::pair<std::string, uint64_t>> samples = {}) const {
+    return Snapshot(std::move(samples)).ExportText();
+  }
 
   // Zeroes every instrument; registration (names, bounds, handed-out
   // pointers) is preserved. Pairs with RcedaEngine::Reset().

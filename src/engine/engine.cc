@@ -20,6 +20,7 @@ namespace rfidcep::engine {
 struct EngineInstruments {
   common::Histogram* process_us = nullptr;  // Per Process/ProcessAll call.
   common::Histogram* pseudo_lag_us = nullptr;  // The detector's.
+  // Sampled: one match in RcedaEngine::kMatchTimingPeriod (OnMatch).
   struct PerRule {
     common::Histogram* condition_us = nullptr;
     common::Histogram* action_us = nullptr;
@@ -210,7 +211,12 @@ Status RcedaEngine::SetTraceSink(TraceSink* sink) {
 
 std::string RcedaEngine::ExportMetrics() const {
   if (!options_.enable_metrics) return "# metrics disabled\n";
-  return registry_.ExportText(CounterCatalog(/*gauges=*/true));
+  return SnapshotMetrics().ExportText();
+}
+
+common::MetricsSnapshot RcedaEngine::SnapshotMetrics() const {
+  if (!options_.enable_metrics) return {};
+  return registry_.Snapshot(CounterCatalog(/*gauges=*/true));
 }
 
 std::vector<std::pair<std::string, uint64_t>> RcedaEngine::CounterCatalog(
@@ -572,12 +578,20 @@ void RcedaEngine::OnMatch(size_t rule_index,
                           const events::EventInstancePtr& instance) {
   const rules::Rule& rule = rules_[rule_index];
   const TimePoint fire_time = detector_->clock();
+  const uint64_t ordinal = ++rule_counts_[rule_index].matches;
+  // The per-match timers run on a rule's 1st, (N+1)th, (2N+1)th... match
+  // (N = kMatchTimingPeriod), numbered by its match count, so the phase
+  // follows the restored count across a checkpoint. The first sample
+  // counts once and each later one for the N matches it stands for.
   EngineInstruments* m = metrics_.get();
-  EngineInstruments::PerRule* r =
-      m != nullptr ? &m->per_rule[rule_index] : nullptr;
+  EngineInstruments::PerRule* r = nullptr;
+  uint64_t weight = 0;
+  if (m != nullptr && (ordinal - 1) % kMatchTimingPeriod == 0) {
+    r = &m->per_rule[rule_index];
+    weight = ordinal == 1 ? 1 : kMatchTimingPeriod;
+  }
   SteadyTime handle_start;
-  if (m != nullptr) handle_start = Now();
-  ++rule_counts_[rule_index].matches;
+  if (r != nullptr) handle_start = Now();
   if (trace_ != nullptr) trace_->RecordMatch(rule.id, *instance, fire_time);
   if (match_callback_) match_callback_(rule, instance);
 
@@ -596,18 +610,18 @@ void RcedaEngine::OnMatch(size_t rule_index,
     if (r != nullptr) cond_start = Now();
     Result<bool> holds =
         store::EvaluateCondition(*rule.condition, firing.params);
-    if (r != nullptr) r->condition_us->Record(ElapsedUs(cond_start));
+    if (r != nullptr) r->condition_us->Record(ElapsedUs(cond_start), weight);
     if (!holds.ok()) {
       ++stats_.condition_errors;
       if (trace_ != nullptr) trace_->RecordCondition(rule.id, false);
       if (deferred_error_.ok()) deferred_error_ = holds.status();
-      if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start));
+      if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start), weight);
       return;
     }
     if (trace_ != nullptr) trace_->RecordCondition(rule.id, *holds);
     if (!*holds) {
       ++stats_.condition_rejects;
-      if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start));
+      if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start), weight);
       return;
     }
   }
@@ -619,15 +633,15 @@ void RcedaEngine::OnMatch(size_t rule_index,
   firing.seq = ++rule_counts_[rule_index].fired;
 
   if (!options_.execute_actions) {
-    if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start));
+    if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start), weight);
     return;
   }
   SteadyTime action_start;
   if (r != nullptr) action_start = Now();
   ExecuteActions(firing);
   if (r != nullptr) {
-    r->action_us->Record(ElapsedUs(action_start));
-    r->handle_us->Record(ElapsedUs(handle_start));
+    r->action_us->Record(ElapsedUs(action_start), weight);
+    r->handle_us->Record(ElapsedUs(handle_start), weight);
   }
 }
 

@@ -76,6 +76,14 @@ struct EngineInstruments;
 
 class RcedaEngine {
  public:
+  // Each rule's per-match timers (rule_match_handle_us, rule_condition_us,
+  // rule_action_us) time its 1st, (N+1)th, (2N+1)th... match, N being
+  // this period: the first sample is recorded with weight 1 and each
+  // later one with weight N. A timer's _count therefore never exceeds
+  // rule_matches_total and trails it by less than N, while _sum and the
+  // buckets estimate every match (docs/observability.md).
+  static constexpr uint64_t kMatchTimingPeriod = 64;
+
   // `db` may be null when no rule uses SQL actions. `env` supplies the
   // type()/group() mapping functions; copied.
   RcedaEngine(store::Database* db, events::Environment env,
@@ -174,6 +182,11 @@ class RcedaEngine {
   // registry's histograms and gauges. "# metrics disabled" when
   // collection is off.
   std::string ExportMetrics() const;
+  // What ExportMetrics() formats, copied at one instant; its
+  // ExportText() is the exposition and reads nothing of the engine, so a
+  // caller that guards the engine with a lock holds it for the copy
+  // only (rfidcepd's /metrics). Empty when collection is off.
+  common::MetricsSnapshot SnapshotMetrics() const;
 
   // --- Introspection -----------------------------------------------------------
   const EngineStats& stats() const { return stats_; }

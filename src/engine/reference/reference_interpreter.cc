@@ -50,9 +50,6 @@ ReferenceInterpreter::ReferenceInterpreter(const EventExprPtr& root,
                                            const events::Environment* env,
                                            ReferenceOptions options)
     : env_(env), options_(options) {
-  assert((options_.context == ParameterContext::kChronicle ||
-          options_.context == ParameterContext::kUnrestricted) &&
-         "reference interpreter implements chronicle and unrestricted only");
   // Idempotent for already-propagated expressions.
   EventExprPtr propagated = PropagateIntervalConstraints(root);
   root_ = Build(*propagated);
@@ -143,13 +140,25 @@ void ReferenceInterpreter::ResetState() {
   check_counter_ = 0;
 }
 
-std::vector<EventInstancePtr> ReferenceInterpreter::Run(
+Result<std::vector<EventInstancePtr>> ReferenceInterpreter::Run(
     const std::vector<Observation>& stream) {
+  if (options_.context != ParameterContext::kChronicle &&
+      options_.context != ParameterContext::kUnrestricted) {
+    return Status::Unimplemented(
+        "reference interpreter: the " +
+        std::string(ParameterContextName(options_.context)) +
+        " context is not implemented (chronicle and unrestricted are)");
+  }
   ResetState();
   for (const Observation& obs : stream) {
     if (obs.timestamp < clock_) {
-      assert(options_.tolerate_out_of_order &&
-             "out-of-order stream fed to the reference interpreter");
+      if (!options_.tolerate_out_of_order) {
+        return Status::InvalidArgument(
+            "reference interpreter: observation at " +
+            FormatTimePoint(obs.timestamp) + " is older than the stream "
+            "clock " + FormatTimePoint(clock_) +
+            " (set tolerate_out_of_order to drop it)");
+      }
       continue;  // Mirrors the detector's tolerate_out_of_order drop.
     }
     // Pseudo completions fire only once the stream strictly passes their

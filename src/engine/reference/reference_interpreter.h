@@ -37,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/status.h"
 #include "common/time.h"
 #include "engine/context.h"
 #include "events/event_instance.h"
@@ -48,10 +49,12 @@ namespace rfidcep::engine::reference {
 
 struct ReferenceOptions {
   // Only kChronicle and kUnrestricted are implemented (the paper default
-  // and the exhaustive baseline); Run() fails on the others.
+  // and the exhaustive baseline); Run() fails with kUnimplemented on the
+  // others, in every build type.
   ParameterContext context = ParameterContext::kChronicle;
   // Mirrors DetectorOptions: observations older than the stream clock are
-  // silently dropped when set; Run() fails on them otherwise.
+  // silently dropped when set; Run() fails on them with kInvalidArgument
+  // otherwise.
   bool tolerate_out_of_order = false;
 };
 
@@ -69,9 +72,10 @@ class ReferenceInterpreter {
   ReferenceInterpreter& operator=(const ReferenceInterpreter&) = delete;
 
   // Evaluates the whole stream (end-of-stream flush included) and returns
-  // every completion of the root expression in emission order. Resets all
-  // runtime state first, so Run may be called repeatedly.
-  std::vector<events::EventInstancePtr> Run(
+  // every completion of the root expression in emission order, or an
+  // error on what ReferenceOptions rules out. Resets all runtime state
+  // first, so Run may be called repeatedly.
+  Result<std::vector<events::EventInstancePtr>> Run(
       const std::vector<events::Observation>& stream);
 
  private:

@@ -41,7 +41,7 @@ auto LowerBound(Entries& entries, SymbolId var) {
 SharedText::SharedText(std::string_view text) {
   if (text.empty()) return;
   void* memory = ::operator new(sizeof(Rep) + text.size());
-  rep_ = new (memory) Rep{{1}, text.size(), HashBytes(text)};
+  rep_ = new (memory) Rep{1, text.size(), HashBytes(text)};
   std::memcpy(static_cast<char*>(memory) + sizeof(Rep), text.data(),
               text.size());
 }

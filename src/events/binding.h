@@ -29,7 +29,6 @@
 #ifndef RFIDCEP_EVENTS_BINDING_H_
 #define RFIDCEP_EVENTS_BINDING_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -47,12 +46,19 @@ namespace rfidcep::events {
 // alternative of a BindingValue.
 //
 // Making a handle copies the bytes once (one operator new call) and hashes
-// them once; copying it is an atomic increment and releasing it an atomic
-// decrement, so handles may be copied on one thread and dropped on another.
-// There is no global intern table: the text
+// them once; copying it increments a plain count and releasing it
+// decrements that count. There is no global intern table: the text
 // lives exactly as long as some binding or instance holds it, so detection
 // state stays bounded on an endless stream of distinct EPCs. Equality
 // checks the storage first, then the hash, then the bytes.
+//
+// Threading: the count is not atomic. Every handle that shares one text
+// must be copied and released by one thread at a time, with a
+// happens-before edge (a mutex hand-over, a thread join) between threads
+// that take turns. An engine's handles are touched only by the thread
+// that calls into that engine, and rfidcepd serializes each tenant's
+// engine under Tenant::mu(), so detection satisfies this by construction
+// (DESIGN.md §6). Two engines never share a text.
 class SharedText {
  public:
   // The empty text. Never allocates (nor does making one from "").
@@ -63,7 +69,7 @@ class SharedText {
   SharedText(const char* text) : SharedText(std::string_view(text)) {}
 
   SharedText(const SharedText& other) noexcept : rep_(other.rep_) {
-    if (rep_ != nullptr) rep_->refs.fetch_add(1);
+    if (rep_ != nullptr) ++rep_->refs;
   }
   SharedText(SharedText&& other) noexcept
       : rep_(std::exchange(other.rep_, nullptr)) {}
@@ -72,7 +78,7 @@ class SharedText {
     return *this;
   }
   ~SharedText() {
-    if (rep_ != nullptr && rep_->refs.fetch_sub(1) == 1) Free(rep_);
+    if (rep_ != nullptr && --rep_->refs == 0) Free(rep_);
   }
 
   std::string_view view() const {
@@ -95,7 +101,7 @@ class SharedText {
 
  private:
   struct Rep {
-    std::atomic<size_t> refs;
+    size_t refs;
     size_t size;
     uint64_t hash;
     // The text follows the header in the same allocation.

@@ -7,7 +7,7 @@ EventInstancePtr EventInstance::MakePrimitive(SharedText reader,
                                               TimePoint timestamp,
                                               Bindings bindings,
                                               uint64_t sequence_number) {
-  auto instance = std::make_shared<EventInstance>(Token());
+  auto* instance = new EventInstance();
   instance->t_begin_ = timestamp;
   instance->t_end_ = timestamp;
   instance->bindings_ = std::move(bindings);
@@ -15,19 +15,23 @@ EventInstancePtr EventInstance::MakePrimitive(SharedText reader,
   instance->object_ = std::move(object);
   instance->sequence_number_ = sequence_number;
   instance->primitive_ = true;
-  return instance;
+  return EventInstancePtr(instance);
 }
 
 EventInstancePtr EventInstance::MakeComplex(
     TimePoint t_begin, TimePoint t_end, Bindings bindings,
     std::vector<EventInstancePtr> children, uint64_t sequence_number) {
-  auto instance = std::make_shared<EventInstance>(Token());
+  auto* instance = new EventInstance();
   instance->t_begin_ = t_begin;
   instance->t_end_ = t_end;
   instance->bindings_ = std::move(bindings);
   instance->children_ = std::move(children);
   instance->sequence_number_ = sequence_number;
-  return instance;
+  return EventInstancePtr(instance);
+}
+
+void EventInstance::Free(const EventInstance* instance) noexcept {
+  delete instance;
 }
 
 Observation EventInstance::observation() const {
@@ -55,12 +59,21 @@ std::vector<Observation> EventInstance::CollectObservations() const {
 }
 
 std::string EventInstance::ToString() const {
-  std::string out = "[" + FormatTimePoint(t_begin_) + "," +
-                    FormatTimePoint(t_end_) + "]";
+  std::string out = "[";
+  out += FormatTimePoint(t_begin_);
+  out += ",";
+  out += FormatTimePoint(t_end_);
+  out += "]";
   if (is_primitive()) {
-    out += "obs(" + reader_.str() + "," + object_.str() + ")";
+    out += "obs(";
+    out += reader_.view();
+    out += ",";
+    out += object_.view();
+    out += ")";
   } else {
-    out += "(" + std::to_string(children_.size()) + " children)";
+    out += "(";
+    out += std::to_string(children_.size());
+    out += " children)";
   }
   return out;
 }

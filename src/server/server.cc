@@ -404,14 +404,15 @@ void Server::ServeConnection(int fd) {
 std::string Server::ExportMetrics() const {
   std::string out = registry_.ExportText();
   for (const auto& [name, tenant] : tenants_) {
-    std::string text;
+    common::MetricsSnapshot snapshot;
     {
       // The engine's counts are plain fields its ingest thread writes
-      // under the tenant lock.
+      // under the tenant lock. Only the copy needs it; formatting the
+      // copy (most of a scrape on a large rule set) runs after release.
       std::lock_guard<std::mutex> lock(tenant->mu());
-      text = tenant->engine().ExportMetrics();
+      snapshot = tenant->engine().SnapshotMetrics();
     }
-    std::istringstream in(text);
+    std::istringstream in(snapshot.ExportText());
     for (std::string line; std::getline(in, line);) {
       if (line.empty()) continue;
       out += line[0] == '#' ? line : LabelSample(line, name);

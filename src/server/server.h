@@ -75,7 +75,8 @@ class Server {
 
   // Server-level counters plus every tenant's engine metrics with a
   // tenant="<name>" label injected (docs/server.md "Metrics"). Holds each
-  // tenant's lock while it reads that tenant.
+  // tenant's lock while it copies that tenant's metrics
+  // (RcedaEngine::SnapshotMetrics), and formats the copy after release.
   std::string ExportMetrics() const;
 
  private:

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/reference/reference_interpreter.h"
+#include "rules/parser.h"
 #include "tests/engine/test_util.h"
 
 namespace rfidcep::engine {
@@ -108,6 +110,73 @@ TEST(ContextTest, ChronicleIsCorrectForOverlappingPackings) {
   ASSERT_EQ(second.size(), 3u);
   EXPECT_EQ(second[0].object, "r");
   EXPECT_EQ(second[2].object, "case2");
+}
+
+// The reference interpreter defines chronicle and unrestricted only, and
+// says so in every build type: asked for another context, Run() fails
+// instead of answering with unrestricted's matches.
+TEST(ReferenceInterpreterTest, RejectsContextsItDoesNotImplement) {
+  Result<rules::RuleSet> set = rules::ParseRuleProgram(kSeqRule);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  const events::Environment env{};
+  const std::vector<events::Observation> history = {
+      {"a", "x1", 1 * kSecond},
+      {"a", "x2", 2 * kSecond},
+      {"b", "y1", 3 * kSecond},
+      {"b", "y2", 4 * kSecond}};
+  auto run = [&](ParameterContext context) {
+    reference::ReferenceOptions options;
+    options.context = context;
+    reference::ReferenceInterpreter interp(set->rules[0].event, &env,
+                                           options);
+    return interp.Run(history);
+  };
+  for (ParameterContext context :
+       {ParameterContext::kRecent, ParameterContext::kContinuous,
+        ParameterContext::kCumulative}) {
+    Result<std::vector<events::EventInstancePtr>> matches = run(context);
+    ASSERT_FALSE(matches.ok()) << ParameterContextName(context);
+    EXPECT_EQ(matches.status().code(), StatusCode::kUnimplemented);
+    EXPECT_NE(matches.status().ToString().find(
+                  ParameterContextName(context)),
+              std::string::npos)
+        << matches.status().ToString();
+  }
+  Result<std::vector<events::EventInstancePtr>> chronicle =
+      run(ParameterContext::kChronicle);
+  ASSERT_TRUE(chronicle.ok()) << chronicle.status().ToString();
+  EXPECT_EQ(chronicle->size(), 2u);
+  Result<std::vector<events::EventInstancePtr>> unrestricted =
+      run(ParameterContext::kUnrestricted);
+  ASSERT_TRUE(unrestricted.ok()) << unrestricted.status().ToString();
+  EXPECT_EQ(unrestricted->size(), 4u);
+}
+
+// An observation behind the stream clock is an error unless the options
+// tolerate it, in which case it is dropped as the detector drops it.
+TEST(ReferenceInterpreterTest, RejectsAnOutOfOrderStreamUnlessTolerated) {
+  Result<rules::RuleSet> set = rules::ParseRuleProgram(kSeqRule);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  const events::Environment env{};
+  const std::vector<events::Observation> history = {
+      {"a", "x1", 2 * kSecond},
+      {"a", "x2", 1 * kSecond},
+      {"b", "y1", 3 * kSecond}};
+  reference::ReferenceOptions options;
+  reference::ReferenceInterpreter strict(set->rules[0].event, &env, options);
+  Result<std::vector<events::EventInstancePtr>> rejected =
+      strict.Run(history);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  options.tolerate_out_of_order = true;
+  reference::ReferenceInterpreter tolerant(set->rules[0].event, &env,
+                                           options);
+  Result<std::vector<events::EventInstancePtr>> matches =
+      tolerant.Run(history);
+  ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+  ASSERT_EQ(matches->size(), 1u);
+  EXPECT_EQ((*matches)[0]->t_begin(), 2 * kSecond);  // a@1 was dropped.
 }
 
 }  // namespace

@@ -263,7 +263,10 @@ TEST(PrefixSharingTest, SharedRunsKeepOwnershipPerRule) {
     MatchSeq want;
     reference::ReferenceInterpreter interp(
         PropagateIntervalConstraints(set.rules[i].event), &env);
-    for (const events::EventInstancePtr& e : interp.Run(SharingStream())) {
+    Result<std::vector<events::EventInstancePtr>> matches =
+        interp.Run(SharingStream());
+    ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+    for (const events::EventInstancePtr& e : *matches) {
       want.emplace_back(set.rules[i].id, e->t_begin(), e->t_end());
     }
     // Every rule fires somewhere in the workload — in particular ct's

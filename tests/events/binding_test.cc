@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "events/event_instance.h"
 #include "events/symbol.h"
 
 namespace {
@@ -34,10 +35,16 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Out of line, so GCC does not pair an inlined free() with the counted
+// operator new above (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace rfidcep::events {
 namespace {
@@ -211,6 +218,29 @@ TEST(SharedTextTest, CopiesShareStorageAndAllocateNothing) {
   EXPECT_EQ(empty, SharedText());
 }
 
+// Making an instance is one allocation (the count lives in it); copying,
+// moving and releasing a handle that is not the last allocate nothing.
+TEST(EventInstancePtrTest, OneAllocationPerInstanceAndNonePerCopy) {
+  SharedText reader("r1");
+  SharedText object("o1");
+  uint64_t before = g_allocations.load();
+  EventInstancePtr e =
+      EventInstance::MakePrimitive(reader, object, 1, Bindings(), 1);
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  std::vector<EventInstancePtr> children;
+  children.reserve(2);
+  before = g_allocations.load();
+  children.push_back(e);
+  children.push_back(std::move(EventInstancePtr(e)));
+  EventInstancePtr copy = e;
+  copy.reset();
+  EXPECT_EQ(g_allocations.load(), before);
+  EventInstancePtr parent = EventInstance::MakeComplex(
+      1, 1, Bindings(), std::move(children), 2);
+  EXPECT_EQ(g_allocations.load() - before, 1u);
+  EXPECT_EQ(e.use_count(), 3);
+}
+
 TEST(BindingsTest, CopyingPrimitiveBindingsAllocatesOnlyTheVector) {
   // A primitive match's shape: reader, object, time and reader location.
   SharedText reader("urn:epc:id:sgln:0614141.00777.0");
@@ -230,54 +260,84 @@ TEST(BindingsTest, CopyingPrimitiveBindingsAllocatesOnlyTheVector) {
                   .SharesStorageWith(object));
 }
 
-// Handles may be copied on one thread and dropped on another (binding.h).
-// Here a worker copies every handle
-// into a batch per round while a second thread releases earlier batches,
-// so the counts change on both threads at once; the worker's own handles
-// die with it, so the last release of a text, and its free, may land on
-// either thread. The sanitizer builds check it: a lost count leaks or
-// frees early, and a non-atomic count races.
-TEST(SharedTextTest, CopiedOnOneThreadReleasedOnAnother) {
+// Handles follow the one-thread-at-a-time contract of binding.h and
+// event_instance.h: a worker builds each batch's texts, bindings and
+// instances and hands the batch over under a mutex, keeping no handle to
+// it; this thread then copies every handle and drops them all, originals
+// included, so each text and instance is freed here. The mutex is the
+// happens-before edge the plain counts need; the TSan pass reports a
+// count changed on both threads without one, and the sanitizer builds a
+// count that was lost (a leak or an early free).
+TEST(SharedTextTest, HandedOverUnderAMutexThenCopiedAndDroppedThere) {
   constexpr int kTexts = 16;
-  constexpr int kRounds = 500;
-  std::vector<SharedText> texts;
-  for (int i = 0; i < kTexts; ++i) {
-    texts.emplace_back("urn:epc:id:sgtin:0614141.100001." + std::to_string(i));
-  }
+  constexpr int kRounds = 200;
+  struct Batch {
+    std::vector<BindingValue> values;
+    std::vector<Bindings> bindings;
+    std::vector<EventInstancePtr> instances;
+  };
   std::mutex mu;
   std::condition_variable ready;
-  std::deque<std::vector<BindingValue>> batches;  // Guarded by mu.
-  bool done = false;                              // Guarded by mu.
-  std::thread releaser([&] {
-    for (;;) {
-      std::vector<BindingValue> batch;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        ready.wait(lock, [&] { return !batches.empty() || done; });
-        if (batches.empty()) return;
-        batch = std::move(batches.front());
-        batches.pop_front();
-      }
-      batch.clear();  // Releases this batch's handles on this thread.
-    }
-  });
-  std::thread worker([&, texts = std::move(texts)] {
+  std::deque<Batch> batches;  // Guarded by mu.
+  bool done = false;          // Guarded by mu.
+  std::thread worker([&] {
     for (int round = 0; round < kRounds; ++round) {
-      std::vector<BindingValue> batch(texts.begin(), texts.end());
+      Batch batch;
+      for (int i = 0; i < kTexts; ++i) {
+        SharedText text("urn:epc:id:sgtin:0614141.100001." +
+                        std::to_string(round * kTexts + i));
+        Bindings bindings;
+        bindings.BindScalar("handover_o", text);
+        EventInstancePtr primitive = EventInstance::MakePrimitive(
+            "urn:epc:id:sgln:0614141.00777.0", text, TimePoint{i}, bindings,
+            static_cast<uint64_t>(i));
+        batch.instances.push_back(EventInstance::MakeComplex(
+            TimePoint{i}, TimePoint{i}, bindings, {primitive, primitive},
+            static_cast<uint64_t>(i)));
+        batch.bindings.push_back(std::move(bindings));
+        batch.values.emplace_back(std::move(text));
+      }
       {
         std::lock_guard<std::mutex> lock(mu);
         batches.push_back(std::move(batch));
       }
       ready.notify_one();
     }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      done = true;
+    }
+    ready.notify_one();
   });
-  worker.join();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
+  int received = 0;
+  for (;;) {
+    Batch batch;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ready.wait(lock, [&] { return !batches.empty() || done; });
+      if (batches.empty()) break;
+      batch = std::move(batches.front());
+      batches.pop_front();
+    }
+    // Outside the lock: this thread alone holds the batch now.
+    std::vector<BindingValue> values = batch.values;
+    std::vector<Bindings> bindings = batch.bindings;
+    std::vector<EventInstancePtr> instances = batch.instances;
+    for (const EventInstancePtr& e : batch.instances) {
+      EXPECT_EQ(e.use_count(), 2);
+      EXPECT_EQ(e->children()[0].use_count(), 2);
+      EXPECT_TRUE(e->children()[0]->object_text().SharesStorageWith(
+          std::get<SharedText>(e->bindings().Scalar("handover_o"))));
+    }
+    batch = Batch();
+    values.clear();
+    bindings.clear();
+    for (const EventInstancePtr& e : instances) EXPECT_EQ(e.use_count(), 1);
+    instances.clear();
+    ++received;
   }
-  ready.notify_one();
-  releaser.join();
+  worker.join();
+  EXPECT_EQ(received, kRounds);
 }
 
 }  // namespace

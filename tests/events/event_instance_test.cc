@@ -1,5 +1,8 @@
 #include "events/event_instance.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace rfidcep::events {
@@ -64,6 +67,62 @@ TEST(EventInstanceTest, ToStringIsInformative) {
   EventInstancePtr e = Prim("r1", "o1", kSecond, 7);
   EXPECT_NE(e->ToString().find("r1"), std::string::npos);
   EXPECT_NE(e->ToString().find("o1"), std::string::npos);
+}
+
+// --- EventInstancePtr: the counted handle ----------------------------------
+
+static_assert(sizeof(EventInstancePtr) == sizeof(void*));
+
+// Every live handle counts once, whichever way it was made, and
+// use_count() reads the count: join buffers hand out and take back copies
+// and expect an instance's count back at 1 once they let go of it.
+TEST(EventInstancePtrTest, UseCountFollowsEveryLiveHandle) {
+  EventInstancePtr a = Prim("r1", "o1", 1 * kSecond, 1);
+  EXPECT_EQ(a.use_count(), 1);
+  EventInstancePtr copy = a;
+  EXPECT_EQ(a.use_count(), 2);
+  EXPECT_EQ(copy.get(), a.get());
+  EXPECT_TRUE(copy == a);
+  EventInstancePtr assigned;
+  EXPECT_EQ(assigned.use_count(), 0);
+  EXPECT_TRUE(assigned == nullptr);
+  assigned = copy;
+  EXPECT_EQ(a.use_count(), 3);
+  EventInstancePtr moved = std::move(copy);
+  EXPECT_EQ(a.use_count(), 3);
+  EXPECT_TRUE(copy == nullptr);  // NOLINT(bugprone-use-after-move)
+  EventInstancePtr& alias = a;
+  a = alias;  // Self-assignment keeps the count.
+  EXPECT_EQ(a.use_count(), 3);
+  assigned = a;  // Re-assigning the same instance does too.
+  EXPECT_EQ(a.use_count(), 3);
+  moved.reset();
+  EXPECT_TRUE(moved == nullptr);
+  EXPECT_EQ(a.use_count(), 2);
+  assigned = nullptr;
+  EXPECT_EQ(a.use_count(), 1);
+  EXPECT_TRUE(a != nullptr);
+  EXPECT_EQ(&*a, a.get());
+  EXPECT_EQ(a->sequence_number(), 1u);
+
+  EventInstancePtr b = Prim("r1", "o1", 1 * kSecond, 1);
+  EXPECT_FALSE(a == b);  // Equal content, distinct instances.
+}
+
+// A parent holds a handle per child slot; releasing the parent's last
+// handle releases those, so the child's count returns to its own holders.
+TEST(EventInstancePtrTest, LastReleaseFreesTheInstanceAndReleasesChildren) {
+  EventInstancePtr child = Prim("r1", "o1", 1 * kSecond, 1);
+  {
+    EventInstancePtr parent =
+        EventInstance::MakeComplex(1 * kSecond, 1 * kSecond, Bindings(),
+                                   {child, child}, 2);
+    EXPECT_EQ(child.use_count(), 3);
+    std::vector<EventInstancePtr> held(4, parent);
+    EXPECT_EQ(parent.use_count(), 5);
+    EXPECT_EQ(child.use_count(), 3);
+  }
+  EXPECT_EQ(child.use_count(), 1);
 }
 
 }  // namespace

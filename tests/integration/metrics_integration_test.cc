@@ -383,5 +383,229 @@ TEST_F(MetricsIntegrationTest, TraceRecordsMatchCounters) {
                                stats.condition_errors);
 }
 
+// --- Sampled per-match timers -------------------------------------------
+
+constexpr uint64_t kPeriod = RcedaEngine::kMatchTimingPeriod;
+
+// What a rule's per-match timer _count reads after `matches` matches
+// since its histograms were last zeroed at `from` matches: the weights of
+// the sampled ordinals (1, N+1, 2N+1, ...) in (from, matches], the first
+// weighing 1 and every later one N.
+int64_t SampledCount(uint64_t from, uint64_t matches) {
+  int64_t count = 0;
+  for (uint64_t ordinal = from + 1; ordinal <= matches; ++ordinal) {
+    if ((ordinal - 1) % kPeriod == 0) {
+      count += ordinal == 1 ? 1 : static_cast<int64_t>(kPeriod);
+    }
+  }
+  return count;
+}
+
+// A rule that matches every observation, with a condition that holds and
+// a procedure action, so all three per-match timers run.
+constexpr std::string_view kEveryObservationRule = R"(
+  CREATE RULE every, every observation
+  ON observation(r, o, t)
+  IF o != 'none'
+  DO note observation
+)";
+
+struct EveryObservation {
+  explicit EveryObservation(RcedaEngine* engine) : engine(engine) {
+    EXPECT_TRUE(engine->AddRulesFromText(kEveryObservationRule).ok());
+    engine->RegisterProcedure(
+        "note observation",
+        [](const RuleFiring&, const std::string&) {});
+    EXPECT_TRUE(engine->Compile().ok());
+  }
+  // Feeds `n` observations, one match each.
+  void Feed(int n) {
+    for (int i = 0; i < n; ++i) {
+      std::string object = "o";
+      object += std::to_string(next);
+      ASSERT_TRUE(
+          engine->Process(events::Observation{"r1", object, next * kSecond})
+              .ok());
+      ++next;
+    }
+  }
+  // {handle, condition, action} _count and rule_matches_total.
+  std::vector<int64_t> Counts() const {
+    const std::map<std::string, int64_t> samples =
+        ParseExposition(engine->ExportMetrics());
+    std::vector<int64_t> out;
+    for (const char* family :
+         {"rule_match_handle_us", "rule_condition_us", "rule_action_us",
+          "rule_matches_total"}) {
+      const std::string suffix =
+          std::string_view(family).ends_with("_total") ? "" : "_count";
+      out.push_back(
+          SampleOr(samples, family + suffix + "{rule=\"every\"}"));
+    }
+    return out;
+  }
+  RcedaEngine* engine;
+  int64_t next = 1;
+};
+
+// The sampling rule, match by match: the first match is timed (weight 1),
+// the next N-1 are not, the (N+1)th is (weight N), and so on; each timer's
+// _count never exceeds rule_matches_total and trails it by less than N.
+TEST(MatchTimingTest, FirstMatchAndEveryNthAfterItAreTimed) {
+  RcedaEngine engine(nullptr, events::Environment{});
+  EveryObservation rule(&engine);
+  const int64_t n = static_cast<int64_t>(kPeriod);
+  rule.Feed(1);
+  EXPECT_EQ(rule.Counts(), (std::vector<int64_t>{1, 1, 1, 1}));
+  rule.Feed(static_cast<int>(kPeriod) - 1);
+  EXPECT_EQ(rule.Counts(), (std::vector<int64_t>{1, 1, 1, n}));
+  rule.Feed(1);
+  EXPECT_EQ(rule.Counts(),
+            (std::vector<int64_t>{1 + n, 1 + n, 1 + n, n + 1}));
+  for (int step = 0; step < 3 * static_cast<int>(kPeriod); ++step) {
+    rule.Feed(1);
+    const std::vector<int64_t> counts = rule.Counts();
+    const int64_t matches = counts[3];
+    for (int timer = 0; timer < 3; ++timer) {
+      EXPECT_EQ(counts[timer],
+                SampledCount(0, static_cast<uint64_t>(matches)))
+          << "timer " << timer << " at " << matches << " matches";
+      EXPECT_LE(counts[timer], matches);
+      EXPECT_LT(matches - counts[timer], n);
+    }
+  }
+}
+
+// The phase is read from the rule's match count, which a checkpoint
+// carries: a restored engine (whose histograms restart at zero) times
+// exactly the ordinals an uninterrupted engine times after the cut.
+TEST(MatchTimingTest, SamplingPhaseContinuesAcrossCheckpointRestore) {
+  constexpr int kHead = 100;  // Not a multiple of the period.
+  constexpr int kTail = 100;
+  static_assert(kHead % RcedaEngine::kMatchTimingPeriod != 0);
+  std::string bytes;
+  int64_t head_count = 0;
+  {
+    RcedaEngine source(nullptr, events::Environment{});
+    EveryObservation rule(&source);
+    rule.Feed(kHead);
+    head_count = rule.Counts()[0];
+    ASSERT_TRUE(source.SerializeState(&bytes).ok());
+  }
+  RcedaEngine restored(nullptr, events::Environment{});
+  EveryObservation restored_rule(&restored);
+  ASSERT_TRUE(restored.RestoreState(bytes).ok());
+  restored_rule.next = kHead + 1;
+  restored_rule.Feed(kTail);
+
+  RcedaEngine uninterrupted(nullptr, events::Environment{});
+  EveryObservation whole(&uninterrupted);
+  whole.Feed(kHead + kTail);
+
+  const std::vector<int64_t> tail = restored_rule.Counts();
+  EXPECT_EQ(tail[3], kHead + kTail);
+  EXPECT_EQ(head_count, SampledCount(0, kHead));
+  for (int timer = 0; timer < 3; ++timer) {
+    EXPECT_EQ(tail[timer], SampledCount(kHead, kHead + kTail)) << timer;
+    // What an engine restarting the phase at its first match would read.
+    EXPECT_NE(tail[timer], SampledCount(0, kTail)) << timer;
+    EXPECT_EQ(head_count + tail[timer], whole.Counts()[timer]) << timer;
+  }
+}
+
+// On a supply-chain replay every rule's timers follow the same rule.
+TEST_F(MetricsIntegrationTest, RuleTimerCountsTrailMatchesByLessThanN) {
+  EngineOptions options;
+  options.detector.tolerate_out_of_order = true;
+  RcedaEngine engine(nullptr, chain_.environment(), options);
+  ASSERT_TRUE(engine.AddRulesFromText(program_).ok());
+  ASSERT_TRUE(engine.Compile().ok());
+  ASSERT_TRUE(engine.ProcessAll(stream_).ok());
+  ASSERT_TRUE(engine.Flush().ok());
+  const std::map<std::string, int64_t> samples =
+      ParseExposition(engine.ExportMetrics());
+  int rules_matched = 0;
+  for (int i = 0; i < kNumRules; ++i) {
+    const std::string label = "{rule=\"gen" + std::to_string(i) + "\"}";
+    const int64_t matches = SampleOr(samples, "rule_matches_total" + label);
+    const int64_t handled =
+        SampleOr(samples, "rule_match_handle_us_count" + label);
+    ASSERT_GE(matches, 0) << label;
+    EXPECT_EQ(handled, SampledCount(0, static_cast<uint64_t>(matches)))
+        << label;
+    EXPECT_LE(handled, matches) << label;
+    EXPECT_LT(matches - handled, static_cast<int64_t>(kPeriod)) << label;
+    if (matches > 0) {
+      EXPECT_GE(handled, 1) << label;  // The first match is timed.
+      ++rules_matched;
+    }
+  }
+  EXPECT_GT(rules_matched, 0);
+}
+
+// Collection changes no detection result: on the Fig. 9a workload
+// (bench/fig9_scalability's stream and rule family) metrics on and off
+// deliver the same matches, fire the same rules and write byte-identical
+// checkpoints, mid-stream and at the end.
+TEST(MetricsOnOffTest, Fig9aMatchesFiredCountsAndCheckpointsAgree) {
+  sim::SupplyChainConfig config;
+  config.seed = 20060327;
+  config.num_sites = 5;
+  config.num_items = 10000;
+  config.num_cases = 1000;
+  config.arrival_rate_per_second = 1000.0;
+  config.duplicate_rate = 0.03;
+  sim::SupplyChain chain(config);
+  const std::string program = chain.GeneratedRuleProgram(25);
+  const std::vector<events::Observation> stream = chain.GenerateStream(20000);
+
+  struct Run {
+    std::vector<std::string> matches;
+    std::vector<std::string> checkpoints;
+    std::vector<uint64_t> fired;
+    uint64_t rules_fired = 0;
+  };
+  auto run = [&](bool metrics) {
+    Run out;
+    EngineOptions options;
+    options.execute_actions = false;  // As Fig. 9a measures.
+    options.enable_metrics = metrics;
+    RcedaEngine engine(nullptr, chain.environment(), options);
+    EXPECT_TRUE(engine.AddRulesFromText(program).ok());
+    engine.SetMatchCallback([&out](const rules::Rule& rule,
+                                   const events::EventInstancePtr& e) {
+      out.matches.push_back(rule.id + "@" + e->ToString());
+    });
+    EXPECT_TRUE(engine.Compile().ok());
+    for (size_t begin = 0; begin < stream.size(); begin += 1024) {
+      const size_t end = std::min(begin + 1024, stream.size());
+      EXPECT_TRUE(engine
+                      .ProcessAll(std::vector<events::Observation>(
+                          stream.begin() + static_cast<long>(begin),
+                          stream.begin() + static_cast<long>(end)))
+                      .ok());
+      if (begin == 10 * 1024) {
+        EXPECT_TRUE(
+            engine.SerializeState(&out.checkpoints.emplace_back()).ok());
+      }
+    }
+    EXPECT_TRUE(engine.Flush().ok());
+    EXPECT_TRUE(engine.SerializeState(&out.checkpoints.emplace_back()).ok());
+    for (size_t i = 0; i < engine.num_rules(); ++i) {
+      out.fired.push_back(engine.FiredCount(engine.rule(i).id));
+    }
+    out.rules_fired = engine.stats().rules_fired;
+    return out;
+  };
+  const Run on = run(true);
+  const Run off = run(false);
+  EXPECT_GT(on.matches.size(), stream.size());  // ~1.4 matches per obs.
+  EXPECT_EQ(on.matches, off.matches);
+  EXPECT_EQ(on.fired, off.fired);
+  EXPECT_EQ(on.rules_fired, off.rules_fired);
+  ASSERT_EQ(on.checkpoints.size(), 2u);
+  EXPECT_EQ(on.checkpoints, off.checkpoints);
+}
+
 }  // namespace
 }  // namespace rfidcep::engine

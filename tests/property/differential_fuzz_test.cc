@@ -578,11 +578,11 @@ SpansByRule RunEngine(const std::string& program,
 // The oracle runs each rule's own interval-propagated event, never the
 // graph under test, so how the compiler shares or rewrites nodes cannot
 // leak into the expected spans. `context` is chronicle or unrestricted,
-// the two the interpreter defines.
-SpansByRule RunReference(const rules::RuleSet& set,
-                         const std::vector<Observation>& stream,
-                         ParameterContext context,
-                         InstancesByRule* instances = nullptr) {
+// the two the interpreter defines (it fails on the others).
+Result<SpansByRule> RunReference(const rules::RuleSet& set,
+                                 const std::vector<Observation>& stream,
+                                 ParameterContext context,
+                                 InstancesByRule* instances = nullptr) {
   SpansByRule out;
   for (size_t i = 0; i < set.rules.size(); ++i) {
     reference::ReferenceOptions options;
@@ -590,8 +590,10 @@ SpansByRule RunReference(const rules::RuleSet& set,
     reference::ReferenceInterpreter interp(
         PropagateIntervalConstraints(set.rules[i].event), &FuzzEnvironment(),
         options);
+    Result<std::vector<EventInstancePtr>> matches = interp.Run(stream);
+    if (!matches.ok()) return matches.status();
     std::vector<Span>& spans = out[set.rules[i].id];
-    for (const EventInstancePtr& e : interp.Run(stream)) {
+    for (const EventInstancePtr& e : *matches) {
       spans.push_back(Span{e->t_begin(), e->t_end()});
       if (instances != nullptr) (*instances)[set.rules[i].id].push_back(e);
     }
@@ -680,8 +682,12 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
   for (auto [context, engine] :
        {std::pair{ParameterContext::kChronicle, &serial},
         std::pair{ParameterContext::kUnrestricted, &exhaustive}}) {
-    for (const auto& [rule_id, expected] :
-         RunReference(*set, c.stream, context)) {
+    Result<SpansByRule> reference = RunReference(*set, c.stream, context);
+    if (!reference.ok()) {
+      return "reference interpreter failed: " +
+             reference.status().ToString();
+    }
+    for (const auto& [rule_id, expected] : *reference) {
       std::vector<Span> actual = Sorted((*engine)[rule_id]);
       if (Sorted(expected) != actual) {
         return "reference vs serial divergence (" +
@@ -1005,7 +1011,11 @@ std::optional<std::string> CheckGroupCase(const FuzzCase& c,
     return out + " }";
   };
   InstancesByRule reference;
-  RunReference(*set, c.stream, ParameterContext::kChronicle, &reference);
+  if (Result<SpansByRule> run = RunReference(
+          *set, c.stream, ParameterContext::kChronicle, &reference);
+      !run.ok()) {
+    return "reference interpreter failed: " + run.status().ToString();
+  }
   InstancesByRule engine;
   RunEngine(program, c.stream, RunSpec{}, &engine);
   for (const auto& [rule_id, matches] : reference) {
@@ -1475,11 +1485,17 @@ std::optional<std::string> CheckMetamorphicCase(
   // naive reference interpreter runs both forms; a difference means the
   // identity (or its precondition) is wrong — fix the rewriter, never
   // ship the variant.
-  SpansByRule ref_orig =
+  Result<SpansByRule> ref_orig =
       RunReference(*set, c.stream, ParameterContext::kChronicle);
-  SpansByRule ref_rew =
+  Result<SpansByRule> ref_rew_run =
       RunReference(*rew_set, c.stream, ParameterContext::kChronicle);
-  for (const auto& [rule_id, expected] : ref_orig) {
+  for (const Result<SpansByRule>* run : {&ref_orig, &ref_rew_run}) {
+    if (!run->ok()) {
+      return "reference interpreter failed: " + run->status().ToString();
+    }
+  }
+  SpansByRule& ref_rew = *ref_rew_run;
+  for (const auto& [rule_id, expected] : *ref_orig) {
     if (Sorted(expected) != Sorted(ref_rew[rule_id])) {
       return "rewriter soundness bug: reference disagrees with itself on "
              "rule " +

@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -729,6 +730,107 @@ TEST_F(ServerTest, ScrapeWhileStreamingReadsAckedTotals) {
   EXPECT_TRUE(monotone);
   EXPECT_EQ(SampleValue(server.ExportMetrics(), observations),
             static_cast<int64_t>(acked));
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+// Every sample of a /metrics exposition by name, label set included.
+std::map<std::string, int64_t> Samples(const std::string& metrics) {
+  std::map<std::string, int64_t> out;
+  std::istringstream in(metrics);
+  for (std::string line; std::getline(in, line);) {
+    const size_t space = line.rfind(' ');
+    if (line.empty() || line[0] == '#' || space == std::string::npos) {
+      continue;
+    }
+    out[line.substr(0, space)] = std::stoll(line.substr(space + 1));
+  }
+  return out;
+}
+
+// `name{labels}` as /metrics labels it for `tenant`.
+std::string TenantSample(const std::string& name, const std::string& tenant) {
+  const std::string label = "tenant=\"" + tenant + "\"";
+  const size_t brace = name.find('{');
+  if (brace == std::string::npos) return name + "{" + label + "}";
+  return name.substr(0, brace + 1) + label + "," + name.substr(brace + 1);
+}
+
+// /metrics copies a tenant's counts and timing histograms under the
+// tenant lock and formats the copy after releasing it. A scraper reads
+// the whole exposition while a connection ingests: each scrape is one
+// instant of the engine (whole batches; no rule's match timer ahead of
+// its match count), and after the stream every count reconciles with the
+// library path on the same frames. The TSan pass checks that nothing
+// formatted outside the lock is written by the ingest thread.
+TEST_F(ServerTest, ScrapeFormatsOutsideTheTenantLockAndReconciles) {
+  Server server(Options());
+  ASSERT_TRUE(server.AddTenant(AlphaConfig()).ok());
+  int alarms = 0;
+  CountAlarms(server, "alpha", &alarms);
+  ASSERT_TRUE(server.Start().ok());
+  constexpr size_t kBatch = 25;
+  const auto batches = Batched(MakeTrace(2000), kBatch);
+  const int64_t period =
+      static_cast<int64_t>(engine::RcedaEngine::kMatchTimingPeriod);
+  const std::vector<std::string> rules = {"loc", "dup"};
+
+  std::atomic<bool> streaming{true};
+  int scrapes = 0;
+  bool consistent = true;
+  std::thread scraper([&] {
+    do {
+      const std::map<std::string, int64_t> seen =
+          Samples(server.ExportMetrics());
+      auto value = [&](const std::string& name) {
+        auto it = seen.find(TenantSample(name, "alpha"));
+        return it != seen.end() ? it->second : -1;
+      };
+      consistent = consistent &&
+                   value("rfidcep_observations_total") % kBatch == 0 &&
+                   value("rfidcep_process_us_count") ==
+                       value("rfidcep_process_calls_total");
+      for (const std::string& rule : rules) {
+        const std::string label = "{rule=\"" + rule + "\"}";
+        const int64_t matches = value("rule_matches_total" + label);
+        const int64_t timed = value("rule_match_handle_us_count" + label);
+        consistent = consistent && timed >= 0 && timed <= matches &&
+                     matches - timed < period;
+      }
+      ++scrapes;
+    } while (streaming.load());
+  });
+  Client client;
+  bool acked_all = client.Connect(server.bound_port(), "alpha");
+  for (const auto& batch : batches) {
+    if (!acked_all || !client.Roundtrip(EncodeBatch(batch))) {
+      acked_all = false;
+      break;
+    }
+  }
+  streaming = false;
+  scraper.join();
+  ASSERT_TRUE(acked_all);
+  EXPECT_GT(scrapes, 0);
+  EXPECT_TRUE(consistent);
+
+  Reference reference(kAlphaRules);
+  for (const auto& batch : batches) {
+    ASSERT_TRUE(reference.engine->ProcessAll(batch).ok());
+  }
+  const std::map<std::string, int64_t> got = Samples(server.ExportMetrics());
+  size_t counters = 0;
+  for (const auto& [name, want] :
+       Samples(reference.engine->ExportMetrics())) {
+    if (name.find("_total") == std::string::npos) continue;
+    auto it = got.find(TenantSample(name, "alpha"));
+    ASSERT_NE(it, got.end()) << name;
+    EXPECT_EQ(it->second, want) << name;
+    ++counters;
+  }
+  EXPECT_GT(counters, 20u);
+  EXPECT_EQ(alarms, reference.alarms);
+  EXPECT_GT(got.at(TenantSample("rule_fired_total{rule=\"dup\"}", "alpha")),
+            0);
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
