@@ -792,16 +792,7 @@ void Detector::FirePseudo(const PseudoEvent& pe) {
 
 void Detector::SaveState(const std::vector<std::string>& state_keys,
                          snapshot::DetectorSnapshot* out) const {
-  out->source_id = 0;
-  out->clock = clock_;
   out->sequence_counter = sequence_counter_;
-  // Canonical dense orders: restore renumbers the queue 1..n (fired
-  // pseudos leave gaps), so capture the live count — not the raw counter
-  // — to keep capture→restore→capture byte-identical. Relative FIFO
-  // order is preserved, and post-restore pseudos still sort after every
-  // restored one.
-  out->pseudo_counter = pseudo_queue_.size();
-  out->stats = stats_;
   out->instances.clear();
   out->nodes.clear();
   out->pseudos.clear();
@@ -838,41 +829,39 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
     interned.emplace(e.get(), index);
     return index;
   };
-  auto by_seq = [](const std::pair<EventInstancePtr, TimePoint>& a,
-                   const std::pair<EventInstancePtr, TimePoint>& b) {
-    return a.first->sequence_number() < b.first->sequence_number();
-  };
-
   std::vector<int> record_of(states_.size(), -1);
   for (size_t id = 0; id < states_.size(); ++id) {
     const NodeState& st = states_[id];
     const GraphNode& node = graph_->node(static_cast<int>(id));
     snapshot::NodeStateRecord rec;
-    rec.retention = node.retention;
     rec.produced = produced_per_node_[id];
     // Each member records its own view: the entries carrying its bit, at
     // its own deadline. Entries already past that deadline (lazily pruned,
     // or kept for a wider sibling) are skipped: no pairing, anchored
     // pseudo or NOT window of this node can ever see them again.
     auto live_by_seq = [&](const JoinBuffer& buffer, auto deadline_of) {
-      std::vector<std::pair<EventInstancePtr, TimePoint>> live;
+      std::vector<EventInstancePtr> live;
       buffer.AnyChain([&](JoinBuffer::Index i) {
         for (; i != kNoEntry; i = buffer.next(i)) {
           const JoinBuffer::Entry& entry = buffer.entry(i);
           if ((entry.members & st.member) == 0) continue;
-          TimePoint deadline = deadline_of(*entry.instance);
-          if (deadline >= clock_) live.emplace_back(entry.instance, deadline);
+          if (deadline_of(*entry.instance) >= clock_) {
+            live.push_back(entry.instance);
+          }
         }
         return false;
       });
-      std::sort(live.begin(), live.end(), by_seq);
+      std::sort(live.begin(), live.end(),
+                [](const EventInstancePtr& a, const EventInstancePtr& b) {
+                  return a->sequence_number() < b->sequence_number();
+                });
       return live;
     };
     if (node.op == ExprOp::kNot) {
       auto deadline_of = [&](const EventInstance& e) {
         return AddSaturating(e.t_end(), node.retention);
       };
-      for (const auto& [e, deadline] :
+      for (const EventInstancePtr& e :
            live_by_seq(families_[st.family].buffers[0], deadline_of)) {
         rec.not_log.push_back(intern(e));
       }
@@ -881,10 +870,9 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
         return SlotDeadline(node, e);
       };
       for (int slot = 0; slot < 2; ++slot) {
-        for (const auto& [e, deadline] :
+        for (const EventInstancePtr& e :
              live_by_seq(families_[st.family].buffers[slot], deadline_of)) {
-          rec.slots[slot].push_back(
-              snapshot::SlotEntryRecord{intern(e), deadline});
+          rec.slots[slot].push_back(intern(e));
         }
       }
     }
@@ -909,7 +897,7 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
   }
 
   // Pseudo queue in firing order. Anchors become positions into the
-  // parent's serialized slot lists (sequence numbers are source-local).
+  // parent's serialized slot lists.
   auto queue = pseudo_queue_;
   out->pseudos.reserve(queue.size());
   while (!queue.empty()) {
@@ -930,8 +918,8 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
              slot < 2 && rec.anchor_kind == snapshot::AnchorKind::kStale;
              ++slot) {
           for (size_t pos = 0; pos < nrec.slots[slot].size(); ++pos) {
-            if (out->instances[nrec.slots[slot][pos].instance]
-                    .sequence_number == pe.anchor_seq) {
+            if (out->instances[nrec.slots[slot][pos]].sequence_number ==
+                pe.anchor_seq) {
               rec.anchor_kind = snapshot::AnchorKind::kLive;
               rec.anchor_slot = static_cast<uint8_t>(slot);
               rec.anchor_pos = static_cast<uint32_t>(pos);
@@ -989,7 +977,7 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
       for (const EventInstancePtr& e : rn.not_log) hold(0, e);
     } else if (st.family >= 0) {
       for (int slot = 0; slot < 2; ++slot) {
-        for (const auto& [e, deadline] : rn.slots[slot]) hold(slot, e);
+        for (const EventInstancePtr& e : rn.slots[slot]) hold(slot, e);
       }
     }
     for (const snapshot::RestoredRun& rr : rn.runs) {

@@ -106,8 +106,7 @@ struct DetectorStats {
   // indexed dispatch degenerates to visiting every leaf).
   uint64_t fullscan_dispatches = 0;
   uint64_t pseudo_queue_peak = 0;  // Most pseudo events pending at once.
-  // A snapshot's stats section stops at rule_matches: its counter section
-  // carries fullscan_dispatches, and the peak restarts at 0 on restore.
+  // A snapshot carries every count; the peak restarts at 0 on restore.
 };
 
 // Called when rule `rule_index`'s event completes with `instance`.

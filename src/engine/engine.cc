@@ -57,16 +57,6 @@ Status AlreadyFlushed() {
       "stream already flushed (Reset() starts a new stream)");
 }
 
-// The counts a snapshot's stats section lacks, by their names in the
-// counter section (CounterCatalog writes them; RestoreState reads them).
-constexpr std::string_view kProcessCalls = "rfidcep_process_calls_total";
-constexpr std::string_view kRowsWritten = "store_rows_written_total";
-constexpr std::string_view kDeduped = "actions_deduped_total";
-// One series per detector: `shard="0"` here, one per worker in a
-// checkpoint an older sharded build wrote, which restore sums.
-constexpr std::string_view kFullscan = "rfidcep_dispatch_fullscan_total{";
-constexpr std::string_view kRuleMatches = "rule_matches_total{rule=\"";
-
 std::string RuleLabel(const rules::Rule& rule) {
   return "{rule=\"" + rule.id + "\"}";
 }
@@ -182,6 +172,13 @@ void RcedaEngine::BuildDetector() {
   detector_->set_stats(stats_.detector);
 }
 
+std::vector<std::string> RcedaEngine::StateKeys() const {
+  std::vector<std::string> rule_ids;
+  rule_ids.reserve(rules_.size());
+  for (const rules::Rule& rule : rules_) rule_ids.push_back(rule.id);
+  return graph_->NodeStateKeys(rule_ids);
+}
+
 uint64_t RcedaEngine::Fingerprint() {
   if (!fingerprint_.has_value()) {
     fingerprint_ =
@@ -216,15 +213,15 @@ std::string RcedaEngine::ExportMetrics() const {
 
 common::MetricsSnapshot RcedaEngine::SnapshotMetrics() const {
   if (!options_.enable_metrics) return {};
-  return registry_.Snapshot(CounterCatalog(/*gauges=*/true));
+  return registry_.Snapshot(CounterCatalog());
 }
 
-std::vector<std::pair<std::string, uint64_t>> RcedaEngine::CounterCatalog(
-    bool gauges) const {
+std::vector<std::pair<std::string, uint64_t>> RcedaEngine::CounterCatalog()
+    const {
   const EngineStats& s = stats_;
   const DetectorStats& d = s.detector;
   std::vector<std::pair<std::string, uint64_t>> out = {
-      {std::string(kDeduped), s.actions_deduped},
+      {"actions_deduped_total", s.actions_deduped},
       {"actions_procedures_total", s.procedures_invoked},
       {"actions_sql_total", s.sql_actions_executed},
       {"actions_unknown_procedures_total", s.unknown_procedures},
@@ -236,20 +233,16 @@ std::vector<std::pair<std::string, uint64_t>> RcedaEngine::CounterCatalog(
       {"rfidcep_action_errors_total", s.action_errors},
       {"rfidcep_condition_errors_total", s.condition_errors},
       {"rfidcep_condition_rejects_total", s.condition_rejects},
-      {std::string(kFullscan) + "shard=\"0\"}", d.fullscan_dispatches},
+      {"rfidcep_dispatch_fullscan_total{shard=\"0\"}", d.fullscan_dispatches},
       {"rfidcep_matches_total", d.rule_matches},
       {"rfidcep_observations_total", d.observations},
       {"rfidcep_out_of_order_dropped_total", d.out_of_order_dropped},
-      {std::string(kProcessCalls), s.process_calls},
+      {"rfidcep_process_calls_total", s.process_calls},
       {"rfidcep_rules_fired_total", s.rules_fired},
-      {std::string(kRowsWritten), s.rows_written},
+      {"store_rows_written_total", s.rows_written},
+      {"detector_pseudo_queue_depth{shard=\"0\"}", PendingPseudoEvents()},
+      {"detector_pseudo_queue_peak{shard=\"0\"}", d.pseudo_queue_peak},
   };
-  if (gauges) {
-    out.emplace_back("detector_pseudo_queue_depth{shard=\"0\"}",
-                     PendingPseudoEvents());
-    out.emplace_back("detector_pseudo_queue_peak{shard=\"0\"}",
-                     d.pseudo_queue_peak);
-  }
   for (size_t i = 0; i < rules_.size(); ++i) {
     const std::string label = RuleLabel(rules_[i]);
     out.emplace_back("rule_fired_total" + label, rule_counts_[i].fired);
@@ -350,26 +343,19 @@ Status RcedaEngine::SerializeState(std::string* out) {
 
   snapshot::EngineSnapshot snap;
   snap.fingerprint = Fingerprint();
-  snap.context = static_cast<uint8_t>(options_.detector.context);
   snap.flushed = flushed_;
   snap.clock = clock();
   snap.trace_obs_seq = trace_obs_seq_;
   snap.stats = stats_;
-  snap.fired.reserve(rules_.size());
+  snap.rules.reserve(rules_.size());
   for (size_t i = 0; i < rules_.size(); ++i) {
-    snap.fired.emplace_back(rules_[i].id, rule_counts_[i].fired);
+    snap.rules.push_back(
+        {rules_[i].id, rule_counts_[i].matches, rule_counts_[i].fired});
   }
-  snap.counters = CounterCatalog(false);
-  std::vector<std::string> rule_ids;
-  rule_ids.reserve(rules_.size());
-  for (const rules::Rule& rule : rules_) rule_ids.push_back(rule.id);
-  snap.source_shards = 1;
-  snap.sources.resize(1);
-  detector_->SaveState(graph_->NodeStateKeys(rule_ids), &snap.sources[0]);
-  // Every action executed so far is already appended, so the pending
-  // section stays empty. The durable LSN is read BEFORE this sync, so the
-  // sync is guaranteed to cover it: a checkpoint never claims an LSN the
-  // disk doesn't have.
+  detector_->SaveState(StateKeys(), &snap.detector);
+  // Every action executed so far is already appended. The durable LSN is
+  // read BEFORE this sync, so the sync is guaranteed to cover it: a
+  // checkpoint never claims an LSN the disk doesn't have.
   if (store::Wal* wal = dispatcher_.wal(); wal != nullptr) {
     snap.durable_lsn = wal->last_lsn();
     RFIDCEP_RETURN_IF_ERROR(wal->Sync());
@@ -381,8 +367,7 @@ Status RcedaEngine::SerializeState(std::string* out) {
     registry_.GetGauge("snapshot_ns")->Set(ElapsedNs(start));
   }
   if (trace_ != nullptr) {
-    trace_->RecordSnapshot("checkpoint", out->size(), snap.clock,
-                           snap.source_shards);
+    trace_->RecordSnapshot("checkpoint", out->size(), snap.clock);
   }
   return Status::Ok();
 }
@@ -398,11 +383,6 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
         "under a different rule set or parameter context");
   }
   store::Wal* wal = dispatcher_.wal();
-  if (wal != nullptr && snap.version < 2) {
-    return Status::FailedPrecondition(
-        "snapshot: a version-1 snapshot carries no durable-action section "
-        "and cannot restore into an engine with a WAL attached");
-  }
   if (wal != nullptr && wal->last_lsn() < snap.durable_lsn) {
     return Status::FailedPrecondition(
         "snapshot: WAL ends at LSN " + std::to_string(wal->last_lsn()) +
@@ -412,43 +392,19 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
         "records the checkpoint had synced");
   }
 
-  // Per-rule fired counts are keyed by rule id; the fingerprint
-  // guarantees the id sets agree.
+  // Per-rule counts are keyed by rule id; the fingerprint guarantees the
+  // id sets agree.
   std::vector<RuleCounts> rule_counts(rules_.size());
-  for (const auto& [rule_id, count] : snap.fired) {
-    auto it = rule_index_.find(rule_id);
+  for (const snapshot::RuleCountRecord& rec : snap.rules) {
+    auto it = rule_index_.find(rec.rule_id);
     if (it == rule_index_.end()) {
-      return Status::Internal("snapshot: fired count for unknown rule '" +
-                              rule_id + "'");
+      return Status::Internal("snapshot: counts for unknown rule '" +
+                              rec.rule_id + "'");
     }
-    rule_counts[it->second].fired = count;
+    rule_counts[it->second] = RuleCounts{rec.matches, rec.fired};
   }
-  // Every other count derives from the stats, the fired counts and the
-  // nodes' produced counts; only those the stats section lacks are read
-  // from the counter section, by name.
-  for (const auto& [name, value] : snap.counters) {
-    if (name == kProcessCalls) {
-      snap.stats.process_calls = value;
-    } else if (name == kRowsWritten) {
-      snap.stats.rows_written = value;
-    } else if (name == kDeduped) {
-      snap.stats.actions_deduped = value;
-    } else if (name.starts_with(kFullscan)) {
-      snap.stats.detector.fullscan_dispatches += value;
-    } else if (name.starts_with(kRuleMatches) && name.ends_with("\"}")) {
-      auto it = rule_index_.find(std::string_view(name).substr(
-          kRuleMatches.size(), name.size() - kRuleMatches.size() - 2));
-      if (it != rule_index_.end()) rule_counts[it->second].matches = value;
-    }
-  }
-
-  std::vector<std::string> rule_ids;
-  rule_ids.reserve(rules_.size());
-  for (const rules::Rule& rule : rules_) rule_ids.push_back(rule.id);
-  RFIDCEP_ASSIGN_OR_RETURN(
-      snapshot::RestorePlan plan,
-      snapshot::BuildRestorePlan(snap, graph_->NodeStateKeys(rule_ids),
-                                 graph_->NodeStateAliases()));
+  RFIDCEP_ASSIGN_OR_RETURN(snapshot::RestorePlan plan,
+                           snapshot::BuildRestorePlan(snap, StateKeys()));
   RFIDCEP_RETURN_IF_ERROR(detector_->RestoreState(plan, snap.stats.detector));
   rule_counts_ = std::move(rule_counts);
   stats_ = snap.stats;
@@ -461,36 +417,8 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
     registry_.Reset();
     registry_.GetGauge("restore_ns")->Set(ElapsedNs(start));
   }
-
-  // Replay the checkpoint's pending firings (written only by older
-  // builds, whose actions ran on a worker thread) with their original
-  // sequence numbers. Firings whose actions made it into the recovered
-  // WAL dedup (effects and counters credited, not re-executed); firings
-  // the crash lost re-execute. Together with reprocessing the stream
-  // suffix after the checkpoint this makes store effects exactly-once —
-  // see docs/recovery.md "Exactly-once effects".
-  if (options_.execute_actions) {
-    for (const snapshot::EngineSnapshot::PendingActionRecord& rec :
-         snap.pending_actions) {
-      auto it = rule_index_.find(rec.rule_id);
-      if (it == rule_index_.end()) {
-        // Unreachable past the fingerprint gate; corruption if it is.
-        return Status::Internal("snapshot: pending action for unknown rule '" +
-                                rec.rule_id + "'");
-      }
-      RuleFiring firing;
-      firing.rule = &rules_[it->second];
-      firing.params = rec.params;
-      firing.fire_time = rec.fire_time;
-      firing.seq = rec.seq;
-      firing.replayed = true;
-      ExecuteActions(firing);
-    }
-  }
-
   if (trace_ != nullptr) {
-    trace_->RecordSnapshot("restore", bytes.size(), snap.clock,
-                           snap.source_shards);
+    trace_->RecordSnapshot("restore", bytes.size(), snap.clock);
   }
   return Status::Ok();
 }

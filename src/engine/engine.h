@@ -57,12 +57,10 @@ struct EngineOptions {
 };
 
 // The engine's statistics. With the per-rule counts and per-node
-// firings they are every count the engine exports: ExportMetrics() and
-// the snapshot's counter section read them, under their metric names,
-// through RcedaEngine::CounterCatalog. The action counts are the
-// ActionStats base (engine/actions.h). A snapshot's stats section lacks
-// process_calls, rows_written, actions_deduped and
-// detector.fullscan_dispatches; its counter section carries them.
+// firings they are every count the engine exports: ExportMetrics() reads
+// them, under their metric names, through RcedaEngine::CounterCatalog,
+// and a snapshot carries each of them as a field (engine/snapshot.h).
+// The action counts are the ActionStats base (engine/actions.h).
 struct EngineStats : ActionStats {
   DetectorStats detector;
   uint64_t rules_fired = 0;        // Matches whose condition held.
@@ -138,12 +136,13 @@ class RcedaEngine {
   // as part of the checkpoint. Action side effects already in the store
   // are NOT captured.
   Status SerializeState(std::string* out);
-  // Replaces detection state from serialized `bytes`. Requires
-  // compiled() with the same rule set and parameter context — validated
-  // by the snapshot's rule-set fingerprint (kFailedPrecondition on
-  // mismatch, and on a format version this build does not read).
-  // Checkpoints written by older sharded builds restore too: their
-  // per-source state merges onto the one detector.
+  // Replaces detection state and counts from serialized `bytes`.
+  // Requires compiled() with the same rule set and parameter context —
+  // validated by the snapshot's rule-set fingerprint. Fails with
+  // kFailedPrecondition, changing nothing, on a fingerprint mismatch and
+  // on a layout this build does not restore: a format version it does
+  // not read, a rule-sharded capture, pending action firings, or state
+  // under a key the compiled graph lacks (engine/snapshot.h).
   Status RestoreState(std::string_view bytes);
   // SerializeState / RestoreState against the file at `path`. Checkpoint
   // writes `<path>.tmp` and renames it over `path`, so a failed
@@ -227,15 +226,15 @@ class RcedaEngine {
   // on the first checkpoint or restore (not in Compile(), which would
   // slow every set-up) and dropped by Decompile().
   uint64_t Fingerprint();
+  // The compiled graph's node state keys (EventGraph::NodeStateKeys).
+  std::vector<std::string> StateKeys() const;
   // Runs `firing`'s actions on the calling thread, counting them and
   // their errors in the stats and keeping the first error.
   void ExecuteActions(const RuleFiring& firing);
   // Every count under its metric name, sorted by name: the statistics,
-  // the per-rule counts and the per-node firings. This list is the
-  // snapshot's counter section; with `gauges`, ExportMetrics() adds the
-  // pseudo-queue depth and peak, which checkpoints do not carry.
-  std::vector<std::pair<std::string, uint64_t>> CounterCatalog(
-      bool gauges) const;
+  // the per-rule counts, the per-node firings and the pseudo-queue depth
+  // and peak. ExportMetrics() merges it with the registry's instruments.
+  std::vector<std::pair<std::string, uint64_t>> CounterCatalog() const;
 
   store::Database* db_;
   events::Environment env_;

@@ -551,29 +551,20 @@ std::vector<std::string> EventGraph::NodeStateKeys(
   return keys;
 }
 
-std::vector<std::string> EventGraph::NodeStateAliases() const {
-  // Eligibility depends only on the rule set, so the aliased canonical
-  // keys are exactly the occurrences a pre-sharing graph stored under
-  // positional "…|<key>" state keys.
-  std::vector<std::string> aliases(nodes_.size());
-  for (const GraphNode& node : nodes_) {
-    if (node.op == ExprOp::kSeqPlus && node.seqplus_share_eligible) {
-      aliases[node.id] = node.canonical_key;
-    }
-  }
-  return aliases;
-}
-
 std::string EventGraph::DebugString() const {
   std::string out;
   for (const GraphNode& node : nodes_) {
-    out += "#" + std::to_string(node.id) + " " +
-           std::string(DetectionModeName(node.mode)) + " " +
-           node.canonical_key;
+    out += '#';
+    out += std::to_string(node.id);
+    out += ' ';
+    out += DetectionModeName(node.mode);
+    out += ' ';
+    out += node.canonical_key;
     if (!node.rule_indexes.empty()) {
       out += " [rules:";
       for (size_t rule : node.rule_indexes) {
-        out += " " + std::to_string(rule);
+        out += ' ';
+        out += std::to_string(rule);
       }
       out += "]";
     }

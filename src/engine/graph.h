@@ -110,17 +110,9 @@ class EventGraph {
   // parent's state key and child slot. Share-eligible SEQ+ nodes are
   // keyed "shared|<canonical key>": sharing makes the canonical key unique
   // again. Snapshots written before prefix sharing hold such state under
-  // positional keys; NodeStateAliases() lets them restore.
+  // positional keys, which restore refuses (engine/snapshot.h).
   std::vector<std::string> NodeStateKeys(
       const std::vector<std::string>& rule_ids) const;
-
-  // Companion to NodeStateKeys: for each node, the canonical key under
-  // which its state is equivalent to a private per-rule copy's —
-  // non-empty exactly for share-eligible SEQ+ nodes (a shared node's
-  // trajectory is identical to each private copy's). BuildRestorePlan
-  // uses it to restore pre-sharing "rule:<id>|<key>" state into
-  // "shared|<key>" nodes when no exact state key matches.
-  std::vector<std::string> NodeStateAliases() const;
 
   // Human-readable dump (one line per node) for debugging and docs.
   std::string DebugString() const;

@@ -1,15 +1,11 @@
 #include "engine/snapshot.h"
 
-#include <algorithm>
-#include <map>
-#include <optional>
-#include <tuple>
+#include <array>
+#include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/byte_codec.h"
 #include "events/symbol.h"
-#include "store/param_codec.h"
 
 namespace rfidcep::engine::snapshot {
 
@@ -29,18 +25,18 @@ using common::ByteWriter;
 constexpr size_t kMinBindingValue = 1 + 4;           // Tag + empty text.
 constexpr size_t kMinScalar = 4 + kMinBindingValue;  // Name + value.
 constexpr size_t kMinMulti = 4 + 4;                  // Name + count.
-constexpr size_t kMinIndex = 4;  // Child, NOT-log entry, run element.
+constexpr size_t kMinIndex = 4;  // Slot, child, NOT-log and run entries.
 // Kind, observation or span, sequence number, three counts.
 constexpr size_t kMinInstance = 1 + 16 + 8 + 3 * 4;
-constexpr size_t kMinSlotEntry = 4 + 8;
 constexpr size_t kMinRun = 4 + 8 + 8;
-// Key, retention, produced, four counts.
-constexpr size_t kMinNode = 4 + 8 + 8 + 4 * 4;
+constexpr size_t kMinNode = 4 + 8 + 4 * 4;  // Key, produced, four counts.
 constexpr size_t kMinPseudo = 8 + 8 + 4 + 4 + 1 + 1 + 4;
-// Id, clock, two counters, stats, three counts.
-constexpr size_t kMinSource = 4 + 8 + 8 + 8 + 7 * 8 + 3 * 4;
-constexpr size_t kMinNamedCount = 4 + 8;  // Fired and counter entries.
-constexpr size_t kMinPendingAction = 4 + 8 + 8 + 4;
+constexpr size_t kMinRuleCounts = 4 + 8 + 8;  // Id, matches, fired.
+// Version 2: a node adds its retention, a slot entry its deadline, and a
+// fired or counter entry is a name and one count.
+constexpr size_t kMinNodeV2 = kMinNode + 8;
+constexpr size_t kMinSlotEntryV2 = kMinIndex + 8;
+constexpr size_t kMinNamedCountV2 = 4 + 8;
 
 // --- Value helpers ----------------------------------------------------------
 
@@ -65,24 +61,18 @@ BindingValue GetValue(ByteReader& r) {
   return TimePoint{0};
 }
 
-void PutDetectorStats(ByteWriter& w, const DetectorStats& s) {
-  w.U64(s.observations);
-  w.U64(s.out_of_order_dropped);
-  w.U64(s.primitive_matches);
-  w.U64(s.instances_produced);
-  w.U64(s.pseudo_scheduled);
-  w.U64(s.pseudo_fired);
-  w.U64(s.rule_matches);
-}
-
-void GetDetectorStats(ByteReader& r, DetectorStats* s) {
-  s->observations = r.U64();
-  s->out_of_order_dropped = r.U64();
-  s->primitive_matches = r.U64();
-  s->instances_produced = r.U64();
-  s->pseudo_scheduled = r.U64();
-  s->pseudo_fired = r.U64();
-  s->rule_matches = r.U64();
+// Every count of EngineStats (const or not), in encoding order. The
+// pseudo-queue peak is a gauge and restarts with the restored engine.
+template <typename Stats>
+auto StatFields(Stats& s) {
+  auto& d = s.detector;
+  return std::array{
+      &d.observations,       &d.out_of_order_dropped, &d.primitive_matches,
+      &d.instances_produced, &d.pseudo_scheduled,     &d.pseudo_fired,
+      &d.rule_matches,       &d.fullscan_dispatches,  &s.rules_fired,
+      &s.condition_rejects,  &s.condition_errors,     &s.action_errors,
+      &s.process_calls,      &s.sql_actions_executed, &s.procedures_invoked,
+      &s.unknown_procedures, &s.rows_written,         &s.actions_deduped};
 }
 
 void PutInstance(ByteWriter& w, const InstanceRecord& rec) {
@@ -140,52 +130,49 @@ void GetInstance(ByteReader& r, uint32_t self_index, InstanceRecord* rec) {
   }
 }
 
+void PutIndexes(ByteWriter& w, const std::vector<uint32_t>& indexes) {
+  w.U32(static_cast<uint32_t>(indexes.size()));
+  for (uint32_t index : indexes) w.U32(index);
+}
+
 void PutNodeState(ByteWriter& w, const NodeStateRecord& rec) {
   w.Str32(rec.state_key);
-  w.I64(rec.retention);
   w.U64(rec.produced);
-  for (const std::vector<SlotEntryRecord>& slot : rec.slots) {
-    w.U32(static_cast<uint32_t>(slot.size()));
-    for (const SlotEntryRecord& entry : slot) {
-      w.U32(entry.instance);
-      w.I64(entry.deadline);
-    }
-  }
-  w.U32(static_cast<uint32_t>(rec.not_log.size()));
-  for (uint32_t instance : rec.not_log) w.U32(instance);
+  PutIndexes(w, rec.slots[0]);
+  PutIndexes(w, rec.slots[1]);
+  PutIndexes(w, rec.not_log);
   w.U32(static_cast<uint32_t>(rec.runs.size()));
   for (const RunRecord& run : rec.runs) {
-    w.U32(static_cast<uint32_t>(run.elements.size()));
-    for (uint32_t element : run.elements) w.U32(element);
+    PutIndexes(w, run.elements);
     w.I64(run.t_begin);
     w.I64(run.t_end);
   }
 }
 
-void GetNodeState(ByteReader& r, uint32_t num_instances, NodeStateRecord* rec) {
-  const auto instance = [&r, num_instances] {
-    const uint32_t index = r.U32();
-    if (index >= num_instances) {
-      r.Fail("node state references unknown instance");
+// Version 2 adds the node's retention after its key and a deadline after
+// each slot entry; restore derives both from the compiled graph.
+void GetNodeState(ByteReader& r, uint32_t version, uint32_t num_instances,
+                  NodeStateRecord* rec) {
+  const auto get_indexes = [&](std::vector<uint32_t>& out, bool slot) {
+    const bool v2_slot = slot && version == 2;
+    out.resize(r.Count(v2_slot ? kMinSlotEntryV2 : kMinIndex));
+    for (uint32_t& index : out) {
+      index = r.U32();
+      if (index >= num_instances) {
+        r.Fail("node state references unknown instance");
+      }
+      if (v2_slot) r.I64();
     }
-    return index;
   };
   rec->state_key = r.Str32();
-  rec->retention = r.I64();
+  if (version == 2) r.I64();
   rec->produced = r.U64();
-  for (std::vector<SlotEntryRecord>& slot : rec->slots) {
-    slot.resize(r.Count(kMinSlotEntry));
-    for (SlotEntryRecord& entry : slot) {
-      entry.instance = instance();
-      entry.deadline = r.I64();
-    }
-  }
-  rec->not_log.resize(r.Count(kMinIndex));
-  for (uint32_t& index : rec->not_log) index = instance();
+  get_indexes(rec->slots[0], true);
+  get_indexes(rec->slots[1], true);
+  get_indexes(rec->not_log, false);
   rec->runs.resize(r.Count(kMinRun));
   for (RunRecord& run : rec->runs) {
-    run.elements.resize(r.Count(kMinIndex));
-    for (uint32_t& element : run.elements) element = instance();
+    get_indexes(run.elements, false);
     run.t_begin = r.I64();
     run.t_end = r.I64();
   }
@@ -216,37 +203,107 @@ void GetPseudo(ByteReader& r, PseudoRecord* rec) {
   rec->anchor_pos = r.U32();
 }
 
-void PutSource(ByteWriter& w, const DetectorSnapshot& src) {
-  w.U32(static_cast<uint32_t>(src.source_id));
-  w.I64(src.clock);
-  w.U64(src.sequence_counter);
-  w.U64(src.pseudo_counter);
-  PutDetectorStats(w, src.stats);
-  w.U32(static_cast<uint32_t>(src.instances.size()));
-  for (const InstanceRecord& rec : src.instances) PutInstance(w, rec);
-  w.U32(static_cast<uint32_t>(src.nodes.size()));
-  for (const NodeStateRecord& rec : src.nodes) PutNodeState(w, rec);
-  w.U32(static_cast<uint32_t>(src.pseudos.size()));
-  for (const PseudoRecord& rec : src.pseudos) PutPseudo(w, rec);
+// The instance, node and pseudo tables, identical in both versions but
+// for the node records.
+void GetTables(ByteReader& r, uint32_t version, DetectorSnapshot* out) {
+  out->instances.resize(r.Count(kMinInstance));
+  const auto num_instances = static_cast<uint32_t>(out->instances.size());
+  for (uint32_t i = 0; i < num_instances; ++i) {
+    GetInstance(r, i, &out->instances[i]);
+  }
+  out->nodes.resize(r.Count(version == 2 ? kMinNodeV2 : kMinNode));
+  for (NodeStateRecord& rec : out->nodes) {
+    GetNodeState(r, version, num_instances, &rec);
+  }
+  out->pseudos.resize(r.Count(kMinPseudo));
+  for (PseudoRecord& rec : out->pseudos) GetPseudo(r, &rec);
 }
 
-void GetSource(ByteReader& r, DetectorSnapshot* src) {
-  src->source_id = static_cast<int>(r.U32());
-  src->clock = r.I64();
-  src->sequence_counter = r.U64();
-  src->pseudo_counter = r.U64();
-  GetDetectorStats(r, &src->stats);
-  src->instances.resize(r.Count(kMinInstance));
-  const auto num_instances = static_cast<uint32_t>(src->instances.size());
-  for (uint32_t i = 0; i < num_instances; ++i) {
-    GetInstance(r, i, &src->instances[i]);
+void GetV3(ByteReader& r, EngineSnapshot* out) {
+  out->fingerprint = r.U64();
+  out->flushed = r.U8() != 0;
+  out->clock = r.I64();
+  out->trace_obs_seq = r.U64();
+  out->durable_lsn = r.U64();
+  for (uint64_t* field : StatFields(out->stats)) *field = r.U64();
+  out->rules.resize(r.Count(kMinRuleCounts));
+  for (RuleCountRecord& rule : out->rules) {
+    rule.rule_id = r.Str32();
+    rule.matches = r.U64();
+    rule.fired = r.U64();
   }
-  src->nodes.resize(r.Count(kMinNode));
-  for (NodeStateRecord& rec : src->nodes) {
-    GetNodeState(r, num_instances, &rec);
+  out->detector.sequence_counter = r.U64();
+  GetTables(r, 3, &out->detector);
+}
+
+// Version 2: the stats section stops at unknown_procedures, and five
+// counts travel in a section of metric names, read here and nowhere
+// else. Refuses, on their counts, the layouts of older builds: several
+// detector sources and pending action firings.
+Status GetV2(ByteReader& r, EngineSnapshot* out) {
+  out->fingerprint = r.U64();
+  r.U8();  // The parameter context, which the fingerprint covers.
+  out->flushed = r.U8() != 0;
+  out->clock = r.I64();
+  out->trace_obs_seq = r.U64();
+  EngineStats& s = out->stats;
+  DetectorStats& d = s.detector;
+  for (uint64_t* field :
+       {&d.observations, &d.out_of_order_dropped, &d.primitive_matches,
+        &d.instances_produced, &d.pseudo_scheduled, &d.pseudo_fired,
+        &d.rule_matches, &s.rules_fired, &s.condition_rejects,
+        &s.condition_errors, &s.action_errors, &s.sql_actions_executed,
+        &s.procedures_invoked, &s.unknown_procedures}) {
+    *field = r.U64();
   }
-  src->pseudos.resize(r.Count(kMinPseudo));
-  for (PseudoRecord& rec : src->pseudos) GetPseudo(r, &rec);
+  out->rules.resize(r.Count(kMinNamedCountV2));
+  std::unordered_map<std::string_view, RuleCountRecord*> rule_by_id;
+  for (RuleCountRecord& rule : out->rules) {
+    rule.rule_id = r.Str32();
+    rule.fired = r.U64();
+    rule_by_id.emplace(rule.rule_id, &rule);
+  }
+  constexpr std::string_view kRuleMatches = "rule_matches_total{rule=\"";
+  for (uint32_t n = r.Count(kMinNamedCountV2); n > 0; --n) {
+    const std::string_view name = r.Str32();
+    const uint64_t value = r.U64();
+    if (name == "rfidcep_process_calls_total") {
+      s.process_calls = value;
+    } else if (name == "store_rows_written_total") {
+      s.rows_written = value;
+    } else if (name == "actions_deduped_total") {
+      s.actions_deduped = value;
+    } else if (name.starts_with("rfidcep_dispatch_fullscan_total{")) {
+      d.fullscan_dispatches += value;  // One series per detection worker.
+    } else if (name.starts_with(kRuleMatches) && name.ends_with("\"}")) {
+      auto it = rule_by_id.find(name.substr(
+          kRuleMatches.size(), name.size() - kRuleMatches.size() - 2));
+      if (it != rule_by_id.end()) it->second->matches = value;
+    }
+  }
+  r.U32();  // Detection workers; a data-sharded capture merged to one source.
+  const uint32_t sources = r.U32();
+  if (r.ok() && sources != 1) {
+    return Status::FailedPrecondition(
+        "snapshot: a version-2 checkpoint with " + std::to_string(sources) +
+        " detector sources is not restored: this build restores one (the "
+        "rule-sharded layout wrote one per shard)");
+  }
+  r.U32();  // Source id.
+  if (r.I64() != out->clock) r.Fail("source clock differs from engine clock");
+  out->detector.sequence_counter = r.U64();
+  r.U64();  // Pseudo counter: restore renumbers the queue.
+  r.Bytes(7 * 8);  // Source stats: the engine's detector stats above.
+  GetTables(r, 2, &out->detector);
+  out->durable_lsn = r.U64();
+  const uint32_t pending = r.U32();
+  if (r.ok() && pending != 0) {
+    return Status::FailedPrecondition(
+        "snapshot: a version-2 checkpoint with " + std::to_string(pending) +
+        " pending action firings (the layout of builds that ran actions on "
+        "a worker thread) is not restored");
+  }
+  return Status::Ok();
 }
 
 // --- Fingerprint ------------------------------------------------------------
@@ -288,45 +345,27 @@ std::string EncodeEngineSnapshot(const EngineSnapshot& snap) {
   std::string out;
   ByteWriter w(&out);
   w.Bytes(kSnapshotMagic);
-  w.U32(snap.version);
+  w.U32(kSnapshotVersion);
   w.U64(snap.fingerprint);
-  w.U8(snap.context);
   w.U8(snap.flushed ? 1 : 0);
   w.I64(snap.clock);
   w.U64(snap.trace_obs_seq);
-  PutDetectorStats(w, snap.stats.detector);
-  w.U64(snap.stats.rules_fired);
-  w.U64(snap.stats.condition_rejects);
-  w.U64(snap.stats.condition_errors);
-  w.U64(snap.stats.action_errors);
-  w.U64(snap.stats.sql_actions_executed);
-  w.U64(snap.stats.procedures_invoked);
-  w.U64(snap.stats.unknown_procedures);
-  w.U32(static_cast<uint32_t>(snap.fired.size()));
-  for (const auto& [rule_id, count] : snap.fired) {
-    w.Str32(rule_id);
-    w.U64(count);
+  w.U64(snap.durable_lsn);
+  for (const uint64_t* field : StatFields(snap.stats)) w.U64(*field);
+  w.U32(static_cast<uint32_t>(snap.rules.size()));
+  for (const RuleCountRecord& rule : snap.rules) {
+    w.Str32(rule.rule_id);
+    w.U64(rule.matches);
+    w.U64(rule.fired);
   }
-  w.U32(static_cast<uint32_t>(snap.counters.size()));
-  for (const auto& [name, value] : snap.counters) {
-    w.Str32(name);
-    w.U64(value);
-  }
-  w.U32(static_cast<uint32_t>(snap.source_shards));
-  w.U32(static_cast<uint32_t>(snap.sources.size()));
-  for (const DetectorSnapshot& src : snap.sources) PutSource(w, src);
-  if (snap.version >= 2) {
-    // Durable action section. Version-1 encodes (for the golden
-    // backward-compat fixtures) stop at the sources.
-    w.U64(snap.durable_lsn);
-    w.U32(static_cast<uint32_t>(snap.pending_actions.size()));
-    for (const EngineSnapshot::PendingActionRecord& p : snap.pending_actions) {
-      w.Str32(p.rule_id);
-      w.U64(p.seq);
-      w.I64(p.fire_time);
-      store::PutParams(w, p.params);
-    }
-  }
+  const DetectorSnapshot& d = snap.detector;
+  w.U64(d.sequence_counter);
+  w.U32(static_cast<uint32_t>(d.instances.size()));
+  for (const InstanceRecord& rec : d.instances) PutInstance(w, rec);
+  w.U32(static_cast<uint32_t>(d.nodes.size()));
+  for (const NodeStateRecord& rec : d.nodes) PutNodeState(w, rec);
+  w.U32(static_cast<uint32_t>(d.pseudos.size()));
+  for (const PseudoRecord& rec : d.pseudos) PutPseudo(w, rec);
   return out;
 }
 
@@ -336,50 +375,19 @@ Status DecodeEngineSnapshot(std::string_view bytes, EngineSnapshot* out) {
   if (r.ok() && magic != kSnapshotMagic) {
     return Status::FailedPrecondition("snapshot: bad magic (not a snapshot)");
   }
-  out->version = r.U32();
-  if (r.ok() && (out->version < kMinSnapshotVersion ||
-                 out->version > kSnapshotVersion)) {
+  const uint32_t version = r.U32();
+  if (r.ok() &&
+      (version < kMinSnapshotVersion || version > kSnapshotVersion)) {
     return Status::FailedPrecondition(
-        "snapshot: unsupported format version " +
-        std::to_string(out->version) + " (this build reads versions " +
+        "snapshot: format version " + std::to_string(version) +
+        " is not restored (this build reads versions " +
         std::to_string(kMinSnapshotVersion) + "-" +
         std::to_string(kSnapshotVersion) + ")");
   }
-  out->fingerprint = r.U64();
-  out->context = r.U8();
-  out->flushed = r.U8() != 0;
-  out->clock = r.I64();
-  out->trace_obs_seq = r.U64();
-  GetDetectorStats(r, &out->stats.detector);
-  out->stats.rules_fired = r.U64();
-  out->stats.condition_rejects = r.U64();
-  out->stats.condition_errors = r.U64();
-  out->stats.action_errors = r.U64();
-  out->stats.sql_actions_executed = r.U64();
-  out->stats.procedures_invoked = r.U64();
-  out->stats.unknown_procedures = r.U64();
-  out->fired.resize(r.Count(kMinNamedCount));
-  for (auto& [rule_id, count] : out->fired) {
-    rule_id = r.Str32();
-    count = r.U64();
-  }
-  out->counters.resize(r.Count(kMinNamedCount));
-  for (auto& [name, value] : out->counters) {
-    name = r.Str32();
-    value = r.U64();
-  }
-  out->source_shards = static_cast<int>(r.U32());
-  out->sources.resize(r.Count(kMinSource));
-  for (DetectorSnapshot& src : out->sources) GetSource(r, &src);
-  if (out->version >= 2) {
-    out->durable_lsn = r.U64();
-    out->pending_actions.resize(r.Count(kMinPendingAction));
-    for (EngineSnapshot::PendingActionRecord& p : out->pending_actions) {
-      p.rule_id = r.Str32();
-      p.seq = r.U64();
-      p.fire_time = r.I64();
-      store::GetParams(r, &p.params);
-    }
+  if (version == 2) {
+    RFIDCEP_RETURN_IF_ERROR(GetV2(r, out));
+  } else {
+    GetV3(r, out);
   }
   if (!r.AtEnd()) r.Fail("trailing bytes after payload");
   if (!r.ok()) {
@@ -403,10 +411,8 @@ events::SharedText ObservationText(const InstanceRecord& rec,
   return events::SharedText(text);
 }
 
-// Rebuilds one source's instance table as live objects. Each call makes
-// fresh instances, so plans for different target detectors never share.
-Result<std::vector<EventInstancePtr>> DecodeInstances(
-    const DetectorSnapshot& src) {
+// Rebuilds the instance table as live objects.
+std::vector<EventInstancePtr> DecodeInstances(const DetectorSnapshot& src) {
   std::vector<EventInstancePtr> out;
   out.reserve(src.instances.size());
   for (const InstanceRecord& rec : src.instances) {
@@ -441,245 +447,97 @@ Result<std::vector<EventInstancePtr>> DecodeInstances(
   return out;
 }
 
-// Identity of a pending pseudo event for the cross-source merge. Sources
-// hosting the same node pend identical pseudo subsequences (capture
-// happens after advancing every source to one clock), so equal tuples on
-// different sources are the same logical pseudo; `occurrence`
-// disambiguates exact repeats within one source.
-using PseudoIdentity =
-    std::tuple<int64_t, int64_t, std::string_view, std::string_view, uint8_t,
-               uint8_t, uint32_t, uint32_t>;
-
-PseudoIdentity IdentityOf(const PseudoRecord& rec, uint32_t occurrence) {
-  return {rec.execute_at,
-          rec.created_at,
-          rec.target_key,
-          rec.parent_key,
-          static_cast<uint8_t>(rec.anchor_kind),
-          rec.anchor_slot,
-          rec.anchor_pos,
-          occurrence};
+Status UnknownStateKey(std::string_view what, std::string_view key) {
+  return Status::FailedPrecondition(
+      "snapshot: " + std::string(what) + " under state key '" +
+      std::string(key) +
+      "', which the compiled graph lacks, is not restored (a checkpoint "
+      "from before SEQ+ prefix sharing keeps per-rule copies under such "
+      "keys)");
 }
 
 }  // namespace
 
 Result<RestorePlan> BuildRestorePlan(
-    const EngineSnapshot& snap, const std::vector<std::string>& target_keys,
-    const std::vector<std::string>& target_aliases) {
-  if (snap.sources.empty()) {
-    return Status::InvalidArgument("snapshot: no detector sources");
-  }
-  RestorePlan plan;
-  plan.clock = snap.clock;
-  for (const DetectorSnapshot& src : snap.sources) {
-    if (src.clock != snap.clock) {
-      return Status::Internal(
-          "snapshot: source clock disagrees with the engine clock");
-    }
-    plan.sequence_counter =
-        std::max(plan.sequence_counter, src.sequence_counter);
-  }
-
+    const EngineSnapshot& snap, const std::vector<std::string>& target_keys) {
+  const DetectorSnapshot& src = snap.detector;
   std::unordered_map<std::string_view, int> target_by_key;
   target_by_key.reserve(target_keys.size());
   for (size_t i = 0; i < target_keys.size(); ++i) {
     target_by_key.emplace(target_keys[i], static_cast<int>(i));
   }
-
-  // --- Pre-sharing aliases ------------------------------------------------
-  // Snapshots written before SEQ+ prefix sharing hold a share-eligible
-  // SEQ+ node as one positional "…|<K>" private copy per rule; this
-  // build's graph has the single "shared|<K>" node in their place. All
-  // copies have identical trajectories (only instance sequence numbers
-  // differ), so a target key with no exact source match but a non-empty
-  // alias <K> restores from a representative: the lexicographically
-  // smallest source key ending in "|<K>" that matches no target exactly.
-  // The representative then maps to that target like an exact key, and
-  // the other copies' state and pseudos are dropped. Exact matches are
-  // never overridden, so same-layout restores stay byte-identical.
-  if (!target_aliases.empty()) {
-    std::unordered_set<std::string_view> source_keys;
-    for (const DetectorSnapshot& src : snap.sources) {
-      for (const NodeStateRecord& rec : src.nodes) {
-        source_keys.insert(rec.state_key);
-      }
-      for (const PseudoRecord& rec : src.pseudos) {
-        source_keys.insert(rec.target_key);
-        source_keys.insert(rec.parent_key);
+  for (const NodeStateRecord& rec : src.nodes) {
+    const bool holds_state = !rec.slots[0].empty() || !rec.slots[1].empty() ||
+                             !rec.not_log.empty() || !rec.runs.empty();
+    if (holds_state && !target_by_key.contains(rec.state_key)) {
+      return UnknownStateKey("detection state", rec.state_key);
+    }
+  }
+  for (const PseudoRecord& rec : src.pseudos) {
+    for (const std::string* key : {&rec.target_key, &rec.parent_key}) {
+      if (!target_by_key.contains(*key)) {
+        return UnknownStateKey("a pseudo event", *key);
       }
     }
-    auto suffix_matches = [](std::string_view key, std::string_view alias) {
-      return key.size() > alias.size() + 1 &&
-             key[key.size() - alias.size() - 1] == '|' &&
-             key.substr(key.size() - alias.size()) == alias;
-    };
-    std::vector<std::pair<std::string_view, int>> reps;
-    for (size_t i = 0; i < target_keys.size(); ++i) {
-      if (target_aliases[i].empty()) continue;
-      if (source_keys.count(target_keys[i]) > 0) continue;  // Exact wins.
-      std::string_view rep;
-      for (std::string_view key : source_keys) {
-        if (target_by_key.count(key) > 0) continue;
-        if (!suffix_matches(key, target_aliases[i])) continue;
-        if (rep.empty() || key < rep) rep = key;
-      }
-      if (!rep.empty()) reps.emplace_back(rep, static_cast<int>(i));
-    }
-    target_by_key.insert(reps.begin(), reps.end());
   }
 
-  // Pick a source per target node: max retention, then lowest source id
-  // (retention is the one parent-dependent dimension of node state; every
-  // other field is identical wherever the node is hosted).
-  struct Chosen {
-    size_t source;
-    const NodeStateRecord* record;
+  RestorePlan plan;
+  plan.clock = snap.clock;
+  plan.sequence_counter = src.sequence_counter;
+  // Restore numbers the queue 1..n, so the counter resumes at its length:
+  // later pseudos sort after every restored one, and a re-capture of the
+  // restored engine is byte-identical.
+  plan.pseudo_counter = src.pseudos.size();
+  const std::vector<EventInstancePtr> table = DecodeInstances(src);
+  const auto entries = [&table](const std::vector<uint32_t>& indexes) {
+    std::vector<EventInstancePtr> out;
+    out.reserve(indexes.size());
+    for (uint32_t index : indexes) out.push_back(table[index]);
+    return out;
   };
-  std::unordered_map<std::string_view, Chosen> chosen;
-  for (size_t s = 0; s < snap.sources.size(); ++s) {
-    for (const NodeStateRecord& rec : snap.sources[s].nodes) {
-      if (target_by_key.find(rec.state_key) == target_by_key.end()) continue;
-      auto [it, inserted] = chosen.emplace(rec.state_key, Chosen{s, &rec});
-      if (!inserted && rec.retention > it->second.record->retention) {
-        it->second = Chosen{s, &rec};
-      }
-    }
-  }
-
-  // Materialize node states; remember each restored node's position for
-  // pseudo anchor resolution.
-  std::vector<std::vector<EventInstancePtr>> instances(snap.sources.size());
+  // Each restored node's position, for pseudo anchor resolution.
   std::unordered_map<std::string_view, size_t> plan_node_by_key;
-  auto materialize = [](const NodeStateRecord& rec,
-                        const std::vector<EventInstancePtr>& table,
-                        int node_id) {
-    RestoredNode node;
-    node.node_id = node_id;
+  for (const NodeStateRecord& rec : src.nodes) {
+    auto target = target_by_key.find(rec.state_key);
+    if (target == target_by_key.end()) continue;  // Produced-only: dropped.
+    if (!plan_node_by_key.emplace(rec.state_key, plan.nodes.size()).second) {
+      return Status::InvalidArgument("snapshot: two records for state key '" +
+                                     rec.state_key + "'");
+    }
+    RestoredNode& node = plan.nodes.emplace_back();
+    node.node_id = target->second;
     node.produced = rec.produced;
-    for (int slot = 0; slot < 2; ++slot) {
-      node.slots[slot].reserve(rec.slots[slot].size());
-      for (const SlotEntryRecord& entry : rec.slots[slot]) {
-        node.slots[slot].emplace_back(table[entry.instance], entry.deadline);
-      }
-    }
-    node.not_log.reserve(rec.not_log.size());
-    for (uint32_t instance : rec.not_log) {
-      node.not_log.push_back(table[instance]);
-    }
+    node.slots[0] = entries(rec.slots[0]);
+    node.slots[1] = entries(rec.slots[1]);
+    node.not_log = entries(rec.not_log);
     node.runs.reserve(rec.runs.size());
     for (const RunRecord& run : rec.runs) {
-      RestoredRun restored;
-      restored.t_begin = run.t_begin;
-      restored.t_end = run.t_end;
-      restored.elements.reserve(run.elements.size());
-      for (uint32_t element : run.elements) {
-        restored.elements.push_back(table[element]);
-      }
-      node.runs.push_back(std::move(restored));
+      node.runs.push_back(RestoredRun{entries(run.elements), run.t_begin,
+                                      run.t_end});
     }
-    return node;
-  };
-  for (const auto& [key, pick] : chosen) {
-    if (instances[pick.source].empty() &&
-        !snap.sources[pick.source].instances.empty()) {
-      RFIDCEP_ASSIGN_OR_RETURN(instances[pick.source],
-                               DecodeInstances(snap.sources[pick.source]));
-    }
-    plan_node_by_key.emplace(key, plan.nodes.size());
-    plan.nodes.push_back(materialize(*pick.record, instances[pick.source],
-                                     target_by_key.at(key)));
   }
 
-  // Merge the per-source pseudo queues: emit an identity only once it is
-  // at the front of EVERY source still containing it (each source's
-  // sequence is a restriction of the serial firing order, so a ready
-  // identity always exists), smallest identity first among the ready
-  // fronts. This preserves every source's relative order — and therefore
-  // every rule's — while collapsing cross-source duplicates.
-  size_t num_sources = snap.sources.size();
-  std::vector<std::vector<PseudoIdentity>> keys(num_sources);
-  std::map<PseudoIdentity, std::vector<std::pair<size_t, size_t>>> positions;
-  for (size_t s = 0; s < num_sources; ++s) {
-    const std::vector<PseudoRecord>& queue = snap.sources[s].pseudos;
-    std::map<PseudoIdentity, uint32_t> occurrences;
-    keys[s].reserve(queue.size());
-    for (size_t p = 0; p < queue.size(); ++p) {
-      PseudoIdentity base = IdentityOf(queue[p], 0);
-      uint32_t occurrence = occurrences[base]++;
-      PseudoIdentity id = IdentityOf(queue[p], occurrence);
-      positions[id].emplace_back(s, keys[s].size());
-      keys[s].push_back(id);
-    }
-  }
-  std::vector<size_t> cursor(num_sources, 0);
-  uint64_t order = 0;
-  auto remaining = [&] {
-    for (size_t s = 0; s < num_sources; ++s) {
-      if (cursor[s] < keys[s].size()) return true;
-    }
-    return false;
-  };
-  while (remaining()) {
-    std::optional<PseudoIdentity> best;
-    size_t best_source = 0;
-    for (size_t s = 0; s < num_sources; ++s) {
-      if (cursor[s] >= keys[s].size()) continue;
-      const PseudoIdentity& front = keys[s][cursor[s]];
-      bool ready = true;
-      for (const auto& [other, pos] : positions.at(front)) {
-        if (cursor[other] != pos) {
-          ready = false;
-          break;
-        }
-      }
-      if (ready && (!best || front < *best)) {
-        best = front;
-        best_source = s;
-      }
-    }
-    if (!best) {
-      // Cannot happen when every source order restricts one serial
-      // order; refuse rather than emit out of order.
-      return Status::Internal("snapshot: pseudo queues are order-incompatible");
-    }
-    ++order;
-    const PseudoRecord& rec =
-        snap.sources[best_source].pseudos[cursor[best_source]];
-    // Advance every source whose front is this identity.
-    for (const auto& [s, pos] : positions.at(*best)) {
-      if (cursor[s] == pos) ++cursor[s];
-    }
-    auto parent_it = target_by_key.find(rec.parent_key);
-    // A pre-sharing copy that is not the representative.
-    if (parent_it == target_by_key.end()) continue;
-    auto target_it = target_by_key.find(rec.target_key);
-    if (target_it == target_by_key.end()) {
-      return Status::Internal(
-          "snapshot: pseudo target is missing from the target graph");
-    }
-    RestoredPseudo pseudo;
+  plan.pseudos.reserve(src.pseudos.size());
+  for (const PseudoRecord& rec : src.pseudos) {
+    RestoredPseudo& pseudo = plan.pseudos.emplace_back();
     pseudo.execute_at = rec.execute_at;
     pseudo.created_at = rec.created_at;
-    pseudo.target_node = target_it->second;
-    pseudo.parent_node = parent_it->second;
-    pseudo.order = order;
+    pseudo.target_node = target_by_key.at(rec.target_key);
+    pseudo.parent_node = target_by_key.at(rec.parent_key);
+    pseudo.order = plan.pseudos.size();
     if (rec.anchor_kind == AnchorKind::kLive) {
-      auto node_it = plan_node_by_key.find(rec.parent_key);
-      if (node_it == plan_node_by_key.end()) {
-        return Status::Internal(
-            "snapshot: live pseudo anchor without parent node state");
+      auto node = plan_node_by_key.find(rec.parent_key);
+      const std::vector<EventInstancePtr>* slot =
+          node == plan_node_by_key.end()
+              ? nullptr
+              : &plan.nodes[node->second].slots[rec.anchor_slot];
+      if (slot == nullptr || rec.anchor_pos >= slot->size()) {
+        return Status::InvalidArgument(
+            "snapshot: live pseudo anchor outside its parent's entries");
       }
-      const RestoredNode& node = plan.nodes[node_it->second];
-      const auto& slot = node.slots[rec.anchor_slot];
-      if (rec.anchor_pos >= slot.size()) {
-        return Status::Internal(
-            "snapshot: live pseudo anchor position out of range");
-      }
-      pseudo.anchor = slot[rec.anchor_pos].first;
+      pseudo.anchor = (*slot)[rec.anchor_pos];
     }
-    plan.pseudos.push_back(std::move(pseudo));
   }
-  plan.pseudo_counter = order;
   return plan;
 }
 

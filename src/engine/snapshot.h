@@ -1,33 +1,33 @@
 // Checkpoint/restore for detector state (versioned binary format).
 //
-// A snapshot captures everything the RCEDA runtime accumulates on a
-// stream: slot buffers with expiry deadlines, NOT logs, SEQ+ open runs,
-// the pending pseudo-event queue, chronicle pairing state (the buffered
-// initiator/terminator instances and their consumption status ARE that
-// state), synth/inst sequence counters, engine statistics, fired counts,
-// and the metric counter values. Since version 2 it also anchors action
-// *effects*: the firing sequence counter, the store-WAL LSN at capture,
-// and a pending-action list (always empty from today's engine, which
-// executes actions before the call that fired them returns) — together
-// with the WAL itself this makes SQL effects exactly-once across a crash
-// (see docs/recovery.md "Exactly-once effects"). Store rows are still not in
+// A snapshot captures what the RCEDA runtime accumulates on a stream:
+// the one event graph's slot buffers, NOT logs and SEQ+ open runs, the
+// pending pseudo-event queue and the instance sequence counter (the
+// buffered initiator/terminator instances and their consumption status
+// ARE the chronicle pairing state). Beside that state it carries every
+// count the engine keeps as a fixed field (EngineStats, and each rule's
+// matches and fired counts) and the store-WAL LSN at capture, which
+// together with the WAL makes SQL effects exactly-once across a crash
+// (see docs/recovery.md "Exactly-once effects"). Store rows are not in
 // the snapshot; they are reconstructed by replaying the WAL.
 //
 // Snapshots are taken at a single logical instant: the engine advances
-// every detector to the engine clock before capturing (firing — and
-// delivering — any expirations scheduled strictly before it), so all
-// captured detectors agree on the clock and every pending pseudo event
-// executes at or after it. Per-node state is identified by a
-// graph-independent state key (EventGraph::NodeStateKeys), so a snapshot
-// restores onto any graph compiled from the same rule set. Engines write
-// one source. Older sharded builds wrote checkpoints this build still
-// restores: a data-partitioned capture was merged to one source at
-// capture time (`source_shards` > 1), and an older rule-sharded layout
-// wrote one source per shard. Several sources merge onto the one
-// detector: per-source pseudo queues merge by a greedy topological pass
-// that preserves every source's relative order (sources hosting the same
-// node pend identical pseudo subsequences, so duplicates collapse
-// exactly).
+// the detector to the engine clock before capturing (firing — and
+// delivering — any expirations scheduled strictly before it), so every
+// pending pseudo event executes at or after the capture clock. Per-node
+// state is identified by a graph-independent state key
+// (EventGraph::NodeStateKeys), so a snapshot restores onto any graph
+// compiled from the same rule set.
+//
+// Layouts: this build writes version 3 and reads versions 2 and 3. A
+// version-2 file is read in the shape one-detector builds wrote it (one
+// detector source, no pending action firings) and converted to the
+// structures below. Other layouts are refused with kFailedPrecondition,
+// naming the layout, before any engine state changes: version 1; a
+// rule-sharded capture (one source per shard); a capture holding pending
+// firings (actions then ran on a worker thread); and, at restore,
+// detection state or a pseudo event under a state key the compiled graph
+// lacks (as a capture from before SEQ+ prefix sharing holds).
 //
 // Portability: symbol ids and join-key hashes are process-local, so
 // records carry variable NAMES and anchor positions; join keys and
@@ -55,15 +55,11 @@
 #include "events/event_instance.h"
 #include "events/observation.h"
 #include "rules/rule.h"
-#include "store/sql_executor.h"
 
 namespace rfidcep::engine::snapshot {
 
-// Version 2 appends the durable-action section (durable_lsn,
-// pending_actions) after the sources. Version 1 snapshots still decode:
-// the section defaults to empty.
-inline constexpr uint32_t kSnapshotVersion = 2;
-inline constexpr uint32_t kMinSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 3;
+inline constexpr uint32_t kMinSnapshotVersion = 2;
 inline constexpr std::string_view kSnapshotMagic = "RCEDSNAP";
 
 // One buffered event instance. Children precede parents in the instance
@@ -74,16 +70,11 @@ struct InstanceRecord {
   events::Observation observation;   // Primitive only.
   TimePoint t_begin = 0;             // Complex only (primitives derive
   TimePoint t_end = 0;               // their span from the observation).
-  uint64_t sequence_number = 0;      // Source-local synth/inst sequence.
+  uint64_t sequence_number = 0;      // The detector's synth/inst sequence.
   std::vector<std::pair<std::string, events::BindingValue>> scalars;
   std::vector<std::pair<std::string, std::vector<events::BindingValue>>>
       multis;
   std::vector<uint32_t> children;    // Indexes into the instance table.
-};
-
-struct SlotEntryRecord {
-  uint32_t instance = 0;  // Index into the instance table.
-  TimePoint deadline = 0;
 };
 
 struct RunRecord {
@@ -93,23 +84,21 @@ struct RunRecord {
 };
 
 // Runtime state of one graph node, identified by its graph-independent
-// state key. Slot/NOT entries are serialized live-only (deadline at or
-// after the capture clock) and in sequence-number order — that order is
-// the arrival order, so restoring it verbatim reproduces the original
-// bucket and expiry-deque ordering.
+// state key. Slot/NOT entries (instance table indexes) are serialized
+// live-only (deadline at or after the capture clock) and in
+// sequence-number order — that order is the arrival order, so restoring
+// it verbatim reproduces the original bucket and expiry-deque ordering;
+// restore recomputes each deadline from the compiled graph.
 struct NodeStateRecord {
   std::string state_key;
-  Duration retention = 0;  // Source-graph retention (NOT-log source choice).
   uint64_t produced = 0;
-  std::vector<SlotEntryRecord> slots[2];
+  std::vector<uint32_t> slots[2];
   std::vector<uint32_t> not_log;
   std::vector<RunRecord> runs;
 };
 
 // How a pseudo event's buffered anchor instance is recorded. Positions
-// index the parent's serialized slot entries — stable across sources
-// because capture happens at one clock, so every source hosting the node
-// serializes the same live entries in the same order.
+// index the parent's serialized slot entries.
 enum class AnchorKind : uint8_t {
   kNone = 0,   // No anchor (SEQ+ self-expiry pseudos).
   kLive = 1,   // Anchor found buffered at capture: (slot, position).
@@ -126,51 +115,30 @@ struct PseudoRecord {
   uint32_t anchor_pos = 0;
 };
 
-// One source detector (the engine's detector, or one shard of an older
-// rule-sharded layout).
+// The detector's runtime state.
 struct DetectorSnapshot {
-  int source_id = 0;
-  TimePoint clock = 0;  // Equals the engine clock (capture invariant).
   uint64_t sequence_counter = 0;
-  uint64_t pseudo_counter = 0;
-  DetectorStats stats;
   std::vector<InstanceRecord> instances;
   std::vector<NodeStateRecord> nodes;
   std::vector<PseudoRecord> pseudos;  // Queue order: (execute_at, order).
 };
 
+// A rule's counts, keyed by rule id (survives re-indexing).
+struct RuleCountRecord {
+  std::string rule_id;
+  uint64_t matches = 0;  // Matches delivered, before the condition.
+  uint64_t fired = 0;    // Matches whose condition held.
+};
+
 struct EngineSnapshot {
-  uint32_t version = kSnapshotVersion;
   uint64_t fingerprint = 0;
-  uint8_t context = 0;  // ParameterContext, fingerprinted too.
   bool flushed = false;
   TimePoint clock = 0;  // Engine clock at capture (out-of-order gate).
   uint64_t trace_obs_seq = 0;
-  EngineStats stats;
-  // Fired count per rule id (rule-id keyed: survives re-indexing).
-  std::vector<std::pair<std::string, uint64_t>> fired;
-  // The engine's counts under their metric names, sorted by name
-  // (RcedaEngine::CounterCatalog), with metrics on or off. Restore reads
-  // back only the counts the stats section lacks.
-  std::vector<std::pair<std::string, uint64_t>> counters;
-  // Detection workers of the capturing engine: 1 from this build, more
-  // from a checkpoint an older sharded build wrote.
-  int source_shards = 1;
-  std::vector<DetectorSnapshot> sources;
-
-  // --- Version 2: durable actions -------------------------------------------
-  // A firing whose actions had not been confirmed (executed + WAL-flushed)
-  // at capture; only older builds, which ran actions on a worker thread,
-  // wrote any. Restore replays these inline, deduplicated against the
-  // recovered WAL, before reprocessing the stream suffix.
-  struct PendingActionRecord {
-    std::string rule_id;
-    uint64_t seq = 0;        // The firing's per-rule sequence number.
-    TimePoint fire_time = 0;
-    store::ParamMap params;
-  };
   uint64_t durable_lsn = 0;  // WAL LSN at capture (0 = no WAL).
-  std::vector<PendingActionRecord> pending_actions;
+  EngineStats stats;
+  std::vector<RuleCountRecord> rules;
+  DetectorSnapshot detector;
 };
 
 // FNV-1a over the parameter context, rule count, and each rule's (id,
@@ -183,22 +151,24 @@ struct EngineSnapshot {
 uint64_t ComputeFingerprint(ParameterContext context,
                             const std::vector<rules::Rule>& rules);
 
-// Binary little-endian encoding. Encoding is deterministic: re-encoding
-// a decoded snapshot, or re-capturing a freshly restored engine of the
-// same layout, is byte-identical.
+// Binary little-endian encoding of version 3 (docs/recovery.md "Binary
+// format"). Encoding is deterministic: re-encoding a decoded snapshot, or
+// re-capturing a freshly restored engine, is byte-identical.
 std::string EncodeEngineSnapshot(const EngineSnapshot& snap);
-// Bounds-checked decode (common/byte_codec.h). Fails with
-// kFailedPrecondition on a bad magic or unsupported version (the explicit
-// format gate), kInvalidArgument on truncation, malformed records, or a
-// count that the remaining bytes could not hold at its element's minimum
-// encoded size.
+// Bounds-checked decode (common/byte_codec.h) of version 3, or of a
+// version-2 file in its one-source shape. Fails with kFailedPrecondition
+// on a bad magic, a version this build does not read, and a retired
+// version-2 layout (several detector sources, or pending action firings,
+// refused on their counts); kInvalidArgument on truncation, malformed
+// records, or a count that the remaining bytes could not hold at its
+// element's minimum encoded size.
 Status DecodeEngineSnapshot(std::string_view bytes, EngineSnapshot* out);
 
 // --- Restore planning -------------------------------------------------------
-// A fully resolved restore plan for ONE target detector: node ids are
-// target-graph ids, instances are live objects (decoded per target, so
-// detectors never share them), anchors are resolved to instances. The
-// detector recomputes join keys, expiry records, and run bindings.
+// A fully resolved restore plan for the detector: node ids are
+// target-graph ids, instances are live objects, anchors are resolved to
+// instances. The detector recomputes join keys, expiry records, and run
+// bindings.
 struct RestoredRun {
   std::vector<events::EventInstancePtr> elements;
   TimePoint t_begin = 0;
@@ -208,7 +178,7 @@ struct RestoredRun {
 struct RestoredNode {
   int node_id = -1;
   uint64_t produced = 0;
-  std::vector<std::pair<events::EventInstancePtr, TimePoint>> slots[2];
+  std::vector<events::EventInstancePtr> slots[2];
   std::vector<events::EventInstancePtr> not_log;
   std::vector<RestoredRun> runs;
 };
@@ -219,37 +189,25 @@ struct RestoredPseudo {
   int target_node = -1;
   int parent_node = -1;
   events::EventInstancePtr anchor;  // Null: no anchor / stale (no-op).
-  uint64_t order = 0;               // Merged queue order (dense, global).
+  uint64_t order = 0;               // Queue order (dense, from 1).
 };
 
 struct RestorePlan {
   TimePoint clock = 0;
-  uint64_t sequence_counter = 0;  // Max over sources: new instances sort
-                                  // after every restored one.
-  uint64_t pseudo_counter = 0;    // Merged queue length.
+  uint64_t sequence_counter = 0;
+  uint64_t pseudo_counter = 0;  // Queue length.
   std::vector<RestoredNode> nodes;
   std::vector<RestoredPseudo> pseudos;
 };
 
-// Builds the plan for a target detector whose graph has per-node state
-// keys `target_keys` (EventGraph::NodeStateKeys order). Nodes hosted by
-// several sources restore from the max-retention source (ties: lowest
-// source id) — retention is the only parent-dependent state dimension,
-// and the max-retention log is a superset whose extra entries no live
-// window query can see. Pseudo orders are assigned by the merge of
-// every source's queue.
-//
-// `target_aliases` (EventGraph::NodeStateAliases, may be empty) lets
-// snapshots written before SEQ+ prefix sharing restore: a target key
-// with no exact match in the snapshot but a non-empty alias <K> restores
-// from the smallest source key ending in "|<K>" that itself matches no
-// target exactly, collapsing the per-rule private copies of a
-// share-eligible SEQ+ node (identical trajectories) onto the one shared
-// node. Exact matches always win, so same-layout restores are
-// unaffected.
+// Builds the plan for a detector whose graph has per-node state keys
+// `target_keys` (EventGraph::NodeStateKeys order). A record under a key
+// the graph lacks is dropped when it holds only a `produced` count (a
+// leaf an older graph stamped with its window); one holding buffered
+// entries or runs, and a pseudo event naming such a key, fail with
+// kFailedPrecondition before any instance is built.
 Result<RestorePlan> BuildRestorePlan(
-    const EngineSnapshot& snap, const std::vector<std::string>& target_keys,
-    const std::vector<std::string>& target_aliases = {});
+    const EngineSnapshot& snap, const std::vector<std::string>& target_keys);
 
 }  // namespace rfidcep::engine::snapshot
 

@@ -115,12 +115,11 @@ void TraceSink::RecordPseudoFired(int node_id, TimePoint execute_at,
 }
 
 void TraceSink::RecordSnapshot(std::string_view op, uint64_t bytes,
-                               TimePoint clock, int shards) {
+                               TimePoint clock) {
   std::string line = Begin("snapshot");
   AppendField(&line, "op", op, /*quote=*/true);
   AppendInt(&line, "bytes", static_cast<int64_t>(bytes));
   AppendInt(&line, "clock", clock);
-  AppendInt(&line, "shards", shards);
   Write(std::move(line));
 }
 

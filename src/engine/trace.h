@@ -65,11 +65,8 @@ class TraceSink {
   void RecordCondition(std::string_view rule_id, bool held);
   void RecordAction(std::string_view rule_id, std::string_view kind, bool ok);
   // Checkpoint / restore marker: `op` is "checkpoint" or "restore",
-  // `bytes` the encoded snapshot size, `clock` the capture clock,
-  // `shards` the snapshot's source_shards (1 = a serial capture; more
-  // only when restoring a checkpoint written by an older sharded build).
-  void RecordSnapshot(std::string_view op, uint64_t bytes, TimePoint clock,
-                      int shards);
+  // `bytes` the encoded snapshot size, `clock` the capture clock.
+  void RecordSnapshot(std::string_view op, uint64_t bytes, TimePoint clock);
 
   uint64_t records() const;
 

@@ -152,10 +152,8 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
   if (fs::exists(tenant->checkpoint_path_)) {
     Status restored = tenant->engine_->Restore(tenant->checkpoint_path_);
     if (!restored.ok()) {
-      return Status(restored.code(), "tenant '" + tenant->config_.name +
-                                         "': restoring " +
-                                         tenant->checkpoint_path_ + ": " +
-                                         restored.message());
+      return Status(restored.code(), "restoring " + tenant->checkpoint_path_ +
+                                         ": " + restored.message());
     }
     tenant->restored_ = true;
   }

@@ -1,6 +1,6 @@
 // Rule actions + store WAL: exactly-once store effects across a
-// simulated crash, and inline replay of the pending-action section that
-// older checkpoints carry.
+// simulated crash, and the refusal of older checkpoints that carry
+// pending action firings.
 
 #include <gtest/gtest.h>
 
@@ -213,84 +213,46 @@ TEST(ActionPipelineTest, DurableTailDeduplicates) {
 // firings that worker had not yet confirmed. The committed fixture was
 // captured from kPendingRules over MakeStream(8) with the worker held on
 // the first `notify` call: all 16 firings are pending (8 SQL, 8
-// procedure) and no action is counted yet. RestoreState replays them
-// inline: each SQL firing executes once — also when restored again over
-// the WAL the first restore wrote — and procedure firings are credited
-// but not invoked, since their event instances are gone.
-TEST(ActionPipelineTest, OldCheckpointPendingActionsReplayOnce) {
-  constexpr std::string_view kPendingRules = R"(
-    CREATE RULE alert, alert rule
-    ON observation(r, o, t)
-    IF true
-    DO notify(o)
-
-    CREATE RULE log, log rule
-    ON observation(r, o, t)
-    IF true
-    DO INSERT INTO OBSERVATION VALUES (r, o, t)
-  )";
-  // The capturing run's totals after its Flush().
-  constexpr uint64_t kRulesFired = 16;
-  constexpr uint64_t kSqlActions = 8;
-  constexpr uint64_t kProcedures = 8;
-  constexpr uint64_t kFiredPerRule = 8;
-
+// procedure). Restore refuses the layout on the pending count, before it
+// decodes any firing: no store row is written, no procedure is called,
+// nothing is logged or counted.
+TEST(ActionPipelineTest, OldCheckpointPendingActionsAreRefused) {
   const std::string bytes = testing::ReadFile(
       std::string(RFIDCEP_TESTDATA_DIR) +
       "/checkpoint_v2_pending_actions.snap");
-  snapshot::EngineSnapshot snap;
-  ASSERT_TRUE(snapshot::DecodeEngineSnapshot(bytes, &snap).ok());
-  ASSERT_EQ(snap.version, 2u);
-  EXPECT_EQ(snap.stats.sql_actions_executed, 0u);
-  EXPECT_EQ(snap.stats.procedures_invoked, 0u);
-  size_t pending_sql = 0;
-  for (const auto& rec : snap.pending_actions) {
-    if (rec.rule_id == "log") ++pending_sql;
-  }
-  ASSERT_EQ(pending_sql, kSqlActions);
-  ASSERT_EQ(snap.pending_actions.size() - pending_sql, kProcedures);
-
-  // The store an uninterrupted run leaves: one row per observation.
-  Rig reference(kPendingRules);
-  ASSERT_TRUE(reference.Run(MakeStream(8)).ok());
-  ASSERT_TRUE(reference.engine->Flush().ok());
-  const std::string expected = DumpStore(&reference.db);
+  ASSERT_FALSE(bytes.empty()) << "missing fixture";
 
   TempWalDir wal_dir("action_pipeline_pending_fixture");
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    SCOPED_TRACE(attempt == 0 ? "fresh WAL" : "WAL from the first restore");
-    Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
-    ASSERT_TRUE(wal.ok()) << wal.status().message();
-    Rig restored(kPendingRules);
-    Result<uint64_t> cursor = ReplayWalIntoDatabase(**wal, &restored.db);
-    ASSERT_TRUE(cursor.ok()) << cursor.status().message();
-    int invoked = 0;
-    restored.engine->RegisterProcedure(
-        "notify", [&](const RuleFiring&, const std::string&) { ++invoked; });
-    ASSERT_TRUE(restored.engine->AttachWal(wal->get()).ok());
-    ASSERT_TRUE(restored.engine->Compile().ok());
-    ASSERT_TRUE(restored.engine->RestoreState(bytes).ok());
-    ASSERT_TRUE(restored.engine->Flush().ok());
+  Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
+  ASSERT_TRUE(wal.ok()) << wal.status().message();
+  Rig restored(testing::kPendingRules);
+  int invoked = 0;
+  restored.engine->RegisterProcedure(
+      "notify", [&](const RuleFiring&, const std::string&) { ++invoked; });
+  ASSERT_TRUE(restored.engine->AttachWal(wal->get()).ok());
+  ASSERT_TRUE(restored.engine->Compile().ok());
+  const std::string empty_store = DumpStore(&restored.db);
 
-    EXPECT_EQ(DumpStore(&restored.db), expected);
-    EXPECT_EQ(invoked, 0);
-    const EngineStats& stats = restored.engine->stats();
-    EXPECT_EQ(stats.rules_fired, kRulesFired);
-    EXPECT_EQ(stats.sql_actions_executed, kSqlActions);
-    EXPECT_EQ(stats.procedures_invoked, kProcedures);
-    EXPECT_EQ(stats.unknown_procedures, 0u);
-    EXPECT_EQ(stats.action_errors, 0u);
-    EXPECT_EQ(restored.engine->FiredCount("alert"), kFiredPerRule);
-    EXPECT_EQ(restored.engine->FiredCount("log"), kFiredPerRule);
-    EXPECT_TRUE(restored.engine->first_deferred_error().ok())
-        << restored.engine->first_deferred_error().message();
-  }
+  const Status status = restored.engine->RestoreState(bytes);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("16 pending action firings"),
+            std::string::npos)
+      << status.message();
+  EXPECT_EQ(DumpStore(&restored.db), empty_store);
+  EXPECT_EQ(invoked, 0);
+  EXPECT_EQ((*wal)->last_lsn(), 0u);
+  const EngineStats& stats = restored.engine->stats();
+  EXPECT_EQ(stats.rules_fired, 0u);
+  EXPECT_EQ(stats.sql_actions_executed, 0u);
+  EXPECT_EQ(stats.procedures_invoked, 0u);
+  EXPECT_EQ(restored.engine->FiredCount("alert"), 0u);
+  EXPECT_EQ(restored.engine->FiredCount("log"), 0u);
 }
 
 TEST(ActionPipelineTest, WalGatesRejectMismatchedSnapshots) {
   std::vector<events::Observation> stream = MakeStream(20);
 
-  // A version-1 snapshot (no durable-action section) cannot restore into
+  // A version-1 snapshot (no durable-action section) is refused, here by
   // a WAL-attached engine.
   Rig source;
   ASSERT_TRUE(source.Run(stream).ok());
@@ -298,8 +260,9 @@ TEST(ActionPipelineTest, WalGatesRejectMismatchedSnapshots) {
   ASSERT_TRUE(source.engine->SerializeState(&bytes).ok());
   snapshot::EngineSnapshot snap;
   ASSERT_TRUE(snapshot::DecodeEngineSnapshot(bytes, &snap).ok());
-  snap.version = 1;
-  std::string v1_bytes = snapshot::EncodeEngineSnapshot(snap);
+  std::string v1_bytes = bytes;
+  v1_bytes[8] = 1;  // The u32 version after the magic.
+  v1_bytes[9] = v1_bytes[10] = v1_bytes[11] = 0;
 
   TempWalDir wal_dir("action_pipeline_gates");
   Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(wal_dir.str());
@@ -312,7 +275,6 @@ TEST(ActionPipelineTest, WalGatesRejectMismatchedSnapshots) {
 
   // A snapshot whose durable LSN is ahead of the attached (empty) WAL is
   // from a different run: rejected.
-  snap.version = 2;
   snap.durable_lsn = 7;
   Status ahead = gated.engine->RestoreState(snapshot::EncodeEngineSnapshot(snap));
   EXPECT_EQ(ahead.code(), StatusCode::kFailedPrecondition) << ahead.message();

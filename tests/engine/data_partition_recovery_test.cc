@@ -57,10 +57,8 @@ TEST(DataPartitionRecoveryTest, PendingNegationWindowsStayPerKey) {
   ASSERT_FALSE(bytes.empty()) << "missing fixture";
   snapshot::EngineSnapshot decoded;
   ASSERT_TRUE(snapshot::DecodeEngineSnapshot(bytes, &decoded).ok());
-  EXPECT_EQ(decoded.source_shards, 2);
-  ASSERT_EQ(decoded.sources.size(), 1u);
   // Both windows are still open at the cut: one confirmation pseudo each.
-  EXPECT_EQ(decoded.sources[0].pseudos.size(), 2u);
+  EXPECT_EQ(decoded.detector.pseudos.size(), 2u);
 
   const std::vector<Observation> stream = Stream();
   const std::vector<Observation> head(stream.begin(), stream.begin() + kCut);

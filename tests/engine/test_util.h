@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -85,6 +86,91 @@ inline std::map<std::string, uint64_t> ParseExposition(
   }
   return samples;
 }
+
+// --- Rule programs behind committed snapshot fixtures ----------------------
+
+// The fixture engine of snapshot_format_test (checkpoint_v<N>.snap). It
+// covers every serialized state shape: SEQ slot buffers, a NOT log with
+// pending confirmation pseudos, and SEQ+ open runs.
+inline constexpr std::string_view kFixtureRules = R"(
+  CREATE RULE pair, pairing
+  ON WITHIN(observation("a", o, t1); observation("b", o, t2), 8sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE quiet, quiet zone
+  ON WITHIN(observation("a", o1, t1) AND NOT observation("c", o2, t2), 6sec)
+  IF true
+  DO send alarm
+
+  CREATE RULE run, aperiodic
+  ON WITHIN(TSEQ+(observation("a", o1, t1), 0sec, 4sec), 20sec)
+  IF true
+  DO send alarm
+)";
+
+// SEQ+ prefix sharing (rule_index_test), and the workload
+// checkpoint_v2_presharing.snap was captured on. Two rules over the same
+// bounded TSEQ+ prefix behind NEGATION terminators (the run still closes
+// via the SEQ+ node's own expiry, so sharing is safe) plus a third whose
+// identical-looking TSEQ+ is terminator-closed — its terminator CONSUMES
+// the run, so it must keep a private copy. The fourth, keyed on the tag,
+// shares no node with them.
+inline constexpr std::string_view kSharingProgram = R"(
+  DEFINE E1 = observation("r_conv", o1, t1)
+  CREATE RULE wa, exit negated
+  ON TSEQ(TSEQ+(E1, 0.1sec, 1sec); NOT observation("r_exit", o2, t2),
+          2sec, 4sec)
+  IF true
+  DO send alarm
+  CREATE RULE nb, case negated
+  ON TSEQ(TSEQ+(E1, 0.1sec, 1sec); NOT observation("r_case", o2, t2),
+          2sec, 4sec)
+  IF true
+  DO send alarm
+  CREATE RULE ct, closed terminator
+  ON TSEQ(TSEQ+(E1, 0.1sec, 1sec); observation("r_case", o2, t2),
+          2sec, 4sec)
+  IF true
+  DO send alarm
+  CREATE RULE cv, conveyor read
+  ON observation("r_conv", o, t)
+  IF true
+  DO send alarm
+)";
+
+// The sharing workload: two TSEQ+ runs on r_conv, one of them confirmed
+// by an r_case terminator, plus unrelated traffic.
+inline std::vector<events::Observation> SharingStream() {
+  auto at = [](double sec) { return static_cast<TimePoint>(sec * kSecond); };
+  return {
+      {"r_conv", "a", at(1.0)},
+      {"r_conv", "b", at(1.5)},
+      {"r_conv", "c", at(2.0)},
+      // Consumes ct's private run AND falsifies nb's negation window;
+      // wa's r_exit negation still holds, so run 1 fires wa + ct but not
+      // nb.
+      {"r_case", "K", at(4.5)},
+      // Run 2 gets no terminator: once the clock moves past its windows
+      // (or at Flush), both negation rules fire and ct stays silent.
+      {"r_conv", "d", at(8.0)},
+      {"r_conv", "e", at(8.4)},
+  };
+}
+
+// The rules of checkpoint_v2_pending_actions.snap: one procedure and one
+// SQL action per observation.
+inline constexpr std::string_view kPendingRules = R"(
+  CREATE RULE alert, alert rule
+  ON observation(r, o, t)
+  IF true
+  DO notify(o)
+
+  CREATE RULE log, log rule
+  ON observation(r, o, t)
+  IF true
+  DO INSERT INTO OBSERVATION VALUES (r, o, t)
+)";
 
 // The bytes of `path` ("" when it cannot be read), e.g. a committed
 // snapshot fixture.

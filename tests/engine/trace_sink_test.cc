@@ -71,6 +71,18 @@ TEST_F(TraceSinkTest, PseudoMatchConditionActionRecords) {
   EXPECT_EQ(sink_.records(), 4u);
 }
 
+TEST_F(TraceSinkTest, SnapshotRecord) {
+  sink_.RecordSnapshot("checkpoint", 11701, 5000);
+  sink_.RecordSnapshot("restore", 11701, 5000);
+  ASSERT_EQ(lines_.size(), 2u);
+  EXPECT_EQ(lines_[0],
+            "{\"k\":\"snapshot\",\"op\":\"checkpoint\",\"bytes\":11701,"
+            "\"clock\":5000}");
+  EXPECT_EQ(lines_[1],
+            "{\"k\":\"snapshot\",\"op\":\"restore\",\"bytes\":11701,"
+            "\"clock\":5000}");
+}
+
 TEST_F(TraceSinkTest, EscapesQuotesBackslashesAndControlChars) {
   EXPECT_EQ(TraceSink::EscapeJson("plain"), "plain");
   EXPECT_EQ(TraceSink::EscapeJson("a\"b"), "a\\\"b");

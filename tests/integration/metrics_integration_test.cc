@@ -263,7 +263,8 @@ TEST_F(MetricsIntegrationTest, CountsSurviveDecompileAndCompile) {
 // A checkpoint carries every count whether metrics are on or off: a
 // metrics-off checkpoint restored into a metrics-on engine finishes the
 // stream on the counters and statistics of an uninterrupted metrics-on
-// run, including the counts only the counter section holds.
+// run, including process calls, rows written, deduplicated actions and
+// full-scan dispatches.
 TEST_F(MetricsIntegrationTest, MetricsOffCheckpointKeepsEveryCount) {
   EngineOptions on;
   on.detector.tolerate_out_of_order = true;

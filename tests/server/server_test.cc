@@ -30,6 +30,7 @@
 #include "store/csv.h"
 #include "store/database.h"
 #include "store/wal.h"
+#include "tests/engine/test_util.h"
 
 namespace rfidcep::server {
 namespace {
@@ -366,6 +367,46 @@ TEST_F(ServerTest, ShutdownMidStreamRestartResumes) {
 
     EXPECT_TRUE(server.Shutdown().ok());
   }
+}
+
+// Upgrading rfidcepd over an existing state dir. A checkpoint an older
+// one-detector build wrote (snapshot version 2) restores; one a
+// rule-sharded build wrote stops AddTenant, and so the daemon's start,
+// with the file and the layout in the message.
+class UpgradeTest : public ServerTest {
+ protected:
+  // Installs the committed fixture `name` as tenant "legacy"'s checkpoint.
+  TenantConfig LegacyTenant(const std::string& fixture) {
+    fs::create_directories(dir_ / "legacy");
+    fs::copy_file(fs::path(RFIDCEP_TESTDATA_DIR) / fixture,
+                  dir_ / "legacy" / "checkpoint.snap");
+    TenantConfig config;
+    config.name = "legacy";
+    config.rules_text = engine::testing::kFixtureRules;
+    return config;
+  }
+};
+
+TEST_F(UpgradeTest, Version2CheckpointRestores) {
+  Server server(Options());
+  ASSERT_TRUE(server.AddTenant(LegacyTenant("checkpoint_v2.snap")).ok());
+  EXPECT_TRUE(server.tenant("legacy")->restored());
+  // The fixture holds the six observations of its stream.
+  EXPECT_EQ(server.tenant("legacy")->engine().stats().detector.observations,
+            6u);
+}
+
+TEST_F(UpgradeTest, RuleShardedCheckpointStopsTheTenant) {
+  Server server(Options());
+  const Status status =
+      server.AddTenant(LegacyTenant("checkpoint_v2_rule_sharded.snap"));
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  const std::string file = (dir_ / "legacy" / "checkpoint.snap").string();
+  EXPECT_NE(status.message().find(file), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("2 detector sources"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(server.tenant("legacy"), nullptr);
 }
 
 // A location-history rule (an UPDATE closing the open interval, then an
