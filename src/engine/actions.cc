@@ -139,30 +139,25 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing,
           }
           continue;
         }
-        // Replayed firings have no event instance any more; procedures
-        // are credited for counter parity but not re-invoked (and not
-        // logged: no frame may claim an invocation that never happened).
-        if (!firing.replayed) {
-          it->second(firing, action.procedure_args);
-          if (wal_ != nullptr) {
-            // Log after the callback returns. A crash in between loses
-            // the frame and recovery re-invokes: external effects are
-            // at-least-once in that window (docs/recovery.md), while
-            // logging first would let a logged-but-never-run alarm
-            // vanish entirely, which is worse.
-            store::WalRecord record;
-            record.kind = name.find("alarm") != std::string::npos
-                              ? store::WalRecordKind::kAlarm
-                              : store::WalRecordKind::kProcedure;
-            record.action_seq = firing.seq;
-            record.action_index = index;
-            record.rule_id = firing.rule->id;
-            record.sql = name;
-            record.params = firing.params;
-            Result<uint64_t> appended = wal_->Append(std::move(record));
-            if (!appended.ok() && first_error.ok()) {
-              first_error = appended.status();
-            }
+        it->second(firing, action.procedure_args);
+        if (wal_ != nullptr) {
+          // Log after the callback returns. A crash in between loses the
+          // frame and recovery re-invokes: external effects are
+          // at-least-once in that window (docs/recovery.md), while
+          // logging first would let a logged-but-never-run alarm vanish
+          // entirely, which is worse.
+          store::WalRecord record;
+          record.kind = name.find("alarm") != std::string::npos
+                            ? store::WalRecordKind::kAlarm
+                            : store::WalRecordKind::kProcedure;
+          record.action_seq = firing.seq;
+          record.action_index = index;
+          record.rule_id = firing.rule->id;
+          record.sql = name;
+          record.params = firing.params;
+          Result<uint64_t> appended = wal_->Append(std::move(record));
+          if (!appended.ok() && first_error.ok()) {
+            first_error = appended.status();
           }
         }
         ++stats->procedures_invoked;

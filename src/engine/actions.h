@@ -45,11 +45,6 @@ struct RuleFiring {
   // restored continuation number firings alike. Dedup key half for
   // exactly-once effects when a WAL is attached.
   uint64_t seq = 0;
-  // True for firings replayed from a restored snapshot's pending-action
-  // section: the original event instance is gone, so a procedure whose
-  // WAL frame was lost is credited but not re-invoked (see
-  // docs/recovery.md "Exactly-once effects").
-  bool replayed = false;
 };
 
 // A user procedure invoked by a DO-action. `args` is the raw text between

@@ -9,6 +9,7 @@
 
 #include "engine/snapshot.h"
 #include "engine/trace.h"
+#include "events/symbol.h"
 
 namespace rfidcep::engine {
 
@@ -633,8 +634,8 @@ void Detector::SeqPlusArrival(int node_id, const EventInstancePtr& e) {
   NodeState& st = states_[node_id];
 
   bool extended = false;
-  if (!st.open_runs.empty()) {
-    Run& run = st.open_runs.front();
+  if (st.open_run.has_value()) {
+    Run& run = *st.open_run;
     Duration d = e->t_end() - run.t_end;
     bool fits_dist = d >= node.dist_lo && d <= node.dist_hi;
     bool fits_within = node.within == kDurationInfinity ||
@@ -645,21 +646,20 @@ void Detector::SeqPlusArrival(int node_id, const EventInstancePtr& e) {
       run.t_end = e->t_end();
       extended = true;
     } else {
-      Run closed = std::move(st.open_runs.front());
-      st.open_runs.clear();
+      Run closed = std::move(run);
+      st.open_run.reset();
       CloseRun(node_id, std::move(closed));
     }
   }
   if (!extended) {
-    Run run;
+    Run& run = st.open_run.emplace();
     run.elements = {e};
     run.bindings = e->bindings().ToMulti();
     run.t_begin = e->t_begin();
     run.t_end = e->t_end();
-    st.open_runs.push_back(std::move(run));
   }
   if (seqplus_self_[node_id]) {
-    const Run& run = st.open_runs.front();
+    const Run& run = *st.open_run;
     TimePoint expiry = std::min(AddSaturating(run.t_end, node.dist_hi),
                                 AddSaturating(run.t_begin, node.within));
     SchedulePseudo(expiry, e->t_end(), node_id, node_id, /*anchor_seq=*/0,
@@ -670,8 +670,8 @@ void Detector::SeqPlusArrival(int node_id, const EventInstancePtr& e) {
 void Detector::MaterializeSeqPlus(int node_id, bool force, bool include_now) {
   const GraphNode& node = graph_->node(node_id);
   NodeState& st = states_[node_id];
-  if (st.open_runs.empty()) return;
-  const Run& run = st.open_runs.front();
+  if (!st.open_run.has_value()) return;
+  const Run& run = *st.open_run;
   // Distance and within bounds are closed, so a run whose expiry equals the
   // clock can still be extended by an element in the current dispatch round.
   // Callers reacting to an observation at `clock_` must therefore only close
@@ -682,8 +682,8 @@ void Detector::MaterializeSeqPlus(int node_id, bool force, bool include_now) {
                               AddSaturating(run.t_begin, node.within));
   bool expired = include_now ? expiry <= clock_ : expiry < clock_;
   if (force || expired) {
-    Run closed = std::move(st.open_runs.front());
-    st.open_runs.clear();
+    Run closed = std::move(*st.open_run);
+    st.open_run.reset();
     CloseRun(node_id, std::move(closed));
   }
 }
@@ -790,6 +790,93 @@ void Detector::FirePseudo(const PseudoEvent& pe) {
 
 // --- Checkpoint/restore --------------------------------------------------------------
 
+namespace {
+
+// The text of a primitive record's observation as a handle, shared with
+// an equal bound value when the record has one, as detection shares it.
+events::SharedText ObservationText(const snapshot::InstanceRecord& rec,
+                                   const std::string& text) {
+  for (const auto& [name, value] : rec.scalars) {
+    const auto* bound = std::get_if<events::SharedText>(&value);
+    if (bound != nullptr && bound->view() == text) return *bound;
+  }
+  return events::SharedText(text);
+}
+
+// Rebuilds the instance table as live objects, the inverse of SaveState's
+// interning.
+std::vector<EventInstancePtr> DecodeInstances(
+    const snapshot::DetectorSnapshot& src) {
+  std::vector<EventInstancePtr> out;
+  out.reserve(src.instances.size());
+  for (const snapshot::InstanceRecord& rec : src.instances) {
+    Bindings bindings;
+    for (const auto& [name, value] : rec.scalars) {
+      bindings.BindScalar(events::InternSymbol(name), value);
+    }
+    for (const auto& [name, values] : rec.multis) {
+      events::SymbolId sym = events::InternSymbol(name);
+      for (const events::BindingValue& value : values) {
+        bindings.BindMulti(sym, value);
+      }
+    }
+    if (rec.is_primitive) {
+      out.push_back(EventInstance::MakePrimitive(
+          ObservationText(rec, rec.observation.reader),
+          ObservationText(rec, rec.observation.object),
+          rec.observation.timestamp, std::move(bindings),
+          rec.sequence_number));
+    } else {
+      std::vector<EventInstancePtr> children;
+      children.reserve(rec.children.size());
+      for (uint32_t child : rec.children) {
+        children.push_back(out[child]);  // Bounds-checked at decode.
+      }
+      out.push_back(EventInstance::MakeComplex(rec.t_begin, rec.t_end,
+                                               std::move(bindings),
+                                               std::move(children),
+                                               rec.sequence_number));
+    }
+  }
+  return out;
+}
+
+Status UnknownStateKey(std::string_view what, std::string_view key) {
+  return Status::FailedPrecondition(
+      "snapshot: " + std::string(what) + " under state key '" +
+      std::string(key) +
+      "', which the compiled graph lacks, is not restored (a checkpoint "
+      "from before SEQ+ prefix sharing keeps per-rule copies under such "
+      "keys)");
+}
+
+// SaveState writes slot entries only under AND and SEQ (slot 1 only under
+// AND), NOT-log entries only under NOT, and at most one non-empty run,
+// only under SEQ+. Any other record is damaged or forged.
+Status CheckRecordShape(ExprOp op, const snapshot::NodeStateRecord& rec) {
+  const char* what = nullptr;
+  if (op != ExprOp::kAnd && op != ExprOp::kSeq && !rec.slots[0].empty()) {
+    what = "slot entries";
+  } else if (op != ExprOp::kAnd && !rec.slots[1].empty()) {
+    what = "slot-1 entries";
+  } else if (op != ExprOp::kNot && !rec.not_log.empty()) {
+    what = "NOT-log entries";
+  } else if (op != ExprOp::kSeqPlus && !rec.runs.empty()) {
+    what = "a SEQ+ run";
+  } else if (rec.runs.size() > 1) {
+    what = "a second SEQ+ run";
+  } else if (!rec.runs.empty() && rec.runs[0].elements.empty()) {
+    what = "an empty SEQ+ run";
+  }
+  if (what == nullptr) return Status::Ok();
+  return Status::InvalidArgument(
+      "snapshot: " + std::string(what) + " under state key '" +
+      rec.state_key + "' (" + std::string(events::ExprOpName(op)) +
+      "), which capture never writes");
+}
+
+}  // namespace
+
 void Detector::SaveState(const std::vector<std::string>& state_keys,
                          snapshot::DetectorSnapshot* out) const {
   out->sequence_counter = sequence_counter_;
@@ -876,16 +963,14 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
         }
       }
     }
-    rec.runs.reserve(st.open_runs.size());
-    for (const Run& run : st.open_runs) {
-      snapshot::RunRecord rr;
-      rr.elements.reserve(run.elements.size());
-      for (const EventInstancePtr& e : run.elements) {
+    if (st.open_run.has_value()) {
+      snapshot::RunRecord& rr = rec.runs.emplace_back();
+      rr.elements.reserve(st.open_run->elements.size());
+      for (const EventInstancePtr& e : st.open_run->elements) {
         rr.elements.push_back(intern(e));
       }
-      rr.t_begin = run.t_begin;
-      rr.t_end = run.t_end;
-      rec.runs.push_back(std::move(rr));
+      rr.t_begin = st.open_run->t_begin;
+      rr.t_end = st.open_run->t_end;
     }
     if (rec.produced == 0 && rec.slots[0].empty() && rec.slots[1].empty() &&
         rec.not_log.empty() && rec.runs.empty()) {
@@ -933,21 +1018,76 @@ void Detector::SaveState(const std::vector<std::string>& state_keys,
   }
 }
 
-Status Detector::RestoreState(const snapshot::RestorePlan& plan,
-                              const DetectorStats& stats) {
-  for (NodeState& st : states_) st.open_runs.clear();
-  for (Family& family : families_) {
-    family.buffers[0] = JoinBuffer();
-    family.buffers[1] = JoinBuffer();
-    family.keyed_seq = 0;
+Status Detector::RestoreState(const std::vector<std::string>& state_keys,
+                              const snapshot::DetectorSnapshot& snap,
+                              TimePoint clock, const DetectorStats& stats) {
+  // Everything that can fail runs first, into locals; the detector
+  // changes only in the install pass at the end, which cannot fail.
+  std::unordered_map<std::string_view, int> node_by_key;
+  node_by_key.reserve(state_keys.size());
+  for (size_t id = 0; id < state_keys.size(); ++id) {
+    node_by_key.emplace(state_keys[id], static_cast<int>(id));
   }
-  produced_per_node_.assign(graph_->num_nodes(), 0);
-  pseudo_queue_ = {};
-  clock_ = plan.clock;
-  sequence_counter_ = plan.sequence_counter;
-  pseudo_counter_ = plan.pseudo_counter;
-  stats_ = stats;
-
+  std::vector<const snapshot::NodeStateRecord*> record_at(states_.size());
+  for (const snapshot::NodeStateRecord& rec : snap.nodes) {
+    auto found = node_by_key.find(rec.state_key);
+    if (found == node_by_key.end()) {
+      if (!rec.slots[0].empty() || !rec.slots[1].empty() ||
+          !rec.not_log.empty() || !rec.runs.empty()) {
+        return UnknownStateKey("detection state", rec.state_key);
+      }
+      continue;  // Produced-only: a window-stamped leaf of an older graph.
+    }
+    if (record_at[found->second] != nullptr) {
+      return Status::InvalidArgument("snapshot: two records for state key '" +
+                                     rec.state_key + "'");
+    }
+    record_at[found->second] = &rec;
+    RFIDCEP_RETURN_IF_ERROR(
+        CheckRecordShape(graph_->node(found->second).op, rec));
+  }
+  const std::vector<EventInstancePtr> table = DecodeInstances(snap);
+  std::vector<PseudoEvent> pseudos;
+  pseudos.reserve(snap.pseudos.size());
+  for (const snapshot::PseudoRecord& rec : snap.pseudos) {
+    const auto target = node_by_key.find(rec.target_key);
+    const auto parent = node_by_key.find(rec.parent_key);
+    if (target == node_by_key.end()) {
+      return UnknownStateKey("a pseudo event", rec.target_key);
+    }
+    if (parent == node_by_key.end()) {
+      return UnknownStateKey("a pseudo event", rec.parent_key);
+    }
+    // A SEQ+ node's own expiry, or an anchored AND/SEQ completion that
+    // queries a NOT node.
+    const ExprOp parent_op = graph_->node(parent->second).op;
+    if (parent_op == ExprOp::kSeqPlus
+            ? target->second != parent->second
+            : (parent_op != ExprOp::kAnd && parent_op != ExprOp::kSeq) ||
+                  graph_->node(target->second).op != ExprOp::kNot) {
+      return Status::InvalidArgument(
+          "snapshot: a pseudo event from state key '" + rec.parent_key +
+          "' to '" + rec.target_key + "', which capture never writes");
+    }
+    // Restore numbers the queue 1..n, and the counter resumes at its
+    // length: later pseudos sort after every restored one, and a
+    // re-capture of the restored engine is byte-identical.
+    PseudoEvent& pe = pseudos.emplace_back(
+        PseudoEvent{rec.execute_at, rec.created_at, target->second,
+                    parent->second, 0, kWildcardKey, pseudos.size() + 1});
+    if (rec.anchor_kind == snapshot::AnchorKind::kLive) {
+      const snapshot::NodeStateRecord* holder = record_at[parent->second];
+      if (holder == nullptr ||
+          rec.anchor_pos >= holder->slots[rec.anchor_slot].size()) {
+        return Status::InvalidArgument(
+            "snapshot: live pseudo anchor outside its parent's entries");
+      }
+      const EventInstancePtr& anchor =
+          table[holder->slots[rec.anchor_slot][rec.anchor_pos]];
+      pe.anchor_seq = anchor->sequence_number();
+      pe.anchor_key = KeyFor(parent->second, anchor->bindings()).hash;
+    }
+  }
   // Member records merge into their family's buffers by instance: every
   // (family, slot) list is appended in sequence order, so each member's
   // chains and the expiry records reproduce the original arrival order,
@@ -961,46 +1101,47 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
     const EventInstancePtr* e;
   };
   std::vector<Held> held;
-  for (const snapshot::RestoredNode& rn : plan.nodes) {
-    if (rn.node_id < 0 || rn.node_id >= static_cast<int>(states_.size())) {
-      return Status::Internal("restore: node id out of range");
-    }
-    NodeState& st = states_[rn.node_id];
-    const GraphNode& node = graph_->node(rn.node_id);
-    produced_per_node_[rn.node_id] = rn.produced;
-    auto hold = [&](int slot, const EventInstancePtr& e) {
-      held.push_back(Held{st.family, slot, e->sequence_number(),
-                          reinterpret_cast<uintptr_t>(e.get()), rn.node_id,
-                          &e});
+  std::vector<uint64_t> produced(states_.size(), 0);
+  std::vector<std::pair<int, Run>> runs;
+  for (size_t id = 0; id < record_at.size(); ++id) {
+    const snapshot::NodeStateRecord* rec = record_at[id];
+    if (rec == nullptr) continue;
+    produced[id] = rec->produced;
+    const auto hold = [&](int slot, const std::vector<uint32_t>& indexes) {
+      for (uint32_t index : indexes) {
+        const EventInstancePtr& e = table[index];
+        held.push_back(Held{states_[id].family, slot, e->sequence_number(),
+                            reinterpret_cast<uintptr_t>(e.get()),
+                            static_cast<int>(id), &e});
+      }
     };
-    if (node.op == ExprOp::kNot) {
-      for (const EventInstancePtr& e : rn.not_log) hold(0, e);
-    } else if (st.family >= 0) {
-      for (int slot = 0; slot < 2; ++slot) {
-        for (const EventInstancePtr& e : rn.slots[slot]) hold(slot, e);
-      }
-    }
-    for (const snapshot::RestoredRun& rr : rn.runs) {
-      if (rr.elements.empty()) {
-        return Status::Internal("restore: SEQ+ run with no elements");
-      }
-      Run run;
-      run.elements = rr.elements;
-      run.bindings = rr.elements.front()->bindings().ToMulti();
-      for (size_t i = 1; i < rr.elements.size(); ++i) {
-        if (!run.bindings.Merge(rr.elements[i]->bindings().ToMulti())) {
-          return Status::Internal("restore: SEQ+ run bindings do not merge");
-        }
+    // The shape check leaves each node only the lists its op keeps.
+    hold(0, rec->slots[0]);
+    hold(1, rec->slots[1]);
+    hold(0, rec->not_log);
+    for (const snapshot::RunRecord& rr : rec->runs) {
+      Run& run = runs.emplace_back(static_cast<int>(id), Run()).second;
+      for (uint32_t index : rr.elements) {
+        run.elements.push_back(table[index]);
+        // Multi-valued bindings always unify, so the merge cannot fail.
+        run.bindings.Merge(table[index]->bindings().ToMulti());
       }
       run.t_begin = rr.t_begin;
       run.t_end = rr.t_end;
-      st.open_runs.push_back(std::move(run));
     }
   }
   std::sort(held.begin(), held.end(), [](const Held& x, const Held& y) {
     return std::tie(x.family, x.slot, x.seq, x.instance, x.node_id) <
            std::tie(y.family, y.slot, y.seq, y.instance, y.node_id);
   });
+
+  // Install.
+  for (NodeState& st : states_) st.open_run.reset();
+  for (Family& family : families_) {
+    family.buffers[0] = JoinBuffer();
+    family.buffers[1] = JoinBuffer();
+    family.keyed_seq = 0;
+  }
   for (const Held& h : held) {
     const EventInstancePtr& e = *h.e;
     Family& family = families_[h.family];
@@ -1012,24 +1153,14 @@ Status Detector::RestoreState(const snapshot::RestorePlan& plan,
     family.buffers[h.slot].Append(KeyFor(h.node_id, e->bindings()).hash, e,
                                   deadline, states_[h.node_id].member);
   }
-
-  for (const snapshot::RestoredPseudo& rp : plan.pseudos) {
-    if (rp.target_node < 0 ||
-        rp.target_node >= static_cast<int>(states_.size()) ||
-        rp.parent_node < 0 ||
-        rp.parent_node >= static_cast<int>(states_.size())) {
-      return Status::Internal("restore: pseudo node id out of range");
-    }
-    uint64_t anchor_seq = 0;
-    uint64_t anchor_key = kWildcardKey;
-    if (rp.anchor != nullptr) {
-      anchor_seq = rp.anchor->sequence_number();
-      anchor_key = KeyFor(rp.parent_node, rp.anchor->bindings()).hash;
-    }
-    pseudo_queue_.push(PseudoEvent{rp.execute_at, rp.created_at,
-                                   rp.target_node, rp.parent_node, anchor_seq,
-                                   anchor_key, rp.order});
-  }
+  for (auto& [id, run] : runs) states_[id].open_run = std::move(run);
+  produced_per_node_ = std::move(produced);
+  pseudo_queue_ = {};
+  for (const PseudoEvent& pe : pseudos) pseudo_queue_.push(pe);
+  pseudo_counter_ = pseudos.size();
+  clock_ = clock;
+  sequence_counter_ = snap.sequence_counter;
+  stats_ = stats;
   return Status::Ok();
 }
 
@@ -1041,15 +1172,14 @@ size_t Detector::TotalBufferedEntries() const {
     total += family.buffers[0].size() + family.buffers[1].size();
   }
   for (const NodeState& st : states_) {
-    for (const Run& run : st.open_runs) total += run.elements.size();
+    if (st.open_run.has_value()) total += st.open_run->elements.size();
   }
   return total;
 }
 
 size_t Detector::BufferedAt(int node_id) const {
   const NodeState& st = states_[node_id];
-  size_t total = 0;
-  for (const Run& run : st.open_runs) total += run.elements.size();
+  size_t total = st.open_run.has_value() ? st.open_run->elements.size() : 0;
   if (st.family < 0) return total;
   for (const JoinBuffer& buffer : families_[st.family].buffers) {
     buffer.AnyChain([&](JoinBuffer::Index i) {

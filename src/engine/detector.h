@@ -50,7 +50,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "common/metrics.h"
@@ -70,7 +72,6 @@ class TraceSink;
 
 namespace snapshot {
 struct DetectorSnapshot;
-struct RestorePlan;
 }  // namespace snapshot
 
 struct DetectorOptions {
@@ -176,11 +177,22 @@ class Detector {
   // skipped, pending pseudo events all execute at or after the clock.
   void SaveState(const std::vector<std::string>& state_keys,
                  snapshot::DetectorSnapshot* out) const;
-  // Replaces this detector's runtime state with `plan` (built by
-  // snapshot::BuildRestorePlan against this detector's graph) and
-  // installs `stats`. Join keys, expiry records, and SEQ+ run bindings
+  // The inverse of SaveState: replaces this detector's runtime state with
+  // the decoded `snap`, captured at `clock`, and installs `stats`.
+  // `state_keys` is as for SaveState. A record holding only a `produced`
+  // count under a key the graph lacks is dropped (a leaf an older graph
+  // stamped with its window). Join keys, deadlines and SEQ+ run bindings
   // are recomputed; anchors re-key via their restored instances.
-  Status RestoreState(const snapshot::RestorePlan& plan,
+  //
+  // All or nothing: every check runs before any state changes, so a
+  // refused restore leaves the detector as it was. Fails with
+  // kFailedPrecondition on detection state or a pseudo event under a key
+  // the graph lacks, and with kInvalidArgument on two records for one
+  // key, a live anchor outside its parent's entries, and any record or
+  // pseudo event shaped as capture never writes it (docs/recovery.md,
+  // "A refused restore changes nothing").
+  Status RestoreState(const std::vector<std::string>& state_keys,
+                      const snapshot::DetectorSnapshot& snap, TimePoint clock,
                       const DetectorStats& stats);
 
  private:
@@ -225,7 +237,7 @@ class Detector {
   struct NodeState {
     int family = -1;                 // AND / SEQ / NOT only.
     JoinBuffer::Members member = 0;  // This node's bit in its family.
-    std::vector<Run> open_runs;      // SEQ+ only (<=1 open).
+    std::optional<Run> open_run;     // SEQ+ only.
   };
 
   struct PseudoEvent {

@@ -392,20 +392,22 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
         "records the checkpoint had synced");
   }
 
-  // Per-rule counts are keyed by rule id; the fingerprint guarantees the
-  // id sets agree.
+  // Per-rule counts are keyed by rule id. The fingerprint covers the
+  // ids, but the counts section is outside input all the same.
   std::vector<RuleCounts> rule_counts(rules_.size());
   for (const snapshot::RuleCountRecord& rec : snap.rules) {
     auto it = rule_index_.find(rec.rule_id);
     if (it == rule_index_.end()) {
-      return Status::Internal("snapshot: counts for unknown rule '" +
-                              rec.rule_id + "'");
+      return Status::InvalidArgument("snapshot: counts for unknown rule '" +
+                                     rec.rule_id + "'");
     }
     rule_counts[it->second] = RuleCounts{rec.matches, rec.fired};
   }
-  RFIDCEP_ASSIGN_OR_RETURN(snapshot::RestorePlan plan,
-                           snapshot::BuildRestorePlan(snap, StateKeys()));
-  RFIDCEP_RETURN_IF_ERROR(detector_->RestoreState(plan, snap.stats.detector));
+  // The detector checks everything before it installs anything, and the
+  // engine commits its own fields only after it: a refused restore leaves
+  // the whole engine as it was.
+  RFIDCEP_RETURN_IF_ERROR(detector_->RestoreState(
+      StateKeys(), snap.detector, snap.clock, snap.stats.detector));
   rule_counts_ = std::move(rule_counts);
   stats_ = snap.stats;
   flushed_ = snap.flushed;

@@ -138,11 +138,15 @@ class RcedaEngine {
   Status SerializeState(std::string* out);
   // Replaces detection state and counts from serialized `bytes`.
   // Requires compiled() with the same rule set and parameter context —
-  // validated by the snapshot's rule-set fingerprint. Fails with
-  // kFailedPrecondition, changing nothing, on a fingerprint mismatch and
-  // on a layout this build does not restore: a format version it does
-  // not read, a rule-sharded capture, pending action firings, or state
-  // under a key the compiled graph lacks (engine/snapshot.h).
+  // validated by the snapshot's rule-set fingerprint. All or nothing:
+  // every failure leaves the engine as it was. Fails with
+  // kFailedPrecondition on a fingerprint mismatch and on a layout this
+  // build does not restore (a format version it does not read, a
+  // rule-sharded capture, pending action firings, or state under a key
+  // the compiled graph lacks; engine/snapshot.h), and with
+  // kInvalidArgument on damaged or forged bytes: malformed records,
+  // counts for a rule the engine lacks, and state shaped as capture
+  // never writes it (Detector::RestoreState).
   Status RestoreState(std::string_view bytes);
   // SerializeState / RestoreState against the file at `path`. Checkpoint
   // writes `<path>.tmp` and renames it over `path`, so a failed

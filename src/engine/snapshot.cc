@@ -5,14 +5,11 @@
 #include <unordered_map>
 
 #include "common/byte_codec.h"
-#include "events/symbol.h"
+#include "engine/graph.h"
 
 namespace rfidcep::engine::snapshot {
 
 using events::BindingValue;
-using events::Bindings;
-using events::EventInstance;
-using events::EventInstancePtr;
 
 namespace {
 
@@ -394,151 +391,6 @@ Status DecodeEngineSnapshot(std::string_view bytes, EngineSnapshot* out) {
     return Status::InvalidArgument(std::string("snapshot: ") + r.error());
   }
   return Status::Ok();
-}
-
-// --- Restore planning -------------------------------------------------------
-
-namespace {
-
-// The text of a primitive record's observation as a handle, shared with
-// an equal bound value when the record has one, as detection shares it.
-events::SharedText ObservationText(const InstanceRecord& rec,
-                                   const std::string& text) {
-  for (const auto& [name, value] : rec.scalars) {
-    const auto* bound = std::get_if<events::SharedText>(&value);
-    if (bound != nullptr && bound->view() == text) return *bound;
-  }
-  return events::SharedText(text);
-}
-
-// Rebuilds the instance table as live objects.
-std::vector<EventInstancePtr> DecodeInstances(const DetectorSnapshot& src) {
-  std::vector<EventInstancePtr> out;
-  out.reserve(src.instances.size());
-  for (const InstanceRecord& rec : src.instances) {
-    Bindings bindings;
-    for (const auto& [name, value] : rec.scalars) {
-      bindings.BindScalar(events::InternSymbol(name), value);
-    }
-    for (const auto& [name, values] : rec.multis) {
-      events::SymbolId sym = events::InternSymbol(name);
-      for (const BindingValue& value : values) {
-        bindings.BindMulti(sym, value);
-      }
-    }
-    if (rec.is_primitive) {
-      out.push_back(EventInstance::MakePrimitive(
-          ObservationText(rec, rec.observation.reader),
-          ObservationText(rec, rec.observation.object),
-          rec.observation.timestamp, std::move(bindings),
-          rec.sequence_number));
-    } else {
-      std::vector<EventInstancePtr> children;
-      children.reserve(rec.children.size());
-      for (uint32_t child : rec.children) {
-        children.push_back(out[child]);  // Bounds-checked at decode.
-      }
-      out.push_back(EventInstance::MakeComplex(rec.t_begin, rec.t_end,
-                                               std::move(bindings),
-                                               std::move(children),
-                                               rec.sequence_number));
-    }
-  }
-  return out;
-}
-
-Status UnknownStateKey(std::string_view what, std::string_view key) {
-  return Status::FailedPrecondition(
-      "snapshot: " + std::string(what) + " under state key '" +
-      std::string(key) +
-      "', which the compiled graph lacks, is not restored (a checkpoint "
-      "from before SEQ+ prefix sharing keeps per-rule copies under such "
-      "keys)");
-}
-
-}  // namespace
-
-Result<RestorePlan> BuildRestorePlan(
-    const EngineSnapshot& snap, const std::vector<std::string>& target_keys) {
-  const DetectorSnapshot& src = snap.detector;
-  std::unordered_map<std::string_view, int> target_by_key;
-  target_by_key.reserve(target_keys.size());
-  for (size_t i = 0; i < target_keys.size(); ++i) {
-    target_by_key.emplace(target_keys[i], static_cast<int>(i));
-  }
-  for (const NodeStateRecord& rec : src.nodes) {
-    const bool holds_state = !rec.slots[0].empty() || !rec.slots[1].empty() ||
-                             !rec.not_log.empty() || !rec.runs.empty();
-    if (holds_state && !target_by_key.contains(rec.state_key)) {
-      return UnknownStateKey("detection state", rec.state_key);
-    }
-  }
-  for (const PseudoRecord& rec : src.pseudos) {
-    for (const std::string* key : {&rec.target_key, &rec.parent_key}) {
-      if (!target_by_key.contains(*key)) {
-        return UnknownStateKey("a pseudo event", *key);
-      }
-    }
-  }
-
-  RestorePlan plan;
-  plan.clock = snap.clock;
-  plan.sequence_counter = src.sequence_counter;
-  // Restore numbers the queue 1..n, so the counter resumes at its length:
-  // later pseudos sort after every restored one, and a re-capture of the
-  // restored engine is byte-identical.
-  plan.pseudo_counter = src.pseudos.size();
-  const std::vector<EventInstancePtr> table = DecodeInstances(src);
-  const auto entries = [&table](const std::vector<uint32_t>& indexes) {
-    std::vector<EventInstancePtr> out;
-    out.reserve(indexes.size());
-    for (uint32_t index : indexes) out.push_back(table[index]);
-    return out;
-  };
-  // Each restored node's position, for pseudo anchor resolution.
-  std::unordered_map<std::string_view, size_t> plan_node_by_key;
-  for (const NodeStateRecord& rec : src.nodes) {
-    auto target = target_by_key.find(rec.state_key);
-    if (target == target_by_key.end()) continue;  // Produced-only: dropped.
-    if (!plan_node_by_key.emplace(rec.state_key, plan.nodes.size()).second) {
-      return Status::InvalidArgument("snapshot: two records for state key '" +
-                                     rec.state_key + "'");
-    }
-    RestoredNode& node = plan.nodes.emplace_back();
-    node.node_id = target->second;
-    node.produced = rec.produced;
-    node.slots[0] = entries(rec.slots[0]);
-    node.slots[1] = entries(rec.slots[1]);
-    node.not_log = entries(rec.not_log);
-    node.runs.reserve(rec.runs.size());
-    for (const RunRecord& run : rec.runs) {
-      node.runs.push_back(RestoredRun{entries(run.elements), run.t_begin,
-                                      run.t_end});
-    }
-  }
-
-  plan.pseudos.reserve(src.pseudos.size());
-  for (const PseudoRecord& rec : src.pseudos) {
-    RestoredPseudo& pseudo = plan.pseudos.emplace_back();
-    pseudo.execute_at = rec.execute_at;
-    pseudo.created_at = rec.created_at;
-    pseudo.target_node = target_by_key.at(rec.target_key);
-    pseudo.parent_node = target_by_key.at(rec.parent_key);
-    pseudo.order = plan.pseudos.size();
-    if (rec.anchor_kind == AnchorKind::kLive) {
-      auto node = plan_node_by_key.find(rec.parent_key);
-      const std::vector<EventInstancePtr>* slot =
-          node == plan_node_by_key.end()
-              ? nullptr
-              : &plan.nodes[node->second].slots[rec.anchor_slot];
-      if (slot == nullptr || rec.anchor_pos >= slot->size()) {
-        return Status::InvalidArgument(
-            "snapshot: live pseudo anchor outside its parent's entries");
-      }
-      pseudo.anchor = (*slot)[rec.anchor_pos];
-    }
-  }
-  return plan;
 }
 
 }  // namespace rfidcep::engine::snapshot

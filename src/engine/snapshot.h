@@ -29,6 +29,12 @@
 // detection state or a pseudo event under a state key the compiled graph
 // lacks (as a capture from before SEQ+ prefix sharing holds).
 //
+// This file holds the byte format and the fingerprint only. The
+// detector converts between its live state and DetectorSnapshot in both
+// directions (Detector::SaveState / Detector::RestoreState), and a
+// restore checks the decoded records against the compiled graph before
+// it changes anything.
+//
 // Portability: symbol ids and join-key hashes are process-local, so
 // records carry variable NAMES and anchor positions; join keys and
 // pseudo anchors are recomputed against the restoring process's symbol
@@ -48,11 +54,8 @@
 #include "common/status.h"
 #include "common/time.h"
 #include "engine/context.h"
-#include "engine/detector.h"
 #include "engine/engine.h"
-#include "engine/graph.h"
 #include "events/binding.h"
-#include "events/event_instance.h"
 #include "events/observation.h"
 #include "rules/rule.h"
 
@@ -163,51 +166,6 @@ std::string EncodeEngineSnapshot(const EngineSnapshot& snap);
 // records, or a count that the remaining bytes could not hold at its
 // element's minimum encoded size.
 Status DecodeEngineSnapshot(std::string_view bytes, EngineSnapshot* out);
-
-// --- Restore planning -------------------------------------------------------
-// A fully resolved restore plan for the detector: node ids are
-// target-graph ids, instances are live objects, anchors are resolved to
-// instances. The detector recomputes join keys, expiry records, and run
-// bindings.
-struct RestoredRun {
-  std::vector<events::EventInstancePtr> elements;
-  TimePoint t_begin = 0;
-  TimePoint t_end = 0;
-};
-
-struct RestoredNode {
-  int node_id = -1;
-  uint64_t produced = 0;
-  std::vector<events::EventInstancePtr> slots[2];
-  std::vector<events::EventInstancePtr> not_log;
-  std::vector<RestoredRun> runs;
-};
-
-struct RestoredPseudo {
-  TimePoint execute_at = 0;
-  TimePoint created_at = 0;
-  int target_node = -1;
-  int parent_node = -1;
-  events::EventInstancePtr anchor;  // Null: no anchor / stale (no-op).
-  uint64_t order = 0;               // Queue order (dense, from 1).
-};
-
-struct RestorePlan {
-  TimePoint clock = 0;
-  uint64_t sequence_counter = 0;
-  uint64_t pseudo_counter = 0;  // Queue length.
-  std::vector<RestoredNode> nodes;
-  std::vector<RestoredPseudo> pseudos;
-};
-
-// Builds the plan for a detector whose graph has per-node state keys
-// `target_keys` (EventGraph::NodeStateKeys order). A record under a key
-// the graph lacks is dropped when it holds only a `produced` count (a
-// leaf an older graph stamped with its window); one holding buffered
-// entries or runs, and a pseudo event naming such a key, fail with
-// kFailedPrecondition before any instance is built.
-Result<RestorePlan> BuildRestorePlan(
-    const EngineSnapshot& snap, const std::vector<std::string>& target_keys);
 
 }  // namespace rfidcep::engine::snapshot
 

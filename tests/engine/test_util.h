@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "engine/snapshot.h"
 #include "epc/catalog.h"
+#include "events/expr.h"
 #include "events/observation.h"
 #include "store/database.h"
 
@@ -223,6 +225,159 @@ inline void ExpectRestoresToUninterruptedRun(
               reference.engine->FiredCount(id))
         << id;
   }
+}
+
+// --- Forged restores -------------------------------------------------------
+
+// The record `snap` holds for the first node of `engine`'s graph whose op
+// is `op`; with `add`, one is appended when the capture has none. Null
+// when the graph has no such node (or, without `add`, no such record).
+inline snapshot::NodeStateRecord* RecordFor(const RcedaEngine& engine,
+                                            events::ExprOp op, bool add,
+                                            snapshot::EngineSnapshot* snap) {
+  std::vector<std::string> rule_ids;
+  for (size_t i = 0; i < engine.num_rules(); ++i) {
+    rule_ids.push_back(engine.rule(i).id);
+  }
+  const std::vector<std::string> keys =
+      engine.graph().NodeStateKeys(rule_ids);
+  for (const GraphNode& node : engine.graph().nodes()) {
+    if (node.op != op) continue;
+    for (snapshot::NodeStateRecord& rec : snap->detector.nodes) {
+      if (rec.state_key == keys[node.id]) return &rec;
+    }
+    if (!add) return nullptr;
+    snapshot::NodeStateRecord& rec = snap->detector.nodes.emplace_back();
+    rec.state_key = keys[node.id];
+    return &rec;
+  }
+  return nullptr;
+}
+
+// The first record holding a SEQ+ run, or null.
+inline snapshot::NodeStateRecord* RecordWithRun(
+    snapshot::EngineSnapshot* snap) {
+  for (snapshot::NodeStateRecord& rec : snap->detector.nodes) {
+    if (!rec.runs.empty()) return &rec;
+  }
+  return nullptr;
+}
+
+// One edit of a decoded capture of `engine` that restore must refuse with
+// `code` and a message holding `fragment`, leaving the engine as it was.
+// `apply` returns false, having changed nothing, when the capture holds
+// nothing the edit applies to.
+struct ForgedRestore {
+  const char* name;
+  StatusCode code;
+  const char* fragment;
+  bool (*apply)(const RcedaEngine& engine, snapshot::EngineSnapshot* snap);
+};
+
+inline const std::vector<ForgedRestore>& ForgedRestores() {
+  using events::ExprOp;
+  using Snap = snapshot::EngineSnapshot;
+  static const std::vector<ForgedRestore> rows = {
+      {"empty run", StatusCode::kInvalidArgument, "an empty SEQ+ run",
+       [](const RcedaEngine&, Snap* snap) {
+         snapshot::NodeStateRecord* rec = RecordWithRun(snap);
+         if (rec == nullptr) return false;
+         rec->runs[0].elements.clear();
+         return true;
+       }},
+      {"run under the SEQ node", StatusCode::kInvalidArgument,
+       "a SEQ+ run under",
+       [](const RcedaEngine& engine, Snap* snap) {
+         const snapshot::NodeStateRecord* rec = RecordWithRun(snap);
+         if (rec == nullptr) return false;
+         const snapshot::RunRecord run = rec->runs[0];
+         snapshot::NodeStateRecord* seq =
+             RecordFor(engine, ExprOp::kSeq, /*add=*/true, snap);
+         if (seq == nullptr) return false;
+         seq->runs.push_back(run);
+         return true;
+       }},
+      {"second run", StatusCode::kInvalidArgument, "a second SEQ+ run",
+       [](const RcedaEngine&, Snap* snap) {
+         snapshot::NodeStateRecord* rec = RecordWithRun(snap);
+         if (rec == nullptr) return false;
+         rec->runs.push_back(rec->runs[0]);
+         return true;
+       }},
+      {"slot 1 under the SEQ node", StatusCode::kInvalidArgument,
+       "slot-1 entries",
+       [](const RcedaEngine& engine, Snap* snap) {
+         snapshot::NodeStateRecord* rec =
+             RecordFor(engine, ExprOp::kSeq, /*add=*/false, snap);
+         if (rec == nullptr || rec->slots[0].empty()) return false;
+         rec->slots[1] = rec->slots[0];
+         return true;
+       }},
+      {"NOT-log entries under the AND node", StatusCode::kInvalidArgument,
+       "NOT-log entries",
+       [](const RcedaEngine& engine, Snap* snap) {
+         snapshot::NodeStateRecord* rec =
+             RecordFor(engine, ExprOp::kAnd, /*add=*/false, snap);
+         if (rec == nullptr) return false;
+         rec->not_log = rec->slots[rec->slots[0].empty() ? 1 : 0];
+         return !rec->not_log.empty();
+       }},
+      {"pseudo event querying a leaf", StatusCode::kInvalidArgument,
+       "a pseudo event from",
+       [](const RcedaEngine& engine, Snap* snap) {
+         if (snap->detector.pseudos.empty()) return false;
+         snapshot::NodeStateRecord* leaf =
+             RecordFor(engine, ExprOp::kPrimitive, /*add=*/true, snap);
+         snap->detector.pseudos[0].target_key = leaf->state_key;
+         return true;
+       }},
+      {"unknown key", StatusCode::kFailedPrecondition, "'rule:forged|",
+       [](const RcedaEngine&, Snap* snap) {
+         for (snapshot::NodeStateRecord& rec : snap->detector.nodes) {
+           if (!rec.slots[0].empty() || !rec.slots[1].empty() ||
+               !rec.not_log.empty() || !rec.runs.empty()) {
+             rec.state_key = "rule:forged|" + rec.state_key;
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"duplicate key", StatusCode::kInvalidArgument,
+       "two records for state key",
+       [](const RcedaEngine&, Snap* snap) {
+         std::vector<snapshot::NodeStateRecord>& nodes = snap->detector.nodes;
+         if (nodes.empty()) return false;
+         nodes.push_back(snapshot::NodeStateRecord(nodes.front()));
+         return true;
+       }},
+      {"live anchor past its parent's entries", StatusCode::kInvalidArgument,
+       "live pseudo anchor outside",
+       [](const RcedaEngine&, Snap* snap) {
+         for (snapshot::PseudoRecord& pseudo : snap->detector.pseudos) {
+           if (pseudo.anchor_kind != snapshot::AnchorKind::kLive) continue;
+           for (const snapshot::NodeStateRecord& rec : snap->detector.nodes) {
+             if (rec.state_key != pseudo.parent_key) continue;
+             pseudo.anchor_pos = static_cast<uint32_t>(
+                 rec.slots[pseudo.anchor_slot].size());
+             return true;
+           }
+         }
+         return false;
+       }},
+      {"unknown rule id in the counts", StatusCode::kInvalidArgument,
+       "counts for unknown rule",
+       [](const RcedaEngine&, Snap* snap) {
+         if (snap->rules.empty()) return false;
+         snap->rules[0].rule_id += "_forged";
+         return true;
+       }},
+      {"fingerprint mismatch", StatusCode::kFailedPrecondition, "fingerprint",
+       [](const RcedaEngine&, Snap* snap) {
+         snap->fingerprint ^= 1;
+         return true;
+       }},
+  };
+  return rows;
 }
 
 }  // namespace rfidcep::engine::testing

@@ -74,12 +74,14 @@
 #include "engine/engine.h"
 #include "engine/reference/reference_interpreter.h"
 #include "engine/rewrite.h"
+#include "engine/snapshot.h"
 #include "rules/parser.h"
 #include "sim/trace.h"
 #include "sim/workload.h"
 #include "store/csv.h"
 #include "store/database.h"
 #include "store/wal.h"
+#include "tests/engine/test_util.h"
 
 namespace rfidcep::engine {
 namespace {
@@ -775,7 +777,9 @@ std::optional<std::string> CheckCase(const FuzzCase& c) {
 // continue the stream: (prefix matches on the source) + (suffix matches
 // on the restored engine) must equal the uninterrupted run exactly, per
 // rule, in emission order. The snapshot is additionally required to be
-// byte-idempotent (restore + re-serialize reproduces the same bytes).
+// byte-idempotent (restore + re-serialize reproduces the same bytes), and
+// a forged copy of it must be refused without changing the restored
+// engine.
 
 struct RecoveryEngine {
   std::unique_ptr<RcedaEngine> engine;
@@ -803,8 +807,47 @@ struct RecoveryEngine {
   }
 };
 
-std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
-                                             uint64_t salt) {
+// Restores into `engine`, which captures `bytes`, a copy of `bytes` with
+// one edit of testing::ForgedRestores that fits the capture, chosen by the
+// salt and the capture. The restore must be refused with the row's code,
+// and the engine must capture `bytes` again. The row drawn is counted in
+// `drawn` when given.
+std::optional<std::string> CheckForgedRestore(
+    RcedaEngine& engine, const std::string& bytes, uint64_t salt,
+    std::map<std::string, int>* drawn) {
+  snapshot::EngineSnapshot decoded;
+  if (!snapshot::DecodeEngineSnapshot(bytes, &decoded).ok()) {
+    return "the capture does not decode";
+  }
+  std::vector<const testing::ForgedRestore*> fits;
+  for (const testing::ForgedRestore& row : testing::ForgedRestores()) {
+    snapshot::EngineSnapshot probe = decoded;
+    if (row.apply(engine, &probe)) fits.push_back(&row);
+  }
+  if (fits.empty()) return "no forged restore fits the capture";
+  // Consecutive cases share a salt; the capture varies the draw.
+  Prng prng(salt ^ std::hash<std::string>()(bytes));
+  const testing::ForgedRestore* row = fits[static_cast<size_t>(
+      prng.UniformInt(0, static_cast<int64_t>(fits.size()) - 1))];
+  if (drawn != nullptr) ++(*drawn)[row->name];
+  row->apply(engine, &decoded);
+  const Status status =
+      engine.RestoreState(snapshot::EncodeEngineSnapshot(decoded));
+  if (status.code() != row->code) {
+    return std::string("forged restore (") + row->name +
+           ") not refused as expected: " + status.ToString();
+  }
+  std::string again;
+  if (!engine.SerializeState(&again).ok() || again != bytes) {
+    return std::string("refused forged restore (") + row->name +
+           ") changed the engine";
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> CheckRecoveryCase(
+    const FuzzCase& c, uint64_t salt,
+    std::map<std::string, int>* forged_drawn = nullptr) {
   std::string program = c.Program();
   Result<rules::RuleSet> set = rules::ParseRuleProgram(program);
   if (!set.ok()) return "parse failed: " + set.status().ToString();
@@ -837,6 +880,10 @@ std::optional<std::string> CheckRecoveryCase(const FuzzCase& c,
   std::string again;
   if (!target->engine->SerializeState(&again).ok() || again != bytes) {
     return "snapshot is not byte-idempotent at cut " + std::to_string(cut);
+  }
+  if (std::optional<std::string> why =
+          CheckForgedRestore(*target->engine, bytes, salt, forged_drawn)) {
+    return *why + " (cut " + std::to_string(cut) + ")";
   }
   if (!target->engine->ProcessAll(tail).ok() ||
       !target->engine->Flush().ok()) {
@@ -1696,24 +1743,36 @@ TEST(DifferentialFuzz, MetamorphicEquivalence) {
 
 TEST(DifferentialFuzz, CrashRecoveryAgrees) {
   // Every seeded case is checkpointed at a seed-chosen prefix and
-  // restored, and the stitched run must reproduce the uninterrupted
-  // execution exactly.
+  // restored, a forged copy of the checkpoint is refused, and the
+  // stitched run must reproduce the uninterrupted execution exactly.
   const int cases = FuzzCases();
+  std::map<std::string, int> forged_drawn;
   for (int i = 0; i < cases; ++i) {
     uint64_t seed = 0xc8a5ULL * 1000003ULL + static_cast<uint64_t>(i);
     FuzzCase c = GenCase(seed);
     const uint64_t salt = seed >> 7;
-    auto check = [salt](const FuzzCase& trial) {
-      return CheckRecoveryCase(trial, salt);
-    };
-    std::optional<std::string> why = check(c);
+    std::optional<std::string> why = CheckRecoveryCase(c, salt, &forged_drawn);
     if (why.has_value()) {
+      auto check = [salt](const FuzzCase& trial) {
+        return CheckRecoveryCase(trial, salt);
+      };
       FuzzCase minimized = Shrink(c, check);
       std::optional<std::string> min_why = check(minimized);
       FAIL() << ReportDivergence(
           minimized, min_why.value_or(*why), seed);
     }
   }
+  // The forged step must reach the shapes capture never writes, not only
+  // the edits every capture fits (the counts and the fingerprint).
+  int shaped = 0;
+  for (const auto& [name, n] : forged_drawn) {
+    ::testing::Test::RecordProperty("forged " + name, n);
+    if (name != "unknown rule id in the counts" &&
+        name != "fingerprint mismatch") {
+      shaped += n;
+    }
+  }
+  EXPECT_GE(shaped, cases / 4);
 }
 
 TEST(DifferentialFuzz, DurableCrashRecoveryAgrees) {
