@@ -46,7 +46,10 @@
 // per event in the instr/event and cycles/event columns and as
 // `instructions_per_event` / `cycles_per_event` in --json-out rows.
 // Where the kernel refuses the counters, the run says why once, the
-// columns read "-" and the JSON fields are absent.
+// columns read "-" and the JSON fields are absent. Instruction counts
+// depend on the code the compiler emitted, so the banner names the
+// compiler that built this binary and every --json-out row carries it
+// as `compiler`.
 //
 // The stream is pre-split into batches outside the timed region and fed
 // through RcedaEngine::ProcessAll, the batch entry point.
@@ -197,6 +200,16 @@ struct BenchFlags {
   std::string json_out;     // Timing rows for scripts/bench_guard.py.
 };
 
+// The compiler that built this binary: instruction counts compare only
+// between builds of one compiler.
+#if defined(__clang__)
+constexpr const char* kCompiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+constexpr const char* kCompiler = "gcc " __VERSION__;
+#else
+constexpr const char* kCompiler = "unknown";
+#endif
+
 // Rows accumulated across series for --json-out / --metrics-out, and the
 // counters every timed region reads (all run on the main thread).
 struct BenchOutput {
@@ -218,6 +231,7 @@ void AppendJsonRow(BenchOutput* out, const char* series,
                 r.usec_per_event, static_cast<unsigned long long>(r.matches),
                 static_cast<unsigned long long>(r.rules_fired));
   std::string row = buf;
+  row += ",\"compiler\":\"" + std::string(kCompiler) + "\"";
   if (r.instructions_per_event && r.cycles_per_event) {
     std::snprintf(buf, sizeof(buf),
                   ",\"instructions_per_event\":%.1f,"
@@ -831,7 +845,7 @@ int main(int argc, char** argv) {
   }
   std::printf("rfidcep Fig. 9 reproduction "
               "(Wang et al., EDBT 2006, \"Bridging Physical and Virtual "
-              "Worlds\")\n");
+              "Worlds\")\ncompiler: %s\n", kCompiler);
   if (flags.recovery_smoke) return RunRecoverySmoke(flags);
   BenchOutput output;
   if (s == "events" || s == "both" || s == "all") {

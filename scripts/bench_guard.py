@@ -27,6 +27,14 @@ baggage sweep), each row is gated at --max-ratio against the committed
 current.workload.series point with the same rule_family and closest
 event count.
 
+Instructions per event repeat exactly run to run, so they separate a
+code change from host noise that the wall-time bound must allow for.
+Every events or rules row at an exact committed point is also gated on
+instructions per event at INSTRUCTIONS_MAX_RATIO (1.01x), when the
+run's compiler is the one current.compiler names (fig9 rows carry
+`compiler`). Otherwise the guard prints `instructions: SKIPPED
+(<reason>)` and gates wall time alone.
+
     scripts/bench_guard.py --run=fig9-smoke.json \
         [--baseline=BENCH_rfidcep.json] [--max-ratio=2.5]
 
@@ -37,6 +45,10 @@ import argparse
 import json
 import os
 import sys
+
+# Instructions per event repeat within 0.1% run to run
+# (scripts/run_benches.sh asserts it), so 1% is a code change.
+INSTRUCTIONS_MAX_RATIO = 1.01
 
 
 def load_json(path):
@@ -61,9 +73,10 @@ def verdict_for(row, base, ratio, max_ratio, exact):
     return "ok" if ratio <= max_ratio else "REGRESSION"
 
 
-def check_events(rows, baseline, max_ratio):
-    """Gates events-series rows against current.fig9a_events. Returns
-    True when every row holds."""
+def check_events(rows, baseline, max_ratio, exact_pairs):
+    """Gates events-series rows against current.fig9a_events, appending
+    (label, row, committed point) to `exact_pairs` for each row at an
+    exact committed point. Returns True when every row holds."""
     committed = baseline.get("current", {}).get("fig9a_events", [])
     if not committed:
         print("bench_guard: baseline has no current.fig9a_events",
@@ -75,8 +88,10 @@ def check_events(rows, baseline, max_ratio):
     for row in rows:
         base = min(committed, key=lambda p: abs(p["events"] - row["events"]))
         ratio = row["usec_per_event"] / base["usec_per_event"]
-        verdict = verdict_for(row, base, ratio, max_ratio,
-                              base["events"] == row["events"])
+        exact = base["events"] == row["events"]
+        if exact:
+            exact_pairs.append((f"{row['events']} events", row, base))
+        verdict = verdict_for(row, base, ratio, max_ratio, exact)
         ok &= verdict == "ok"
         print(f"{row['events']:>10} {row['usec_per_event']:>12.3f} "
               f"{base['usec_per_event']:>12.3f} {ratio:>8.2f}  "
@@ -84,10 +99,13 @@ def check_events(rows, baseline, max_ratio):
     return ok
 
 
-def check_rules(rules_rows, baseline, max_ratio, rules_max_ratio):
-    """Gates rules-series rows (see module docstring). Returns True when
-    the sweep's dispatch scaling holds its budget and every row at a
-    committed point reproduces its match count."""
+def check_rules(rules_rows, baseline, max_ratio, rules_max_ratio,
+                exact_pairs):
+    """Gates rules-series rows (see module docstring), appending (label,
+    row, committed point) to `exact_pairs` for each row at an exact
+    committed point. Returns True when the sweep's dispatch scaling holds
+    its budget and every row at a committed point reproduces its match
+    count."""
     rules = baseline.get("current", {}).get("rules", {})
     committed = rules.get("series", [])
     stream = rules.get("events")
@@ -95,6 +113,8 @@ def check_rules(rules_rows, baseline, max_ratio, rules_max_ratio):
     def base_for(row):
         base = min(committed, key=lambda p: abs(p["rules"] - row["rules"]))
         exact = base["rules"] == row["rules"] and stream == row["events"]
+        if exact:
+            exact_pairs.append((f"{row['rules']} rules", row, base))
         return base, exact
 
     rows = rules_rows
@@ -135,6 +155,42 @@ def check_rules(rules_rows, baseline, max_ratio, rules_max_ratio):
         print("bench_guard: rules-series usec/event regressed past "
               f"--max-ratio={max_ratio}", file=sys.stderr)
     return verdict == "ok"
+
+
+def check_instructions(exact_pairs, baseline):
+    """Gates instructions per event on the rows at exact committed
+    points, when the run and the baseline were built by one compiler.
+    Returns True when every gated row holds or the gate is skipped."""
+    committed = baseline.get("current", {}).get("compiler")
+    counted = [(label, row, base) for label, row, base in exact_pairs
+               if "instructions_per_event" in row
+               and "instructions_per_event" in base]
+    compilers = sorted({row.get("compiler", "an unnamed compiler")
+                        for _, row, _ in counted})
+    reason = None
+    if committed is None:
+        reason = "the baseline names no compiler"
+    elif not counted:
+        reason = "no row at an exact committed point has instruction counts"
+    elif compilers != [committed]:
+        reason = (f"run built by {', '.join(compilers)}, baseline by "
+                  f"{committed}")
+    if reason is not None:
+        print(f"instructions: SKIPPED ({reason})")
+        return True
+    ok = True
+    for label, row, base in counted:
+        ratio = row["instructions_per_event"] / base["instructions_per_event"]
+        verdict = "ok" if ratio <= INSTRUCTIONS_MAX_RATIO else "REGRESSION"
+        ok &= verdict == "ok"
+        print(f"instructions: {label}: {row['instructions_per_event']:.0f} "
+              f"vs committed {base['instructions_per_event']:.0f} per "
+              f"event, ratio {ratio:.3f} (budget {INSTRUCTIONS_MAX_RATIO})"
+              f"  {verdict}")
+    if not ok:
+        print("bench_guard: instructions per event regressed past "
+              f"{INSTRUCTIONS_MAX_RATIO}x", file=sys.stderr)
+    return ok
 
 
 def check_workload(workload_rows, baseline, max_ratio):
@@ -212,12 +268,17 @@ def main():
         sys.exit(2)
 
     failed = False
+    exact_pairs = []
     if rows:
-        failed |= not check_events(rows, baseline, args.max_ratio)
+        failed |= not check_events(rows, baseline, args.max_ratio,
+                                   exact_pairs)
 
     if rules_rows:
         failed |= not check_rules(rules_rows, baseline, args.max_ratio,
-                                  args.rules_max_ratio)
+                                  args.rules_max_ratio, exact_pairs)
+
+    if rows or rules_rows:
+        failed |= not check_instructions(exact_pairs, baseline)
 
     if workload_rows:
         failed |= not check_workload(workload_rows, baseline,

@@ -27,7 +27,8 @@ cmake --build "$BUILD_DIR" -j --target fig9_scalability bench_bindings \
 
 # Single-run wall-clock on a shared host is noisy; repeat each series and
 # let the parser keep the fastest sample per point (counts must agree
-# across repeats — that part is asserted, not sampled).
+# across repeats, and instruction counts within 0.1% — that part is
+# asserted, not sampled).
 FIG9_TXT=""
 for _ in 1 2 3; do
   FIG9_TXT+="$("$BUILD_DIR/bench/fig9_scalability" --series=events)"$'\n'
@@ -71,15 +72,24 @@ SEED_FIG9A = [
     {"events": 250000, "total_ms": 6409.4, "usec_per_event": 25.655},
 ]
 
+def parse_compiler(text):
+    """The compiler fig9_scalability names in its banner."""
+    names = {line.split(":", 1)[1].strip() for line in text.splitlines()
+             if line.startswith("compiler:")}
+    assert len(names) == 1, names
+    return names.pop()
+
 def parse_rows(text, key):
-    """Parses data rows (key, total_ms, usec/event and two counts, then
-    the instr/event and cycles/event columns, which are ignored), keeping
-    the fastest repeat per key and asserting the count columns agree
-    across repeats."""
+    """Parses data rows (key, total_ms, usec/event, two counts, then
+    instr/event and cycles/event, "-" when the kernel refused the
+    counters), keeping the fastest repeat per key and asserting that the
+    count columns agree across repeats and instruction counts within
+    0.1%: both are properties of the code, not of the host's load."""
     best = {}
+    instructions = {}
     for line in text.splitlines():
         parts = line.split()
-        if len(parts) < 5 or not parts[0].isdigit():
+        if len(parts) < 7 or not parts[0].isdigit():
             continue
         row = {
             key: int(parts[0]),
@@ -87,6 +97,12 @@ def parse_rows(text, key):
             "usec_per_event": float(parts[2]),
             "counts": (int(parts[3]), int(parts[4])),
         }
+        if parts[5] != "-" and parts[6] != "-":
+            row["instructions_per_event"] = int(parts[5])
+            row["cycles_per_event"] = int(parts[6])
+            seen = instructions.setdefault(row[key], [])
+            seen.append(row["instructions_per_event"])
+            assert max(seen) <= 1.001 * min(seen), (row[key], seen)
         prev = best.get(row[key])
         if prev is not None:
             assert prev["counts"] == row["counts"], (prev, row)
@@ -94,15 +110,24 @@ def parse_rows(text, key):
             best[row[key]] = row
     return [best[k] for k in sorted(best)]
 
+def with_counters(out, row):
+    """`out` plus the row's instr/event and cycles/event, when counted."""
+    for field in ("instructions_per_event", "cycles_per_event"):
+        if field in row:
+            out[field] = row[field]
+    return out
+
+compiler = parse_compiler(os.environ["FIG9_TXT"] + os.environ["RULES_TXT"])
+
 current = []
 for row in parse_rows(os.environ["FIG9_TXT"], "events"):
-    current.append({
+    current.append(with_counters({
         "events": row["events"],
         "total_ms": row["total_ms"],
         "usec_per_event": row["usec_per_event"],
         "matches": row["counts"][0],
         "pseudo": row["counts"][1],
-    })
+    }, row))
 
 for seed, cur in zip(SEED_FIG9A, current):
     assert seed["events"] == cur["events"]
@@ -111,13 +136,13 @@ for seed, cur in zip(SEED_FIG9A, current):
 
 rules = []
 for row in parse_rows(os.environ["RULES_TXT"], "rules"):
-    rules.append({
+    rules.append(with_counters({
         "rules": row["rules"],
         "total_ms": row["total_ms"],
         "usec_per_event": row["usec_per_event"],
         "matches": row["counts"][0],
         "pseudo": row["counts"][1],
-    })
+    }, row))
 assert rules, "rules series missing"
 rules_ratio = round(
     max(r["usec_per_event"] for r in rules) /
@@ -160,6 +185,9 @@ doc = {
         "fig9a_events": SEED_FIG9A,
     },
     "current": {
+        # The compiler that built fig9_scalability: bench_guard compares
+        # instructions per event only against a run of the same one.
+        "compiler": compiler,
         "fig9a_events": current,
         "rules": {
             "workload": "sku_site rule family (one duplicate-detection "

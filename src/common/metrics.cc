@@ -10,7 +10,7 @@ void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
   if (counts.size() != other.counts.size()) return;
   for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
   count += other.count;
-  sum += other.sum;
+  sum_milli += other.sum_milli;
 }
 
 uint64_t HistogramSnapshot::Quantile(double q) const {
@@ -45,7 +45,7 @@ HistogramSnapshot Histogram::Snapshot() const {
     snap.counts[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   snap.count = count();
-  snap.sum = sum();
+  snap.sum_milli = sum_milli();
   return snap;
 }
 
@@ -54,7 +54,7 @@ void Histogram::Reset() {
     buckets_[i].store(0, std::memory_order_relaxed);
   }
   count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
+  sum_milli_.store(0, std::memory_order_relaxed);
 }
 
 const std::vector<uint64_t>& Histogram::DefaultLatencyBoundsUs() {
@@ -107,6 +107,17 @@ std::string SpliceLabel(const std::string& name, const std::string& suffix,
   std::string out = name.substr(0, brace) + suffix + name.substr(brace);
   if (!label.empty()) {
     out.insert(out.size() - 1, "," + label);
+  }
+  return out;
+}
+
+// `milli` thousandths as a decimal: 38400 -> "38.4", 13000 -> "13".
+std::string FormatMilli(uint64_t milli) {
+  std::string out = std::to_string(milli / 1000);
+  if (uint64_t frac = milli % 1000; frac != 0) {
+    std::string digits = std::to_string(1000 + frac).substr(1);
+    digits.erase(digits.find_last_not_of('0') + 1);
+    out += "." + digits;
   }
   return out;
 }
@@ -170,7 +181,7 @@ std::string MetricsSnapshot::ExportText() const {
                  std::to_string(cumulative) + "\n";
         }
         out += SpliceLabel(name, "_sum", "") + " " +
-               std::to_string(snap.sum) + "\n";
+               FormatMilli(snap.sum_milli) + "\n";
         out += SpliceLabel(name, "_count", "") + " " +
                std::to_string(snap.count) + "\n";
         break;

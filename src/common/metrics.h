@@ -67,7 +67,10 @@ struct HistogramSnapshot {
   std::vector<uint64_t> bounds;  // Inclusive upper bounds, ascending.
   std::vector<uint64_t> counts;  // bounds.size() + 1 (last = overflow).
   uint64_t count = 0;
-  uint64_t sum = 0;
+  // Sum of the samples in thousandths of the unit (a nanosecond of a _us
+  // timer); the exposition prints it in units, fractional when it is not
+  // whole.
+  uint64_t sum_milli = 0;
 
   // Adds `other` in. Bounds must match (histograms from the same family).
   void Merge(const HistogramSnapshot& other);
@@ -89,15 +92,21 @@ class Histogram {
   // event in `weight` lets each measurement stand for the events it
   // skipped, so count, sum and buckets keep estimating every event.
   void Record(uint64_t sample, uint64_t weight = 1) {
-    size_t i = 0;
-    while (i < bounds_.size() && sample > bounds_[i]) ++i;
-    buckets_[i].fetch_add(weight, std::memory_order_relaxed);
-    count_.fetch_add(weight, std::memory_order_relaxed);
-    sum_.fetch_add(sample * weight, std::memory_order_relaxed);
+    Add(sample, sample * 1000, weight);
+  }
+  // Records a sample of `milli` thousandths of the unit `weight` times
+  // (a _us timer's nanoseconds). The sum keeps the thousandths; the
+  // bucket is the one of the sample rounded up, so a 600 ns sample lands
+  // in le="1" and a bucket bound still means "at most".
+  void RecordMilli(uint64_t milli, uint64_t weight = 1) {
+    Add(milli / 1000 + (milli % 1000 != 0 ? 1 : 0), milli, weight);
   }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  // The sum in thousandths of the unit (see HistogramSnapshot::sum_milli).
+  uint64_t sum_milli() const {
+    return sum_milli_.load(std::memory_order_relaxed);
+  }
   const std::vector<uint64_t>& bounds() const { return bounds_; }
   HistogramSnapshot Snapshot() const;
   void Reset();
@@ -107,10 +116,19 @@ class Histogram {
   static const std::vector<uint64_t>& DefaultLatencyBoundsUs();
 
  private:
+  // Counts `weight` samples of `units` (bucketed) and `milli` (summed).
+  void Add(uint64_t units, uint64_t milli, uint64_t weight) {
+    size_t i = 0;
+    while (i < bounds_.size() && units > bounds_[i]) ++i;
+    buckets_[i].fetch_add(weight, std::memory_order_relaxed);
+    count_.fetch_add(weight, std::memory_order_relaxed);
+    sum_milli_.fetch_add(milli * weight, std::memory_order_relaxed);
+  }
+
   std::vector<uint64_t> bounds_;
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  // bounds_.size() + 1.
   std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
+  std::atomic<uint64_t> sum_milli_{0};
 };
 
 // A point-in-time copy of a registry's instruments plus plain samples,

@@ -1,6 +1,7 @@
 #include "engine/detector.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <tuple>
@@ -93,6 +94,7 @@ Detector::Detector(const EventGraph* graph, const events::Environment* env,
       seqplus_self_(graph->num_nodes(), false),
       index_(*graph) {
   BuildFamilies();
+  BuildRuns();
   // SEQ+ self-closure: needed unless every use is as a SEQ initiator
   // whose terminator actually arrives (then the terminator drives
   // materialization). A negated terminator never produces arrivals, so
@@ -162,6 +164,41 @@ void Detector::BuildFamilies() {
     fam.dist_hi = std::max(fam.dist_hi, node.dist_hi);
     fam.retention = std::max(fam.retention, node.retention);
   }
+}
+
+void Detector::BuildRuns() {
+  run_begin_.reserve(graph_->num_nodes() + 1);
+  for (const GraphNode& node : graph_->nodes()) {
+    run_begin_.push_back(static_cast<uint32_t>(run_sizes_.size()));
+    const std::vector<int>& parents = node.parents;
+    for (size_t i = 0; i < parents.size();) {
+      // Members of one family have the same children, so they take the
+      // instance in the same slot or slots.
+      const int family = states_[parents[i]].family;
+      size_t end = i + 1;
+      while (family >= 0 && end < parents.size() &&
+             states_[parents[end]].family == family) {
+        ++end;
+      }
+      // An AND taking the instance in both slots stays a run of one: each
+      // member's second slot pairs with what its first slot buffered, so
+      // members must not interleave.
+      if (const GraphNode& parent = graph_->node(parents[i]);
+          end - i > 1 && parent.op == ExprOp::kAnd &&
+          parent.children[0] == parent.children[1]) {
+        end = i + 1;
+      }
+      run_sizes_.push_back(static_cast<uint8_t>(end - i));
+      i = end;
+    }
+  }
+  run_begin_.push_back(static_cast<uint32_t>(run_sizes_.size()));
+}
+
+JoinBuffer::Members Detector::RunMask(MemberRun run) const {
+  JoinBuffer::Members mask = 0;
+  for (int node_id : run) mask |= states_[node_id].member;
+  return mask;
 }
 
 Status Detector::Process(const Observation& obs) {
@@ -284,49 +321,62 @@ void Detector::Emit(int node_id, EventInstancePtr instance) {
     ++stats_.rule_matches;
     on_match_(rule_index, instance);
   }
-  for (int parent_id : node.parents) {
-    RouteToParent(parent_id, node_id, instance);
+  // Runs are taken in parents order and never merged across parents
+  // that are not adjacent, so matches reach rules in the same order as
+  // routing to one parent at a time.
+  const int* parent = node.parents.data();
+  const uint8_t* size = run_sizes_.data() + run_begin_[node_id];
+  const uint8_t* const end = run_sizes_.data() + run_begin_[node_id + 1];
+  for (; size != end; ++size) {
+    RouteToRun(MemberRun(parent, *size), node_id, instance);
+    parent += *size;
   }
 }
 
-void Detector::RouteToParent(int parent_id, int child_id,
-                             const EventInstancePtr& instance) {
-  const GraphNode& parent = graph_->node(parent_id);
+void Detector::RouteToRun(MemberRun run, int child_id,
+                          const EventInstancePtr& instance) {
+  const GraphNode& parent = graph_->node(run[0]);
   switch (parent.op) {
     case ExprOp::kPrimitive:
       assert(false && "primitive nodes have no children");
       return;
     case ExprOp::kOr:
-      // OR forwards constituent occurrences unchanged.
-      Emit(parent_id, instance);
+      // OR forwards constituent occurrences unchanged (a run of one).
+      Emit(run[0], instance);
       return;
     case ExprOp::kNot:
-      NotLogInsert(parent_id, instance);
+      NotLogInsert(run, instance);
       return;
     case ExprOp::kSeqPlus:
-      SeqPlusArrival(parent_id, instance);
+      SeqPlusArrival(run[0], instance);  // A run of one.
       return;
     case ExprOp::kAnd: {
-      // One key computation per (instance, family), shared by every role
-      // the instance plays below and by every member of the family.
-      JoinKey key = FamilyKey(parent_id, *instance);
+      // One key computation per run, shared by every role the instance
+      // plays below and by every member of the run.
+      JoinKey key = KeyFor(run[0], instance->bindings());
       for (int slot = 0; slot < 2; ++slot) {
         if (parent.children[slot] == child_id) {
-          AndArrival(parent_id, slot, instance, key);
+          AndArrival(run, slot, instance, key);
         }
       }
       return;
     }
     case ExprOp::kSeq: {
-      JoinKey key = FamilyKey(parent_id, *instance);
+      JoinKey key = KeyFor(run[0], instance->bindings());
       // Terminator role first, then initiator buffering, so an instance
       // serving both roles (duplicate-filter rule) pairs with a strictly
-      // older occurrence before becoming an initiator itself.
+      // older occurrence before becoming an initiator itself. Every
+      // member's terminator role runs before any member's initiator
+      // role, which emits as one parent at a time would: the initiator
+      // role of SEQ(a ; a) neither emits nor schedules, and the entry it
+      // buffers for one member could never pair with another's
+      // terminator (a member pairs only with entries carrying its bit,
+      // and an instance never precedes itself).
       if (parent.children[1] == child_id) {
-        SeqTerminatorArrival(parent_id, instance, key);
+        SeqTerminatorArrival(run, instance, key);
       }
       if (parent.children[0] == child_id) {
-        SeqInitiatorArrival(parent_id, instance, key);
+        SeqInitiatorArrival(run, instance, key);
       }
       return;
     }
@@ -378,176 +428,194 @@ Detector::JoinKey Detector::KeyFor(int node_id,
   return key;
 }
 
-Detector::JoinKey Detector::FamilyKey(int node_id, const EventInstance& e) {
-  // Routed instances are fresh, so their sequence numbers are unique.
-  Family& family = families_[states_[node_id].family];
-  if (family.keyed_seq != e.sequence_number()) {
-    family.key = KeyFor(node_id, e.bindings());
-    family.keyed_seq = e.sequence_number();
-  }
-  return family.key;
-}
-
-void Detector::BufferInsert(int node_id, int slot_index, EventInstancePtr e,
-                            JoinKey key) {
-  const NodeState& st = states_[node_id];
-  Family& family = families_[st.family];
+void Detector::BufferInsert(MemberRun run, int slot_index,
+                            const EventInstancePtr& e, JoinKey key,
+                            JoinBuffer::Members members) {
+  if (members == 0) return;
+  Family& family = families_[states_[run[0]].family];
   JoinBuffer& slot = family.buffers[slot_index];
   slot.DrainExpired(clock_);
   // Not before the clock moves on: an instance emitted late (a SEQ+ run
   // closed by its expiry pseudo event) can arrive past its deadline, and
   // its anchored pseudo event fires only after the rest of this cascade,
-  // in which a sibling's drain must not free the anchor.
+  // in which a sibling's drain must not free the anchor. The family's
+  // widest bounds give every member the same deadline, so one entry
+  // serves them all.
   TimePoint deadline = std::max(
-      clock_, SlotDeadline(graph_->node(node_id).op, family.within,
+      clock_, SlotDeadline(graph_->node(run[0]).op, family.within,
                            family.dist_hi, *e));
-  slot.Append(key.hash, std::move(e), deadline, st.member);
+  slot.Append(key.hash, e, deadline, members);
 }
 
 // --- AND ------------------------------------------------------------------------
 
-void Detector::AndArrival(int node_id, int slot, const EventInstancePtr& e,
+void Detector::AndArrival(MemberRun run, int slot, const EventInstancePtr& e,
                           JoinKey key) {
-  const GraphNode& node = graph_->node(node_id);
-  NodeState& st = states_[node_id];
-  int other_slot = 1 - slot;
-  const GraphNode& other = graph_->node(node.children[other_slot]);
-
-  if (other.op == ExprOp::kNot) {
+  const int other_slot = 1 - slot;
+  JoinBuffer::Members buffering = 0;
+  if (graph_->node(graph_->node(run[0]).children[other_slot]).op ==
+      ExprOp::kNot) {
     // WITHIN(E ∧ ¬N, w): check the past window now, and the future window
-    // at expiry via a pseudo event (paper Fig. 8).
-    Duration w = node.within;  // Finite (validated at graph build).
-    if (NotHasOccurrence(other.id, e->bindings(), e->t_end() - w, e->t_end(),
-                         /*include_from=*/true, /*include_to=*/true)) {
-      return;  // A negated occurrence already falsifies this instance.
+    // at expiry via a pseudo event (paper Fig. 8). Each member queries its
+    // own NOT node over its own window.
+    for (int node_id : run) {
+      const GraphNode& node = graph_->node(node_id);
+      const int not_id = node.children[other_slot];
+      Duration w = node.within;  // Finite (validated at graph build).
+      if (NotHasOccurrence(not_id, e->bindings(), e->t_end() - w, e->t_end(),
+                           /*include_from=*/true, /*include_to=*/true)) {
+        continue;  // A negated occurrence already falsifies this instance.
+      }
+      buffering |= states_[node_id].member;
+      SchedulePseudo(AddSaturating(e->t_begin(), w), e->t_end(), not_id,
+                     node_id, e->sequence_number(), key.hash);
     }
-    TimePoint expiry = AddSaturating(e->t_begin(), w);
-    uint64_t seq = e->sequence_number();
-    TimePoint created = e->t_end();
-    BufferInsert(node_id, slot, e, key);
-    SchedulePseudo(expiry, created, other.id, node_id, seq, key.hash);
-    return;
+  } else {
+    const JoinBuffer::Members paired = PairRun(run, slot, e, key);
+    buffering = RunMask(run);
+    if (options_.context == ParameterContext::kRecent) {
+      // Only the most recent instance per slot is retained.
+      families_[states_[run[0]].family].buffers[slot].ReleaseAll(buffering);
+    } else if (options_.context != ParameterContext::kUnrestricted) {
+      buffering &= ~paired;
+    }
   }
-
-  bool paired = PairBinary(node_id, slot, e, key);
-  bool buffer = !paired;
-  if (options_.context == ParameterContext::kUnrestricted) buffer = true;
-  if (options_.context == ParameterContext::kRecent) {
-    // Only the most recent instance per slot is retained.
-    families_[st.family].buffers[slot].ReleaseAll(st.member);
-    buffer = true;
-  }
-  if (buffer) BufferInsert(node_id, slot, e, key);
+  BufferInsert(run, slot, e, key, buffering);
 }
 
 // --- SEQ -------------------------------------------------------------------------
 
-void Detector::SeqInitiatorArrival(int node_id, const EventInstancePtr& e1,
+void Detector::SeqInitiatorArrival(MemberRun run, const EventInstancePtr& e1,
                                    JoinKey key) {
-  const GraphNode& node = graph_->node(node_id);
-  NodeState& st = states_[node_id];
-  const GraphNode& right = graph_->node(node.children[1]);
-
-  if (right.op == ExprOp::kNot) {
+  const JoinBuffer::Members members = RunMask(run);
+  if (graph_->node(graph_->node(run[0]).children[1]).op == ExprOp::kNot) {
     // SEQ(a ; ¬b): confirmed at expiry if no negated occurrence follows.
-    TimePoint expiry = SlotDeadline(node, *e1);
-    uint64_t seq = e1->sequence_number();
-    TimePoint created = e1->t_end();
-    BufferInsert(node_id, 0, e1, key);
-    SchedulePseudo(expiry, created, right.id, node_id, seq, key.hash);
-    return;
+    for (int node_id : run) {
+      const GraphNode& node = graph_->node(node_id);
+      SchedulePseudo(SlotDeadline(node, *e1), e1->t_end(), node.children[1],
+                     node_id, e1->sequence_number(), key.hash);
+    }
+  } else if (options_.context == ParameterContext::kRecent) {
+    families_[states_[run[0]].family].buffers[0].ReleaseAll(members);
   }
-  if (options_.context == ParameterContext::kRecent) {
-    families_[st.family].buffers[0].ReleaseAll(st.member);
-  }
-  BufferInsert(node_id, 0, e1, key);
+  BufferInsert(run, 0, e1, key, members);
 }
 
-void Detector::SeqTerminatorArrival(int node_id, const EventInstancePtr& e2,
+void Detector::SeqTerminatorArrival(MemberRun run, const EventInstancePtr& e2,
                                     JoinKey key) {
-  const GraphNode& node = graph_->node(node_id);
-  const GraphNode& left = graph_->node(node.children[0]);
+  const GraphNode& left = graph_->node(graph_->node(run[0]).children[0]);
 
   if (left.op == ExprOp::kNot) {
-    // WITHIN(¬a ; b, w): on b's arrival, query non-occurrence over the
-    // preceding window (half-open: b itself does not falsify it).
-    Duration width = std::min(node.within, node.dist_hi);
-    TimePoint from = e2->t_end() - width;
-    TimePoint to = e2->t_begin();
-    if (!NotHasOccurrence(left.id, e2->bindings(), from, to,
-                          /*include_from=*/true, /*include_to=*/false)) {
-      EventInstancePtr synth =
-          EventInstance::MakeComplex(from, to, Bindings(), {}, NextSeq());
-      EventInstancePtr inst = EventInstance::MakeComplex(
-          from, e2->t_end(), e2->bindings(), {std::move(synth), e2},
-          NextSeq());
-      Emit(node_id, std::move(inst));
+    // WITHIN(¬a ; b, w): on b's arrival, each member queries
+    // non-occurrence over its own preceding window (half-open: b itself
+    // does not falsify it).
+    for (int node_id : run) {
+      const GraphNode& node = graph_->node(node_id);
+      Duration width = std::min(node.within, node.dist_hi);
+      TimePoint from = e2->t_end() - width;
+      TimePoint to = e2->t_begin();
+      if (!NotHasOccurrence(node.children[0], e2->bindings(), from, to,
+                            /*include_from=*/true, /*include_to=*/false)) {
+        EventInstancePtr synth =
+            EventInstance::MakeComplex(from, to, Bindings(), {}, NextSeq());
+        EventInstancePtr inst = EventInstance::MakeComplex(
+            from, e2->t_end(), e2->bindings(), {std::move(synth), e2},
+            NextSeq());
+        Emit(node_id, std::move(inst));
+      }
     }
     return;
   }
 
   if (left.op == ExprOp::kSeqPlus) {
     // Close out runs so they are visible as initiators. A SEQ+ with no
-    // bounds at all is closed by this terminator (Snoop A* semantics).
+    // bounds at all is closed by this terminator (Snoop A* semantics). A
+    // SEQ+ initiating a positive terminator is private to its one parent
+    // (EventGraph::Intern), so the run is this node alone.
+    assert(run.size() == 1);
     bool force = left.dist_hi == kDurationInfinity &&
                  left.within == kDurationInfinity;
     MaterializeSeqPlus(left.id, force, /*include_now=*/false);
   }
-  PairBinary(node_id, 1, e2, key);
+  PairRun(run, 1, e2, key);
 }
 
 // --- Pairing -----------------------------------------------------------------------
 
-bool Detector::PairBinary(int node_id, int incoming_slot,
-                          const EventInstancePtr& incoming, JoinKey key) {
-  const GraphNode& node = graph_->node(node_id);
-  const JoinBuffer::Members member = states_[node_id].member;
-  JoinBuffer& buffer =
-      families_[states_[node_id].family].buffers[1 - incoming_slot];
+JoinBuffer::Members Detector::PairRun(MemberRun run, int incoming_slot,
+                                      const EventInstancePtr& incoming,
+                                      JoinKey key) {
+  const bool seq = graph_->node(run[0]).op == ExprOp::kSeq;
+  Family& family = families_[states_[run[0]].family];
+  JoinBuffer& buffer = family.buffers[1 - incoming_slot];
   buffer.DrainExpired(clock_);
 
-  auto admissible = [&](const EventInstancePtr& cand) {
-    if (node.op == ExprOp::kSeq) {
-      // `cand` is the initiator, `incoming` the terminator.
-      if (cand->t_end() >= incoming->t_begin()) return false;
-      Duration d = incoming->t_end() - cand->t_end();
-      if (d < node.dist_lo || d > node.dist_hi) return false;
-    }
-    if (node.within != kDurationInfinity &&
-        events::CombinedInterval(*cand, *incoming) > node.within) {
-      return false;
-    }
-    // Full unification re-check: hash collisions (and the wildcard chain)
-    // may surface non-matching candidates.
-    return cand->bindings().UnifiesWith(incoming->bindings());
-  };
-
-  // Chronicle keeps the admissible entry with the lowest sequence number,
-  // recent the highest; the other contexts take every admissible entry,
-  // sorted into sequence order below.
+  // Chronicle keeps each member's admissible entry with the lowest
+  // sequence number, recent the highest; the other contexts take every
+  // admissible entry, in sequence order.
   const ParameterContext context = options_.context;
   const bool lowest = context == ParameterContext::kChronicle;
   const bool single = lowest || context == ParameterContext::kRecent;
-  JoinBuffer::Index best = kNoEntry;
-  uint64_t best_seq = 0;
-  std::vector<std::pair<uint64_t, JoinBuffer::Index>> all;  // (seq, entry)
+  struct Member {
+    const GraphNode* node;
+    JoinBuffer::Members bit;
+    JoinBuffer::Index best;
+    uint64_t best_seq;
+  };
+  std::array<Member, kMaxFamilyMembers> members;
+  JoinBuffer::Members run_mask = 0;
+  for (size_t k = 0; k < run.size(); ++k) {
+    members[k] = {&graph_->node(run[k]), states_[run[k]].member, kNoEntry, 0};
+    run_mask |= members[k].bit;
+  }
+  struct Candidate {
+    uint64_t seq;
+    JoinBuffer::Index index;
+    JoinBuffer::Members admitted;  // Members that may pair with it.
+  };
+  std::vector<Candidate> all;
   auto scan_chain = [&](JoinBuffer::Index i) {
     for (; i != kNoEntry; i = buffer.next(i)) {
       const JoinBuffer::Entry& entry = buffer.entry(i);
-      // Other members' entries, and entries past this member's deadline
-      // that a wider sibling still holds, are not this node's.
-      if ((entry.members & member) == 0 ||
-          SlotDeadline(node, *entry.instance) < clock_ ||
-          !admissible(entry.instance)) {
+      const JoinBuffer::Members held = entry.members & run_mask;
+      if (held == 0) continue;  // Other members' entries.
+      // Under SEQ, `cand` is the initiator and `incoming` the terminator.
+      const EventInstance& cand = *entry.instance;
+      if (seq && cand.t_end() >= incoming->t_begin()) continue;
+      const Duration distance = incoming->t_end() - cand.t_end();
+      const Duration span = events::CombinedInterval(cand, *incoming);
+      JoinBuffer::Members admitted = 0;
+      for (size_t k = 0; k < run.size(); ++k) {
+        const GraphNode& node = *members[k].node;
+        // An entry past this member's deadline that a wider sibling
+        // still holds is not this member's.
+        if ((held & members[k].bit) == 0 ||
+            SlotDeadline(node, cand) < clock_ ||
+            (seq && (distance < node.dist_lo || distance > node.dist_hi)) ||
+            (node.within != kDurationInfinity && span > node.within)) {
+          continue;
+        }
+        admitted |= members[k].bit;
+      }
+      // Full unification re-check, once per entry: hash collisions (and
+      // the wildcard chain) may surface non-matching candidates.
+      if (admitted == 0 ||
+          !cand.bindings().UnifiesWith(incoming->bindings())) {
         continue;
       }
-      uint64_t seq = entry.instance->sequence_number();
+      const uint64_t cand_seq = cand.sequence_number();
       if (!single) {
-        all.emplace_back(seq, i);
-      } else if (best == kNoEntry ||
-                 (lowest ? seq < best_seq : seq > best_seq)) {
-        best = i;
-        best_seq = seq;
+        all.push_back(Candidate{cand_seq, i, admitted});
+        continue;
+      }
+      for (size_t k = 0; k < run.size(); ++k) {
+        Member& m = members[k];
+        if ((admitted & m.bit) != 0 &&
+            (m.best == kNoEntry ||
+             (lowest ? cand_seq < m.best_seq : cand_seq > m.best_seq))) {
+          m.best = i;
+          m.best_seq = cand_seq;
+        }
       }
     }
     return false;
@@ -562,53 +630,74 @@ bool Detector::PairBinary(int node_id, int incoming_slot,
     scan_chain(buffer.PruneFront(key.hash, clock_));
     scan_chain(buffer.PruneFront(kWildcardKey, clock_));
   }
-  if (best == kNoEntry && all.empty()) return false;
+  if (!single) {
+    std::sort(all.begin(), all.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return std::tie(a.seq, a.index) < std::tie(b.seq, b.index);
+              });
+  }
 
-  // Partners are copied out before emitting: an emission can cascade back
-  // into this node (a shared SEQ+ child closing its run) and reallocate
-  // the pool.
-  switch (context) {
-    case ParameterContext::kChronicle: {
-      EventInstancePtr partner = buffer.entry(best).instance;
-      buffer.Release(best, member);
+  // Every member's partners were chosen above, before any member emits,
+  // and they stay valid through the loop. A member's own release clears
+  // only its bit, so an entry another member chose stays live. And a
+  // member's emission never reaches its own family's buffers. Only the
+  // family's children write them, and a cascade climbs from a member to
+  // its ancestors, never down to its children. The one other route, a
+  // SEQ+ child closed by an ancestor's terminator, would need a
+  // terminator-closed SEQ+, and such a SEQ+ is private to its single
+  // parent (EventGraph::Intern), so family members never share one as a
+  // child. Debug builds check this with the buffers' mutation counts.
+  [[maybe_unused]] const uint64_t mutations =
+      family.buffers[0].mutations() + family.buffers[1].mutations();
+  [[maybe_unused]] uint64_t releases = 0;
+  JoinBuffer::Members paired = 0;
+  for (size_t k = 0; k < run.size(); ++k) {
+    const int node_id = run[k];
+    const Member& m = members[k];
+    if (single) {
+      if (m.best == kNoEntry) continue;
+      EventInstancePtr partner = buffer.entry(m.best).instance;
+      if (lowest) {
+        buffer.Release(m.best, m.bit);
+        ++releases;
+      }  // Recent reuses the initiator.
+      paired |= m.bit;
       ProducePair(node_id, partner, incoming);
-      return true;
+      continue;
     }
-    case ParameterContext::kRecent: {
-      EventInstancePtr partner = buffer.entry(best).instance;
-      ProducePair(node_id, partner, incoming);  // Initiator is reused.
-      return true;
+    std::vector<EventInstancePtr> partners;
+    for (const Candidate& cand : all) {
+      if ((cand.admitted & m.bit) == 0) continue;
+      partners.push_back(buffer.entry(cand.index).instance);
+      if (context != ParameterContext::kUnrestricted) {
+        buffer.Release(cand.index, m.bit);
+        ++releases;
+      }
     }
-    case ParameterContext::kContinuous:
-    case ParameterContext::kCumulative:
-    case ParameterContext::kUnrestricted:
-      break;
-  }
-  std::sort(all.begin(), all.end());
-  std::vector<EventInstancePtr> partners;
-  partners.reserve(all.size());
-  for (const auto& [seq, i] : all) {
-    partners.push_back(buffer.entry(i).instance);
-    if (context != ParameterContext::kUnrestricted) buffer.Release(i, member);
-  }
-  if (context == ParameterContext::kCumulative) {
-    // All open initiators merge into one instance with the terminator.
-    TimePoint t_begin = incoming->t_begin();
-    Bindings merged = incoming->bindings().ToMulti();
-    for (const EventInstancePtr& cand : partners) {
-      t_begin = std::min(t_begin, cand->t_begin());
-      merged.Merge(cand->bindings().ToMulti());
+    if (partners.empty()) continue;
+    paired |= m.bit;
+    if (context == ParameterContext::kCumulative) {
+      // All open initiators merge into one instance with the terminator.
+      TimePoint t_begin = incoming->t_begin();
+      Bindings merged = incoming->bindings().ToMulti();
+      for (const EventInstancePtr& cand : partners) {
+        t_begin = std::min(t_begin, cand->t_begin());
+        merged.Merge(cand->bindings().ToMulti());
+      }
+      partners.push_back(incoming);
+      Emit(node_id, EventInstance::MakeComplex(
+                        t_begin, incoming->t_end(), std::move(merged),
+                        std::move(partners), NextSeq()));
+      continue;
     }
-    partners.push_back(incoming);
-    Emit(node_id, EventInstance::MakeComplex(
-                      t_begin, incoming->t_end(), std::move(merged),
-                      std::move(partners), NextSeq()));
-    return true;
+    for (const EventInstancePtr& partner : partners) {
+      ProducePair(node_id, partner, incoming);
+    }
   }
-  for (const EventInstancePtr& partner : partners) {
-    ProducePair(node_id, partner, incoming);
-  }
-  return true;
+  assert(family.buffers[0].mutations() + family.buffers[1].mutations() ==
+             mutations + releases &&
+         "an emission reached its own window family's buffers");
+  return paired;
 }
 
 void Detector::ProducePair(int node_id, const EventInstancePtr& initiator,
@@ -697,13 +786,12 @@ void Detector::CloseRun(int node_id, Run run) {
 
 // --- NOT --------------------------------------------------------------------------
 
-void Detector::NotLogInsert(int not_node_id, const EventInstancePtr& e) {
-  const NodeState& st = states_[not_node_id];
-  Family& family = families_[st.family];
+void Detector::NotLogInsert(MemberRun run, const EventInstancePtr& e) {
+  Family& family = families_[states_[run[0]].family];
   JoinBuffer& log = family.buffers[0];
   log.DrainExpired(clock_);
-  log.Append(FamilyKey(not_node_id, *e).hash, e,
-             AddSaturating(e->t_end(), family.retention), st.member);
+  log.Append(KeyFor(run[0], e->bindings()).hash, e,
+             AddSaturating(e->t_end(), family.retention), RunMask(run));
 }
 
 bool Detector::NotHasOccurrence(int not_node_id, const Bindings& probe,
@@ -1140,7 +1228,6 @@ Status Detector::RestoreState(const std::vector<std::string>& state_keys,
   for (Family& family : families_) {
     family.buffers[0] = JoinBuffer();
     family.buffers[1] = JoinBuffer();
-    family.keyed_seq = 0;
   }
   for (const Held& h : held) {
     const EventInstancePtr& e = *h.e;

@@ -34,12 +34,24 @@
 // members; a larger group splits. Every entry carries the mask of members
 // holding it. Each member keeps its own graph node — windows, distance
 // bounds, rule indexes and pseudo events — and its own consumption: it
-// scans only entries carrying its bit, checks its own deadline and
+// pairs only with entries carrying its bit, under its own deadline and
 // admissibility, and consumption, the recent context's slot clear and an
 // anchored pseudo's removal clear only its bit. Expiry frees entries at
 // the family's widest deadline. A node with no siblings is a family of
 // one. Sharing is invisible to every rule: each rule's matches equal
 // those of the rule run alone.
+//
+// An instance reaches each run of its parents once: a run is a sequence
+// of consecutive parents in one family (BuildRuns). The run computes the
+// join key, drains, prunes and probes the key's chain, walks it and
+// appends the instance once for all its members: the walk checks each
+// entry's order and unification once and each member's deadline,
+// distance and WITHIN for that member's bit, and the append carries the
+// bits of every member that buffers. Then each member in parent order
+// chooses its partners under the context, releases them and emits, and
+// queries its NOT window and schedules its pseudo event. Emission order,
+// sequence numbers, pseudo-event order and checkpoint bytes are those of
+// routing to one parent at a time. A run of one takes the same code.
 //
 // Instances pair under a configurable parameter context (chronicle by
 // default, §4.2); shared variables across constituents must unify
@@ -52,6 +64,7 @@
 #include <functional>
 #include <optional>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -229,10 +242,6 @@ class Detector {
     Duration within = 0;
     Duration dist_hi = 0;
     Duration retention = 0;
-    // Join key of the last instance routed to a member (by sequence
-    // number), so each instance is hashed once per family.
-    uint64_t keyed_seq = 0;
-    JoinKey key;
   };
   struct NodeState {
     int family = -1;                 // AND / SEQ / NOT only.
@@ -284,16 +293,20 @@ class Detector {
                       ReaderRecord* record) const;
 
   // --- Routing ------------------------------------------------------------
+  // A run of one child's parents (BuildRuns): consecutive entries of
+  // GraphNode::parents in one window family, or a single other parent.
+  using MemberRun = std::span<const int>;
+
   void Emit(int node_id, events::EventInstancePtr instance);
-  void RouteToParent(int parent_id, int child_id,
-                     const events::EventInstancePtr& instance);
-  // Binary arrivals take the instance's join key under the target node,
-  // computed once by RouteToParent.
-  void AndArrival(int node_id, int slot, const events::EventInstancePtr& e,
+  void RouteToRun(MemberRun run, int child_id,
+                  const events::EventInstancePtr& instance);
+  // Binary arrivals for a run of family members take the instance's join
+  // key under the family, computed once per run by RouteToRun.
+  void AndArrival(MemberRun run, int slot, const events::EventInstancePtr& e,
                   JoinKey key);
-  void SeqTerminatorArrival(int node_id, const events::EventInstancePtr& e2,
+  void SeqTerminatorArrival(MemberRun run, const events::EventInstancePtr& e2,
                             JoinKey key);
-  void SeqInitiatorArrival(int node_id, const events::EventInstancePtr& e1,
+  void SeqInitiatorArrival(MemberRun run, const events::EventInstancePtr& e1,
                            JoinKey key);
   void SeqPlusArrival(int node_id, const events::EventInstancePtr& e);
 
@@ -308,21 +321,26 @@ class Detector {
   // --- Slot buffers --------------------------------------------------------
   // Groups the graph's AND/SEQ/NOT nodes into window families.
   void BuildFamilies();
+  // Splits every node's parents into runs (run_sizes_, run_begin_).
+  void BuildRuns();
+  // The OR of the run's member bits.
+  JoinBuffer::Members RunMask(MemberRun run) const;
   // Hashed join key of `bindings` under the node's join variables;
   // wildcard (incomplete) when a variable is unbound.
   JoinKey KeyFor(int node_id, const events::Bindings& bindings) const;
-  // KeyFor(node_id, e.bindings()), computed once per (instance, family).
-  JoinKey FamilyKey(int node_id, const events::EventInstance& e);
-  // Buffers `e` in `slot` of the node's family for this node.
-  void BufferInsert(int node_id, int slot, events::EventInstancePtr e,
-                    JoinKey key);
+  // Buffers `e` in `slot` of the run's family for `members` (none: no-op).
+  void BufferInsert(MemberRun run, int slot, const events::EventInstancePtr& e,
+                    JoinKey key, JoinBuffer::Members members);
 
   // --- Pairing ------------------------------------------------------------
-  // Pairs `incoming` (whose join key under this node is `key`) against the
-  // opposite slot buffer per the parameter context. Returns true if at
-  // least one pair was produced.
-  bool PairBinary(int node_id, int incoming_slot,
-                  const events::EventInstancePtr& incoming, JoinKey key);
+  // Pairs `incoming` (whose join key under the family is `key`) against
+  // the opposite slot buffer for every member of the run, per the
+  // parameter context: one probe and one chain walk serve them all, then
+  // each member in run order releases and emits its own pairs. Returns
+  // the bits of the members that produced at least one pair.
+  JoinBuffer::Members PairRun(MemberRun run, int incoming_slot,
+                              const events::EventInstancePtr& incoming,
+                              JoinKey key);
   void ProducePair(int node_id, const events::EventInstancePtr& initiator,
                    const events::EventInstancePtr& terminator);
 
@@ -330,7 +348,8 @@ class Detector {
   bool NotHasOccurrence(int not_node_id, const events::Bindings& probe,
                         TimePoint from, TimePoint to, bool include_from,
                         bool include_to);
-  void NotLogInsert(int not_node_id, const events::EventInstancePtr& e);
+  // Logs `e` once for every NOT node of the run.
+  void NotLogInsert(MemberRun run, const events::EventInstancePtr& e);
 
   // --- Pseudo events ------------------------------------------------------------
   void SchedulePseudo(TimePoint execute_at, TimePoint created_at,
@@ -351,6 +370,11 @@ class Detector {
   std::vector<Family> families_;
   std::vector<uint64_t> produced_per_node_;
   std::vector<bool> seqplus_self_;  // Precomputed self-closure flags.
+  // Node n's parents split into runs of run_sizes_[run_begin_[n]] ..
+  // run_sizes_[run_begin_[n + 1] - 1] entries, in GraphNode::parents
+  // order. A run never exceeds its family's 64 members.
+  std::vector<uint8_t> run_sizes_;
+  std::vector<uint32_t> run_begin_;
   PrimitiveIndex index_;  // Primitive dispatch (engine/rule_index.h).
   // Registered readers seen so far, as of registry generation
   // `records_generation_`.

@@ -47,6 +47,13 @@ int64_t ElapsedNs(SteadyTime start) {
   return static_cast<int64_t>(ns.count());
 }
 
+// A per-match timer sample: nanoseconds, which a *_us histogram keeps as
+// thousandths (Histogram::RecordMilli), so a match handled in under a
+// microsecond still adds to _sum.
+uint64_t SampleNs(SteadyTime start) {
+  return static_cast<uint64_t>(ElapsedNs(start));
+}
+
 Status NotCompiled() {
   return Status::FailedPrecondition(
       "engine is not compiled (call Compile() first)");
@@ -522,6 +529,10 @@ void RcedaEngine::OnMatch(size_t rule_index,
   }
   SteadyTime handle_start;
   if (r != nullptr) handle_start = Now();
+  // Records the match-handling sample, if this match is sampled.
+  auto handled = [&] {
+    if (r != nullptr) r->handle_us->RecordMilli(SampleNs(handle_start), weight);
+  };
   if (trace_ != nullptr) trace_->RecordMatch(rule.id, *instance, fire_time);
   if (match_callback_) match_callback_(rule, instance);
 
@@ -540,18 +551,20 @@ void RcedaEngine::OnMatch(size_t rule_index,
     if (r != nullptr) cond_start = Now();
     Result<bool> holds =
         store::EvaluateCondition(*rule.condition, firing.params);
-    if (r != nullptr) r->condition_us->Record(ElapsedUs(cond_start), weight);
+    if (r != nullptr) {
+      r->condition_us->RecordMilli(SampleNs(cond_start), weight);
+    }
     if (!holds.ok()) {
       ++stats_.condition_errors;
       if (trace_ != nullptr) trace_->RecordCondition(rule.id, false);
       if (deferred_error_.ok()) deferred_error_ = holds.status();
-      if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start), weight);
+      handled();
       return;
     }
     if (trace_ != nullptr) trace_->RecordCondition(rule.id, *holds);
     if (!*holds) {
       ++stats_.condition_rejects;
-      if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start), weight);
+      handled();
       return;
     }
   }
@@ -563,16 +576,14 @@ void RcedaEngine::OnMatch(size_t rule_index,
   firing.seq = ++rule_counts_[rule_index].fired;
 
   if (!options_.execute_actions) {
-    if (r != nullptr) r->handle_us->Record(ElapsedUs(handle_start), weight);
+    handled();
     return;
   }
   SteadyTime action_start;
   if (r != nullptr) action_start = Now();
   ExecuteActions(firing);
-  if (r != nullptr) {
-    r->action_us->Record(ElapsedUs(action_start), weight);
-    r->handle_us->Record(ElapsedUs(handle_start), weight);
-  }
+  if (r != nullptr) r->action_us->RecordMilli(SampleNs(action_start), weight);
+  handled();
 }
 
 void RcedaEngine::ExecuteActions(const RuleFiring& firing) {

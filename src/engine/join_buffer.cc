@@ -23,13 +23,16 @@ size_t JoinBuffer::HomeSlot(uint64_t key, size_t capacity) {
 
 JoinBuffer::Index JoinBuffer::Append(uint64_t key,
                                      events::EventInstancePtr instance,
-                                     TimePoint deadline, Members member) {
-  assert(member != 0);
+                                     TimePoint deadline, Members members) {
+  assert(members != 0);
+#ifndef NDEBUG
+  ++mutations_;
+#endif
   size_t s = FindOrClaimSlot(key);
   if (Index tail = table_[s].tail; table_[s].head != kNone) {
     Entry& last = pool_[tail];
-    if (last.instance == instance && (last.members & member) == 0) {
-      last.members |= member;
+    if (last.instance == instance && (last.members & members) == 0) {
+      last.members |= members;
       if (deadline > last.deadline) {
         last.deadline = deadline;
         if (deadline != kTimeInfinity) PushExpiry(deadline, key);
@@ -53,7 +56,7 @@ JoinBuffer::Index JoinBuffer::Append(uint64_t key,
   entry.instance = std::move(instance);
   entry.deadline = deadline;
   entry.key = key;
-  entry.members = member;
+  entry.members = members;
   entry.next = kNone;
   Slot& slot = table_[s];
   if (slot.head == kNone) {
@@ -71,18 +74,21 @@ JoinBuffer::Index JoinBuffer::Append(uint64_t key,
   return index;
 }
 
-bool JoinBuffer::Release(Index index, Members member) {
+bool JoinBuffer::Release(Index index, Members members) {
+#ifndef NDEBUG
+  ++mutations_;
+#endif
   Entry& entry = pool_[index];
-  entry.members &= ~member;
+  entry.members &= ~members;
   if (entry.members != 0) return false;
   Remove(index);
   return true;
 }
 
-void JoinBuffer::ReleaseAll(Members member) {
+void JoinBuffer::ReleaseAll(Members members) {
   for (Index i = 0; i < pool_.size(); ++i) {
-    if (pool_[i].instance != nullptr && (pool_[i].members & member) != 0) {
-      Release(i, member);
+    if (pool_[i].instance != nullptr && (pool_[i].members & members) != 0) {
+      Release(i, members);
     }
   }
 }

@@ -21,8 +21,8 @@
 //
 // One buffer can serve up to 64 members (a window family: graph nodes
 // that differ only by their windows, see detector.h). Each entry carries
-// the mask of members holding it. A member appending the instance that
-// already sits at the tail of its key's chain only sets its bit there;
+// the mask of members holding it. Members appending the instance that
+// already sits at the tail of its key's chain only set their bits there;
 // a member releasing an entry clears its bit, and the entry is freed with
 // the last bit. Deadlines are the buffer's own: an entry's deadline is
 // the largest one any member appended it with, so expiry never frees an
@@ -67,20 +67,21 @@ class JoinBuffer {
   // Live entries.
   size_t size() const { return size_; }
 
-  // Buffers `instance` under `key` for `member` (a single bit). When the
-  // tail of `key`'s chain already holds `instance` for other members,
-  // `member` joins that entry and its deadline rises to `deadline` if
+  // Buffers `instance` under `key` for `members`: one or more bits, all
+  // appended at once as one entry with one expiry record. When the tail
+  // of `key`'s chain already holds `instance` for other members,
+  // `members` join that entry and its deadline rises to `deadline` if
   // later; otherwise a new entry is appended at the tail. A finite
   // deadline also queues an expiry record; kTimeInfinity never expires.
   // Returns the entry's index.
   Index Append(uint64_t key, events::EventInstancePtr instance,
-               TimePoint deadline, Members member = 1);
+               TimePoint deadline, Members members = 1);
 
-  // Clears `member` from entry `index`; frees the entry when no member is
-  // left. Returns whether it was freed.
-  bool Release(Index index, Members member);
-  // Release(index, member) on every entry `member` holds.
-  void ReleaseAll(Members member);
+  // Clears `members` from entry `index`; frees the entry when no member
+  // is left. Returns whether it was freed.
+  bool Release(Index index, Members members);
+  // Release(index, members) on every entry holding any of `members`.
+  void ReleaseAll(Members members);
 
   // Unlinks entry `index` from its chain and frees it, whoever holds it.
   void Remove(Index index);
@@ -114,6 +115,11 @@ class JoinBuffer {
     }
     return false;
   }
+
+  // Append and Release calls so far, counted in debug builds only (0
+  // otherwise): the detector asserts that a window family's emissions
+  // leave its buffers alone (Detector::PairRun).
+  uint64_t mutations() const { return mutations_; }
 
   // Array capacities (tests: bounded memory under churn).
   size_t pool_capacity() const { return pool_.capacity(); }
@@ -160,6 +166,7 @@ class JoinBuffer {
   uint32_t size_ = 0;   // Live entries.
   uint32_t keys_ = 0;   // Occupied table slots.
   Index free_ = kNone;  // Free-list head, linked through Entry::next.
+  uint64_t mutations_ = 0;
 };
 
 }  // namespace rfidcep::engine

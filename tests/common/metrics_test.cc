@@ -48,7 +48,7 @@ TEST(HistogramTest, BucketingAtBoundEdges) {
   EXPECT_EQ(snap.counts[2], 1u);
   EXPECT_EQ(snap.counts[3], 1u);
   EXPECT_EQ(snap.count, 6u);
-  EXPECT_EQ(snap.sum, 0u + 10 + 11 + 100 + 1000 + 1001);
+  EXPECT_EQ(snap.sum_milli, 1000 * (0u + 10 + 11 + 100 + 1000 + 1001));
 }
 
 TEST(HistogramTest, ResetZeroesBucketsAndTotals) {
@@ -58,7 +58,7 @@ TEST(HistogramTest, ResetZeroesBucketsAndTotals) {
   h.Reset();
   HistogramSnapshot snap = h.Snapshot();
   EXPECT_EQ(snap.count, 0u);
-  EXPECT_EQ(snap.sum, 0u);
+  EXPECT_EQ(snap.sum_milli, 0u);
   EXPECT_EQ(snap.counts[0], 0u);
   EXPECT_EQ(snap.counts[1], 0u);
 }
@@ -77,7 +77,7 @@ TEST(HistogramSnapshotTest, MergeSumsBucketsCountAndSum) {
   EXPECT_EQ(merged.counts[1], 2u);
   EXPECT_EQ(merged.counts[2], 1u);
   EXPECT_EQ(merged.count, 4u);
-  EXPECT_EQ(merged.sum, 5u + 500 + 50 + 50);
+  EXPECT_EQ(merged.sum_milli, 1000 * (5u + 500 + 50 + 50));
 }
 
 TEST(HistogramSnapshotTest, QuantileResolvesToBucketBound) {
@@ -191,6 +191,25 @@ TEST(MetricsRegistryTest, ExportTextSplicesLeIntoExistingLabels) {
             "rule_us_count{rule=\"r1\"} 1\n");
 }
 
+// A sampled per-rule timer records nanoseconds: a 600 ns match handled
+// at weight 64 adds 38.4 us to _sum (whole microseconds would add 0) and
+// 64 to le="1", since the bucket takes the sample rounded up.
+TEST(MetricsRegistryTest, SubMicrosecondSamplesKeepTheirSum) {
+  MetricsRegistry registry;
+  registry.GetHistogram("handle_us", {1, 2})->RecordMilli(600, 64);
+  EXPECT_EQ(registry.ExportText(),
+            "handle_us_bucket{le=\"1\"} 64\n"
+            "handle_us_bucket{le=\"2\"} 64\n"
+            "handle_us_bucket{le=\"+Inf\"} 64\n"
+            "handle_us_sum 38.4\n"
+            "handle_us_count 64\n");
+  Histogram h(Histogram::DefaultLatencyBoundsUs());
+  h.RecordMilli(1001);  // 1.001 us rounds up into le="2".
+  EXPECT_EQ(h.Snapshot().counts[0], 0u);
+  EXPECT_EQ(h.Snapshot().counts[1], 1u);
+  EXPECT_EQ(h.sum_milli(), 1001u);
+}
+
 // --- Concurrency (runs under the TSAN ctest label) -----------------------
 
 TEST(MetricsConcurrencyTest, ParallelCounterIncrementsAreExact) {
@@ -227,7 +246,7 @@ TEST(MetricsConcurrencyTest, ParallelHistogramRecordsAreExact) {
   for (int t = 0; t < kThreads; ++t) {
     expected_sum += static_cast<uint64_t>(t) * kPerThread;
   }
-  EXPECT_EQ(snap.sum, expected_sum);
+  EXPECT_EQ(snap.sum_milli, 1000 * expected_sum);
 }
 
 TEST(MetricsConcurrencyTest, ParallelRegistrationIsRaceFree) {

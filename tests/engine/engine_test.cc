@@ -3,8 +3,15 @@
 
 #include "engine/engine.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "sim/supply_chain.h"
 #include "tests/engine/test_util.h"
 
 namespace rfidcep::engine {
@@ -442,6 +449,118 @@ TEST(EngineTest, LeavesAndPairsShareTheObservationsEpcText) {
   ASSERT_EQ(pair->children().size(), 2u);
   EXPECT_TRUE(object_of(pair).SharesStorageWith(earlier));
   EXPECT_TRUE(pair->children()[1]->object_text().SharesStorageWith(later));
+}
+
+// --- Emission-order golden ------------------------------------------------
+//
+// Fig. 9a's workload (25 generated rules over a 5-site supply chain, seed
+// 7): two FNV-1a digests pin the match-callback sequence (rule id,
+// t_begin, t_end, sequence number) and a mid-stream checkpoint's bytes.
+// Window-family members share one arrival; the constants are those of
+// routing an instance to one parent at a time, so a change in emission
+// order, sequence numbering, pseudo-event order or buffered state fails
+// here even when every match count still agrees.
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+uint64_t Fnv1a(uint64_t h, std::string_view bytes) {
+  for (unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ull;
+  return h;
+}
+
+uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct GoldenRun {
+  size_t matches = 0;
+  uint64_t match_digest = kFnvOffset;
+  size_t checkpoint_bytes = 0;
+  uint64_t checkpoint_digest = kFnvOffset;
+};
+
+// Runs the first `observations` of the 20,000-observation stream under
+// `context`, checkpointing after half of them.
+GoldenRun RunFig9aGolden(ParameterContext context, size_t observations) {
+  sim::SupplyChainConfig config;  // perfbench's fig9a ChainConfig.
+  config.seed = 7;
+  config.num_sites = 5;
+  config.num_items = 10000;
+  config.num_cases = 1000;
+  config.arrival_rate_per_second = 1000.0;
+  config.duplicate_rate = 0.03;
+  sim::SupplyChain chain(config);
+  std::vector<events::Observation> stream = chain.GenerateStream(20000);
+  stream.resize(std::min(observations, stream.size()));
+  const std::vector<events::Observation> head(
+      stream.begin(), stream.begin() + static_cast<long>(stream.size() / 2));
+  const std::vector<events::Observation> tail(
+      stream.begin() + static_cast<long>(stream.size() / 2), stream.end());
+
+  EngineOptions options;
+  options.detector.context = context;
+  options.execute_actions = false;
+  RcedaEngine engine(nullptr, chain.environment(), options);
+  GoldenRun run;
+  engine.SetMatchCallback(
+      [&run](const rules::Rule& rule, const events::EventInstancePtr& e) {
+        ++run.matches;
+        run.match_digest = Fnv1a(run.match_digest, rule.id);
+        run.match_digest =
+            Fnv1a(run.match_digest, static_cast<uint64_t>(e->t_begin()));
+        run.match_digest =
+            Fnv1a(run.match_digest, static_cast<uint64_t>(e->t_end()));
+        run.match_digest = Fnv1a(run.match_digest, e->sequence_number());
+      });
+  EXPECT_TRUE(engine.AddRulesFromText(chain.GeneratedRuleProgram(25)).ok());
+  EXPECT_TRUE(engine.Compile().ok());
+  EXPECT_TRUE(engine.ProcessAll(head).ok());
+  std::string bytes;
+  EXPECT_TRUE(engine.SerializeState(&bytes).ok());
+  run.checkpoint_bytes = bytes.size();
+  run.checkpoint_digest = Fnv1a(kFnvOffset, bytes);
+  EXPECT_TRUE(engine.ProcessAll(tail).ok());
+  EXPECT_TRUE(engine.Flush().ok());
+  return run;
+}
+
+TEST(EngineGoldenTest, Fig9aEmissionOrderAndCheckpoint) {
+  const GoldenRun run = RunFig9aGolden(ParameterContext::kChronicle, 20000);
+  EXPECT_EQ(run.matches, 29967u);
+  EXPECT_EQ(run.match_digest, 0x4f80c69d6af477e3ull);
+  EXPECT_EQ(run.checkpoint_bytes, 1524100u);
+  EXPECT_EQ(run.checkpoint_digest, 0x9a0ee06b9f3bbb3full);
+}
+
+TEST(EngineGoldenTest, Fig9aEmissionOrderInEveryContext) {
+  struct Expected {
+    ParameterContext context;
+    size_t matches;
+    uint64_t match_digest;
+    size_t checkpoint_bytes;
+    uint64_t checkpoint_digest;
+  };
+  const Expected expected[] = {
+      {ParameterContext::kRecent, 2075, 0x5995cd211ae1d53aull, 2897,
+       0x6d0964179f9d363dull},
+      {ParameterContext::kContinuous, 2325, 0x4e84449228791ddcull, 209145,
+       0x3b57699b521ec118ull},
+      {ParameterContext::kCumulative, 2325, 0x4e84449228791ddcull, 209145,
+       0x8b041b0ca4a355e2ull},
+      {ParameterContext::kUnrestricted, 2325, 0x4e84449228791ddcull, 211442,
+       0x98853c698ca6529aull},
+  };
+  for (const Expected& e : expected) {
+    SCOPED_TRACE(std::string(ParameterContextName(e.context)));
+    const GoldenRun run = RunFig9aGolden(e.context, 2000);
+    EXPECT_EQ(run.matches, e.matches);
+    EXPECT_EQ(run.match_digest, e.match_digest);
+    EXPECT_EQ(run.checkpoint_bytes, e.checkpoint_bytes);
+    EXPECT_EQ(run.checkpoint_digest, e.checkpoint_digest);
+  }
 }
 
 }  // namespace

@@ -378,6 +378,45 @@ TEST(JoinBufferMembersTest, ReleaseFreesTheEntryOnlyAtTheLastBit) {
   EXPECT_EQ(buffer.size(), 0u);
 }
 
+// One Append for several members (a run of window-family members, see
+// Detector::BuildRuns) makes one entry carrying every bit, with one
+// expiry record; the entry is freed only when its last bit is released.
+TEST(JoinBufferMembersTest, MultiBitAppendMakesOneEntry) {
+  const JoinBuffer::Members all = ~JoinBuffer::Members{0};
+  JoinBuffer buffer;
+  std::vector<EventInstancePtr> instances;
+  std::vector<Index> entries;
+  for (uint64_t i = 1; i <= 8; ++i) {
+    instances.push_back(MakeInstance(i));
+    entries.push_back(buffer.Append(7, instances.back(), 10, all));
+  }
+  EXPECT_EQ(buffer.size(), 8u);
+  EXPECT_EQ(buffer.entry(entries[0]).members, all);
+  // Eight records fill the smallest expiry ring: one per Append, not one
+  // per bit.
+  EXPECT_EQ(buffer.expiry_capacity(), 8u);
+  for (int bit = 0; bit < 63; ++bit) {
+    EXPECT_FALSE(buffer.Release(entries[0], JoinBuffer::Members{1} << bit));
+  }
+  EXPECT_EQ(buffer.size(), 8u);
+  EXPECT_EQ(buffer.Head(7), entries[0]);
+  EXPECT_TRUE(buffer.Release(entries[0], JoinBuffer::Members{1} << 63));
+  EXPECT_EQ(buffer.size(), 7u);
+  EXPECT_EQ(buffer.Head(7), entries[1]);
+  // Releasing several bits at once frees the entry when none is left.
+  EXPECT_FALSE(buffer.Release(entries[1], kBit0 | kBit1));
+  EXPECT_TRUE(buffer.Release(entries[1], all));
+  EXPECT_EQ(buffer.size(), 6u);
+  // Bits appended to the tail entry of the same instance join it.
+  EventInstancePtr tail = MakeInstance(9);
+  Index joined = buffer.Append(7, tail, 10, kBit0);
+  EXPECT_EQ(buffer.Append(7, tail, 10, kBit1 | (kBit1 << 1)), joined);
+  EXPECT_EQ(buffer.entry(joined).members, kBit0 | kBit1 | (kBit1 << 1));
+  EXPECT_EQ(buffer.size(), 7u);
+  buffer.DrainExpired(11);
+  EXPECT_EQ(buffer.size(), 0u);
+}
+
 TEST(JoinBufferMembersTest, ExpiryActsAtTheFamilyDeadline) {
   // Members appending one instance with different deadlines keep it until
   // the latest, whichever order they append in.
