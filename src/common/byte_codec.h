@@ -14,7 +14,8 @@
 // Frame: u32 payload length, u32 CRC-32 of the payload, then the payload.
 // The CRC is IEEE 802.3 (reflected, polynomial 0xEDB88320), the checksum
 // zlib's crc32() computes, so non-C++ clients can check frames with their
-// standard library.
+// standard library. It runs slicing-by-8: eight table lookups per eight
+// bytes instead of one per byte.
 
 #ifndef RFIDCEP_COMMON_BYTE_CODEC_H_
 #define RFIDCEP_COMMON_BYTE_CODEC_H_
@@ -123,22 +124,49 @@ class ByteReader {
 
 // --- CRC frames -------------------------------------------------------------
 
-inline uint32_t Crc32(const char* data, size_t n) {
-  static const std::array<uint32_t, 256> kTable = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ static_cast<uint8_t>(data[i])) & 0xFFu] ^ (crc >> 8);
+namespace crc32_internal {
+
+// Slicing-by-8 tables: kTables[0] is the bytewise table of the reflected
+// polynomial; kTables[k][b] is the CRC of byte b followed by k zero bytes,
+// so one step folds eight input bytes with eight lookups.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables MakeTables() {
+  Tables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
   }
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+inline constexpr Tables kTables = MakeTables();
+
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+}  // namespace crc32_internal
+
+inline uint32_t Crc32(const char* data, size_t n) {
+  const auto& t = crc32_internal::kTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  uint32_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = crc32_internal::LoadLe32(p) ^ crc;
+    const uint32_t hi = crc32_internal::LoadLe32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

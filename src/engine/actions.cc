@@ -21,6 +21,7 @@ store::Value ToValue(const events::BindingValue& value) {
 
 store::ParamMap BuildParams(const events::Bindings& bindings) {
   store::ParamMap params;
+  params.reserve(bindings.scalars().size() + bindings.multis().size());
   for (const auto& [var, value] : bindings.scalars()) {
     params.emplace(events::SymbolName(var),
                    store::ParamValue::Scalar(ToValue(value)));
@@ -103,14 +104,10 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing,
           continue;
         }
         if (wal_ != nullptr) {
-          store::WalRecord record;
-          record.action_seq = firing.seq;
-          record.action_index = index;
-          record.affected = static_cast<uint32_t>(result->affected);
-          record.rule_id = firing.rule->id;
-          record.sql = action.sql_text;
-          record.params = firing.params;
-          Result<uint64_t> appended = wal_->Append(std::move(record));
+          Result<uint64_t> appended = wal_->Append(store::WalAppend(
+              store::WalRecordKind::kSql, firing.seq, index,
+              static_cast<uint32_t>(result->affected), firing.rule->id,
+              action.sql_text, firing.params));
           if (!appended.ok() && first_error.ok()) {
             first_error = appended.status();
           }
@@ -146,16 +143,12 @@ Status ActionDispatcher::Dispatch(const RuleFiring& firing,
           // at-least-once in that window (docs/recovery.md), while
           // logging first would let a logged-but-never-run alarm vanish
           // entirely, which is worse.
-          store::WalRecord record;
-          record.kind = name.find("alarm") != std::string::npos
-                            ? store::WalRecordKind::kAlarm
-                            : store::WalRecordKind::kProcedure;
-          record.action_seq = firing.seq;
-          record.action_index = index;
-          record.rule_id = firing.rule->id;
-          record.sql = name;
-          record.params = firing.params;
-          Result<uint64_t> appended = wal_->Append(std::move(record));
+          Result<uint64_t> appended = wal_->Append(store::WalAppend(
+              name.find("alarm") != std::string::npos
+                  ? store::WalRecordKind::kAlarm
+                  : store::WalRecordKind::kProcedure,
+              firing.seq, index, /*affected=*/0, firing.rule->id, name,
+              firing.params));
           if (!appended.ok() && first_error.ok()) {
             first_error = appended.status();
           }

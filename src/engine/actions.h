@@ -54,7 +54,8 @@ using Procedure =
 
 // Converts an instance's variable bindings into SQL parameters: scalar
 // string/time bindings become scalar params, multi-valued bindings become
-// multi params (usable only in BULK INSERT).
+// multi params (usable only in BULK INSERT). One flat vector per firing,
+// which every action, the condition and the WAL append then read.
 store::ParamMap BuildParams(const events::Bindings& bindings);
 
 class ActionDispatcher {

@@ -1,8 +1,15 @@
 #include "store/database.h"
 
+#include <atomic>
+
 #include "common/strings.h"
 
 namespace rfidcep::store {
+
+uint64_t Database::NextSchemaVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 Status Database::CreateTable(std::string name, Schema schema) {
   std::string key = AsciiLower(name);
@@ -11,6 +18,7 @@ Status Database::CreateTable(std::string name, Schema schema) {
   }
   tables_.emplace(std::move(key),
                   std::make_unique<Table>(std::move(name), std::move(schema)));
+  schema_version_ = NextSchemaVersion();
   return Status::Ok();
 }
 
@@ -18,6 +26,7 @@ Status Database::DropTable(std::string_view name) {
   if (tables_.erase(AsciiLower(name)) == 0) {
     return Status::NotFound("no table '" + std::string(name) + "'");
   }
+  schema_version_ = NextSchemaVersion();
   return Status::Ok();
 }
 

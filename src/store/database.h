@@ -3,6 +3,7 @@
 #ifndef RFIDCEP_STORE_DATABASE_H_
 #define RFIDCEP_STORE_DATABASE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -33,6 +34,12 @@ class Database {
     return GetTable(name) != nullptr;
   }
 
+  // Identifies this database's set of tables: it changes when a table is
+  // created or dropped, and no two databases in a process share one. A
+  // SQL statement resolved against a version reuses that resolution
+  // while the version holds (SqlStatement::bound).
+  uint64_t schema_version() const { return schema_version_; }
+
   // Creates the three relations the paper's rules target, with hash
   // indexes on the object EPC columns:
   //   OBSERVATION(reader STRING, object STRING, ts TIME)
@@ -43,8 +50,11 @@ class Database {
   Status InstallRfidSchema();
 
  private:
+  static uint64_t NextSchemaVersion();
+
   // Keyed by lowercase name.
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
+  uint64_t schema_version_ = NextSchemaVersion();
 };
 
 }  // namespace rfidcep::store

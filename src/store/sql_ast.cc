@@ -70,12 +70,12 @@ SqlExprPtr SqlExpr::IsNull(SqlExprPtr inner, bool negated) {
   return e;
 }
 
-void SqlExpr::CollectIdentifiers(std::vector<std::string>* out) const {
+void SqlExpr::CollectIdentifiers(std::vector<const SqlExpr*>* out) const {
   switch (kind) {
     case Kind::kLiteral:
       return;
     case Kind::kIdentifier:
-      out->push_back(identifier);
+      out->push_back(this);
       return;
     case Kind::kBinary:
       lhs->CollectIdentifiers(out);

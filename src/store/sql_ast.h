@@ -13,13 +13,17 @@
 // and otherwise to rule-match parameters ("o", "t2", ...) bound at
 // execution time — that is how the paper's actions reference event
 // attributes, e.g. `UPDATE OBJECTLOCATION SET tend = t WHERE object_epc = o`.
+// The executor resolves the table and the columns once per database
+// schema and keeps the result on the statement (SqlStatement::bound).
 
 #ifndef RFIDCEP_STORE_SQL_AST_H_
 #define RFIDCEP_STORE_SQL_AST_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "store/schema.h"
@@ -44,6 +48,8 @@ enum class SqlBinOp {
 
 std::string_view SqlBinOpName(SqlBinOp op);
 
+class Table;
+
 struct SqlExpr;
 using SqlExprPtr = std::unique_ptr<SqlExpr>;
 
@@ -60,6 +66,11 @@ struct SqlExpr {
   SqlExprPtr lhs;
   SqlExprPtr rhs;       // Unused for kNot/kIsNull.
   bool negated = false;  // kIsNull: IS NOT NULL.
+  // kIdentifier: the column it names in its statement's table, as of the
+  // statement's last resolution; -1 when it names none, so it reads a
+  // parameter. Read only with a row in hand: without one (an index probe
+  // value, a rule condition) every identifier is a parameter.
+  mutable int column = -1;
 
   static SqlExprPtr Literal(Value v);
   static SqlExprPtr Identifier(std::string name);
@@ -67,8 +78,8 @@ struct SqlExpr {
   static SqlExprPtr Not(SqlExprPtr inner);
   static SqlExprPtr IsNull(SqlExprPtr inner, bool negated);
 
-  // Collects identifier names referenced by this expression into `out`.
-  void CollectIdentifiers(std::vector<std::string>* out) const;
+  // Collects the identifier nodes of this expression into `out`.
+  void CollectIdentifiers(std::vector<const SqlExpr*>* out) const;
 
   std::string ToString() const;
 };
@@ -76,6 +87,24 @@ struct SqlExpr {
 struct SqlOrderBy {
   std::string column;
   bool ascending = true;
+};
+
+// A DML statement resolved against one database schema: what each
+// execution would otherwise look up by name, per statement or per row.
+struct SqlBinding {
+  uint64_t schema_version = 0;  // Database::schema_version(); 0: unresolved.
+  Table* table = nullptr;
+  // kInsert: the column each VALUES expression fills.
+  std::vector<size_t> insert_columns;
+  // BULK INSERT: the parameters its values name, once each, whose common
+  // multi-value length is the expansion width.
+  std::vector<std::string_view> bulk_params;
+  // kUpdate: the column each SET clause assigns.
+  std::vector<size_t> set_columns;
+  // WHERE conjuncts `column = value` whose value reads no column, in the
+  // order an index probe tries them; the first whose column is indexed
+  // and whose value is non-NULL picks the rows to visit.
+  std::vector<std::pair<size_t, const SqlExpr*>> probes;
 };
 
 struct SqlStatement {
@@ -109,6 +138,12 @@ struct SqlStatement {
   std::optional<int64_t> limit;
   // kUpdate/kDelete/kSelect:
   SqlExprPtr where;  // Null = no predicate.
+
+  // kInsert/kUpdate/kDelete/kSelect: the executor's resolution, redone
+  // when the database it last ran against changes schema or is another.
+  // Executing updates it, so one statement runs on one thread at a time,
+  // as its database does.
+  mutable SqlBinding bound;
 };
 
 }  // namespace rfidcep::store

@@ -1,7 +1,9 @@
 #include "store/sql_executor.h"
 
 #include <algorithm>
-#include <optional>
+#include <cstdint>
+#include <numeric>
+#include <stdexcept>
 
 #include "store/sql_parser.h"
 
@@ -24,31 +26,117 @@ bool Truthy(const Value& v) {
   return false;
 }
 
+// --- ParamMap ---------------------------------------------------------------
+
+ParamMap::ParamMap(std::vector<value_type> entries)
+    : entries_(std::move(entries)) {
+  const auto out_of_order = [](const value_type& a, const value_type& b) {
+    return !(a.first < b.first);
+  };
+  if (std::adjacent_find(entries_.begin(), entries_.end(), out_of_order) ==
+      entries_.end()) {
+    return;  // Sorted and unique: what this build writes and builds.
+  }
+  // Sort positions by (name, position), so the first of a repeated name
+  // leads its run, then permute the entries in place along the cycles of
+  // that order: sorting costs four bytes per entry, not a copy of each.
+  std::vector<uint32_t> order(entries_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
+    const int c = entries_[a].first.compare(entries_[b].first);
+    return c != 0 ? c < 0 : a < b;
+  });
+  for (uint32_t i = 0; i < order.size(); ++i) {
+    if (order[i] == i) continue;
+    value_type held = std::move(entries_[i]);
+    uint32_t j = i;
+    while (order[j] != i) {
+      const uint32_t k = order[j];
+      entries_[j] = std::move(entries_[k]);
+      order[j] = j;
+      j = k;
+    }
+    entries_[j] = std::move(held);
+    order[j] = j;
+  }
+  entries_.erase(std::unique(entries_.begin(), entries_.end(),
+                             [](const value_type& a, const value_type& b) {
+                               return a.first == b.first;
+                             }),
+                 entries_.end());
+}
+
 namespace {
 
-// Identifier resolution context: table columns (when scanning rows) first,
-// then rule parameters. `multi_index` selects the element of multi-valued
+bool NameBefore(const ParamMap::value_type& entry, std::string_view name) {
+  return entry.first < name;
+}
+
+}  // namespace
+
+std::vector<ParamMap::value_type>::iterator ParamMap::LowerBound(
+    std::string_view name) {
+  if (entries_.empty() || entries_.back().first < name) return entries_.end();
+  return std::lower_bound(entries_.begin(), entries_.end(), name, NameBefore);
+}
+
+std::pair<ParamMap::const_iterator, bool> ParamMap::emplace(std::string name,
+                                                            ParamValue value) {
+  auto it = LowerBound(name);
+  if (it != entries_.end() && it->first == name) return {it, false};
+  return {entries_.emplace(it, std::move(name), std::move(value)), true};
+}
+
+ParamValue& ParamMap::operator[](std::string_view name) {
+  auto it = LowerBound(name);
+  if (it == entries_.end() || it->first != name) {
+    it = entries_.emplace(it, std::string(name), ParamValue{});
+  }
+  return it->second;
+}
+
+const ParamValue& ParamMap::at(std::string_view name) const {
+  const_iterator it = find(name);
+  if (it == end()) {
+    throw std::out_of_range("no parameter '" + std::string(name) + "'");
+  }
+  return it->second;
+}
+
+ParamMap::const_iterator ParamMap::find(std::string_view name) const {
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), name,
+                             NameBefore);
+  return it != entries_.end() && it->first == name ? it : entries_.end();
+}
+
+namespace {
+
+// Identifier resolution context: an identifier bound to a column reads it
+// from `row` when there is one; every other identifier reads a rule
+// parameter. `multi_index` selects the element of multi-valued
 // parameters during BULK expansion; -1 forbids multi-valued parameters.
 struct EvalContext {
-  const Schema* schema = nullptr;
   const Row* row = nullptr;
   const ParamMap* params = nullptr;
   int multi_index = -1;
 };
 
-Result<Value> Evaluate(const SqlExpr& expr, const EvalContext& ctx);
-
-Result<Value> ResolveIdentifier(const std::string& name,
-                                const EvalContext& ctx) {
-  if (ctx.schema != nullptr && ctx.row != nullptr) {
-    int column = ctx.schema->FindColumn(name);
-    if (column >= 0) return (*ctx.row)[static_cast<size_t>(column)];
+// Points *out at the value identifier `expr` names under `ctx`.
+Status LookupIdentifier(const SqlExpr& expr, const EvalContext& ctx,
+                        const Value** out) {
+  if (ctx.row != nullptr && expr.column >= 0) {
+    *out = &(*ctx.row)[static_cast<size_t>(expr.column)];
+    return Status::Ok();
   }
+  const std::string& name = expr.identifier;
   if (ctx.params != nullptr) {
     auto it = ctx.params->find(name);
     if (it != ctx.params->end()) {
       const ParamValue& param = it->second;
-      if (!param.is_multi) return param.scalar;
+      if (!param.is_multi) {
+        *out = &param.scalar;
+        return Status::Ok();
+      }
       if (ctx.multi_index < 0) {
         return Status::FailedPrecondition(
             "multi-valued parameter '" + name +
@@ -58,11 +146,35 @@ Result<Value> ResolveIdentifier(const std::string& name,
         return Status::Internal("multi-valued parameter '" + name +
                                 "' index out of range");
       }
-      return param.values[ctx.multi_index];
+      *out = &param.values[static_cast<size_t>(ctx.multi_index)];
+      return Status::Ok();
     }
   }
   return Status::NotFound("unresolved identifier '" + name +
                           "' (neither a column nor a bound parameter)");
+}
+
+Result<Value> Evaluate(const SqlExpr& expr, const EvalContext& ctx);
+
+// Evaluates `expr` for reading: a literal, column or parameter is read
+// where it lives, anything else is computed into *scratch. *out points at
+// the result.
+Status EvaluateInPlace(const SqlExpr& expr, const EvalContext& ctx,
+                       Value* scratch, const Value** out) {
+  switch (expr.kind) {
+    case SqlExpr::Kind::kLiteral:
+      *out = &expr.literal;
+      return Status::Ok();
+    case SqlExpr::Kind::kIdentifier:
+      return LookupIdentifier(expr, ctx, out);
+    default:
+      break;
+  }
+  Result<Value> v = Evaluate(expr, ctx);
+  if (!v.ok()) return v.status();
+  *scratch = std::move(*v);
+  *out = scratch;
+  return Status::Ok();
 }
 
 Result<Value> EvaluateArithmetic(SqlBinOp op, const Value& l, const Value& r) {
@@ -112,48 +224,51 @@ Result<Value> EvaluateArithmetic(SqlBinOp op, const Value& l, const Value& r) {
 }
 
 Result<Value> Evaluate(const SqlExpr& expr, const EvalContext& ctx) {
+  Value l_scratch;
+  const Value* l = nullptr;
   switch (expr.kind) {
     case SqlExpr::Kind::kLiteral:
       return expr.literal;
     case SqlExpr::Kind::kIdentifier:
-      return ResolveIdentifier(expr.identifier, ctx);
-    case SqlExpr::Kind::kNot: {
-      RFIDCEP_ASSIGN_OR_RETURN(Value inner, Evaluate(*expr.lhs, ctx));
-      return Value::Int(Truthy(inner) ? 0 : 1);
-    }
+      RFIDCEP_RETURN_IF_ERROR(LookupIdentifier(expr, ctx, &l));
+      return *l;
+    case SqlExpr::Kind::kNot:
+      RFIDCEP_RETURN_IF_ERROR(EvaluateInPlace(*expr.lhs, ctx, &l_scratch, &l));
+      return Value::Int(Truthy(*l) ? 0 : 1);
     case SqlExpr::Kind::kIsNull: {
-      RFIDCEP_ASSIGN_OR_RETURN(Value inner, Evaluate(*expr.lhs, ctx));
-      bool is_null = inner.is_null();
+      RFIDCEP_RETURN_IF_ERROR(EvaluateInPlace(*expr.lhs, ctx, &l_scratch, &l));
+      bool is_null = l->is_null();
       return Value::Int((expr.negated ? !is_null : is_null) ? 1 : 0);
     }
     case SqlExpr::Kind::kBinary:
       break;
   }
 
+  RFIDCEP_RETURN_IF_ERROR(EvaluateInPlace(*expr.lhs, ctx, &l_scratch, &l));
+  Value r_scratch;
+  const Value* r = nullptr;
   // Short-circuit boolean operators.
   if (expr.op == SqlBinOp::kAnd || expr.op == SqlBinOp::kOr) {
-    RFIDCEP_ASSIGN_OR_RETURN(Value l, Evaluate(*expr.lhs, ctx));
-    bool lt = Truthy(l);
+    bool lt = Truthy(*l);
     if (expr.op == SqlBinOp::kAnd && !lt) return Value::Int(0);
     if (expr.op == SqlBinOp::kOr && lt) return Value::Int(1);
-    RFIDCEP_ASSIGN_OR_RETURN(Value r, Evaluate(*expr.rhs, ctx));
-    return Value::Int(Truthy(r) ? 1 : 0);
+    RFIDCEP_RETURN_IF_ERROR(EvaluateInPlace(*expr.rhs, ctx, &r_scratch, &r));
+    return Value::Int(Truthy(*r) ? 1 : 0);
   }
 
-  RFIDCEP_ASSIGN_OR_RETURN(Value l, Evaluate(*expr.lhs, ctx));
-  RFIDCEP_ASSIGN_OR_RETURN(Value r, Evaluate(*expr.rhs, ctx));
+  RFIDCEP_RETURN_IF_ERROR(EvaluateInPlace(*expr.rhs, ctx, &r_scratch, &r));
   switch (expr.op) {
     case SqlBinOp::kEq:
-      return Value::Int(l.EqualsSql(r) ? 1 : 0);
+      return Value::Int(l->EqualsSql(*r) ? 1 : 0);
     case SqlBinOp::kNe:
-      if (l.is_null() || r.is_null()) return Value::Int(0);
-      return Value::Int(l.EqualsSql(r) ? 0 : 1);
+      if (l->is_null() || r->is_null()) return Value::Int(0);
+      return Value::Int(l->EqualsSql(*r) ? 0 : 1);
     case SqlBinOp::kLt:
     case SqlBinOp::kLe:
     case SqlBinOp::kGt:
     case SqlBinOp::kGe: {
-      if (l.is_null() || r.is_null()) return Value::Int(0);
-      int cmp = l.Compare(r);
+      if (l->is_null() || r->is_null()) return Value::Int(0);
+      int cmp = l->Compare(*r);
       bool result = false;
       if (expr.op == SqlBinOp::kLt) result = cmp < 0;
       if (expr.op == SqlBinOp::kLe) result = cmp <= 0;
@@ -165,7 +280,7 @@ Result<Value> Evaluate(const SqlExpr& expr, const EvalContext& ctx) {
     case SqlBinOp::kSub:
     case SqlBinOp::kMul:
     case SqlBinOp::kDiv:
-      return EvaluateArithmetic(expr.op, l, r);
+      return EvaluateArithmetic(expr.op, *l, *r);
     case SqlBinOp::kAnd:
     case SqlBinOp::kOr:
       break;  // Handled above.
@@ -173,17 +288,130 @@ Result<Value> Evaluate(const SqlExpr& expr, const EvalContext& ctx) {
   return Status::Internal("unhandled binary operator");
 }
 
+// --- Resolution -------------------------------------------------------------
+
+std::vector<const SqlExpr*> Identifiers(const SqlExpr& expr) {
+  std::vector<const SqlExpr*> identifiers;
+  expr.CollectIdentifiers(&identifiers);
+  return identifiers;
+}
+
+// Binds each identifier of `expr` to the column of `schema` it names.
+void BindColumns(const SqlExpr* expr, const Schema& schema) {
+  if (expr == nullptr) return;
+  for (const SqlExpr* ident : Identifiers(*expr)) {
+    ident->column = schema.FindColumn(ident->identifier);
+  }
+}
+
+// Appends the WHERE conjuncts `column = value` whose value reads no
+// column, in the order an index probe tries them: an AND's left side
+// first, and within `a = b`, `a` as the column first.
+void CollectProbes(const SqlExpr* where,
+                   std::vector<std::pair<size_t, const SqlExpr*>>* probes) {
+  if (where == nullptr || where->kind != SqlExpr::Kind::kBinary) return;
+  if (where->op == SqlBinOp::kAnd) {
+    CollectProbes(where->lhs.get(), probes);
+    CollectProbes(where->rhs.get(), probes);
+    return;
+  }
+  if (where->op != SqlBinOp::kEq) return;
+  auto add = [probes](const SqlExpr& ident, const SqlExpr& value) {
+    if (ident.kind != SqlExpr::Kind::kIdentifier || ident.column < 0) return;
+    for (const SqlExpr* read : Identifiers(value)) {
+      if (read->column >= 0) return;
+    }
+    probes->emplace_back(static_cast<size_t>(ident.column), &value);
+  };
+  add(*where->lhs, *where->rhs);
+  add(*where->rhs, *where->lhs);
+}
+
+// Resolves a DML statement against `db` unless it is resolved against
+// db's current schema already. Fails, and stays unresolved, with the
+// error its execution would have met: a missing table or column, or an
+// INSERT of the wrong width.
+Status Bind(const SqlStatement& stmt, Database* db) {
+  SqlBinding& bound = stmt.bound;
+  if (bound.schema_version == db->schema_version()) return Status::Ok();
+  bound = SqlBinding{};  // Unresolved until the last line.
+  Table* table = db->GetTable(stmt.table);
+  if (table == nullptr) {
+    return Status::NotFound("no table '" + stmt.table + "'");
+  }
+  const Schema& schema = table->schema();
+  switch (stmt.kind) {
+    case SqlStatement::Kind::kInsert:
+      if (stmt.insert_columns.empty()) {
+        if (stmt.insert_values.size() != schema.num_columns()) {
+          return Status::InvalidArgument(
+              "INSERT into '" + stmt.table + "' needs " +
+              std::to_string(schema.num_columns()) + " values, got " +
+              std::to_string(stmt.insert_values.size()));
+        }
+        for (size_t i = 0; i < schema.num_columns(); ++i) {
+          bound.insert_columns.push_back(i);
+        }
+      } else {
+        if (stmt.insert_columns.size() != stmt.insert_values.size()) {
+          return Status::InvalidArgument("INSERT column/value count mismatch");
+        }
+        for (const std::string& name : stmt.insert_columns) {
+          int column = schema.FindColumn(name);
+          if (column < 0) {
+            return Status::NotFound("no column '" + name + "' in table '" +
+                                    stmt.table + "'");
+          }
+          bound.insert_columns.push_back(static_cast<size_t>(column));
+        }
+      }
+      if (stmt.bulk) {
+        for (const SqlExprPtr& value : stmt.insert_values) {
+          for (const SqlExpr* ident : Identifiers(*value)) {
+            const std::string_view name = ident->identifier;
+            if (std::find(bound.bulk_params.begin(), bound.bulk_params.end(),
+                          name) == bound.bulk_params.end()) {
+              bound.bulk_params.push_back(name);
+            }
+          }
+        }
+      }
+      break;
+    case SqlStatement::Kind::kUpdate:
+      for (const auto& [name, expr] : stmt.set_clauses) {
+        int column = schema.FindColumn(name);
+        if (column < 0) {
+          return Status::NotFound("no column '" + name + "' in table '" +
+                                  stmt.table + "'");
+        }
+        bound.set_columns.push_back(static_cast<size_t>(column));
+        BindColumns(expr.get(), schema);
+      }
+      break;
+    case SqlStatement::Kind::kSelect:
+      for (const SqlExprPtr& expr : stmt.select_exprs) {
+        BindColumns(expr.get(), schema);
+      }
+      break;
+    default:
+      break;
+  }
+  BindColumns(stmt.where.get(), schema);
+  CollectProbes(stmt.where.get(), &bound.probes);
+  bound.table = table;
+  bound.schema_version = db->schema_version();
+  return Status::Ok();
+}
+
+// --- Execution --------------------------------------------------------------
+
 // Determines the BULK expansion width: the common length of all
-// multi-valued parameters referenced by `exprs` (1 when none).
-Result<size_t> BulkWidth(const std::vector<SqlExprPtr>& exprs,
+// multi-valued parameters among `names` (1 when none).
+Result<size_t> BulkWidth(const std::vector<std::string_view>& names,
                          const ParamMap& params) {
   size_t width = 0;
   bool found = false;
-  std::vector<std::string> identifiers;
-  for (const SqlExprPtr& expr : exprs) {
-    expr->CollectIdentifiers(&identifiers);
-  }
-  for (const std::string& name : identifiers) {
+  for (std::string_view name : names) {
     auto it = params.find(name);
     if (it == params.end() || !it->second.is_multi) continue;
     size_t len = it->second.values.size();
@@ -197,122 +425,75 @@ Result<size_t> BulkWidth(const std::vector<SqlExprPtr>& exprs,
   return found ? width : size_t{1};
 }
 
-Result<ExecResult> ExecuteInsert(const SqlStatement& stmt, Database* db,
+Result<ExecResult> ExecuteInsert(const SqlStatement& stmt,
                                  const ParamMap& params) {
-  Table* table = db->GetTable(stmt.table);
-  if (table == nullptr) {
-    return Status::NotFound("no table '" + stmt.table + "'");
-  }
-  const Schema& schema = table->schema();
-
-  // Map statement values to schema positions.
-  std::vector<int> positions;
-  if (stmt.insert_columns.empty()) {
-    if (stmt.insert_values.size() != schema.num_columns()) {
-      return Status::InvalidArgument(
-          "INSERT into '" + stmt.table + "' needs " +
-          std::to_string(schema.num_columns()) + " values, got " +
-          std::to_string(stmt.insert_values.size()));
-    }
-    for (size_t i = 0; i < schema.num_columns(); ++i) {
-      positions.push_back(static_cast<int>(i));
-    }
-  } else {
-    if (stmt.insert_columns.size() != stmt.insert_values.size()) {
-      return Status::InvalidArgument("INSERT column/value count mismatch");
-    }
-    for (const std::string& name : stmt.insert_columns) {
-      int column = schema.FindColumn(name);
-      if (column < 0) {
-        return Status::NotFound("no column '" + name + "' in table '" +
-                                stmt.table + "'");
-      }
-      positions.push_back(column);
-    }
-  }
-
+  const SqlBinding& bound = stmt.bound;
   size_t width = 1;
   if (stmt.bulk) {
-    RFIDCEP_ASSIGN_OR_RETURN(width, BulkWidth(stmt.insert_values, params));
+    RFIDCEP_ASSIGN_OR_RETURN(width, BulkWidth(bound.bulk_params, params));
   }
-
+  const size_t num_columns = bound.table->schema().num_columns();
   ExecResult result;
   for (size_t k = 0; k < width; ++k) {
     EvalContext ctx;
     ctx.params = &params;
     ctx.multi_index = stmt.bulk ? static_cast<int>(k) : -1;
-    Row row(schema.num_columns(), Value::Null());
+    Row row(num_columns);
     for (size_t i = 0; i < stmt.insert_values.size(); ++i) {
-      RFIDCEP_ASSIGN_OR_RETURN(Value v, Evaluate(*stmt.insert_values[i], ctx));
-      row[static_cast<size_t>(positions[i])] = std::move(v);
+      RFIDCEP_ASSIGN_OR_RETURN(row[bound.insert_columns[i]],
+                               Evaluate(*stmt.insert_values[i], ctx));
     }
-    RFIDCEP_RETURN_IF_ERROR(table->Insert(std::move(row)));
+    RFIDCEP_RETURN_IF_ERROR(bound.table->Insert(std::move(row)));
     ++result.affected;
   }
   return result;
 }
 
-// Index probe: a WHERE conjunct of the form `indexed_column = value`
-// whose value side evaluates without row context (literal or bound
-// parameter). When found, UPDATE/DELETE/SELECT visit only the index
-// bucket and apply the full WHERE as a residual check — this is what
-// keeps per-event rule actions like Rule 3's
-// `UPDATE OBJECTLOCATION ... WHERE object_epc = o` constant-time.
+// Index probe: the first of the statement's probes whose column is
+// indexed and whose value evaluates, without row context, to non-NULL.
+// When found, UPDATE/DELETE/SELECT visit only that key's rows and apply
+// the full WHERE as a residual check — this is what keeps per-event rule
+// actions like Rule 3's `UPDATE OBJECTLOCATION ... WHERE object_epc = o`
+// constant-time.
 struct IndexProbe {
-  size_t column;
-  Value key;
+  size_t column = 0;
+  const Value* key = nullptr;  // Null: no probe applies, so scan.
+  Value scratch;               // Holds a computed key.
 };
 
-std::optional<IndexProbe> FindIndexProbe(const SqlExpr* where,
-                                         const Schema& schema,
-                                         const Table& table,
-                                         const ParamMap& params) {
-  if (where == nullptr || where->kind != SqlExpr::Kind::kBinary) {
-    return std::nullopt;
-  }
-  if (where->op == SqlBinOp::kAnd) {
-    if (auto probe = FindIndexProbe(where->lhs.get(), schema, table, params)) {
-      return probe;
+void FindIndexProbe(const SqlBinding& bound, const ParamMap& params,
+                    IndexProbe* probe) {
+  EvalContext ctx;
+  ctx.params = &params;  // No row: values read parameters only.
+  for (const auto& [column, value] : bound.probes) {
+    if (!bound.table->HasIndex(column)) continue;
+    const Value* key = nullptr;
+    if (!EvaluateInPlace(*value, ctx, &probe->scratch, &key).ok() ||
+        key->is_null()) {
+      continue;
     }
-    return FindIndexProbe(where->rhs.get(), schema, table, params);
+    probe->column = column;
+    probe->key = key;
+    return;
   }
-  if (where->op != SqlBinOp::kEq) return std::nullopt;
-  auto try_orientation = [&](const SqlExpr* ident_side,
-                             const SqlExpr* value_side)
-      -> std::optional<IndexProbe> {
-    if (ident_side->kind != SqlExpr::Kind::kIdentifier) return std::nullopt;
-    int column = schema.FindColumn(ident_side->identifier);
-    if (column < 0 || !table.HasIndex(static_cast<size_t>(column))) {
-      return std::nullopt;
-    }
-    EvalContext ctx;
-    ctx.params = &params;  // No row: column references fail, as intended.
-    Result<Value> key = Evaluate(*value_side, ctx);
-    if (!key.ok() || key->is_null()) return std::nullopt;
-    return IndexProbe{static_cast<size_t>(column), std::move(*key)};
-  };
-  if (auto probe = try_orientation(where->lhs.get(), where->rhs.get())) {
-    return probe;
-  }
-  return try_orientation(where->rhs.get(), where->lhs.get());
 }
 
 // Wraps Evaluate as a row predicate, capturing the first error.
 class RowPredicate {
  public:
-  RowPredicate(const SqlExpr* where, const Schema* schema,
-               const ParamMap* params)
-      : where_(where), schema_(schema), params_(params) {}
+  RowPredicate(const SqlExpr* where, const ParamMap* params)
+      : where_(where), params_(params) {}
 
   bool operator()(const Row& row) {
     if (where_ == nullptr) return true;
     EvalContext ctx;
-    ctx.schema = schema_;
     ctx.row = &row;
     ctx.params = params_;
-    Result<Value> v = Evaluate(*where_, ctx);
-    if (!v.ok()) {
-      if (error_.ok()) error_ = v.status();
+    Value scratch;
+    const Value* v = nullptr;
+    Status status = EvaluateInPlace(*where_, ctx, &scratch, &v);
+    if (!status.ok()) {
+      if (error_.ok()) error_ = std::move(status);
       return false;
     }
     return Truthy(*v);
@@ -322,61 +503,50 @@ class RowPredicate {
 
  private:
   const SqlExpr* where_;
-  const Schema* schema_;
   const ParamMap* params_;
   Status error_;
 };
 
-Result<ExecResult> ExecuteUpdate(const SqlStatement& stmt, Database* db,
+Result<ExecResult> ExecuteUpdate(const SqlStatement& stmt,
                                  const ParamMap& params) {
-  Table* table = db->GetTable(stmt.table);
-  if (table == nullptr) {
-    return Status::NotFound("no table '" + stmt.table + "'");
-  }
-  const Schema& schema = table->schema();
-
-  std::vector<std::pair<size_t, const SqlExpr*>> sets;
-  for (const auto& [name, expr] : stmt.set_clauses) {
-    int column = schema.FindColumn(name);
-    if (column < 0) {
-      return Status::NotFound("no column '" + name + "' in table '" +
-                              stmt.table + "'");
-    }
-    sets.emplace_back(static_cast<size_t>(column), expr.get());
-  }
-
-  RowPredicate pred(stmt.where.get(), &schema, &params);
+  const SqlBinding& bound = stmt.bound;
+  RowPredicate pred(stmt.where.get(), &params);
+  IndexProbe probe;
+  FindIndexProbe(bound, params, &probe);
   Status eval_error;
-  std::optional<IndexProbe> probe =
-      FindIndexProbe(stmt.where.get(), schema, *table, params);
+  // Evaluates all new values against the pre-update row, then assigns,
+  // so `SET a = b, b = a` behaves like simultaneous assignment.
+  std::vector<Value> new_values;
+  auto assign = [&](Row* row) {
+    EvalContext ctx;
+    ctx.row = row;
+    ctx.params = &params;
+    auto value_of = [&](size_t i) {
+      Result<Value> v = Evaluate(*stmt.set_clauses[i].second, ctx);
+      if (v.ok()) return std::move(*v);
+      if (eval_error.ok()) eval_error = v.status();
+      return Value::Null();
+    };
+    if (stmt.set_clauses.size() == 1) {  // Nothing to hold back.
+      (*row)[bound.set_columns[0]] = value_of(0);
+      return;
+    }
+    new_values.clear();
+    for (size_t i = 0; i < stmt.set_clauses.size(); ++i) {
+      new_values.push_back(value_of(i));
+    }
+    for (size_t i = 0; i < new_values.size(); ++i) {
+      (*row)[bound.set_columns[i]] = std::move(new_values[i]);
+    }
+  };
+  // One-reference closures, which std::function holds without allocating.
   auto row_pred = [&pred](const Row& row) { return pred(row); };
-  auto mutate = [&](Row* row) {
-        // Evaluate all new values against the pre-update row, then assign,
-        // so `SET a = b, b = a` behaves like simultaneous assignment.
-        EvalContext ctx;
-        ctx.schema = &schema;
-        ctx.row = row;
-        ctx.params = &params;
-        std::vector<Value> new_values;
-        new_values.reserve(sets.size());
-        for (const auto& [column, expr] : sets) {
-          Result<Value> v = Evaluate(*expr, ctx);
-          if (!v.ok()) {
-            if (eval_error.ok()) eval_error = v.status();
-            new_values.push_back(Value::Null());
-          } else {
-            new_values.push_back(std::move(*v));
-          }
-        }
-        for (size_t i = 0; i < sets.size(); ++i) {
-          (*row)[sets[i].first] = std::move(new_values[i]);
-        }
-      };
+  auto mutate = [&assign](Row* row) { assign(row); };
   Result<size_t> updated =
-      probe.has_value()
-          ? table->UpdateWhereKeyed(probe->column, probe->key, row_pred,
-                                    mutate)
-          : table->UpdateWhere(row_pred, mutate);
+      probe.key != nullptr
+          ? bound.table->UpdateWhereKeyed(probe.column, *probe.key, row_pred,
+                                          mutate)
+          : bound.table->UpdateWhere(row_pred, mutate);
   RFIDCEP_RETURN_IF_ERROR(pred.error());
   RFIDCEP_RETURN_IF_ERROR(eval_error);
   if (!updated.ok()) return updated.status();
@@ -385,40 +555,34 @@ Result<ExecResult> ExecuteUpdate(const SqlStatement& stmt, Database* db,
   return result;
 }
 
-Result<ExecResult> ExecuteDelete(const SqlStatement& stmt, Database* db,
+Result<ExecResult> ExecuteDelete(const SqlStatement& stmt,
                                  const ParamMap& params) {
-  Table* table = db->GetTable(stmt.table);
-  if (table == nullptr) {
-    return Status::NotFound("no table '" + stmt.table + "'");
-  }
-  RowPredicate pred(stmt.where.get(), &table->schema(), &params);
-  std::optional<IndexProbe> probe =
-      FindIndexProbe(stmt.where.get(), table->schema(), *table, params);
+  const SqlBinding& bound = stmt.bound;
+  RowPredicate pred(stmt.where.get(), &params);
+  IndexProbe probe;
+  FindIndexProbe(bound, params, &probe);
   auto row_pred = [&pred](const Row& row) { return pred(row); };
   ExecResult result;
   result.affected =
-      probe.has_value()
-          ? table->DeleteWhereKeyed(probe->column, probe->key, row_pred)
-          : table->DeleteWhere(row_pred);
+      probe.key != nullptr
+          ? bound.table->DeleteWhereKeyed(probe.column, *probe.key, row_pred)
+          : bound.table->DeleteWhere(row_pred);
   RFIDCEP_RETURN_IF_ERROR(pred.error());
   return result;
 }
 
-Result<ExecResult> ExecuteSelect(const SqlStatement& stmt, Database* db,
+Result<ExecResult> ExecuteSelect(const SqlStatement& stmt,
                                  const ParamMap& params) {
-  Table* table = db->GetTable(stmt.table);
-  if (table == nullptr) {
-    return Status::NotFound("no table '" + stmt.table + "'");
-  }
-  const Schema& schema = table->schema();
-  RowPredicate pred(stmt.where.get(), &schema, &params);
-  std::optional<IndexProbe> probe =
-      FindIndexProbe(stmt.where.get(), schema, *table, params);
+  const SqlBinding& bound = stmt.bound;
+  const Schema& schema = bound.table->schema();
+  RowPredicate pred(stmt.where.get(), &params);
+  IndexProbe probe;
+  FindIndexProbe(bound, params, &probe);
   auto row_pred = [&pred](const Row& row) { return pred(row); };
   std::vector<Row> matched =
-      probe.has_value()
-          ? table->SelectWhereKeyed(probe->column, probe->key, row_pred)
-          : table->SelectWhere(row_pred);
+      probe.key != nullptr
+          ? bound.table->SelectWhereKeyed(probe.column, *probe.key, row_pred)
+          : bound.table->SelectWhere(row_pred);
   RFIDCEP_RETURN_IF_ERROR(pred.error());
 
   // ORDER BY.
@@ -465,7 +629,6 @@ Result<ExecResult> ExecuteSelect(const SqlStatement& stmt, Database* db,
     }
     for (const Row& row : matched) {
       EvalContext ctx;
-      ctx.schema = &schema;
       ctx.row = &row;
       ctx.params = &params;
       Row projected;
@@ -500,13 +663,17 @@ Result<ExecResult> ExecuteSql(const SqlStatement& stmt, Database* db,
       return ExecResult{};
     }
     case SqlStatement::Kind::kInsert:
-      return ExecuteInsert(stmt, db, params);
+      RFIDCEP_RETURN_IF_ERROR(Bind(stmt, db));
+      return ExecuteInsert(stmt, params);
     case SqlStatement::Kind::kUpdate:
-      return ExecuteUpdate(stmt, db, params);
+      RFIDCEP_RETURN_IF_ERROR(Bind(stmt, db));
+      return ExecuteUpdate(stmt, params);
     case SqlStatement::Kind::kDelete:
-      return ExecuteDelete(stmt, db, params);
+      RFIDCEP_RETURN_IF_ERROR(Bind(stmt, db));
+      return ExecuteDelete(stmt, params);
     case SqlStatement::Kind::kSelect:
-      return ExecuteSelect(stmt, db, params);
+      RFIDCEP_RETURN_IF_ERROR(Bind(stmt, db));
+      return ExecuteSelect(stmt, params);
   }
   return Status::Internal("unhandled statement kind");
 }
@@ -520,8 +687,10 @@ Result<ExecResult> ExecuteSql(std::string_view sql, Database* db,
 Result<bool> EvaluateCondition(const SqlExpr& expr, const ParamMap& params) {
   EvalContext ctx;
   ctx.params = &params;
-  RFIDCEP_ASSIGN_OR_RETURN(Value v, Evaluate(expr, ctx));
-  return Truthy(v);
+  Value scratch;
+  const Value* v = nullptr;
+  RFIDCEP_RETURN_IF_ERROR(EvaluateInPlace(expr, ctx, &scratch, &v));
+  return Truthy(*v);
 }
 
 }  // namespace rfidcep::store

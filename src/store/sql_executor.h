@@ -9,8 +9,9 @@
 #ifndef RFIDCEP_STORE_SQL_EXECUTOR_H_
 #define RFIDCEP_STORE_SQL_EXECUTOR_H_
 
-#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -37,7 +38,38 @@ struct ParamValue {
   }
 };
 
-using ParamMap = std::map<std::string, ParamValue>;
+// A firing's parameters by name: one flat vector sorted by name, built
+// once per firing and read by binary search. emplace keeps the first
+// value given for a name, as std::map::emplace does.
+class ParamMap {
+ public:
+  using value_type = std::pair<std::string, ParamValue>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  ParamMap() = default;
+  // Takes `entries` in any order: sorted by name, the first of each
+  // repeated name kept, as emplacing them one by one would.
+  explicit ParamMap(std::vector<value_type> entries);
+
+  void reserve(size_t n) { entries_.reserve(n); }
+  // Inserts unless `name` is present; returns the entry and whether it
+  // was inserted.
+  std::pair<const_iterator, bool> emplace(std::string name, ParamValue value);
+  // The value of `name`, inserted as a scalar NULL when absent.
+  ParamValue& operator[](std::string_view name);
+  // The value of `name`; throws std::out_of_range when absent.
+  const ParamValue& at(std::string_view name) const;
+  const_iterator find(std::string_view name) const;
+
+  size_t size() const { return entries_.size(); }
+  const_iterator begin() const { return entries_.begin(); }
+  const_iterator end() const { return entries_.end(); }
+
+ private:
+  std::vector<value_type>::iterator LowerBound(std::string_view name);
+
+  std::vector<value_type> entries_;  // Sorted by name, names unique.
+};
 
 struct ExecResult {
   size_t affected = 0;                    // Rows inserted/updated/deleted.

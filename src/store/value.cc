@@ -1,6 +1,9 @@
 #include "store/value.h"
 
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <string_view>
 
 namespace rfidcep::store {
 
@@ -133,22 +136,39 @@ std::string Value::ToString() const {
   return "?";
 }
 
-std::string Value::EncodeKey() const {
+namespace {
+
+// splitmix64 finalizer: full-avalanche mixing of a 64-bit state.
+uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+uint64_t HashText(std::string_view text) {
+  return Mix64(std::hash<std::string_view>{}(text));
+}
+
+}  // namespace
+
+uint64_t Value::HashSql() const {
   switch (kind()) {
     case ValueKind::kNull:
-      return "N";
+      return 0;  // NULL equals nothing; any fixed hash will do.
     case ValueKind::kInt:
-      return "I" + std::to_string(AsInt());
     case ValueKind::kDouble:
-      return "D" + std::to_string(AsDouble());
+    case ValueKind::kTime: {
+      // EqualsSql compares across numeric kinds by value; -0.0 == 0.0.
+      const double v = NumericValue();
+      return Mix64(std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v));
+    }
     case ValueKind::kString:
-      return "S" + AsString();
-    case ValueKind::kTime:
-      return "T" + std::to_string(AsTime());
+      return HashText(AsString());
     case ValueKind::kUc:
-      return "U";
+      return HashText("UC");
   }
-  return "?";
+  return 0;
 }
 
 }  // namespace rfidcep::store

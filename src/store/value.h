@@ -77,8 +77,10 @@ class Value {
   // Rendering for result sets and CSV traces.
   std::string ToString() const;
 
-  // Key encoding for hash indexes and grouping: injective per kind.
-  std::string EncodeKey() const;
+  // 64-bit hash under EqualsSql's equivalence: values it calls equal
+  // hash alike. Numeric kinds hash by numeric value (-0.0 as 0.0) and UC
+  // as the string "UC". Hash indexes bucket by it and re-check EqualsSql.
+  uint64_t HashSql() const;
 
   // Structural equality (used in tests). Unlike EqualsSql, NULL == NULL.
   friend bool operator==(const Value& a, const Value& b) {

@@ -47,6 +47,30 @@ std::string SegmentName(uint64_t first_lsn) {
 constexpr size_t kMinValueBytes = 1;
 constexpr size_t kMinParamBytes = 4 + 1 + kMinValueBytes;
 
+// Decoded parameters outweigh their encoding: a 1-byte NULL decodes to a
+// sizeof(Value) (40-byte) value and a 6-byte parameter to a
+// sizeof(ParamMap::value_type) (104-byte) entry. So beside the count
+// floors, a record's decoded parameters, counted at those sizes, may take
+// at most kMaxDecodeExpansion bytes per payload byte; a record past that
+// bound is corrupt, and Append refuses to write one. Strings cost at most
+// their encoded bytes, so decoding a forged record allocates at most about
+// ten times its size. The string and time values bindings carry encode to
+// 5 and 9 bytes or more, so records the engine writes stay inside.
+constexpr size_t kMaxDecodeExpansion = 8;
+
+size_t DecodeBudget(size_t payload_bytes) {
+  return kMaxDecodeExpansion * payload_bytes;
+}
+
+// What decoding `params` takes, as the bound counts it.
+size_t DecodedBytes(const ParamMap& params) {
+  size_t bytes = params.size() * sizeof(ParamMap::value_type);
+  for (const auto& [name, param] : params) {
+    if (param.is_multi) bytes += param.values.size() * sizeof(Value);
+  }
+  return bytes;
+}
+
 void PutValue(common::ByteWriter& w, const Value& v) {
   w.U8(static_cast<uint8_t>(v.kind()));
   switch (v.kind()) {
@@ -103,27 +127,45 @@ void PutParams(common::ByteWriter& w, const ParamMap& params) {
   }
 }
 
-// Replaces *out with the decoded parameters.
-void GetParams(common::ByteReader& r, ParamMap* out) {
-  out->clear();
+// Replaces *out with the parameters decoded from a record of
+// `payload_bytes`. Names arriving out of order or repeated come out
+// sorted, the first of a name kept, as std::map::emplace kept them.
+void GetParams(common::ByteReader& r, size_t payload_bytes, ParamMap* out) {
+  const size_t budget = DecodeBudget(payload_bytes);
+  size_t used = 0;
+  // Takes n elements of `unit` bytes from the budget, or fails the read.
+  auto charge = [&](size_t n, size_t unit) {
+    if (n > (budget - used) / unit) {
+      r.Fail("parameters past the record's decode bound");
+      return false;
+    }
+    used += n * unit;
+    return true;
+  };
   const uint32_t count = r.Count(kMinParamBytes);
+  if (!charge(count, sizeof(ParamMap::value_type))) return;
+  std::vector<ParamMap::value_type> entries;
+  entries.reserve(count);
   for (uint32_t i = 0; r.ok() && i < count; ++i) {
-    std::string name(r.Str32());
-    ParamValue param;
+    auto& [name, param] = entries.emplace_back(std::string(r.Str32()),
+                                               ParamValue{});
     param.is_multi = r.U8() != 0;
     if (param.is_multi) {
-      param.values.resize(r.Count(kMinValueBytes));
+      const uint32_t n = r.Count(kMinValueBytes);
+      if (!charge(n, sizeof(Value))) return;
+      param.values.resize(n);
       for (Value& v : param.values) v = GetValue(r);
     } else {
       param.scalar = GetValue(r);
     }
-    out->emplace_hint(out->end(), std::move(name), std::move(param));
   }
+  if (r.ok()) *out = ParamMap(std::move(entries));
 }
 
-void EncodeRecord(const WalRecord& record, common::ByteWriter& w) {
+void EncodeRecord(const WalAppend& record, uint64_t lsn,
+                  common::ByteWriter& w) {
   w.U8(static_cast<uint8_t>(record.kind));
-  w.U64(record.lsn);
+  w.U64(lsn);
   w.U64(record.action_seq);
   w.U32(record.action_index);
   w.U32(record.affected);
@@ -144,7 +186,7 @@ bool DecodeRecord(std::string_view payload, WalRecord* out) {
   out->affected = r.U32();
   out->rule_id.assign(r.Str32());
   out->sql.assign(r.Str32());
-  GetParams(r, &out->params);
+  GetParams(r, payload.size(), &out->params);
   return r.AtEnd();
 }
 
@@ -382,7 +424,7 @@ Status Wal::RotateLocked() const {
   return OpenSegment(next_lsn_);
 }
 
-Result<uint64_t> Wal::Append(WalRecord record) {
+Result<uint64_t> Wal::Append(const WalAppend& record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!io_error_.ok()) return io_error_;
   if (segment_bytes_ >= options_.segment_bytes) {
@@ -392,10 +434,19 @@ Result<uint64_t> Wal::Append(WalRecord record) {
       return rotated;
     }
   }
-  record.lsn = next_lsn_;
+  const uint64_t lsn = next_lsn_;
   const size_t start = common::BeginFrame(&buffer_);
   common::ByteWriter w(&buffer_);
-  EncodeRecord(record, w);
+  EncodeRecord(record, lsn, w);
+  const size_t payload = buffer_.size() - start - common::kFrameHeaderBytes;
+  if (payload > kMaxPayloadBytes ||
+      DecodedBytes(record.params) > DecodeBudget(payload)) {
+    buffer_.resize(start);
+    return Status::InvalidArgument(
+        "wal record of " + std::to_string(payload) + " bytes for rule '" +
+        std::string(record.rule_id) +
+        "' is past the size recovery reads back");
+  }
   common::EndFrame(&buffer_, start);
   segment_bytes_ += buffer_.size() - start;
   ++next_lsn_;
@@ -405,7 +456,7 @@ Result<uint64_t> Wal::Append(WalRecord record) {
   if (buffer_.size() >= kMaxBufferBytes) {
     RFIDCEP_RETURN_IF_ERROR(FlushLocked());
   }
-  return record.lsn;
+  return lsn;
 }
 
 Status Wal::SyncLocked() const {

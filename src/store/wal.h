@@ -67,7 +67,8 @@ enum class WalRecordKind : uint8_t {
   kAlarm = 2,
 };
 
-// One executed action. `lsn` is assigned by Append (sequential from 1).
+// One executed action, as recovery decodes it. `lsn` is assigned by
+// Append (sequential from 1).
 struct WalRecord {
   WalRecordKind kind = WalRecordKind::kSql;
   uint64_t lsn = 0;
@@ -77,6 +78,35 @@ struct WalRecord {
   std::string rule_id;
   std::string sql;            // Statement text, or the procedure name.
   ParamMap params;            // Bindings the action ran with.
+};
+
+// One executed action as Append encodes it: the fields of a WalRecord
+// but the LSN, with the rule id, the text and the parameters borrowed
+// from the caller (the dispatcher's firing), so appending copies none of
+// them. They must outlive the Append call.
+struct WalAppend {
+  WalAppend(WalRecordKind kind, uint64_t action_seq, uint32_t action_index,
+            uint32_t affected, std::string_view rule_id, std::string_view sql,
+            const ParamMap& params)
+      : kind(kind),
+        action_seq(action_seq),
+        action_index(action_index),
+        affected(affected),
+        rule_id(rule_id),
+        sql(sql),
+        params(params) {}
+  // A decoded record appends as itself (its LSN is reassigned).
+  WalAppend(const WalRecord& r)
+      : WalAppend(r.kind, r.action_seq, r.action_index, r.affected,
+                  r.rule_id, r.sql, r.params) {}
+
+  WalRecordKind kind;
+  uint64_t action_seq;
+  uint32_t action_index;
+  uint32_t affected;
+  std::string_view rule_id;
+  std::string_view sql;
+  const ParamMap& params;
 };
 
 // The executed-action dedup set recovered from the log. A key is rule
@@ -145,10 +175,14 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  // Appends one record, assigning and returning its LSN. Thread-safe.
-  // Records are buffered in memory so a run of appends costs one
-  // write(): callers mark durability points with Sync().
-  Result<uint64_t> Append(WalRecord record);
+  // Appends one record, encoded straight from `record`'s borrowed
+  // fields, assigning and returning its LSN. Thread-safe. Records are
+  // buffered in memory so a run of appends costs one write(): callers
+  // mark durability points with Sync(). A record the reader would refuse
+  // (over the payload cap or the decode bound, docs/recovery.md) fails
+  // with kInvalidArgument and takes no LSN, so whatever is written reads
+  // back.
+  Result<uint64_t> Append(const WalAppend& record);
 
   // Flushes and fsyncs everything appended so far. Thread-safe.
   Status Sync();

@@ -4,6 +4,7 @@
 #ifndef RFIDCEP_TESTS_ENGINE_TEST_UTIL_H_
 #define RFIDCEP_TESTS_ENGINE_TEST_UTIL_H_
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -14,11 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/prng.h"
 #include "engine/engine.h"
 #include "engine/snapshot.h"
 #include "epc/catalog.h"
 #include "events/expr.h"
 #include "events/observation.h"
+#include "sim/workload.h"
 #include "store/database.h"
 
 namespace rfidcep::engine::testing {
@@ -87,6 +90,34 @@ inline std::map<std::string, uint64_t> ParseExposition(
     samples[line.substr(0, space)] = std::stoull(line.substr(space + 1));
   }
   return samples;
+}
+
+// --- The action path ---------------------------------------------------------
+
+// perfbench's baggage_daemon rules (perfbench/daemon.cc kRules): the four
+// FIG9-W shapes with SQL actions, OBSERVATION inserts and an
+// UPDATE-then-INSERT chain on OBJECTLOCATION.
+inline constexpr std::string_view kBaggageRules = R"(
+CREATE RULE misroute, baggage ON WITHIN(SEQ(observation("sorter", o, t1); observation("sorter", o, t2)), 30sec) IF true DO INSERT INTO OBSERVATION VALUES ("sorter", o, t2)
+CREATE RULE journey, baggage ON WITHIN(SEQ(observation("checkin", o, t1); observation("claim", o, t2)), 60sec) IF true DO UPDATE OBJECTLOCATION SET tend = t2 WHERE object_epc = o AND tend = "UC"; INSERT INTO OBJECTLOCATION VALUES (o, "claim", t2, "UC")
+CREATE RULE stuck, baggage ON WITHIN(SEQ(observation("sorter", o, t1); NOT observation("gate", o, t2)), 45sec) IF true DO UPDATE OBJECTLOCATION SET tend = t1 WHERE object_epc = o AND tend = "UC"; INSERT INTO OBJECTLOCATION VALUES (o, "sorter", t1, "UC")
+CREATE RULE reread, baggage ON WITHIN(TSEQ+(observation("gate", o, t), 0sec, 1sec), 20sec) IF true DO BULK INSERT INTO OBSERVATION VALUES ("gate", o, t)
+)";
+
+// The first `count` observations of perfbench's baggage stream for `seed`:
+// GenerateBaggage over "bag<i>" tags, in timestamp order.
+inline std::vector<events::Observation> BaggageStream(uint64_t seed,
+                                                      size_t count) {
+  std::vector<std::string> bags;
+  for (size_t i = 0; i < count / 4 + 16; ++i) {
+    bags.push_back("bag" + std::to_string(i));
+  }
+  Prng prng(seed);
+  std::vector<events::Observation> stream =
+      sim::GenerateBaggage(sim::BaggageConfig{}, bags, &prng).event_order;
+  EXPECT_GE(stream.size(), count);
+  stream.resize(std::min(stream.size(), count));
+  return stream;
 }
 
 // --- Rule programs behind committed snapshot fixtures ----------------------

@@ -2,6 +2,7 @@
 // invariants that matter to rule actions: size accounting, index/scan
 // agreement, compaction transparency, and CSV round-trip fidelity.
 
+#include <functional>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -121,6 +122,102 @@ TEST_P(StoreFuzz, SqlLayerMatchesDirectTableOps) {
   }
   EXPECT_EQ(TableToCsv(*via_sql.GetTable("OBJECTLOCATION")),
             TableToCsv(*direct_table));
+}
+
+// The keyed path against scans, row for row and in order: one table with
+// a hash index on an ANY column and one without, driven through the same
+// operations. The unindexed table's keyed calls scan; the indexed one's
+// walk its key's chain. Keys mix the kinds EqualsSql equates (Int, Double
+// and Time of one value, "UC" and UC, -0.0 and 0) with NULL and strings;
+// updates move rows between chains and a mass delete forces compaction.
+TEST_P(StoreFuzz, KeyedPathMatchesScansInOrder) {
+  Prng prng(GetParam() * 131 + 7);
+  const Schema schema({{"k", ColumnType::kAny}, {"v", ColumnType::kInt}});
+  Table indexed("indexed", schema);
+  Table scanned("scanned", schema);
+  ASSERT_TRUE(indexed.CreateIndex("k").ok());
+  ASSERT_FALSE(scanned.HasIndex(0));
+
+  auto random_key = [&] {
+    const int64_t n = prng.UniformInt(0, 5);
+    switch (prng.UniformInt(0, 7)) {
+      case 0:
+        return Value::Int(n);
+      case 1:
+        return Value::Double(n == 0 ? -0.0 : static_cast<double>(n));
+      case 2:
+        return Value::Time(n);
+      case 3:
+        return Value::String("UC");
+      case 4:
+        return Value::Uc();
+      case 5:
+        return Value::Null();
+      default:
+        return Value::String("s" + std::to_string(n));
+    }
+  };
+  const std::function<bool(const Row&)> odd_v = [](const Row& row) {
+    return row[1].AsInt() % 2 != 0;
+  };
+  int64_t stamp = 0;
+  // Stamps rows in visiting order, so an out-of-order walk shows up in
+  // the contents, and moves each to a new key, so it changes chain.
+  auto mutate_to = [&stamp](Value key) {
+    return [&stamp, key](Row* row) {
+      (*row)[0] = key;
+      (*row)[1] = Value::Int(++stamp);
+    };
+  };
+  auto expect_same = [&](const std::vector<Row>& a, const std::vector<Row>& b,
+                         int op) {
+    ASSERT_EQ(a.size(), b.size()) << "op " << op;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i], b[i]) << "op " << op << " row " << i;
+    }
+  };
+
+  for (int op = 0; op < 600; ++op) {
+    const Value key = random_key();
+    const int dice = static_cast<int>(prng.UniformInt(0, 9));
+    if (op == 300) {  // Mass delete: most slots die, the table compacts.
+      auto most = [](const Row& row) { return row[1].AsInt() % 8 != 0; };
+      ASSERT_EQ(indexed.DeleteWhere(most), scanned.DeleteWhere(most));
+    } else if (dice < 5) {
+      const Row row{key, Value::Int(op)};
+      ASSERT_TRUE(indexed.Insert(row).ok());
+      ASSERT_TRUE(scanned.Insert(row).ok());
+    } else if (dice < 7) {
+      const Value to = random_key();
+      const int64_t before = stamp;
+      Result<size_t> a =
+          indexed.UpdateWhereKeyed(0, key, nullptr, mutate_to(to));
+      const int64_t after = stamp;
+      stamp = before;
+      Result<size_t> b =
+          scanned.UpdateWhereKeyed(0, key, nullptr, mutate_to(to));
+      ASSERT_TRUE(a.ok() && b.ok());
+      ASSERT_EQ(*a, *b) << "op " << op;
+      ASSERT_EQ(stamp, after);
+    } else if (dice < 9) {
+      const std::function<bool(const Row&)> residual =
+          prng.UniformInt(0, 1) == 0 ? odd_v : nullptr;
+      ASSERT_EQ(indexed.DeleteWhereKeyed(0, key, residual),
+                scanned.DeleteWhereKeyed(0, key, residual))
+          << "op " << op;
+    }
+    ASSERT_EQ(indexed.size(), scanned.size()) << "op " << op;
+    expect_same(indexed.SelectWhere(nullptr), scanned.SelectWhere(nullptr), op);
+    for (int probe = 0; probe < 3; ++probe) {
+      const Value k = random_key();
+      expect_same(indexed.Lookup(0, k), scanned.Lookup(0, k), op);
+      expect_same(indexed.SelectWhereKeyed(0, k, odd_v),
+                  scanned.SelectWhereKeyed(0, k, odd_v), op);
+      std::vector<Row> by_scan = scanned.SelectWhere(
+          [&k](const Row& row) { return row[0].EqualsSql(k); });
+      expect_same(indexed.Lookup(0, k), by_scan, op);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreFuzz,

@@ -372,6 +372,39 @@ TEST_F(SqlExecutorTest, IndexProbeMatchesScanSemantics) {
   EXPECT_EQ(rest->rows[0][0].AsInt(), 6);
 }
 
+// A hash index must bucket together every value EqualsSql calls equal,
+// or adding one drops rows a scan returns: UC and the string "UC", an Int
+// literal and a stored Time, and an ANY column holding 1 and 1.0.
+TEST_F(SqlExecutorTest, IndexProbeAgreesWithScanAcrossKinds) {
+  ASSERT_TRUE(ExecuteSql("CREATE TABLE T (k ANY, v INT)", &db_).ok());
+  ASSERT_TRUE(ExecuteSql("INSERT INTO OBJECTLOCATION VALUES ('a', 'x', 5, "
+                         "\"UC\")",
+                         &db_)
+                  .ok());
+  ASSERT_TRUE(ExecuteSql("INSERT INTO T VALUES (1, 1)", &db_).ok());
+  ASSERT_TRUE(ExecuteSql("INSERT INTO T VALUES (1.0, 2)", &db_).ok());
+  const struct {
+    const char* sql;
+    int64_t rows;
+  } queries[] = {
+      {"SELECT COUNT(*) FROM OBJECTLOCATION WHERE tend = \"UC\"", 1},
+      {"SELECT COUNT(*) FROM OBJECTLOCATION WHERE tstart = 5", 1},
+      {"SELECT COUNT(*) FROM T WHERE k = 1", 2},
+  };
+  auto count = [this](const char* sql) {
+    Result<ExecResult> result = ExecuteSql(sql, &db_);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
+    return result.ok() ? result->rows[0][0].AsInt() : int64_t{-1};
+  };
+  for (const auto& [sql, rows] : queries) EXPECT_EQ(count(sql), rows) << sql;
+  ASSERT_TRUE(ExecuteSql("CREATE INDEX ON OBJECTLOCATION (tend)", &db_).ok());
+  ASSERT_TRUE(ExecuteSql("CREATE INDEX ON OBJECTLOCATION (tstart)", &db_).ok());
+  ASSERT_TRUE(ExecuteSql("CREATE INDEX ON T (k)", &db_).ok());
+  for (const auto& [sql, rows] : queries) {
+    EXPECT_EQ(count(sql), rows) << "indexed: " << sql;
+  }
+}
+
 TEST_F(SqlExecutorTest, IndexProbeMissingKeyMatchesNothing) {
   ASSERT_TRUE(ExecuteSql("INSERT INTO OBJECTLOCATION VALUES ('a', 'x', 1, "
                          "\"UC\")",

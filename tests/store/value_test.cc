@@ -65,12 +65,29 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Time(kSecond).ToString(), "1.000000s");
 }
 
-TEST(ValueTest, EncodeKeyIsInjectivePerKind) {
-  // Same payload, different kinds must not collide in hash indexes.
-  EXPECT_NE(Value::Int(5).EncodeKey(), Value::Time(5).EncodeKey());
-  EXPECT_NE(Value::String("5").EncodeKey(), Value::Int(5).EncodeKey());
-  EXPECT_NE(Value::Null().EncodeKey(), Value::Uc().EncodeKey());
-  EXPECT_EQ(Value::String("x").EncodeKey(), Value::String("x").EncodeKey());
+TEST(ValueTest, HashSqlAgreesWithEqualsSql) {
+  // Values EqualsSql calls equal must share a hash, or a hash index would
+  // miss rows a scan finds: numerics across kinds, -0.0 and 0.0, UC and
+  // the string "UC".
+  const Value values[] = {
+      Value::Int(5),        Value::Double(5.0),    Value::Time(5),
+      Value::Int(0),        Value::Double(-0.0),   Value::Double(0.0),
+      Value::Time(0),       Value::Uc(),           Value::String("UC"),
+      Value::String("5"),   Value::String(""),     Value::Double(2.5),
+      Value::Int(-1),       Value::Time(-1),       Value::Null(),
+  };
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      if (a.EqualsSql(b)) {
+        EXPECT_EQ(a.HashSql(), b.HashSql())
+            << a.ToString() << " " << b.ToString();
+      }
+    }
+  }
+  // Distinct values spread: kinds EqualsSql keeps apart hash apart here.
+  EXPECT_NE(Value::String("5").HashSql(), Value::Int(5).HashSql());
+  EXPECT_NE(Value::Int(5).HashSql(), Value::Int(6).HashSql());
+  EXPECT_NE(Value::String("x").HashSql(), Value::String("y").HashSql());
 }
 
 }  // namespace

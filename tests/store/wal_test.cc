@@ -412,6 +412,69 @@ TEST_F(WalTest, UnknownValueKindIsDroppedAsDamagedTail) {
   EXPECT_TRUE(wal->recovered_actions().empty());
 }
 
+// A record whose parameter names arrive out of order or repeated decodes
+// as std::map::emplace built it: sorted by name, the first value of a
+// name kept.
+TEST_F(WalTest, UnsortedAndRepeatedParamNamesDecodeSortedFirstWins) {
+  std::string segment;
+  const size_t start = common::BeginFrame(&segment);
+  common::ByteWriter w(&segment);
+  w.U8(static_cast<uint8_t>(WalRecordKind::kSql));
+  w.U64(1);  // LSN.
+  w.U64(4);  // Firing sequence.
+  w.U32(0);  // Action index.
+  w.U32(1);  // Rows affected.
+  w.Str32("r4");
+  w.Str32("INSERT INTO t VALUES (1)");
+  const std::pair<std::string_view, int64_t> params[] = {
+      {"t", 1}, {"o", 2}, {"t", 3}, {"a", 4}, {"o", 5}};
+  w.U32(std::size(params));
+  for (const auto& [name, value] : params) {
+    w.Str32(name);
+    w.U8(0);  // Scalar.
+    w.U8(static_cast<uint8_t>(ValueKind::kInt));
+    w.I64(value);
+  }
+  common::EndFrame(&segment, start);
+  fs::create_directories(dir_);
+  WriteBytes(dir_ / "wal-00000000000000000001.seg", segment);
+
+  std::unique_ptr<Wal> wal = OpenOrDie();
+  ASSERT_EQ(wal->recovered_lsn(), 1u);
+  std::vector<WalRecord> records = ReplayAll(*wal);
+  ASSERT_EQ(records.size(), 1u);
+  std::vector<std::pair<std::string, int64_t>> decoded;
+  for (const auto& [name, param] : records[0].params) {
+    decoded.emplace_back(name, param.scalar.AsInt());
+  }
+  EXPECT_EQ(decoded, (std::vector<std::pair<std::string, int64_t>>{
+                         {"a", 4}, {"o", 2}, {"t", 1}}));
+}
+
+// Append refuses a record recovery would refuse, here one whose NULLs
+// decode past the bound on decoded parameters: it fails, takes no LSN
+// and writes nothing, so everything in the log reads back.
+TEST_F(WalTest, AppendRefusesWhatRecoveryWouldRefuse) {
+  {
+    std::unique_ptr<Wal> wal = OpenOrDie();
+    WalRecord record = MakeRecord(1, 0);
+    record.params["o"] = ParamValue::Multi(std::vector<Value>(1000));
+    Result<uint64_t> refused = wal->Append(record);
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(wal->last_lsn(), 0u);
+    record.params["o"] = ParamValue::Multi(
+        std::vector<Value>(1000, Value::String("epc-of-a-bag")));
+    Result<uint64_t> lsn = wal->Append(record);
+    ASSERT_TRUE(lsn.ok()) << lsn.status().message();
+    EXPECT_EQ(*lsn, 1u);
+  }
+  std::unique_ptr<Wal> wal = OpenOrDie();
+  EXPECT_EQ(wal->recovered_lsn(), 1u);
+  std::vector<WalRecord> records = ReplayAll(*wal);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].params.at("o").values.size(), 1000u);
+}
+
 // The segment format, pinned: one record of each kind, each carrying a
 // param of every value kind, scalar and multi. Appending them must write
 // exactly these bytes, and these bytes must recover exactly them.
