@@ -96,18 +96,28 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 
 namespace {
 
-// `rule_x_us{rule="r1"}` + `le="4"` -> `rule_x_us_bucket{rule="r1",le="4"}`.
-// `detect_us` + `le="4"` -> `detect_us_bucket{le="4"}`.
-std::string SpliceLabel(const std::string& name, const std::string& suffix,
-                        const std::string& label) {
-  size_t brace = name.find('{');
-  if (brace == std::string::npos) {
-    return name + suffix + (label.empty() ? "" : "{" + label + "}");
+// `name` with `suffix` after its base name and the labels `first` and
+// `last` (either may be empty) around its own:
+//   rule_x_us{rule="r1"}, _bucket, tenant="t", le="4"
+//     -> rule_x_us_bucket{tenant="t",rule="r1",le="4"}
+//   detect_us, _sum, "", "" -> detect_us_sum
+std::string SpliceLabel(std::string_view name, std::string_view suffix,
+                        std::string_view first, std::string_view last) {
+  std::string labels;
+  auto add = [&labels](std::string_view label) {
+    if (label.empty()) return;
+    if (!labels.empty()) labels += ',';
+    labels += label;
+  };
+  add(first);
+  const size_t brace = name.find('{');
+  if (brace != std::string_view::npos) {
+    add(name.substr(brace + 1, name.size() - brace - 2));
   }
-  std::string out = name.substr(0, brace) + suffix + name.substr(brace);
-  if (!label.empty()) {
-    out.insert(out.size() - 1, "," + label);
-  }
+  add(last);
+  std::string out(name.substr(0, brace));
+  out += suffix;
+  if (!labels.empty()) out += "{" + labels + "}";
   return out;
 }
 
@@ -148,15 +158,26 @@ MetricsSnapshot MetricsRegistry::Snapshot(
   return snap;
 }
 
-std::string MetricsSnapshot::ExportText() const {
+std::string MetricsSnapshot::ExportText(std::string_view label) const {
   std::string out;
+  // Starts the line of sample `name` (labelled, with `suffix`).
+  auto line = [&](const std::string& name, std::string_view suffix = {},
+                  std::string_view last = {}) {
+    if (label.empty() && suffix.empty()) {
+      out += name;
+    } else {
+      out += SpliceLabel(name, suffix, label, last);
+    }
+    out += ' ';
+  };
   auto sample = samples.begin();
   // Prints the plain samples that sort before `name` (all when null).
   auto samples_before = [&](const std::string* name) {
     for (; sample != samples.end() &&
            (name == nullptr || sample->first < *name);
          ++sample) {
-      out += sample->first + " " + std::to_string(sample->second) + "\n";
+      line(sample->first);
+      out += std::to_string(sample->second) + "\n";
     }
   };
   for (const Instrument& instrument : instruments) {
@@ -164,10 +185,12 @@ std::string MetricsSnapshot::ExportText() const {
     samples_before(&name);
     switch (instrument.kind) {
       case Instrument::Kind::kCounter:
-        out += name + " " + std::to_string(instrument.counter) + "\n";
+        line(name);
+        out += std::to_string(instrument.counter) + "\n";
         break;
       case Instrument::Kind::kGauge:
-        out += name + " " + std::to_string(instrument.gauge) + "\n";
+        line(name);
+        out += std::to_string(instrument.gauge) + "\n";
         break;
       case Instrument::Kind::kHistogram: {
         const HistogramSnapshot& snap = instrument.histogram;
@@ -177,13 +200,13 @@ std::string MetricsSnapshot::ExportText() const {
           std::string le = i < snap.bounds.size()
                                ? std::to_string(snap.bounds[i])
                                : "+Inf";
-          out += SpliceLabel(name, "_bucket", "le=\"" + le + "\"") + " " +
-                 std::to_string(cumulative) + "\n";
+          line(name, "_bucket", "le=\"" + le + "\"");
+          out += std::to_string(cumulative) + "\n";
         }
-        out += SpliceLabel(name, "_sum", "") + " " +
-               FormatMilli(snap.sum_milli) + "\n";
-        out += SpliceLabel(name, "_count", "") + " " +
-               std::to_string(snap.count) + "\n";
+        line(name, "_sum");
+        out += FormatMilli(snap.sum_milli) + "\n";
+        line(name, "_count");
+        out += std::to_string(snap.count) + "\n";
         break;
       }
     }

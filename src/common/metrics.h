@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -152,8 +153,9 @@ struct MetricsSnapshot {
   // as-is; gauges likewise; each histogram expands into cumulative
   // `<name>_bucket{le="..."}` lines plus `<name>_sum` / `<name>_count`.
   // The plain samples print as-is, merged in name order with the
-  // instruments.
-  std::string ExportText() const;
+  // instruments. A nonempty `label` (e.g. `tenant="t"`) goes first in
+  // every sample's label set: `x{a="b"}` -> `x{tenant="t",a="b"}`.
+  std::string ExportText(std::string_view label = {}) const;
 };
 
 // Owns every instrument and resolves names to stable pointers. A name is

@@ -1,5 +1,8 @@
 #include "common/status.h"
 
+#include <cerrno>
+#include <cstring>
+
 namespace rfidcep {
 
 std::string_view StatusCodeName(StatusCode code) {
@@ -36,6 +39,10 @@ std::string Status::ToString() const {
 
 std::ostream& operator<<(std::ostream& os, const Status& status) {
   return os << status.ToString();
+}
+
+Status Errno(const std::string& what) {
+  return Status::Internal(what + ": " + std::strerror(errno));
 }
 
 }  // namespace rfidcep

@@ -83,6 +83,9 @@ class Status {
 
 std::ostream& operator<<(std::ostream& os, const Status& status);
 
+// kInternal "<what>: <strerror(errno)>", for a failed system call.
+Status Errno(const std::string& what);
+
 // Result<T>: value-or-status. Access to value() requires ok().
 template <typename T>
 class Result {

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
 #include "engine/snapshot.h"
 #include "engine/trace.h"
 #include "events/symbol.h"
@@ -64,11 +65,6 @@ TimePoint SlotDeadline(ExprOp op, Duration within, Duration dist_hi,
 
 TimePoint SlotDeadline(const GraphNode& node, const EventInstance& e) {
   return SlotDeadline(node.op, node.within, node.dist_hi, e);
-}
-
-uint64_t MixSignature(uint64_t h, uint64_t v) {
-  h = (h ^ v) * 0x9e3779b97f4a7c15ull;
-  return h ^ (h >> 31);
 }
 
 Bindings MergedOrDie(const Bindings& a, const Bindings& b) {
@@ -140,11 +136,13 @@ void Detector::BuildFamilies() {
         node.op != ExprOp::kNot) {
       continue;
     }
-    uint64_t h = MixSignature(0, static_cast<uint64_t>(node.op));
+    uint64_t h = common::HashCombine(0, static_cast<uint64_t>(node.op));
     for (int child : node.children) {
-      h = MixSignature(h, static_cast<uint64_t>(child_class(child)));
+      h = common::HashCombine(h, static_cast<uint64_t>(child_class(child)));
     }
-    for (events::SymbolId sym : node.join_syms) h = MixSignature(h, sym);
+    for (events::SymbolId sym : node.join_syms) {
+      h = common::HashCombine(h, sym);
+    }
     auto it = newest.try_emplace(h, -1).first;
     int family = it->second;
     while (family >= 0 && (families_[family].size == kMaxFamilyMembers ||

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "common/durable_file.h"
 #include "engine/snapshot.h"
 #include "engine/trace.h"
 #include "store/sql_executor.h"
@@ -437,21 +437,13 @@ Status RcedaEngine::Checkpoint(const std::string& path) {
   // SerializeState syncs the WAL before reading its LSN, so everything
   // the snapshot claims durable is on disk first.
   RFIDCEP_RETURN_IF_ERROR(SerializeState(&bytes));
-  // Written beside the live file and renamed over it: a write that fails
-  // midway leaves the previous checkpoint in place.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.write(bytes.data(), static_cast<std::streamsize>(bytes.size())) ||
-        !out.flush()) {
-      return Status::Internal("cannot write checkpoint file '" + tmp + "'");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot replace checkpoint file '" + path +
-                            "': " + ec.message());
+  // Written beside the live file, synced and renamed over it: a crash at
+  // any point leaves the previous checkpoint or this one, never a torn
+  // or empty file.
+  Status status = common::ReplaceFile(path, bytes);
+  if (!status.ok()) {
+    return Status(status.code(),
+                  "cannot write checkpoint: " + status.message());
   }
   return Status::Ok();
 }

@@ -149,8 +149,9 @@ class RcedaEngine {
   // never writes it (Detector::RestoreState).
   Status RestoreState(std::string_view bytes);
   // SerializeState / RestoreState against the file at `path`. Checkpoint
-  // writes `<path>.tmp` and renames it over `path`, so a failed
-  // checkpoint leaves the previous file restorable.
+  // writes `<path>.tmp`, fsyncs it, renames it over `path` and fsyncs the
+  // directory (common::ReplaceFile), so a failed checkpoint or a crash
+  // leaves the previous file or the new one restorable.
   Status Checkpoint(const std::string& path);
   Status Restore(const std::string& path);
   // Attaches a store write-ahead log (store/wal.h): every executed SQL

@@ -1,7 +1,6 @@
 #include "engine/join_buffer.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -9,17 +8,9 @@ namespace rfidcep::engine {
 
 namespace {
 
-// Fibonacci hashing: the top bits of key * 2^64/phi pick the home slot.
-constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ull;
 constexpr size_t kMinCapacity = 8;
 
 }  // namespace
-
-size_t JoinBuffer::HomeSlot(uint64_t key, size_t capacity) {
-  assert(std::has_single_bit(capacity));
-  int bits = std::countr_zero(capacity);
-  return bits == 0 ? 0 : static_cast<size_t>((key * kGolden) >> (64 - bits));
-}
 
 JoinBuffer::Index JoinBuffer::Append(uint64_t key,
                                      events::EventInstancePtr instance,
@@ -28,7 +19,7 @@ JoinBuffer::Index JoinBuffer::Append(uint64_t key,
 #ifndef NDEBUG
   ++mutations_;
 #endif
-  size_t s = FindOrClaimSlot(key);
+  size_t s = table_.FindOrClaim(key);
   if (Index tail = table_[s].tail; table_[s].head != kNone) {
     Entry& last = pool_[tail];
     if (last.instance == instance && (last.members & members) == 0) {
@@ -58,12 +49,10 @@ JoinBuffer::Index JoinBuffer::Append(uint64_t key,
   entry.key = key;
   entry.members = members;
   entry.next = kNone;
-  Slot& slot = table_[s];
+  common::ChainTable::Slot& slot = table_[s];
   if (slot.head == kNone) {
-    slot.key = key;
     slot.head = index;
     entry.prev = kNone;
-    ++keys_;
   } else {
     entry.prev = slot.tail;
     pool_[slot.tail].next = index;
@@ -72,17 +61,6 @@ JoinBuffer::Index JoinBuffer::Append(uint64_t key,
   ++size_;
   if (deadline != kTimeInfinity) PushExpiry(deadline, key);
   return index;
-}
-
-bool JoinBuffer::Release(Index index, Members members) {
-#ifndef NDEBUG
-  ++mutations_;
-#endif
-  Entry& entry = pool_[index];
-  entry.members &= ~members;
-  if (entry.members != 0) return false;
-  Remove(index);
-  return true;
 }
 
 void JoinBuffer::ReleaseAll(Members members) {
@@ -95,26 +73,19 @@ void JoinBuffer::ReleaseAll(Members members) {
 
 void JoinBuffer::Remove(Index index) {
   Entry& entry = pool_[index];
-  if (entry.prev == kNone || entry.next == kNone) {
-    size_t s = FindSlot(entry.key);
-    assert(s != kNoSlot);
-    Slot& slot = table_[s];
-    if (entry.prev == kNone) slot.head = entry.next;
-    if (entry.next == kNone) slot.tail = entry.prev;
-    if (slot.head == kNone) EraseSlot(s);
-  }
+  table_.Unlink(entry.key, entry.prev, entry.next);
   if (entry.prev != kNone) pool_[entry.prev].next = entry.next;
   if (entry.next != kNone) pool_[entry.next].prev = entry.prev;
   Free(index);
 }
 
 JoinBuffer::Index JoinBuffer::Head(uint64_t key) const {
-  size_t s = FindSlot(key);
+  size_t s = table_.Find(key);
   return s == kNoSlot ? kNone : table_[s].head;
 }
 
 JoinBuffer::Index JoinBuffer::PruneFront(uint64_t key, TimePoint clock) {
-  size_t s = FindSlot(key);
+  size_t s = table_.Find(key);
   return s == kNoSlot ? kNone : PruneSlot(s, clock);
 }
 
@@ -124,7 +95,7 @@ void JoinBuffer::PruneAllFronts(TimePoint clock) {
   // only moves a slot toward the start of its cluster, so no chain is
   // skipped; one wrapped around from the table's start may be pruned
   // twice, which is a no-op.
-  for (size_t s = 0; s < table_.size(); ++s) {
+  for (size_t s = 0; s < table_.capacity(); ++s) {
     while (table_[s].head != kNone && PruneSlot(s, clock) == kNone) continue;
   }
 }
@@ -138,60 +109,8 @@ void JoinBuffer::Drain(TimePoint clock) {
   }
 }
 
-size_t JoinBuffer::FindSlot(uint64_t key) const {
-  if (table_.empty()) return kNoSlot;
-  size_t mask = table_.size() - 1;
-  // The table is at most half full, so every probe reaches an empty slot.
-  for (size_t s = HomeSlot(key, table_.size());; s = (s + 1) & mask) {
-    const Slot& slot = table_[s];
-    if (slot.head == kNone) return kNoSlot;
-    if (slot.key == key) return s;
-  }
-}
-
-size_t JoinBuffer::FindOrClaimSlot(uint64_t key) {
-  if (2 * (static_cast<size_t>(keys_) + 1) > table_.size()) {
-    if (size_t s = FindSlot(key); s != kNoSlot) return s;
-    GrowTable();
-  }
-  size_t mask = table_.size() - 1;
-  for (size_t s = HomeSlot(key, table_.size());; s = (s + 1) & mask) {
-    const Slot& slot = table_[s];
-    if (slot.head == kNone || slot.key == key) return s;
-  }
-}
-
-void JoinBuffer::GrowTable() {
-  std::vector<Slot> old = std::move(table_);
-  table_.assign(std::max(kMinCapacity, 2 * old.size()), Slot{});
-  size_t mask = table_.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.head == kNone) continue;
-    size_t s = HomeSlot(slot.key, table_.size());
-    while (table_[s].head != kNone) s = (s + 1) & mask;
-    table_[s] = slot;
-  }
-}
-
-void JoinBuffer::EraseSlot(size_t s) {
-  size_t mask = table_.size() - 1;
-  size_t hole = s;
-  for (size_t next = (s + 1) & mask; table_[next].head != kNone;
-       next = (next + 1) & mask) {
-    // A slot may move back into the hole only if its home is not inside
-    // (hole, next]: otherwise its probe would start past the hole.
-    size_t home = HomeSlot(table_[next].key, table_.size());
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      table_[hole] = table_[next];
-      hole = next;
-    }
-  }
-  table_[hole] = Slot{};
-  --keys_;
-}
-
 JoinBuffer::Index JoinBuffer::PruneSlot(size_t s, TimePoint clock) {
-  Slot& slot = table_[s];
+  common::ChainTable::Slot& slot = table_[s];
   Index head = slot.head;
   while (head != kNone && pool_[head].deadline < clock) {
     Index next = pool_[head].next;
@@ -199,7 +118,7 @@ JoinBuffer::Index JoinBuffer::PruneSlot(size_t s, TimePoint clock) {
     head = next;
   }
   if (head == kNone) {
-    EraseSlot(s);
+    table_.Erase(s);
     return kNone;
   }
   pool_[head].prev = kNone;

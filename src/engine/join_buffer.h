@@ -11,10 +11,9 @@
 //   * a pool of entries (instance, deadline, key, member mask, prev/next
 //     index) with a free list, so consumed and pruned entries are reused
 //     at once and the pool never exceeds the peak number of live entries;
-//   * an open-addressing table (linear probing, backward-shift deletion,
-//     no tombstones) mapping a join key to the head and tail of that key's
-//     doubly linked chain, which keeps the key's entries in insertion
-//     order;
+//   * a common::ChainTable mapping a join key to the head and tail of
+//     that key's doubly linked chain, which keeps the key's entries in
+//     insertion order;
 //   * a ring of (deadline, key) expiry records in insertion order, drained
 //     lazily as the clock passes each deadline: a drained record prunes
 //     the expired front of its key's chain.
@@ -39,9 +38,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
+#include "common/chain_table.h"
 #include "common/time.h"
 #include "events/event_instance.h"
 
@@ -50,8 +49,8 @@ namespace rfidcep::engine {
 class JoinBuffer {
  public:
   // Pool position of an entry. Stable while the entry is live.
-  using Index = uint32_t;
-  static constexpr Index kNone = std::numeric_limits<Index>::max();
+  using Index = common::ChainTable::Index;
+  static constexpr Index kNone = common::ChainTable::kNone;
   // One bit per member; a buffer serves at most 64 members.
   using Members = uint64_t;
 
@@ -78,8 +77,18 @@ class JoinBuffer {
                TimePoint deadline, Members members = 1);
 
   // Clears `members` from entry `index`; frees the entry when no member
-  // is left. Returns whether it was freed.
-  bool Release(Index index, Members members);
+  // is left. Returns whether it was freed. Inline up to the free: most
+  // releases by a family member only clear its bit.
+  bool Release(Index index, Members members) {
+#ifndef NDEBUG
+    ++mutations_;
+#endif
+    Entry& entry = pool_[index];
+    entry.members &= ~members;
+    if (entry.members != 0) return false;
+    Remove(index);
+    return true;
+  }
   // Release(index, members) on every entry holding any of `members`.
   void ReleaseAll(Members members);
 
@@ -110,8 +119,8 @@ class JoinBuffer {
   // returns whether one did.
   template <typename F>
   bool AnyChain(F&& f) const {
-    for (const Slot& slot : table_) {
-      if (slot.head != kNone && f(slot.head)) return true;
+    for (size_t s = 0; s < table_.capacity(); ++s) {
+      if (Index head = table_[s].head; head != kNone && f(head)) return true;
     }
     return false;
   }
@@ -123,34 +132,17 @@ class JoinBuffer {
 
   // Array capacities (tests: bounded memory under churn).
   size_t pool_capacity() const { return pool_.capacity(); }
-  size_t table_capacity() const { return table_.size(); }
+  size_t table_capacity() const { return table_.capacity(); }
   size_t expiry_capacity() const { return ring_.size(); }
 
-  // First probe position of `key` in a table of `capacity` slots (a power
-  // of two). Keys that share it at some capacity share it at every
-  // smaller one.
-  static size_t HomeSlot(uint64_t key, size_t capacity);
-
  private:
-  struct Slot {
-    uint64_t key = 0;
-    Index head = kNone;  // kNone: the slot is empty.
-    Index tail = kNone;
-  };
   struct Expiry {
     TimePoint deadline;
     uint64_t key;
   };
 
-  static constexpr size_t kNoSlot = std::numeric_limits<size_t>::max();
+  static constexpr size_t kNoSlot = common::ChainTable::kNoSlot;
 
-  size_t FindSlot(uint64_t key) const;
-  // The slot holding `key`'s chain, claiming an empty one (head kNone)
-  // when the key has none. May grow the table.
-  size_t FindOrClaimSlot(uint64_t key);
-  void GrowTable();
-  // Empties slot `s` and shifts the rest of its probe cluster back.
-  void EraseSlot(size_t s);
   // PruneFront on the chain in slot `s`.
   Index PruneSlot(size_t s, TimePoint clock);
   void Free(Index index);
@@ -159,12 +151,11 @@ class JoinBuffer {
   void Drain(TimePoint clock);
 
   std::vector<Entry> pool_;
-  std::vector<Slot> table_;   // Empty, or a power-of-two size.
+  common::ChainTable table_;
   std::vector<Expiry> ring_;  // Empty, or a power-of-two size.
   uint32_t ring_head_ = 0;
   uint32_t ring_size_ = 0;
   uint32_t size_ = 0;   // Live entries.
-  uint32_t keys_ = 0;   // Occupied table slots.
   Index free_ = kNone;  // Free-list head, linked through Entry::next.
   uint64_t mutations_ = 0;
 };

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/byte_codec.h"
+#include "common/hash.h"
 #include "engine/graph.h"
 
 namespace rfidcep::engine::snapshot {
@@ -303,32 +304,13 @@ Status GetV2(ByteReader& r, EngineSnapshot* out) {
   return Status::Ok();
 }
 
-// --- Fingerprint ------------------------------------------------------------
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvBytes(uint64_t h, std::string_view s) {
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t FnvU64(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= static_cast<uint8_t>(v >> (8 * i));
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 }  // namespace
 
 uint64_t ComputeFingerprint(ParameterContext context,
                             const std::vector<rules::Rule>& rules) {
-  uint64_t h = kFnvOffset;
+  using common::FnvBytes;
+  using common::FnvU64;
+  uint64_t h = common::kFnvOffset;
   h = FnvU64(h, static_cast<uint64_t>(context));
   h = FnvU64(h, rules.size());
   for (const rules::Rule& rule : rules) {

@@ -5,26 +5,17 @@
 #include <cstring>
 #include <new>
 
+#include "common/hash.h"
+
 namespace rfidcep::events {
 
 namespace {
 
-// splitmix64 finalizer: full-avalanche mixing of a 64-bit state.
-constexpr uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+using common::Mix64;
 
+// FNV-1a, then an avalanche pass (FNV alone mixes low bits poorly).
 constexpr uint64_t HashBytes(std::string_view bytes) {
-  // FNV-1a, then an avalanche pass (FNV alone mixes low bits poorly).
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return Mix64(h);
+  return Mix64(common::FnvBytes(common::kFnvOffset, bytes));
 }
 
 constexpr uint64_t kEmptyTextHash = HashBytes(std::string_view());

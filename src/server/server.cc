@@ -15,10 +15,6 @@
 namespace rfidcep::server {
 namespace {
 
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
 // Writes all of `bytes` to `fd`. False when the peer is gone.
 bool SendAll(int fd, std::string_view bytes) {
   size_t sent = 0;
@@ -63,21 +59,6 @@ int Listen(const std::string& host, int port, int backlog, int* bound_port,
   return fd;
 }
 
-// Splices a tenant label into one Prometheus sample line:
-//   name{a="b"} v  ->  name{tenant="t",a="b"} v
-//   name v         ->  name{tenant="t"} v
-std::string LabelSample(const std::string& line, const std::string& tenant) {
-  const std::string label = "tenant=\"" + tenant + "\"";
-  size_t brace = line.find('{');
-  size_t space = line.find(' ');
-  if (brace != std::string::npos && (space == std::string::npos ||
-                                     brace < space)) {
-    return line.substr(0, brace + 1) + label + "," + line.substr(brace + 1);
-  }
-  if (space == std::string::npos) return line;  // Not a sample line.
-  return line.substr(0, space) + "{" + label + "}" + line.substr(space);
-}
-
 }  // namespace
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {
@@ -96,24 +77,9 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
 }
 
 Server::~Server() {
-  if (started_ && !stopped_) {
-    // Stop serving without the checkpoint pass: destruction is the
-    // crash-like path; Shutdown() is the graceful one.
-    stopping_.store(true);
-    if (wake_pipe_[1] >= 0) (void)!::write(wake_pipe_[1], "x", 1);
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (http_thread_.joinable()) http_thread_.join();
-    std::vector<std::thread> threads;
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      threads.swap(conn_threads_);
-    }
-    for (std::thread& t : threads) t.join();
-  }
+  // Without the checkpoint pass: destruction is the crash-like path;
+  // Shutdown() is the graceful one.
+  StopServing();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (http_fd_ >= 0) ::close(http_fd_);
   for (int fd : wake_pipe_) {
@@ -167,6 +133,13 @@ Status Server::Start() {
 
 Status Server::Shutdown() {
   if (!started_ || stopped_) return Status::Ok();
+  StopServing();
+  return CheckpointAll();
+}
+
+void Server::StopServing() {
+  if (!started_ || stopped_) return;
+  stopped_ = true;
   stopping_.store(true);
   (void)!::write(wake_pipe_[1], "x", 1);
   {
@@ -183,8 +156,6 @@ Status Server::Shutdown() {
     threads.swap(conn_threads_);
   }
   for (std::thread& t : threads) t.join();
-  stopped_ = true;
-  return CheckpointAll();
 }
 
 Status Server::CheckpointAll() {
@@ -412,12 +383,7 @@ std::string Server::ExportMetrics() const {
       std::lock_guard<std::mutex> lock(tenant->mu());
       snapshot = tenant->engine().SnapshotMetrics();
     }
-    std::istringstream in(snapshot.ExportText());
-    for (std::string line; std::getline(in, line);) {
-      if (line.empty()) continue;
-      out += line[0] == '#' ? line : LabelSample(line, name);
-      out += '\n';
-    }
+    out += snapshot.ExportText("tenant=\"" + name + "\"");
   }
   return out;
 }

@@ -98,6 +98,10 @@ class Server {
   // connection must close (error already sent / peer gone).
   bool HandleFrame(int fd, Tenant* tenant, const Frame& frame, uint64_t seq);
   void HandleHttp(int fd);
+  // Stops serving: wakes the accept and HTTP loops, shuts every
+  // connection down (an in-flight frame finishes first) and joins all
+  // threads. Both ~Server and Shutdown() stop this way, once.
+  void StopServing();
   Status CheckpointAll();
 
   const ServerOptions options_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -206,21 +207,34 @@ Result<Value> EvaluateArithmetic(SqlBinOp op, const Value& l, const Value& r) {
   int64_t b = r.kind() == ValueKind::kTime ? r.AsTime() : r.AsInt();
   bool time_a = l.kind() == ValueKind::kTime;
   bool time_b = r.kind() == ValueKind::kTime;
+  // A result past int64 is an error, as division by zero is: wrapping
+  // would let a condition on timestamps near the end of time hold.
+  int64_t v = 0;
+  bool overflow = false;
   switch (op) {
     case SqlBinOp::kAdd:
-      return (time_a || time_b) ? Value::Time(a + b) : Value::Int(a + b);
+      overflow = __builtin_add_overflow(a, b, &v);
+      break;
     case SqlBinOp::kSub:
-      if (time_a && time_b) return Value::Int(a - b);  // Duration.
-      return (time_a || time_b) ? Value::Time(a - b) : Value::Int(a - b);
+      overflow = __builtin_sub_overflow(a, b, &v);
+      break;
     case SqlBinOp::kMul:
-      return Value::Int(a * b);
+      overflow = __builtin_mul_overflow(a, b, &v);
+      break;
     case SqlBinOp::kDiv:
       if (b == 0) return Status::InvalidArgument("division by zero");
-      return Value::Int(a / b);
-    default:
+      overflow = a == std::numeric_limits<int64_t>::min() && b == -1;
+      if (!overflow) v = a / b;
       break;
+    default:
+      return Status::Internal("not an arithmetic op");
   }
-  return Status::Internal("not an arithmetic op");
+  if (overflow) return Status::InvalidArgument("integer overflow");
+  // A time plus or minus a number is a time; a time minus a time is a
+  // duration.
+  const bool is_time = (op == SqlBinOp::kAdd && (time_a || time_b)) ||
+                       (op == SqlBinOp::kSub && time_a != time_b);
+  return is_time ? Value::Time(v) : Value::Int(v);
 }
 
 Result<Value> Evaluate(const SqlExpr& expr, const EvalContext& ctx) {
@@ -456,9 +470,8 @@ Result<ExecResult> ExecuteInsert(const SqlStatement& stmt,
 // actions like Rule 3's `UPDATE OBJECTLOCATION ... WHERE object_epc = o`
 // constant-time.
 struct IndexProbe {
-  size_t column = 0;
-  const Value* key = nullptr;  // Null: no probe applies, so scan.
-  Value scratch;               // Holds a computed key.
+  ColumnKey key;  // Null value: no probe applies, so scan.
+  Value scratch;  // Holds a computed key.
 };
 
 void FindIndexProbe(const SqlBinding& bound, const ParamMap& params,
@@ -472,8 +485,7 @@ void FindIndexProbe(const SqlBinding& bound, const ParamMap& params,
         key->is_null()) {
       continue;
     }
-    probe->column = column;
-    probe->key = key;
+    probe->key = ColumnKey{column, key};
     return;
   }
 }
@@ -543,10 +555,7 @@ Result<ExecResult> ExecuteUpdate(const SqlStatement& stmt,
   auto row_pred = [&pred](const Row& row) { return pred(row); };
   auto mutate = [&assign](Row* row) { assign(row); };
   Result<size_t> updated =
-      probe.key != nullptr
-          ? bound.table->UpdateWhereKeyed(probe.column, *probe.key, row_pred,
-                                          mutate)
-          : bound.table->UpdateWhere(row_pred, mutate);
+      bound.table->UpdateWhere(row_pred, mutate, probe.key);
   RFIDCEP_RETURN_IF_ERROR(pred.error());
   RFIDCEP_RETURN_IF_ERROR(eval_error);
   if (!updated.ok()) return updated.status();
@@ -563,10 +572,7 @@ Result<ExecResult> ExecuteDelete(const SqlStatement& stmt,
   FindIndexProbe(bound, params, &probe);
   auto row_pred = [&pred](const Row& row) { return pred(row); };
   ExecResult result;
-  result.affected =
-      probe.key != nullptr
-          ? bound.table->DeleteWhereKeyed(probe.column, *probe.key, row_pred)
-          : bound.table->DeleteWhere(row_pred);
+  result.affected = bound.table->DeleteWhere(row_pred, probe.key);
   RFIDCEP_RETURN_IF_ERROR(pred.error());
   return result;
 }
@@ -579,10 +585,7 @@ Result<ExecResult> ExecuteSelect(const SqlStatement& stmt,
   IndexProbe probe;
   FindIndexProbe(bound, params, &probe);
   auto row_pred = [&pred](const Row& row) { return pred(row); };
-  std::vector<Row> matched =
-      probe.key != nullptr
-          ? bound.table->SelectWhereKeyed(probe.column, *probe.key, row_pred)
-          : bound.table->SelectWhere(row_pred);
+  std::vector<Row> matched = bound.table->SelectWhere(row_pred, probe.key);
   RFIDCEP_RETURN_IF_ERROR(pred.error());
 
   // ORDER BY.

@@ -1,6 +1,7 @@
 #include "store/sql_parser.h"
-#include <cctype>
 
+#include <cctype>
+#include <charconv>
 #include <cstdlib>
 
 #include "common/strings.h"
@@ -33,6 +34,21 @@ class Parser {
       return true;
     }
     return false;
+  }
+
+  // Consumes an integer token; past int64 it is a parse error, not a
+  // clamped value.
+  Result<int64_t> ParseInteger() {
+    const SqlToken& token = Advance();
+    int64_t v = 0;
+    const char* end = token.text.data() + token.text.size();
+    auto [ptr, ec] = std::from_chars(token.text.data(), end, v);
+    if (ec != std::errc() || ptr != end) {
+      return Status::ParseError("integer '" + token.text +
+                                "' is out of range at offset " +
+                                std::to_string(token.offset));
+    }
+    return v;
   }
 
   Status Expect(std::string_view word) {
@@ -255,7 +271,7 @@ Result<SqlStatement> Parser::ParseSelect() {
       return Status::ParseError("expected integer after LIMIT, got '" +
                                 Peek().text + "'");
     }
-    stmt.limit = std::strtoll(Advance().text.c_str(), nullptr, 10);
+    RFIDCEP_ASSIGN_OR_RETURN(stmt.limit, ParseInteger());
   }
   RFIDCEP_RETURN_IF_ERROR(ExpectStatementEnd());
   return stmt;
@@ -355,8 +371,7 @@ Result<SqlExprPtr> Parser::ParseUnary() {
   const SqlToken& token = Peek();
   switch (token.kind) {
     case SqlTokenKind::kInteger: {
-      int64_t v = std::strtoll(token.text.c_str(), nullptr, 10);
-      Advance();
+      RFIDCEP_ASSIGN_OR_RETURN(int64_t v, ParseInteger());
       return SqlExpr::Literal(Value::Int(v));
     }
     case SqlTokenKind::kDouble: {

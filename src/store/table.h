@@ -3,30 +3,39 @@
 //
 // Rows live in a slotted vector; DELETE tombstones the slot and compaction
 // runs automatically once more than half the slots are dead. A hash index
-// is one flat open-addressing table (linear probing, backward-shift
-// deletion) from a value's 64-bit Value::HashSql to the first and last
-// row slot of that hash's chain; the chain links run through the row
-// slots, one pair per slot and index, in slot order. So a keyed visit
-// meets rows in the order a scan does, and keyed results re-check
-// EqualsSql, which separates values that merely share a hash. Indexes are
-// maintained incrementally on insert/update/delete and rebuilt on
-// compaction.
+// is a common::ChainTable from a value's 64-bit Value::HashSql to the
+// first and last row slot of that hash's chain; the chain links run
+// through the row slots, one pair per slot and index, in slot order. So a
+// keyed visit meets rows in the order a scan does, and keyed results
+// re-check EqualsSql, which separates values that merely share a hash.
+// Indexes are maintained incrementally on insert/update/delete and
+// rebuilt on compaction.
 
 #ifndef RFIDCEP_STORE_TABLE_H_
 #define RFIDCEP_STORE_TABLE_H_
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/chain_table.h"
 #include "common/status.h"
 #include "store/schema.h"
 
 namespace rfidcep::store {
 
 using Row = std::vector<Value>;
+
+// Restricts a table visit to the rows whose `column` value SQL-equals
+// `*value`, met by walking that column's index chain when the column is
+// indexed and by a filtering scan otherwise; in slot order either way. A
+// null `value` restricts nothing. Keys make per-event rule actions like
+// `UPDATE ... WHERE object_epc = o` O(1) instead of O(table).
+struct ColumnKey {
+  size_t column = 0;
+  const Value* value = nullptr;
+};
 
 class Table {
  public:
@@ -47,35 +56,23 @@ class Table {
   // table.
   void Scan(const std::function<void(const Row&)>& visitor) const;
 
-  // Collects live rows satisfying `pred` (nullptr = all rows).
-  std::vector<Row> SelectWhere(
-      const std::function<bool(const Row&)>& pred) const;
+  // Collects live rows within `key` satisfying `pred` (nullptr = all).
+  std::vector<Row> SelectWhere(const std::function<bool(const Row&)>& pred,
+                               ColumnKey key = {}) const;
 
-  // Indexed lookup: rows whose `column_index` value SQL-equals `key`, in
-  // slot order. Falls back to a scan when the column has no index.
+  // SelectWhere(nullptr, {column_index, &key}).
   std::vector<Row> Lookup(size_t column_index, const Value& key) const;
 
-  // Keyed variants visiting only rows whose `column_index` value
-  // SQL-equals `key`, in slot order; the residual `pred` is applied on
-  // top. Without an index on the column they fall back to the scanning
-  // variants. These are what makes per-event rule actions like
-  // `UPDATE ... WHERE object_epc = o` O(1) instead of O(table).
-  std::vector<Row> SelectWhereKeyed(
-      size_t column_index, const Value& key,
-      const std::function<bool(const Row&)>& pred) const;
-  Result<size_t> UpdateWhereKeyed(size_t column_index, const Value& key,
-                                  const std::function<bool(const Row&)>& pred,
-                                  const std::function<void(Row*)>& mutate);
-  size_t DeleteWhereKeyed(size_t column_index, const Value& key,
-                          const std::function<bool(const Row&)>& pred);
-
-  // Updates rows matching `pred` via `mutate` (which edits the row in
-  // place); re-coerces and re-indexes changed rows. Returns rows updated.
+  // Updates rows within `key` matching `pred` via `mutate` (which edits
+  // the row in place); re-coerces and re-indexes changed rows. Returns
+  // rows updated.
   Result<size_t> UpdateWhere(const std::function<bool(const Row&)>& pred,
-                             const std::function<void(Row*)>& mutate);
+                             const std::function<void(Row*)>& mutate,
+                             ColumnKey key = {});
 
-  // Deletes rows matching `pred`; returns rows deleted.
-  size_t DeleteWhere(const std::function<bool(const Row&)>& pred);
+  // Deletes rows within `key` matching `pred`; returns rows deleted.
+  size_t DeleteWhere(const std::function<bool(const Row&)>& pred,
+                     ColumnKey key = {});
 
   // Builds a hash index on `column_name`. Idempotent.
   Status CreateIndex(std::string_view column_name);
@@ -84,8 +81,8 @@ class Table {
   }
 
  private:
-  using SlotIndex = uint32_t;
-  static constexpr SlotIndex kNone = std::numeric_limits<SlotIndex>::max();
+  using SlotIndex = common::ChainTable::Index;
+  static constexpr SlotIndex kNone = common::ChainTable::kNone;
 
   struct Slot {
     Row row;
@@ -99,7 +96,10 @@ class Table {
 
     size_t column() const { return column_; }
     // First slot of `hash`'s chain, or kNone; then the next one.
-    SlotIndex Head(uint64_t hash) const;
+    SlotIndex Head(uint64_t hash) const {
+      const size_t s = chains_.Find(hash);
+      return s == common::ChainTable::kNoSlot ? kNone : chains_[s].head;
+    }
     SlotIndex Next(SlotIndex slot) const { return links_[slot].next; }
 
     // Links `slot` into `hash`'s chain at its place in slot order.
@@ -117,29 +117,25 @@ class Table {
     void Rebuild(const std::vector<Slot>& slots);
 
    private:
-    struct Bucket {
-      uint64_t hash = 0;
-      SlotIndex head = kNone;  // kNone: the bucket is empty.
-      SlotIndex tail = kNone;
-    };
     struct Links {
       uint64_t hash = 0;  // The hash the slot is chained under.
       SlotIndex prev = kNone;
       SlotIndex next = kNone;
     };
 
-    size_t FindBucket(uint64_t hash) const;  // buckets_.size() when absent.
-    size_t FindOrClaimBucket(uint64_t hash);
-    void Grow();
-    void EraseBucket(size_t b);
-
     size_t column_;
-    std::vector<Bucket> buckets_;  // Empty, or a power of two, half full.
-    std::vector<Links> links_;     // One per row slot.
-    size_t used_ = 0;              // Occupied buckets.
+    common::ChainTable chains_;
+    std::vector<Links> links_;  // One per row slot.
   };
 
   const HashIndex* FindIndex(size_t column) const;
+  // Calls visit(i) on each live slot i within `key` whose row satisfies
+  // `pred`, in slot order, until visit returns an error. visit may
+  // re-chain or kill slot i, and no other.
+  template <typename Visit>
+  Status VisitWhere(const ColumnKey& key,
+                    const std::function<bool(const Row&)>& pred,
+                    Visit&& visit) const;
   // Re-coerces slot `i` after `mutate` edited it and re-chains it under
   // the hashes of its new values.
   Status FinishUpdate(SlotIndex i);

@@ -5,6 +5,8 @@
 #include <functional>
 #include <string_view>
 
+#include "common/hash.h"
+
 namespace rfidcep::store {
 
 std::string_view ValueKindName(ValueKind kind) {
@@ -138,13 +140,7 @@ std::string Value::ToString() const {
 
 namespace {
 
-// splitmix64 finalizer: full-avalanche mixing of a 64-bit state.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+using common::Mix64;
 
 uint64_t HashText(std::string_view text) {
   return Mix64(std::hash<std::string_view>{}(text));

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "common/byte_codec.h"
+#include "common/durable_file.h"
 #include "store/database.h"
 #include "store/sql_parser.h"
 
@@ -188,10 +189,6 @@ bool DecodeRecord(std::string_view payload, WalRecord* out) {
   out->sql.assign(r.Str32());
   GetParams(r, payload.size(), &out->params);
   return r.AtEnd();
-}
-
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
 }
 
 // Reads a whole segment with one sized read. A failed or short read is
@@ -393,7 +390,9 @@ Status Wal::OpenSegment(uint64_t first_lsn) const {
   fd_ = fd;
   segment_path_ = std::move(path);
   segment_bytes_ = 0;
-  return Status::Ok();
+  // The segment's name is directory data: without this, a record synced
+  // into the segment could vanish with its directory entry.
+  return common::SyncDirectory(dir_);
 }
 
 Status Wal::FlushLocked() const {

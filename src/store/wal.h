@@ -209,8 +209,9 @@ class Wal {
   // Open-time walk: validation, dedup set, optional store replay and
   // torn-tail trim.
   Status ScanExisting(Database* replay_into);
-  // Creates a fresh segment file. Const because rotation happens from
-  // const flush paths; only touches mutable append state.
+  // Creates a fresh segment file and syncs the directory entry naming
+  // it. Const because rotation happens from const flush paths; only
+  // touches mutable append state.
   Status OpenSegment(uint64_t first_lsn) const;
   Status RotateLocked() const;
   Status FlushLocked() const;

@@ -191,6 +191,29 @@ TEST(MetricsRegistryTest, ExportTextSplicesLeIntoExistingLabels) {
             "rule_us_count{rule=\"r1\"} 1\n");
 }
 
+// A snapshot exported with a label puts it first in every sample's label
+// set: plain samples, counters, gauges and each histogram line.
+TEST(MetricsRegistryTest, ExportTextPutsTheAddedLabelFirst) {
+  MetricsRegistry registry;
+  registry.GetCounter("a_total")->Increment();
+  registry.GetGauge("b_depth{shard=\"0\"}")->Set(3);
+  registry.GetHistogram("rule_us{rule=\"r1\"}", {8})->Record(2);
+  registry.GetHistogram("lat_us", {8})->Record(9);
+  EXPECT_EQ(registry.Snapshot({{"c_total{rule=\"r2\"}", 4}})
+                .ExportText("tenant=\"t\""),
+            "a_total{tenant=\"t\"} 1\n"
+            "b_depth{tenant=\"t\",shard=\"0\"} 3\n"
+            "c_total{tenant=\"t\",rule=\"r2\"} 4\n"
+            "lat_us_bucket{tenant=\"t\",le=\"8\"} 0\n"
+            "lat_us_bucket{tenant=\"t\",le=\"+Inf\"} 1\n"
+            "lat_us_sum{tenant=\"t\"} 9\n"
+            "lat_us_count{tenant=\"t\"} 1\n"
+            "rule_us_bucket{tenant=\"t\",rule=\"r1\",le=\"8\"} 1\n"
+            "rule_us_bucket{tenant=\"t\",rule=\"r1\",le=\"+Inf\"} 1\n"
+            "rule_us_sum{tenant=\"t\",rule=\"r1\"} 2\n"
+            "rule_us_count{tenant=\"t\",rule=\"r1\"} 1\n");
+}
+
 // A sampled per-rule timer records nanoseconds: a 600 ns match handled
 // at weight 64 adds 38.4 us to _sum (whole microseconds would add 0) and
 // 64 to le="1", since the bucket takes the sample rounded up.

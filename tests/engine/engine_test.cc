@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,6 +83,33 @@ TEST(EngineTest, ConditionGatesActions) {
   EXPECT_EQ(h.engine->FiredCount("gated"), 1u);
   // Matches (pre-condition) were reported for all three.
   EXPECT_EQ(h.matches.size(), 3u);
+}
+
+// A condition whose integer arithmetic overflows is a condition error:
+// wrapped, `t1 + 5sec` would fall before t2 and the rule would fire for
+// two observations 10 us apart.
+TEST(EngineTest, ConditionOverflowIsAConditionError) {
+  EngineHarness h;
+  int alarms = 0;
+  h.engine->RegisterProcedure(
+      "send alarm",
+      [&](const RuleFiring&, const std::string&) { ++alarms; });
+  ASSERT_TRUE(h.AddRules(R"(
+    CREATE RULE late, late pair rule
+    ON WITHIN(observation(r, o, t1); observation(r, o, t2), 5sec)
+    IF t1 + 5000000 < t2
+    DO send alarm
+  )").ok());
+  ASSERT_TRUE(h.engine->Compile().ok());
+  constexpr TimePoint kEnd = std::numeric_limits<TimePoint>::max();
+  ASSERT_TRUE(h.engine->Process(events::Observation{"r", "o", kEnd - 20}).ok());
+  ASSERT_TRUE(h.engine->Process(events::Observation{"r", "o", kEnd - 10}).ok());
+  EXPECT_EQ(h.MatchesFor("late").size(), 1u);
+  EXPECT_EQ(h.engine->stats().condition_errors, 1u);
+  EXPECT_EQ(h.engine->stats().rules_fired, 0u);
+  EXPECT_EQ(alarms, 0);
+  EXPECT_EQ(h.engine->first_deferred_error().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, ProcedureReceivesBindingsAndArgs) {

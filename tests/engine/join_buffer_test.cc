@@ -56,6 +56,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace rfidcep::engine {
 namespace {
 
+using common::ChainTable;
 using events::EventInstance;
 using events::EventInstancePtr;
 using events::kWildcardJoinKey;
@@ -65,15 +66,15 @@ EventInstancePtr MakeInstance(uint64_t seq) {
   return EventInstance::MakeComplex(0, 0, events::Bindings(), {}, seq);
 }
 
-// `count` distinct nonzero keys whose home slot at capacity 1024 is
-// `home`, hence the same at every smaller power-of-two capacity once
-// scaled (HomeSlot keeps the top bits).
+// `count` distinct nonzero keys whose home slot in the buffer's
+// common::ChainTable at capacity 1024 is `home`, hence the same at every
+// smaller power-of-two capacity once scaled (HomeSlot keeps the top bits).
 std::vector<uint64_t> KeysHomedAt(size_t home, size_t count,
                                   std::mt19937_64* rng) {
   std::vector<uint64_t> keys;
   while (keys.size() < count) {
     uint64_t key = (*rng)();
-    if (key != 0 && JoinBuffer::HomeSlot(key, 1024) == home) {
+    if (key != 0 && ChainTable::HomeSlot(key, 1024) == home) {
       keys.push_back(key);
     }
   }
@@ -535,11 +536,11 @@ TEST(JoinBufferTest, HomeSlotKeepsTopBits) {
   for (int i = 0; i < 1000; ++i) {
     uint64_t key = rng();
     for (size_t capacity = 2; capacity <= 1024; capacity *= 2) {
-      EXPECT_EQ(JoinBuffer::HomeSlot(key, capacity),
-                JoinBuffer::HomeSlot(key, 1024) / (1024 / capacity));
+      EXPECT_EQ(ChainTable::HomeSlot(key, capacity),
+                ChainTable::HomeSlot(key, 1024) / (1024 / capacity));
     }
   }
-  EXPECT_EQ(JoinBuffer::HomeSlot(0, 1024), 0u);
+  EXPECT_EQ(ChainTable::HomeSlot(0, 1024), 0u);
 }
 
 }  // namespace

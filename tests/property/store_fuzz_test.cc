@@ -38,13 +38,14 @@ TEST_P(StoreFuzz, RandomOpsKeepIndexAndScanInAgreement) {
                       .ok());
       ++model_size;
     } else if (dice < 8) {  // Update all rows of one object.
-      Result<size_t> updated = table->UpdateWhereKeyed(
-          0, Value::String(object), nullptr,
-          [op](Row* row) { (*row)[3] = Value::Time(op); });
+      const Value key = Value::String(object);
+      Result<size_t> updated = table->UpdateWhere(
+          nullptr, [op](Row* row) { (*row)[3] = Value::Time(op); },
+          {0, &key});
       ASSERT_TRUE(updated.ok());
     } else {  // Delete all rows of one object.
-      size_t deleted =
-          table->DeleteWhereKeyed(0, Value::String(object), nullptr);
+      const Value key = Value::String(object);
+      size_t deleted = table->DeleteWhere(nullptr, {0, &key});
       ASSERT_LE(deleted, model_size);
       model_size -= deleted;
     }
@@ -105,10 +106,10 @@ TEST_P(StoreFuzz, SqlLayerMatchesDirectTableOps) {
                              "object_epc = o AND tend = \"UC\"",
                              &via_sql, params)
                       .ok());
-      Result<size_t> updated = direct_table->UpdateWhereKeyed(
-          0, Value::String(object),
+      const Value key = Value::String(object);
+      Result<size_t> updated = direct_table->UpdateWhere(
           [](const Row& row) { return row[3].is_uc(); },
-          [op](Row* row) { (*row)[3] = Value::Time(op); });
+          [op](Row* row) { (*row)[3] = Value::Time(op); }, {0, &key});
       ASSERT_TRUE(updated.ok());
     } else {
       ParamMap params;
@@ -117,7 +118,8 @@ TEST_P(StoreFuzz, SqlLayerMatchesDirectTableOps) {
                       "DELETE FROM OBJECTLOCATION WHERE object_epc = o",
                       &via_sql, params)
                       .ok());
-      direct_table->DeleteWhereKeyed(0, Value::String(object), nullptr);
+      const Value key = Value::String(object);
+      direct_table->DeleteWhere(nullptr, {0, &key});
     }
   }
   EXPECT_EQ(TableToCsv(*via_sql.GetTable("OBJECTLOCATION")),
@@ -127,7 +129,7 @@ TEST_P(StoreFuzz, SqlLayerMatchesDirectTableOps) {
 // The keyed path against scans, row for row and in order: one table with
 // a hash index on an ANY column and one without, driven through the same
 // operations. The unindexed table's keyed calls scan; the indexed one's
-// walk its key's chain. Keys mix the kinds EqualsSql equates (Int, Double
+// walk its key's chain in the shared common::ChainTable. Keys mix the kinds EqualsSql equates (Int, Double
 // and Time of one value, "UC" and UC, -0.0 and 0) with NULL and strings;
 // updates move rows between chains and a mass delete forces compaction.
 TEST_P(StoreFuzz, KeyedPathMatchesScansInOrder) {
@@ -190,20 +192,18 @@ TEST_P(StoreFuzz, KeyedPathMatchesScansInOrder) {
     } else if (dice < 7) {
       const Value to = random_key();
       const int64_t before = stamp;
-      Result<size_t> a =
-          indexed.UpdateWhereKeyed(0, key, nullptr, mutate_to(to));
+      Result<size_t> a = indexed.UpdateWhere(nullptr, mutate_to(to), {0, &key});
       const int64_t after = stamp;
       stamp = before;
-      Result<size_t> b =
-          scanned.UpdateWhereKeyed(0, key, nullptr, mutate_to(to));
+      Result<size_t> b = scanned.UpdateWhere(nullptr, mutate_to(to), {0, &key});
       ASSERT_TRUE(a.ok() && b.ok());
       ASSERT_EQ(*a, *b) << "op " << op;
       ASSERT_EQ(stamp, after);
     } else if (dice < 9) {
       const std::function<bool(const Row&)> residual =
           prng.UniformInt(0, 1) == 0 ? odd_v : nullptr;
-      ASSERT_EQ(indexed.DeleteWhereKeyed(0, key, residual),
-                scanned.DeleteWhereKeyed(0, key, residual))
+      ASSERT_EQ(indexed.DeleteWhere(residual, {0, &key}),
+                scanned.DeleteWhere(residual, {0, &key}))
           << "op " << op;
     }
     ASSERT_EQ(indexed.size(), scanned.size()) << "op " << op;
@@ -211,8 +211,8 @@ TEST_P(StoreFuzz, KeyedPathMatchesScansInOrder) {
     for (int probe = 0; probe < 3; ++probe) {
       const Value k = random_key();
       expect_same(indexed.Lookup(0, k), scanned.Lookup(0, k), op);
-      expect_same(indexed.SelectWhereKeyed(0, k, odd_v),
-                  scanned.SelectWhereKeyed(0, k, odd_v), op);
+      expect_same(indexed.SelectWhere(odd_v, {0, &k}),
+                  scanned.SelectWhere(odd_v, {0, &k}), op);
       std::vector<Row> by_scan = scanned.SelectWhere(
           [&k](const Row& row) { return row[0].EqualsSql(k); });
       expect_same(indexed.Lookup(0, k), by_scan, op);

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "engine/engine.h"
 #include "store/csv.h"
 #include "store/database.h"
@@ -872,6 +873,61 @@ TEST_F(ServerTest, ScrapeFormatsOutsideTheTenantLockAndReconciles) {
   EXPECT_EQ(alarms, reference.alarms);
   EXPECT_GT(got.at(TenantSample("rule_fired_total{rule=\"dup\"}", "alpha")),
             0);
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+// A /metrics exposition with every histogram bucket and sum value
+// replaced by "-": those measure wall time; everything else is a count.
+std::string MaskTimings(const std::string& metrics) {
+  std::string out;
+  std::istringstream in(metrics);
+  for (std::string line; std::getline(in, line);) {
+    const size_t space = line.rfind(' ');
+    const std::string name = line.substr(0, std::min(line.find('{'), space));
+    const auto ends_with = [&](std::string_view suffix) {
+      return name.size() >= suffix.size() &&
+             name.compare(name.size() - suffix.size(), suffix.size(),
+                          suffix) == 0;
+    };
+    if (space != std::string::npos && (ends_with("_bucket") ||
+                                       ends_with("_sum"))) {
+      line = line.substr(0, space) + " -";
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+// One scrape of two tenants with metrics on and per-rule histograms: the
+// daemon's own counters, then each tenant's samples with its tenant
+// label first in every label set (histogram buckets, sums and counts
+// included). The exposition's bytes, timings masked, are pinned by a
+// digest.
+TEST_F(ServerTest, TwoTenantScrapeBytesArePinned) {
+  Server server(Options());
+  ASSERT_TRUE(server.AddTenant(AlphaConfig()).ok());
+  ASSERT_TRUE(server.AddTenant(BetaConfig()).ok());
+  int alarms = 0;
+  CountAlarms(server, "alpha", &alarms);
+  CountAlarms(server, "beta", &alarms);
+  ASSERT_TRUE(server.Start().ok());
+  const auto batches = Batched(MakeTrace(300), 25);
+  Client alpha;
+  Client beta;
+  ASSERT_TRUE(alpha.Connect(server.bound_port(), "alpha"));
+  ASSERT_TRUE(beta.Connect(server.bound_port(), "beta"));
+  for (const auto& batch : batches) {
+    ASSERT_TRUE(alpha.Roundtrip(EncodeBatch(batch)));
+    ASSERT_TRUE(beta.Roundtrip(EncodeBatch(batch)));
+  }
+  const std::string metrics = MaskTimings(server.ExportMetrics());
+  EXPECT_NE(metrics.find("rule_match_handle_us_bucket{tenant=\"alpha\","
+                         "rule=\"dup\",le=\"+Inf\"} -\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(common::FnvBytes(common::kFnvOffset, metrics),
+            0x4a3643b8833fb04eull)
+      << metrics;
   EXPECT_TRUE(server.Shutdown().ok());
 }
 

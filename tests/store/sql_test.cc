@@ -1,3 +1,6 @@
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "store/database.h"
@@ -289,6 +292,46 @@ TEST_F(SqlExecutorTest, DivisionByZeroFails) {
   ASSERT_TRUE(
       ExecuteSql("INSERT INTO OBSERVATION VALUES ('r', 'o', 1)", &db_).ok());
   EXPECT_FALSE(ExecuteSql("SELECT 1 / 0 FROM OBSERVATION", &db_).ok());
+}
+
+// Integer results past int64 fail like division by zero rather than
+// wrap or trap, and an integer literal past int64 does not parse.
+TEST_F(SqlExecutorTest, IntegerOverflowIsAnError) {
+  for (const char* expr :
+       {"(0 - 9223372036854775807 - 1) / (0 - 1) = 1",
+        "(0 - 9223372036854775807) - 2 < 0", "4611686018427387904 * 2 > 0"}) {
+    Result<SqlExprPtr> cond = ParseSqlExpression(expr);
+    ASSERT_TRUE(cond.ok()) << expr << ": " << cond.status();
+    Result<bool> result = EvaluateCondition(**cond, ParamMap());
+    ASSERT_FALSE(result.ok()) << expr;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << expr;
+  }
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  ParamMap params;
+  params.emplace("t1", ParamValue::Scalar(Value::Time(kMax - 20)));
+  params.emplace("t2", ParamValue::Scalar(Value::Time(kMax - 10)));
+  Result<SqlExprPtr> late = ParseSqlExpression("t1 + 5000000 < t2");
+  ASSERT_TRUE(late.ok()) << late.status();
+  Result<bool> holds = EvaluateCondition(**late, params);
+  ASSERT_FALSE(holds.ok());
+  EXPECT_EQ(holds.status().code(), StatusCode::kInvalidArgument);
+  // The largest values still compute.
+  Result<SqlExprPtr> edge = ParseSqlExpression(
+      "(0 - 9223372036854775807 - 1) / 1 < 9223372036854775807 - 0");
+  ASSERT_TRUE(edge.ok()) << edge.status();
+  Result<bool> edge_holds = EvaluateCondition(**edge, ParamMap());
+  ASSERT_TRUE(edge_holds.ok()) << edge_holds.status();
+  EXPECT_TRUE(*edge_holds);
+
+  Result<SqlExprPtr> big =
+      ParseSqlExpression("99999999999999999999 = 9223372036854775807");
+  ASSERT_FALSE(big.ok());
+  EXPECT_EQ(big.status().code(), StatusCode::kParseError);
+  ASSERT_TRUE(
+      ExecuteSql("INSERT INTO OBSERVATION VALUES ('r', 'o', 1)", &db_).ok());
+  EXPECT_FALSE(
+      ExecuteSql("SELECT * FROM OBSERVATION LIMIT 99999999999999999999", &db_)
+          .ok());
 }
 
 TEST_F(SqlExecutorTest, EvaluateConditionOverParams) {
