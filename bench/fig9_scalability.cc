@@ -28,13 +28,14 @@
 // `_total` counter in the Prometheus exposition (exit 1 otherwise).
 // A store-effects phase follows: the same workload runs with SQL
 // actions against a database behind a write-ahead log (store/wal.h), is
-// hard-killed after a mid-run SerializeState by truncating the WAL
-// mid-write, recovered (WAL replay + state restore + reprocessing the
-// suffix), and the final OBSERVATION / OBJECTLOCATION /
-// OBJECTCONTAINMENT tables must be byte-identical (store/csv.h dumps)
-// to the uninterrupted run's — the exactly-once contract of
-// docs/recovery.md "Exactly-once effects". CI runs this as the recovery
-// smoke job.
+// checkpointed mid-run through engine::StateDir (snapshot, store image,
+// WAL trim), hard-killed by truncating the WAL it logs after that
+// mid-write, recovered (store image + replay of the log past it + state
+// restore + reprocessing the suffix), and the final OBSERVATION /
+// OBJECTLOCATION / OBJECTCONTAINMENT tables must be byte-identical
+// (store/csv.h dumps) to the uninterrupted run's — the exactly-once
+// contract of docs/recovery.md "Exactly-once effects". CI runs this as
+// the recovery smoke job.
 //
 // Metric collection defaults OFF here (the engine defaults it on) so the
 // timed numbers stay comparable with BENCH_rfidcep.json; --metrics turns
@@ -79,6 +80,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/state_dir.h"
 #include "sim/supply_chain.h"
 #include "sim/workload.h"
 #include "store/csv.h"
@@ -531,9 +533,9 @@ std::vector<std::string> CounterLines(const std::string& exposition) {
 }
 
 // Hard-kill simulation: keep exactly `keep` bytes of the WAL directory
-// (segments in name order), deleting later segments and cutting the one
-// the boundary lands in — usually mid-record, which is exactly the torn
-// tail Wal::Open must recover from.
+// (segments in name order), deleting the segments that start past it and
+// cutting the one the boundary lands in — usually mid-record, which is
+// exactly the torn tail Wal::Open must recover from.
 void TruncateWalAt(const std::string& dir, uint64_t keep) {
   namespace fs = std::filesystem;
   std::vector<fs::path> segments;
@@ -544,7 +546,7 @@ void TruncateWalAt(const std::string& dir, uint64_t keep) {
   uint64_t offset = 0;
   for (const fs::path& segment : segments) {
     uint64_t size = fs::file_size(segment);
-    if (offset >= keep) {
+    if (offset > keep) {
       fs::remove(segment);
       continue;
     }
@@ -555,14 +557,17 @@ void TruncateWalAt(const std::string& dir, uint64_t keep) {
 
 // Store-effects phase of the recovery smoke: the FIG9-A workload with
 // SQL actions against a real database behind a write-ahead log,
-// hard-killed after a mid-run checkpoint by truncating the WAL halfway
-// through the post-checkpoint bytes (mid-record), then recovered — WAL
-// replay into a fresh store, state restore, suffix reprocessing.
-// Same-layout recovery, so the final OBSERVATION / OBJECTLOCATION /
-// OBJECTCONTAINMENT tables must be byte-identical to the uninterrupted
-// run's, and the exported counters must reconcile.
+// checkpointed mid-run into a state directory (snapshot, store image,
+// WAL trim), hard-killed by truncating the WAL halfway through what it
+// logged after the checkpoint (mid-record), then recovered through the
+// image — the log past it replayed into the loaded store, state
+// restored, suffix reprocessed. Same-layout recovery, so the final
+// OBSERVATION / OBJECTLOCATION / OBJECTCONTAINMENT tables must be
+// byte-identical to the uninterrupted run's, and the exported counters
+// must reconcile.
 int RunDurableStoreSmoke(const BenchFlags& flags) {
   namespace fs = std::filesystem;
+  using rfidcep::engine::StateDir;
   using rfidcep::store::Database;
   using rfidcep::store::Wal;
   using rfidcep::store::WalOptions;
@@ -614,54 +619,72 @@ int RunDurableStoreSmoke(const BenchFlags& flags) {
   Check(reference->Flush(), "flush");
   const std::string want_store = dump_store(&reference_db);
 
-  const std::string wal_dir = "fig9_durable_smoke_wal";
-  fs::remove_all(wal_dir);
+  const std::string state_dir = "fig9_durable_smoke_state";
+  fs::remove_all(state_dir);
+  const StateDir state(state_dir);
   WalOptions wal_options;
   wal_options.segment_bytes = 4096;  // The cut can cross rotations.
   uint64_t checkpoint_bytes = 0;
   uint64_t final_bytes = 0;
-  std::string snapshot;
+  uint64_t checkpoint_lsn = 0;
+  int failures = 0;
   {
-    rfidcep::Result<std::unique_ptr<Wal>> opened =
-        Wal::Open(wal_dir, wal_options);
-    Check(opened.status(), "wal open");
-    std::unique_ptr<Wal> wal = std::move(*opened);
     Database db;
     Check(db.InstallRfidSchema(), "schema");
     auto crashed = make_engine(&db);
-    Check(crashed->AttachWal(wal.get()), "attach wal");
-    Check(crashed->Compile(), "compile");
+    rfidcep::Result<StateDir::Recovered> opened =
+        state.Recover(*crashed, wal_options);
+    Check(opened.status(), "state dir open");
+    std::unique_ptr<Wal> wal = std::move(opened->wal);
     for (size_t i = 0; i < cut; ++i) {
       Check(crashed->ProcessAll(batches[i]), "process");
     }
-    Check(crashed->SerializeState(&snapshot), "serialize");
+    Check(state.Checkpoint(*crashed), "checkpoint");
+    // The trim left only the empty segment that carries the LSN cursor.
+    checkpoint_lsn = wal->last_lsn();
     checkpoint_bytes = wal->total_bytes();
+    const bool trimmed = checkpoint_bytes == 0 &&
+                         wal->first_lsn() == checkpoint_lsn + 1 &&
+                         fs::exists(state.image_path());
+    std::printf("  %-24s LSN %llu, image %llu bytes, WAL %llu bytes %s\n",
+                "checkpoint",
+                static_cast<unsigned long long>(checkpoint_lsn),
+                static_cast<unsigned long long>(
+                    fs::exists(state.image_path())
+                        ? fs::file_size(state.image_path())
+                        : 0),
+                static_cast<unsigned long long>(checkpoint_bytes),
+                trimmed ? "ok" : "NOT TRIMMED");
+    if (!trimmed) ++failures;
     for (size_t i = cut; i < doomed_end; ++i) {
       Check(crashed->ProcessAll(batches[i]), "process");
     }
     crashed.reset();
     final_bytes = wal->total_bytes();
   }  // The Wal flushes on destruction; the files now hold everything.
-  TruncateWalAt(wal_dir,
+  TruncateWalAt(state.wal_dir(),
                 checkpoint_bytes + (final_bytes - checkpoint_bytes) / 2);
 
-  // One-pass recovery: the reopen replays the log into the fresh store.
+  // Recovery through the image: the log past it replays into the store
+  // the image loaded.
   Database db;
   Check(db.InstallRfidSchema(), "schema");
-  rfidcep::Result<std::unique_ptr<Wal>> reopened =
-      Wal::Open(wal_dir, wal_options, &db);
-  Check(reopened.status(), "wal reopen");
-  std::unique_ptr<Wal> wal = std::move(*reopened);
   auto second = make_engine(&db);
-  Check(second->AttachWal(wal.get()), "attach wal");
-  Check(second->Compile(), "compile");
-  Check(second->RestoreState(snapshot), "restore");
+  rfidcep::Result<StateDir::Recovered> recovered =
+      state.Recover(*second, wal_options);
+  Check(recovered.status(), "recover");
+  std::unique_ptr<Wal> wal = std::move(recovered->wal);
+  const bool from_image =
+      recovered->restored && wal->first_lsn() == checkpoint_lsn + 1;
+  std::printf("  %-24s log from LSN %llu %s\n", "recovered from image",
+              static_cast<unsigned long long>(wal->first_lsn()),
+              from_image ? "ok" : "MISMATCH");
+  if (!from_image) ++failures;
   for (size_t i = cut; i < batches.size(); ++i) {
     Check(second->ProcessAll(batches[i]), "process");
   }
   Check(second->Flush(), "flush");
 
-  int failures = 0;
   auto require = [&failures](const char* what, uint64_t want, uint64_t got) {
     bool ok = want == got;
     std::printf("  %-24s reference=%-10llu recovered=%-10llu %s\n", what,
@@ -705,7 +728,7 @@ int RunDurableStoreSmoke(const BenchFlags& flags) {
       }
     }
   }
-  fs::remove_all(wal_dir);
+  fs::remove_all(state_dir);
   std::printf("durable store smoke: %s\n", failures == 0 ? "PASS" : "FAIL");
   return failures;
 }

@@ -8,10 +8,17 @@ Two runs over the same generated trace:
 
   1. Uninterrupted: launch rfidcepd, stream every batch, flush, read the
      tenant's stats reply. This is the oracle.
-  2. Interrupted: fresh state dir, stream the first half (every frame
+  2. Interrupted: fresh state dir, stream the first third (every frame
      individually acknowledged), SIGTERM the daemon (it checkpoints and
      exits 0), relaunch over the same state dir with the same config,
-     stream the rest, flush, read stats.
+     stream to two thirds, SIGTERM and relaunch again, stream the rest,
+     flush, read stats.
+
+After each SIGTERM the tenant's state dir must hold store.img, and its
+wal/ nothing at or below the checkpoint: the checkpoint wrote the store
+image and trimmed the log down to the one empty segment that carries
+the LSN cursor, named for the LSN after the image's. So each relaunch
+restarts through the image.
 
 The interrupted run's final stats must equal the oracle's exactly —
 observations, matches, rules fired, SQL actions, per-rule fired counts —
@@ -162,6 +169,26 @@ class Daemon:
             return response.read().decode()
 
 
+def check_trimmed(tenant_dir):
+    """Asserts a checkpoint's layout: store.img, and a log trimmed to the
+    empty segment wal-<image LSN + 1>.seg. Returns the image's LSN."""
+    with open(os.path.join(tenant_dir, "store.img"), "rb") as f:
+        image = f.read()
+    # The image opens with a CRC frame: magic, u32 version, u64 LSN, ...
+    length, crc = struct.unpack_from("<II", image)
+    header = image[8 : 8 + length]
+    assert zlib.crc32(header) == crc, "store image header CRC mismatch"
+    assert header[:8] == b"RCEDSIMG", header[:8]
+    (lsn,) = struct.unpack_from("<Q", header, 12)
+    wal_dir = os.path.join(tenant_dir, "wal")
+    segments = sorted(os.listdir(wal_dir))
+    want = f"wal-{lsn + 1:020d}.seg"
+    assert segments == [want], f"wal/ holds {segments}, want [{want!r}]"
+    size = os.path.getsize(os.path.join(wal_dir, want))
+    assert size == 0, f"{want} holds {size} bytes after the checkpoint"
+    return lsn
+
+
 def write_config(workdir):
     rules = os.path.join(workdir, "smoke.rules")
     with open(rules, "w") as f:
@@ -201,20 +228,29 @@ def main():
     assert oracle["observations"] == args.events, oracle
     assert oracle["sql_actions"] > 0 and oracle["matches"] > 0, oracle
 
-    # Run 2: SIGTERM mid-stream, restart over the same state dir.
+    # Run 2: SIGTERM at a third and at two thirds, each time restarting
+    # over the same state dir through the store image.
     state_b = os.path.join(workdir, "state-b")
-    daemon = Daemon(args.bin, config, state_b, workdir)
-    client = Client(daemon.port, "smoke")
-    split = len(batches) // 2
-    for batch in batches[:split]:
-        client.roundtrip(encode_batch(batch))
-    client.close()
-    daemon.sigterm()
-    print(f"interrupted after {split}/{len(batches)} batches; restarting")
+    splits = [len(batches) // 3, 2 * len(batches) // 3]
+    begin = 0
+    lsn = 0
+    for split in splits:
+        daemon = Daemon(args.bin, config, state_b, workdir)
+        client = Client(daemon.port, "smoke")
+        for batch in batches[begin:split]:
+            client.roundtrip(encode_batch(batch))
+        client.close()
+        daemon.sigterm()
+        image_lsn = check_trimmed(os.path.join(state_b, "smoke"))
+        assert image_lsn > lsn, f"image LSN {image_lsn} after {lsn}"
+        lsn = image_lsn
+        print(f"interrupted after {split}/{len(batches)} batches; store "
+              f"image at LSN {lsn}, log trimmed; restarting")
+        begin = split
 
     daemon = Daemon(args.bin, config, state_b, workdir)
     client = Client(daemon.port, "smoke")
-    for batch in batches[split:]:
+    for batch in batches[begin:]:
         client.roundtrip(encode_batch(batch))
     client.roundtrip(frame(T_FLUSH))
     recovered = client.stats()

@@ -1,19 +1,23 @@
 #include "common/durable_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 namespace rfidcep::common {
 
 namespace {
 
+namespace fs = std::filesystem;
+
 // The directory holding `path`: "." for a bare file name.
 std::string ParentDirectory(const std::string& path) {
-  std::string dir = std::filesystem::path(path).parent_path().string();
+  std::string dir = fs::path(path).parent_path().string();
   return dir.empty() ? "." : dir;
 }
 
@@ -40,6 +44,30 @@ Status SyncDirectory(const std::string& dir) {
   return status;
 }
 
+Status CreateDirectories(const std::string& dir) {
+  // The missing directories, deepest first.
+  fs::path target = fs::path(dir).lexically_normal();
+  if (target.filename().empty()) target = target.parent_path();  // "a/b/".
+  std::vector<fs::path> missing;
+  std::error_code ec;
+  for (fs::path p = target; !p.empty() && !fs::exists(p, ec);
+       p = p.parent_path()) {
+    missing.push_back(p);
+    if (p == p.parent_path()) break;
+  }
+  for (auto it = missing.rbegin(); it != missing.rend(); ++it) {
+    const std::string path = it->string();
+    if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
+      return Errno("cannot create directory '" + path + "'");
+    }
+    RFIDCEP_RETURN_IF_ERROR(SyncDirectory(ParentDirectory(path)));
+  }
+  if (!fs::is_directory(dir, ec)) {
+    return Status::Internal("'" + dir + "' is not a directory");
+  }
+  return Status::Ok();
+}
+
 Status ReplaceFile(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   const int fd =
@@ -55,6 +83,37 @@ Status ReplaceFile(const std::string& path, std::string_view bytes) {
     return Errno("cannot rename '" + tmp + "' over '" + path + "'");
   }
   return SyncDirectory(ParentDirectory(path));
+}
+
+Status ReadFile(const std::string& path, std::string* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return Status::NotFound("no file '" + path + "'");
+    return Errno("cannot open '" + path + "'");
+  }
+  Status status;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    status = Errno("cannot stat '" + path + "'");
+  } else {
+    out->resize(static_cast<size_t>(st.st_size));
+    size_t done = 0;
+    while (status.ok() && done < out->size()) {
+      const ssize_t n = ::read(fd, out->data() + done, out->size() - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        status = Errno("cannot read '" + path + "'");
+      } else if (n == 0) {
+        status = Status::Internal("short read of '" + path + "': " +
+                                  std::to_string(done) + " of " +
+                                  std::to_string(out->size()) + " bytes");
+      } else {
+        done += static_cast<size_t>(n);
+      }
+    }
+  }
+  ::close(fd);
+  return status;
 }
 
 }  // namespace rfidcep::common

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
-#include <sstream>
 
 #include "common/durable_file.h"
 #include "engine/snapshot.h"
@@ -398,6 +396,16 @@ Status RcedaEngine::RestoreState(std::string_view bytes) {
         " — WAL and snapshot are from different runs, or the WAL lost "
         "records the checkpoint had synced");
   }
+  // The dedup set must hold every record past the checkpoint: the
+  // restored engine re-derives those firings and skips what they logged.
+  if (wal != nullptr && wal->first_lsn() > snap.durable_lsn + 1) {
+    return Status::FailedPrecondition(
+        "snapshot: WAL starts at LSN " + std::to_string(wal->first_lsn()) +
+        " but the checkpoint was taken at durable LSN " +
+        std::to_string(snap.durable_lsn) +
+        " — the log was trimmed past the checkpoint, so records after it "
+        "are gone");
+  }
 
   // Per-rule counts are keyed by rule id. The fingerprint covers the
   // ids, but the counts section is outside input all the same.
@@ -449,16 +457,11 @@ Status RcedaEngine::Checkpoint(const std::string& path) {
 }
 
 Status RcedaEngine::Restore(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open checkpoint file '" + path + "'");
+  std::string bytes;
+  if (Status read = common::ReadFile(path, &bytes); !read.ok()) {
+    return Status(read.code(), "checkpoint: " + read.message());
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::Internal("failed reading checkpoint file '" + path + "'");
-  }
-  return RestoreState(buffer.str());
+  return RestoreState(bytes);
 }
 
 std::string RcedaEngine::DebugReport() const {

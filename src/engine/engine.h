@@ -140,10 +140,12 @@ class RcedaEngine {
   // Requires compiled() with the same rule set and parameter context —
   // validated by the snapshot's rule-set fingerprint. All or nothing:
   // every failure leaves the engine as it was. Fails with
-  // kFailedPrecondition on a fingerprint mismatch and on a layout this
-  // build does not restore (a format version it does not read, a
-  // rule-sharded capture, pending action firings, or state under a key
-  // the compiled graph lacks; engine/snapshot.h), and with
+  // kFailedPrecondition on a fingerprint mismatch, on an attached WAL
+  // that ends before the snapshot's durable LSN or starts past the record
+  // after it, and on a layout this build does not restore (a format
+  // version it does not read, a rule-sharded capture, pending action
+  // firings, or state under a key the compiled graph lacks;
+  // engine/snapshot.h), and with
   // kInvalidArgument on damaged or forged bytes: malformed records,
   // counts for a rule the engine lacks, and state shaped as capture
   // never writes it (Detector::RestoreState).
@@ -164,6 +166,8 @@ class RcedaEngine {
   // next AttachWal).
   Status AttachWal(store::Wal* wal);
   store::Wal* wal() const { return dispatcher_.wal(); }
+  // The store actions write to; null when the engine has none.
+  store::Database* db() const { return db_; }
 
   // --- Integration -----------------------------------------------------------
   void RegisterProcedure(std::string_view name, Procedure procedure) {

@@ -1,25 +1,16 @@
 #include "server/tenant.h"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "common/durable_file.h"
 #include "events/event_type.h"
 
 namespace rfidcep::server {
 namespace {
 
 namespace fs = std::filesystem;
-
-Status ReadTextFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return Status::Ok();
-}
 
 Status ParseBool(const std::string& key, const std::string& value, bool* out) {
   if (value == "0" || value == "false" || value == "off") {
@@ -102,7 +93,7 @@ Result<std::vector<TenantConfig>> ParseTenantConfigText(
 Result<std::vector<TenantConfig>> ParseTenantConfigFile(
     const std::string& path) {
   std::string text;
-  RFIDCEP_RETURN_IF_ERROR(ReadTextFile(path, &text));
+  RFIDCEP_RETURN_IF_ERROR(common::ReadFile(path, &text));
   return ParseTenantConfigText(text, fs::path(path).parent_path().string());
 }
 
@@ -110,56 +101,33 @@ Result<std::unique_ptr<Tenant>> Tenant::Open(TenantConfig config,
                                              const std::string& state_dir) {
   std::string rules = config.rules_text;
   if (rules.empty()) {
-    RFIDCEP_RETURN_IF_ERROR(ReadTextFile(config.rules_file, &rules));
+    RFIDCEP_RETURN_IF_ERROR(common::ReadFile(config.rules_file, &rules));
   }
+  const std::string tenant_dir = (fs::path(state_dir) / config.name).string();
+  std::unique_ptr<Tenant> tenant(new Tenant(std::move(config), tenant_dir));
 
-  const fs::path tenant_dir = fs::path(state_dir) / config.name;
-  std::error_code ec;
-  fs::create_directories(tenant_dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create tenant state dir " +
-                            tenant_dir.string() + ": " + ec.message());
-  }
-
-  std::unique_ptr<Tenant> tenant(new Tenant(std::move(config)));
-  tenant->checkpoint_path_ = (tenant_dir / "checkpoint.snap").string();
-
-  // Recovery order (docs/recovery.md): one walk over the surviving WAL
-  // rebuilds a fresh store and collects the dedup set; attaching the WAL
-  // hands that set to the dispatcher; then compile and restore the
-  // snapshot. Any suffix the checkpoint missed is re-derived when
-  // clients resend unacknowledged frames.
+  // Recovery order (docs/recovery.md): the store image, if any, and one
+  // walk over the WAL past it rebuild a fresh store and collect the dedup
+  // set; attaching the WAL hands that set to the dispatcher; then compile
+  // and restore the snapshot. Any suffix the checkpoint missed is
+  // re-derived when clients resend unacknowledged frames.
   if (tenant->config_.store) {
     tenant->db_ = std::make_unique<store::Database>();
     RFIDCEP_RETURN_IF_ERROR(tenant->db_->InstallRfidSchema());
-    Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(
-        (tenant_dir / "wal").string(), {}, tenant->db_.get());
-    RFIDCEP_RETURN_IF_ERROR(wal.status());
-    tenant->wal_ = std::move(*wal);
   }
-
   engine::EngineOptions options;
   options.detector.tolerate_out_of_order =
       tenant->config_.tolerate_out_of_order;
   tenant->engine_ = std::make_unique<engine::RcedaEngine>(
       tenant->db_.get(), events::Environment{}, options);
   RFIDCEP_RETURN_IF_ERROR(tenant->engine_->AddRulesFromText(rules));
-  if (tenant->wal_ != nullptr) {
-    RFIDCEP_RETURN_IF_ERROR(tenant->engine_->AttachWal(tenant->wal_.get()));
-  }
-  RFIDCEP_RETURN_IF_ERROR(tenant->engine_->Compile());
-
-  if (fs::exists(tenant->checkpoint_path_)) {
-    Status restored = tenant->engine_->Restore(tenant->checkpoint_path_);
-    if (!restored.ok()) {
-      return Status(restored.code(), "restoring " + tenant->checkpoint_path_ +
-                                         ": " + restored.message());
-    }
-    tenant->restored_ = true;
-  }
+  RFIDCEP_ASSIGN_OR_RETURN(engine::StateDir::Recovered recovered,
+                           tenant->state_.Recover(*tenant->engine_));
+  tenant->wal_ = std::move(recovered.wal);
+  tenant->restored_ = recovered.restored;
   return tenant;
 }
 
-Status Tenant::Checkpoint() { return engine_->Checkpoint(checkpoint_path_); }
+Status Tenant::Checkpoint() { return state_.Checkpoint(*engine_); }
 
 }  // namespace rfidcep::server

@@ -2,10 +2,11 @@
 //
 // A tenant owns the full durable stack for one deployment — in-memory
 // RFID store, store WAL, compiled engine — plus its slice of the state
-// directory. Open() rebuilds the stack in recovery order (one walk over
-// the WAL replays it into a fresh store and collects the dedup set,
-// then attach, compile, snapshot restore), so a restarted daemon
-// resumes exactly where the last checkpoint left it (docs/recovery.md).
+// directory (engine::StateDir). Open() rebuilds the stack in recovery
+// order (the store image and one walk over the WAL past it rebuild a
+// fresh store and collect the dedup set, then attach, compile, snapshot
+// restore), so a restarted daemon resumes exactly where the last
+// checkpoint left it (docs/recovery.md).
 // One mutex per tenant serializes everything that touches its engine:
 // connections feeding it, checkpoints, and /metrics scrapes reading its
 // counts. Each engine call runs to completion on the calling connection
@@ -22,6 +23,7 @@
 
 #include "common/status.h"
 #include "engine/engine.h"
+#include "engine/state_dir.h"
 #include "store/database.h"
 #include "store/wal.h"
 
@@ -52,7 +54,8 @@ Result<std::vector<TenantConfig>> ParseTenantConfigText(
 class Tenant {
  public:
   // Builds and recovers the tenant under `state_dir/<name>/`:
-  // wal/ holds the store WAL, checkpoint.snap the latest snapshot.
+  // checkpoint.snap holds the latest snapshot, store.img the store at
+  // its durable LSN, wal/ the store WAL past it (engine/state_dir.h).
   static Result<std::unique_ptr<Tenant>> Open(TenantConfig config,
                                               const std::string& state_dir);
 
@@ -71,19 +74,21 @@ class Tenant {
 
   std::mutex& mu() { return mu_; }
 
-  // Serializes engine state (which syncs the WAL first) and atomically
-  // replaces checkpoint.snap. The durability point of the SIGTERM path.
+  // Atomically replaces checkpoint.snap (the WAL synced first), then,
+  // with a store, store.img, and trims the WAL the image covers. The
+  // durability point of the SIGTERM path.
   Status Checkpoint();
 
   // True when Open() found and restored a previous checkpoint.
   bool restored() const { return restored_; }
-  const std::string& checkpoint_path() const { return checkpoint_path_; }
+  const std::string& checkpoint_path() const { return state_.snapshot_path(); }
 
  private:
-  explicit Tenant(TenantConfig config) : config_(std::move(config)) {}
+  Tenant(TenantConfig config, const std::string& dir)
+      : config_(std::move(config)), state_(dir) {}
 
   const TenantConfig config_;
-  std::string checkpoint_path_;
+  const engine::StateDir state_;
   bool restored_ = false;
   std::mutex mu_;
   // Destruction order matters: the engine holds pointers to the WAL and

@@ -2,8 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
+#include "common/durable_file.h"
 #include "common/strings.h"
 
 namespace rfidcep::sim {
@@ -69,13 +69,9 @@ Status WriteTraceFile(const std::string& path,
 }
 
 Result<std::vector<Observation>> ReadTraceFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return TraceFromCsv(buffer.str());
+  std::string text;
+  RFIDCEP_RETURN_IF_ERROR(common::ReadFile(path, &text));
+  return TraceFromCsv(text);
 }
 
 }  // namespace rfidcep::sim

@@ -1,5 +1,6 @@
 #include "store/database.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/strings.h"
@@ -12,6 +13,9 @@ uint64_t Database::NextSchemaVersion() {
 }
 
 Status Database::CreateTable(std::string name, Schema schema) {
+  if (schema.num_columns() == 0) {
+    return Status::InvalidArgument("table '" + name + "' has no column");
+  }
   std::string key = AsciiLower(name);
   if (tables_.count(key) > 0) {
     return Status::AlreadyExists("table '" + name + "' already exists");
@@ -38,6 +42,26 @@ Table* Database::GetTable(std::string_view name) {
 const Table* Database::GetTable(std::string_view name) const {
   auto it = tables_.find(AsciiLower(name));
   return it == tables_.end() ? nullptr : it->second.get();
+}
+
+std::vector<const Table*> Database::Tables() const {
+  std::vector<std::pair<std::string_view, const Table*>> keyed;
+  keyed.reserve(tables_.size());
+  for (const auto& [key, table] : tables_) keyed.emplace_back(key, table.get());
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<const Table*> out;
+  out.reserve(keyed.size());
+  for (const auto& [key, table] : keyed) out.push_back(table);
+  return out;
+}
+
+void Database::ReplaceTables(std::vector<std::unique_ptr<Table>> tables) {
+  tables_.clear();
+  for (std::unique_ptr<Table>& table : tables) {
+    std::string key = AsciiLower(table->name());
+    tables_.emplace(std::move(key), std::move(table));
+  }
+  schema_version_ = NextSchemaVersion();
 }
 
 Status Database::InstallRfidSchema() {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "store/table.h"
@@ -20,7 +21,7 @@ class Database {
   Database& operator=(const Database&) = delete;
 
   // Creates a table; fails with kAlreadyExists on a duplicate name
-  // (case-insensitive).
+  // (case-insensitive) and kInvalidArgument on a schema with no column.
   Status CreateTable(std::string name, Schema schema);
 
   // Drops a table; fails with kNotFound if absent.
@@ -33,6 +34,13 @@ class Database {
   bool HasTable(std::string_view name) const {
     return GetTable(name) != nullptr;
   }
+
+  // Every table, ordered by lowercase name.
+  std::vector<const Table*> Tables() const;
+
+  // Replaces every table with `tables`, whose names must be distinct
+  // case-insensitively (a store image's, store/store_image.h).
+  void ReplaceTables(std::vector<std::unique_ptr<Table>> tables);
 
   // Identifies this database's set of tables: it changes when a table is
   // created or dropped, and no two databases in a process share one. A

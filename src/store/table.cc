@@ -193,6 +193,13 @@ Status Table::CreateIndex(std::string_view column_name) {
   return Status::Ok();
 }
 
+std::vector<size_t> Table::IndexedColumns() const {
+  std::vector<size_t> columns;
+  columns.reserve(indexes_.size());
+  for (const HashIndex& index : indexes_) columns.push_back(index.column());
+  return columns;
+}
+
 void Table::MaybeCompact() {
   if (slots_.size() < 64 || live_count_ * 2 > slots_.size()) return;
   std::vector<Slot> compacted;

@@ -79,6 +79,8 @@ class Table {
   bool HasIndex(size_t column_index) const {
     return FindIndex(column_index) != nullptr;
   }
+  // The indexed columns, in the order their indexes were created.
+  std::vector<size_t> IndexedColumns() const;
 
  private:
   using SlotIndex = common::ChainTable::Index;

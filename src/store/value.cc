@@ -5,6 +5,7 @@
 #include <functional>
 #include <string_view>
 
+#include "common/byte_codec.h"
 #include "common/hash.h"
 
 namespace rfidcep::store {
@@ -165,6 +166,46 @@ uint64_t Value::HashSql() const {
       return HashText("UC");
   }
   return 0;
+}
+
+void PutValue(common::ByteWriter& w, const Value& v) {
+  w.U8(static_cast<uint8_t>(v.kind()));
+  switch (v.kind()) {
+    case ValueKind::kNull:
+    case ValueKind::kUc:
+      break;
+    case ValueKind::kInt:
+      w.I64(v.AsInt());
+      break;
+    case ValueKind::kTime:
+      w.I64(v.AsTime());
+      break;
+    case ValueKind::kDouble:
+      w.U64(std::bit_cast<uint64_t>(v.AsDouble()));
+      break;
+    case ValueKind::kString:
+      w.Str32(v.AsString());
+      break;
+  }
+}
+
+Value GetValue(common::ByteReader& r) {
+  switch (static_cast<ValueKind>(r.U8())) {
+    case ValueKind::kNull:
+      return Value::Null();
+    case ValueKind::kUc:
+      return Value::Uc();
+    case ValueKind::kInt:
+      return Value::Int(r.I64());
+    case ValueKind::kTime:
+      return Value::Time(r.I64());
+    case ValueKind::kDouble:
+      return Value::Double(std::bit_cast<double>(r.U64()));
+    case ValueKind::kString:
+      return Value::String(std::string(r.Str32()));
+  }
+  r.Fail("unknown store value kind");
+  return Value::Null();
 }
 
 }  // namespace rfidcep::store

@@ -17,6 +17,11 @@
 #include "common/status.h"
 #include "common/time.h"
 
+namespace rfidcep::common {
+class ByteReader;
+class ByteWriter;
+}  // namespace rfidcep::common
+
 namespace rfidcep::store {
 
 enum class ValueKind {
@@ -98,6 +103,19 @@ class Value {
 
   Rep rep_;
 };
+
+// The one value codec, shared by WAL records and store images
+// (store/store_image.h): a u8 ValueKind tag and its payload — none for
+// kNull and kUc, i64 for kInt and kTime, the IEEE-754 bit pattern as u64
+// for kDouble (so re-encoding is byte-exact, -0.0 included), u32-length
+// bytes for kString.
+void PutValue(common::ByteWriter& w, const Value& v);
+// An unknown value kind, like any malformed field, latches the reader's
+// failure (and returns NULL).
+Value GetValue(common::ByteReader& r);
+// The fewest bytes a value encodes to: its tag. The floor for decoded
+// value counts.
+inline constexpr size_t kMinValueBytes = 1;
 
 }  // namespace rfidcep::store
 

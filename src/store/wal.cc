@@ -5,8 +5,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -38,14 +38,11 @@ std::string SegmentName(uint64_t first_lsn) {
 }
 
 // Action parameters: u32 count, then per parameter in name order: u32-length
-// name, u8 is_multi, then one value, or a u32 count and that many values.
-// A value is a u8 ValueKind tag and its payload: none for kNull and kUc,
-// i64 for kInt and kTime, the IEEE-754 bit pattern as u64 for kDouble (so
-// re-encoding is byte-exact), u32-length bytes for kString.
+// name, u8 is_multi, then one value, or a u32 count and that many values,
+// each in the store's value codec (PutValue, store/value.h).
 //
 // Minimum encoded sizes, the floors for decoded counts: a value is at
 // least its tag; a parameter is a name length, the multi flag and a tag.
-constexpr size_t kMinValueBytes = 1;
 constexpr size_t kMinParamBytes = 4 + 1 + kMinValueBytes;
 
 // Decoded parameters outweigh their encoding: a 1-byte NULL decodes to a
@@ -70,48 +67,6 @@ size_t DecodedBytes(const ParamMap& params) {
     if (param.is_multi) bytes += param.values.size() * sizeof(Value);
   }
   return bytes;
-}
-
-void PutValue(common::ByteWriter& w, const Value& v) {
-  w.U8(static_cast<uint8_t>(v.kind()));
-  switch (v.kind()) {
-    case ValueKind::kNull:
-    case ValueKind::kUc:
-      break;
-    case ValueKind::kInt:
-      w.I64(v.AsInt());
-      break;
-    case ValueKind::kTime:
-      w.I64(v.AsTime());
-      break;
-    case ValueKind::kDouble:
-      w.U64(std::bit_cast<uint64_t>(v.AsDouble()));
-      break;
-    case ValueKind::kString:
-      w.Str32(v.AsString());
-      break;
-  }
-}
-
-// An unknown value kind, like any malformed field, latches the reader's
-// failure.
-Value GetValue(common::ByteReader& r) {
-  switch (static_cast<ValueKind>(r.U8())) {
-    case ValueKind::kNull:
-      return Value::Null();
-    case ValueKind::kUc:
-      return Value::Uc();
-    case ValueKind::kInt:
-      return Value::Int(r.I64());
-    case ValueKind::kTime:
-      return Value::Time(r.I64());
-    case ValueKind::kDouble:
-      return Value::Double(std::bit_cast<double>(r.U64()));
-    case ValueKind::kString:
-      return Value::String(std::string(r.Str32()));
-  }
-  r.Fail("unknown store value kind");
-  return Value::Null();
 }
 
 void PutParams(common::ByteWriter& w, const ParamMap& params) {
@@ -191,38 +146,6 @@ bool DecodeRecord(std::string_view payload, WalRecord* out) {
   return r.AtEnd();
 }
 
-// Reads a whole segment with one sized read. A failed or short read is
-// an error, never a torn tail: trimming to what was read would cut
-// valid records out of the log.
-Status ReadFile(const std::string& path, std::string* out) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return Errno("cannot open wal segment " + path);
-  Status status;
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    status = Errno("cannot stat wal segment " + path);
-  } else {
-    out->resize(static_cast<size_t>(st.st_size));
-    size_t done = 0;
-    while (status.ok() && done < out->size()) {
-      ssize_t n = ::read(fd, out->data() + done, out->size() - done);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0) {
-        status = Errno("cannot read wal segment " + path);
-      } else if (n == 0) {
-        status = Status::Internal(
-            "short read of wal segment " + path + ": " +
-            std::to_string(done) + " of " + std::to_string(out->size()) +
-            " bytes");
-      } else {
-        done += static_cast<size_t>(n);
-      }
-    }
-  }
-  ::close(fd);
-  return status;
-}
-
 using RecordFn = std::function<Status(const WalRecord&)>;
 
 // The one walker: checks each record of one segment (frame bounds, CRC,
@@ -280,23 +203,58 @@ class StoreReplayer {
   StringViewMap<SqlStatement> statements_;
 };
 
-Status ListSegments(const std::string& dir, std::vector<std::string>* names) {
-  names->clear();
+// One segment file: its name and the LSN its name says it starts at.
+struct Segment {
+  std::string name;
+  uint64_t first_lsn = 0;
+};
+
+// The segments in `dir`, in LSN order: the files named
+// wal-<decimal LSN>.seg. A file named so whose name holds no LSN is an
+// error, since the names carry the log's first LSN.
+Status ListSegments(const std::string& dir, std::vector<Segment>* segments) {
+  constexpr size_t kPrefix = sizeof(kSegmentPrefix) - 1;
+  constexpr size_t kSuffix = sizeof(kSegmentSuffix) - 1;
+  segments->clear();
   std::error_code ec;
   for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
        it.increment(ec)) {
     std::string name = it->path().filename().string();
-    if (name.rfind(kSegmentPrefix, 0) == 0 && name.size() > 4 &&
-        name.compare(name.size() - 4, 4, kSegmentSuffix) == 0) {
-      names->push_back(std::move(name));
+    if (name.size() < kPrefix + kSuffix ||
+        name.compare(0, kPrefix, kSegmentPrefix) != 0 ||
+        name.compare(name.size() - kSuffix, kSuffix, kSegmentSuffix) != 0) {
+      continue;
     }
+    const char* first = name.data() + kPrefix;
+    const char* last = name.data() + name.size() - kSuffix;
+    uint64_t lsn = 0;
+    const auto [stop, error] = std::from_chars(first, last, lsn);
+    if (error != std::errc() || stop != last || lsn == 0) {
+      return Status::InvalidArgument("wal segment name " + dir + "/" + name +
+                                     " holds no LSN");
+    }
+    segments->push_back(Segment{std::move(name), lsn});
   }
   if (ec) {
     return Status::Internal("cannot list wal directory " + dir + ": " +
                             ec.message());
   }
-  std::sort(names->begin(), names->end());  // Zero-padded LSN => LSN order.
+  std::sort(segments->begin(), segments->end(),
+            [](const Segment& a, const Segment& b) {
+              return a.first_lsn < b.first_lsn;
+            });
   return Status::Ok();
+}
+
+// A segment must start where the one before it ended: a name past that
+// means a segment between them is gone.
+Status CheckSegmentStart(const std::string& path, const Segment& segment,
+                         uint64_t expected_lsn) {
+  if (segment.first_lsn == expected_lsn) return Status::Ok();
+  return Status::InvalidArgument(
+      "wal segment " + path + " starts at LSN " +
+      std::to_string(segment.first_lsn) + " but the log continues at LSN " +
+      std::to_string(expected_lsn));
 }
 
 bool KeyLess(const WalActionSet::Entry& a, const WalActionSet::Entry& b) {
@@ -319,35 +277,43 @@ Wal::~Wal() {
 }
 
 Result<std::unique_ptr<Wal>> Wal::Open(std::string dir, WalOptions options,
-                                       Database* replay_into) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create wal directory " + dir + ": " +
-                            ec.message());
-  }
+                                       Database* replay_into,
+                                       uint64_t replay_after) {
+  RFIDCEP_RETURN_IF_ERROR(common::CreateDirectories(dir));
   std::unique_ptr<Wal> wal(new Wal(std::move(dir), options));
-  RFIDCEP_RETURN_IF_ERROR(wal->ScanExisting(replay_into));
+  RFIDCEP_RETURN_IF_ERROR(wal->ScanExisting(replay_into, replay_after));
   return wal;
 }
 
-Status Wal::ScanExisting(Database* replay_into) {
+Result<uint64_t> Wal::FirstLsn(const std::string& dir) {
+  std::error_code ec;
+  if (!fs::exists(dir, ec)) return uint64_t{1};
+  std::vector<Segment> segments;
+  RFIDCEP_RETURN_IF_ERROR(ListSegments(dir, &segments));
+  return segments.empty() ? 1 : segments.front().first_lsn;
+}
+
+Status Wal::ScanExisting(Database* replay_into, uint64_t replay_after) {
   std::optional<StoreReplayer> store;
   if (replay_into != nullptr) store.emplace(replay_into);
   const RecordFn on_record = [&](const WalRecord& r) {
     recovered_actions_.Add(r.rule_id, r.action_seq, r.action_index,
                            r.affected);
-    return store.has_value() ? store->Apply(r) : Status::Ok();
+    return store.has_value() && r.lsn > replay_after ? store->Apply(r)
+                                                     : Status::Ok();
   };
-  std::vector<std::string> names;
-  RFIDCEP_RETURN_IF_ERROR(ListSegments(dir_, &names));
-  uint64_t expected_lsn = 1;
+  std::vector<Segment> segments;
+  RFIDCEP_RETURN_IF_ERROR(ListSegments(dir_, &segments));
+  // A trimmed log starts past 1; its first segment's name says where.
+  uint64_t expected_lsn = segments.empty() ? 1 : segments[0].first_lsn;
+  first_lsn_ = expected_lsn;
   std::string data;
   WalRecord record;
-  for (size_t i = 0; i < names.size(); ++i) {
-    const std::string path = dir_ + "/" + names[i];
-    RFIDCEP_RETURN_IF_ERROR(ReadFile(path, &data));
-    const bool final_segment = i + 1 == names.size();
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const std::string path = dir_ + "/" + segments[i].name;
+    RFIDCEP_RETURN_IF_ERROR(CheckSegmentStart(path, segments[i], expected_lsn));
+    RFIDCEP_RETURN_IF_ERROR(common::ReadFile(path, &data));
+    const bool final_segment = i + 1 == segments.size();
     size_t valid = 0;
     RFIDCEP_RETURN_IF_ERROR(
         WalkSegment(data, &expected_lsn, &record, on_record, &valid));
@@ -475,17 +441,18 @@ Status Wal::Sync() {
 Status Wal::Replay(uint64_t after_lsn, const RecordFn& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
   RFIDCEP_RETURN_IF_ERROR(FlushLocked());  // Replay reads the files.
-  std::vector<std::string> names;
-  RFIDCEP_RETURN_IF_ERROR(ListSegments(dir_, &names));
+  std::vector<Segment> segments;
+  RFIDCEP_RETURN_IF_ERROR(ListSegments(dir_, &segments));
   const RecordFn after_cursor = [&](const WalRecord& r) {
     return r.lsn <= after_lsn ? Status::Ok() : fn(r);
   };
-  uint64_t expected_lsn = 1;
+  uint64_t expected_lsn = segments.empty() ? 1 : segments[0].first_lsn;
   std::string data;
   WalRecord record;
-  for (const std::string& name : names) {
-    const std::string path = dir_ + "/" + name;
-    RFIDCEP_RETURN_IF_ERROR(ReadFile(path, &data));
+  for (const Segment& segment : segments) {
+    const std::string path = dir_ + "/" + segment.name;
+    RFIDCEP_RETURN_IF_ERROR(CheckSegmentStart(path, segment, expected_lsn));
+    RFIDCEP_RETURN_IF_ERROR(common::ReadFile(path, &data));
     size_t valid = 0;
     RFIDCEP_RETURN_IF_ERROR(
         WalkSegment(data, &expected_lsn, &record, after_cursor, &valid));
@@ -498,6 +465,46 @@ Status Wal::Replay(uint64_t after_lsn, const RecordFn& fn) const {
     }
   }
   return Status::Ok();
+}
+
+Status Wal::Trim(uint64_t lsn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!io_error_.ok()) return io_error_;
+  // Sealing moves appends to a new segment, named for the next LSN, so
+  // every record so far sits in a sealed segment that can go, and the
+  // new name keeps the LSN cursor when they all do.
+  if (segment_bytes_ > 0) {
+    Status rotated = RotateLocked();
+    if (!rotated.ok()) {
+      io_error_ = rotated;
+      return rotated;
+    }
+  }
+  std::vector<Segment> segments;
+  RFIDCEP_RETURN_IF_ERROR(ListSegments(dir_, &segments));
+  // Oldest first, each deletion synced before the next, so that a crash
+  // midway leaves the log a suffix of itself. Segment i holds LSNs
+  // [first_i, first_{i+1} - 1]; the last one takes appends and stays.
+  for (size_t i = 0;
+       i + 1 < segments.size() && segments[i + 1].first_lsn <= lsn + 1; ++i) {
+    const std::string path = dir_ + "/" + segments[i].name;
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0) {
+      return Errno("cannot stat wal segment " + path);
+    }
+    if (::unlink(path.c_str()) != 0) {
+      return Errno("cannot delete wal segment " + path);
+    }
+    sealed_bytes_ -= static_cast<uint64_t>(st.st_size);
+    first_lsn_ = segments[i + 1].first_lsn;
+    RFIDCEP_RETURN_IF_ERROR(common::SyncDirectory(dir_));
+  }
+  return Status::Ok();
+}
+
+uint64_t Wal::first_lsn() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return first_lsn_;
 }
 
 uint64_t Wal::last_lsn() const {

@@ -23,6 +23,13 @@
 // checks every record's CRC and LSN continuity, decodes it once, adds
 // its key to the dedup set and, given a store, replays it there.
 //
+// A checkpoint bounds the log (engine/state_dir.h): it writes an image
+// of the store (store/store_image.h), then Trim() seals the segment
+// appends go to and deletes the segments the image covers. Each segment
+// is named for the LSN of its first record, so a trimmed log's first
+// segment says where the log now starts, and an empty segment named for
+// the next LSN keeps the cursor when every record is gone.
+//
 // Crash tolerance: a torn write can only damage the tail of the final
 // segment. Open() validates every record, truncates a torn or corrupt
 // tail in the last segment, and treats corruption in any earlier
@@ -68,7 +75,8 @@ enum class WalRecordKind : uint8_t {
 };
 
 // One executed action, as recovery decodes it. `lsn` is assigned by
-// Append (sequential from 1).
+// Append: sequential from 1 in a new log, continuing the cursor in a
+// reopened one.
 struct WalRecord {
   WalRecordKind kind = WalRecordKind::kSql;
   uint64_t lsn = 0;
@@ -159,17 +167,28 @@ class WalActionSet {
 
 class Wal {
  public:
-  // Opens the log in `dir` (created if missing) in one walk over its
-  // segments: validates every record, truncates a torn tail in the
-  // final segment, collects the executed-action dedup set and, when
-  // `replay_into` is non-null, replays every logged SQL statement into
-  // that store (the one-pass recovery; null only scans). Fails on
-  // corruption anywhere before the final segment's tail, on a segment
-  // it cannot read in full, and on a statement the store rejects — in
-  // which case the store holds a prefix of the log.
+  // Opens the log in `dir` (created, with any missing parent, and each
+  // new entry synced, if missing) in one walk over its segments:
+  // validates every record, truncates a torn tail in the final segment,
+  // collects the executed-action dedup set from every record and, when
+  // `replay_into` is non-null, replays every logged SQL statement past
+  // LSN `replay_after` into that store (the one-pass recovery; null only
+  // scans). The log starts at its first segment's LSN, whatever that is:
+  // whether a trimmed log still holds what a caller needs is the
+  // caller's check (engine/state_dir.h). Fails on corruption anywhere
+  // before the final segment's tail, on a segment that does not start
+  // where the one before it ended, on a segment it cannot read in full,
+  // and on a statement the store rejects — in which case the store holds
+  // a prefix of the log.
   static Result<std::unique_ptr<Wal>> Open(std::string dir,
                                            WalOptions options = {},
-                                           Database* replay_into = nullptr);
+                                           Database* replay_into = nullptr,
+                                           uint64_t replay_after = 0);
+
+  // The LSN the log in `dir` starts at, read from its first segment's
+  // name without reading any record: 1 when `dir` holds no segment or
+  // does not exist.
+  static Result<uint64_t> FirstLsn(const std::string& dir);
 
   ~Wal();
   Wal(const Wal&) = delete;
@@ -192,9 +211,21 @@ class Wal {
   Status Replay(uint64_t after_lsn,
                 const std::function<Status(const WalRecord&)>& fn) const;
 
-  // Highest LSN appended (or recovered), 0 when empty. Thread-safe.
+  // Bounds the log after a checkpoint covered it through `lsn`: seals
+  // the current segment when it holds a record (appends go on in a new
+  // one, named for the next LSN), then deletes, oldest first and each
+  // deletion synced, every segment whose records all sit at or below
+  // `lsn`. The segment taking appends is never deleted. Thread-safe.
+  Status Trim(uint64_t lsn);
+
+  // LSN of the log's first segment: 1 until a Trim() deletes a
+  // segment, and at most last_lsn() + 1. Thread-safe.
+  uint64_t first_lsn() const;
+  // Highest LSN appended (or recovered), first_lsn() - 1 when the log
+  // holds no record. Thread-safe.
   uint64_t last_lsn() const;
-  // Total bytes across all segments after the last append. Thread-safe.
+  // Total bytes across the segments on disk after the last append.
+  // Thread-safe.
   uint64_t total_bytes() const;
 
   // State found by the Open() scan (immutable afterwards).
@@ -208,7 +239,7 @@ class Wal {
 
   // Open-time walk: validation, dedup set, optional store replay and
   // torn-tail trim.
-  Status ScanExisting(Database* replay_into);
+  Status ScanExisting(Database* replay_into, uint64_t replay_after);
   // Creates a fresh segment file and syncs the directory entry naming
   // it. Const because rotation happens from const flush paths; only
   // touches mutable append state.
@@ -231,6 +262,7 @@ class Wal {
   mutable std::string buffer_;    // Encoded frames not yet written.
   mutable uint64_t segment_bytes_ = 0;  // Current segment incl. buffer.
   mutable uint64_t sealed_bytes_ = 0;   // Total size of sealed segments.
+  uint64_t first_lsn_ = 1;              // Changed by Trim().
   mutable uint64_t next_lsn_ = 1;
   mutable Status io_error_;       // Sticky first write failure.
 };

@@ -7,7 +7,8 @@
 // leaf, instance or pair, building action parameters nobody reads, or
 // bringing back a per-firing map or record copy fails here instead of
 // creeping back unnoticed. The same counting allocator bounds what a
-// forged snapshot or WAL record can make the decoder allocate.
+// forged snapshot, WAL record or store image can make the decoder
+// allocate.
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <new>
 #include <string>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "engine/snapshot.h"
 #include "sim/supply_chain.h"
 #include "store/database.h"
+#include "store/store_image.h"
 #include "store/wal.h"
 #include "tests/engine/test_util.h"
 
@@ -375,6 +378,101 @@ TEST(AllocBudgetTest, ForgedWalRecordsAllocateLittle) {
         << name << ": " << allocated << " bytes allocated";
   }
   fs::remove_all(dir);
+}
+
+// A store image frame holding what `body` writes.
+std::string ImageFrame(const std::function<void(common::ByteWriter&)>& body) {
+  std::string out;
+  const size_t start = common::BeginFrame(&out);
+  common::ByteWriter w(&out);
+  body(w);
+  common::EndFrame(&out, start);
+  return out;
+}
+
+std::string ImageHeader(uint32_t tables) {
+  return ImageFrame([&](common::ByteWriter& w) {
+    w.Bytes(store::kStoreImageMagic);
+    w.U32(store::kStoreImageVersion);
+    w.U64(1);
+    w.U32(tables);
+  });
+}
+
+// One ANY column, indexed: the fewest image bytes per decoded row.
+std::string OneColumnTable(uint32_t columns, uint64_t rows,
+                           std::string_view name = "t") {
+  return ImageFrame([&](common::ByteWriter& w) {
+    w.Str32(name);
+    w.U32(columns);
+    w.Str32("a");
+    w.U8(static_cast<uint8_t>(store::ColumnType::kAny));
+    w.U32(1);
+    w.U32(0);
+    w.U64(rows);
+  });
+}
+
+// A corrupt store image must fail its load, not exhaust memory: each
+// count is held to what the rest of its frame, or of the image, could
+// encode at its element's minimum size before anything is sized from it.
+// Each forged image below is 1 MiB, one count raised past that floor,
+// and is refused while the decode allocates less than the image's size.
+// Decoding a valid image allocates at most kImageDecodeBound bytes per
+// image byte (docs/recovery.md "The store image"). The images that come
+// nearest, a million 1-byte NULLs in an indexed column (136 per byte)
+// and thirty thousand empty indexed tables, are checked against it.
+TEST(AllocBudgetTest, ForgedStoreImageAllocatesLittle) {
+  constexpr size_t kImageDecodeBound = 160;
+  const std::string padding = ImageFrame([](common::ByteWriter& w) {
+    w.U32(1u << 20);
+    w.Bytes(std::string(1u << 20, '\0'));  // A million NULL tags.
+  });
+  const struct {
+    const char* name;
+    std::string bytes;
+  } forged[] = {
+      {"table count", ImageHeader(0xffffffffu) + padding},
+      {"column count", ImageHeader(1) + OneColumnTable(0xffffffffu, 1) +
+                           padding},
+      {"table row count",
+       ImageHeader(1) + OneColumnTable(1, uint64_t{1} << 40) + padding},
+      {"row frame count",
+       ImageHeader(1) + OneColumnTable(1, 1u << 20) +
+           ImageFrame([](common::ByteWriter& w) {
+             w.U32(0xffffffffu);
+             w.Bytes(std::string(1u << 20, '\0'));
+           })},
+  };
+  for (const auto& [name, bytes] : forged) {
+    g_bytes.store(0);
+    EXPECT_FALSE(store::DecodeStoreImage(bytes).ok()) << name;
+    EXPECT_LE(g_bytes.load(), bytes.size()) << name;
+  }
+
+  std::string tables = ImageHeader(30000);
+  for (int i = 0; i < 30000; ++i) {
+    tables += OneColumnTable(1, 0, "t" + std::to_string(i));
+  }
+  const struct {
+    const char* name;
+    std::string bytes;
+    size_t tables;
+  } valid[] = {
+      {"a million NULLs", ImageHeader(1) + OneColumnTable(1, 1u << 20) + padding,
+       1},
+      {"empty tables", tables, 30000},
+  };
+  for (const auto& [name, bytes, table_count] : valid) {
+    g_bytes.store(0);
+    Result<store::StoreImage> image = store::DecodeStoreImage(bytes);
+    const size_t allocated = g_bytes.load();
+    ASSERT_TRUE(image.ok()) << name << ": " << image.status();
+    EXPECT_EQ(image->tables.size(), table_count) << name;
+    EXPECT_LE(allocated, kImageDecodeBound * bytes.size())
+        << name << ": " << allocated << " bytes allocated decoding "
+        << bytes.size();
+  }
 }
 
 }  // namespace

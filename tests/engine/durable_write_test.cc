@@ -1,11 +1,14 @@
 // The order of the syscalls that make checkpoints and WAL segments
 // durable. Power loss cannot be simulated in a test; instead this binary
-// replaces fsync and rename (as alloc_budget_test replaces operator
-// new), resolves each synced fd through /proc/self/fd, and checks the
-// order a crash-safe write needs: a checkpoint's temporary file is
-// synced, then renamed over the checkpoint, then its directory is
-// synced; a new WAL segment's directory entry is synced before any
-// record in it is.
+// replaces fsync, rename and unlink (as alloc_budget_test replaces
+// operator new), resolves each synced fd through /proc/self/fd, and
+// checks the order a crash-safe write needs: a checkpoint's temporary
+// file is synced, then renamed over the checkpoint, then its directory
+// is synced; a new WAL segment's directory entry is synced before any
+// record in it is; a created directory's entry is synced in its parent;
+// a store-backed checkpoint replaces the snapshot, then the store image,
+// then deletes the WAL segments the image covers, oldest first, each
+// deletion synced before the next.
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -23,13 +26,15 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/state_dir.h"
+#include "server/tenant.h"
 #include "store/wal.h"
 #include "tests/engine/test_util.h"
 
 namespace {
 
 struct Call {
-  enum Kind { kSyncFile, kSyncDir, kRename } kind;
+  enum Kind { kSyncFile, kSyncDir, kRename, kUnlink } kind;
   std::string path;                 // kRename: the target.
   std::string from;                 // kRename only.
   std::vector<std::string> listing;  // kSyncDir: the entries then.
@@ -75,6 +80,11 @@ extern "C" int rename(const char* from, const char* to) noexcept {
       ::syscall(SYS_renameat2, AT_FDCWD, from, AT_FDCWD, to, 0));
 }
 
+extern "C" int unlink(const char* path) noexcept {
+  Calls().push_back(Call{Call::kUnlink, path, {}, {}});
+  return static_cast<int>(::syscall(SYS_unlinkat, AT_FDCWD, path, 0));
+}
+
 namespace rfidcep {
 namespace {
 
@@ -105,6 +115,23 @@ class DurableWriteTest : public ::testing::Test {
       }
     }
     return -1;
+  }
+
+  // Expects each of `created` listed by a sync of its parent directory,
+  // which therefore came after the mkdir.
+  static void ExpectEntriesSynced(const std::vector<fs::path>& created) {
+    for (const fs::path& path : created) {
+      SCOPED_TRACE(path.string());
+      const std::string name = path.filename().string();
+      bool listed = false;
+      for (const Call& call : Calls()) {
+        listed = listed || (call.kind == Call::kSyncDir &&
+                            call.path == path.parent_path().string() &&
+                            std::count(call.listing.begin(),
+                                       call.listing.end(), name) > 0);
+      }
+      EXPECT_TRUE(listed);
+    }
   }
 
   fs::path dir_;
@@ -183,6 +210,64 @@ TEST_F(DurableWriteTest, EachNewWalSegmentSyncsTheDirectory) {
     ASSERT_GE(synced, 0);
     EXPECT_LT(listed, synced);
   }
+}
+
+// Once a checkpoint trims the log, wal/ holds the only copy of the
+// records past the image: the directories leading to it must survive a
+// power loss, so each one created is synced into its parent.
+TEST_F(DurableWriteTest, CreatedDirectoriesSyncTheirParents) {
+  const fs::path wal = dir_ / "new" / "wal";
+  ASSERT_TRUE(store::Wal::Open(wal.string()).ok());
+  ExpectEntriesSynced({dir_ / "new", wal});
+
+  Calls().clear();
+  server::TenantConfig config;
+  config.name = "t";
+  config.rules_text =
+      "CREATE RULE x, a ON observation(r, o, t) IF true "
+      "DO INSERT INTO OBSERVATION VALUES (r, o, t)";
+  const fs::path state = dir_ / "state";
+  ASSERT_TRUE(server::Tenant::Open(config, state.string()).ok());
+  ExpectEntriesSynced({state, state / "t", state / "t" / "wal"});
+}
+
+TEST_F(DurableWriteTest, StoreCheckpointWritesSnapshotThenImageThenTrims) {
+  engine::testing::EngineHarness h;
+  ASSERT_TRUE(h.AddRules("CREATE RULE x, a ON observation(r, o, t) IF true "
+                         "DO INSERT INTO OBSERVATION VALUES (r, o, t)")
+                  .ok());
+  const engine::StateDir state(dir_.string());
+  store::WalOptions options;
+  options.segment_bytes = 256;  // A few records per segment.
+  Result<engine::StateDir::Recovered> recovered =
+      state.Recover(*h.engine, options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  for (int i = 1; i <= 30; ++i) ASSERT_TRUE(h.ObserveAt("r", "o", i).ok());
+  std::vector<std::string> segments;
+  for (const auto& entry : fs::directory_iterator(state.wal_dir())) {
+    segments.push_back(entry.path().string());
+  }
+  std::sort(segments.begin(), segments.end());
+  ASSERT_GE(segments.size(), 3u);
+
+  Calls().clear();
+  ASSERT_TRUE(state.Checkpoint(*h.engine).ok());
+  const int snapshot = Find(Call::kRename, state.snapshot_path());
+  const int image = Find(Call::kRename, state.image_path());
+  ASSERT_GE(snapshot, 0);
+  EXPECT_GT(image, snapshot);
+  EXPECT_GT(Find(Call::kSyncDir, dir_.string(), image), image);
+  // Every segment there was goes, oldest first, each deletion synced
+  // before the next one.
+  int last = image;
+  for (const std::string& segment : segments) {
+    SCOPED_TRACE(segment);
+    const int unlinked = Find(Call::kUnlink, segment, last);
+    ASSERT_GT(unlinked, last);
+    last = Find(Call::kSyncDir, state.wal_dir(), unlinked);
+    ASSERT_GT(last, unlinked);
+  }
+  EXPECT_EQ(recovered->wal->first_lsn(), recovered->wal->last_lsn() + 1);
 }
 
 }  // namespace

@@ -66,6 +66,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,11 +76,13 @@
 #include "engine/reference/reference_interpreter.h"
 #include "engine/rewrite.h"
 #include "engine/snapshot.h"
+#include "engine/state_dir.h"
 #include "rules/parser.h"
 #include "sim/trace.h"
 #include "sim/workload.h"
 #include "store/csv.h"
 #include "store/database.h"
+#include "store/store_image.h"
 #include "store/wal.h"
 #include "tests/engine/test_util.h"
 
@@ -1169,28 +1172,69 @@ std::optional<std::string> CheckGroupCase(const FuzzCase& c,
 
 // --- Durable crash-recovery protocol (WAL axis) ------------------------------
 //
-// The exactly-once invariant end to end: a run with SQL actions, a store
-// write-ahead log, and a mid-run checkpoint is killed at a salt-chosen
-// BYTE offset into the WAL — cuts land mid-record (torn tails) and
-// across segment rotations (tiny segments below). Replaying the
-// surviving log into a fresh store, restoring the snapshot, and
-// reprocessing the suffix must reproduce the uninterrupted run's match
-// stream per rule in emission order AND its final tables byte for byte.
+// The exactly-once invariant end to end: a run with SQL actions and a
+// store write-ahead log checkpoints twice through engine::StateDir —
+// snapshot, store image, WAL trim — and crashes at a salt-chosen step of
+// the second checkpoint, then at a salt-chosen BYTE offset into what it
+// logs after it: cuts land mid-record (torn tails) and across segment
+// rotations (tiny segments below). Recovering the state directory
+// (image, the log past it, snapshot) and reprocessing the suffix must
+// reproduce the uninterrupted run's match stream per rule in emission
+// order AND its final tables byte for byte.
 
 // Identity of one procedure/alarm invocation, comparable between a
-// rig's handler log and the WAL's surviving kProcedure/kAlarm frames.
-std::string ProcKey(const std::string& rule_id, uint64_t seq,
-                    const std::string& name) {
-  return rule_id + '\x1f' + std::to_string(seq) + '\x1f' + name;
+// rig's handler log and the WAL's surviving kProcedure/kAlarm frames:
+// rule id, firing seq, procedure name.
+using ProcKey = std::tuple<std::string, uint64_t, std::string>;
+
+std::string FormatProcKey(const ProcKey& key) {
+  return std::get<0>(key) + "#" + std::to_string(std::get<1>(key)) + " " +
+         std::get<2>(key);
+}
+
+// Where the crash lands inside the second checkpoint; the snapshot is
+// always written.
+enum class CrashPoint {
+  kBeforeImage,  // Recovery loads the first checkpoint's image.
+  kBeforeTrim,
+  kOldestSegmentDropped,
+  kTrimmed,
+};
+
+const char* CrashPointName(CrashPoint point) {
+  switch (point) {
+    case CrashPoint::kBeforeImage:
+      return "before the image";
+    case CrashPoint::kBeforeTrim:
+      return "between image and trim";
+    case CrashPoint::kOldestSegmentDropped:
+      return "after the oldest segment's deletion";
+    case CrashPoint::kTrimmed:
+      return "after the trim";
+  }
+  return "?";
+}
+
+// The LSN a WAL trim through which deletes only the oldest segment of
+// `wal_dir` (segments are named wal-<20-digit LSN>.seg), once the current
+// one is sealed; `lsn` when there is one segment or none.
+uint64_t OldestSegmentEnd(const std::filesystem::path& wal_dir, uint64_t lsn) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(wal_dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names.size() < 2 ? lsn : std::stoull(names[1].substr(4, 20)) - 1;
 }
 
 struct DurableRig {
   std::unique_ptr<store::Database> db = std::make_unique<store::Database>();
-  std::map<std::string, int> invocations;
+  std::map<ProcKey, int> invocations;
   std::unique_ptr<RcedaEngine> engine;
   SpansByRule matches;
 
-  // Compile is left to the caller: a WAL can only attach before it.
+  // Compile is left to the caller (StateDir::Recover): a WAL can only
+  // attach before it.
   static std::unique_ptr<DurableRig> Make(const std::string& program) {
     auto r = std::make_unique<DurableRig>();
     if (!r->db->InstallRfidSchema().ok()) return nullptr;
@@ -1205,7 +1249,7 @@ struct DurableRig {
         });
     // The procedures the generator emits, counting every invocation so
     // the durable axis can hold callbacks to exactly-once.
-    std::map<std::string, int>* inv = &r->invocations;
+    std::map<ProcKey, int>* inv = &r->invocations;
     for (const char* name : {"act", "raise alarm"}) {
       r->engine->RegisterProcedure(
           name, [inv, name](const RuleFiring& firing, const std::string&) {
@@ -1228,9 +1272,11 @@ std::string DumpStore(store::Database* db) {
   return out;
 }
 
-// Discards every WAL byte past `keep`: segments wholly beyond it are
+// Discards every WAL byte past `keep`: segments starting beyond it are
 // deleted and the segment containing it is cut mid-file — exactly what a
-// crash during a buffered write leaves behind.
+// crash during a buffered write leaves behind. A segment starting at
+// `keep` is cut to empty, not deleted: it may be the one a trim synced
+// into the directory to keep the LSN cursor.
 void TruncateWalAt(const std::filesystem::path& dir, uint64_t keep) {
   namespace fs = std::filesystem;
   std::vector<fs::path> files;
@@ -1241,7 +1287,7 @@ void TruncateWalAt(const std::filesystem::path& dir, uint64_t keep) {
   uint64_t seen = 0;
   for (const fs::path& file : files) {
     uint64_t size = fs::file_size(file);
-    if (seen >= keep) {
+    if (seen > keep) {
       fs::remove(file);
     } else if (seen + size > keep) {
       fs::resize_file(file, keep - seen);
@@ -1258,8 +1304,13 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
   if (!set.ok()) return "parse failed: " + set.status().ToString();
   if (!EventGraph::Build(set->rules).ok()) return std::nullopt;
 
-  // The low four bits are unused.
-  const size_t cut = c.stream.empty() ? 0 : (salt >> 4) % (c.stream.size() + 1);
+  // Bits 2-3 choose the crash point; the checkpoints land at two
+  // salt-chosen prefixes, the doomed tail ends at a third.
+  const auto crash = static_cast<CrashPoint>((salt >> 2) & 3);
+  const size_t n = c.stream.size();
+  const size_t cut1 = (salt >> 4) % (n + 1);
+  const size_t cut2 = cut1 + (salt >> 6) % (n - cut1 + 1);
+  const size_t doomed = cut2 + (salt >> 9) % (n - cut2 + 1);
 
   // Uninterrupted run: the oracle for the match stream and the final
   // table contents.
@@ -1273,69 +1324,100 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
   }
   if (!reference->engine->Flush().ok()) return "reference flush failed";
 
-  // Per process, so concurrent fuzz runs never share a log.
-  fs::path wal_dir = fs::path(::testing::TempDir()) /
-                     ("diff_fuzz_wal_" + std::to_string(getpid()));
-  fs::remove_all(wal_dir);
+  // Per process, so concurrent fuzz runs never share a state directory.
+  const fs::path state_dir = fs::path(::testing::TempDir()) /
+                             ("diff_fuzz_state_" + std::to_string(getpid()));
+  fs::remove_all(state_dir);
+  const StateDir state(state_dir.string());
   store::WalOptions wal_options;
   wal_options.segment_bytes = 512;  // Tiny segments: cuts cross rotations.
 
-  std::string snapshot_bytes;
   uint64_t checkpoint_bytes = 0;
   uint64_t final_bytes = 0;
   SpansByRule head_matches;
-  std::map<std::string, int> crashed_inv;
+  std::map<std::string, uint64_t> checkpoint_fired;  // At the second one.
+  std::map<ProcKey, int> crashed_inv;
   {
-    Result<std::unique_ptr<store::Wal>> wal =
-        store::Wal::Open(wal_dir.string(), wal_options);
-    if (!wal.ok()) return "wal open failed: " + wal.status().ToString();
     auto crashed = DurableRig::Make(program);
     if (crashed == nullptr) return "crash rig failed to build";
-    if (!crashed->engine->AttachWal(wal->get()).ok() ||
-        !crashed->engine->Compile().ok()) {
-      return "crash rig compile failed";
+    Result<StateDir::Recovered> opened =
+        state.Recover(*crashed->engine, wal_options);
+    if (!opened.ok()) {
+      return "crash rig open failed: " + opened.status().ToString();
     }
-    for (size_t i = 0; i < cut; ++i) {
-      if (!crashed->engine->Process(c.stream[i]).ok()) {
-        return "crash-run prefix processing failed";
+    store::Wal* wal = opened->wal.get();
+    auto process = [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        if (!crashed->engine->Process(c.stream[i]).ok()) return false;
+      }
+      return true;
+    };
+    if (!process(0, cut1)) return "crash-run prefix processing failed";
+    if (Status s = state.Checkpoint(*crashed->engine); !s.ok()) {
+      return "first checkpoint failed: " + s.ToString();
+    }
+    if (!process(cut1, cut2)) return "crash-run middle processing failed";
+    // The second checkpoint, step by step as StateDir::Checkpoint takes
+    // them, stopped where the crash lands.
+    if (Status s = crashed->engine->Checkpoint(state.snapshot_path());
+        !s.ok()) {
+      return "second checkpoint failed: " + s.ToString();
+    }
+    const uint64_t lsn = wal->last_lsn();  // The snapshot's durable LSN.
+    if (crash != CrashPoint::kBeforeImage) {
+      if (Status s = store::WriteStoreImage(state.image_path(),
+                                            *crashed->db, lsn);
+          !s.ok()) {
+        return "second image failed: " + s.ToString();
       }
     }
-    if (Status s = crashed->engine->SerializeState(&snapshot_bytes); !s.ok()) {
-      return "checkpoint failed: " + s.ToString();
+    Status trimmed;
+    if (crash == CrashPoint::kOldestSegmentDropped) {
+      trimmed = wal->Trim(OldestSegmentEnd(state.wal_dir(), lsn));
+    } else if (crash == CrashPoint::kTrimmed) {
+      trimmed = wal->Trim(lsn);
     }
+    if (!trimmed.ok()) return "second trim failed: " + trimmed.ToString();
     head_matches = crashed->matches;
-    checkpoint_bytes = (*wal)->total_bytes();  // Synced by SerializeState.
+    for (const rules::Rule& rule : set->rules) {
+      checkpoint_fired[rule.id] = crashed->engine->FiredCount(rule.id);
+    }
+    checkpoint_bytes = wal->total_bytes();  // Synced by the checkpoint.
     // The doomed tail: processed and logged, then thrown away past the
     // salt-chosen crash point below.
-    const size_t doomed = cut + (salt >> 9) % (c.stream.size() - cut + 1);
-    for (size_t i = cut; i < doomed; ++i) {
-      if (!crashed->engine->Process(c.stream[i]).ok()) {
-        return "crash-run tail processing failed";
-      }
-    }
+    if (!process(cut2, doomed)) return "crash-run tail processing failed";
     crashed->engine.reset();
     crashed_inv = std::move(crashed->invocations);
     crashed.reset();
-    final_bytes = (*wal)->total_bytes();
+    final_bytes = wal->total_bytes();
   }  // The WAL destructor flushes: the files hold every logged record.
-  TruncateWalAt(wal_dir,
+  TruncateWalAt(state.wal_dir(),
                 checkpoint_bytes +
                     (final_bytes > checkpoint_bytes
                          ? salt % (final_bytes - checkpoint_bytes + 1)
                          : 0));
 
-  // One-pass recovery, as Tenant::Open runs it: the reopen replays the
-  // surviving log into the fresh store while collecting the dedup set.
+  // Recovery, as Tenant::Open runs it: the image, one walk over the log
+  // past it (replaying it into the store while collecting the dedup
+  // set), compile, restore.
   auto recovered = DurableRig::Make(program);
   if (recovered == nullptr) return "recovery rig failed to build";
-  Result<std::unique_ptr<store::Wal>> wal = store::Wal::Open(
-      wal_dir.string(), wal_options, recovered->db.get());
-  if (!wal.ok()) return "wal reopen failed: " + wal.status().ToString();
-  // Procedure/alarm frames that survived the cut: the durable record of
-  // which callbacks already ran. Captured now, before the recovered run
-  // appends its own frames to the same log.
-  std::set<std::string> kept_procs;
-  if (Status s = (*wal)->Replay(0, [&](const store::WalRecord& r) {
+  auto describe = [&] {
+    return " (checkpoints at " + std::to_string(cut1) + " and " +
+           std::to_string(cut2) + "/" + std::to_string(n) + ", crash " +
+           CrashPointName(crash) + ")";
+  };
+  Result<StateDir::Recovered> reopened =
+      state.Recover(*recovered->engine, wal_options);
+  if (!reopened.ok()) {
+    return "recovery failed: " + reopened.status().ToString() + describe();
+  }
+  if (!reopened->restored) return "recovery found no checkpoint" + describe();
+  // Procedure/alarm frames that survived the trim and the cut: the
+  // durable record of which callbacks ran after the checkpoint. Captured
+  // now, before the recovered run appends its own frames to the same log.
+  std::set<ProcKey> kept_procs;
+  if (Status s = reopened->wal->Replay(0, [&](const store::WalRecord& r) {
         if (r.kind != store::WalRecordKind::kSql) {
           kept_procs.insert(ProcKey(r.rule_id, r.action_seq, r.sql));
         }
@@ -1344,24 +1426,13 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
       !s.ok()) {
     return "wal procedure scan failed: " + s.ToString();
   }
-  if (!recovered->engine->AttachWal(wal->get()).ok() ||
-      !recovered->engine->Compile().ok()) {
-    return "recovery rig compile failed";
-  }
-  if (Status s = recovered->engine->RestoreState(snapshot_bytes); !s.ok()) {
-    return "restore failed: " + s.ToString();
-  }
-  for (size_t i = cut; i < c.stream.size(); ++i) {
+  for (size_t i = cut2; i < n; ++i) {
     if (!recovered->engine->Process(c.stream[i]).ok()) {
       return "recovered suffix processing failed";
     }
   }
   if (!recovered->engine->Flush().ok()) return "recovered flush failed";
 
-  auto describe = [&] {
-    return " (cut " + std::to_string(cut) + "/" +
-           std::to_string(c.stream.size()) + ")";
-  };
   for (const auto& [rule_id, expected] : reference->matches) {
     std::vector<Span> combined = head_matches[rule_id];
     const std::vector<Span>& post = recovered->matches[rule_id];
@@ -1383,10 +1454,11 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
   // Procedure/alarm exactly-once. The logical counter must land exactly
   // on the uninterrupted run's; the physical invocation log may exceed
   // it only inside the unavoidable at-least-once window — a callback
-  // that ran before the crash but whose WAL frame was lost to the cut
-  // re-invokes on recovery. Any duplicate whose frame *survived*, any
-  // lost invocation, and any invocation the reference never made are
-  // all bugs.
+  // that ran after the second checkpoint but whose WAL frame was lost to
+  // the cut re-invokes on recovery. A key at or below the checkpoint's
+  // fired counts (its frame possibly trimmed away) runs exactly once;
+  // any duplicate whose frame *survived*, any lost invocation, and any
+  // invocation the reference never made are all bugs.
   if (recovered->engine->stats().procedures_invoked !=
       reference->engine->stats().procedures_invoked) {
     return "durable-recovery procedure counter divergence" + describe() +
@@ -1395,35 +1467,38 @@ std::optional<std::string> CheckDurableRecoveryCase(const FuzzCase& c,
            ", recovered " +
            std::to_string(recovered->engine->stats().procedures_invoked);
   }
-  std::map<std::string, int> combined_inv = crashed_inv;
+  std::map<ProcKey, int> combined_inv = crashed_inv;
   for (const auto& [key, count] : recovered->invocations) {
     combined_inv[key] += count;
   }
   for (const auto& [key, count] : reference->invocations) {
     if (count != 1) {
-      return "reference rig invoked a procedure twice: " + key + describe();
+      return "reference rig invoked a procedure twice: " + FormatProcKey(key) +
+             describe();
     }
     auto it = combined_inv.find(key);
     const int total = it == combined_inv.end() ? 0 : it->second;
     if (total < 1) {
-      return "lost procedure invocation " + key + describe();
+      return "lost procedure invocation " + FormatProcKey(key) + describe();
     }
     if (total > 2) {
-      return "procedure invoked " + std::to_string(total) + " times: " + key +
-             describe();
+      return "procedure invoked " + std::to_string(total) +
+             " times: " + FormatProcKey(key) + describe();
     }
-    if (total == 2 &&
-        (kept_procs.count(key) != 0 || crashed_inv.count(key) == 0)) {
+    const bool checkpointed =
+        std::get<1>(key) <= checkpoint_fired[std::get<0>(key)];
+    if (total == 2 && (checkpointed || kept_procs.count(key) != 0 ||
+                       crashed_inv.count(key) == 0)) {
       return "duplicate procedure invocation outside the lost-frame window: " +
-             key + describe();
+             FormatProcKey(key) + describe();
     }
   }
   for (const auto& [key, count] : combined_inv) {
     if (reference->invocations.count(key) == 0) {
-      return "phantom procedure invocation " + key + describe();
+      return "phantom procedure invocation " + FormatProcKey(key) + describe();
     }
   }
-  fs::remove_all(wal_dir);
+  fs::remove_all(state_dir);
   return std::nullopt;
 }
 

@@ -500,17 +500,24 @@ TEST_F(ServerTest, CrashAfterCheckpointRecoversStoreExactlyOnce) {
   config.rules_text = kCrashRules;
 
   // Alarm invocations per (rule, firing seq), per lifetime.
-  using Invocations = std::map<std::string, int>;
+  using Key = std::pair<std::string, uint64_t>;
+  using Invocations = std::map<Key, int>;
+  auto name = [](const Key& key) {
+    return key.first + "#" + std::to_string(key.second);
+  };
   auto count_alarms = [](engine::RcedaEngine& engine, Invocations* out) {
     engine.RegisterProcedure(
         "raise alarm",
         [out](const engine::RuleFiring& firing, const std::string&) {
-          ++(*out)[firing.rule->id + "#" + std::to_string(firing.seq)];
+          ++(*out)[Key(firing.rule->id, firing.seq)];
         });
   };
 
   Invocations crashed;
   uint64_t checkpoint_bytes = 0;
+  // Each rule's fired count at the checkpoint: the restored engine
+  // numbers its firings past it.
+  std::map<std::string, uint64_t> checkpoint_fired;
   {
     Server server(Options());
     ASSERT_TRUE(server.AddTenant(config).ok());
@@ -522,8 +529,13 @@ TEST_F(ServerTest, CrashAfterCheckpointRecoversStoreExactlyOnce) {
       ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
     }
     ASSERT_TRUE(client.Roundtrip(EncodeFrame(FrameType::kCheckpoint, "")));
-    // The checkpoint synced the WAL: these bytes are its durable prefix.
+    // The checkpoint synced the WAL and trimmed what its image holds:
+    // these bytes are the durable log.
     checkpoint_bytes = WalBytes(wal_dir);
+    StatsReply at_checkpoint;
+    ASSERT_TRUE(client.Stats(&at_checkpoint));
+    checkpoint_fired.insert(at_checkpoint.fired.begin(),
+                            at_checkpoint.fired.end());
     for (size_t i = split; i < doomed_end; ++i) {
       ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
     }
@@ -536,7 +548,7 @@ TEST_F(ServerTest, CrashAfterCheckpointRecoversStoreExactlyOnce) {
 
   // Which alarm frames survived the cut, read from a copy so the
   // tenant's own Open() still meets the torn tail.
-  std::set<std::string> kept;
+  std::set<Key> kept;
   {
     const fs::path copy = dir_ / "wal_copy";
     fs::copy(wal_dir, copy, fs::copy_options::recursive);
@@ -546,8 +558,7 @@ TEST_F(ServerTest, CrashAfterCheckpointRecoversStoreExactlyOnce) {
                     ->Replay(0,
                              [&](const store::WalRecord& r) {
                                if (r.kind == store::WalRecordKind::kAlarm) {
-                                 kept.insert(r.rule_id + "#" +
-                                             std::to_string(r.action_seq));
+                                 kept.insert(Key(r.rule_id, r.action_seq));
                                }
                                return Status::Ok();
                              })
@@ -600,27 +611,120 @@ TEST_F(ServerTest, CrashAfterCheckpointRecoversStoreExactlyOnce) {
   ASSERT_TRUE(server.Shutdown().ok());  // Joins the connection threads.
 
   // docs/recovery.md's envelope: every alarm of the uninterrupted run
-  // ran once; a second run only for a key the crashed server invoked
-  // whose frame the cut destroyed; no alarm the reference never raised.
+  // ran once, a key at or below the checkpoint's fired count exactly
+  // once (its frame went with the trimmed log, and the restored engine
+  // never re-derives it); a second run only for a key above it that the
+  // crashed server invoked and whose frame the cut destroyed; no alarm
+  // the reference never raised.
   int lost_frames = 0;
+  int checkpointed_keys = 0;
   for (const auto& [key, count] : uninterrupted) {
-    ASSERT_EQ(count, 1) << key;
-    const bool rerun_allowed = crashed.count(key) != 0 && kept.count(key) == 0;
+    ASSERT_EQ(count, 1) << name(key);
+    const bool checkpointed = key.second <= checkpoint_fired.at(key.first);
+    const bool rerun_allowed =
+        !checkpointed && crashed.count(key) != 0 && kept.count(key) == 0;
     const int combined = (crashed.count(key) != 0 ? crashed.at(key) : 0) +
                          (recovered.count(key) != 0 ? recovered.at(key) : 0);
-    EXPECT_EQ(combined, rerun_allowed ? 2 : 1) << key;
+    EXPECT_EQ(combined, rerun_allowed ? 2 : 1) << name(key);
     lost_frames += rerun_allowed ? 1 : 0;
+    checkpointed_keys += checkpointed ? 1 : 0;
   }
   for (const Invocations* run : {&crashed, &recovered}) {
     for (const auto& [key, count] : *run) {
-      EXPECT_EQ(uninterrupted.count(key), 1u) << "phantom alarm " << key;
+      EXPECT_EQ(uninterrupted.count(key), 1u) << "phantom alarm " << name(key);
     }
   }
-  // The trace raises alarms on both sides of the cut, or the test is
-  // vacuous.
+  // The trimmed log kept no frame at or below the checkpoint.
+  for (const Key& key : kept) {
+    EXPECT_GT(key.second, checkpoint_fired.at(key.first)) << name(key);
+  }
+  // The trace raises alarms before the checkpoint and on both sides of
+  // the cut, or the test is vacuous.
+  EXPECT_GT(checkpointed_keys, 0);
   EXPECT_GT(kept.size(), 0u);
   EXPECT_GT(lost_frames, 0);
   EXPECT_GT(want.sql_actions_executed, 0u);
+}
+
+// A state dir an older build wrote: checkpoint.snap and a log from LSN
+// 1, no store image (that build's Tenant::Checkpoint was the snapshot
+// alone, in the bytes this one writes). It opens by replaying the whole
+// log, reconciles with an uninterrupted run, and its next checkpoint
+// writes the image and trims the log.
+TEST_F(UpgradeTest, StateDirWithoutImageReplaysAndIsTrimmedAtItsNextCheckpoint) {
+  const std::vector<events::Observation> trace = MakeTrace(400);
+  const auto batches = Batched(trace, 32);
+  const size_t split = batches.size() / 2;
+  const TenantConfig config = AlphaConfig();
+  const fs::path tenant_dir = dir_ / "alpha";
+  {
+    store::Database db;
+    ASSERT_TRUE(db.InstallRfidSchema().ok());
+    Result<std::unique_ptr<store::Wal>> wal =
+        store::Wal::Open((tenant_dir / "wal").string());
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    engine::RcedaEngine engine(&db, events::Environment{});
+    ASSERT_TRUE(engine.AddRulesFromText(config.rules_text).ok());
+    ASSERT_TRUE(engine.AttachWal(wal->get()).ok());
+    ASSERT_TRUE(engine.Compile().ok());
+    for (size_t i = 0; i < split; ++i) {
+      ASSERT_TRUE(engine.ProcessAll(batches[i]).ok());
+    }
+    ASSERT_TRUE(engine.Checkpoint((tenant_dir / "checkpoint.snap").string())
+                    .ok());
+  }
+  ASSERT_FALSE(fs::exists(tenant_dir / "store.img"));
+  ASSERT_EQ(WalSegments(tenant_dir / "wal").front().filename().string(),
+            "wal-00000000000000000001.seg");
+
+  Server server(Options());
+  ASSERT_TRUE(server.AddTenant(config).ok());
+  Tenant* tenant = server.tenant("alpha");
+  ASSERT_TRUE(tenant->restored());
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect(server.bound_port(), "alpha"));
+  for (size_t i = split; i < batches.size(); ++i) {
+    ASSERT_TRUE(client.Roundtrip(EncodeBatch(batches[i])));
+  }
+  ASSERT_TRUE(client.Roundtrip(EncodeFrame(FrameType::kCheckpoint, "")));
+  uint64_t last_lsn = 0;
+  {
+    std::lock_guard<std::mutex> lock(tenant->mu());
+    last_lsn = tenant->engine().wal()->last_lsn();
+  }
+  EXPECT_TRUE(fs::exists(tenant_dir / "store.img"));
+  const std::vector<fs::path> segments = WalSegments(tenant_dir / "wal");
+  ASSERT_EQ(segments.size(), 1u);
+  char want[48];
+  std::snprintf(want, sizeof(want), "wal-%020llu.seg",
+                static_cast<unsigned long long>(last_lsn + 1));
+  EXPECT_EQ(segments[0].filename().string(), want);
+  EXPECT_EQ(fs::file_size(segments[0]), 0u);
+  ASSERT_TRUE(client.Roundtrip(EncodeFrame(FrameType::kFlush, "")));
+  StatsReply stats;
+  ASSERT_TRUE(client.Stats(&stats));
+  std::string store_dump;
+  {
+    std::lock_guard<std::mutex> lock(tenant->mu());
+    store_dump = DumpStore(*tenant->db());
+  }
+  client.Close();
+  ASSERT_TRUE(server.Shutdown().ok());
+
+  Reference ref(config.rules_text);
+  ASSERT_TRUE(ref.engine->ProcessAll(trace).ok());
+  ASSERT_TRUE(ref.engine->Flush().ok());
+  EXPECT_EQ(stats.observations, ref.engine->stats().detector.observations);
+  EXPECT_EQ(stats.rules_fired, ref.engine->stats().rules_fired);
+  EXPECT_EQ(stats.sql_actions, ref.engine->stats().sql_actions_executed);
+  EXPECT_EQ(store_dump, DumpStore(ref.db));
+
+  // And the upgraded state dir relaunches through its image.
+  Server relaunched(Options());
+  ASSERT_TRUE(relaunched.AddTenant(config).ok());
+  EXPECT_TRUE(relaunched.tenant("alpha")->restored());
+  EXPECT_EQ(DumpStore(*relaunched.tenant("alpha")->db()), store_dump);
 }
 
 TEST_F(ServerTest, GarbageBytesFailTheConnectionCleanly) {

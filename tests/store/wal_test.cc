@@ -699,5 +699,171 @@ TEST_F(WalTest, RotationPreservesLsnOrderAcrossSegments) {
   EXPECT_EQ(*lsn, kRecords + 1);
 }
 
+// --- A bounded log: first LSN, cursor replay, trim ---------------------------
+
+// Firing `seq` inserts one OBSERVATION row whose object and timestamp
+// name it.
+WalRecord InsertRecord(uint64_t seq) {
+  WalRecord record;
+  record.action_seq = seq;
+  record.affected = 1;
+  record.rule_id = "r" + std::to_string(seq);
+  record.sql = "INSERT INTO OBSERVATION VALUES ('r', 'o" +
+               std::to_string(seq) + "', " + std::to_string(seq) + ")";
+  return record;
+}
+
+uint64_t BytesOnDisk(const std::vector<fs::path>& files) {
+  uint64_t bytes = 0;
+  for (const fs::path& file : files) bytes += fs::file_size(file);
+  return bytes;
+}
+
+// Seals, then deletes oldest first each segment whose records all sit at
+// or below the trim LSN; the log reopens at its first segment's LSN and
+// an emptied log keeps the LSN cursor in one empty segment.
+TEST_F(WalTest, TrimDropsCoveredSegmentsAndTheLogReopensPastThem) {
+  WalOptions small;
+  small.segment_bytes = 200;  // A few records per segment.
+  std::unique_ptr<Wal> wal = OpenOrDie(small);
+  for (uint64_t seq = 1; seq <= 20; ++seq) {
+    ASSERT_TRUE(wal->Append(InsertRecord(seq)).ok());
+  }
+  ASSERT_TRUE(wal->Sync().ok());
+  ASSERT_GT(SegmentFiles().size(), 3u);
+  EXPECT_EQ(wal->first_lsn(), 1u);
+
+  ASSERT_TRUE(wal->Trim(12).ok());
+  const uint64_t first = wal->first_lsn();
+  EXPECT_GT(first, 1u);
+  EXPECT_LE(first, 13u);  // The segment holding 13 stays.
+  EXPECT_EQ(wal->total_bytes(), BytesOnDisk(SegmentFiles()));
+  std::vector<WalRecord> records = ReplayAll(*wal);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.front().lsn, first);
+  EXPECT_EQ(records.back().lsn, 20u);
+  Result<uint64_t> lsn = wal->Append(InsertRecord(21));
+  ASSERT_TRUE(lsn.ok());
+  EXPECT_EQ(*lsn, 21u);
+  wal.reset();
+
+  wal = OpenOrDie(small);
+  EXPECT_EQ(wal->first_lsn(), first);
+  EXPECT_EQ(wal->recovered_lsn(), 21u);
+  // The dedup set holds what the log still holds.
+  EXPECT_FALSE(wal->recovered_actions().Find("r1", 1, 0).has_value());
+  EXPECT_TRUE(wal->recovered_actions().Find("r13", 13, 0).has_value());
+
+  // Trimming everything leaves one empty segment named for LSN 22.
+  ASSERT_TRUE(wal->Trim(21).ok());
+  const std::vector<fs::path> files = SegmentFiles();
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].filename().string(), "wal-00000000000000000022.seg");
+  EXPECT_EQ(fs::file_size(files[0]), 0u);
+  EXPECT_EQ(wal->first_lsn(), 22u);
+  EXPECT_EQ(wal->last_lsn(), 21u);
+  EXPECT_EQ(wal->total_bytes(), 0u);
+  // Nothing appended since: a second trim seals and deletes nothing.
+  ASSERT_TRUE(wal->Trim(21).ok());
+  EXPECT_EQ(SegmentFiles(), files);
+  wal.reset();
+
+  wal = OpenOrDie(small);
+  EXPECT_EQ(wal->first_lsn(), 22u);
+  EXPECT_EQ(wal->recovered_lsn(), 21u);
+  EXPECT_TRUE(wal->recovered_actions().empty());
+  lsn = wal->Append(InsertRecord(22));
+  ASSERT_TRUE(lsn.ok());
+  EXPECT_EQ(*lsn, 22u);
+}
+
+// What perfbench's traced daemon run does with a copy of a tenant's
+// trimmed log: Open(dir) without a store, then the cursor replay, which
+// applies whatever the log holds past the cursor.
+TEST_F(WalTest, TrimmedLogOpensAndReplaysWithoutAnImage) {
+  {
+    std::unique_ptr<Wal> wal = OpenOrDie();
+    for (uint64_t seq = 1; seq <= 4; ++seq) {
+      ASSERT_TRUE(wal->Append(InsertRecord(seq)).ok());
+    }
+    ASSERT_TRUE(wal->Trim(4).ok());
+    for (uint64_t seq = 5; seq <= 6; ++seq) {
+      ASSERT_TRUE(wal->Append(InsertRecord(seq)).ok());
+    }
+  }
+  std::unique_ptr<Wal> wal = OpenOrDie();
+  EXPECT_EQ(wal->first_lsn(), 5u);
+  Database db;
+  ASSERT_TRUE(db.InstallRfidSchema().ok());
+  Result<uint64_t> cursor = ReplayWalIntoDatabase(*wal, &db);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().message();
+  EXPECT_EQ(*cursor, 6u);
+  EXPECT_EQ(TableToCsv(*db.GetTable("OBSERVATION")),
+            "reader,object,ts\nr,o5,5\nr,o6,6\n");
+}
+
+// Open(dir, options, &db, after) walks the whole log into the dedup set
+// but replays only the records past `after`: those an image lacks.
+TEST_F(WalTest, OpenReplaysOnlyRecordsPastTheCursor) {
+  {
+    std::unique_ptr<Wal> wal = OpenOrDie();
+    for (uint64_t seq = 1; seq <= 6; ++seq) {
+      ASSERT_TRUE(wal->Append(InsertRecord(seq)).ok());
+    }
+  }
+  Database db;
+  ASSERT_TRUE(db.InstallRfidSchema().ok());
+  Result<std::unique_ptr<Wal>> wal = Wal::Open(dir_.string(), {}, &db, 4);
+  ASSERT_TRUE(wal.ok()) << wal.status().message();
+  EXPECT_EQ((*wal)->recovered_actions().size(), 6u);
+  EXPECT_EQ(TableToCsv(*db.GetTable("OBSERVATION")),
+            "reader,object,ts\nr,o5,5\nr,o6,6\n");
+}
+
+// A segment must start where the one before it ended: a missing middle
+// segment fails Open with both LSNs, and nothing is truncated.
+TEST_F(WalTest, MissingMiddleSegmentFailsOpen) {
+  WalOptions small;
+  small.segment_bytes = 64;  // Every record rotates into its own segment.
+  {
+    std::unique_ptr<Wal> wal = OpenOrDie(small);
+    for (uint64_t seq = 1; seq <= 3; ++seq) {
+      ASSERT_TRUE(wal->Append(MakeRecord(seq, 0)).ok());
+    }
+  }
+  std::vector<fs::path> files = SegmentFiles();
+  ASSERT_EQ(files.size(), 3u);
+  fs::remove(files[1]);
+  const uint64_t final_size = fs::file_size(files[2]);
+  Result<std::unique_ptr<Wal>> wal = Wal::Open(dir_.string(), small);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_EQ(wal.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wal.status().message().find("starts at LSN 3 but the log "
+                                        "continues at LSN 2"),
+            std::string::npos)
+      << wal.status().message();
+  EXPECT_EQ(fs::file_size(files[2]), final_size);
+}
+
+TEST_F(WalTest, FirstLsnReadsTheFirstSegmentName) {
+  Result<uint64_t> missing = Wal::FirstLsn(dir_.string());
+  ASSERT_TRUE(missing.ok());
+  EXPECT_EQ(*missing, 1u);
+  {
+    std::unique_ptr<Wal> wal = OpenOrDie();
+    for (uint64_t seq = 1; seq <= 3; ++seq) {
+      ASSERT_TRUE(wal->Append(MakeRecord(seq, 0)).ok());
+    }
+    ASSERT_TRUE(wal->Trim(3).ok());
+  }
+  Result<uint64_t> trimmed = Wal::FirstLsn(dir_.string());
+  ASSERT_TRUE(trimmed.ok());
+  EXPECT_EQ(*trimmed, 4u);
+  // A file named like a segment must carry an LSN.
+  WriteBytes(dir_ / "wal-x.seg", "");
+  EXPECT_FALSE(Wal::FirstLsn(dir_.string()).ok());
+  EXPECT_FALSE(Wal::Open(dir_.string()).ok());
+}
+
 }  // namespace
 }  // namespace rfidcep::store
